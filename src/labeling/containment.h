@@ -145,51 +145,86 @@ class FloatContainmentCodec {
 /// implies (expressible size >= initial width + 2), so intermittent
 /// insertions never overflow but sustained skewed insertion eventually does
 /// (Example 6.1).
+///
+/// In memory a code is one word: its bits MSB-aligned, zero-padded below.
+/// Every CDBS code ends in "1", so the length is implicit (64 - ctz; the
+/// empty code is 0), distinct codes never pad to the same word, and word
+/// order is Definition 3.1 order — comparison is one integer compare, as
+/// for V-Binary. The overflow limit keeps every code under 64 bits. Codes
+/// are decoded to `core::BitString` only to insert (Algorithm 1) and to
+/// serialize.
 class CdbsContainmentCodec {
  public:
-  using Value = core::BitString;
+  using Value = uint64_t;
   static constexpr OverflowPolicy kOverflowPolicy =
       OverflowPolicy::kReencodeAll;
 
   explicit CdbsContainmentCodec(bool fixed_width) : fixed_(fixed_width) {}
 
+  /// Bits in the code a word holds.
+  static size_t CodeBits(Value v) {
+    return v == 0 ? 0 : 64 - static_cast<size_t>(__builtin_ctzll(v));
+  }
+
+  /// The word of a CDBS code (empty, or at most 63 bits ending in "1").
+  static Value Encode(const core::BitString& code) {
+    CDBS_CHECK(code.size() < 64 && (code.empty() || code.EndsWithOne()));
+    return code.empty() ? 0 : code.ToUint() << (64 - code.size());
+  }
+
+  /// The code a word holds (the inverse of Encode).
+  static core::BitString Decode(Value v) {
+    const size_t bits = CodeBits(v);
+    return bits == 0 ? core::BitString()
+                     : core::BitString::FromUint(v >> (64 - bits),
+                                                 static_cast<int>(bits));
+  }
+
   void Init(uint64_t count, std::vector<Value>* values) {
-    *values = core::EncodeRange(count);
+    const std::vector<core::BitString> codes = core::EncodeRange(count);
+    values->resize(codes.size());
+    for (size_t i = 0; i < codes.size(); ++i) (*values)[i] = Encode(codes[i]);
     width_ = static_cast<size_t>(core::FixedWidthForCount(count));
     // Length field must express sizes up to width_ + 2 (first insertion
     // anywhere fits); the field is ceil(log2(width_ + 3)) bits.
     length_field_bits_ = 0;
     while ((width_ + 2) >> length_field_bits_) ++length_field_bits_;
     max_code_bits_ = (size_t{1} << length_field_bits_) - 1;
+    // Holds for any count below 2^61; the word layout depends on it.
+    CDBS_CHECK(max_code_bits_ < 64);
   }
 
-  int Compare(const Value& a, const Value& b) const { return a.Compare(b); }
+  int Compare(Value a, Value b) const { return a < b ? -1 : (a > b ? 1 : 0); }
 
-  size_t StoredBits(const Value& v) const {
+  size_t StoredBits(Value v) const {
     // F-CDBS: fixed slots of the initial width (codes grown past the width
     // live in the slot headroom; see DESIGN.md). V-CDBS: length field +
     // code bits.
-    return fixed_ ? width_ : length_field_bits_ + v.size();
+    return fixed_ ? width_ : length_field_bits_ + CodeBits(v);
   }
 
-  bool TryInsertTwoBetween(const Value& left, const Value& right, Value* v1,
-                           Value* v2, uint64_t* neighbor_bits) {
-    auto [m1, m2] = core::AssignTwoMiddleBinaryStrings(left, right);
+  bool TryInsertTwoBetween(Value left, Value right, Value* v1, Value* v2,
+                           uint64_t* neighbor_bits) {
+    auto [m1, m2] =
+        core::AssignTwoMiddleBinaryStrings(Decode(left), Decode(right));
     if (m2.size() > max_code_bits_) return false;  // overflow (Example 6.1)
+    CDBS_CHECK(m1.size() < 64 && m2.size() < 64);
     // Deriving m1 modifies one bit of a neighbour's code (Algorithm 1).
     *neighbor_bits = 1;
-    *v1 = std::move(m1);
-    *v2 = std::move(m2);
+    *v1 = Encode(m1);
+    *v2 = Encode(m2);
     return true;
   }
 
   void NoteUniverse(uint64_t) {}
 
-  std::string Serialize(const Value& v) const {
+  /// Length byte, then the code packed MSB-first into whole bytes.
+  std::string Serialize(Value v) const {
+    const size_t bits = CodeBits(v);
     std::string out;
-    out.push_back(static_cast<char>(v.size()));
-    for (const uint8_t byte : v.packed_bytes()) {
-      out.push_back(static_cast<char>(byte));
+    out.push_back(static_cast<char>(bits));
+    for (size_t i = 0; i < (bits + 7) / 8; ++i) {
+      out.push_back(static_cast<char>(v >> (56 - 8 * i)));
     }
     return out;
   }
@@ -330,11 +365,20 @@ class ContainmentLabeling : public Labeling {
 
   bool SupportsSharedFork() const override { return true; }
 
-  /// Test hooks.
-  const Value& start_value(NodeId n) const { return start_[n]; }
-  const Value& end_value(NodeId n) const { return end_[n]; }
+  /// Test hooks: a value as its codec presents it (CDBS words decode to
+  /// their BitString).
+  auto start_value(NodeId n) const { return Present(start_[n]); }
+  auto end_value(NodeId n) const { return Present(end_[n]); }
 
  private:
+  static auto Present(const Value& v) {
+    if constexpr (requires { Codec::Decode(v); }) {
+      return Codec::Decode(v);
+    } else {
+      return v;
+    }
+  }
+
   // Assigns fresh codes to every live node from the current skeleton;
   // labels of removed nodes are left stale (their ids are dead).
   void Encode() {

@@ -15,7 +15,8 @@ namespace {
 /// calls when it re-encodes after an overflow.
 class HybridContainmentCodec {
  public:
-  using Value = std::variant<core::BitString, core::QedCode>;
+  using CdbsWord = CdbsContainmentCodec::Value;
+  using Value = std::variant<CdbsWord, core::QedCode>;
   static constexpr OverflowPolicy kOverflowPolicy =
       OverflowPolicy::kReencodeAll;
 
@@ -24,7 +25,7 @@ class HybridContainmentCodec {
     values->reserve(count);
     if (!switched_to_qed_) {
       cdbs_.Init(count, &cdbs_scratch_);
-      for (auto& code : cdbs_scratch_) values->emplace_back(std::move(code));
+      for (const CdbsWord code : cdbs_scratch_) values->emplace_back(code);
       cdbs_scratch_.clear();
     } else {
       std::vector<core::QedCode> codes;
@@ -34,9 +35,8 @@ class HybridContainmentCodec {
   }
 
   int Compare(const Value& a, const Value& b) const {
-    if (std::holds_alternative<core::BitString>(a)) {
-      return std::get<core::BitString>(a).Compare(
-          std::get<core::BitString>(b));
+    if (std::holds_alternative<CdbsWord>(a)) {
+      return cdbs_.Compare(std::get<CdbsWord>(a), std::get<CdbsWord>(b));
     }
     const auto& qa = std::get<core::QedCode>(a);
     const auto& qb = std::get<core::QedCode>(b);
@@ -44,22 +44,22 @@ class HybridContainmentCodec {
   }
 
   size_t StoredBits(const Value& v) const {
-    if (std::holds_alternative<core::BitString>(v)) {
-      return cdbs_.StoredBits(std::get<core::BitString>(v));
+    if (std::holds_alternative<CdbsWord>(v)) {
+      return cdbs_.StoredBits(std::get<CdbsWord>(v));
     }
     return qed_.StoredBits(std::get<core::QedCode>(v));
   }
 
   bool TryInsertTwoBetween(const Value& left, const Value& right, Value* v1,
                            Value* v2, uint64_t* neighbor_bits) {
-    if (std::holds_alternative<core::BitString>(left)) {
-      core::BitString m1;
-      core::BitString m2;
-      if (cdbs_.TryInsertTwoBetween(std::get<core::BitString>(left),
-                                    std::get<core::BitString>(right), &m1,
-                                    &m2, neighbor_bits)) {
-        *v1 = std::move(m1);
-        *v2 = std::move(m2);
+    if (std::holds_alternative<CdbsWord>(left)) {
+      CdbsWord m1 = 0;
+      CdbsWord m2 = 0;
+      if (cdbs_.TryInsertTwoBetween(std::get<CdbsWord>(left),
+                                    std::get<CdbsWord>(right), &m1, &m2,
+                                    neighbor_bits)) {
+        *v1 = m1;
+        *v2 = m2;
         return true;
       }
       // CDBS length field overflowed: the next re-encode (Init) emits QED.
@@ -87,8 +87,8 @@ class HybridContainmentCodec {
   }
 
   std::string Serialize(const Value& v) const {
-    if (std::holds_alternative<core::BitString>(v)) {
-      return cdbs_.Serialize(std::get<core::BitString>(v));
+    if (std::holds_alternative<CdbsWord>(v)) {
+      return cdbs_.Serialize(std::get<CdbsWord>(v));
     }
     return qed_.Serialize(std::get<core::QedCode>(v));
   }
@@ -100,7 +100,7 @@ class HybridContainmentCodec {
   bool switched_to_qed_ = false;
   CdbsContainmentCodec cdbs_{/*fixed_width=*/false};
   QedContainmentCodec qed_;
-  std::vector<core::BitString> cdbs_scratch_;
+  std::vector<CdbsWord> cdbs_scratch_;
 };
 
 class HybridScheme : public LabelingScheme {

@@ -34,6 +34,13 @@ obs::Counter& NodesEmittedCounter() {
   return *c;
 }
 
+obs::Counter& StepsSortedCounter() {
+  static obs::Counter* const c = obs::MetricRegistry::Default().GetCounter(
+      "query.eval.steps_sorted",
+      "Query steps whose output had to be sorted into document order");
+  return *c;
+}
+
 // Index of the first node in the document-ordered `list` that comes after
 // `node` in document order — found with label comparisons (binary search
 // over the list's COW runs; allocation-free).
@@ -180,6 +187,29 @@ void ExpandFollowing(const LabeledDocument& doc, NodeId context,
   }
 }
 
+// True when no context node is an ancestor of the next one. For a
+// document-ordered list that makes it an antichain: an ancestor of a later
+// node is also an ancestor of every node between them in document order.
+bool IsAntichain(const Labeling& lab, const std::vector<NodeId>& context) {
+  for (size_t k = 1; k < context.size(); ++k) {
+    if (lab.IsAncestor(context[k - 1], context[k])) return false;
+  }
+  return true;
+}
+
+// The node of a non-empty document-ordered context whose following:: set is
+// the union of all of theirs: the one whose subtree ends first, i.e. the end
+// of the leading ancestor chain (every later node starts after it ends).
+NodeId FollowingAnchor(const Labeling& lab,
+                       const std::vector<NodeId>& context) {
+  NodeId anchor = context[0];
+  for (size_t k = 1; k < context.size() && lab.IsAncestor(anchor, context[k]);
+       ++k) {
+    anchor = context[k];
+  }
+  return anchor;
+}
+
 bool NameMatches(const Step& step, const std::string& tag) {
   return step.name == "*" || step.name == tag;
 }
@@ -208,10 +238,16 @@ std::vector<NodeId> EvaluateQuery(const Query& query,
   QueriesCounter().Increment();
   obs::ScopedTimer timer(obs::MetricRegistry::Default().GetHistogram(
       "query.eval.ns", "Wall time per navigational query evaluation"));
+  // Fetched up front so the counter is exported (as 0) before any sort.
+  obs::Counter& steps_sorted = StepsSortedCounter();
+  const Labeling& lab = doc.labeling();
+  // Invariant: `context` is strictly increasing in document order.
   std::vector<NodeId> context;
   bool first = true;
   for (const Step& step : query.steps) {
     std::vector<NodeId> next;
+    // Whether `next` comes out strictly in document order without a sort.
+    bool ordered = true;
     if (first) {
       first = false;
       // The initial context is the (virtual) document node.
@@ -231,37 +267,46 @@ std::vector<NodeId> EvaluateQuery(const Query& query,
           next.push_back(cand);
         }
       }
-      context = std::move(next);
-      continue;
-    }
-    for (const NodeId c : context) {
-      switch (step.axis) {
-        case Axis::kChild:
-        case Axis::kDescendant:
-          ExpandDown(doc, c, step, &next);
-          break;
-        case Axis::kPrecedingSibling:
-          ExpandPrecedingSibling(doc, c, step, &next);
-          break;
-        case Axis::kFollowing:
-          ExpandFollowing(doc, c, step, &next);
-          break;
-        case Axis::kParent:
-          ExpandParent(doc, c, step, &next);
-          break;
-        case Axis::kAncestor:
-          ExpandAncestor(doc, c, step, &next);
-          break;
+    } else if (step.axis == Axis::kFollowing) {
+      // following:: of the anchor is the whole union, emitted in order.
+      ExpandFollowing(doc, FollowingAnchor(lab, context), step, &next);
+    } else {
+      // Each expansion emits in document order. For child/descendant over
+      // disjoint subtrees the runs also follow each other in document order
+      // and cannot overlap; nested contexts and the other axes can
+      // interleave or repeat, so they are merged by sorting.
+      ordered = (step.axis == Axis::kChild ||
+                 step.axis == Axis::kDescendant) &&
+                IsAntichain(lab, context);
+      for (const NodeId c : context) {
+        switch (step.axis) {
+          case Axis::kChild:
+          case Axis::kDescendant:
+            ExpandDown(doc, c, step, &next);
+            break;
+          case Axis::kPrecedingSibling:
+            ExpandPrecedingSibling(doc, c, step, &next);
+            break;
+          case Axis::kFollowing:
+            break;  // handled above
+          case Axis::kParent:
+            ExpandParent(doc, c, step, &next);
+            break;
+          case Axis::kAncestor:
+            ExpandAncestor(doc, c, step, &next);
+            break;
+        }
       }
     }
-    // Deduplicate (descendant expansions of nested contexts can overlap)
-    // and keep document order — by label comparison, since ids assigned by
-    // later insertions are not document-ordered.
-    const Labeling& lab = doc.labeling();
-    std::sort(next.begin(), next.end(), [&lab](NodeId a, NodeId b) {
-      return lab.CompareOrder(a, b) < 0;
-    });
-    next.erase(std::unique(next.begin(), next.end()), next.end());
+    if (!ordered) {
+      // Sort by label comparison, since ids assigned by later insertions
+      // are not document-ordered.
+      steps_sorted.Increment();
+      std::sort(next.begin(), next.end(), [&lab](NodeId a, NodeId b) {
+        return lab.CompareOrder(a, b) < 0;
+      });
+      next.erase(std::unique(next.begin(), next.end()), next.end());
+    }
     context = std::move(next);
     if (context.empty()) break;
   }

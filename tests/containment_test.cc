@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "core/cdbs.h"
 #include "labeling/float_containment.h"
 #include "xml/parser.h"
 #include "xml/shakespeare.h"
@@ -149,6 +152,142 @@ TEST(CdbsContainmentTest, SkewedInsertionEventuallyOverflows) {
     }
   }
   EXPECT_TRUE(overflowed);
+}
+
+// The word layout of CDBS codes (CdbsContainmentCodec::Value).
+
+// The serialization the codec had when values were BitStrings: a length
+// byte, then the packed MSB-first bytes.
+std::string BitStringSerialization(const core::BitString& code) {
+  std::string out(1, static_cast<char>(code.size()));
+  for (const uint8_t byte : code.packed_bytes()) {
+    out.push_back(static_cast<char>(byte));
+  }
+  return out;
+}
+
+int Sign(int v) { return (v > 0) - (v < 0); }
+
+TEST(CdbsWordCodeTest, WordOrderMatchesBitStringOrder) {
+  const CdbsContainmentCodec codec(/*fixed_width=*/false);
+  for (uint64_t n = 1; n <= 4500; n += (n < 130 ? 1 : 97)) {
+    const std::vector<core::BitString> codes = core::EncodeRange(n);
+    std::vector<uint64_t> words;
+    for (const core::BitString& code : codes) {
+      words.push_back(CdbsContainmentCodec::Encode(code));
+    }
+    const size_t stride = n <= 130 ? 1 : 37;  // every pair for small n
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; j += stride) {
+        ASSERT_EQ(Sign(codec.Compare(words[i], words[j])),
+                  codes[i].Compare(codes[j]))
+            << "n=" << n << " " << codes[i].ToString() << " vs "
+            << codes[j].ToString();
+      }
+      if (i > 0) {
+        ASSERT_LT(words[i - 1], words[i]) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(CdbsWordCodeTest, InsertedCodesUpTo63BitsKeepOrderAndRoundTrip) {
+  // Skewed runs of Algorithm 1 (each new code lands next to the previous
+  // one, on a random side) grow codes to 63 bits; the word order must track
+  // Definition 3.1 at every length.
+  std::vector<core::BitString> codes = core::EncodeRange(8);
+  std::mt19937_64 rng(7);
+  for (int run = 0; run < 6; ++run) {
+    size_t gap = rng() % (codes.size() + 1);
+    for (;;) {
+      const core::BitString left =
+          gap == 0 ? core::BitString() : codes[gap - 1];
+      const core::BitString right =
+          gap == codes.size() ? core::BitString() : codes[gap];
+      core::BitString mid = core::AssignMiddleBinaryString(left, right);
+      if (mid.size() > 63) break;
+      codes.insert(codes.begin() + static_cast<std::ptrdiff_t>(gap),
+                   std::move(mid));
+      if (rng() % 2 == 0) ++gap;  // next gap: right of the new code
+    }
+  }
+  const CdbsContainmentCodec codec(/*fixed_width=*/false);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    const uint64_t word = CdbsContainmentCodec::Encode(codes[i]);
+    EXPECT_EQ(CdbsContainmentCodec::CodeBits(word), codes[i].size());
+    EXPECT_EQ(CdbsContainmentCodec::Decode(word), codes[i]);
+    EXPECT_EQ(codec.Serialize(word), BitStringSerialization(codes[i]));
+    if (i > 0) {
+      EXPECT_LT(CdbsContainmentCodec::Encode(codes[i - 1]), word)
+          << codes[i - 1].ToString() << " vs " << codes[i].ToString();
+    }
+  }
+}
+
+TEST(CdbsWordCodeTest, EmptyCodeIsWordZero) {
+  EXPECT_EQ(CdbsContainmentCodec::Encode(core::BitString()), 0u);
+  EXPECT_TRUE(CdbsContainmentCodec::Decode(0).empty());
+  EXPECT_EQ(CdbsContainmentCodec::CodeBits(0), 0u);
+  EXPECT_EQ(CdbsContainmentCodec(false).Serialize(0), std::string(1, '\0'));
+}
+
+TEST(CdbsWordCodeDeathTest, RejectsCodesTheWordCannotHold) {
+  EXPECT_DEATH(CdbsContainmentCodec::Encode(core::BitString::FromString(
+                   std::string(63, '0') + "1")),
+               "CDBS_CHECK");
+  EXPECT_DEATH(CdbsContainmentCodec::Encode(core::BitString::FromString("10")),
+               "CDBS_CHECK");
+}
+
+TEST(CdbsWordCodeTest, SerializedLabelsMatchTheBitStringCodes) {
+  // Bytes on disk, in the WAL and on the wire must not change: each label
+  // is (start code, end code, level) serialized as the BitString codes
+  // Algorithm 2 assigns to the node's Euler ranks.
+  const xml::Document play = xml::GeneratePlay(11, 700);
+  for (auto make : {MakeVCdbsContainment, MakeFCdbsContainment}) {
+    auto labeling = make()->Label(play);
+    std::vector<uint64_t> start;
+    std::vector<uint64_t> end;
+    ComputeEulerRanks(labeling->skeleton(), &start, &end);
+    const std::vector<core::BitString> codes =
+        core::EncodeRange(2 * labeling->num_nodes());
+    for (NodeId n = 0; n < labeling->num_nodes(); ++n) {
+      const std::string expected =
+          BitStringSerialization(codes[start[n] - 1]) +
+          BitStringSerialization(codes[end[n] - 1]) +
+          std::string(1, static_cast<char>(labeling->Level(n)));
+      ASSERT_EQ(labeling->SerializeLabel(n), expected) << "node " << n;
+    }
+    // Inserted labels serialize as their (longer) BitString codes too.
+    auto* cdbs =
+        static_cast<ContainmentLabeling<CdbsContainmentCodec>*>(labeling.get());
+    for (const NodeId before : {5u, 50u, 120u, 260u, 400u, 650u}) {
+      const InsertResult result = labeling->InsertSiblingBefore(before);
+      ASSERT_FALSE(result.overflow);
+      const NodeId target = result.new_node;
+      EXPECT_EQ(labeling->SerializeLabel(target),
+                BitStringSerialization(cdbs->start_value(target)) +
+                    BitStringSerialization(cdbs->end_value(target)) +
+                    std::string(1, static_cast<char>(labeling->Level(target))));
+    }
+  }
+}
+
+TEST(CdbsWordCodeTest, SkewedOverflowFiresOnTheSameInsertion) {
+  // Figure2Doc: 18 values, width 5, a 3-bit length field, so codes may
+  // reach 7 bits. Pinned to the insertion the BitString codec overflowed on.
+  const xml::Document doc = Figure2Doc();
+  for (auto make : {MakeVCdbsContainment, MakeFCdbsContainment}) {
+    auto labeling = make()->Label(doc);
+    NodeId target = 4;
+    int overflow_at = 0;
+    for (int i = 1; i <= 64 && overflow_at == 0; ++i) {
+      const InsertResult result = labeling->InsertSiblingBefore(target);
+      target = result.new_node;
+      if (result.overflow) overflow_at = i;
+    }
+    EXPECT_EQ(overflow_at, 3);
+  }
 }
 
 TEST(QedContainmentTest, NeverOverflowsEvenWhenSkewed) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "engine/concurrent_db.h"
 #include "net/client.h"
@@ -28,8 +29,11 @@ namespace {
 using storage::LabelStore;
 using storage::StoreBatch;
 
+// Per-process paths: the test runner executes cases of this file in
+// parallel processes that must not share a store.
 std::string TempPath(const char* stem) {
-  return testing::TempDir() + "/" + stem + ".cdbs";
+  return testing::TempDir() + "/" + stem + "." + std::to_string(getpid()) +
+         ".cdbs";
 }
 
 void RemoveStore(const std::string& path) {

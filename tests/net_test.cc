@@ -692,6 +692,8 @@ TEST_F(NetTest, IntrospectReturnsMetricsAndTracesOverTheWire) {
   ASSERT_TRUE(info.ok()) << info.status().message();
   EXPECT_NE(info->stats_json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(info->stats_json.find("serve.requests"), std::string::npos);
+  EXPECT_NE(info->stats_json.find("query.eval.steps_sorted"),
+            std::string::npos);
   EXPECT_NE(info->traces_json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(info->traces_json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(info->traces_json.find("\"name\":\"eval\""), std::string::npos);
