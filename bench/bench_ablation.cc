@@ -7,7 +7,9 @@
 //  (c) label growth vs insertion skew: max code length after N insertions
 //      with a varying fraction of skewed (fixed-place) insertions;
 //  (d) V- vs F- storage overhead across universe sizes (length fields vs
-//      fixed slots, Example 4.2 generalized).
+//      fixed slots, Example 4.2 generalized);
+//  (e) the navigational evaluator vs stack-based structural joins; the
+//      bench exits 1 when their answers differ on any query.
 
 #include <cstdio>
 #include <string>
@@ -180,7 +182,8 @@ void PrintPackedStorage() {
 
 // --- (e) navigational probing vs stack-based structural joins --------------
 
-void PrintJoinAblation() {
+// Returns false when the two strategies disagree on any query.
+bool PrintJoinAblation() {
   cdbs::bench::Heading(
       "ablation (e): navigational evaluator vs structural joins "
       "(V-CDBS labels)");
@@ -189,11 +192,16 @@ void PrintJoinAblation() {
   const cdbs::query::LabeledDocument doc(play, *scheme);
   std::printf("%-24s %12s %12s %10s\n", "query", "navigate ms", "join ms",
               "matches");
+  bool agree = true;
   for (const char* text :
        {"/play/act/scene", "//scene/speech", "//act//line",
         "/play/*//line"}) {
     auto query = cdbs::query::ParseQuery(text);
-    if (!query.ok()) continue;
+    if (!query.ok()) {
+      std::fprintf(stderr, "FAIL: cannot parse %s\n", text);
+      agree = false;
+      continue;
+    }
     cdbs::util::Stopwatch nav_timer;
     const auto nav = cdbs::query::EvaluateQuery(*query, doc);
     const double nav_ms = nav_timer.ElapsedMillis();
@@ -202,7 +210,9 @@ void PrintJoinAblation() {
     const double join_ms = join_timer.ElapsedMillis();
     std::printf("%-24s %12.2f %12.2f %10zu%s\n", text, nav_ms, join_ms,
                 join.size(), join == nav ? "" : "  MISMATCH");
+    agree = agree && join == nav;
   }
+  return agree;
 }
 
 int main(int argc, char** argv) {
@@ -218,12 +228,19 @@ int main(int argc, char** argv) {
     auto timer = cdbs::bench::Phase("v_vs_f");
     PrintVvsF();
   }
+  bool joins_agree;
   {
     auto timer = cdbs::bench::Phase("join_ablation");
-    PrintJoinAblation();
+    joins_agree = PrintJoinAblation();
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   cdbs::bench::DumpMetrics("ablation");
+  if (!joins_agree) {
+    std::fprintf(stderr,
+                 "FAIL: navigation and structural joins disagree (MISMATCH "
+                 "above)\n");
+    return 1;
+  }
   return 0;
 }

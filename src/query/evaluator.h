@@ -11,6 +11,31 @@
 /// (child, descendant, sibling, order) is answered by the labeling's
 /// predicates, so response times directly reflect each scheme's label
 /// comparison costs — exactly what Figure 6 measures.
+///
+/// The evaluator moves through the document-ordered tag lists by skipping
+/// ranges rather than testing every candidate. Every skip rests on one fact
+/// that holds for every scheme: a node's descendants follow it contiguously
+/// in any document-ordered list. So:
+///
+///  * A descendant step finds where a context's subtree ends in the list
+///    with a galloping search (O(log k) `IsAncestor` probes to pass k
+///    descendants). With nothing to test per match, the whole span is
+///    copied in one piece; with `[n]` or predicates, only the span is
+///    iterated. A following:: step skips the anchor's subtree the same way.
+///  * A child step tests `IsParent` per candidate. A candidate that fails
+///    it but is still a descendant lies under an earlier child, so the rest
+///    of the last child's subtree is galloped over. A non-descendant ends
+///    the scan, and a child `[n]` ends it at the n-th child.
+///  * One forward cursor per step: the context list is strictly in document
+///    order, so each context's first position in the step's list is never
+///    before the previous one's, and the search gallops on from there
+///    (O(log gap), not O(log |list|)). When no context is an ancestor of
+///    the next, the next one also starts after the previous subtree, so
+///    the cursor moves past everything that expansion scanned.
+///
+/// Predicate paths run through the same per-axis expansion as the main
+/// path, stopping at the first match. `query.eval.candidates_scanned`
+/// counts the candidates visited one at a time (docs/OBSERVABILITY.md).
 
 namespace cdbs::query {
 

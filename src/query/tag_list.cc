@@ -130,6 +130,22 @@ void TagList::ErasePositions(std::vector<size_t>* positions) {
   RebuildCum();
 }
 
+void TagList::AppendRange(size_t from, size_t to,
+                          std::vector<NodeId>* out) const {
+  CDBS_CHECK(to <= size());
+  if (from >= to) return;
+  size_t r = RunOf(from);
+  size_t offset = from - RunStart(r);
+  while (from < to) {
+    const std::vector<NodeId>& run = *runs_[r];
+    const size_t take = std::min(run.size() - offset, to - from);
+    out->insert(out->end(), run.begin() + offset, run.begin() + offset + take);
+    from += take;
+    ++r;
+    offset = 0;
+  }
+}
+
 std::vector<NodeId> TagList::ToVector() const {
   std::vector<NodeId> out;
   out.reserve(size());

@@ -205,6 +205,11 @@ class TagList {
     ErasePositions(&positions);
   }
 
+  /// Appends the ids at logical indexes [from, to) to `*out`, one run slice
+  /// at a time. Leaves the growth of `*out` to the vector's own geometric
+  /// policy, so repeated appends stay amortized linear.
+  void AppendRange(size_t from, size_t to, std::vector<NodeId>* out) const;
+
   /// Materializes the list (for callers that need a plain vector, e.g. the
   /// structural-join pipeline seed).
   std::vector<NodeId> ToVector() const;

@@ -150,6 +150,45 @@ TEST(TagListTest, EraseIdsBatchRemovesByBinarySearch) {
   EXPECT_EQ(fork.size(), 1000u);  // the fork still has every id
 }
 
+TEST(TagListTest, AppendRangeCrossesRunBoundaries) {
+  const auto less = [](NodeId a, NodeId b) { return a < b; };
+  TagList list;
+  // Uneven runs: sealed bulk runs, then splices that split some in half,
+  // then erasures that shrink or empty others.
+  for (NodeId i = 0; i < 3000; i += 2) list.Append(i);
+  for (NodeId i = 301; i < 1400; i += 2) list.InsertSorted(i, less);
+  std::vector<NodeId> victims;
+  for (NodeId i = 1600; i < 2200; ++i) victims.push_back(i);
+  for (NodeId i = 2500; i < 3000; i += 6) victims.push_back(i);
+  list.EraseIds(victims, less);
+  ASSERT_GT(list.run_count(), 4u);
+  const std::vector<NodeId> flat = list.ToVector();
+  ASSERT_EQ(flat.size(), list.size());
+
+  const size_t n = flat.size();
+  const std::vector<std::pair<size_t, size_t>> ranges = {
+      {0, 0}, {0, 1}, {0, n}, {n, n}, {n - 1, n}, {255, 257}, {100, 900},
+      {256, 768}, {511, 512}, {700, n - 3}, {1, n - 1}};
+  for (const auto& [from, to] : ranges) {
+    std::vector<NodeId> out = {7};  // appends after what is already there
+    list.AppendRange(from, to, &out);
+    std::vector<NodeId> want = {7};
+    want.insert(want.end(), flat.begin() + static_cast<ptrdiff_t>(from),
+                flat.begin() + static_cast<ptrdiff_t>(to));
+    EXPECT_EQ(out, want) << "[" << from << ", " << to << ")";
+  }
+  // Short slices from every start cover every run boundary.
+  for (size_t from = 0; from < n; ++from) {
+    const size_t to = std::min(n, from + 3);
+    std::vector<NodeId> out;
+    list.AppendRange(from, to, &out);
+    ASSERT_EQ(out, std::vector<NodeId>(
+                       flat.begin() + static_cast<ptrdiff_t>(from),
+                       flat.begin() + static_cast<ptrdiff_t>(to)))
+        << from;
+  }
+}
+
 TEST(TagListTest, EraseWholeRunsDropsThem) {
   const auto less = [](NodeId a, NodeId b) { return a < b; };
   TagList list;

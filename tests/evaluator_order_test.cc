@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dom_reference.h"
 #include "labeling/registry.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -28,211 +29,11 @@
 namespace cdbs::query {
 namespace {
 
-using labeling::kNoNode;
-
 uint64_t StepsSorted() {
   return obs::MetricRegistry::Default()
       .GetCounter("query.eval.steps_sorted")
       ->value();
 }
-
-// The reference DOM. Ids are the labeling's: pre-order at load time, then
-// one fresh id per insert, as TreeSkeleton assigns them.
-struct RefTree {
-  std::vector<std::string> tag;
-  std::vector<NodeId> parent;
-  std::vector<std::vector<NodeId>> children;  // live children, in order
-
-  NodeId Add(NodeId parent_id, std::string name) {
-    const NodeId id = static_cast<NodeId>(tag.size());
-    tag.push_back(std::move(name));
-    parent.push_back(parent_id);
-    children.emplace_back();
-    return id;
-  }
-
-  // Inserts a new sibling of `target`; returns its id.
-  NodeId AddSibling(NodeId target, bool before, std::string name) {
-    const NodeId id = Add(parent[target], std::move(name));
-    std::vector<NodeId>& kids = children[parent[target]];
-    auto pos = std::find(kids.begin(), kids.end(), target);
-    kids.insert(before ? pos : pos + 1, id);
-    return id;
-  }
-
-  // Unlinks `target`; its subtree drops out of every walk from the root.
-  void RemoveSubtree(NodeId target) {
-    std::vector<NodeId>& kids = children[parent[target]];
-    kids.erase(std::find(kids.begin(), kids.end(), target));
-  }
-
-  // Live nodes in document order.
-  std::vector<NodeId> PreOrder() const {
-    std::vector<NodeId> out;
-    std::vector<NodeId> stack = {0};
-    while (!stack.empty()) {
-      const NodeId n = stack.back();
-      stack.pop_back();
-      out.push_back(n);
-      for (size_t i = children[n].size(); i-- > 0;) {
-        stack.push_back(children[n][i]);
-      }
-    }
-    return out;
-  }
-
-  std::string ToXml(NodeId n = 0) const {
-    if (children[n].empty()) return "<" + tag[n] + "/>";
-    std::string out = "<" + tag[n] + ">";
-    for (const NodeId c : children[n]) out += ToXml(c);
-    return out + "</" + tag[n] + ">";
-  }
-};
-
-// Evaluates the XPath subset by walking RefTree — the semantics
-// EvaluateQuery documents, computed without labels.
-class RefEvaluator {
- public:
-  explicit RefEvaluator(const RefTree& tree)
-      : tree_(tree), order_(tree.PreOrder()), rank_(tree.tag.size(), 0) {
-    for (size_t i = 0; i < order_.size(); ++i) rank_[order_[i]] = i;
-  }
-
-  std::vector<NodeId> Evaluate(const Query& query) const {
-    std::vector<NodeId> context;
-    for (size_t s = 0; s < query.steps.size(); ++s) {
-      const Step& step = query.steps[s];
-      std::vector<NodeId> next;
-      if (s == 0) {
-        if (step.axis == Axis::kChild) {
-          if (Matches(step, 0) && step.position <= 1 &&
-              Predicates(step, 0)) {
-            next.push_back(0);
-          }
-        } else if (step.axis == Axis::kDescendant) {
-          for (const NodeId n : order_) {
-            if (!Matches(step, n)) continue;
-            if (step.position != 0 && SameTagRank(n) != step.position) {
-              continue;
-            }
-            if (Predicates(step, n)) next.push_back(n);
-          }
-        }
-      } else {
-        for (const NodeId c : context) Expand(step, c, &next);
-        std::sort(next.begin(), next.end(),
-                  [this](NodeId a, NodeId b) { return rank_[a] < rank_[b]; });
-        next.erase(std::unique(next.begin(), next.end()), next.end());
-      }
-      context = std::move(next);
-    }
-    return context;
-  }
-
- private:
-  bool Matches(const Step& step, NodeId n) const {
-    return step.name == "*" || step.name == tree_.tag[n];
-  }
-
-  bool IsAncestor(NodeId a, NodeId d) const {
-    for (NodeId p = tree_.parent[d]; p != kNoNode; p = tree_.parent[p]) {
-      if (p == a) return true;
-    }
-    return false;
-  }
-
-  int SameTagRank(NodeId n) const {
-    if (n == 0) return 1;
-    int rank = 1;
-    for (const NodeId sib : tree_.children[tree_.parent[n]]) {
-      if (sib == n) break;
-      if (tree_.tag[sib] == tree_.tag[n]) ++rank;
-    }
-    return rank;
-  }
-
-  // Descendants of `n` in document order.
-  std::vector<NodeId> Descendants(NodeId n) const {
-    std::vector<NodeId> out;
-    for (size_t i = rank_[n] + 1; i < order_.size(); ++i) {
-      if (!IsAncestor(n, order_[i])) break;
-      out.push_back(order_[i]);
-    }
-    return out;
-  }
-
-  bool Exists(NodeId n, const std::vector<Step>& steps, size_t i) const {
-    if (i == steps.size()) return true;
-    const Step& step = steps[i];
-    const std::vector<NodeId> cands = step.axis == Axis::kChild
-                                          ? tree_.children[n]
-                                          : Descendants(n);
-    for (const NodeId c : cands) {
-      if (Matches(step, c) && Predicates(step, c) && Exists(c, steps, i + 1)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool Predicates(const Step& step, NodeId n) const {
-    for (const RelativePath& rel : step.predicates) {
-      if (!Exists(n, rel.steps, 0)) return false;
-    }
-    return true;
-  }
-
-  void Expand(const Step& step, NodeId c, std::vector<NodeId>* out) const {
-    auto emit = [&](NodeId n) {
-      if (Matches(step, n) && Predicates(step, n)) out->push_back(n);
-    };
-    switch (step.axis) {
-      case Axis::kChild: {
-        int rank = 0;
-        for (const NodeId k : tree_.children[c]) {
-          if (!Matches(step, k)) continue;
-          ++rank;
-          if (step.position != 0 && rank != step.position) continue;
-          if (Predicates(step, k)) out->push_back(k);
-        }
-        break;
-      }
-      case Axis::kDescendant:
-        for (const NodeId d : Descendants(c)) {
-          if (step.position != 0 && Matches(step, d) &&
-              SameTagRank(d) != step.position) {
-            continue;
-          }
-          emit(d);
-        }
-        break;
-      case Axis::kPrecedingSibling:
-        if (c == 0) break;
-        for (const NodeId sib : tree_.children[tree_.parent[c]]) {
-          if (sib == c) break;
-          emit(sib);
-        }
-        break;
-      case Axis::kFollowing:
-        for (size_t i = rank_[c] + 1; i < order_.size(); ++i) {
-          if (!IsAncestor(c, order_[i])) emit(order_[i]);
-        }
-        break;
-      case Axis::kParent:
-        if (c != 0) emit(tree_.parent[c]);
-        break;
-      case Axis::kAncestor:
-        for (NodeId p = tree_.parent[c]; p != kNoNode; p = tree_.parent[p]) {
-          emit(p);
-        }
-        break;
-    }
-  }
-
-  const RefTree& tree_;
-  std::vector<NodeId> order_;
-  std::vector<size_t> rank_;
-};
 
 const char* const kTags[] = {"a", "a", "b", "c"};  // `a` nests most often
 
@@ -259,18 +60,56 @@ std::string RandomName(std::mt19937_64* rng) {
   return (*rng)() % 5 == 0 ? "*" : RandomTag(rng);
 }
 
-std::string RandomPredicate(std::mt19937_64* rng) {
-  switch ((*rng)() % 6) {
+// A relative predicate path: child or descendant, with or without [n], or
+// one step along another axis.
+std::string RandomPredicatePath(std::mt19937_64* rng) {
+  static const char* const kAxes[] = {"following::", "preceding-sibling::",
+                                      "parent::", "ancestor::"};
+  switch ((*rng)() % 5) {
     case 0:
-      return "[./" + RandomName(rng) + "]";
+      return "./" + RandomName(rng);
     case 1:
-      return "[.//" + RandomName(rng) + "]";
+      return ".//" + RandomName(rng);
     case 2:
-      return "[" + std::to_string(1 + (*rng)() % 3) + "]";
+      return "./" + RandomName(rng) + "[" + std::to_string(1 + (*rng)() % 3) +
+             "]";
+    case 3:
+      return ".//" + RandomName(rng) + "/" + RandomName(rng);
+    default:
+      return std::string("./") + kAxes[(*rng)() % 4] + RandomName(rng);
+  }
+}
+
+std::string RandomPredicate(std::mt19937_64* rng) {
+  const std::string position = "[" + std::to_string(1 + (*rng)() % 3) + "]";
+  switch ((*rng)() % 8) {
+    case 0:
+    case 1:
+      return "[" + RandomPredicatePath(rng) + "]";
+    case 2:
+      return position;
+    case 3:
+      return position + "[" + RandomPredicatePath(rng) + "]";
     default:
       return "";
   }
 }
+
+// Shapes the skips must get right beyond what random queries hit often:
+// `*` child steps over nested same-name tags; child [n] with and without
+// predicates (the early stop); descendant steps on the span-copy path and
+// on the predicate path; nested contexts (`//a/...` where `a` nests), over
+// which the forward cursor must stay a lower bound.
+const char* const kTargetedQueries[] = {
+    "/r/*",          "//*/*",          "//a/*",           "//a/a",
+    "//*/a",         "//a/*[2]",       "//a/a[1]",        "//*/b[3]",
+    "//a/*[2][./a]", "//a/a[1][.//c]", "/r/*[4]/*[1]",    "//a//b",
+    "//a//*",        "/r/*//a",        "//a//a",          "//*//*",
+    "//a//b[./c]",   "//a//a[2]",      "//*//c[.//a]",    "//a[./a[2]]",
+    "//b[./following::a]",             "//a[./preceding-sibling::b]",
+    "//c[./parent::a]",                "//b[./ancestor::a/b]",
+    "//a[.//b[1]/following::c]",       "//a/a//following::b",
+};
 
 // A random query over the subset: child, descendant, positional and
 // predicate steps, plus preceding-sibling:: and following::.
@@ -311,9 +150,10 @@ TEST_P(EvaluatorOrderTest, MatchesDomWalkUnderRandomUpdates) {
   // Fast steps: evaluations of 2+ steps with a non-empty answer and no sort.
   uint64_t fast_evals = 0;
   uint64_t sorted_steps = 0;
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
+  for (uint64_t seed = 1; seed <= 7; ++seed) {
     std::mt19937_64 rng(seed);
-    RefTree ref = RandomTree(&rng, 60 + seed * 15);
+    // The last tree spans several TagList runs, so gallops cross them.
+    RefTree ref = RandomTree(&rng, seed == 7 ? 700 : 60 + seed * 15);
     auto parsed = xml::ParseXml(ref.ToXml());
     ASSERT_TRUE(parsed.ok()) << parsed.status();
     const xml::Document doc = std::move(parsed).value();
@@ -342,8 +182,10 @@ TEST_P(EvaluatorOrderTest, MatchesDomWalkUnderRandomUpdates) {
         }
       }
       const RefEvaluator reference(ref);
-      for (int i = 0; i < 40; ++i) {
-        const std::string text = RandomQuery(&rng);
+      std::vector<std::string> texts(std::begin(kTargetedQueries),
+                                     std::end(kTargetedQueries));
+      for (int i = 0; i < 40; ++i) texts.push_back(RandomQuery(&rng));
+      for (const std::string& text : texts) {
         auto query = ParseQuery(text);
         ASSERT_TRUE(query.ok()) << text << ": " << query.status();
         const uint64_t sorted_before = StepsSorted();
@@ -433,6 +275,52 @@ TEST(StepsSortedCounterTest, Exported) {
   EXPECT_NE(obs::ToJson(registry).find("\"query.eval.steps_sorted\""),
             std::string::npos);
   EXPECT_NE(obs::ToPrometheus(registry).find("query_eval_steps_sorted"),
+            std::string::npos);
+}
+
+uint64_t CandidatesScanned() {
+  return obs::MetricRegistry::Default()
+      .GetCounter("query.eval.candidates_scanned")
+      ->value();
+}
+
+// The skip, pinned as exact counts: `*` under /play gallops over each
+// child's subtree instead of testing every element in it, and descendant
+// steps copy their span without looking at a candidate.
+TEST(CandidatesScannedCounterTest, SkipsSubtreesOnAFixedPlay) {
+  const xml::Document play = xml::GeneratePlay(/*seed=*/11, 20000);
+  for (const char* name : {"V-CDBS-Containment", "QED-Prefix", "Prime"}) {
+    const auto scheme = labeling::SchemeByName(name);
+    const LabeledDocument labeled(play, *scheme);
+    const size_t elements = labeled.all_elements().size();
+    ASSERT_GT(elements, 10000u);
+    auto scanned = [&](const char* text) {
+      auto query = ParseQuery(text);
+      EXPECT_TRUE(query.ok()) << text;
+      const uint64_t before = CandidatesScanned();
+      EXPECT_FALSE(EvaluateQuery(*query, labeled).empty()) << name << text;
+      return CandidatesScanned() - before;
+    };
+    EXPECT_LT(scanned("/play/*//line") * 100, elements) << name;
+    EXPECT_EQ(scanned("//line"), 0u) << name;
+    EXPECT_EQ(scanned("/play//speech"), 0u) << name;
+  }
+}
+
+TEST(CandidatesScannedCounterTest, Exported) {
+  auto parsed = xml::ParseXml("<r><a/></r>");
+  ASSERT_TRUE(parsed.ok());
+  const auto scheme = labeling::SchemeByName("V-CDBS-Containment");
+  const LabeledDocument labeled(*parsed, *scheme);
+  auto query = ParseQuery("/r/a");
+  ASSERT_TRUE(query.ok());
+  const uint64_t before = CandidatesScanned();
+  EvaluateQuery(*query, labeled);
+  EXPECT_EQ(CandidatesScanned() - before, 1u);  // `a`, then the list ends
+  const obs::MetricRegistry& registry = obs::MetricRegistry::Default();
+  EXPECT_NE(obs::ToJson(registry).find("\"query.eval.candidates_scanned\""),
+            std::string::npos);
+  EXPECT_NE(obs::ToPrometheus(registry).find("query_eval_candidates_scanned"),
             std::string::npos);
 }
 

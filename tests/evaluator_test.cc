@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dom_reference.h"
 #include "labeling/registry.h"
 #include "query/xpath.h"
 #include "xml/parser.h"
@@ -182,6 +183,31 @@ TEST_P(EvaluatorSchemeParityTest, MatchesReferenceCounts) {
     ASSERT_TRUE(query.ok());
     EXPECT_EQ(EvaluateQuery(*query, labeled).size(), want)
         << GetParam() << " on " << text;
+  }
+}
+
+// Predicate paths honour [n] and every axis, exactly as the main path does:
+// the answers (ids and counts) are the DOM walk's on Hamlet, whose personae
+// has 23 persona children and whose 20 scenes include 2 in act 5.
+TEST_P(EvaluatorSchemeParityTest, PredicatePathsMatchDomWalkOnHamlet) {
+  const xml::Document hamlet = xml::GenerateHamlet();
+  const RefTree tree = RefTree::FromDocument(hamlet);
+  const RefEvaluator reference(tree);
+  auto scheme = labeling::SchemeByName(GetParam());
+  LabeledDocument labeled(hamlet, *scheme);
+  const std::pair<const char*, uint64_t> expectations[] = {
+      {"/play/personae[./persona[500]]", 0},
+      {"/play/personae[./persona[23]]", 1},
+      {"/play/act[./scene[99]]", 0},
+      {"/play/act/scene[./following::act]", 18},
+      {"/play/act[5]/scene[./preceding-sibling::scene]", 1},
+  };
+  for (const auto& [text, want] : expectations) {
+    auto query = ParseQuery(text);
+    ASSERT_TRUE(query.ok());
+    const std::vector<NodeId> got = EvaluateQuery(*query, labeled);
+    EXPECT_EQ(got, reference.Evaluate(*query)) << GetParam() << " on " << text;
+    EXPECT_EQ(got.size(), want) << GetParam() << " on " << text;
   }
 }
 

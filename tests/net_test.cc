@@ -694,6 +694,8 @@ TEST_F(NetTest, IntrospectReturnsMetricsAndTracesOverTheWire) {
   EXPECT_NE(info->stats_json.find("serve.requests"), std::string::npos);
   EXPECT_NE(info->stats_json.find("query.eval.steps_sorted"),
             std::string::npos);
+  EXPECT_NE(info->stats_json.find("query.eval.candidates_scanned"),
+            std::string::npos);
   EXPECT_NE(info->traces_json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(info->traces_json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(info->traces_json.find("\"name\":\"eval\""), std::string::npos);
