@@ -11,6 +11,8 @@
 // repeats the query over the corpus until at least kMinTimedMs of work has
 // run, so fast queries are not measured at timer resolution. The bench exits
 // non-zero when any scheme's match counts differ from the first scheme's,
+// when a scheme's count entry (CountMatches, which never builds the match
+// list where it can avoid it) disagrees with the collected list's size,
 // or when V-CDBS or F-CDBS takes more than kCdbsBudget times V-Binary's
 // time on Q5 or Q6 (the CDBS read-path guard; docs/ENCODING.md). The guard
 // re-times those three schemes round-robin, kGuardRounds rounds, so that a
@@ -148,6 +150,18 @@ int main() {
       std::fflush(stdout);
     }
     std::printf("\n");
+    std::vector<const LabeledDocument*> docs;
+    for (const auto& doc : labeled) docs.push_back(doc.get());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const uint64_t counted = cdbs::query::CountMatches(queries[q], docs);
+      if (counted != counts[q]) {
+        std::fprintf(stderr, "FAIL: %s Q%zu counts %llu but collects %llu\n",
+                     scheme_name, q + 1,
+                     static_cast<unsigned long long>(counted),
+                     static_cast<unsigned long long>(counts[q]));
+        counts_differ = true;
+      }
+    }
     if (first_counts.empty()) {
       first_counts = counts;
       std::printf("%-26s %10s", "  matches (all schemes)", "");

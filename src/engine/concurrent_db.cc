@@ -150,8 +150,8 @@ void ConcurrentXmlDb::Shutdown() {
 // --------------------------------------------------------------------------
 // Read path.
 
-Result<std::vector<NodeId>> ConcurrentXmlDb::Query(
-    const std::string& xpath) const {
+template <typename T, typename Eval>
+Result<T> ConcurrentXmlDb::Read(const std::string& xpath, Eval eval) const {
   // The TraceSpans are free unless the caller's thread carries a
   // TraceScope and tracing is on (one relaxed load each).
   util::Stopwatch timer;
@@ -163,17 +163,34 @@ Result<std::vector<NodeId>> ConcurrentXmlDb::Query(
   parse_span.End();
   if (!parsed.ok()) return parsed.status();
   obs::TraceSpan eval_span(obs::SpanName::kEval);
-  Result<std::vector<NodeId>> out = query::EvaluateQuery(*parsed, pin.view());
+  Result<T> out = eval(*parsed, pin.view());
   eval_span.End();
   reads_.Increment();
   read_ns_.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
   return out;
 }
 
+Result<std::vector<NodeId>> ConcurrentXmlDb::Query(const std::string& xpath,
+                                                   NodeId scope) const {
+  return Read<std::vector<NodeId>>(
+      xpath, [scope](const query::Query& q, const query::LabeledDocument& d) {
+        return query::EvaluateQuery(q, d, scope);
+      });
+}
+
 Result<uint64_t> ConcurrentXmlDb::Count(const std::string& xpath) const {
-  Result<std::vector<NodeId>> matches = Query(xpath);
-  if (!matches.ok()) return matches.status();
-  return static_cast<uint64_t>(matches->size());
+  return Read<uint64_t>(
+      xpath, [](const query::Query& q, const query::LabeledDocument& d) {
+        return query::CountQuery(q, d, d.root());
+      });
+}
+
+Result<std::vector<uint64_t>> ConcurrentXmlDb::CountPerScope(
+    const std::string& xpath, const std::vector<NodeId>& scopes) const {
+  return Read<std::vector<uint64_t>>(
+      xpath, [&scopes](const query::Query& q, const query::LabeledDocument& d) {
+        return query::CountPerScope(q, d, scopes);
+      });
 }
 
 std::string ConcurrentXmlDb::TagOf(NodeId node) const {
@@ -181,11 +198,11 @@ std::string ConcurrentXmlDb::TagOf(NodeId node) const {
   return pin->tag(node);
 }
 
-std::future<Result<std::vector<NodeId>>> ConcurrentXmlDb::SubmitQuery(
-    std::string xpath, util::Deadline deadline) {
-  auto promise =
-      std::make_shared<std::promise<Result<std::vector<NodeId>>>>();
-  std::future<Result<std::vector<NodeId>>> fut = promise->get_future();
+template <typename T>
+std::future<Result<T>> ConcurrentXmlDb::SubmitRead(
+    util::Deadline deadline, std::function<Result<T>()> read) {
+  auto promise = std::make_shared<std::promise<Result<T>>>();
+  std::future<Result<T>> fut = promise->get_future();
   if (deadline.expired()) {
     deadline_exceeded_.Increment();
     promise->set_value(
@@ -198,7 +215,7 @@ std::future<Result<std::vector<NodeId>>> ConcurrentXmlDb::SubmitQuery(
       trace_id != 0 ? obs::Tracer::NowNs() : 0;
   const bool accepted = readers_->Submit(
       [this, promise, deadline, trace_id, submit_ns,
-       xpath = std::move(xpath)] {
+       read = std::move(read)] {
         obs::TraceScope scope(trace_id);
         if (trace_id != 0) {
           obs::Tracer::Instance().RecordSpan(
@@ -216,13 +233,30 @@ std::future<Result<std::vector<NodeId>>> ConcurrentXmlDb::SubmitQuery(
               "query deadline expired while queued"));
           return;
         }
-        promise->set_value(Query(xpath));
+        promise->set_value(read());
       });
   if (!accepted) {
     promise->set_value(
         Status::IoError("read pool shut down; query rejected"));
   }
   return fut;
+}
+
+std::future<Result<std::vector<NodeId>>> ConcurrentXmlDb::SubmitQuery(
+    std::string xpath, util::Deadline deadline, NodeId scope) {
+  return SubmitRead<std::vector<NodeId>>(
+      deadline, [this, xpath = std::move(xpath), scope] {
+        return Query(xpath, scope);
+      });
+}
+
+std::future<Result<std::vector<uint64_t>>> ConcurrentXmlDb::SubmitCount(
+    std::string xpath, std::vector<NodeId> scopes, util::Deadline deadline) {
+  return SubmitRead<std::vector<uint64_t>>(
+      deadline,
+      [this, xpath = std::move(xpath), scopes = std::move(scopes)] {
+        return CountPerScope(xpath, scopes);
+      });
 }
 
 // --------------------------------------------------------------------------

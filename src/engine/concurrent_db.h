@@ -86,9 +86,10 @@ struct BootstrapImage {
 /// A concurrently-servable XML database.
 ///
 /// Thread contract:
-///  - `Query`/`Count`/`TagOf`/`Stats`/`snapshot_epoch` — any thread, any
-///    time; each pins the latest published snapshot.
-///  - `SubmitQuery` — any thread; runs on the read worker pool.
+///  - `Query`/`Count`/`CountPerScope`/`TagOf`/`Stats`/`snapshot_epoch` —
+///    any thread, any time; each pins the latest published snapshot.
+///  - `SubmitQuery`/`SubmitCount` — any thread; run on the read worker
+///    pool.
 ///  - `Submit*`/`TrySubmit*` writes — any thread; applied by the single
 ///    writer thread in submission order, durably group-committed before
 ///    their futures resolve.
@@ -123,21 +124,37 @@ class ConcurrentXmlDb {
   /// version's labels).
   Snapshot PinSnapshot() const { return snapshots_.Acquire(); }
 
-  /// Evaluates an XPath-subset query against the latest published snapshot.
-  Result<std::vector<NodeId>> Query(const std::string& xpath) const;
+  /// Evaluates an XPath-subset query against the latest published snapshot,
+  /// with `scope`'s subtree as the whole document (query/evaluator.h); the
+  /// default scope is the root element.
+  Result<std::vector<NodeId>> Query(const std::string& xpath,
+                                    NodeId scope = 0) const;
 
-  /// Number of matches of `xpath` in the latest snapshot.
+  /// Number of matches of `xpath` in the latest snapshot, counted without
+  /// building the match list where the query allows.
   Result<uint64_t> Count(const std::string& xpath) const;
+
+  /// Match counts of `xpath` inside each of `scopes` (index-aligned), all
+  /// on one pinned snapshot. Scopes in document order, none inside
+  /// another, share the evaluator's step cursors.
+  Result<std::vector<uint64_t>> CountPerScope(
+      const std::string& xpath, const std::vector<NodeId>& scopes) const;
 
   /// Tag of `node` in the latest snapshot (by value: the snapshot may be
   /// reclaimed after this returns).
   std::string TagOf(NodeId node) const;
 
-  /// Runs `xpath` on the read worker pool. A request whose `deadline`
-  /// expires while still queued resolves with kDeadlineExceeded without
-  /// evaluating (expired work is the cheapest work to shed).
+  /// Runs `Query(xpath, scope)` on the read worker pool. A request whose
+  /// `deadline` expires while still queued resolves with kDeadlineExceeded
+  /// without evaluating (expired work is the cheapest work to shed).
   std::future<Result<std::vector<NodeId>>> SubmitQuery(
-      std::string xpath, util::Deadline deadline = {});
+      std::string xpath, util::Deadline deadline = {}, NodeId scope = 0);
+
+  /// Runs `CountPerScope(xpath, scopes)` on the read worker pool, with the
+  /// same deadline handling as SubmitQuery.
+  std::future<Result<std::vector<uint64_t>>> SubmitCount(
+      std::string xpath, std::vector<NodeId> scopes,
+      util::Deadline deadline = {});
 
   // --- write path: serialized, group-committed ---
 
@@ -298,6 +315,17 @@ class ConcurrentXmlDb {
   ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
                   std::unique_ptr<repl::ReplicationLog> repl_log,
                   const ConcurrentXmlDbOptions& options);
+
+  /// Parses `xpath` and runs `eval(query, view)` on a freshly pinned
+  /// snapshot, with the read path's spans and metrics.
+  template <typename T, typename Eval>
+  Result<T> Read(const std::string& xpath, Eval eval) const;
+
+  /// Runs `read` on the read worker pool: the one submission path behind
+  /// SubmitQuery and SubmitCount (trace hand-off, deadline shedding).
+  template <typename T>
+  std::future<Result<T>> SubmitRead(util::Deadline deadline,
+                                    std::function<Result<T>()> read);
 
   std::future<Result<NodeId>> SubmitInsert(WriteRequest::Kind kind,
                                            NodeId target, std::string tag,

@@ -89,7 +89,7 @@ Result<std::vector<uint64_t>> Corpus::CountPerFile(
   std::vector<uint64_t> counts;
   counts.reserve(labeled_.size());
   for (const auto& doc : labeled_) {
-    counts.push_back(query::EvaluateQuery(*query, *doc).size());
+    counts.push_back(query::CountQuery(*query, *doc, doc->root()));
   }
   return counts;
 }

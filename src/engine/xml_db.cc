@@ -418,9 +418,10 @@ Result<std::vector<NodeId>> XmlDb::Query(const std::string& xpath) const {
 }
 
 Result<uint64_t> XmlDb::Count(const std::string& xpath) const {
-  Result<std::vector<NodeId>> matches = Query(xpath);
-  if (!matches.ok()) return matches.status();
-  return static_cast<uint64_t>(matches->size());
+  obs::ScopedTimer timer(query_ns_);
+  Result<query::Query> parsed = query::ParseQuery(xpath);
+  if (!parsed.ok()) return parsed.status();
+  return query::CountQuery(*parsed, *labeled_, labeled_->root());
 }
 
 Result<NodeId> XmlDb::QueryOne(const std::string& xpath) const {
@@ -535,11 +536,8 @@ void XmlDb::RollbackInsert(const AppliedInsert& applied) {
   // labels the insert rewrote in memory stay rewritten — they remain a
   // valid labeling without the new node — so the whole store is re-synced
   // on the next successful persist.
-  labeling::Labeling* lab = labeled_->labeling_mutable();
-  const labeling::DeleteResult rollback =
-      lab->DeleteSubtree(applied.result.new_node);
+  labeled_->DeleteSubtree(applied.result.new_node);
   doc_.RemoveChild(applied.parent, applied.fresh);
-  labeled_->NoteRemovedNodes(rollback.removed);
   store_needs_reload_ = true;
 }
 
@@ -566,10 +564,8 @@ Result<uint64_t> XmlDb::DeleteElement(NodeId target) {
   if (node->parent() == nullptr) {
     return Status::NotFound("node already deleted");
   }
-  labeling::Labeling* lab = labeled_->labeling_mutable();
-  const labeling::DeleteResult result = lab->DeleteSubtree(target);
+  const labeling::DeleteResult result = labeled_->DeleteSubtree(target);
   doc_.RemoveChild(node->parent(), node);
-  labeled_->NoteRemovedNodes(result.removed);
   deletions_->Increment(result.removed.size());
   global_deletions_->Increment(result.removed.size());
   relabeled_total_->Increment(result.relabeled);

@@ -104,7 +104,8 @@ class XmlDb {
   /// order.
   Result<std::vector<NodeId>> Query(const std::string& xpath) const;
 
-  /// Number of matches of `xpath`.
+  /// Number of matches of `xpath`, counted without building the match
+  /// list where the query allows (query/evaluator.h).
   Result<uint64_t> Count(const std::string& xpath) const;
 
   /// The unique match of `xpath`; NotFound when there are no matches,

@@ -384,15 +384,14 @@ Response Server::Execute(const Request& req) {
     case Opcode::kCount: {
       // Unsharded servers answer kCount too — one logical "shard" — so a
       // shard-aware client works against any server.
-      Result<std::vector<engine::NodeId>> r =
-          read_db->SubmitQuery(req.xpath, deadline).get();
+      Result<std::vector<uint64_t>> r =
+          read_db->SubmitCount(req.xpath, {0}, deadline).get();
       if (!r.ok()) {
         fill_error(r.status());
         break;
       }
-      resp.id_or_count = r->size();
-      resp.shard_counts.push_back(
-          {0, StatusCode::kOk, static_cast<uint64_t>(r->size()), ""});
+      resp.id_or_count = (*r)[0];
+      resp.shard_counts.push_back({0, StatusCode::kOk, (*r)[0], ""});
       break;
     }
     case Opcode::kInsertBefore:

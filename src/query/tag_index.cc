@@ -70,28 +70,34 @@ void LabeledDocument::NoteInsertedNode(NodeId id, const std::string& tag) {
   by_tag_[tag_id].InsertSorted(id, less);
 }
 
-void LabeledDocument::NoteRemovedNodes(const std::vector<NodeId>& ids) {
-  if (ids.empty()) return;
-  const auto less = [this](NodeId a, NodeId b) {
-    return labeling_->CompareOrder(a, b) < 0;
-  };
-  // Batch by tag so each touched list is rewritten once, positions located
-  // by label-order binary search (the lists are CompareOrder-sorted).
-  std::unordered_map<TagId, std::vector<NodeId>> by_tag_ids;
-  std::vector<NodeId> elements;
-  elements.reserve(ids.size());
-  for (const NodeId id : ids) {
-    const TagId tag = tags_[id];
-    if (tag == TagId{0}) continue;  // text nodes are not indexed
-    elements.push_back(id);
-    by_tag_ids[tag].push_back(id);
+labeling::DeleteResult LabeledDocument::DeleteSubtree(NodeId target) {
+  // Leave the tag lists first, while every label still compares: once the
+  // labeling drops the subtree, a scheme may free the state its labels were
+  // read from (Prime shrinks its SC table).
+  if (tags_[target] != TagId{0}) {
+    const labeling::Labeling& lab = *labeling_;
+    const auto less = [&lab](NodeId a, NodeId b) {
+      return lab.CompareOrder(a, b) < 0;
+    };
+    // The subtree's elements are one block of the document-ordered list,
+    // starting at `target`. Batch by tag so each touched list is rewritten
+    // once.
+    std::vector<NodeId> elements;
+    std::unordered_map<TagId, std::vector<NodeId>> by_tag_ids;
+    TagList::Iterator it =
+        all_elements_.IteratorAt(all_elements_.UpperBound(target, less) - 1);
+    for (; it != all_elements_.end(); ++it) {
+      const NodeId id = *it;
+      if (id != target && !lab.IsAncestor(target, id)) break;
+      elements.push_back(id);
+      by_tag_ids[tags_[id]].push_back(id);
+    }
+    all_elements_.EraseIds(elements, less);
+    for (auto& [tag, tag_ids] : by_tag_ids) {
+      by_tag_[tag].EraseIds(tag_ids, less);
+    }
   }
-  if (elements.empty()) return;
-  all_elements_.EraseIds(elements, less);
-  for (auto& [tag, tag_ids] : by_tag_ids) {
-    const auto it = by_tag_.find(tag);
-    if (it != by_tag_.end()) it->second.EraseIds(tag_ids, less);
-  }
+  return labeling_->DeleteSubtree(target);
 }
 
 }  // namespace cdbs::query

@@ -79,10 +79,12 @@ class LabeledDocument {
   /// by label-order binary search; exactly one run per list is copied).
   void NoteInsertedNode(NodeId id, const std::string& tag);
 
-  /// Removes deleted nodes from the tag lists. Their ids become invalid.
-  /// Positions are found by label-order binary search and batch-erased —
-  /// O(k log N + touched runs) for a k-node delete.
-  void NoteRemovedNodes(const std::vector<NodeId>& ids);
+  /// Deletes the subtree rooted at `target` (not the root) from the
+  /// labeling and the tag lists; its ids become invalid. The lists are
+  /// updated first, while the subtree's labels still compare: positions are
+  /// found by label-order binary search and batch-erased, O(k log N +
+  /// touched runs) for a k-node delete.
+  labeling::DeleteResult DeleteSubtree(NodeId target);
 
  private:
   LabeledDocument() = default;  // for Fork

@@ -101,6 +101,8 @@ void TagList::InsertAt(size_t pos, NodeId id) {
 void TagList::ErasePositions(std::vector<size_t>* positions) {
   if (positions->empty()) return;
   std::sort(positions->begin(), positions->end());
+  positions->erase(std::unique(positions->begin(), positions->end()),
+                   positions->end());
   // Walk runs once; rewrite each touched run once, skipping its erased
   // offsets.
   size_t p = 0;

@@ -1,6 +1,7 @@
 #ifndef CDBS_QUERY_TAG_LIST_H_
 #define CDBS_QUERY_TAG_LIST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -111,6 +112,12 @@ class TagList {
       }
       return *this;
     }
+    /// Steps back one element; O(1). Must not be called on begin().
+    Iterator& operator--() {
+      if (offset_ == 0) offset_ = list_->runs_[--run_]->size();
+      --offset_;
+      return *this;
+    }
     bool operator==(const Iterator& o) const {
       return run_ == o.run_ && offset_ == o.offset_;
     }
@@ -132,6 +139,56 @@ class TagList {
     if (i >= size()) return end();
     const size_t r = RunOf(i);
     return Iterator(this, r, i - RunStart(r));
+  }
+
+  /// Index of the first element of [from, to) for which `holds` is false,
+  /// given that `holds` is true on a prefix of that range and false on the
+  /// rest; `to` when it holds throughout. Gallops inside `from`'s run,
+  /// indexing that run directly: one probe when the answer is `from`,
+  /// O(log k) for an answer k places on. When the whole run holds, it
+  /// gallops over the last in-range element of each later run, then
+  /// binary-searches the run it lands in. So a call costs one or two run
+  /// lookups, not one per probe. Adds the number of `holds` calls to
+  /// `*probes`.
+  template <typename Holds>
+  size_t PartitionPoint(size_t from, size_t to, Holds holds,
+                        uint64_t* probes) const {
+    if (from >= to) return from;
+    uint64_t count = 0;
+    size_t r = RunOf(from);
+    size_t start = RunStart(r);
+    size_t stop = std::min<size_t>(cum_[r], to);
+    const std::vector<NodeId>* run = runs_[r].get();
+    size_t at = Gallop(
+        from - start, stop - start,
+        [run, &holds](size_t i) { return holds((*run)[i]); }, &count);
+    if (at == stop - start && stop < to) {
+      // All of run r's in-range part holds: find the first later run whose
+      // last in-range element fails, then search inside it.
+      const size_t last = to == size() ? runs_.size() - 1 : RunOf(to - 1);
+      const size_t found = Gallop(
+          r + 1, last + 1,
+          [this, last, to, &holds](size_t q) {
+            return holds(q == last ? (*runs_[q])[to - 1 - RunStart(q)]
+                                   : runs_[q]->back());
+          },
+          &count);
+      if (found > last) {
+        *probes += count;
+        return to;
+      }
+      r = found;
+      start = RunStart(r);
+      stop = std::min<size_t>(cum_[r], to);
+      run = runs_[r].get();
+      // The run's last in-range element fails; everything before the run
+      // holds.
+      at = Bisect(
+          0, stop - start - 1,
+          [run, &holds](size_t i) { return holds((*run)[i]); }, &count);
+    }
+    *probes += count;
+    return start + at;
   }
 
   /// Appends `id` (must come last in the list's order): in-order bulk
@@ -169,9 +226,9 @@ class TagList {
   }
 
   /// Removes every id of `ids` present in the list. Positions are located
-  /// by `less` binary search (the lists are sorted by label order), with a
-  /// linear fallback for ids whose labels no longer compare faithfully
-  /// after deletion (scheme-dependent); each touched run is copied once.
+  /// by `less` binary search (the lists are sorted by label order), so the
+  /// labels of `ids` must still be live: erase before the labeling deletes
+  /// them. Each touched run is copied once.
   template <typename Less>
   void EraseIds(const std::vector<NodeId>& ids, Less less) {
     std::vector<size_t> positions;
@@ -189,18 +246,7 @@ class TagList {
           hi = mid;
         }
       }
-      if (lo < size() && (*this)[lo] == id) {
-        positions.push_back(lo);
-        continue;
-      }
-      // Fallback: a removed id whose label ordering went stale (e.g. a
-      // scheme that rewrites state on delete). Correctness over speed.
-      for (size_t i = 0; i < size(); ++i) {
-        if ((*this)[i] == id) {
-          positions.push_back(i);
-          break;
-        }
-      }
+      if (lo < size() && (*this)[lo] == id) positions.push_back(lo);
     }
     ErasePositions(&positions);
   }
@@ -231,13 +277,52 @@ class TagList {
   }
 
  private:
+  /// First index of [lo, hi) at which `holds(i)` is false (`hi` when none
+  /// is), given a true prefix: probes lo, lo+1, lo+3, lo+7, ... clamped to
+  /// hi-1, then bisects the last gap. A range that holds throughout costs
+  /// O(log) probes, ending with hi-1. Counts probes into `*count`.
+  template <typename HoldsAt>
+  static size_t Gallop(size_t lo, size_t hi, HoldsAt holds, uint64_t* count) {
+    const size_t from = lo;
+    uint64_t n = 0;
+    for (size_t offset = 0, step = 1; lo < hi; offset += step, step *= 2) {
+      const size_t i = std::min(from + offset, hi - 1);
+      ++n;
+      if (!holds(i)) {
+        *count += n;
+        return Bisect(lo, i, holds, count);
+      }
+      lo = i + 1;
+    }
+    *count += n;
+    return lo;
+  }
+
+  /// Binary search: first index of [lo, hi) at which `holds(i)` is false,
+  /// given a true prefix. Counts probes into `*count`.
+  template <typename HoldsAt>
+  static size_t Bisect(size_t lo, size_t hi, HoldsAt holds, uint64_t* count) {
+    uint64_t n = 0;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      ++n;
+      if (holds(mid)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    *count += n;
+    return lo;
+  }
+
   /// Index of the run containing logical index `i`.
   size_t RunOf(size_t i) const;
   size_t RunStart(size_t r) const { return r == 0 ? 0 : cum_[r - 1]; }
 
   void InsertAt(size_t pos, NodeId id);
-  /// Erases the (ascending, deduplicated-by-construction) positions,
-  /// copying each touched run once.
+  /// Erases the given positions (any order, repeats allowed), copying each
+  /// touched run once.
   void ErasePositions(std::vector<size_t>* positions);
   /// Clones runs_[r] iff shared; charges CowStats.
   std::vector<NodeId>* MutableRun(size_t r);

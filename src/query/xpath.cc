@@ -111,6 +111,11 @@ class Parser {
       if (step->position != 0) {
         return Status::InvalidArgument("duplicate positional predicate");
       }
+      if (const char* axis = AxisName(step->axis)) {
+        return Status::InvalidArgument(
+            std::string("positional predicate [n] is not supported on the ") +
+            axis + " axis");
+      }
       step->position = position;
       return Status::OK();
     }
@@ -126,6 +131,25 @@ class Parser {
     }
     step->predicates.push_back(std::move(rel));
     return Status::OK();
+  }
+
+  // The named axes on which [n] is rejected (nullptr for child and
+  // descendant, where it ranks same-name siblings).
+  static const char* AxisName(Axis axis) {
+    switch (axis) {
+      case Axis::kPrecedingSibling:
+        return "preceding-sibling::";
+      case Axis::kFollowing:
+        return "following::";
+      case Axis::kParent:
+        return "parent::";
+      case Axis::kAncestor:
+        return "ancestor::";
+      case Axis::kChild:
+      case Axis::kDescendant:
+        break;
+    }
+    return nullptr;
   }
 
   std::string_view text_;

@@ -14,6 +14,8 @@
 ///   //step            descendant axis
 ///   *                 wildcard name test
 ///   name[4]           positional predicate among same-name siblings
+///                     (child and descendant steps only; rejected on the
+///                     other axes)
 ///   name[./title]     child-existence predicate
 ///   name[.//grpdescr] descendant-existence predicate
 ///   preceding-sibling::* , following::name   ordered axes

@@ -418,90 +418,56 @@ void ShardedDb::Shutdown() {
   });
 }
 
-std::string ShardedDb::RewriteForShard(const std::string& xpath) {
-  // The supported grammar is absolute paths only ("/a/b", "//x"), so
-  // prefixing the synthetic root step re-anchors the query one level down:
-  // "/cdbs-shard/a/b" matches inside every merged document, "/cdbs-shard//x"
-  // keeps descendant semantics. Callers must have parse-validated `xpath`
-  // first — rewriting garbage could otherwise turn a parse error into a
-  // silently-empty result.
-  return "/" + std::string(kShardRootTag) + xpath;
-}
-
-Result<std::vector<engine::NodeId>> ShardedDb::QueryDoc(
-    uint64_t doc, const std::string& xpath, util::Deadline deadline) {
+Status ShardedDb::CheckDoc(uint64_t doc) const {
   if (doc >= doc_count()) {
     return Status::InvalidArgument("no document " + std::to_string(doc) +
                                    " (corpus has " +
                                    std::to_string(doc_count()) + ")");
   }
-  const auto parsed = query::ParseQuery(xpath);
-  if (!parsed.ok()) return parsed.status();
+  return Status::OK();
+}
 
+std::future<Result<std::vector<uint64_t>>> ShardedDb::SubmitLeg(
+    uint32_t s, const std::string& xpath, util::Deadline deadline) {
+  std::vector<engine::NodeId> roots;
+  roots.reserve(shard_docs_[s].size());
+  for (const uint64_t doc : shard_docs_[s]) roots.push_back(doc_root_[doc]);
+  return shards_[s]->SubmitCount(xpath, std::move(roots), deadline);
+}
+
+Result<std::vector<engine::NodeId>> ShardedDb::QueryDoc(
+    uint64_t doc, const std::string& xpath, util::Deadline deadline) {
+  CDBS_RETURN_NOT_OK(CheckDoc(doc));
   const uint32_t s = doc_shard_[doc];
   routed_reads_->Increment();
   per_shard_metrics_[s].reads->Increment();
-  auto res = shards_[s]->SubmitQuery(RewriteForShard(xpath), deadline).get();
-  if (!res.ok()) return res.status();
-
-  // Keep only matches inside `doc`. Document roots are never deleted
-  // (ResolveWrite rejects them) and removed nodes keep their stale labels,
-  // so attribution against a fresh pin is correct even if a writer
-  // committed between evaluation and this filter.
-  const engine::NodeId root = doc_root_[doc];
-  const auto pin = shards_[s]->PinSnapshot();
-  const labeling::Labeling& lab = pin->labeling();
-  std::vector<engine::NodeId> out;
-  for (engine::NodeId id : *res) {
-    if (id == 0) continue;  // the synthetic shard root
-    if (id == root || lab.IsAncestor(root, id)) out.push_back(id);
-  }
-  return out;
+  return shards_[s]->SubmitQuery(xpath, deadline, doc_root_[doc]).get();
 }
 
 Result<uint64_t> ShardedDb::CountDoc(uint64_t doc, const std::string& xpath,
                                      util::Deadline deadline) {
-  auto res = QueryDoc(doc, xpath, deadline);
+  CDBS_RETURN_NOT_OK(CheckDoc(doc));
+  const uint32_t s = doc_shard_[doc];
+  routed_reads_->Increment();
+  per_shard_metrics_[s].reads->Increment();
+  auto res = shards_[s]->SubmitCount(xpath, {doc_root_[doc]}, deadline).get();
   if (!res.ok()) return res.status();
-  return static_cast<uint64_t>(res->size());
+  return (*res)[0];
 }
 
 Result<std::vector<uint64_t>> ShardedDb::CountPerDoc(
     const std::string& xpath, util::Deadline deadline) {
-  const auto parsed = query::ParseQuery(xpath);
-  if (!parsed.ok()) return parsed.status();
-  const std::string rewritten = RewriteForShard(xpath);
-
-  std::vector<std::future<Result<std::vector<engine::NodeId>>>> futures;
+  std::vector<std::future<Result<std::vector<uint64_t>>>> futures;
   futures.reserve(shards_.size());
-  for (auto& s : shards_) {
-    futures.push_back(s->SubmitQuery(rewritten, deadline));
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    futures.push_back(SubmitLeg(s, xpath, deadline));
   }
-
   std::vector<uint64_t> out(doc_count(), 0);
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     auto res = futures[s].get();
     if (!res.ok()) return res.status();
-    const auto& docs = shard_docs_[s];
-    if (docs.empty()) continue;
-    const auto pin = shards_[s]->PinSnapshot();
-    const labeling::Labeling& lab = pin->labeling();
-    for (engine::NodeId id : *res) {
-      if (id == 0) continue;
-      // Attribute by label order: the owning document is the last one whose
-      // root precedes (or is) `id`. Inserted ids are fresh (not contiguous
-      // with their document), so ranges don't work — labels do.
-      size_t lo = 0, hi = docs.size();
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (lab.CompareOrder(doc_root_[docs[mid]], id) <= 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo == 0) continue;  // before the first document root: impossible
-      ++out[docs[lo - 1]];
+    for (size_t k = 0; k < res->size(); ++k) {
+      out[shard_docs_[s][k]] = (*res)[k];
     }
   }
   return out;
@@ -511,12 +477,11 @@ Result<GatheredCount> ShardedDb::CountAll(const std::string& xpath,
                                           util::Deadline deadline) {
   const auto parsed = query::ParseQuery(xpath);
   if (!parsed.ok()) return parsed.status();
-  const std::string rewritten = RewriteForShard(xpath);
   scatter_queries_->Increment();
 
   GatheredCount g;
   g.per_shard.resize(shards_.size());
-  std::vector<std::future<Result<std::vector<engine::NodeId>>>> futures(
+  std::vector<std::future<Result<std::vector<uint64_t>>>> futures(
       shards_.size());
   std::vector<bool> submitted(shards_.size(), false);
   for (uint32_t s = 0; s < shards_.size(); ++s) {
@@ -528,7 +493,7 @@ Result<GatheredCount> ShardedDb::CountAll(const std::string& xpath,
       continue;
     }
     per_shard_metrics_[s].reads->Increment();
-    futures[s] = shards_[s]->SubmitQuery(rewritten, deadline);
+    futures[s] = SubmitLeg(s, xpath, deadline);
     submitted[s] = true;
   }
   for (uint32_t s = 0; s < shards_.size(); ++s) {
@@ -540,9 +505,7 @@ Result<GatheredCount> ShardedDb::CountAll(const std::string& xpath,
     auto res = futures[s].get();
     if (res.ok()) {
       uint64_t count = 0;
-      for (engine::NodeId id : *res) {
-        if (id != 0) ++count;  // exclude the synthetic shard root
-      }
+      for (const uint64_t c : *res) count += c;
       g.per_shard[s].count = count;
       g.total += count;
     } else {
@@ -572,11 +535,7 @@ Result<GatheredCount> ShardedDb::CountAll(const std::string& xpath,
 
 Status ShardedDb::ResolveWrite(uint64_t doc, engine::NodeId target,
                                uint32_t* shard) {
-  if (doc >= doc_count()) {
-    return Status::InvalidArgument("no document " + std::to_string(doc) +
-                                   " (corpus has " +
-                                   std::to_string(doc_count()) + ")");
-  }
+  CDBS_RETURN_NOT_OK(CheckDoc(doc));
   const uint32_t s = doc_shard_[doc];
   const engine::NodeId root = doc_root_[doc];
   if (target == 0) {

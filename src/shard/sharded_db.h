@@ -26,10 +26,11 @@
 /// instead of being capped by one writer thread and one fsync stream.
 ///
 /// Inside a shard, the corpus documents assigned to it are merged under one
-/// synthetic root element (`kShardRootTag`); queries are rewritten by
-/// prefixing that root step, so per-document semantics are preserved for
-/// the child/descendant workload (Table 3). Node ids are per-shard: every
-/// read and write is addressed as (document, node id in its shard).
+/// synthetic root element (`kShardRootTag`). Every read is evaluated inside
+/// one document's subtree, with that document's root as the root element
+/// (query/evaluator.h scopes), so each document answers exactly as it would
+/// alone, on every axis. Node ids are per-shard: every read and write is
+/// addressed as (document, node id in its shard).
 ///
 /// Cross-shard reads scatter-gather: `CountAll` fans the query out to every
 /// shard on the shared reader pool, propagates the caller's deadline to
@@ -40,7 +41,8 @@
 namespace cdbs::shard {
 
 /// Tag of the synthetic per-shard root the assigned documents hang under.
-/// Filtered from every query result (its id, 0, is never reported).
+/// It lies outside every document's scope, so no read reports or counts it
+/// (its id is 0).
 inline constexpr const char* kShardRootTag = "cdbs-shard";
 
 /// How documents map to shards.
@@ -196,18 +198,20 @@ class ShardedDb {
                             util::Deadline deadline = {});
 
   /// Per-document match counts of `xpath` across the whole corpus,
-  /// index-aligned with the documents. Each shard is evaluated once on one
-  /// pinned snapshot and matches are attributed to documents by label
-  /// order — isolation-safe against concurrent writers.
+  /// index-aligned with the documents. Each shard counts its documents in
+  /// document order on one pinned snapshot — isolation-safe against
+  /// concurrent writers.
   Result<std::vector<uint64_t>> CountPerDoc(const std::string& xpath,
                                             util::Deadline deadline = {});
 
   // --- cross-shard scatter-gather --------------------------------------
 
-  /// Total matches of `xpath` across all shards. The query fans out to
-  /// every shard concurrently (shared reader pool), each with the caller's
-  /// deadline; a shard that cannot answer yields a per-shard kUnavailable
-  /// (or kDeadlineExceeded) entry while the others still count. The call
+  /// Total matches of `xpath` across all shards: the sum of the
+  /// per-document counts, each document evaluated in its own scope. The
+  /// query fans out to every shard concurrently (shared reader pool), each
+  /// with the caller's deadline; a shard that cannot answer yields a
+  /// per-shard kUnavailable (or kDeadlineExceeded) entry while the others
+  /// still count. The call
   /// itself fails only when the query does not parse or when EVERY shard
   /// failed. Failpoint `shard.<i>.unavailable` forces shard i to fail.
   Result<GatheredCount> CountAll(const std::string& xpath,
@@ -270,8 +274,14 @@ class ShardedDb {
                                   : supervisor_->CheckWritable(shard);
   }
 
-  /// Rewrites an absolute query to run against a merged shard document.
-  static std::string RewriteForShard(const std::string& xpath);
+  /// InvalidArgument unless `doc` names a document of the corpus.
+  Status CheckDoc(uint64_t doc) const;
+
+  /// Counts `xpath` in each document of shard `s`, in document order, on
+  /// one pinned snapshot (one scatter leg). Resolves with per-document
+  /// counts, index-aligned with shard_docs_[s].
+  std::future<Result<std::vector<uint64_t>>> SubmitLeg(
+      uint32_t s, const std::string& xpath, util::Deadline deadline);
 
   ShardManifest manifest_;
   std::vector<uint32_t> doc_shard_;            // doc -> shard

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,93 @@ TEST(TagListTest, AppendRangeCrossesRunBoundaries) {
   }
 }
 
+// A list of uneven runs: bulk-sealed runs, splices that split some of them
+// past kRunMax, and erasures that shrink or empty others. `keep_every`
+// thins the list out.
+TagList UnevenList(NodeId n, NodeId keep_every) {
+  const auto less = [](NodeId a, NodeId b) { return a < b; };
+  TagList list;
+  for (NodeId i = 0; i < n; i += 4) list.Append(i);
+  for (NodeId i = n / 8; i < n / 2; i += 2) list.InsertSorted(i + 1, less);
+  std::vector<NodeId> victims;
+  for (NodeId i = 0; i < n; ++i) {
+    if (i % keep_every != 0 || i >= n - n / 8) victims.push_back(i);
+  }
+  list.EraseIds(victims, less);
+  return list;
+}
+
+// PartitionPoint against std::partition_point over the flattened list, for
+// every threshold, with `holds(x) = x < threshold`.
+void ExpectPartitionPoint(const TagList& list, size_t from, size_t to,
+                          NodeId threshold, const std::vector<NodeId>& flat) {
+  const auto holds = [threshold](NodeId x) { return x < threshold; };
+  uint64_t probes = 0;
+  const size_t got = list.PartitionPoint(from, to, holds, &probes);
+  const size_t want = static_cast<size_t>(
+      std::partition_point(flat.begin() + static_cast<ptrdiff_t>(from),
+                           flat.begin() + static_cast<ptrdiff_t>(to), holds) -
+      flat.begin());
+  ASSERT_EQ(got, want) << "[" << from << ", " << to << ") below "
+                       << threshold;
+  if (from < to) {
+    EXPECT_GE(probes, 1u);
+    // O(log) probes: a gallop in one run, one over run ends, and a binary
+    // search in one run.
+    EXPECT_LE(probes, 64u) << "[" << from << ", " << to << ")";
+  } else {
+    EXPECT_EQ(probes, 0u);
+  }
+}
+
+TEST(TagListTest, PartitionPointMatchesStdOnEveryRangeOfASmallList) {
+  // Few elements left per run, so short ranges still cross run ends.
+  const TagList list = UnevenList(4000, 61);
+  ASSERT_GT(list.run_count(), 3u);
+  const std::vector<NodeId> flat = list.ToVector();
+  ASSERT_LT(flat.size(), 60u);
+  for (size_t from = 0; from <= flat.size(); ++from) {
+    for (size_t to = from; to <= flat.size(); ++to) {
+      for (size_t k = from; k <= to; ++k) {
+        // The partition point at each element, and past the last one.
+        const NodeId threshold = k < flat.size() ? flat[k] : 5000;
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectPartitionPoint(list, from, to, threshold, flat));
+      }
+    }
+  }
+}
+
+TEST(TagListTest, PartitionPointMatchesStdOnRandomRangesOfALargeList) {
+  const TagList list = UnevenList(40000, 3);
+  ASSERT_GT(list.run_count(), 10u);
+  const std::vector<NodeId> flat = list.ToVector();
+  std::mt19937_64 rng(5);
+  for (int trial = 0; trial < 5000; ++trial) {
+    size_t from = rng() % (flat.size() + 1);
+    size_t to = rng() % (flat.size() + 1);
+    if (from > to) std::swap(from, to);
+    const NodeId threshold = static_cast<NodeId>(rng() % 40004) | 1;
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectPartitionPoint(list, from, to, threshold, flat));
+  }
+}
+
+TEST(TagListTest, IteratorStepsBackAcrossRuns) {
+  for (const NodeId keep_every : {NodeId{1}, NodeId{3}, NodeId{61}}) {
+    const TagList list = UnevenList(8000, keep_every);
+    const std::vector<NodeId> flat = list.ToVector();
+    ASSERT_FALSE(flat.empty());
+    TagList::Iterator it = list.end();
+    for (size_t i = flat.size(); i-- > 0;) {
+      --it;
+      ASSERT_EQ(*it, flat[i]) << i;
+      ASSERT_TRUE(it == list.IteratorAt(i)) << i;
+    }
+    EXPECT_TRUE(it == list.begin());
+  }
+}
+
 TEST(TagListTest, EraseWholeRunsDropsThem) {
   const auto less = [](NodeId a, NodeId b) { return a < b; };
   TagList list;
@@ -255,9 +343,7 @@ TEST(CowForkAliasingTest, LiveMutationsNeverLeakIntoFork) {
       ASSERT_NE(r.new_node, labeling::kNoNode);
       live.NoteInsertedNode(r.new_node, i == 0 ? "znew" : "c");
     }
-    const labeling::DeleteResult d =
-        live.labeling_mutable()->DeleteSubtree(5);  // the <d> subtree
-    live.NoteRemovedNodes(d.removed);
+    live.DeleteSubtree(5);  // the <d> subtree
 
     // The pinned fork is byte-identical to its capture.
     const DocState after = Capture(*fork);
@@ -281,7 +367,7 @@ TEST(CowForkAliasingTest, LiveMutationsNeverLeakIntoFork) {
 }
 
 TEST(CowForkAliasingTest, DeleteThenForkKeepsBatchErasedLists) {
-  // NoteRemovedNodes batch-erases by label-order binary search; verify the
+  // DeleteSubtree batch-erases by label-order binary search; verify the
   // surviving lists and both sides of a fork straddling the delete.
   auto parsed = xml::ParseXml(
       "<a><b><c/><c/><c/></b><b><c/><c/></b><c/></a>");
@@ -291,9 +377,7 @@ TEST(CowForkAliasingTest, DeleteThenForkKeepsBatchErasedLists) {
   // ids: a=0 b=1 c=2 c=3 c=4 b=5 c=6 c=7 c=8
   auto fork = live.Fork();
 
-  const labeling::DeleteResult d =
-      live.labeling_mutable()->DeleteSubtree(1);  // first <b>: nodes 1-4
-  live.NoteRemovedNodes(d.removed);
+  live.DeleteSubtree(1);  // first <b>: nodes 1-4
 
   EXPECT_EQ(live.WithTag("b").ToVector(), (std::vector<NodeId>{5}));
   EXPECT_EQ(live.WithTag("c").ToVector(), (std::vector<NodeId>{6, 7, 8}));

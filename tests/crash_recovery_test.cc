@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -56,6 +58,7 @@ class CrashMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/crash_matrix_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
   }
 
@@ -290,6 +293,7 @@ class XmlDbCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/xml_db_crash_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
   }
 

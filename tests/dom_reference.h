@@ -91,11 +91,17 @@ struct RefTree {
 
 // Evaluates the XPath subset by walking RefTree — the semantics
 // EvaluateQuery documents, computed without labels. A predicate path runs
-// through the same per-axis expansion as the main path.
+// through the same per-axis expansion as the main path. With a `scope`, the
+// scope's subtree is the whole document and the scope its root element:
+// nothing outside it is ever reached.
 class RefEvaluator {
  public:
-  explicit RefEvaluator(const RefTree& tree)
-      : tree_(tree), order_(tree.PreOrder()), rank_(tree.tag.size(), 0) {
+  explicit RefEvaluator(const RefTree& tree, NodeId scope = 0)
+      : tree_(tree), scope_(scope), rank_(tree.tag.size(), 0) {
+    const std::vector<NodeId> all = tree.PreOrder();
+    for (const NodeId n : all) {
+      if (n == scope || IsAncestor(scope, n)) order_.push_back(n);
+    }
     for (size_t i = 0; i < order_.size(); ++i) rank_[order_[i]] = i;
   }
 
@@ -106,9 +112,9 @@ class RefEvaluator {
       std::vector<NodeId> next;
       if (s == 0) {
         if (step.axis == Axis::kChild) {
-          if (Matches(step, 0) && step.position <= 1 &&
-              Predicates(step, 0)) {
-            next.push_back(0);
+          if (Matches(step, scope_) && step.position <= 1 &&
+              Predicates(step, scope_)) {
+            next.push_back(scope_);
           }
         } else if (step.axis == Axis::kDescendant) {
           for (const NodeId n : order_) {
@@ -144,7 +150,7 @@ class RefEvaluator {
   }
 
   int SameTagRank(NodeId n) const {
-    if (n == 0) return 1;
+    if (n == scope_) return 1;
     int rank = 1;
     for (const NodeId sib : tree_.children[tree_.parent[n]]) {
       if (sib == n) break;
@@ -205,7 +211,7 @@ class RefEvaluator {
         }
         break;
       case Axis::kPrecedingSibling:
-        if (c == 0) break;
+        if (c == scope_) break;
         for (const NodeId sib : tree_.children[tree_.parent[c]]) {
           if (sib == c) break;
           emit(sib);
@@ -217,10 +223,11 @@ class RefEvaluator {
         }
         break;
       case Axis::kParent:
-        if (c != 0) emit(tree_.parent[c]);
+        if (c != scope_) emit(tree_.parent[c]);
         break;
       case Axis::kAncestor:
-        for (NodeId p = tree_.parent[c]; p != kNoNode; p = tree_.parent[p]) {
+        for (NodeId p = c; p != scope_;) {
+          p = tree_.parent[p];
           emit(p);
         }
         break;
@@ -228,7 +235,8 @@ class RefEvaluator {
   }
 
   const RefTree& tree_;
-  std::vector<NodeId> order_;
+  NodeId scope_;
+  std::vector<NodeId> order_;  // the scope's subtree, in document order
   std::vector<size_t> rank_;
 };
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -143,6 +144,30 @@ std::string Describe(const std::vector<NodeId>& ids) {
   return out;
 }
 
+// Applies a few random sibling inserts and subtree deletes to `labeled`,
+// mirrored into `ref`.
+void ApplyRandomUpdates(std::mt19937_64* rng, RefTree* ref,
+                        LabeledDocument* labeled) {
+  for (int op = 0; op < 6; ++op) {
+    const std::vector<NodeId> live = ref->PreOrder();
+    if (live.size() < 2) break;
+    const NodeId target = live[1 + (*rng)() % (live.size() - 1)];
+    if ((*rng)() % 4 == 0 && live.size() > 30) {
+      labeled->DeleteSubtree(target);
+      ref->RemoveSubtree(target);
+    } else {
+      const bool before = (*rng)() % 2 == 0;
+      const std::string tag = RandomTag(rng);
+      labeling::Labeling* lab = labeled->labeling_mutable();
+      const labeling::InsertResult result =
+          before ? lab->InsertSiblingBefore(target)
+                 : lab->InsertSiblingAfter(target);
+      labeled->NoteInsertedNode(result.new_node, tag);
+      ASSERT_EQ(result.new_node, ref->AddSibling(target, before, tag));
+    }
+  }
+}
+
 class EvaluatorOrderTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(EvaluatorOrderTest, MatchesDomWalkUnderRandomUpdates) {
@@ -161,26 +186,7 @@ TEST_P(EvaluatorOrderTest, MatchesDomWalkUnderRandomUpdates) {
     ASSERT_EQ(labeled.labeling().num_nodes(), ref.tag.size());
 
     for (int round = 0; round < 4; ++round) {
-      // Apply a few random updates, mirrored into the reference.
-      for (int op = 0; op < 6; ++op) {
-        const std::vector<NodeId> live = ref.PreOrder();
-        if (live.size() < 2) break;
-        const NodeId target = live[1 + rng() % (live.size() - 1)];
-        labeling::Labeling* lab = labeled.labeling_mutable();
-        if (rng() % 4 == 0 && live.size() > 30) {
-          const labeling::DeleteResult result = lab->DeleteSubtree(target);
-          labeled.NoteRemovedNodes(result.removed);
-          ref.RemoveSubtree(target);
-        } else {
-          const bool before = rng() % 2 == 0;
-          const std::string tag = RandomTag(&rng);
-          const labeling::InsertResult result =
-              before ? lab->InsertSiblingBefore(target)
-                     : lab->InsertSiblingAfter(target);
-          labeled.NoteInsertedNode(result.new_node, tag);
-          ASSERT_EQ(result.new_node, ref.AddSibling(target, before, tag));
-        }
-      }
+      ASSERT_NO_FATAL_FAILURE(ApplyRandomUpdates(&rng, &ref, &labeled));
       const RefEvaluator reference(ref);
       std::vector<std::string> texts(std::begin(kTargetedQueries),
                                      std::end(kTargetedQueries));
@@ -206,6 +212,80 @@ TEST_P(EvaluatorOrderTest, MatchesDomWalkUnderRandomUpdates) {
   }
   EXPECT_GT(fast_evals, 0u) << "no evaluation took the order-preserving path";
   EXPECT_GT(sorted_steps, 0u) << "no step fell back to the sort";
+}
+
+// Scoped evaluation: the subtree of the scope is the whole document. For
+// the root and for random element scopes, every query returns the DOM walk
+// from that scope and counts its size; counting several scopes in one call,
+// with the cursors carried from scope to scope, gives each scope's count.
+TEST_P(EvaluatorOrderTest, ScopesMatchDomWalkUnderRandomUpdates) {
+  const auto scheme = labeling::SchemeByName(GetParam());
+  for (uint64_t seed = 11; seed <= 14; ++seed) {
+    std::mt19937_64 rng(seed);
+    RefTree ref = RandomTree(&rng, seed == 14 ? 700 : 120);
+    auto parsed = xml::ParseXml(ref.ToXml());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const xml::Document doc = std::move(parsed).value();
+    LabeledDocument labeled(doc, *scheme);
+
+    for (int round = 0; round < 3; ++round) {
+      ASSERT_NO_FATAL_FAILURE(ApplyRandomUpdates(&rng, &ref, &labeled));
+      const std::vector<NodeId> live = ref.PreOrder();
+      std::vector<NodeId> scopes = {0};
+      for (int k = 0; k < 4; ++k) scopes.push_back(live[rng() % live.size()]);
+      // Disjoint scopes in document order: each picked node's subtree is
+      // skipped, so none lies inside another.
+      auto inside = [&ref](NodeId a, NodeId d) {
+        for (NodeId p = ref.parent[d]; p != kNoNode; p = ref.parent[p]) {
+          if (p == a) return true;
+        }
+        return false;
+      };
+      std::vector<NodeId> disjoint;
+      for (size_t i = 1; i < live.size();) {
+        const NodeId n = live[i++];
+        if (rng() % 6 != 0) continue;
+        disjoint.push_back(n);
+        while (i < live.size() && inside(n, live[i])) ++i;
+      }
+      ASSERT_GT(disjoint.size(), 2u);
+      std::vector<NodeId> reversed(disjoint.rbegin(), disjoint.rend());
+      std::map<NodeId, RefEvaluator> references;
+      auto reference = [&](NodeId scope) -> const RefEvaluator& {
+        return references.try_emplace(scope, ref, scope).first->second;
+      };
+      std::vector<std::string> texts(std::begin(kTargetedQueries),
+                                     std::end(kTargetedQueries));
+      for (int i = 0; i < 25; ++i) texts.push_back(RandomQuery(&rng));
+      for (const std::string& text : texts) {
+        auto query = ParseQuery(text);
+        ASSERT_TRUE(query.ok()) << text << ": " << query.status();
+        for (const NodeId scope : scopes) {
+          const std::vector<NodeId> got = EvaluateQuery(*query, labeled, scope);
+          const std::vector<NodeId> want = reference(scope).Evaluate(*query);
+          ASSERT_EQ(got, want)
+              << GetParam() << " seed " << seed << " round " << round
+              << " scope " << scope << ": " << text << "\n  got  "
+              << Describe(got) << "\n  want " << Describe(want);
+          ASSERT_EQ(CountQuery(*query, labeled, scope), want.size())
+              << GetParam() << " scope " << scope << ": " << text;
+        }
+        // Carried cursors (disjoint, in order) and fresh ones (nested or
+        // out of order) give every scope its own count.
+        for (std::vector<NodeId>* set : {&disjoint, &reversed, &scopes}) {
+          const std::vector<uint64_t> counts =
+              CountPerScope(*query, labeled, *set);
+          ASSERT_EQ(counts.size(), set->size());
+          for (size_t k = 0; k < set->size(); ++k) {
+            ASSERT_EQ(counts[k], reference((*set)[k]).Evaluate(*query).size())
+                << GetParam() << " seed " << seed << " round " << round
+                << " scope " << (*set)[k] << " of " << Describe(*set) << ": "
+                << text;
+          }
+        }
+      }
+    }
+  }
 }
 
 std::vector<std::string> AllSchemeNames() {

@@ -211,6 +211,31 @@ TEST_P(EvaluatorSchemeParityTest, PredicatePathsMatchDomWalkOnHamlet) {
   }
 }
 
+// [n] on following::, preceding-sibling::, parent:: and ancestor:: used to
+// be dropped, so `/play/act[1]/following::act[2]` answered 4 on Hamlet, like
+// the query without [2]. Those forms are now rejected; the forms without
+// [n] still answer.
+TEST(EvaluatorPositionTest, OtherAxesRejectPositionOnHamlet) {
+  const xml::Document hamlet = xml::GenerateHamlet();
+  auto scheme = labeling::SchemeByName("V-CDBS-Containment");
+  LabeledDocument labeled(hamlet, *scheme);
+  const std::pair<const char*, uint64_t> cases[] = {
+      {"/play/act[1]/following::act", 4},
+      {"/play/act[5]/preceding-sibling::act", 4},
+      {"//scene/parent::act", 5},
+      {"//speech/ancestor::act", 5},
+  };
+  for (const auto& [text, want] : cases) {
+    auto query = ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text;
+    EXPECT_EQ(EvaluateQuery(*query, labeled).size(), want) << text;
+    const std::string positional = std::string(text) + "[2]";
+    EXPECT_EQ(ParseQuery(positional).status().code(),
+              StatusCode::kInvalidArgument)
+        << positional;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, EvaluatorSchemeParityTest,
     ::testing::Values("Prime", "DeweyID(UTF8)-Prefix", "OrdPath1-Prefix",

@@ -18,6 +18,7 @@ class LabelStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/label_store_test_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
     ASSERT_TRUE(store_.Open(path_).ok());
   }

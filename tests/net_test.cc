@@ -419,6 +419,17 @@ TEST_F(NetTest, ServerErrorsTravelBackWithTheirCodes) {
   ASSERT_TRUE(client.ok());
   // A malformed xpath fails parse-side; an unknown target fails apply-side.
   EXPECT_FALSE((*client)->Query("///[").ok());
+  // [n] on an axis that does not rank siblings is rejected, not ignored.
+  for (const char* text : {"/r/a[1]/following::a[2]",
+                           "//b/preceding-sibling::a[1]", "//b/parent::a[1]",
+                           "//b/ancestor::a[2]"}) {
+    EXPECT_EQ((*client)->Query(text).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+    EXPECT_EQ((*client)->Count(text).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
   Result<uint64_t> bad_target = (*client)->InsertAfter(999999, "x");
   EXPECT_EQ(bad_target.status().code(), StatusCode::kOutOfRange);
   Result<uint64_t> bad_delete = (*client)->Delete(0);
@@ -695,6 +706,8 @@ TEST_F(NetTest, IntrospectReturnsMetricsAndTracesOverTheWire) {
   EXPECT_NE(info->stats_json.find("query.eval.steps_sorted"),
             std::string::npos);
   EXPECT_NE(info->stats_json.find("query.eval.candidates_scanned"),
+            std::string::npos);
+  EXPECT_NE(info->stats_json.find("query.eval.steps_counted"),
             std::string::npos);
   EXPECT_NE(info->traces_json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(info->traces_json.find("\"ph\":\"X\""), std::string::npos);

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -70,6 +72,7 @@ class ReplicationChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/repl_chaos_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -129,6 +131,7 @@ class ReplicationLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/repl_log_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".wal";
     std::remove(path_.c_str());
   }
@@ -234,6 +237,7 @@ class ReplicationE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/repl_e2e_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }

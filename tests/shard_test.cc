@@ -13,9 +13,15 @@
 #include <gtest/gtest.h>
 
 #include "engine/corpus.h"
+#include "labeling/registry.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "query/evaluator.h"
+#include "query/tag_index.h"
+#include "query/xpath.h"
 #include "storage/label_store.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -229,6 +235,82 @@ TEST(ShardReadTest, RejectsBadQueriesAndBadDocs) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*db)->QueryDoc(7, "/play").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Every read is scoped to its document, so axes that leave a subtree
+// (following::, ancestor::, parent::) and positional descendant steps never
+// see the other documents merged into the same shard. Ground truth: each
+// play labeled and evaluated alone. The merged shard lays document d out
+// from DocRoot(d) in the standalone pre-order, so ids map by an offset.
+TEST(ShardReadTest, ShardReadsMatchEachDocumentEvaluatedAlone) {
+  std::vector<xml::Document> plays;
+  for (size_t i = 0; i < 3; ++i) plays.push_back(xml::GeneratePlay(i + 1, 800));
+  const auto scheme = labeling::SchemeByName("V-CDBS-Containment");
+  std::vector<std::unique_ptr<query::LabeledDocument>> alone;
+  for (const xml::Document& play : plays) {
+    alone.push_back(std::make_unique<query::LabeledDocument>(play, *scheme));
+  }
+  ShardedDbOptions options;
+  options.shard_count = 1;
+  options.shard.db.scheme_name = "V-CDBS-Containment";
+  auto db = ShardedDb::Open(std::move(plays), options);
+  ASSERT_TRUE(db.ok()) << db.status();
+
+  for (const char* text :
+       {"//act[2]/following::speaker", "//play[1]",
+        "//act/scene[./following::act]", "/play/act[1]/following::act",
+        "//speech/ancestor::*", "//act/parent::*"}) {
+    auto query = query::ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text;
+    auto per_doc = (*db)->CountPerDoc(text);
+    ASSERT_TRUE(per_doc.ok()) << text << ": " << per_doc.status();
+    uint64_t sum = 0;
+    for (uint64_t doc = 0; doc < 3; ++doc) {
+      const std::vector<query::NodeId> want =
+          query::EvaluateQuery(*query, *alone[doc]);
+      ASSERT_FALSE(want.empty()) << text << " doc " << doc;
+      auto ids = (*db)->QueryDoc(doc, text);
+      ASSERT_TRUE(ids.ok()) << text << ": " << ids.status();
+      ASSERT_EQ(ids->size(), want.size()) << text << " doc " << doc;
+      for (size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ((*ids)[k], (*db)->DocRoot(doc) + want[k])
+            << text << " doc " << doc;
+      }
+      EXPECT_EQ(*(*db)->CountDoc(doc, text), want.size())
+          << text << " doc " << doc;
+      EXPECT_EQ((*per_doc)[doc], want.size()) << text << " doc " << doc;
+      sum += want.size();
+    }
+    auto gathered = (*db)->CountAll(text);
+    ASSERT_TRUE(gathered.ok()) << text;
+    EXPECT_EQ(gathered->total, sum) << text;
+  }
+}
+
+// A count whose last step needs no sort never builds the match list:
+// query.eval.steps_counted adds one per document for Table 3's Q1, Q2, Q5
+// and Q6, and nothing for Q3, whose preceding-sibling:: step is sorted.
+TEST(ShardReadTest, CountAllCountsLastStepsWithoutAMatchList) {
+  ShardedDbOptions options;
+  options.shard_count = 3;
+  auto db = ShardedDb::Open(Plays(5), options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const obs::Counter* counted =
+      obs::MetricRegistry::Default().GetCounter("query.eval.steps_counted");
+  const std::vector<std::string>& table3 = query::Table3Queries();
+  for (const size_t q : {0u, 1u, 2u, 4u, 5u}) {
+    const uint64_t before = counted->value();
+    auto gathered = (*db)->CountAll(table3[q]);
+    ASSERT_TRUE(gathered.ok()) << table3[q];
+    EXPECT_GT(gathered->total, 0u) << table3[q];
+    EXPECT_EQ(counted->value() - before, q == 2 ? 0u : (*db)->doc_count())
+        << "Q" << q + 1;
+  }
+  const obs::MetricRegistry& registry = obs::MetricRegistry::Default();
+  EXPECT_NE(obs::ToJson(registry).find("\"query.eval.steps_counted\""),
+            std::string::npos);
+  EXPECT_NE(obs::ToPrometheus(registry).find("query_eval_steps_counted"),
+            std::string::npos);
 }
 
 TEST(ShardAggregateTest, TotalNodesExcludesSyntheticRoots) {

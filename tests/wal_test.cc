@@ -1,5 +1,7 @@
 #include "storage/wal.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -19,6 +21,7 @@ class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/wal_test_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".wal";
     std::remove(path_.c_str());
   }

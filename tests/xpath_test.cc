@@ -1,5 +1,8 @@
 #include "query/xpath.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace cdbs::query {
@@ -96,6 +99,27 @@ TEST(XPathParseTest, RejectsMalformed) {
   EXPECT_FALSE(ParseQuery("/play/act]").ok());
   EXPECT_FALSE(ParseQuery("/play/act[foo]").ok());  // bare name predicate
   EXPECT_FALSE(ParseQuery("//").ok());
+}
+
+// [n] ranks same-name siblings on child and descendant steps only; on the
+// other axes it is rejected, not silently ignored.
+TEST(XPathParseTest, RejectsPositionOnOtherAxes) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"/play/act[1]/following::act[2]", "following::"},
+      {"/play/act[5]/preceding-sibling::act[1]", "preceding-sibling::"},
+      {"//scene/parent::act[3]", "parent::"},
+      {"//speech/ancestor::act[2]", "ancestor::"},
+      {"//act[./following::act[1]]", "following::"},
+  };
+  for (const auto& [text, axis] : cases) {
+    auto q = ParseQuery(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(q.status().message().find(axis), std::string::npos)
+        << text << ": " << q.status();
+  }
+  EXPECT_TRUE(ParseQuery("/play/act[1]/following::act").ok());
+  EXPECT_TRUE(ParseQuery("//scene/parent::act[./title]").ok());
 }
 
 TEST(XPathParseTest, KeepsOriginalText) {
