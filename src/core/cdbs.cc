@@ -15,7 +15,8 @@ namespace {
 obs::Counter& InsertBetweenCounter() {
   static obs::Counter* const c = obs::MetricRegistry::Default().GetCounter(
       "core.cdbs.insert_between",
-      "Algorithm 1 calls (a code assigned between two neighbours)");
+      "Algorithm 1 calls (a code assigned between two neighbours); "
+      "Algorithm 2's bulk midpoints are not counted");
   return *c;
 }
 
@@ -29,14 +30,18 @@ obs::Counter& EncodeRangeCounter() {
 // (e.g. round(9.5) == 10 in the Table 1 walkthrough).
 uint64_t RoundMid(uint64_t lo, uint64_t hi) { return (lo + hi + 1) / 2; }
 
-// Recursive SubEncoding of Algorithm 2. codes[0] and codes[n+1] stay empty
-// (the virtual numbers 0 and N+1). Depth is O(log n).
-void SubEncoding(std::vector<BitString>* codes, uint64_t left, uint64_t right) {
-  if (left + 1 >= right) return;
-  const uint64_t mid = RoundMid(left, right);
-  (*codes)[mid] = AssignMiddleBinaryString((*codes)[left], (*codes)[right]);
-  SubEncoding(codes, left, mid);
-  SubEncoding(codes, mid, right);
+// Algorithm 1 on words (word 0 is the empty code). Both codes are at most
+// 62 bits, so the result fits in 63.
+uint64_t MiddleWord(uint64_t left, uint64_t right) {
+  const size_t left_bits = WordCodeBits(left);
+  const size_t right_bits = WordCodeBits(right);
+  if (left_bits >= right_bits) {
+    // Case (1): left ⊕ "1".
+    return left | uint64_t{1} << (63 - left_bits);
+  }
+  // Case (2): right with its last "1" changed to "01".
+  return (right & ~(uint64_t{1} << (64 - right_bits))) |
+         uint64_t{1} << (63 - right_bits);
 }
 
 }  // namespace
@@ -69,16 +74,60 @@ std::pair<BitString, BitString> AssignTwoMiddleBinaryStrings(
   return {std::move(first), std::move(second)};
 }
 
-std::vector<BitString> EncodeRange(uint64_t n) {
+uint64_t CodeToWord(const BitString& code) {
+  CDBS_CHECK(code.size() < 64 && (code.empty() || code.EndsWithOne()));
+  return code.empty() ? 0 : code.ToUint() << (64 - code.size());
+}
+
+BitString WordToCode(uint64_t word) {
+  const size_t bits = WordCodeBits(word);
+  return bits == 0 ? BitString()
+                   : BitString::FromUint(word >> (64 - bits),
+                                         static_cast<int>(bits));
+}
+
+std::vector<uint64_t> EncodeRangeWords(uint64_t n) {
   EncodeRangeCounter().Increment();
-  // codes[i] is the code of number i; 0 and n+1 are the virtual sentinels.
-  std::vector<BitString> codes(n + 2);
-  SubEncoding(&codes, 0, n + 1);
-  // Drop the sentinels; shift down so index 0 is the code of number 1.
-  std::vector<BitString> out;
-  out.reserve(n);
-  for (uint64_t i = 1; i <= n; ++i) out.push_back(std::move(codes[i]));
-  return out;
+  // Number n takes floor(log2 n) + 1 bits, which must stay under 64.
+  CDBS_CHECK(n < (uint64_t{1} << 62));
+  // words[i - 1] is the code of number i.
+  std::vector<uint64_t> words(n);
+  // SubEncoding with an explicit stack: each entry is an open range of
+  // numbers with the codes of its two ends (the virtual numbers 0 and n + 1
+  // have the empty code, word 0). A range is split at its midpoint, its
+  // left part is split next in place, and its right part is pushed. A
+  // midpoint needs only its ends' codes, so the order does not change the
+  // result. Depth is O(log n).
+  struct Range {
+    uint64_t left;
+    uint64_t right;
+    uint64_t left_word;
+    uint64_t right_word;
+  };
+  std::vector<Range> stack = {{0, n + 1, 0, 0}};
+  while (!stack.empty()) {
+    Range range = stack.back();
+    stack.pop_back();
+    while (range.left + 1 < range.right) {
+      const uint64_t mid = RoundMid(range.left, range.right);
+      const uint64_t word = MiddleWord(range.left_word, range.right_word);
+      words[mid - 1] = word;
+      if (range.right - mid > 1) {
+        stack.push_back({mid, range.right, word, range.right_word});
+      }
+      range.right = mid;
+      range.right_word = word;
+    }
+  }
+  return words;
+}
+
+std::vector<BitString> EncodeRange(uint64_t n) {
+  const std::vector<uint64_t> words = EncodeRangeWords(n);
+  std::vector<BitString> codes;
+  codes.reserve(words.size());
+  for (const uint64_t word : words) codes.push_back(WordToCode(word));
+  return codes;
 }
 
 int FixedWidthForCount(uint64_t n) {
@@ -98,24 +147,24 @@ std::vector<BitString> EncodeRangeFixed(uint64_t n) {
 }
 
 uint64_t RankOfCode(const BitString& code, uint64_t n) {
-  CDBS_CHECK(!code.empty());
+  CDBS_CHECK(!code.empty() && n < (uint64_t{1} << 62));
+  const uint64_t word = CodeToWord(code);
   // Walk the same subdivision tree Algorithm 2 builds, re-deriving the code
-  // at each midpoint; descend left/right by lexicographic comparison.
+  // at each midpoint; descend left/right by word (lexicographic) order.
   uint64_t left_pos = 0;
   uint64_t right_pos = n + 1;
-  BitString left_code;   // empty sentinel
-  BitString right_code;  // empty sentinel
+  uint64_t left_word = 0;   // empty sentinel
+  uint64_t right_word = 0;  // empty sentinel
   while (left_pos + 1 < right_pos) {
     const uint64_t mid_pos = RoundMid(left_pos, right_pos);
-    BitString mid_code = AssignMiddleBinaryString(left_code, right_code);
-    const int cmp = code.Compare(mid_code);
-    if (cmp == 0) return mid_pos;
-    if (cmp < 0) {
+    const uint64_t mid_word = MiddleWord(left_word, right_word);
+    if (word == mid_word) return mid_pos;
+    if (word < mid_word) {
       right_pos = mid_pos;
-      right_code = std::move(mid_code);
+      right_word = mid_word;
     } else {
       left_pos = mid_pos;
-      left_code = std::move(mid_code);
+      left_word = mid_word;
     }
   }
   CDBS_CHECK(false && "code is not a member of EncodeRange(n)");

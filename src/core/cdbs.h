@@ -17,8 +17,9 @@
 ///    (Theorem 3.1).
 ///  * `AssignTwoMiddleBinaryStrings` realises Corollary 3.3 (containment
 ///    schemes insert a "start" and an "end" at one gap).
-///  * `EncodeRange` is Algorithm 2 — the initial V-CDBS encoding of 1..N,
-///    exactly as compact as plain binary (Theorem 4.4).
+///  * `EncodeRangeWords` is Algorithm 2 — the initial V-CDBS encoding of
+///    1..N, exactly as compact as plain binary (Theorem 4.4), one word per
+///    code. `EncodeRange` is the same codes decoded to `BitString`s.
 ///  * `EncodeRangeFixed` is the F-CDBS variant (trailing zero padding).
 ///  * `RankOfCode` is the inverse computation sketched in Section 5.1.
 ///  * `VCdbsTotalBits` etc. are the closed-form size formulas of Section 4.2.
@@ -45,10 +46,35 @@ BitString AssignMiddleBinaryString(const BitString& left,
 std::pair<BitString, BitString> AssignTwoMiddleBinaryStrings(
     const BitString& left, const BitString& right);
 
-/// Algorithm 2: the V-CDBS codes for numbers 1..n, index 0 holding the code
-/// of number 1. The result is lexicographically increasing, every code ends
-/// with "1", and the multiset of code lengths equals that of V-Binary
-/// (one 1-bit code, two 2-bit codes, four 3-bit codes, ...).
+/// A CDBS code of at most 63 bits as one word: its bits MSB-aligned,
+/// zero-padded below. Every CDBS code ends in "1", so the length is implicit
+/// (64 - ctz; the empty code is word 0), distinct codes never pad to the
+/// same word, and word order is Definition 3.1 order.
+inline size_t WordCodeBits(uint64_t word) {
+  return word == 0 ? 0 : 64 - static_cast<size_t>(__builtin_ctzll(word));
+}
+
+/// The word of `code`, which must be empty or at most 63 bits ending in "1"
+/// (checked).
+uint64_t CodeToWord(const BitString& code);
+
+/// The code `word` holds (the inverse of CodeToWord).
+BitString WordToCode(uint64_t word);
+
+/// Algorithm 2: the V-CDBS codes for numbers 1..n as words (CodeToWord),
+/// index 0 holding the code of number 1. The codes are lexicographically
+/// increasing, every code ends with "1", and the multiset of code lengths
+/// equals that of V-Binary (one 1-bit code, two 2-bit codes, four 3-bit
+/// codes, ...). Each midpoint is Algorithm 1 applied to two words:
+///   size(left) >= size(right): M = left | 1 << (63 - size(left));
+///   otherwise:                 M = right with bit 64 - size(right) cleared,
+///                                  | 1 << (63 - size(right)).
+/// The midpoints are bulk work, so they do not count as
+/// `core.cdbs.insert_between`; each call counts one `core.cdbs.encode_range`.
+std::vector<uint64_t> EncodeRangeWords(uint64_t n);
+
+/// EncodeRangeWords(n) decoded to BitStrings, for the prefix schemes and the
+/// tables.
 std::vector<BitString> EncodeRange(uint64_t n);
 
 /// Width in bits of the fixed-length encodings (F-Binary / F-CDBS) for a
@@ -62,7 +88,7 @@ std::vector<BitString> EncodeRangeFixed(uint64_t n);
 
 /// Inverse of Algorithm 2 (Section 5.1): the 1-based rank of `code` within
 /// EncodeRange(n). Requires that `code` is one of those codes; walks the
-/// implicit subdivision tree in O(log n) comparisons.
+/// implicit subdivision tree in O(log n) word comparisons.
 uint64_t RankOfCode(const BitString& code, uint64_t n);
 
 /// Closed-form totals from Section 4.2 (logs base 2, ceilings omitted, as in

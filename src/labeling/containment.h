@@ -146,13 +146,11 @@ class FloatContainmentCodec {
 /// insertions never overflow but sustained skewed insertion eventually does
 /// (Example 6.1).
 ///
-/// In memory a code is one word: its bits MSB-aligned, zero-padded below.
-/// Every CDBS code ends in "1", so the length is implicit (64 - ctz; the
-/// empty code is 0), distinct codes never pad to the same word, and word
-/// order is Definition 3.1 order — comparison is one integer compare, as
-/// for V-Binary. The overflow limit keeps every code under 64 bits. Codes
-/// are decoded to `core::BitString` only to insert (Algorithm 1) and to
-/// serialize.
+/// In memory a code is one word (core::CodeToWord): its bits MSB-aligned,
+/// zero-padded below, so comparison is one integer compare, as for
+/// V-Binary. Algorithm 2 fills the words directly; the overflow limit keeps
+/// every code under 64 bits. Codes are decoded to `core::BitString` only to
+/// insert (Algorithm 1) and to serialize.
 class CdbsContainmentCodec {
  public:
   using Value = uint64_t;
@@ -162,28 +160,18 @@ class CdbsContainmentCodec {
   explicit CdbsContainmentCodec(bool fixed_width) : fixed_(fixed_width) {}
 
   /// Bits in the code a word holds.
-  static size_t CodeBits(Value v) {
-    return v == 0 ? 0 : 64 - static_cast<size_t>(__builtin_ctzll(v));
-  }
+  static size_t CodeBits(Value v) { return core::WordCodeBits(v); }
 
   /// The word of a CDBS code (empty, or at most 63 bits ending in "1").
   static Value Encode(const core::BitString& code) {
-    CDBS_CHECK(code.size() < 64 && (code.empty() || code.EndsWithOne()));
-    return code.empty() ? 0 : code.ToUint() << (64 - code.size());
+    return core::CodeToWord(code);
   }
 
   /// The code a word holds (the inverse of Encode).
-  static core::BitString Decode(Value v) {
-    const size_t bits = CodeBits(v);
-    return bits == 0 ? core::BitString()
-                     : core::BitString::FromUint(v >> (64 - bits),
-                                                 static_cast<int>(bits));
-  }
+  static core::BitString Decode(Value v) { return core::WordToCode(v); }
 
   void Init(uint64_t count, std::vector<Value>* values) {
-    const std::vector<core::BitString> codes = core::EncodeRange(count);
-    values->resize(codes.size());
-    for (size_t i = 0; i < codes.size(); ++i) (*values)[i] = Encode(codes[i]);
+    *values = core::EncodeRangeWords(count);
     width_ = static_cast<size_t>(core::FixedWidthForCount(count));
     // Length field must express sizes up to width_ + 2 (first insertion
     // anywhere fits); the field is ceil(log2(width_ + 3)) bits.

@@ -343,16 +343,18 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
 
   for (uint32_t s = 0; s < manifest.shard_count; ++s) {
     // Merge the shard's documents under one synthetic root, in document
-    // (corpus) order. Node ids are assigned in document order at labeling
-    // time, so each document's root id is 1 (past the synthetic root) plus
-    // the sizes of the documents merged before it.
+    // (corpus) order. Adopting moves no node, so the shard serves the
+    // inputs' own nodes and no input is freed here. Node ids are assigned
+    // in document order at labeling time, so each document's root id is 1
+    // (past the synthetic root) plus the sizes of the documents merged
+    // before it.
     xml::Document merged;
     xml::Node* root = merged.CreateRoot(kShardRootTag);
     engine::NodeId next_id = 1;
     for (uint64_t d : db->shard_docs_[s]) {
       db->doc_root_[d] = next_id;
       next_id += static_cast<engine::NodeId>(docs[d].node_count());
-      merged.DeepCopy(docs[d].root(), root);
+      merged.Adopt(std::move(docs[d]), root);
     }
 
     engine::ConcurrentXmlDbOptions opts = options.shard;

@@ -1,5 +1,7 @@
 #include "xml/tree.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace cdbs::xml {
@@ -24,6 +26,25 @@ int Node::Depth() const {
   int depth = 1;
   for (const Node* p = parent_; p != nullptr; p = p->parent_) ++depth;
   return depth;
+}
+
+Document::Document(Document&& other)
+    : arena_(std::move(other.arena_)),
+      adopted_(std::move(other.adopted_)),
+      root_(std::exchange(other.root_, nullptr)) {
+  other.arena_.clear();
+  other.adopted_.clear();
+}
+
+Document& Document::operator=(Document&& other) {
+  if (this != &other) {
+    arena_ = std::move(other.arena_);
+    adopted_ = std::move(other.adopted_);
+    root_ = std::exchange(other.root_, nullptr);
+    other.arena_.clear();
+    other.adopted_.clear();
+  }
+  return *this;
 }
 
 Node* Document::NewNode(NodeType type, std::string_view payload) {
@@ -116,6 +137,19 @@ Node* Document::DeepCopy(const Node* source, Node* parent) {
     DeepCopy(child, copy);
   }
   return copy;
+}
+
+Node* Document::Adopt(Document&& other, Node* parent) {
+  CDBS_CHECK(&other != this && other.root_ != nullptr);
+  Node* adopted_root = std::exchange(other.root_, nullptr);
+  AppendChild(parent, adopted_root);
+  adopted_.push_back(std::move(other.arena_));
+  for (std::deque<Node>& arena : other.adopted_) {
+    adopted_.push_back(std::move(arena));
+  }
+  other.arena_.clear();
+  other.adopted_.clear();
+  return adopted_root;
 }
 
 }  // namespace cdbs::xml

@@ -13,7 +13,8 @@
 /// The ordered XML tree model the experiments run on: elements, attributes
 /// and text nodes, with document order defined by pre-order traversal.
 /// Nodes are arena-allocated inside their Document (stable pointers) so
-/// labelings can hold Node* across insertions.
+/// labelings can hold Node* across insertions, and one document can adopt
+/// another's nodes without copying or moving them.
 
 namespace cdbs::xml {
 
@@ -78,9 +79,11 @@ class Document {
  public:
   Document() = default;
 
-  /// Move-only: nodes hold back-pointers into the arena.
-  Document(Document&&) = default;
-  Document& operator=(Document&&) = default;
+  /// Move-only: nodes hold back-pointers into the arenas. Moving transfers
+  /// the nodes without relocating them and leaves the source empty (no
+  /// root, no nodes).
+  Document(Document&& other);
+  Document& operator=(Document&& other);
   Document(const Document&) = delete;
   Document& operator=(const Document&) = delete;
 
@@ -121,10 +124,24 @@ class Document {
   /// dataset scaling helper). `parent == nullptr` makes the copy the root.
   Node* DeepCopy(const Node* source, Node* parent);
 
+  /// Takes over every node of `other` (its own and those it adopted) and
+  /// appends its root as the last child of `parent`, a node of this
+  /// document. Nothing is copied: the arenas move over whole, so each
+  /// Node* into `other` stays valid and now belongs to this document. O(1)
+  /// in the number of nodes. Leaves `other` empty; returns the adopted
+  /// root. Requires that `other` has a root.
+  Node* Adopt(Document&& other, Node* parent);
+
  private:
   Node* NewNode(NodeType type, std::string_view payload);
 
-  std::deque<Node> arena_;  // stable addresses
+  // Stable addresses: a deque never relocates its elements, and moving a
+  // deque hands over its blocks. Adopted arenas sit in a deque of their
+  // own: a vector relocates its elements on growth, and std::deque's move
+  // constructor is not noexcept, so whether a vector would move or copy an
+  // arena (new addresses, every Node* dangling) is up to the library.
+  std::deque<Node> arena_;
+  std::deque<std::deque<Node>> adopted_;
   Node* root_ = nullptr;
 };
 

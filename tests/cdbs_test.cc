@@ -209,6 +209,78 @@ TEST(EncodeRangeTest, LargeRangeStaysOrderedAndCompact) {
   EXPECT_EQ(total_bits, VCodeTotalBitsExact(n));
 }
 
+// --- One Algorithm 2: the word encoder, EncodeRange, the old recursion ---
+
+// The recursive BitString SubEncoding Algorithm 2 used to be, kept as the
+// reference: codes[i] is the code of number i, 0 and n + 1 stay empty.
+void ReferenceSubEncoding(std::vector<BitString>* codes, uint64_t left,
+                          uint64_t right) {
+  if (left + 1 >= right) return;
+  const uint64_t mid = (left + right + 1) / 2;
+  (*codes)[mid] = AssignMiddleBinaryString((*codes)[left], (*codes)[right]);
+  ReferenceSubEncoding(codes, left, mid);
+  ReferenceSubEncoding(codes, mid, right);
+}
+
+std::vector<BitString> ReferenceEncodeRange(uint64_t n) {
+  std::vector<BitString> codes(n + 2);
+  ReferenceSubEncoding(&codes, 0, n + 1);
+  return codes;
+}
+
+TEST(OneAlgorithm2Test, WordsEqualEncodeRangeAndTheRecursionUpTo4096) {
+  for (uint64_t n = 1; n <= 4096; ++n) {
+    const std::vector<uint64_t> words = EncodeRangeWords(n);
+    const std::vector<BitString> codes = EncodeRange(n);
+    const std::vector<BitString> reference = ReferenceEncodeRange(n);
+    ASSERT_EQ(words.size(), n);
+    ASSERT_EQ(codes.size(), n);
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(words[i], CodeToWord(reference[i + 1]))
+          << "n=" << n << " number " << i + 1;
+      ASSERT_EQ(codes[i], reference[i + 1]) << "n=" << n << " number " << i + 1;
+      ASSERT_EQ(WordToCode(words[i]), codes[i]);
+    }
+  }
+}
+
+TEST(OneAlgorithm2Test, WordsEqualTheRecursionAtCorpusSizes) {
+  // Twice the nodes of one query_corpus shard, and of the whole D5x10
+  // corpus: the value counts their containment labels encode.
+  for (const uint64_t n : {uint64_t{900348}, uint64_t{3593780}}) {
+    const std::vector<uint64_t> words = EncodeRangeWords(n);
+    const std::vector<BitString> reference = ReferenceEncodeRange(n);
+    ASSERT_EQ(words.size(), n);
+    uint64_t total_bits = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(words[i], CodeToWord(reference[i + 1]))
+          << "n=" << n << " number " << i + 1;
+      if (i > 0) {
+        ASSERT_LT(words[i - 1], words[i]);
+      }
+      total_bits += WordCodeBits(words[i]);
+    }
+    EXPECT_EQ(total_bits, VCodeTotalBitsExact(n));
+  }
+}
+
+TEST(OneAlgorithm2Test, Table1AsWords) {
+  // Table 1's V-CDBS column for 1..18, MSB-aligned.
+  const std::vector<uint64_t> expected = {
+      0x0800000000000000, 0x1000000000000000, 0x2000000000000000,
+      0x3000000000000000, 0x4000000000000000, 0x4800000000000000,
+      0x5000000000000000, 0x6000000000000000, 0x7000000000000000,
+      0x8000000000000000, 0x8800000000000000, 0x9000000000000000,
+      0xa000000000000000, 0xb000000000000000, 0xc000000000000000,
+      0xd000000000000000, 0xe000000000000000, 0xf000000000000000};
+  EXPECT_EQ(EncodeRangeWords(18), expected);
+}
+
+TEST(EncodeRangeWordsTest, EmptyRange) {
+  EXPECT_TRUE(EncodeRangeWords(0).empty());
+  EXPECT_TRUE(EncodeRange(0).empty());
+}
+
 // --- F-CDBS ---
 
 TEST(FixedWidthTest, WidthMatchesBinary) {

@@ -22,6 +22,7 @@
 #include "query/evaluator.h"
 #include "query/tag_index.h"
 #include "query/xpath.h"
+#include "repl/replication.h"
 #include "storage/label_store.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -327,6 +328,46 @@ TEST(ShardAggregateTest, TotalNodesExcludesSyntheticRoots) {
   ASSERT_TRUE(db.ok());
   EXPECT_EQ((*db)->TotalNodes(), 1500u);
   EXPECT_GT((*db)->TotalLabelBits(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Open: documents are adopted, not copied
+
+// Open adopts each input document into its shard's merged document without
+// copying a node. The shards must be byte-identical to shards merged by
+// deep-copying the inputs under the synthetic root in corpus order.
+TEST(ShardOpenTest, AdoptedShardsEqualDeepCopyMergedShards) {
+  const std::vector<xml::Document> inputs = Plays(7);
+  ShardedDbOptions options;
+  options.shard_count = 3;
+  auto db = ShardedDb::Open(Plays(7), options);
+  ASSERT_TRUE(db.ok()) << db.status();
+
+  std::vector<std::unique_ptr<engine::XmlDb>> reference;
+  for (uint32_t s = 0; s < 3; ++s) {
+    xml::Document merged;
+    xml::Node* root = merged.CreateRoot(kShardRootTag);
+    engine::NodeId next_id = 1;
+    for (uint64_t d = 0; d < inputs.size(); ++d) {
+      if ((*db)->ShardOfDoc(d) != s) continue;
+      EXPECT_EQ((*db)->DocRoot(d), next_id) << "doc " << d;
+      next_id += static_cast<engine::NodeId>(inputs[d].node_count());
+      merged.DeepCopy(inputs[d].root(), root);
+    }
+    auto ref = engine::XmlDb::Open(std::move(merged), options.shard.db);
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    auto image = (*db)->shard(s)->CaptureBootstrap();
+    ASSERT_TRUE(image.ok()) << image.status();
+    EXPECT_EQ(repl::EncodeBootstrapSpec(image->spec),
+              repl::EncodeBootstrapSpec((*ref)->CaptureBootstrapSpec()))
+        << "shard " << s;
+    reference.push_back(std::move(ref).value());
+  }
+  (*db)->Shutdown();
+  for (uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ((*db)->shard(s)->underlying().ToXml(), reference[s]->ToXml())
+        << "shard " << s;
+  }
 }
 
 // --------------------------------------------------------------------------

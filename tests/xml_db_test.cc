@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "xml/parser.h"
 #include "xml/shakespeare.h"
 
@@ -112,6 +113,32 @@ TEST(XmlDbTest, IntermittentInsertionsNoRelabelingWithCdbs) {
   EXPECT_EQ(stats.node_count, 8u);
   EXPECT_EQ(stats.relabeled_total, 0u);  // the CDBS guarantee
   EXPECT_EQ(stats.overflow_events, 0u);
+}
+
+// core.cdbs.insert_between counts Algorithm 1 midpoints only: the open
+// bulk-encodes every value with Algorithm 2 (one core.cdbs.encode_range),
+// and an element insert places a start and an end code (docs/
+// OBSERVABILITY.md).
+TEST(XmlDbTest, OpenCountsOneBulkEncodeAndAnInsertTwoMidpoints) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Default();
+  const obs::Counter* between =
+      registry.GetCounter("core.cdbs.insert_between");
+  const obs::Counter* bulk = registry.GetCounter("core.cdbs.encode_range");
+  const uint64_t between0 = between->value();
+  const uint64_t bulk0 = bulk->value();
+  XmlDbOptions options;
+  options.scheme_name = "V-CDBS-Containment";
+  auto db = XmlDb::Open(xml::GeneratePlay(/*seed=*/3, 2000), options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(between->value() - between0, 0u);
+  EXPECT_EQ(bulk->value() - bulk0, 1u);
+
+  auto line = (*db)->Query("//line");
+  ASSERT_TRUE(line.ok() && !line->empty());
+  ASSERT_TRUE((*db)->InsertElementAfter((*line)[0], "w").ok());
+  EXPECT_EQ(between->value() - between0, 2u);
+  EXPECT_EQ(bulk->value() - bulk0, 1u);
+  EXPECT_EQ((*db)->Stats().relabeled_total, 0u);
 }
 
 TEST(XmlDbTest, SkewedInsertionsOverflowButStayCorrect) {
