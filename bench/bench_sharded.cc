@@ -17,6 +17,14 @@
 // exit) when 4-shard throughput is below 1.5x the single shard — the CI
 // perf-smoke regression guard for the sharded write path.
 //
+// It first runs the shard-open memory guard: an in-memory 4-shard Open
+// over D5, with the heap bytes in use (mallinfo2) measured before the
+// inputs are generated and after Open. The serving engine keeps labels,
+// tags and skeleton (about 60 B/element) and frees every input document
+// on ingest; keeping a DOM costs another ~158 B/element. The bench FAILS
+// above 96 B/element, so a document coming back onto the serving path
+// cannot go unnoticed. `bench_sharded memory` runs the guard alone.
+//
 // Knobs: CDBS_BENCH_MS (per-phase duration, default 400 ms),
 // CDBS_SHARD_BENCH_SHARDS (default 4), CDBS_SHARD_FSYNC_DELAY_MS (default
 // 2), CDBS_SHARD_MIN_SCALE_PCT (default 150; "0" disables the guard). Set
@@ -32,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include "bench_util.h"
@@ -137,9 +146,56 @@ PhaseResult RunPhase(size_t shards, uint64_t duration_ms) {
   return out;
 }
 
+// Heap bytes in use, across all arenas and mmapped chunks.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// The shard-open memory guard (see the file comment). Returns false when
+// the heap kept after Open exceeds kMaxOpenBytesPerElement.
+bool ShardOpenMemoryGuard() {
+  constexpr double kMaxOpenBytesPerElement = 96;
+  const size_t before = HeapInUse();
+  ShardedDbOptions options;
+  options.shard_count = 4;
+  options.read_workers = 1;
+  auto opened = ShardedDb::Open(cdbs::xml::GenerateShakespeareDataset(),
+                                options);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "open failed: %s\n",
+                 opened.status().ToString().c_str());
+    return false;
+  }
+  const size_t after = HeapInUse();
+  const uint64_t elements = (*opened)->TotalNodes();
+  const double per_element =
+      after > before ? static_cast<double>(after - before) / elements : 0.0;
+  cdbs::bench::Heading("Shard-open memory (in-memory, 4 shards, D5)");
+  std::printf("  %" PRIu64 " elements, %.1f MB kept after Open, "
+              "%.1f B/element (guard %.0f)\n",
+              elements, (after - before) / 1e6, per_element,
+              kMaxOpenBytesPerElement);
+  cdbs::obs::MetricRegistry::Default()
+      .GetGauge("bench.sharded.open_bytes_per_element",
+                "Heap kept after an in-memory 4-shard Open, per element")
+      ->Set(per_element);
+  if (per_element > kMaxOpenBytesPerElement) {
+    std::fprintf(stderr,
+                 "FAIL: a 4-shard Open keeps %.1f B/element (guard %.0f) — "
+                 "is a document kept on the serving path again?\n",
+                 per_element, kMaxOpenBytesPerElement);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ShardOpenMemoryGuard()) return 1;
+  if (argc > 1 && std::string(argv[1]) == "memory") return 0;
+
   cdbs::bench::ConfigureTracerFromEnv();
   const uint64_t duration_ms = cdbs::bench::EnvKnob("CDBS_BENCH_MS", 400);
   const uint64_t shards = cdbs::bench::EnvKnob("CDBS_SHARD_BENCH_SHARDS", 4);

@@ -30,37 +30,34 @@ Result<std::unique_ptr<repl::ReplicationLog>> OpenReplLog(
 
 }  // namespace
 
-Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::Open(
-    xml::Document doc, const ConcurrentXmlDbOptions& options) {
-  Result<std::unique_ptr<XmlDb>> db = XmlDb::Open(std::move(doc), options.db);
+Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::Wrap(
+    Result<std::unique_ptr<XmlDb>> db, const ConcurrentXmlDbOptions& options) {
   if (!db.ok()) return db.status();
   Result<std::unique_ptr<repl::ReplicationLog>> log =
       OpenReplLog(&(*db)->registry_, options);
   if (!log.ok()) return log.status();
   return std::unique_ptr<ConcurrentXmlDb>(new ConcurrentXmlDb(
       std::move(db).value(), std::move(log).value(), options));
+}
+
+Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::Open(
+    XmlTree tree, const ConcurrentXmlDbOptions& options) {
+  return Wrap(XmlDb::Open(std::move(tree), options.db), options);
+}
+
+Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::Open(
+    xml::Document doc, const ConcurrentXmlDbOptions& options) {
+  return Wrap(XmlDb::Open(std::move(doc), options.db), options);
 }
 
 Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::OpenFromXml(
     std::string_view xml, const ConcurrentXmlDbOptions& options) {
-  Result<std::unique_ptr<XmlDb>> db = XmlDb::OpenFromXml(xml, options.db);
-  if (!db.ok()) return db.status();
-  Result<std::unique_ptr<repl::ReplicationLog>> log =
-      OpenReplLog(&(*db)->registry_, options);
-  if (!log.ok()) return log.status();
-  return std::unique_ptr<ConcurrentXmlDb>(new ConcurrentXmlDb(
-      std::move(db).value(), std::move(log).value(), options));
+  return Wrap(XmlDb::OpenFromXml(xml, options.db), options);
 }
 
 Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::OpenFromImage(
     const BootstrapSpec& spec, const ConcurrentXmlDbOptions& options) {
-  Result<std::unique_ptr<XmlDb>> db = XmlDb::OpenFromBootstrap(spec, options.db);
-  if (!db.ok()) return db.status();
-  Result<std::unique_ptr<repl::ReplicationLog>> log =
-      OpenReplLog(&(*db)->registry_, options);
-  if (!log.ok()) return log.status();
-  return std::unique_ptr<ConcurrentXmlDb>(new ConcurrentXmlDb(
-      std::move(db).value(), std::move(log).value(), options));
+  return Wrap(XmlDb::OpenFromBootstrap(spec, options.db), options);
 }
 
 ConcurrentXmlDb::ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
@@ -413,7 +410,7 @@ void ConcurrentXmlDb::WriterLoop() {
 void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
   struct PendingInsert {
     size_t request_index;
-    XmlDb::AppliedInsert applied;
+    labeling::InsertResult applied;
   };
   const size_t n = group->size();
   // Group trace attribution: every span the writer records from here on
@@ -531,7 +528,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
       delete_results[i].emplace(std::move(removed));
       continue;
     }
-    XmlDb::AppliedInsert applied;
+    labeling::InsertResult applied;
     Result<NodeId> id = db_->ApplyInsertInMemory(
         req.target, req.tag, req.kind == WriteRequest::Kind::kInsertBefore,
         &applied);
@@ -540,7 +537,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
       // they stand after it — so a crash that recovers only a WAL prefix
       // lands on exactly the state some prefix of this group produced.
       batches.emplace_back();
-      db_->BuildPersistOps(applied.result, &batches.back());
+      db_->BuildPersistOps(applied, &batches.back());
       pending.push_back(PendingInsert{i, applied});
       mutated = true;
     }
@@ -592,7 +589,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
       consecutive_persist_failures_.store(0, std::memory_order_release);
     }
     for (const PendingInsert& p : pending) {
-      db_->NoteInsertCommitted(p.applied.result);
+      db_->NoteInsertCommitted(p.applied);
     }
   }
 

@@ -96,6 +96,9 @@ struct BootstrapImage {
 ///  - After `Shutdown` (or destruction) all submissions fail cleanly.
 class ConcurrentXmlDb {
  public:
+  /// Labels `tree` and serves it (see XmlDb::Open).
+  static Result<std::unique_ptr<ConcurrentXmlDb>> Open(
+      XmlTree tree, const ConcurrentXmlDbOptions& options);
   static Result<std::unique_ptr<ConcurrentXmlDb>> Open(
       xml::Document doc, const ConcurrentXmlDbOptions& options);
   static Result<std::unique_ptr<ConcurrentXmlDb>> OpenFromXml(
@@ -315,6 +318,11 @@ class ConcurrentXmlDb {
   ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
                   std::unique_ptr<repl::ReplicationLog> repl_log,
                   const ConcurrentXmlDbOptions& options);
+
+  /// Every Open* funnels here: opens the replication log the options ask
+  /// for and serves `db`.
+  static Result<std::unique_ptr<ConcurrentXmlDb>> Wrap(
+      Result<std::unique_ptr<XmlDb>> db, const ConcurrentXmlDbOptions& options);
 
   /// Parses `xpath` and runs `eval(query, view)` on a freshly pinned
   /// snapshot, with the read path's spans and metrics.

@@ -36,12 +36,13 @@ Result<Corpus> Corpus::FromDocuments(std::vector<xml::Document> docs,
 
   // Deep-clone schemes (Prime, the prefix family): the sharded engine
   // rejects them by design, so they keep the immutable per-file path.
-  corpus.docs_ = std::move(docs);
+  // Labels answer every read: each document is freed once labeled.
   const auto scheme = labeling::SchemeByName(scheme_name);
-  corpus.labeled_.reserve(corpus.docs_.size());
-  for (const xml::Document& doc : corpus.docs_) {
+  corpus.labeled_.reserve(docs.size());
+  for (xml::Document& doc : docs) {
     corpus.labeled_.push_back(
         std::make_unique<query::LabeledDocument>(doc, *scheme));
+    doc = xml::Document();
   }
   return corpus;
 }

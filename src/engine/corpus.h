@@ -29,8 +29,8 @@ namespace cdbs::engine {
 /// additionally accepts concurrent writes via `sharded()`.
 class Corpus {
  public:
-  /// Labels every document with `scheme_name`. Documents are owned by the
-  /// corpus. Honors the `CDBS_SHARD_COUNT` / `CDBS_SHARD_ROUTER` env knobs
+  /// Labels every document with `scheme_name`, freeing each once it is
+  /// labeled. Honors the `CDBS_SHARD_COUNT` / `CDBS_SHARD_ROUTER` env knobs
   /// when the scheme takes the sharded path.
   static Result<Corpus> FromDocuments(std::vector<xml::Document> docs,
                                       const std::string& scheme_name);
@@ -77,7 +77,6 @@ class Corpus {
   // Sharded backend (COW-fork schemes) ...
   std::unique_ptr<shard::ShardedDb> sharded_;
   // ... or the legacy per-file path (deep-clone schemes).
-  std::vector<xml::Document> docs_;
   std::vector<std::unique_ptr<query::LabeledDocument>> labeled_;
 };
 

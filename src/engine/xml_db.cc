@@ -1,6 +1,7 @@
 #include "engine/xml_db.h"
 
-#include <functional>
+#include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -14,12 +15,69 @@
 
 namespace cdbs::engine {
 
-XmlDb::XmlDb(xml::Document doc,
-             std::unique_ptr<labeling::LabelingScheme> scheme)
-    : doc_(std::move(doc)), scheme_(std::move(scheme)) {
-  labeled_ = std::make_unique<query::LabeledDocument>(doc_, *scheme_);
-  node_of_id_ = doc_.NodesInDocumentOrder();
-  original_count_ = node_of_id_.size();
+std::string_view NodePayloads::Of(NodeId n) const {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), n);
+  if (it == ids.end() || *it != n) return {};
+  const size_t i = static_cast<size_t>(it - ids.begin());
+  const uint64_t begin = i == 0 ? 0 : ends[i - 1];
+  return std::string_view(bytes).substr(begin, ends[i] - begin);
+}
+
+NodeId XmlTree::AddElement(const std::string& tag, NodeId parent) {
+  const NodeId id = skeleton_.AddNode(parent);
+  tags_.PushBack(query::TagPool::Intern(&pool_, tag));
+  return id;
+}
+
+NodeId XmlTree::AddNode(const xml::Node& node, NodeId parent) {
+  const NodeId id = skeleton_.AddNode(parent);
+  std::string& bytes = payloads_.bytes;
+  const size_t start = bytes.size();
+  if (node.is_text()) {
+    tags_.PushBack(query::TagId{0});
+    bytes += xml::EscapeText(node.text());
+  } else {
+    tags_.PushBack(query::TagPool::Intern(&pool_, node.name()));
+    for (const auto& [name, value] : node.attributes()) {
+      bytes += ' ';
+      bytes += name;
+      bytes += "=\"";
+      bytes += xml::EscapeText(value);
+      bytes += '"';
+    }
+  }
+  if (bytes.size() > start) {
+    payloads_.ids.push_back(id);
+    payloads_.ends.push_back(bytes.size());
+  }
+  return id;
+}
+
+NodeId XmlTree::Ingest(xml::Document doc, NodeId parent) {
+  CDBS_CHECK(doc.root() != nullptr);
+  const NodeId root = static_cast<NodeId>(size());
+  // Pre-order with an explicit stack, so ids are document-order ranks.
+  std::vector<std::pair<const xml::Node*, NodeId>> stack = {
+      {doc.root(), parent}};
+  while (!stack.empty()) {
+    const auto [node, node_parent] = stack.back();
+    stack.pop_back();
+    const NodeId id = AddNode(*node, node_parent);
+    const auto& kids = node->children();
+    for (size_t i = kids.size(); i-- > 0;) stack.push_back({kids[i], id});
+  }
+  return root;
+}
+
+XmlDb::XmlDb(XmlTree tree, std::unique_ptr<labeling::LabelingScheme> scheme)
+    : scheme_(std::move(scheme)), payloads_(std::move(tree.payloads_)) {
+  payloads_.ids.shrink_to_fit();
+  payloads_.ends.shrink_to_fit();
+  payloads_.bytes.shrink_to_fit();
+  labeled_ = std::make_unique<query::LabeledDocument>(
+      std::move(tree.skeleton_), std::move(tree.tags_), std::move(tree.pool_),
+      *scheme_);
+  original_count_ = labeled_->labeling().num_nodes();
 
   insertions_ = registry_.GetCounter("engine.inserts", "Element insertions");
   deletions_ = registry_.GetCounter("engine.deletes", "Nodes removed");
@@ -47,19 +105,26 @@ XmlDb::XmlDb(xml::Document doc,
       "labeling.label_bits", "Stored label size in bits per node");
   const labeling::Labeling& lab = labeled_->labeling();
   for (NodeId n = 0; n < lab.num_nodes(); ++n) {
-    label_bits->Record(8 * lab.SerializeLabel(n).size());
+    label_bits->Record(8 * lab.SerializedLabelSize(n));
   }
+}
+
+Result<std::unique_ptr<XmlDb>> XmlDb::Open(XmlTree tree,
+                                           const XmlDbOptions& options) {
+  if (tree.size() == 0) {
+    return Status::InvalidArgument("document has no root");
+  }
+  auto scheme = labeling::SchemeByName(options.scheme_name);
+  std::unique_ptr<XmlDb> db(new XmlDb(std::move(tree), std::move(scheme)));
+  CDBS_RETURN_NOT_OK(db->InitStore(options));
+  return db;
 }
 
 Result<std::unique_ptr<XmlDb>> XmlDb::Open(xml::Document doc,
                                            const XmlDbOptions& options) {
-  if (doc.root() == nullptr) {
-    return Status::InvalidArgument("document has no root");
-  }
-  auto scheme = labeling::SchemeByName(options.scheme_name);
-  std::unique_ptr<XmlDb> db(new XmlDb(std::move(doc), std::move(scheme)));
-  CDBS_RETURN_NOT_OK(db->InitStore(options));
-  return db;
+  XmlTree tree;
+  if (doc.root() != nullptr) tree.Ingest(std::move(doc), labeling::kNoNode);
+  return Open(std::move(tree), options);
 }
 
 Result<std::unique_ptr<XmlDb>> XmlDb::OpenFromXml(
@@ -71,17 +136,9 @@ Result<std::unique_ptr<XmlDb>> XmlDb::OpenFromXml(
 
 BootstrapSpec XmlDb::CaptureBootstrapSpec() const {
   BootstrapSpec spec;
-  spec.xml = ToXml();
+  spec.xml = Serialize(&spec.ids);
   spec.original_count = original_count_;
-  spec.next_id = node_of_id_.size();
-  std::unordered_map<const xml::Node*, NodeId> id_of;
-  id_of.reserve(node_of_id_.size());
-  for (size_t i = 0; i < node_of_id_.size(); ++i) {
-    id_of.emplace(node_of_id_[i], static_cast<NodeId>(i));
-  }
-  const std::vector<xml::Node*> order = doc_.NodesInDocumentOrder();
-  spec.ids.reserve(order.size());
-  for (const xml::Node* node : order) spec.ids.push_back(id_of.at(node));
+  spec.next_id = labeled_->labeling().num_nodes();
   return spec;
 }
 
@@ -139,105 +196,47 @@ Result<std::unique_ptr<XmlDb>> XmlDb::OpenFromBootstrap(
     }
   }
 
-  // --- Stage 1: rebuild the open-time document shape. ---
-  // Labels assign ids by pre-order rank at open, so the base document must
-  // put every surviving original at exactly its original rank. It contains
-  // the survivors (their hierarchy is intact: an original's parent is
-  // always an original) plus disposable gap dummies standing in for the
-  // deleted originals' ranks.
-  xml::Document base;
-  std::unordered_map<const xml::Node*, xml::Node*> base_of;  // parsed -> base
-  base_of.reserve(survivors.size());
-  std::function<void(xml::Node*, xml::Node*)> clone_originals =
-      [&](xml::Node* src, xml::Node* parent) {
-        xml::Node* fresh;
-        if (parent == nullptr) {
-          fresh = base.CreateRoot(src->name());
-        } else if (src->is_text()) {
-          fresh = base.CreateText(src->text());
-          base.AppendChild(parent, fresh);
-        } else {
-          fresh = base.CreateElement(src->name());
-          base.AppendChild(parent, fresh);
-        }
-        for (const auto& attr : src->attributes()) {
-          fresh->SetAttribute(attr.first, attr.second);
-        }
-        base_of.emplace(src, fresh);
-        for (xml::Node* child : src->children()) {
-          if (id_at.at(child) < n0) clone_originals(child, fresh);
-        }
-      };
-  clone_originals(order[0], nullptr);
-
+  // --- Stage 1: rebuild the open-time tree. ---
+  // Open assigns ids by pre-order rank, and a tree appended in pre-order
+  // takes its ids in append order. The base appends every surviving
+  // original at exactly its original rank (their hierarchy is intact: an
+  // original's parent is always an original), with disposable gap dummies
+  // standing in for the deleted originals' ranks. The dummies of a gap are
+  // leaves appended to the next survivor's parent just before it (past
+  // the last survivor, to the root), where they take exactly the missing
+  // ranks. Replay can only insert siblings, so a parent whose original
+  // children were all deleted could never receive its first (inserted)
+  // child back. Such a parent is guaranteed a gap at rank id+1 — its
+  // deleted original first child — and that one dummy is seeded as its
+  // child.
   constexpr const char* kGapTag = "cdbs-bootstrap-gap";
-  std::vector<xml::Node*> gap_nodes;  // base dummies, deleted in stage 3
-  // Replay can only insert siblings, so a parent whose original children
-  // were all deleted could never receive its first (inserted) child back.
-  // Such a parent is guaranteed a gap at rank id+1 — its deleted original
-  // first child — and that one dummy is seeded as the parent's first
-  // child. Every other dummy in a gap goes immediately before the next
-  // surviving original (or, past the last survivor, at the end of the
-  // root), where leaves occupy exactly the consecutive pre-order ranks.
-  std::unordered_map<const xml::Node*, xml::Node*> seed_of;  // parsed parent
-  auto fill_gap = [&](xml::Node* after, xml::Node* before) -> Status {
-    const uint64_t lo = id_at.at(after);
-    const uint64_t hi = before != nullptr ? id_at.at(before) : n0;
-    uint64_t need = hi - lo - 1;
-    if (need == 0) return Status::OK();
-    bool seed = !after->children().empty();
-    for (xml::Node* child : after->children()) {
-      if (seed && id_at.at(child) < n0) seed = false;
-    }
-    if (seed) {
-      xml::Node* dummy = base.CreateElement(kGapTag);
-      base.InsertChildAt(base_of.at(after), 0, dummy);
-      gap_nodes.push_back(dummy);
-      seed_of.emplace(after, dummy);
+  XmlTree base;
+  std::vector<NodeId> gap_ids;  // dummies, deleted in stage 3
+  std::unordered_map<const xml::Node*, NodeId> seed_of;  // parsed parent
+  const xml::Node* after = nullptr;  // the survivor appended last
+  for (size_t i = 0; i <= survivors.size(); ++i) {
+    const xml::Node* node = i < survivors.size() ? survivors[i] : nullptr;
+    uint64_t need = (node != nullptr ? id_at.at(node) : n0) - base.size();
+    if (need > 0 && !after->children().empty() &&
+        std::none_of(after->children().begin(), after->children().end(),
+                     [&](const xml::Node* c) { return id_at.at(c) < n0; })) {
+      gap_ids.push_back(base.AddElement(kGapTag, id_at.at(after)));
+      seed_of.emplace(after, gap_ids.back());
       --need;
     }
-    if (before != nullptr) {
-      xml::Node* anchor = base_of.at(before);
-      xml::Node* parent = anchor->parent();
-      if (parent == nullptr) {
-        return Status::Corruption("bootstrap spec: survivor lost its parent");
-      }
-      const size_t index = parent->IndexOfChild(anchor);
-      for (uint64_t j = 0; j < need; ++j) {
-        xml::Node* dummy = base.CreateElement(kGapTag);
-        base.InsertChildAt(parent, index + j, dummy);
-        gap_nodes.push_back(dummy);
-      }
-    } else {
-      for (uint64_t j = 0; j < need; ++j) {
-        xml::Node* dummy = base.CreateElement(kGapTag);
-        base.AppendChild(base.root(), dummy);
-        gap_nodes.push_back(dummy);
-      }
+    const xml::Node* parent = node != nullptr ? node->parent() : order[0];
+    for (; need > 0; --need) {
+      gap_ids.push_back(base.AddElement(kGapTag, id_at.at(parent)));
     }
-    return Status::OK();
-  };
-  for (size_t i = 0; i + 1 < survivors.size(); ++i) {
-    CDBS_RETURN_NOT_OK(fill_gap(survivors[i], survivors[i + 1]));
+    if (node == nullptr) break;
+    base.AddNode(*node,
+                 parent != nullptr ? id_at.at(parent) : labeling::kNoNode);
+    after = node;
   }
-  CDBS_RETURN_NOT_OK(fill_gap(survivors.back(), nullptr));
-
   Result<std::unique_ptr<XmlDb>> built = Open(std::move(base), options);
   if (!built.ok()) return built.status();
   std::unique_ptr<XmlDb> db = std::move(built).value();
-  if (db->node_of_id_.size() != n0) {
-    return Status::Corruption("bootstrap reconstruction: base rank count");
-  }
-  std::unordered_map<const xml::Node*, NodeId> base_id;  // base node -> id
-  base_id.reserve(n0);
-  for (size_t i = 0; i < db->node_of_id_.size(); ++i) {
-    base_id.emplace(db->node_of_id_[i], static_cast<NodeId>(i));
-  }
-  for (xml::Node* survivor : survivors) {
-    if (base_id.at(base_of.at(survivor)) != id_at.at(survivor)) {
-      return Status::Corruption("bootstrap reconstruction: rank drifted");
-    }
-  }
+  const labeling::Labeling& lab = db->labeled_->labeling();
 
   // --- Stage 2: replay the insertion history in id order. ---
   // Each surviving inserted leaf is placed adjacent to a sibling that is
@@ -250,7 +249,7 @@ Result<std::unique_ptr<XmlDb>> XmlDb::OpenFromBootstrap(
     if (node == nullptr) {
       // Rank 1 always exists here: a burnt id implies an insert happened,
       // and the first-ever insert needed a non-root original target.
-      if (db->node_of_id_.size() < 2) {
+      if (lab.num_nodes() < 2) {
         return Status::Corruption("bootstrap spec: burnt id in a root-only tree");
       }
       Result<NodeId> burnt = db->InsertElementAfter(1, kGapTag);
@@ -267,28 +266,23 @@ Result<std::unique_ptr<XmlDb>> XmlDb::OpenFromBootstrap(
       return Status::Corruption("bootstrap spec: inserted node has no parent");
     }
     const std::vector<xml::Node*>& siblings = parent->children();
-    const size_t index = parent->IndexOfChild(node);
-    xml::Node* next_present = nullptr;
-    for (size_t j = index + 1; j < siblings.size() && next_present == nullptr;
-         ++j) {
-      if (id_at.at(siblings[j]) < i) next_present = siblings[j];
-    }
-    xml::Node* prev_present = nullptr;
-    for (size_t j = index; j > 0 && prev_present == nullptr; --j) {
-      if (id_at.at(siblings[j - 1]) < i) prev_present = siblings[j - 1];
-    }
+    const auto at = std::find(siblings.begin(), siblings.end(), node);
+    const auto present = [&](const xml::Node* s) { return id_at.at(s) < i; };
+    const auto next = std::find_if(at + 1, siblings.end(), present);
+    const auto prev = std::find_if(std::make_reverse_iterator(at),
+                                   siblings.rend(), present);
     Result<NodeId> got = [&]() -> Result<NodeId> {
-      if (next_present != nullptr) {
-        return db->InsertElementBefore(id_at.at(next_present), node->name());
+      if (next != siblings.end()) {
+        return db->InsertElementBefore(id_at.at(*next), node->name());
       }
-      if (prev_present != nullptr) {
-        return db->InsertElementAfter(id_at.at(prev_present), node->name());
+      if (prev != siblings.rend()) {
+        return db->InsertElementAfter(id_at.at(*prev), node->name());
       }
       const auto seed = seed_of.find(parent);
       if (seed == seed_of.end()) {
         return Status::Corruption("bootstrap reconstruction: no anchor");
       }
-      return db->InsertElementAfter(base_id.at(seed->second), node->name());
+      return db->InsertElementAfter(seed->second, node->name());
     }();
     if (!got.ok()) return got.status();
     if (*got != i) {
@@ -297,32 +291,22 @@ Result<std::unique_ptr<XmlDb>> XmlDb::OpenFromBootstrap(
   }
 
   // --- Stage 3: drop the dummies and verify the whole reconstruction. ---
-  for (xml::Node* dummy : gap_nodes) {
-    Result<uint64_t> removed = db->DeleteElement(base_id.at(dummy));
+  for (const NodeId dummy : gap_ids) {
+    Result<uint64_t> removed = db->DeleteElement(dummy);
     if (!removed.ok()) return removed.status();
     if (*removed != 1) {
       return Status::Corruption("bootstrap reconstruction: dummy grew a subtree");
     }
   }
-  if (db->node_of_id_.size() != next_id) {
+  if (lab.num_nodes() != next_id) {
     return Status::Corruption("bootstrap reconstruction: id counter drifted");
   }
-  if (db->ToXml() != xml::WriteXml(*parsed)) {
+  const BootstrapSpec rebuilt = db->CaptureBootstrapSpec();
+  if (rebuilt.xml != xml::WriteXml(*parsed)) {
     return Status::Corruption("bootstrap reconstruction: tree mismatch");
   }
-  const std::vector<xml::Node*> rebuilt = db->doc_.NodesInDocumentOrder();
-  if (rebuilt.size() != n) {
-    return Status::Corruption("bootstrap reconstruction: node count mismatch");
-  }
-  std::unordered_map<const xml::Node*, NodeId> rebuilt_id;
-  rebuilt_id.reserve(db->node_of_id_.size());
-  for (size_t i = 0; i < db->node_of_id_.size(); ++i) {
-    rebuilt_id.emplace(db->node_of_id_[i], static_cast<NodeId>(i));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (rebuilt_id.at(rebuilt[i]) != spec.ids[i]) {
-      return Status::Corruption("bootstrap reconstruction: id space mismatch");
-    }
+  if (rebuilt.ids != spec.ids) {
+    return Status::Corruption("bootstrap reconstruction: id space mismatch");
   }
   return db;
 }
@@ -334,6 +318,12 @@ std::string XmlDb::SerializeRecord(NodeId n) const {
   }
   rec += labeled_->labeling().SerializeLabel(n);
   return rec;
+}
+
+std::vector<std::string> XmlDb::AllRecords() const {
+  std::vector<std::string> records(labeled_->labeling().num_nodes());
+  for (NodeId n = 0; n < records.size(); ++n) records[n] = SerializeRecord(n);
+  return records;
 }
 
 void XmlDb::SyncTagTable(storage::LabelStore* store) {
@@ -363,13 +353,7 @@ Status XmlDb::InitStore(const XmlDbOptions& options) {
   store_->set_failpoint_scope(failpoint_scope_);
   CDBS_RETURN_NOT_OK(store_->Open(options.storage_path));
   SyncTagTable(store_.get());
-  const labeling::Labeling& lab = labeled_->labeling();
-  std::vector<std::string> records;
-  records.reserve(lab.num_nodes());
-  for (NodeId n = 0; n < lab.num_nodes(); ++n) {
-    records.push_back(SerializeRecord(n));
-  }
-  return store_->BulkLoad(records, options.store_headroom);
+  return store_->BulkLoad(AllRecords(), options.store_headroom);
 }
 
 Status XmlDb::ReopenStore() {
@@ -395,14 +379,8 @@ Status XmlDb::ReopenStore() {
   store_tags_enabled_ = false;  // re-negotiate against the fresh handle
   pushed_tags_ = 0;
   SyncTagTable(fresh.get());
-  const labeling::Labeling& lab = labeled_->labeling();
-  std::vector<std::string> records;
-  records.reserve(lab.num_nodes());
-  for (NodeId n = 0; n < lab.num_nodes(); ++n) {
-    records.push_back(SerializeRecord(n));
-  }
   storage::StoreBatch reload;
-  reload.Reload(std::move(records), store_headroom_);
+  reload.Reload(AllRecords(), store_headroom_);
   CDBS_RETURN_NOT_OK(fresh->ApplyBatch(reload));
   CDBS_RETURN_NOT_OK(fresh->VerifyChecksums());
   store_ = std::move(fresh);
@@ -437,55 +415,42 @@ Result<NodeId> XmlDb::QueryOne(const std::string& xpath) const {
 Result<NodeId> XmlDb::Insert(NodeId target, const std::string& tag,
                              bool before) {
   obs::ScopedTimer timer(insert_ns_);
-  AppliedInsert applied;
+  labeling::InsertResult applied;
   const Result<NodeId> id = ApplyInsertInMemory(target, tag, before, &applied);
   if (!id.ok()) return id;
   std::vector<storage::StoreBatch> batches;
   if (store_ != nullptr) {
     batches.emplace_back();
-    BuildPersistOps(applied.result, &batches.back());
+    BuildPersistOps(applied, &batches.back());
   }
   const Status persisted = PersistBatches(batches);
   if (!persisted.ok()) {
     RollbackInsert(applied);
     return persisted;
   }
-  NoteInsertCommitted(applied.result);
+  NoteInsertCommitted(applied);
   return id;
+}
+
+Status XmlDb::CheckTarget(NodeId target, const char* root_error) const {
+  const labeling::TreeSkeleton& sk = labeled_->labeling().skeleton();
+  if (target >= sk.size()) return Status::OutOfRange("no such node");
+  if (target == 0) return Status::InvalidArgument(root_error);
+  // Every node of a deleted subtree is marked, not only its root.
+  if (sk.is_removed(target)) return Status::NotFound("node was deleted");
+  return Status::OK();
 }
 
 Result<NodeId> XmlDb::ApplyInsertInMemory(NodeId target, const std::string& tag,
                                           bool before,
-                                          AppliedInsert* applied) {
-  if (target >= node_of_id_.size()) {
-    return Status::OutOfRange("no such node");
-  }
-  if (target == 0) {
-    return Status::InvalidArgument("cannot insert a sibling of the root");
-  }
-  xml::Node* target_node = node_of_id_[target];
-  xml::Node* parent = target_node->parent();
-  if (parent == nullptr) {
-    // Deleted targets are detached from the tree (only the root has no
-    // parent otherwise, and target != 0 here).
-    return Status::NotFound("target node was deleted");
-  }
+                                          labeling::InsertResult* applied) {
+  CDBS_RETURN_NOT_OK(
+      CheckTarget(target, "cannot insert a sibling of the root"));
   labeling::Labeling* lab = labeled_->labeling_mutable();
-  const labeling::InsertResult result = before
-                                            ? lab->InsertSiblingBefore(target)
-                                            : lab->InsertSiblingAfter(target);
-  // Mirror the insertion into the tree.
-  xml::Node* fresh = doc_.CreateElement(tag);
-  const size_t index =
-      parent->IndexOfChild(target_node) + (before ? 0 : 1);
-  doc_.InsertChildAt(parent, index, fresh);
-  CDBS_CHECK(result.new_node == node_of_id_.size());
-  node_of_id_.push_back(fresh);
-  labeled_->NoteInsertedNode(result.new_node, tag);
-  applied->result = result;
-  applied->parent = parent;
-  applied->fresh = fresh;
-  return result.new_node;
+  *applied = before ? lab->InsertSiblingBefore(target)
+                    : lab->InsertSiblingAfter(target);
+  labeled_->NoteInsertedNode(applied->new_node, tag);
+  return applied->new_node;
 }
 
 void XmlDb::BuildPersistOps(const labeling::InsertResult& result,
@@ -514,30 +479,22 @@ Status XmlDb::PersistBatches(const std::vector<storage::StoreBatch>& batches) {
     // the labels as they stand *after* every insertion in the group, so it
     // subsumes all of the incremental batches.
   }
-  const labeling::Labeling& lab = labeled_->labeling();
-  std::vector<std::string> records;
-  records.reserve(lab.num_nodes());
-  for (NodeId n = 0; n < lab.num_nodes(); ++n) {
-    records.push_back(SerializeRecord(n));
-  }
   storage::StoreBatch reload;
-  reload.Reload(std::move(records), 16);
+  reload.Reload(AllRecords(), 16);
   CDBS_RETURN_NOT_OK(store_->ApplyBatch(reload));
   store_needs_reload_ = false;
   return Status::OK();
 }
 
-void XmlDb::RollbackInsert(const AppliedInsert& applied) {
+void XmlDb::RollbackInsert(const labeling::InsertResult& applied) {
   // The store did not take the update (atomically: on disk it is all-or-
   // nothing, see LabelStore::ApplyBatch) — roll the in-memory mutation
   // back by deleting the fresh node again, exactly like DeleteElement
-  // does. Node ids are never reused, so the id stays burnt and the
-  // node_of_id_ entry stays (detached, like any deleted node). Existing
-  // labels the insert rewrote in memory stay rewritten — they remain a
-  // valid labeling without the new node — so the whole store is re-synced
-  // on the next successful persist.
-  labeled_->DeleteSubtree(applied.result.new_node);
-  doc_.RemoveChild(applied.parent, applied.fresh);
+  // does. Node ids are never reused, so the id stays burnt (removed, like
+  // any deleted node). Existing labels the insert rewrote in memory stay
+  // rewritten — they remain a valid labeling without the new node — so
+  // the whole store is re-synced on the next successful persist.
+  labeled_->DeleteSubtree(applied.new_node);
   store_needs_reload_ = true;
 }
 
@@ -554,18 +511,8 @@ void XmlDb::NoteInsertCommitted(const labeling::InsertResult& result) {
 
 Result<uint64_t> XmlDb::DeleteElement(NodeId target) {
   obs::ScopedTimer timer(delete_ns_);
-  if (target >= node_of_id_.size()) {
-    return Status::OutOfRange("no such node");
-  }
-  if (target == 0) {
-    return Status::InvalidArgument("cannot delete the root");
-  }
-  xml::Node* node = node_of_id_[target];
-  if (node->parent() == nullptr) {
-    return Status::NotFound("node already deleted");
-  }
+  CDBS_RETURN_NOT_OK(CheckTarget(target, "cannot delete the root"));
   const labeling::DeleteResult result = labeled_->DeleteSubtree(target);
-  doc_.RemoveChild(node->parent(), node);
   deletions_->Increment(result.removed.size());
   global_deletions_->Increment(result.removed.size());
   relabeled_total_->Increment(result.relabeled);
@@ -601,7 +548,41 @@ int XmlDb::CompareOrder(NodeId a, NodeId b) const {
   return labeled_->labeling().CompareOrder(a, b);
 }
 
-std::string XmlDb::ToXml() const { return xml::WriteXml(doc_); }
+std::string XmlDb::ToXml() const { return Serialize(nullptr); }
+
+std::string XmlDb::Serialize(std::vector<NodeId>* ids) const {
+  // Pre-order over first_child/next_sibling; deleted subtrees are unlinked
+  // from those chains, so the walk never meets them. Mirrors
+  // xml::WriteXml's compact form byte for byte.
+  const labeling::TreeSkeleton& sk = labeled_->labeling().skeleton();
+  std::string out;
+  NodeId n = 0;
+  for (;;) {
+    if (ids != nullptr) ids->push_back(n);
+    if (labeled_->tag_id(n) == query::TagId{0}) {  // text node
+      out += payloads_.Of(n);
+    } else {
+      out += '<';
+      out += labeled_->tag(n);
+      out += payloads_.Of(n);
+      if (sk.first_child(n) != labeling::kNoNode) {
+        out += '>';
+        n = sk.first_child(n);
+        continue;
+      }
+      out += "/>";
+    }
+    // `n` is complete: close every ancestor it was the last child of.
+    while (sk.next_sibling(n) == labeling::kNoNode) {
+      n = sk.parent(n);
+      if (n == labeling::kNoNode) return out;
+      out += "</";
+      out += labeled_->tag(n);
+      out += '>';
+    }
+    n = sk.next_sibling(n);
+  }
+}
 
 XmlDbStats XmlDb::Stats() const {
   XmlDbStats stats;

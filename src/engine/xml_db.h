@@ -3,12 +3,14 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "labeling/label.h"
 #include "obs/metrics.h"
 #include "query/tag_index.h"
 #include "storage/label_store.h"
+#include "util/cow_vector.h"
 #include "util/status.h"
 #include "xml/tree.h"
 
@@ -16,7 +18,9 @@
 /// The downstream-facing face of the library: a single-document XML store
 /// that keeps the tree, its labels (any registered scheme), the tag index,
 /// and — optionally — a persistent label store consistent across queries
-/// and order-preserving updates.
+/// and order-preserving updates. The tree is the labeling's skeleton plus
+/// each node's tag and a side table of attributes and text; the parsed
+/// document it was opened from is freed on open, never kept.
 ///
 ///   auto db = XmlDb::OpenFromXml("<a><b/><c/></a>", {});
 ///   (*db)->Count("/a/b");                      // query from labels
@@ -74,10 +78,60 @@ struct BootstrapSpec {
   uint64_t next_id = 0;      // ids ever assigned, including burnt ones
 };
 
+/// The attributes and text of ingested nodes: the only document content
+/// the skeleton and tags do not carry, kept as serialized XML. A text
+/// node's entry is its escaped text; an element's is its attributes as its
+/// start tag spells them (` name="value"`, in document order). Nodes with
+/// neither have no entry. Entries never change once ingested: inserted
+/// nodes are bare elements.
+struct NodePayloads {
+  std::vector<NodeId> ids;     // nodes with an entry, ascending
+  std::vector<uint64_t> ends;  // entry i is bytes [ends[i-1], ends[i])
+  std::string bytes;
+
+  /// `n`'s entry; empty when it has none.
+  std::string_view Of(NodeId n) const;
+};
+
+/// The unlabeled tree an XmlDb opens over: the skeleton its labeling
+/// adopts, each node's interned tag and the side table. Built by ingesting
+/// parsed documents, each destroyed as soon as it is ingested, so opening
+/// never holds a document and its labels at once.
+class XmlTree {
+ public:
+  /// Appends a bare element `tag` as the last child of `parent`, or as the
+  /// root when `parent` is kNoNode (the tree must then be empty). Returns
+  /// its id.
+  NodeId AddElement(const std::string& tag, NodeId parent);
+
+  /// Appends `doc`'s nodes in document order as the last child subtree of
+  /// `parent`, or as the root when `parent` is kNoNode, then destroys
+  /// `doc`. Returns the id of `doc`'s root. Requires that `doc` has a root.
+  NodeId Ingest(xml::Document doc, NodeId parent);
+
+  size_t size() const { return skeleton_.size(); }
+
+ private:
+  friend class XmlDb;
+
+  // Appends `node` without its children — its tag or text, and its
+  // attributes — as the last child of `parent` (kNoNode: the root).
+  NodeId AddNode(const xml::Node& node, NodeId parent);
+
+  labeling::TreeSkeleton skeleton_;
+  util::CowVector<query::TagId> tags_;
+  std::shared_ptr<const query::TagPool> pool_ = query::TagPool::Empty();
+  NodePayloads payloads_;
+};
+
 /// A labeled, queryable, updatable XML document.
 class XmlDb {
  public:
-  /// Builds a database over `doc` (ownership transferred).
+  /// Labels `tree` and builds a database over it.
+  static Result<std::unique_ptr<XmlDb>> Open(XmlTree tree,
+                                             const XmlDbOptions& options);
+
+  /// Ingests `doc` into a tree (freeing it) and opens over that.
   static Result<std::unique_ptr<XmlDb>> Open(xml::Document doc,
                                              const XmlDbOptions& options);
 
@@ -131,7 +185,8 @@ class XmlDb {
   bool IsParent(NodeId p, NodeId c) const;
   int CompareOrder(NodeId a, NodeId b) const;
 
-  /// Serializes the current tree.
+  /// Serializes the current tree, byte-identical to xml::WriteXml of the
+  /// same document.
   std::string ToXml() const;
 
   /// Counters — a thin view over metrics().
@@ -161,23 +216,24 @@ class XmlDb {
   // batch many insertions under one group-committed store write.
   friend class ConcurrentXmlDb;
 
-  /// Everything needed to undo one in-memory insertion.
-  struct AppliedInsert {
-    labeling::InsertResult result;
-    xml::Node* parent = nullptr;
-    xml::Node* fresh = nullptr;
-  };
-
-  XmlDb(xml::Document doc, std::unique_ptr<labeling::LabelingScheme> scheme);
+  XmlDb(XmlTree tree, std::unique_ptr<labeling::LabelingScheme> scheme);
 
   Status InitStore(const XmlDbOptions& options);
   Result<NodeId> Insert(NodeId target, const std::string& tag, bool before);
+  // OK when `target` is an attached non-root node: OutOfRange past the
+  // last id, InvalidArgument (`root_error`) for the root, NotFound inside
+  // a deleted subtree.
+  Status CheckTarget(NodeId target, const char* root_error) const;
+  // The serialized tree; appends each node's id, in document order, to
+  // `ids` when it is non-null.
+  std::string Serialize(std::vector<NodeId>* ids) const;
 
   // --- two-phase insertion, the building blocks of Insert ---
-  // Phase 1: mutate tree + labels + index in memory, remembering how to
-  // undo it.
+  // Phase 1: mutate labels + index in memory; `applied` is what undoing it
+  // needs.
   Result<NodeId> ApplyInsertInMemory(NodeId target, const std::string& tag,
-                                     bool before, AppliedInsert* applied);
+                                     bool before,
+                                     labeling::InsertResult* applied);
   // Serializes one insertion's store ops (relabel rewrites + the append).
   void BuildPersistOps(const labeling::InsertResult& result,
                        storage::StoreBatch* out) const;
@@ -186,6 +242,8 @@ class XmlDb {
   /// otherwise. The engine never reads records back (memory is
   /// authoritative), so the prefix is pure on-disk self-description.
   std::string SerializeRecord(NodeId n) const;
+  /// Every node's record, by id.
+  std::vector<std::string> AllRecords() const;
   /// Mirrors the tag pool into `store`'s header tag table when it grew (or
   /// was never pushed). A store that cannot carry the table — legacy
   /// format, or a pathological table bigger than the header page — drops
@@ -197,7 +255,7 @@ class XmlDb {
   // failure left the store out of sync. No-op without a store.
   Status PersistBatches(const std::vector<storage::StoreBatch>& batches);
   // Undoes phase 1 after a failed phase 2 (reverse order across a group).
-  void RollbackInsert(const AppliedInsert& applied);
+  void RollbackInsert(const labeling::InsertResult& applied);
   // Bumps the update counters once an insertion is fully committed.
   void NoteInsertCommitted(const labeling::InsertResult& result);
 
@@ -213,10 +271,10 @@ class XmlDb {
   /// thread only (it owns all mutation of this object).
   Status ReopenStore();
 
-  xml::Document doc_;
   std::unique_ptr<labeling::LabelingScheme> scheme_;
   std::unique_ptr<query::LabeledDocument> labeled_;
-  std::vector<xml::Node*> node_of_id_;  // id -> tree node
+  // Only this writer-side object reads it; snapshots never see it.
+  NodePayloads payloads_;
   // Nodes present at construction (ids 0..original_count_-1, document
   // order). Everything at or above this id was inserted later — and since
   // the only mutations are sibling element inserts and subtree deletes,

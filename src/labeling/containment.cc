@@ -32,52 +32,28 @@ void ComputeEulerRanks(const TreeSkeleton& sk, std::vector<uint64_t>* start,
   }
 }
 
-namespace {
-
-// Generic factory: builds a ContainmentLabeling with a fresh codec per
-// document.
-template <typename Codec>
-class ContainmentScheme : public LabelingScheme {
- public:
-  ContainmentScheme(std::string name, Codec prototype)
-      : name_(std::move(name)), prototype_(std::move(prototype)) {}
-
-  const std::string& name() const override { return name_; }
-
-  std::unique_ptr<Labeling> Label(const xml::Document& doc) const override {
-    return std::make_unique<ContainmentLabeling<Codec>>(name_, prototype_,
-                                                        doc);
-  }
-
- private:
-  std::string name_;
-  Codec prototype_;
-};
-
-}  // namespace
-
 std::unique_ptr<LabelingScheme> MakeVBinaryContainment() {
-  return std::make_unique<ContainmentScheme<IntContainmentCodec>>(
+  return MakeScheme<ContainmentLabeling<IntContainmentCodec>>(
       "V-Binary-Containment", IntContainmentCodec(/*fixed_width=*/false));
 }
 
 std::unique_ptr<LabelingScheme> MakeFBinaryContainment() {
-  return std::make_unique<ContainmentScheme<IntContainmentCodec>>(
+  return MakeScheme<ContainmentLabeling<IntContainmentCodec>>(
       "F-Binary-Containment", IntContainmentCodec(/*fixed_width=*/true));
 }
 
 std::unique_ptr<LabelingScheme> MakeVCdbsContainment() {
-  return std::make_unique<ContainmentScheme<CdbsContainmentCodec>>(
+  return MakeScheme<ContainmentLabeling<CdbsContainmentCodec>>(
       "V-CDBS-Containment", CdbsContainmentCodec(/*fixed_width=*/false));
 }
 
 std::unique_ptr<LabelingScheme> MakeFCdbsContainment() {
-  return std::make_unique<ContainmentScheme<CdbsContainmentCodec>>(
+  return MakeScheme<ContainmentLabeling<CdbsContainmentCodec>>(
       "F-CDBS-Containment", CdbsContainmentCodec(/*fixed_width=*/true));
 }
 
 std::unique_ptr<LabelingScheme> MakeQedContainment() {
-  return std::make_unique<ContainmentScheme<QedContainmentCodec>>(
+  return MakeScheme<ContainmentLabeling<QedContainmentCodec>>(
       "QED-Containment", QedContainmentCodec());
 }
 

@@ -94,6 +94,8 @@ class IntContainmentCodec {
     return out;
   }
 
+  size_t SerializedSize(const Value&) const { return sizeof(Value); }
+
  private:
   bool fixed_;
   uint64_t universe_ = 0;
@@ -138,6 +140,8 @@ class FloatContainmentCodec {
     std::memcpy(out.data(), &v, sizeof(Value));
     return out;
   }
+
+  size_t SerializedSize(const Value&) const { return sizeof(Value); }
 };
 
 /// V-CDBS / F-CDBS values. Codes are the paper's binary strings; the length
@@ -217,6 +221,8 @@ class CdbsContainmentCodec {
     return out;
   }
 
+  size_t SerializedSize(Value v) const { return 1 + (CodeBits(v) + 7) / 8; }
+
  private:
   bool fixed_;
   size_t width_ = 0;
@@ -255,6 +261,8 @@ class QedContainmentCodec {
   void NoteUniverse(uint64_t) {}
 
   std::string Serialize(const Value& v) const { return v; }
+
+  size_t SerializedSize(const Value& v) const { return v.size(); }
 };
 
 /// ---- The labeling -------------------------------------------------------
@@ -265,9 +273,9 @@ class ContainmentLabeling : public Labeling {
  public:
   using Value = typename Codec::Value;
 
-  ContainmentLabeling(std::string name, Codec codec, const xml::Document& doc)
+  ContainmentLabeling(std::string name, Codec codec, TreeSkeleton skeleton)
       : name_(std::move(name)), codec_(std::move(codec)) {
-    skeleton_ = TreeSkeleton::FromDocument(doc, nullptr);
+    skeleton_ = std::move(skeleton);
     Encode();
   }
 
@@ -327,6 +335,11 @@ class ContainmentLabeling : public Labeling {
     out += codec_.Serialize(end_[n]);
     out.push_back(static_cast<char>(level_[n]));
     return out;
+  }
+
+  size_t SerializedLabelSize(NodeId n) const override {
+    return codec_.SerializedSize(start_[n]) + codec_.SerializedSize(end_[n]) +
+           1;
   }
 
   DeleteResult DeleteSubtree(NodeId target) override {

@@ -19,9 +19,9 @@ size_t GammaBits(uint64_t v) {
 
 class DeweyLabeling : public Labeling {
  public:
-  DeweyLabeling(std::string name, DeweySizing sizing, const xml::Document& doc)
+  DeweyLabeling(std::string name, DeweySizing sizing, TreeSkeleton skeleton)
       : name_(std::move(name)), sizing_(sizing) {
-    skeleton_ = TreeSkeleton::FromDocument(doc, nullptr);
+    skeleton_ = std::move(skeleton);
     const NodeId count = static_cast<NodeId>(skeleton_.size());
     labels_.Resize(count);
     // Ranks computed incrementally: ids are document-ordered, so a node's
@@ -179,32 +179,16 @@ class DeweyLabeling : public Labeling {
   util::CowVector<std::vector<uint64_t>> labels_;
 };
 
-class DeweyScheme : public LabelingScheme {
- public:
-  DeweyScheme(std::string name, DeweySizing sizing)
-      : name_(std::move(name)), sizing_(sizing) {}
-
-  const std::string& name() const override { return name_; }
-
-  std::unique_ptr<Labeling> Label(const xml::Document& doc) const override {
-    return std::make_unique<DeweyLabeling>(name_, sizing_, doc);
-  }
-
- private:
-  std::string name_;
-  DeweySizing sizing_;
-};
-
 }  // namespace
 
 std::unique_ptr<LabelingScheme> MakeDeweyPrefix() {
-  return std::make_unique<DeweyScheme>("DeweyID(UTF8)-Prefix",
-                                       DeweySizing::kUtf8);
+  return MakeScheme<DeweyLabeling>("DeweyID(UTF8)-Prefix",
+                                   DeweySizing::kUtf8);
 }
 
 std::unique_ptr<LabelingScheme> MakeBinaryStringPrefix() {
-  return std::make_unique<DeweyScheme>("Binary-String-Prefix",
-                                       DeweySizing::kGamma);
+  return MakeScheme<DeweyLabeling>("Binary-String-Prefix",
+                                   DeweySizing::kGamma);
 }
 
 }  // namespace cdbs::labeling

@@ -4,27 +4,9 @@
 
 namespace cdbs::labeling {
 
-namespace {
-
-class FloatContainmentScheme : public LabelingScheme {
- public:
-  FloatContainmentScheme() : name_("Float-point-Containment") {}
-
-  const std::string& name() const override { return name_; }
-
-  std::unique_ptr<Labeling> Label(const xml::Document& doc) const override {
-    return std::make_unique<ContainmentLabeling<FloatContainmentCodec>>(
-        name_, FloatContainmentCodec(), doc);
-  }
-
- private:
-  std::string name_;
-};
-
-}  // namespace
-
 std::unique_ptr<LabelingScheme> MakeFloatContainment() {
-  return std::make_unique<FloatContainmentScheme>();
+  return MakeScheme<ContainmentLabeling<FloatContainmentCodec>>(
+      "Float-point-Containment", FloatContainmentCodec());
 }
 
 }  // namespace cdbs::labeling

@@ -93,6 +93,13 @@ class HybridContainmentCodec {
     return qed_.Serialize(std::get<core::QedCode>(v));
   }
 
+  size_t SerializedSize(const Value& v) const {
+    if (std::holds_alternative<CdbsWord>(v)) {
+      return cdbs_.SerializedSize(std::get<CdbsWord>(v));
+    }
+    return qed_.SerializedSize(std::get<core::QedCode>(v));
+  }
+
   /// Test hook: whether the QED fallback has been taken.
   bool switched_to_qed() const { return switched_to_qed_; }
 
@@ -103,25 +110,11 @@ class HybridContainmentCodec {
   std::vector<CdbsWord> cdbs_scratch_;
 };
 
-class HybridScheme : public LabelingScheme {
- public:
-  HybridScheme() : name_("Hybrid-CDBS/QED-Containment") {}
-
-  const std::string& name() const override { return name_; }
-
-  std::unique_ptr<Labeling> Label(const xml::Document& doc) const override {
-    return std::make_unique<ContainmentLabeling<HybridContainmentCodec>>(
-        name_, HybridContainmentCodec(), doc);
-  }
-
- private:
-  std::string name_;
-};
-
 }  // namespace
 
 std::unique_ptr<LabelingScheme> MakeHybridContainment() {
-  return std::make_unique<HybridScheme>();
+  return MakeScheme<ContainmentLabeling<HybridContainmentCodec>>(
+      "Hybrid-CDBS/QED-Containment", HybridContainmentCodec());
 }
 
 }  // namespace cdbs::labeling

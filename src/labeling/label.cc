@@ -36,8 +36,9 @@ TreeSkeleton TreeSkeleton::FromDocument(
 }
 
 NodeId TreeSkeleton::AddNode(NodeId parent_id) {
-  ++live_count_;
   const NodeId id = static_cast<NodeId>(parent_.size());
+  CDBS_CHECK(parent_id == kNoNode ? id == 0 : parent_id < id);
+  ++live_count_;
   removed_.PushBack(0);
   parent_.PushBack(parent_id);
   level_.PushBack(parent_id == kNoNode ? 1 : level_[parent_id] + 1);

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/cow_vector.h"
@@ -78,6 +80,12 @@ class TreeSkeleton {
   static TreeSkeleton FromDocument(const xml::Document& doc,
                                    std::vector<const xml::Node*>* order_out);
 
+  /// Appends a new childless node as the last child of `parent`, or as the
+  /// root when `parent` is kNoNode (the skeleton must then be empty).
+  /// Returns its id (== old size()). Appending in pre-order keeps ids in
+  /// document order, which is what labeling a skeleton requires.
+  NodeId AddNode(NodeId parent);
+
   size_t size() const { return parent_.size(); }
 
   NodeId parent(NodeId n) const { return parent_[n]; }
@@ -114,8 +122,6 @@ class TreeSkeleton {
   bool is_removed(NodeId n) const { return removed_[n] != 0; }
 
  private:
-  NodeId AddNode(NodeId parent_id);
-
   // All per-node state is chunked copy-on-write (util/cow_vector.h): copying
   // a TreeSkeleton shares every chunk, and link updates path-copy only the
   // touched chunks. This is what makes Labeling::ForkShared O(touched).
@@ -176,6 +182,12 @@ class Labeling {
   /// Serialized label bytes for the label store (Figure 7's I/O).
   virtual std::string SerializeLabel(NodeId n) const = 0;
 
+  /// SerializeLabel(n).size(), which a scheme may compute without building
+  /// the string.
+  virtual size_t SerializedLabelSize(NodeId n) const {
+    return SerializeLabel(n).size();
+  }
+
   /// Logically independent copy of this labeling (labels, skeleton, codec
   /// state). One side may keep inserting while the other is read
   /// concurrently. Implementations may share immutable state (e.g. COW
@@ -208,9 +220,45 @@ class LabelingScheme {
   /// Paper-style scheme name.
   virtual const std::string& name() const = 0;
 
+  /// Labels every node of `skeleton`, whose ids must be in document order
+  /// (pre-order), and adopts it as the labeling's skeleton.
+  virtual std::unique_ptr<Labeling> Label(TreeSkeleton skeleton) const = 0;
+
   /// Labels all nodes of `doc` in document order.
-  virtual std::unique_ptr<Labeling> Label(const xml::Document& doc) const = 0;
+  std::unique_ptr<Labeling> Label(const xml::Document& doc) const {
+    return Label(TreeSkeleton::FromDocument(doc, nullptr));
+  }
 };
+
+/// The scheme named `name` whose labelings are `L(name, args..., skeleton)`.
+/// Every registered scheme is one (see MakeScheme).
+template <typename L, typename... Args>
+class SchemeOf final : public LabelingScheme {
+ public:
+  explicit SchemeOf(std::string name, Args... args)
+      : name_(std::move(name)), args_(std::move(args)...) {}
+
+  const std::string& name() const override { return name_; }
+
+  using LabelingScheme::Label;
+  std::unique_ptr<Labeling> Label(TreeSkeleton skeleton) const override {
+    return std::apply(
+        [&](const Args&... args) {
+          return std::make_unique<L>(name_, args..., std::move(skeleton));
+        },
+        args_);
+  }
+
+ private:
+  std::string name_;
+  std::tuple<Args...> args_;
+};
+
+template <typename L, typename... Args>
+std::unique_ptr<LabelingScheme> MakeScheme(std::string name, Args... args) {
+  return std::make_unique<SchemeOf<L, Args...>>(std::move(name),
+                                                std::move(args)...);
+}
 
 }  // namespace cdbs::labeling
 

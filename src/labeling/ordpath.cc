@@ -135,9 +135,9 @@ namespace {
 
 class OrdPathLabeling : public Labeling {
  public:
-  OrdPathLabeling(std::string name, bool variant1, const xml::Document& doc)
+  OrdPathLabeling(std::string name, bool variant1, TreeSkeleton skeleton)
       : name_(std::move(name)), variant1_(variant1) {
-    skeleton_ = TreeSkeleton::FromDocument(doc, nullptr);
+    skeleton_ = std::move(skeleton);
     const NodeId count = static_cast<NodeId>(skeleton_.size());
     labels_.resize(count);
     self_len_.resize(count, 1);
@@ -280,30 +280,14 @@ class OrdPathLabeling : public Labeling {
   std::vector<uint32_t> self_len_;
 };
 
-class OrdPathScheme : public LabelingScheme {
- public:
-  OrdPathScheme(std::string name, bool variant1)
-      : name_(std::move(name)), variant1_(variant1) {}
-
-  const std::string& name() const override { return name_; }
-
-  std::unique_ptr<Labeling> Label(const xml::Document& doc) const override {
-    return std::make_unique<OrdPathLabeling>(name_, variant1_, doc);
-  }
-
- private:
-  std::string name_;
-  bool variant1_;
-};
-
 }  // namespace
 
 std::unique_ptr<LabelingScheme> MakeOrdPath1Prefix() {
-  return std::make_unique<OrdPathScheme>("OrdPath1-Prefix", true);
+  return MakeScheme<OrdPathLabeling>("OrdPath1-Prefix", true);
 }
 
 std::unique_ptr<LabelingScheme> MakeOrdPath2Prefix() {
-  return std::make_unique<OrdPathScheme>("OrdPath2-Prefix", false);
+  return MakeScheme<OrdPathLabeling>("OrdPath2-Prefix", false);
 }
 
 }  // namespace cdbs::labeling

@@ -70,9 +70,9 @@ class DynamicPrefixLabeling : public Labeling {
  public:
   using Self = typename Policy::Self;
 
-  DynamicPrefixLabeling(std::string name, const xml::Document& doc)
+  DynamicPrefixLabeling(std::string name, TreeSkeleton skeleton)
       : name_(std::move(name)) {
-    skeleton_ = TreeSkeleton::FromDocument(doc, nullptr);
+    skeleton_ = std::move(skeleton);
     InitialEncode();
   }
 
@@ -226,9 +226,9 @@ class DynamicPrefixLabeling : public Labeling {
 // ORDPATH's odd/even decode in Figure 6.
 class QedPrefixLabeling : public Labeling {
  public:
-  QedPrefixLabeling(std::string name, const xml::Document& doc)
+  QedPrefixLabeling(std::string name, TreeSkeleton skeleton)
       : name_(std::move(name)) {
-    skeleton_ = TreeSkeleton::FromDocument(doc, nullptr);
+    skeleton_ = std::move(skeleton);
     const NodeId count = static_cast<NodeId>(skeleton_.size());
     labels_.resize(count);
     selves_.resize(count);
@@ -339,43 +339,14 @@ class QedPrefixLabeling : public Labeling {
   std::vector<core::QedCode> selves_;     // last component per node
 };
 
-class QedPrefixScheme : public LabelingScheme {
- public:
-  QedPrefixScheme() : name_("QED-Prefix") {}
-
-  const std::string& name() const override { return name_; }
-
-  std::unique_ptr<Labeling> Label(const xml::Document& doc) const override {
-    return std::make_unique<QedPrefixLabeling>(name_, doc);
-  }
-
- private:
-  std::string name_;
-};
-
-template <typename Policy>
-class DynamicPrefixScheme : public LabelingScheme {
- public:
-  explicit DynamicPrefixScheme(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const override { return name_; }
-
-  std::unique_ptr<Labeling> Label(const xml::Document& doc) const override {
-    return std::make_unique<DynamicPrefixLabeling<Policy>>(name_, doc);
-  }
-
- private:
-  std::string name_;
-};
-
 }  // namespace
 
 std::unique_ptr<LabelingScheme> MakeCdbsPrefix() {
-  return std::make_unique<DynamicPrefixScheme<CdbsSelfPolicy>>("CDBS-Prefix");
+  return MakeScheme<DynamicPrefixLabeling<CdbsSelfPolicy>>("CDBS-Prefix");
 }
 
 std::unique_ptr<LabelingScheme> MakeQedPrefix() {
-  return std::make_unique<QedPrefixScheme>();
+  return MakeScheme<QedPrefixLabeling>("QED-Prefix");
 }
 
 }  // namespace cdbs::labeling

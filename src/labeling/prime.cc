@@ -39,9 +39,9 @@ constexpr size_t kScGroupSize = 5;  // nodes per SC value, per the paper
 
 class PrimeLabeling : public Labeling {
  public:
-  explicit PrimeLabeling(std::string name, const xml::Document& doc)
+  explicit PrimeLabeling(std::string name, TreeSkeleton skeleton)
       : name_(std::move(name)) {
-    skeleton_ = TreeSkeleton::FromDocument(doc, nullptr);
+    skeleton_ = std::move(skeleton);
     const NodeId count = static_cast<NodeId>(skeleton_.size());
     // Node at document position k (1-based) takes the k-th prime; the k-th
     // prime always exceeds k, so order residues round-trip through CRT.
@@ -240,24 +240,10 @@ class PrimeLabeling : public Labeling {
   std::vector<BigInt> sc_;         // one SC value per group of 5 positions
 };
 
-class PrimeScheme : public LabelingScheme {
- public:
-  PrimeScheme() : name_("Prime") {}
-
-  const std::string& name() const override { return name_; }
-
-  std::unique_ptr<Labeling> Label(const xml::Document& doc) const override {
-    return std::make_unique<PrimeLabeling>(name_, doc);
-  }
-
- private:
-  std::string name_;
-};
-
 }  // namespace
 
 std::unique_ptr<LabelingScheme> MakePrimeScheme() {
-  return std::make_unique<PrimeScheme>();
+  return MakeScheme<PrimeLabeling>("Prime");
 }
 
 }  // namespace cdbs::labeling

@@ -1,6 +1,9 @@
 #include "query/tag_index.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "util/check.h"
 
 namespace cdbs::query {
 
@@ -14,21 +17,35 @@ const TagList& EmptyTagList() {
 }  // namespace
 
 LabeledDocument::LabeledDocument(const xml::Document& doc,
-                                 const labeling::LabelingScheme& scheme) {
-  labeling_ = scheme.Label(doc);
-  pool_ = TagPool::Empty();
-  // The labeling assigned ids in document order; recover the same order to
-  // attach tags. Ids ascend in document order here, so the tag lists are
-  // built by pure appends (runs sealed at kRunTarget).
-  const std::vector<xml::Node*> nodes = doc.NodesInDocumentOrder();
-  for (NodeId id = 0; id < nodes.size(); ++id) {
-    const xml::Node* node = nodes[id];
-    if (!node->is_element()) {
-      tags_.PushBack(TagId{0});
-      continue;
-    }
-    const TagId tag = TagPool::Intern(&pool_, node->name());
-    tags_.PushBack(tag);
+                                 const labeling::LabelingScheme& scheme)
+    : pool_(TagPool::Empty()) {
+  std::vector<const xml::Node*> order;
+  labeling::TreeSkeleton skeleton =
+      labeling::TreeSkeleton::FromDocument(doc, &order);
+  for (const xml::Node* node : order) {
+    tags_.PushBack(node->is_element() ? TagPool::Intern(&pool_, node->name())
+                                      : TagId{0});
+  }
+  Index(std::move(skeleton), scheme);
+}
+
+LabeledDocument::LabeledDocument(labeling::TreeSkeleton skeleton,
+                                 util::CowVector<TagId> tags,
+                                 std::shared_ptr<const TagPool> pool,
+                                 const labeling::LabelingScheme& scheme)
+    : pool_(std::move(pool)), tags_(std::move(tags)) {
+  Index(std::move(skeleton), scheme);
+}
+
+void LabeledDocument::Index(labeling::TreeSkeleton skeleton,
+                            const labeling::LabelingScheme& scheme) {
+  CDBS_CHECK(skeleton.size() == tags_.size());
+  labeling_ = scheme.Label(std::move(skeleton));
+  // Ids ascend in document order, so the tag lists are built by pure
+  // appends (runs sealed at kRunTarget).
+  for (NodeId id = 0; id < tags_.size(); ++id) {
+    const TagId tag = tags_[id];
+    if (tag == TagId{0}) continue;  // text node
     all_elements_.Append(id);
     by_tag_[tag].Append(id);
   }

@@ -31,9 +31,14 @@ using labeling::NodeId;
 /// One document labeled by one scheme, with its tag index.
 class LabeledDocument {
  public:
-  /// Labels `doc` with `scheme` and builds the tag index. The document must
-  /// outlive this object.
+  /// Labels `doc` with `scheme` and builds the tag index.
   LabeledDocument(const xml::Document& doc,
+                  const labeling::LabelingScheme& scheme);
+
+  /// Labels `skeleton` (ids in document order) with `scheme` and indexes
+  /// `tags`, each node's tag interned in `pool` (0 for text nodes).
+  LabeledDocument(labeling::TreeSkeleton skeleton, util::CowVector<TagId> tags,
+                  std::shared_ptr<const TagPool> pool,
                   const labeling::LabelingScheme& scheme);
 
   /// Logically independent copy — the snapshot the concurrent engine
@@ -88,6 +93,10 @@ class LabeledDocument {
 
  private:
   LabeledDocument() = default;  // for Fork
+
+  // Labels `skeleton` and builds the tag lists from tags_.
+  void Index(labeling::TreeSkeleton skeleton,
+             const labeling::LabelingScheme& scheme);
 
   std::unique_ptr<labeling::Labeling> labeling_;
   std::shared_ptr<const TagPool> pool_;

@@ -195,10 +195,10 @@ void ShardedDbOptions::ApplyEnvKnobs() {
 }
 
 bool SchemeSupportsSharedFork(const std::string& scheme_name) {
-  xml::Document probe;
-  probe.CreateRoot("probe");
+  labeling::TreeSkeleton probe;
+  probe.AddNode(labeling::kNoNode);
   const auto scheme = labeling::SchemeByName(scheme_name);
-  return scheme->Label(probe)->SupportsSharedFork();
+  return scheme->Label(std::move(probe))->SupportsSharedFork();
 }
 
 uint32_t HashShardOf(uint64_t doc, uint32_t shard_count) {
@@ -342,19 +342,15 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
   db->shard_count_gauge_->Set(static_cast<double>(manifest.shard_count));
 
   for (uint32_t s = 0; s < manifest.shard_count; ++s) {
-    // Merge the shard's documents under one synthetic root, in document
-    // (corpus) order. Adopting moves no node, so the shard serves the
-    // inputs' own nodes and no input is freed here. Node ids are assigned
-    // in document order at labeling time, so each document's root id is 1
-    // (past the synthetic root) plus the sizes of the documents merged
-    // before it.
-    xml::Document merged;
-    xml::Node* root = merged.CreateRoot(kShardRootTag);
-    engine::NodeId next_id = 1;
+    // Ingest the shard's documents under one synthetic root, in corpus
+    // order. Each input is freed as soon as it is ingested, before the
+    // shard is labeled, so the labeling reuses its heap and no document
+    // outlives Open.
+    engine::XmlTree tree;
+    const engine::NodeId root =
+        tree.AddElement(kShardRootTag, labeling::kNoNode);
     for (uint64_t d : db->shard_docs_[s]) {
-      db->doc_root_[d] = next_id;
-      next_id += static_cast<engine::NodeId>(docs[d].node_count());
-      merged.Adopt(std::move(docs[d]), root);
+      db->doc_root_[d] = tree.Ingest(std::move(docs[d]), root);
     }
 
     engine::ConcurrentXmlDbOptions opts = options.shard;
@@ -373,7 +369,7 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
       // Each shard is its own LSN stream; fan the configured log path out.
       opts.replication_log_path += ".shard-" + std::to_string(s);
     }
-    auto shard = engine::ConcurrentXmlDb::Open(std::move(merged), opts);
+    auto shard = engine::ConcurrentXmlDb::Open(std::move(tree), opts);
     if (!shard.ok()) return shard.status();
     db->shards_.push_back(std::move(shard).value());
 

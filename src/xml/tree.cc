@@ -30,19 +30,15 @@ int Node::Depth() const {
 
 Document::Document(Document&& other)
     : arena_(std::move(other.arena_)),
-      adopted_(std::move(other.adopted_)),
       root_(std::exchange(other.root_, nullptr)) {
   other.arena_.clear();
-  other.adopted_.clear();
 }
 
 Document& Document::operator=(Document&& other) {
   if (this != &other) {
     arena_ = std::move(other.arena_);
-    adopted_ = std::move(other.adopted_);
     root_ = std::exchange(other.root_, nullptr);
     other.arena_.clear();
-    other.adopted_.clear();
   }
   return *this;
 }
@@ -137,19 +133,6 @@ Node* Document::DeepCopy(const Node* source, Node* parent) {
     DeepCopy(child, copy);
   }
   return copy;
-}
-
-Node* Document::Adopt(Document&& other, Node* parent) {
-  CDBS_CHECK(&other != this && other.root_ != nullptr);
-  Node* adopted_root = std::exchange(other.root_, nullptr);
-  AppendChild(parent, adopted_root);
-  adopted_.push_back(std::move(other.arena_));
-  for (std::deque<Node>& arena : other.adopted_) {
-    adopted_.push_back(std::move(arena));
-  }
-  other.arena_.clear();
-  other.adopted_.clear();
-  return adopted_root;
 }
 
 }  // namespace cdbs::xml

@@ -2,6 +2,7 @@
 #define CDBS_XML_WRITER_H_
 
 #include <string>
+#include <string_view>
 
 #include "util/status.h"
 #include "xml/tree.h"
@@ -27,7 +28,7 @@ Status WriteXmlFile(const Document& doc, const std::string& path,
                     WriteOptions options = {});
 
 /// Escapes the five predefined entities in character data.
-std::string EscapeText(const std::string& text);
+std::string EscapeText(std::string_view text);
 
 }  // namespace cdbs::xml
 

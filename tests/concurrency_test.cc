@@ -340,6 +340,29 @@ TEST(ConcurrentXmlDbTest, InvalidTargetsFailTheirFutures) {
   EXPECT_EQ(ins.get().status().code(), StatusCode::kNotFound);
 }
 
+// Every node of a deleted subtree is gone, not only its root: writes aimed
+// at a descendant fail with NotFound instead of aborting the writer, also
+// when the delete rides the same group commit.
+TEST(ConcurrentXmlDbTest, WritesUnderADeletedSubtreeFailTheirFutures) {
+  auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
+  ASSERT_TRUE(db.ok());
+  const std::vector<NodeId> bs = (*db)->Query("/root/a/b").value();
+  ASSERT_EQ(bs.size(), 2u);
+  const NodeId a = (*db)->Query("/root/a").value()[0];
+  std::future<Result<uint64_t>> del = (*db)->SubmitDelete(a);
+  std::future<Result<uint64_t>> del_child = (*db)->SubmitDelete(bs[0]);
+  std::future<Result<NodeId>> ins = (*db)->SubmitInsertAfter(bs[1], "x");
+  EXPECT_EQ(*del.get(), 3u);
+  EXPECT_EQ(del_child.get().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ins.get().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ((*db)->SubmitDelete(bs[1]).get().status().code(),
+            StatusCode::kNotFound);
+  // The writer is still alive and applying.
+  const NodeId c = (*db)->Query("/root/c").value()[0];
+  EXPECT_TRUE((*db)->SubmitInsertAfter(c, "d").get().ok());
+  EXPECT_EQ(*(*db)->Count("/root/*"), 2u);
+}
+
 TEST(ConcurrentXmlDbTest, SubmissionsFailCleanlyAfterShutdown) {
   auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
   ASSERT_TRUE(db.ok());

@@ -182,6 +182,26 @@ TEST_P(SchemeConformanceTest, InsertIntoGapLeftByDeletion) {
   EXPECT_TRUE(labeling->IsParent(0, result.new_node));
 }
 
+// The size accessor behind the labeling.label_bits histogram agrees with
+// the serialized label, also after skewed insertions overflow (CDBS) or
+// switch codecs (Hybrid).
+TEST_P(SchemeConformanceTest, SerializedLabelSizeMatchesSerializeLabel) {
+  auto parsed = xml::ParseXml("<a><b><c/></b><d/></a>");
+  ASSERT_TRUE(parsed.ok());
+  auto labeling = LabelDoc(*parsed);
+  NodeId target = 3;
+  for (int i = 0; i < (GetParam() == "Prime" ? 8 : 40); ++i) {
+    target = labeling->InsertSiblingBefore(target).new_node;
+  }
+  labeling->DeleteSubtree(1);
+  for (NodeId n = 0; n < labeling->num_nodes(); ++n) {
+    if (labeling->skeleton().is_removed(n)) continue;
+    EXPECT_EQ(labeling->SerializedLabelSize(n),
+              labeling->SerializeLabel(n).size())
+        << "node " << n;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeConformanceTest,
     ::testing::Values("Prime", "DeweyID(UTF8)-Prefix", "Binary-String-Prefix",

@@ -438,6 +438,29 @@ TEST_F(NetTest, ServerErrorsTravelBackWithTheirCodes) {
   EXPECT_TRUE((*client)->Ping().ok());
 }
 
+// Writes aimed inside a deleted subtree are NotFound over the wire, and the
+// server keeps serving: the labeling aborts on a removed id, so the writer
+// must reject every node of the subtree, not only its root.
+TEST_F(NetTest, WritesUnderADeletedSubtreeAreNotFoundAndTheServerLives) {
+  auto client = CdbsClient::Connect(ClientFor());
+  ASSERT_TRUE(client.ok());
+  // kSmallDoc ids: root=0 a=1 b=2 b=3 c=4 b=5.
+  Result<uint64_t> removed = (*client)->Delete(1);
+  ASSERT_TRUE(removed.ok()) << removed.status().message();
+  EXPECT_EQ(*removed, 3u);
+  EXPECT_EQ((*client)->Delete(2).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ((*client)->InsertAfter(3, "x").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ((*client)->InsertBefore(2, "x").status().code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE((*client)->Ping().ok());
+  Result<uint64_t> fresh = (*client)->InsertAfter(5, "x");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().message();
+  Result<std::vector<uint64_t>> bs = (*client)->Query("//b");
+  ASSERT_TRUE(bs.ok());
+  EXPECT_EQ(*bs, std::vector<uint64_t>{5});
+}
+
 TEST_F(NetTest, StatsReturnsTheMetricRegistryAsJson) {
   auto client = CdbsClient::Connect(ClientFor());
   ASSERT_TRUE(client.ok());

@@ -331,11 +331,12 @@ TEST(ShardAggregateTest, TotalNodesExcludesSyntheticRoots) {
 }
 
 // --------------------------------------------------------------------------
-// Open: documents are adopted, not copied
+// Open: documents are ingested into the shard tree and freed
 
-// Open adopts each input document into its shard's merged document without
-// copying a node. The shards must be byte-identical to shards merged by
-// deep-copying the inputs under the synthetic root in corpus order.
+// Open ingests each input document into its shard's skeleton and frees it;
+// no merged document exists. The shards must be byte-identical to shards
+// opened over the inputs deep-copied under the synthetic root in corpus
+// order.
 TEST(ShardOpenTest, AdoptedShardsEqualDeepCopyMergedShards) {
   const std::vector<xml::Document> inputs = Plays(7);
   ShardedDbOptions options;

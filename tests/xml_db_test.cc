@@ -2,15 +2,21 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "labeling/registry.h"
 #include "obs/metrics.h"
+#include "repl/replication.h"
+#include "util/random.h"
 #include "xml/parser.h"
 #include "xml/shakespeare.h"
+#include "xml/writer.h"
 
 namespace cdbs::engine {
 namespace {
@@ -462,6 +468,166 @@ TEST(XmlDbBootstrapTest, RejectsInconsistentSpecs) {
   EXPECT_EQ(XmlDb::OpenFromBootstrap(bad, {}).status().code(),
             StatusCode::kCorruption);
 }
+
+// --- every scheme: the skeleton is the only tree ---
+
+std::vector<std::string> AllSchemeNames() {
+  std::vector<std::string> names;
+  for (const auto& scheme : labeling::AllSchemes()) {
+    names.push_back(scheme->name());
+  }
+  return names;
+}
+
+class XmlDbSchemeTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  XmlDbOptions Options() const {
+    XmlDbOptions options;
+    options.scheme_name = GetParam();
+    return options;
+  }
+};
+
+// Every node of a deleted subtree is gone, not only its root: a write aimed
+// at a descendant is NotFound before it reaches the labeling (which aborts
+// on a removed id), and the database keeps taking writes.
+TEST_P(XmlDbSchemeTest, WritesUnderADeletedSubtreeAreNotFound) {
+  // ids: a=0 b=1 c=2 d=3.
+  auto db = XmlDb::OpenFromXml("<a><b><c/></b><d/></a>", Options());
+  ASSERT_TRUE(db.ok());
+  ASSERT_EQ(*(*db)->DeleteElement(1), 2u);
+  EXPECT_EQ((*db)->InsertElementAfter(2, "x").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ((*db)->InsertElementBefore(2, "x").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ((*db)->DeleteElement(2).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ((*db)->DeleteElement(1).status().code(), StatusCode::kNotFound);
+  auto x = (*db)->InsertElementAfter(3, "x");
+  ASSERT_TRUE(x.ok()) << x.status();
+  EXPECT_EQ(*x, 4u);
+  EXPECT_EQ((*db)->ToXml(), "<a><d/><x/></a>");
+}
+
+// A document with text nodes, several attributes per element and every
+// character EscapeText rewrites, built without the parser. Each text node
+// is an only child: adjacent text nodes would merge when a bootstrap image
+// is re-parsed.
+xml::Document RichDocument(uint64_t seed) {
+  static const char* const kTags[] = {"sec", "p", "note", "em"};
+  util::Random rng(seed);
+  xml::Document doc;
+  xml::Node* root = doc.CreateRoot("doc");
+  root->SetAttribute("title", "A & B <c> \"d\" 'e'");
+  root->SetAttribute("lang", "en");
+  std::vector<xml::Node*> elements = {root};
+  for (int i = 0; i < 150; ++i) {
+    xml::Node* parent = elements[rng.Uniform(elements.size())];
+    if (rng.Bernoulli(0.3)) {
+      xml::Node* quote = doc.CreateElement("q");
+      doc.AppendChild(parent, quote);
+      doc.AppendChild(quote, doc.CreateText("t" + std::to_string(i) +
+                                            " <&> \"q\" 'a'"));
+      continue;
+    }
+    xml::Node* element = doc.CreateElement(kTags[rng.Uniform(4)]);
+    const uint64_t attributes = rng.Uniform(4);
+    for (uint64_t k = 0; k < attributes; ++k) {
+      element->SetAttribute("k" + std::to_string(k),
+                            k == 1 ? "" : "v<" + std::to_string(i) + "&>");
+    }
+    doc.AppendChild(parent, element);
+    elements.push_back(element);
+  }
+  return doc;
+}
+
+// Random inserts and deletes applied to the database and to a plain
+// xml::Document mirror: after every round ToXml() equals WriteXml(mirror),
+// and a bootstrap image round trip reproduces the ids and the XML. The
+// database keeps no document, so the mirror is the independent check of
+// its serialization.
+TEST_P(XmlDbSchemeTest, SerializationMatchesAnIndependentDomUnderUpdates) {
+  xml::Document input = RichDocument(7);
+  xml::Document mirror;
+  mirror.DeepCopy(input.root(), nullptr);
+  auto opened = XmlDb::Open(std::move(input), Options());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  XmlDb* db = opened->get();
+  // id -> mirror node; ids are pre-order ranks at open, then sequential.
+  std::vector<xml::Node*> node_of = mirror.NodesInDocumentOrder();
+  std::unordered_map<const xml::Node*, NodeId> id_of;
+  for (size_t i = 0; i < node_of.size(); ++i) {
+    id_of.emplace(node_of[i], static_cast<NodeId>(i));
+  }
+  util::Random rng(11);
+  for (int round = 0; round < 6; ++round) {
+    for (int op = 0; op < 12; ++op) {
+      const std::vector<xml::Node*> live = mirror.NodesInDocumentOrder();
+      xml::Node* target = live[1 + rng.Uniform(live.size() - 1)];
+      const NodeId id = id_of.at(target);
+      xml::Node* parent = target->parent();
+      switch (rng.Uniform(3)) {
+        case 0:
+        case 1: {
+          const bool before = rng.Bernoulli(0.5);
+          auto fresh = before ? db->InsertElementBefore(id, "ins")
+                              : db->InsertElementAfter(id, "ins");
+          ASSERT_TRUE(fresh.ok()) << fresh.status();
+          ASSERT_EQ(*fresh, node_of.size());
+          xml::Node* node = mirror.CreateElement("ins");
+          mirror.InsertChildAt(parent,
+                               parent->IndexOfChild(target) + (before ? 0 : 1),
+                               node);
+          node_of.push_back(node);
+          id_of.emplace(node, *fresh);
+          break;
+        }
+        default: {
+          ASSERT_TRUE(db->DeleteElement(id).ok());
+          mirror.RemoveChild(parent, target);
+          // Its descendants stay addressable ids, but not writable ones.
+          if (!target->children().empty()) {
+            const NodeId inner = id_of.at(target->children().front());
+            EXPECT_EQ(db->InsertElementAfter(inner, "x").status().code(),
+                      StatusCode::kNotFound);
+          }
+          break;
+        }
+      }
+    }
+    const std::string expected = xml::WriteXml(mirror);
+    ASSERT_EQ(db->ToXml(), expected) << "round " << round;
+
+    std::vector<NodeId> expected_ids;
+    for (const xml::Node* node : mirror.NodesInDocumentOrder()) {
+      expected_ids.push_back(id_of.at(node));
+    }
+    const BootstrapSpec spec = db->CaptureBootstrapSpec();
+    EXPECT_EQ(spec.xml, expected);
+    EXPECT_EQ(spec.ids, expected_ids);
+    EXPECT_EQ(spec.next_id, node_of.size());
+    BootstrapSpec decoded;
+    ASSERT_TRUE(
+        repl::DecodeBootstrapSpec(repl::EncodeBootstrapSpec(spec), &decoded)
+            .ok());
+    auto rebuilt = XmlDb::OpenFromBootstrap(decoded, Options());
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    const BootstrapSpec again = (*rebuilt)->CaptureBootstrapSpec();
+    EXPECT_EQ(again.xml, expected);
+    EXPECT_EQ(again.ids, expected_ids);
+    EXPECT_EQ(again.next_id, spec.next_id);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, XmlDbSchemeTest, ::testing::ValuesIn(AllSchemeNames()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace cdbs::engine

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "xml/writer.h"
 
 namespace cdbs::xml {
 namespace {
@@ -131,7 +130,7 @@ TEST(TreeTest, DeepCopyIsStructurallyIdentical) {
   EXPECT_EQ(src.node_count() + 1, dst.node_count());
 }
 
-// --- Moves and Adopt: nodes change owner, never address ---
+// --- Moves: nodes change owner, never address ---
 
 TEST(TreeTest, MoveConstructionLeavesTheSourceEmpty) {
   Document a = MakeSample();
@@ -158,82 +157,6 @@ TEST(TreeTest, MoveAssignmentLeavesTheSourceEmpty) {
   Document& same = b;
   b = std::move(same);  // self-move keeps the tree
   EXPECT_EQ(b.NodesInDocumentOrder(), nodes);
-}
-
-// A reference for Adopt: `parts` deep-copied, in order, under a "shard"
-// root.
-std::string MergedByDeepCopy(const std::vector<Document>& parts) {
-  Document merged;
-  Node* root = merged.CreateRoot("shard");
-  for (const Document& part : parts) merged.DeepCopy(part.root(), root);
-  return WriteXml(merged);
-}
-
-TEST(TreeTest, AdoptKeepsEveryNodeAddress) {
-  std::vector<Document> parts;
-  parts.push_back(MakeSample());
-  parts.push_back(MakeSample());
-  parts[1].root()->SetAttribute("id", "2");
-  const std::string reference = MergedByDeepCopy(parts);
-
-  Document merged;
-  Node* root = merged.CreateRoot("shard");
-  std::vector<Node*> expected = {root};
-  for (Document& part : parts) {
-    const std::vector<Node*> nodes = part.NodesInDocumentOrder();
-    expected.insert(expected.end(), nodes.begin(), nodes.end());
-    EXPECT_EQ(merged.Adopt(std::move(part), root), nodes[0]);
-    EXPECT_EQ(nodes[0]->parent(), root);
-    EXPECT_EQ(part.root(), nullptr);
-    EXPECT_EQ(part.node_count(), 0u);
-  }
-  EXPECT_EQ(merged.NodesInDocumentOrder(), expected);
-  EXPECT_EQ(WriteXml(merged), reference);
-}
-
-TEST(TreeTest, AdoptingAnAdopterKeepsAllItsNodesAlive) {
-  // inner adopts two samples; outer adopts inner, then the whole tree is
-  // moved once more. Every node must survive each hand-over (ASan flags a
-  // node freed with an intermediate document).
-  Document inner;
-  Node* inner_root = inner.CreateRoot("inner");
-  std::vector<Node*> expected = {inner_root};
-  for (int i = 0; i < 2; ++i) {
-    Document part = MakeSample();
-    const std::vector<Node*> nodes = part.NodesInDocumentOrder();
-    expected.insert(expected.end(), nodes.begin(), nodes.end());
-    inner.Adopt(std::move(part), inner_root);
-  }
-  Document outer;
-  Node* outer_root = outer.CreateRoot("outer");
-  outer.Adopt(std::move(inner), outer_root);
-  expected.insert(expected.begin(), outer_root);
-  Document last = std::move(outer);
-  EXPECT_EQ(last.NodesInDocumentOrder(), expected);
-  EXPECT_EQ(inner_root->parent(), outer_root);
-  const std::string book =
-      "<book><title>T</title><section><p/><p/></section>"
-      "<section><p/></section></book>";
-  EXPECT_EQ(WriteXml(last), "<outer><inner>" + book + book + "</inner></outer>");
-}
-
-TEST(TreeTest, AdoptedNodesTakeInsertsAndRemovals) {
-  Document merged;
-  Node* root = merged.CreateRoot("shard");
-  Node* book = merged.Adopt(MakeSample(), root);
-  Node* s1 = book->child(1);
-  Node* added = merged.CreateElement("p");
-  merged.InsertChildAt(s1, 1, added);
-  EXPECT_EQ(s1->child(1), added);
-  EXPECT_EQ(added->parent(), s1);
-  Node* s2 = book->child(2);
-  merged.RemoveChild(book, s2);
-  EXPECT_EQ(s2->parent(), nullptr);
-  merged.InsertChildAt(root, 0, s2);  // a detached adopted node re-attaches
-  EXPECT_EQ(WriteXml(merged),
-            "<shard><section><p/></section><book><title>T</title>"
-            "<section><p/><p/><p/></section></book></shard>");
-  EXPECT_EQ(merged.node_count(), 10u);
 }
 
 TEST(TreeTest, NodesInDocumentOrderMatchesVisit) {
