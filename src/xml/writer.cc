@@ -42,7 +42,7 @@ void WriteNode(const Node* node, bool pretty, int indent, std::ostream& os) {
 
 }  // namespace
 
-std::string EscapeText(std::string_view text) {
+std::string EscapeText(const std::string& text) {
   std::string out;
   out.reserve(text.size());
   for (const char c : text) {

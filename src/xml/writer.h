@@ -2,7 +2,6 @@
 #define CDBS_XML_WRITER_H_
 
 #include <string>
-#include <string_view>
 
 #include "util/status.h"
 #include "xml/tree.h"
@@ -28,7 +27,7 @@ Status WriteXmlFile(const Document& doc, const std::string& path,
                     WriteOptions options = {});
 
 /// Escapes the five predefined entities in character data.
-std::string EscapeText(std::string_view text);
+std::string EscapeText(const std::string& text);
 
 }  // namespace cdbs::xml
 
