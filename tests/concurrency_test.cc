@@ -346,9 +346,9 @@ TEST(ConcurrentXmlDbTest, InvalidTargetsFailTheirFutures) {
 TEST(ConcurrentXmlDbTest, WritesUnderADeletedSubtreeFailTheirFutures) {
   auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
   ASSERT_TRUE(db.ok());
-  const std::vector<NodeId> bs = (*db)->Query("/root/a/b").value();
+  const std::vector<NodeId> bs = (*db)->Query("//a/b").value();
   ASSERT_EQ(bs.size(), 2u);
-  const NodeId a = (*db)->Query("/root/a").value()[0];
+  const NodeId a = (*db)->Query("//a").value()[0];
   std::future<Result<uint64_t>> del = (*db)->SubmitDelete(a);
   std::future<Result<uint64_t>> del_child = (*db)->SubmitDelete(bs[0]);
   std::future<Result<NodeId>> ins = (*db)->SubmitInsertAfter(bs[1], "x");
@@ -358,9 +358,9 @@ TEST(ConcurrentXmlDbTest, WritesUnderADeletedSubtreeFailTheirFutures) {
   EXPECT_EQ((*db)->SubmitDelete(bs[1]).get().status().code(),
             StatusCode::kNotFound);
   // The writer is still alive and applying.
-  const NodeId c = (*db)->Query("/root/c").value()[0];
+  const NodeId c = (*db)->Query("//c").value()[0];
   EXPECT_TRUE((*db)->SubmitInsertAfter(c, "d").get().ok());
-  EXPECT_EQ(*(*db)->Count("/root/*"), 2u);
+  EXPECT_EQ(*(*db)->Count("/*/*"), 2u);
 }
 
 TEST(ConcurrentXmlDbTest, SubmissionsFailCleanlyAfterShutdown) {
