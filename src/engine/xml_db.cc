@@ -104,9 +104,11 @@ XmlDb::XmlDb(XmlTree tree, std::unique_ptr<labeling::LabelingScheme> scheme)
   obs::Histogram* label_bits = global.GetHistogram(
       "labeling.label_bits", "Stored label size in bits per node");
   const labeling::Labeling& lab = labeled_->labeling();
+  obs::Histogram::Batch sizes;
   for (NodeId n = 0; n < lab.num_nodes(); ++n) {
-    label_bits->Record(8 * lab.SerializedLabelSize(n));
+    sizes.Record(8 * lab.SerializedLabelSize(n));
   }
+  label_bits->Merge(sizes);
 }
 
 Result<std::unique_ptr<XmlDb>> XmlDb::Open(XmlTree tree,

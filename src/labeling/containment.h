@@ -366,6 +366,13 @@ class ContainmentLabeling : public Labeling {
 
   bool SupportsSharedFork() const override { return true; }
 
+  /// The label columns, read-only: readers that decide structure from the
+  /// values directly (query/evaluator.cc) instead of per-node virtual
+  /// calls. Every codec orders its values by the Value's `<`.
+  const util::CowVector<Value>& starts() const { return start_; }
+  const util::CowVector<Value>& ends() const { return end_; }
+  const util::CowVector<int>& levels() const { return level_; }
+
   /// Test hooks: a value as its codec presents it (CDBS words decode to
   /// their BitString).
   auto start_value(NodeId n) const { return Present(start_[n]); }

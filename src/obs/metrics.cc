@@ -41,6 +41,27 @@ void Histogram::Record(uint64_t value) {
   AtomicMax(&max_, value);
 }
 
+void Histogram::Batch::Record(uint64_t value) {
+  ++buckets[BucketIndex(value)];
+  ++count;
+  sum += value;
+  min = std::min(min, value);
+  max = std::max(max, value);
+}
+
+void Histogram::Merge(const Batch& batch) {
+  if (batch.count == 0) return;
+  for (int b = 0; b < kNumBuckets; ++b) {
+    if (batch.buckets[b] != 0) {
+      buckets_[b].fetch_add(batch.buckets[b], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(batch.count, std::memory_order_relaxed);
+  sum_.fetch_add(batch.sum, std::memory_order_relaxed);
+  AtomicMin(&min_, batch.min);
+  AtomicMax(&max_, batch.max);
+}
+
 uint64_t Histogram::min() const {
   const uint64_t v = min_.load(std::memory_order_relaxed);
   return v == UINT64_MAX ? 0 : v;

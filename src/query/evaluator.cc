@@ -1,8 +1,11 @@
 #include "query/evaluator.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
+#include "labeling/containment.h"
+#include "labeling/hybrid.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -60,14 +63,6 @@ bool NameMatches(const Step& step, const std::string& tag) {
   return step.name == "*" || step.name == tag;
 }
 
-// Steps whose matches are one contiguous span of the tag list, copied
-// without looking at a single candidate.
-bool CopiesSpan(const Step& step) {
-  return step.predicates.empty() &&
-         (step.axis == Axis::kFollowing ||
-          (step.axis == Axis::kDescendant && step.position == 0));
-}
-
 // Where a step's matches go: appended to a list, or only counted.
 class Sink {
  public:
@@ -123,6 +118,108 @@ class Sink {
   uint64_t count_ = 0;
 };
 
+// Structure through the scheme's virtual predicates: the view Dewey,
+// OrdPath, the prefix schemes and Prime are read through.
+class LabelingView {
+ public:
+  static constexpr bool kColumns = false;
+
+  explicit LabelingView(const Labeling& lab) : lab_(&lab) {}
+
+  int CompareOrder(NodeId a, NodeId b) const {
+    return lab_->CompareOrder(a, b);
+  }
+  bool IsAncestor(NodeId a, NodeId d) const { return lab_->IsAncestor(a, d); }
+  bool IsParent(NodeId p, NodeId c) const { return lab_->IsParent(p, c); }
+  int Level(NodeId n) const { return lab_->Level(n); }
+
+ private:
+  const Labeling* lab_;
+};
+
+// Structure from the containment columns, read in place: `a` is an
+// ancestor of `d` iff start(a) < start(d) and end(d) < end(a), document
+// order is start order, and the level is stored. One view serves every
+// containment codec (V/F-Binary, Float, V/F-CDBS, QED, Hybrid): each
+// orders its values by `<`.
+template <typename Codec>
+class ContainmentView {
+ public:
+  static constexpr bool kColumns = true;
+  using Value = typename Codec::Value;
+  // How a probe holds a bound: words by value, strings by reference.
+  using Key = std::conditional_t<std::is_scalar_v<Value>, Value, const Value&>;
+
+  explicit ContainmentView(const labeling::ContainmentLabeling<Codec>& lab)
+      : start_(&lab.starts()), end_(&lab.ends()), level_(&lab.levels()) {}
+
+  const Value& Start(NodeId n) const { return (*start_)[n]; }
+  const Value& End(NodeId n) const { return (*end_)[n]; }
+  int Level(NodeId n) const { return (*level_)[n]; }
+
+  int CompareOrder(NodeId a, NodeId b) const {
+    const Value& x = Start(a);
+    const Value& y = Start(b);
+    return x < y ? -1 : (y < x ? 1 : 0);
+  }
+  bool IsAncestor(NodeId a, NodeId d) const {
+    return Start(a) < Start(d) && End(d) < End(a);
+  }
+  bool IsParent(NodeId p, NodeId c) const {
+    return Level(c) - Level(p) == 1 && IsAncestor(p, c);
+  }
+
+ private:
+  const util::CowVector<Value>* start_;
+  const util::CowVector<Value>* end_;
+  const util::CowVector<int>* level_;
+};
+
+// Calls f(view) over the columns of `lab` when it is a containment
+// labeling over `Codec`; returns whether it was.
+template <typename Codec, typename F>
+bool WithColumns(const Labeling& lab, F& f) {
+  const auto* containment =
+      dynamic_cast<const labeling::ContainmentLabeling<Codec>*>(&lab);
+  if (containment != nullptr) f(ContainmentView<Codec>(*containment));
+  return containment != nullptr;
+}
+
+// Calls f(view) with the view `lab` is read through: its containment
+// columns, or else its virtual predicates. Once per evaluation, never per
+// probe.
+template <typename F>
+void WithView(const Labeling& lab, F&& f) {
+  if (!WithColumns<labeling::CdbsContainmentCodec>(lab, f) &&
+      !WithColumns<labeling::IntContainmentCodec>(lab, f) &&
+      !WithColumns<labeling::FloatContainmentCodec>(lab, f) &&
+      !WithColumns<labeling::QedContainmentCodec>(lab, f) &&
+      !WithColumns<labeling::HybridContainmentCodec>(lab, f)) {
+    f(LabelingView(lab));
+  }
+}
+
+// A step with its tag list, looked up once per evaluation rather than once
+// per context. Predicate paths are planned the same way.
+struct PlannedStep {
+  const Step* step = nullptr;
+  const TagList* list = nullptr;
+  std::vector<std::vector<PlannedStep>> predicates;  // one path each
+};
+
+std::vector<PlannedStep> Plan(const std::vector<Step>& steps,
+                              const LabeledDocument& doc) {
+  std::vector<PlannedStep> plan(steps.size());
+  for (size_t s = 0; s < steps.size(); ++s) {
+    plan[s].step = &steps[s];
+    plan[s].list = &doc.WithTag(steps[s].name);
+    for (const RelativePath& rel : steps[s].predicates) {
+      plan[s].predicates.push_back(Plan(rel.steps, doc));
+    }
+  }
+  return plan;
+}
+
 // A forward position in one step's tag list, shared by that step's context
 // nodes in document order. `at` never passes FirstAfter of the next
 // context: contexts strictly ascend, so FirstAfter(c_k) never decreases.
@@ -137,9 +234,10 @@ struct Cursor {
 // True when no context node is an ancestor of the next one. For a
 // document-ordered list that makes it an antichain: an ancestor of a later
 // node is also an ancestor of every node between them in document order.
-bool IsAntichain(const Labeling& lab, const std::vector<NodeId>& context) {
+template <typename View>
+bool IsAntichain(const View& view, const std::vector<NodeId>& context) {
   for (size_t k = 1; k < context.size(); ++k) {
-    if (lab.IsAncestor(context[k - 1], context[k])) return false;
+    if (view.IsAncestor(context[k - 1], context[k])) return false;
   }
   return true;
 }
@@ -147,29 +245,32 @@ bool IsAntichain(const Labeling& lab, const std::vector<NodeId>& context) {
 // The node of a non-empty document-ordered context whose following:: set is
 // the union of all of theirs: the one whose subtree ends first, i.e. the end
 // of the leading ancestor chain (every later node starts after it ends).
-NodeId FollowingAnchor(const Labeling& lab,
-                       const std::vector<NodeId>& context) {
+template <typename View>
+NodeId FollowingAnchor(const View& view, const std::vector<NodeId>& context) {
   NodeId anchor = context[0];
-  for (size_t k = 1; k < context.size() && lab.IsAncestor(anchor, context[k]);
-       ++k) {
+  for (size_t k = 1;
+       k < context.size() && view.IsAncestor(anchor, context[k]); ++k) {
     anchor = context[k];
   }
   return anchor;
 }
 
-// One evaluation over one document, inside one scope at a time. Counts
-// label comparisons, scanned candidates and sorted/counted steps locally
-// and adds them to the default registry once, when it goes out of scope.
-// Hot loops keep `lab_` and their counts in locals: the schemes' virtual
-// calls would otherwise force a member reload and store per candidate.
+// One evaluation over one document, inside one scope at a time, reading
+// structure through `View`. Counts label comparisons, scanned candidates
+// and sorted/counted steps locally and adds them to the default registry
+// once, when it goes out of scope. Hot loops keep the view and their counts
+// in locals: a per-candidate member reload and store would otherwise stay.
 //
 // Every skip below rests on one fact that holds for every scheme: the
 // descendants of a node follow it contiguously in any document-ordered
-// list. Structure is still decided only by the scheme's predicates.
+// list. A child step adds the level: inside a parent's span, a child is a
+// node one level below it, and when the list holds nothing deeper than
+// that, the whole span is children.
+template <typename View>
 class Navigator {
  public:
-  explicit Navigator(const LabeledDocument& doc)
-      : doc_(doc), lab_(doc.labeling()), scope_(doc.root()) {}
+  Navigator(const LabeledDocument& doc, View view)
+      : doc_(doc), view_(view), scope_(doc.root()) {}
   ~Navigator() {
     LabelComparisonsCounter().Increment(comparisons_);
     CandidatesScannedCounter().Increment(scanned_);
@@ -182,19 +283,22 @@ class Navigator {
   // Makes `scope`'s subtree the document every later call sees.
   void SetScope(NodeId scope) { scope_ = scope; }
 
-  // Runs `query` inside the scope; its matches go to `*result`. `cursors`
-  // holds one lower bound per step, where that step's search starts; it is
-  // left at where the step stopped, a lower bound for any later scope.
-  void Run(const Query& query, size_t* cursors, Sink* result) {
-    const Labeling& lab = lab_;
-    const size_t steps = query.steps.size();
+  // Runs the planned query inside the scope; its matches go to `*result`.
+  // `cursors` holds one lower bound per step, where that step's search
+  // starts; it is left at where the step stopped, a lower bound for any
+  // later scope.
+  void Run(const std::vector<PlannedStep>& plan, size_t* cursors,
+           Sink* result) {
+    const View view = view_;
+    const size_t steps = plan.size();
     // Invariant: `context` is strictly increasing in document order. Both
     // lists keep their capacity from one scope to the next.
     std::vector<NodeId>& context = context_;
     std::vector<NodeId>& next = next_;
     context.clear();
     for (size_t s = 0; s < steps; ++s) {
-      const Step& step = query.steps[s];
+      const PlannedStep& step = plan[s];
+      const Axis axis = step.step->axis;
       Cursor cursor{cursors[s], false};
       // Whether the step's output comes out strictly in document order
       // without a sort. following:: of the anchor is the whole union,
@@ -203,10 +307,10 @@ class Navigator {
       // contexts and the other axes can interleave or repeat, so they are
       // merged by sorting.
       bool ordered = true;
-      if (s > 0 && step.axis != Axis::kFollowing) {
-        cursor.disjoint = (step.axis == Axis::kChild ||
-                           step.axis == Axis::kDescendant) &&
-                          IsAntichain(lab, context);
+      if (s > 0 && axis != Axis::kFollowing) {
+        cursor.disjoint =
+            (axis == Axis::kChild || axis == Axis::kDescendant) &&
+            IsAntichain(view, context);
         ordered = cursor.disjoint;
       }
       const bool last = s + 1 == steps;
@@ -215,8 +319,8 @@ class Navigator {
       Sink* sink = last && ordered ? result : &collect;
       if (s == 0) {
         EmitFromScope(step, &cursor, sink);
-      } else if (step.axis == Axis::kFollowing) {
-        Emit(FollowingAnchor(lab, context), step, &cursor, sink);
+      } else if (axis == Axis::kFollowing) {
+        Emit(FollowingAnchor(view, context), step, &cursor, sink);
       } else {
         for (const NodeId c : context) Emit(c, step, &cursor, sink);
       }
@@ -229,8 +333,8 @@ class Navigator {
         // Sort by label comparison, since ids assigned by later insertions
         // are not document-ordered.
         ++sorted_;
-        std::sort(next.begin(), next.end(), [&lab](NodeId a, NodeId b) {
-          return lab.CompareOrder(a, b) < 0;
+        std::sort(next.begin(), next.end(), [view](NodeId a, NodeId b) {
+          return view.CompareOrder(a, b) < 0;
         });
         next.erase(std::unique(next.begin(), next.end()), next.end());
       }
@@ -244,11 +348,11 @@ class Navigator {
   }
 
   // Parent of `node` from labels: a backward scan through all elements for
-  // the first one that IsParent of it (ancestors precede it). The scope
-  // has none.
+  // the first one that is its parent (ancestors precede it). The scope has
+  // none.
   NodeId FindParent(NodeId node) {
     if (node == scope_) return kNoNode;
-    const Labeling& lab = lab_;
+    const View view = view_;
     const TagList& all = doc_.all_elements();
     const size_t after = FirstAfter(all, node, 0);
     TagList::Iterator it = all.IteratorAt(after);
@@ -258,7 +362,7 @@ class Navigator {
       --idx;
       const NodeId cand = *--it;
       // The first candidate is `node` itself.
-      if (lab.CompareOrder(cand, node) < 0 && lab.IsParent(cand, node)) {
+      if (cand != node && view.IsParent(cand, node)) {
         parent = cand;
         break;
       }
@@ -270,82 +374,125 @@ class Navigator {
  private:
   bool ScopeIsRoot() const { return scope_ == doc_.root(); }
 
-  // Index of the first element of `list` after `node` in document order.
-  // `from` is a lower bound on the answer; the search gallops from it.
+  // Index of the first element of list[from, to) that fails `holds`, true
+  // on a prefix of that range.
+  template <typename Holds>
+  size_t Search(const TagList& list, size_t from, size_t to, Holds holds) {
+    return list.PartitionPoint(from, to, holds, &comparisons_);
+  }
+
+  // Index of the first element of `list` after `node` in document order:
+  // the first whose start passes start(node). `from` is a lower bound on
+  // the answer; the search gallops from it.
   size_t FirstAfter(const TagList& list, NodeId node, size_t from) {
-    const Labeling& lab = lab_;
-    return list.PartitionPoint(
-        from, list.size(),
-        [&lab, node](NodeId x) { return lab.CompareOrder(node, x) >= 0; },
-        &comparisons_);
+    const View view = view_;
+    if constexpr (View::kColumns) {
+      const typename View::Key start = view.Start(node);
+      return Search(list, from, list.size(), [view, start](NodeId x) {
+        return !(start < view.Start(x));
+      });
+    } else {
+      return Search(list, from, list.size(), [view, node](NodeId x) {
+        return view.CompareOrder(node, x) >= 0;
+      });
+    }
   }
 
   // Index of the first element of list[from, to) that is not a descendant
   // of `anchor`. Every element of that range must come after `anchor`, so
-  // its descendants there form a prefix.
+  // its descendants there form a prefix: those that start before `anchor`
+  // ends.
   size_t SubtreeEnd(const TagList& list, NodeId anchor, size_t from,
                     size_t to) {
-    const Labeling& lab = lab_;
-    return list.PartitionPoint(
-        from, to,
-        [&lab, anchor](NodeId x) { return lab.IsAncestor(anchor, x); },
-        &comparisons_);
+    const View view = view_;
+    if constexpr (View::kColumns) {
+      const typename View::Key end = view.End(anchor);
+      return Search(list, from, to,
+                    [view, end](NodeId x) { return view.Start(x) < end; });
+    } else {
+      return Search(list, from, to, [view, anchor](NodeId x) {
+        return view.IsAncestor(anchor, x);
+      });
+    }
   }
 
   // Index of the scope itself in `list`, or of the first element after it;
   // `from` is a lower bound.
   size_t ScopeBegin(const TagList& list, size_t from) {
     if (ScopeIsRoot()) return 0;
-    const Labeling& lab = lab_;
+    const View view = view_;
     const NodeId scope = scope_;
-    return list.PartitionPoint(
-        from, list.size(),
-        [&lab, scope](NodeId x) { return lab.CompareOrder(x, scope) < 0; },
-        &comparisons_);
+    if constexpr (View::kColumns) {
+      const typename View::Key start = view.Start(scope);
+      return Search(list, from, list.size(),
+                    [view, start](NodeId x) { return view.Start(x) < start; });
+    } else {
+      return Search(list, from, list.size(), [view, scope](NodeId x) {
+        return view.CompareOrder(x, scope) < 0;
+      });
+    }
   }
 
   // Index of the first element of `list` past the scope's subtree; `from`
   // is at least ScopeBegin.
   size_t ScopeEnd(const TagList& list, size_t from) {
     if (ScopeIsRoot()) return list.size();
-    const Labeling& lab = lab_;
-    const NodeId scope = scope_;
-    return list.PartitionPoint(
-        from, list.size(),
-        [&lab, scope](NodeId x) {
-          return x == scope || lab.IsAncestor(scope, x);
-        },
-        &comparisons_);
+    if constexpr (View::kColumns) {
+      // The scope itself starts before its end too.
+      return SubtreeEnd(list, scope_, from, list.size());
+    } else {
+      const View view = view_;
+      const NodeId scope = scope_;
+      return Search(list, from, list.size(), [view, scope](NodeId x) {
+        return x == scope || view.IsAncestor(scope, x);
+      });
+    }
+  }
+
+  // True when every descendant of `parent` in `list` is a child of it: the
+  // list never held a node deeper than one level below `parent`.
+  bool ChildrenOnly(const TagList& list, NodeId parent) const {
+    return view_.Level(parent) + 1 >= list.max_level();
+  }
+
+  // Steps whose matches from `context` are one contiguous span of the tag
+  // list, taken without looking at a single candidate.
+  bool CopiesSpan(NodeId context, const PlannedStep& step) const {
+    const Step& s = *step.step;
+    if (!s.predicates.empty() || s.position != 0) return false;
+    return s.axis == Axis::kFollowing || s.axis == Axis::kDescendant ||
+           (s.axis == Axis::kChild && ChildrenOnly(*step.list, context));
   }
 
   // Passes the matches of the query's first step, taken from the
   // (virtual) document node above the scope, to `*sink`.
-  void EmitFromScope(const Step& step, Cursor* cursor, Sink* sink) {
-    if (step.axis == Axis::kChild) {
-      if (NameMatches(step, doc_.tag(scope_)) && step.position <= 1 &&
+  void EmitFromScope(const PlannedStep& step, Cursor* cursor, Sink* sink) {
+    const Step& s = *step.step;
+    if (s.axis == Axis::kChild) {
+      if (NameMatches(s, doc_.tag(scope_)) && s.position <= 1 &&
           PredicatesHold(step, scope_)) {
         sink->Visit([&](auto visit) { visit(scope_); });
       }
-    } else if (step.axis == Axis::kDescendant) {
-      const TagList& list = doc_.WithTag(step.name);
+    } else if (s.axis == Axis::kDescendant) {
+      const TagList& list = *step.list;
       const size_t begin = ScopeBegin(list, cursor->at);
       const size_t end = ScopeEnd(list, begin);
       cursor->at = end;
-      if (CopiesSpan(step)) {
+      if (s.predicates.empty() && s.position == 0) {
         sink->Span(list, begin, end);
       } else {
-        sink->Visit([&](auto visit) { Filter(list, begin, end, step, visit); });
+        sink->Visit([&](auto visit) { Filter(begin, end, step, visit); });
       }
     }
   }
 
   // Passes the matches of `step` from `context` to `*sink`, in document
   // order. Spans with nothing to test are taken in one piece.
-  void Emit(NodeId context, const Step& step, Cursor* cursor, Sink* sink) {
-    if (CopiesSpan(step)) {
-      const TagList& list = doc_.WithTag(step.name);
-      const auto [begin, end] = Span(list, context, step, cursor);
-      sink->Span(list, begin, end);
+  void Emit(NodeId context, const PlannedStep& step, Cursor* cursor,
+            Sink* sink) {
+    if (CopiesSpan(context, step)) {
+      const auto [begin, end] = Span(context, step, cursor);
+      sink->Span(*step.list, begin, end);
     } else {
       sink->Visit([&](auto visit) { Expand(context, step, cursor, visit); });
     }
@@ -353,34 +500,45 @@ class Navigator {
 
   // Calls visit(child) on each child of `parent` in list[begin, to), in
   // document order, until visit returns false; `begin` is
-  // FirstAfter(parent). IsParent true means a child. Otherwise, a candidate
-  // that is not a descendant ends the scan; one that is lies under an
-  // earlier child, so the rest of the last child's subtree is galloped over
-  // at once. Returns the index the scan stopped at.
+  // FirstAfter(parent). Returns the index the scan stopped at. From
+  // containment columns, the parent's span costs one search and a child is
+  // a node in it one level below the parent; other schemes test IsParent
+  // per candidate, and a candidate that is not a descendant ends the scan.
+  // A descendant that is not a child lies under an earlier child, so the
+  // rest of the last child's subtree is galloped over at once.
   template <typename Visit>
   size_t ForEachChild(const TagList& list, NodeId parent, size_t begin,
                       size_t to, Visit&& visit) {
-    const Labeling& lab = lab_;
+    const View view = view_;
+    const size_t end =
+        View::kColumns ? SubtreeEnd(list, parent, begin, to) : to;
+    const int child_level = View::kColumns ? view.Level(parent) + 1 : 0;
     NodeId last_child = kNoNode;
     uint64_t scanned = 0;
     size_t i = begin;
     TagList::Iterator it = list.IteratorAt(i);
-    while (i < to) {
+    while (i < end) {
       const NodeId cand = *it;
       ++scanned;
-      if (lab.IsParent(parent, cand)) {
+      bool child;
+      if constexpr (View::kColumns) {
+        child = view.Level(cand) == child_level;
+      } else {
+        child = view.IsParent(parent, cand);
+      }
+      if (child) {
         if (!visit(cand)) break;
         last_child = cand;
         ++i;
         ++it;
         continue;
       }
-      if (!lab.IsAncestor(parent, cand)) break;
+      if (!View::kColumns && !view.IsAncestor(parent, cand)) break;
       // Under the last child: gallop past the rest of its subtree. Under a
       // child `list` does not hold: step past it.
       const size_t skip_to = last_child == kNoNode
                                  ? i
-                                 : SubtreeEnd(list, last_child, i, to);
+                                 : SubtreeEnd(list, last_child, i, end);
       last_child = kNoNode;  // its subtree is behind us either way
       i = std::max(skip_to, i + 1);
       it = list.IteratorAt(i);
@@ -389,15 +547,18 @@ class Navigator {
     return i;
   }
 
-  // The index span of `list` a descendant or following:: step covers from
-  // `context`, positioned from the cursor, which it advances. following::
-  // ends where the scope does.
-  std::pair<size_t, size_t> Span(const TagList& list, NodeId context,
-                                 const Step& step, Cursor* cursor) {
+  // The index span of the step's list that a child, descendant or
+  // following:: step covers from `context`, positioned from the cursor,
+  // which it advances. For a child step the span is the descendant span
+  // (the caller checks ChildrenOnly). following:: ends where the scope
+  // does.
+  std::pair<size_t, size_t> Span(NodeId context, const PlannedStep& step,
+                                 Cursor* cursor) {
+    const TagList& list = *step.list;
     const size_t after = FirstAfter(list, context, cursor->at);
     const size_t end = SubtreeEnd(list, context, after, list.size());
     cursor->at = cursor->disjoint ? end : after;
-    if (step.axis == Axis::kDescendant) return {after, end};
+    if (step.step->axis != Axis::kFollowing) return {after, end};
     return {end, ScopeEnd(list, end)};  // following:: skips the subtree
   }
 
@@ -405,17 +566,16 @@ class Navigator {
   // predicates (and, on the descendant axis, its [n] sibling rank). Returns
   // false when visit stopped it.
   template <typename Visit>
-  bool Filter(const TagList& list, size_t begin, size_t end, const Step& step,
+  bool Filter(size_t begin, size_t end, const PlannedStep& step,
               Visit&& visit) {
-    const bool ranked =
-        step.axis == Axis::kDescendant && step.position != 0;
-    TagList::Iterator it = list.IteratorAt(begin);
+    const Step& s = *step.step;
+    const size_t rank =
+        s.axis == Axis::kDescendant ? static_cast<size_t>(s.position) : 0;
+    TagList::Iterator it = step.list->IteratorAt(begin);
     size_t i = begin;
     for (; i < end; ++i, ++it) {
       const NodeId cand = *it;
-      if (ranked && SiblingRank(cand) != static_cast<size_t>(step.position)) {
-        continue;
-      }
+      if (rank != 0 && SiblingRank(cand, step) != rank) continue;
       if (PredicatesHold(step, cand) && !visit(cand)) break;
     }
     scanned_ += std::min(end, i + 1) - begin;
@@ -426,34 +586,43 @@ class Navigator {
   // until it returns false; returns false in that case. The main path and
   // predicate paths share it, so both honour every axis and [n].
   template <typename Visit>
-  bool Expand(NodeId context, const Step& step, Cursor* cursor,
+  bool Expand(NodeId context, const PlannedStep& step, Cursor* cursor,
               Visit&& visit) {
-    const TagList& list = doc_.WithTag(step.name);
-    switch (step.axis) {
+    const Step& s = *step.step;
+    const TagList& list = *step.list;
+    switch (s.axis) {
       case Axis::kChild: {
+        if (ChildrenOnly(list, context)) {
+          // The span is the children: [n] is an index, predicates filter.
+          const auto [begin, end] = Span(context, step, cursor);
+          if (s.position == 0) return Filter(begin, end, step, visit);
+          const size_t at = begin + static_cast<size_t>(s.position) - 1;
+          if (at >= end) return true;
+          const NodeId child = list[at];
+          return !PredicatesHold(step, child) || visit(child);
+        }
         const size_t begin = FirstAfter(list, context, cursor->at);
         size_t rank = 0;
         bool stopped = false;
         const size_t end =
             ForEachChild(list, context, begin, list.size(), [&](NodeId c) {
               ++rank;
-              if (step.position != 0 &&
-                  rank < static_cast<size_t>(step.position)) {
+              if (s.position != 0 && rank < static_cast<size_t>(s.position)) {
                 return true;
               }
               if (PredicatesHold(step, c) && !visit(c)) {
                 stopped = true;
                 return false;
               }
-              return step.position == 0;  // [n] ends at the n-th child
+              return s.position == 0;  // [n] ends at the n-th child
             });
         cursor->at = cursor->disjoint ? end : begin;
         return !stopped;
       }
       case Axis::kDescendant:
       case Axis::kFollowing: {
-        const auto [begin, end] = Span(list, context, step, cursor);
-        return Filter(list, begin, end, step, visit);
+        const auto [begin, end] = Span(context, step, cursor);
+        return Filter(begin, end, step, visit);
       }
       case Axis::kPrecedingSibling: {
         const NodeId parent = FindParent(context);
@@ -474,7 +643,7 @@ class Navigator {
       }
       case Axis::kParent: {
         const NodeId parent = FindParent(context);
-        if (parent == kNoNode || !NameMatches(step, doc_.tag(parent)) ||
+        if (parent == kNoNode || !NameMatches(s, doc_.tag(parent)) ||
             !PredicatesHold(step, parent)) {
           return true;
         }
@@ -483,14 +652,14 @@ class Navigator {
       case Axis::kAncestor: {
         // Candidates from the scope up to the context node; keep those
         // whose label encloses it.
-        const Labeling& lab = lab_;
+        const View view = view_;
         const size_t begin = ScopeBegin(list, 0);
         const size_t end = FirstAfter(list, context, begin);
         TagList::Iterator it = list.IteratorAt(begin);
         size_t i = begin;
         for (; i < end; ++i, ++it) {
           const NodeId cand = *it;
-          if (cand != context && lab.IsAncestor(cand, context) &&
+          if (cand != context && view.IsAncestor(cand, context) &&
               PredicatesHold(step, cand) && !visit(cand)) {
             break;
           }
@@ -503,28 +672,31 @@ class Navigator {
   }
 
   // True when every existence predicate of `step` holds at `node`.
-  bool PredicatesHold(const Step& step, NodeId node) {
-    for (const RelativePath& rel : step.predicates) {
-      if (!ExistsFrom(node, rel.steps, 0)) return false;
+  bool PredicatesHold(const PlannedStep& step, NodeId node) {
+    for (const std::vector<PlannedStep>& path : step.predicates) {
+      if (!ExistsFrom(node, path, 0)) return false;
     }
     return true;
   }
 
-  // True when the relative path `steps[i..]` matches something from
-  // `node`; stops at the first match.
-  bool ExistsFrom(NodeId node, const std::vector<Step>& steps, size_t i) {
-    if (i == steps.size()) return true;
+  // True when the relative path `path[i..]` matches something from `node`;
+  // stops at the first match.
+  bool ExistsFrom(NodeId node, const std::vector<PlannedStep>& path,
+                  size_t i) {
+    if (i == path.size()) return true;
     Cursor cursor;
-    return !Expand(node, steps[i], &cursor, [&](NodeId next) {
-      return !ExistsFrom(next, steps, i + 1);
+    return !Expand(node, path[i], &cursor, [&](NodeId next) {
+      return !ExistsFrom(next, path, i + 1);
     });
   }
 
-  // 1-based rank of `node` among its same-tag siblings, via labels.
-  size_t SiblingRank(NodeId node) {
+  // 1-based rank of `node`, a match of `step`, among its same-tag
+  // siblings, via labels.
+  size_t SiblingRank(NodeId node, const PlannedStep& step) {
     const NodeId parent = FindParent(node);
     if (parent == kNoNode) return 1;  // the scope
-    const TagList& list = doc_.WithTag(doc_.tag(node));
+    const TagList& list = step.step->name == "*" ? doc_.WithTag(doc_.tag(node))
+                                                 : *step.list;
     size_t rank = 0;
     ForEachChild(list, parent, FirstAfter(list, parent, 0), list.size(),
                  [&](NodeId sib) {
@@ -535,7 +707,7 @@ class Navigator {
   }
 
   const LabeledDocument& doc_;
-  const Labeling& lab_;
+  const View view_;
   NodeId scope_;
   std::vector<NodeId> context_;  // Run's step input
   std::vector<NodeId> next_;     // Run's step output
@@ -558,26 +730,32 @@ void RunScopes(const Query& query, const LabeledDocument& doc,
                const NodeId* scopes, Sink* sinks, size_t n) {
   QueriesCounter().Increment(n);
   obs::ScopedTimer timer(EvalNanos());
-  const Labeling& lab = doc.labeling();
-  Navigator nav(doc);
-  std::vector<size_t> cursors(query.steps.size(), 0);
+  const std::vector<PlannedStep> plan = Plan(query.steps, doc);
+  std::vector<size_t> cursors(plan.size(), 0);
   uint64_t emitted = 0;
-  for (size_t k = 0; k < n; ++k) {
-    if (k > 0 && (lab.CompareOrder(scopes[k - 1], scopes[k]) >= 0 ||
-                  lab.IsAncestor(scopes[k - 1], scopes[k]))) {
-      std::fill(cursors.begin(), cursors.end(), 0);
+  WithView(doc.labeling(), [&](auto view) {
+    Navigator<decltype(view)> nav(doc, view);
+    for (size_t k = 0; k < n; ++k) {
+      if (k > 0 && (view.CompareOrder(scopes[k - 1], scopes[k]) >= 0 ||
+                    view.IsAncestor(scopes[k - 1], scopes[k]))) {
+        std::fill(cursors.begin(), cursors.end(), 0);
+      }
+      nav.SetScope(scopes[k]);
+      nav.Run(plan, cursors.data(), &sinks[k]);
+      emitted += sinks[k].size();
     }
-    nav.SetScope(scopes[k]);
-    nav.Run(query, cursors.data(), &sinks[k]);
-    emitted += sinks[k].size();
-  }
+  });
   NodesEmittedCounter().Increment(emitted);
 }
 
 }  // namespace
 
 NodeId FindParent(const LabeledDocument& doc, NodeId node) {
-  return Navigator(doc).FindParent(node);
+  NodeId parent = kNoNode;
+  WithView(doc.labeling(), [&](auto view) {
+    parent = Navigator<decltype(view)>(doc, view).FindParent(node);
+  });
+  return parent;
 }
 
 std::vector<NodeId> EvaluateQuery(const Query& query,

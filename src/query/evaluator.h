@@ -9,9 +9,11 @@
 
 /// \file
 /// Label-driven evaluation of the XPath subset: every structural decision
-/// (child, descendant, sibling, order) is answered by the labeling's
-/// predicates, so response times directly reflect each scheme's label
-/// comparison costs — exactly what Figure 6 measures.
+/// (child, descendant, sibling, order) is answered from labels, so response
+/// times directly reflect each scheme's label comparison costs — exactly
+/// what Figure 6 measures. The containment family is read from its own
+/// start/end/level columns, the other schemes through their virtual
+/// predicates; the choice is made once per evaluation.
 ///
 /// The evaluator moves through the document-ordered tag lists by skipping
 /// ranges rather than testing every candidate. Every skip rests on one fact
@@ -21,15 +23,18 @@
 ///  * Positioning is `TagList::PartitionPoint`: a galloping search that
 ///    indexes the run it starts in directly and moves on by run ends, so a
 ///    search pays one or two run lookups, not one per probe. A descendant
-///    step finds where a context's subtree ends with it (O(log k)
-///    `IsAncestor` probes to pass k descendants). With nothing to test per
+///    step finds where a context's subtree ends with it (O(log k) probes
+///    to pass k descendants; for containment, each probe compares one
+///    start value with the context's end). With nothing to test per
 ///    match, the whole span is taken in one piece; with `[n]` or
 ///    predicates, only the span is iterated. A following:: step skips the
 ///    anchor's subtree the same way.
-///  * A child step tests `IsParent` per candidate. A candidate that fails
-///    it but is still a descendant lies under an earlier child, so the rest
-///    of the last child's subtree is galloped over. A non-descendant ends
-///    the scan, and a child `[n]` ends it at the n-th child.
+///  * A child step over a tag list that never held a node deeper than one
+///    level below the context (`TagList::max_level`) is the context's
+///    descendant span: taken whole, `[n]` an index into it. Otherwise it
+///    tests each candidate of that span for the child level; a deeper one
+///    lies under an earlier child, so the rest of the last child's subtree
+///    is galloped over, and a child `[n]` ends the scan at the n-th child.
 ///  * One forward cursor per step: the context list is strictly in document
 ///    order, so each context's first position in the step's list is never
 ///    before the previous one's, and the search gallops on from there
@@ -37,10 +42,11 @@
 ///    the next, the next one also starts after the previous subtree, so
 ///    the cursor moves past everything that expansion scanned.
 ///
-/// The last step writes into a sink: the match list, or a counter. A count
-/// whose last step needs no sort (the first step, following::, or child/
-/// descendant over an antichain) never builds the list: a span adds its
-/// length and a visited node adds one (`query.eval.steps_counted`).
+/// Each step's tag list is looked up once per evaluation. The last step
+/// writes into a sink: the match list, or a counter. A count whose last
+/// step needs no sort (the first step, following::, or child/descendant
+/// over an antichain) never builds the list: a span adds its length and a
+/// visited node adds one (`query.eval.steps_counted`).
 ///
 /// Every evaluation runs inside a scope: a node whose subtree is treated as
 /// the whole document, with the scope as its root element. The first step
@@ -87,8 +93,8 @@ uint64_t CountMatches(const Query& query,
                       const std::vector<const LabeledDocument*>& corpus);
 
 /// Finds the parent of `node` using labels only (scan back through the
-/// document-ordered element list until IsParent matches). Exposed for
-/// tests.
+/// document-ordered element list to the first ancestor one level up).
+/// Exposed for tests.
 NodeId FindParent(const LabeledDocument& doc, NodeId node);
 
 }  // namespace cdbs::query

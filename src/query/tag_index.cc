@@ -42,12 +42,18 @@ void LabeledDocument::Index(labeling::TreeSkeleton skeleton,
   CDBS_CHECK(skeleton.size() == tags_.size());
   labeling_ = scheme.Label(std::move(skeleton));
   // Ids ascend in document order, so the tag lists are built by pure
-  // appends (runs sealed at kRunTarget).
+  // appends (runs sealed at kRunTarget). Levels come from the skeleton's
+  // column, not from per-node label decoding.
+  const labeling::TreeSkeleton& tree = labeling_->skeleton();
   for (NodeId id = 0; id < tags_.size(); ++id) {
     const TagId tag = tags_[id];
     if (tag == TagId{0}) continue;  // text node
+    const int level = tree.level(id);
     all_elements_.Append(id);
-    by_tag_[tag].Append(id);
+    all_elements_.RaiseMaxLevel(level);
+    TagList& list = by_tag_[tag];
+    list.Append(id);
+    list.RaiseMaxLevel(level);
   }
 }
 
@@ -83,8 +89,12 @@ void LabeledDocument::NoteInsertedNode(NodeId id, const std::string& tag) {
   // splice lands between its neighbors, pinning the invariant the COW runs
   // rely on — runs stay CompareOrder-sorted, no full-list re-sort ever
   // runs.
+  const int level = labeling_->Level(id);
   all_elements_.InsertSorted(id, less);
-  by_tag_[tag_id].InsertSorted(id, less);
+  all_elements_.RaiseMaxLevel(level);
+  TagList& list = by_tag_[tag_id];
+  list.InsertSorted(id, less);
+  list.RaiseMaxLevel(level);
 }
 
 labeling::DeleteResult LabeledDocument::DeleteSubtree(NodeId target) {

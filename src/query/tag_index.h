@@ -81,7 +81,8 @@ class LabeledDocument {
 
   /// Registers a node freshly inserted through the labeling: records its
   /// tag and splices it into the document-ordered tag lists (position found
-  /// by label-order binary search; exactly one run per list is copied).
+  /// by label-order binary search; exactly one run per list is copied),
+  /// raising their max_level() to its level.
   void NoteInsertedNode(NodeId id, const std::string& tag);
 
   /// Deletes the subtree rooted at `target` (not the root) from the

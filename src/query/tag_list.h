@@ -75,13 +75,15 @@ class TagList {
   TagList() = default;
 
   /// O(#runs) spine copy; every run becomes shared.
-  TagList(const TagList& other) : runs_(other.runs_), cum_(other.cum_) {
+  TagList(const TagList& other)
+      : runs_(other.runs_), cum_(other.cum_), max_level_(other.max_level_) {
     util::CowStats::Local().chunks_shared += runs_.size();
   }
   TagList& operator=(const TagList& other) {
     if (this != &other) {
       runs_ = other.runs_;
       cum_ = other.cum_;
+      max_level_ = other.max_level_;
       util::CowStats::Local().chunks_shared += runs_.size();
     }
     return *this;
@@ -92,6 +94,15 @@ class TagList {
   size_t size() const { return cum_.empty() ? 0 : cum_.back(); }
   bool empty() const { return size() == 0; }
   size_t run_count() const { return runs_.size(); }
+
+  /// An upper bound on the tree level of every id the list has ever held
+  /// (0 for a list that never held one). Erasing never lowers it. A node
+  /// at level max_level() - 1 or deeper has only children below it in the
+  /// list, so a child step from it is its whole descendant span.
+  int max_level() const { return max_level_; }
+  /// Raises max_level() to `level` if it is lower; call with the level of
+  /// every id added.
+  void RaiseMaxLevel(int level) { max_level_ = std::max(max_level_, level); }
 
   /// Random access by logical index: O(log #runs).
   NodeId operator[](size_t i) const {
@@ -330,6 +341,7 @@ class TagList {
 
   std::vector<std::shared_ptr<std::vector<NodeId>>> runs_;
   std::vector<uint32_t> cum_;  ///< cum_[r] = ids in runs_[0..r] inclusive
+  int max_level_ = 0;
 };
 
 }  // namespace cdbs::query

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "dom_reference.h"
+#include "engine/concurrent_db.h"
 #include "labeling/registry.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -30,9 +31,18 @@
 namespace cdbs::query {
 namespace {
 
+using engine::ConcurrentXmlDb;
+using engine::ConcurrentXmlDbOptions;
+
 uint64_t StepsSorted() {
   return obs::MetricRegistry::Default()
       .GetCounter("query.eval.steps_sorted")
+      ->value();
+}
+
+uint64_t CandidatesScanned() {
+  return obs::MetricRegistry::Default()
+      .GetCounter("query.eval.candidates_scanned")
       ->value();
 }
 
@@ -288,6 +298,98 @@ TEST_P(EvaluatorOrderTest, ScopesMatchDomWalkUnderRandomUpdates) {
   }
 }
 
+// The level shortcut under writes and forks. `c` occurs at two depths;
+// `b` starts one level below the root only, so `/a/b` is a span of the
+// `b` list. A `b` inserted a level deeper turns the shortcut off for that
+// list, deleting it leaves the bound raised, and a fork or a snapshot
+// pinned before the insert keeps answering its own version.
+TEST_P(EvaluatorOrderTest, ChildSpansFollowDeeperInsertsDeletesAndForks) {
+  const char* const kXml = "<a><b><c/></b><c/><x><y/></x><b><c/></b><b/></a>";
+  const char* const kQueries[] = {"/a/b", "/a/b[2]", "/a/b[./c]", "/a/c",
+                                  "//x/b", "/a/*[./c]"};
+  const auto scheme = labeling::SchemeByName(GetParam());
+  auto parsed = xml::ParseXml(kXml);
+  ASSERT_TRUE(parsed.ok());
+  RefTree ref = RefTree::FromDocument(*parsed);
+  LabeledDocument labeled(*parsed, *scheme);
+  const NodeId y = 5;
+  ASSERT_EQ(ref.tag[y], "y");
+
+  auto check = [&](const LabeledDocument& doc, const RefTree& tree,
+                   const char* when) {
+    const RefEvaluator reference(tree);
+    for (const char* text : kQueries) {
+      auto query = ParseQuery(text);
+      ASSERT_TRUE(query.ok()) << text;
+      ASSERT_EQ(EvaluateQuery(*query, doc), reference.Evaluate(*query))
+          << GetParam() << " " << when << ": " << text;
+      ASSERT_EQ(CountQuery(*query, doc, doc.root()),
+                reference.Evaluate(*query).size())
+          << GetParam() << " " << when << ": " << text;
+    }
+    // The shortcut rests on the labels' levels being the tree's.
+    const labeling::Labeling& lab = doc.labeling();
+    for (const NodeId n : tree.PreOrder()) {
+      ASSERT_EQ(lab.Level(n), lab.skeleton().level(n)) << GetParam() << n;
+    }
+  };
+  auto scanned = [&](const LabeledDocument& doc) {
+    auto query = ParseQuery("/a/b");
+    const uint64_t before = CandidatesScanned();
+    EvaluateQuery(*query, doc);
+    return CandidatesScanned() - before;
+  };
+
+  ASSERT_NO_FATAL_FAILURE(check(labeled, ref, "loaded"));
+  EXPECT_EQ(labeled.WithTag("b").max_level(), 2);
+  EXPECT_EQ(scanned(labeled), 0u) << GetParam();
+  const RefTree before_insert = ref;
+  const std::unique_ptr<LabeledDocument> fork = labeled.Fork();
+
+  // A `b` next to `y`, deeper than any `b` before it.
+  const labeling::InsertResult inserted =
+      labeled.labeling_mutable()->InsertSiblingAfter(y);
+  labeled.NoteInsertedNode(inserted.new_node, "b");
+  ASSERT_EQ(inserted.new_node, ref.AddSibling(y, /*before=*/false, "b"));
+  ASSERT_NO_FATAL_FAILURE(check(labeled, ref, "after the deep insert"));
+  EXPECT_EQ(labeled.WithTag("b").max_level(), 3);
+  EXPECT_GT(scanned(labeled), 0u) << GetParam();
+
+  // The fork still has only shallow `b`s and answers from its own labels.
+  EXPECT_EQ(fork->WithTag("b").max_level(), 2);
+  ASSERT_NO_FATAL_FAILURE(check(*fork, before_insert, "fork"));
+
+  labeled.DeleteSubtree(inserted.new_node);
+  ref.RemoveSubtree(inserted.new_node);
+  ASSERT_NO_FATAL_FAILURE(check(labeled, ref, "after the delete"));
+  EXPECT_EQ(labeled.WithTag("b").max_level(), 3);  // never lowered
+
+  // The same through the concurrent engine: a snapshot pinned before the
+  // insert keeps its version while the writer moves on.
+  ConcurrentXmlDbOptions options;
+  options.db.scheme_name = GetParam();
+  options.read_workers = 1;
+  auto db = ConcurrentXmlDb::OpenFromXml(kXml, options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  RefTree live = before_insert;
+  const ConcurrentXmlDb::Snapshot pinned = (*db)->PinSnapshot();
+  Result<NodeId> deep = (*db)->InsertElementAfter(y, "b");
+  ASSERT_TRUE(deep.ok()) << deep.status();
+  ASSERT_EQ(*deep, live.AddSibling(y, /*before=*/false, "b"));
+  {
+    const ConcurrentXmlDb::Snapshot now = (*db)->PinSnapshot();
+    ASSERT_NO_FATAL_FAILURE(check(now.view(), live, "engine after insert"));
+  }
+  ASSERT_NO_FATAL_FAILURE(check(pinned.view(), before_insert, "pinned"));
+  ASSERT_TRUE((*db)->DeleteElement(*deep).ok());
+  live.RemoveSubtree(*deep);
+  {
+    const ConcurrentXmlDb::Snapshot now = (*db)->PinSnapshot();
+    ASSERT_NO_FATAL_FAILURE(check(now.view(), live, "engine after delete"));
+  }
+  ASSERT_NO_FATAL_FAILURE(check(pinned.view(), before_insert, "pinned"));
+}
+
 std::vector<std::string> AllSchemeNames() {
   std::vector<std::string> names;
   for (const auto& scheme : labeling::AllSchemes()) {
@@ -358,12 +460,6 @@ TEST(StepsSortedCounterTest, Exported) {
             std::string::npos);
 }
 
-uint64_t CandidatesScanned() {
-  return obs::MetricRegistry::Default()
-      .GetCounter("query.eval.candidates_scanned")
-      ->value();
-}
-
 // The skip, pinned as exact counts: `*` under /play gallops over each
 // child's subtree instead of testing every element in it, and descendant
 // steps copy their span without looking at a candidate.
@@ -384,11 +480,17 @@ TEST(CandidatesScannedCounterTest, SkipsSubtreesOnAFixedPlay) {
     EXPECT_LT(scanned("/play/*//line") * 100, elements) << name;
     EXPECT_EQ(scanned("//line"), 0u) << name;
     EXPECT_EQ(scanned("/play//speech"), 0u) << name;
+    // Child steps over lists that never nest below their parents are
+    // spans: copied whole, and [n] is an index into them.
+    EXPECT_EQ(scanned("//act/scene/speech"), 0u) << name;
+    EXPECT_EQ(scanned("/play/act[2]"), 0u) << name;
   }
 }
 
 TEST(CandidatesScannedCounterTest, Exported) {
-  auto parsed = xml::ParseXml("<r><a/></r>");
+  // The second `a` sits below a `b`, so `a` children of `r` are not a
+  // span and the child step scans.
+  auto parsed = xml::ParseXml("<r><a/><b><a/></b></r>");
   ASSERT_TRUE(parsed.ok());
   const auto scheme = labeling::SchemeByName("V-CDBS-Containment");
   const LabeledDocument labeled(*parsed, *scheme);
@@ -396,7 +498,8 @@ TEST(CandidatesScannedCounterTest, Exported) {
   ASSERT_TRUE(query.ok());
   const uint64_t before = CandidatesScanned();
   EvaluateQuery(*query, labeled);
-  EXPECT_EQ(CandidatesScanned() - before, 1u);  // `a`, then the list ends
+  // The child `a`, then the nested `a`, a level too deep, stepped over.
+  EXPECT_EQ(CandidatesScanned() - before, 2u);
   const obs::MetricRegistry& registry = obs::MetricRegistry::Default();
   EXPECT_NE(obs::ToJson(registry).find("\"query.eval.candidates_scanned\""),
             std::string::npos);

@@ -87,6 +87,28 @@ TEST(HistogramTest, QuantilesOnPointMass) {
   EXPECT_EQ(h.max(), 64u);
 }
 
+TEST(HistogramTest, MergedBatchEqualsRecordingEachValue) {
+  const uint64_t values[] = {0, 1, 2, 3, 7, 8, 100, 100, 4096, UINT64_MAX >> 1};
+  Histogram one_by_one;
+  Histogram merged;
+  Histogram::Batch batch;
+  for (const uint64_t v : values) {
+    one_by_one.Record(v);
+    batch.Record(v);
+  }
+  merged.Record(5);  // a merge adds to what is there
+  one_by_one.Record(5);
+  merged.Merge(batch);
+  merged.Merge(Histogram::Batch());  // an empty batch changes nothing
+  for (int b = 0; b < Histogram::kNumBuckets; ++b) {
+    EXPECT_EQ(merged.bucket(b), one_by_one.bucket(b)) << b;
+  }
+  EXPECT_EQ(merged.count(), one_by_one.count());
+  EXPECT_EQ(merged.sum(), one_by_one.sum());
+  EXPECT_EQ(merged.min(), 0u);
+  EXPECT_EQ(merged.max(), UINT64_MAX >> 1);
+}
+
 TEST(HistogramTest, Reset) {
   Histogram h;
   h.Record(7);

@@ -33,6 +33,40 @@ TEST(XmlDbTest, OpenFromXmlAndQuery) {
   EXPECT_EQ(*(*db)->Count("/library/*"), 2u);
 }
 
+// Opening seeds `labeling.label_bits` with one merged batch; the snapshot
+// must equal recording every node's label size one by one.
+TEST(XmlDbTest, OpenSeedsLabelBitsLikePerNodeRecords) {
+  obs::Histogram* label_bits =
+      obs::MetricRegistry::Default().GetHistogram("labeling.label_bits");
+  label_bits->Reset();
+  auto db = XmlDb::Open(xml::GeneratePlay(/*seed=*/3, 2000), {});
+  ASSERT_TRUE(db.ok()) << db.status();
+  obs::MetricRegistry expected_registry;
+  obs::Histogram* expected = expected_registry.GetHistogram(
+      "labeling.label_bits", "Stored label size in bits per node");
+  const labeling::Labeling& lab = (*db)->labeling();
+  ASSERT_GT(lab.num_nodes(), 1000u);
+  for (NodeId n = 0; n < lab.num_nodes(); ++n) {
+    expected->Record(8 * lab.SerializedLabelSize(n));
+  }
+  auto find = [](const std::vector<obs::MetricSnapshot>& all) {
+    for (const obs::MetricSnapshot& m : all) {
+      if (m.name == "labeling.label_bits") return m;
+    }
+    ADD_FAILURE() << "labeling.label_bits missing";
+    return obs::MetricSnapshot();
+  };
+  const obs::MetricSnapshot got =
+      find(obs::MetricRegistry::Default().Snapshot());
+  const obs::MetricSnapshot want = find(expected_registry.Snapshot());
+  EXPECT_EQ(got.buckets, want.buckets);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.count, lab.num_nodes());
+  EXPECT_EQ(got.sum, want.sum);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+}
+
 TEST(XmlDbTest, OpenRejectsBadXml) {
   EXPECT_FALSE(XmlDb::OpenFromXml("<broken>", {}).ok());
   EXPECT_FALSE(XmlDb::OpenFromXml("", {}).ok());
