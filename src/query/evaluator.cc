@@ -118,8 +118,14 @@ class Sink {
   uint64_t count_ = 0;
 };
 
-// Structure through the scheme's virtual predicates: the view Dewey,
-// OrdPath, the prefix schemes and Prime are read through.
+// The navigator reads structure through a view. Besides the predicates, a
+// view makes the tests a positioning search probes with, each true on a
+// prefix of a document-ordered list: NotAfter(n) through `n`, Before(n)
+// up to just before `n`, and InSubtree(a), on elements from `a` on,
+// through a's last descendant.
+//
+// This view asks the scheme's virtual predicates: Dewey, OrdPath, the
+// prefix schemes and Prime are read through it.
 class LabelingView {
  public:
   static constexpr bool kColumns = false;
@@ -132,6 +138,18 @@ class LabelingView {
   bool IsAncestor(NodeId a, NodeId d) const { return lab_->IsAncestor(a, d); }
   bool IsParent(NodeId p, NodeId c) const { return lab_->IsParent(p, c); }
   int Level(NodeId n) const { return lab_->Level(n); }
+
+  auto NotAfter(NodeId n) const {
+    return [lab = lab_, n](NodeId x) { return lab->CompareOrder(n, x) >= 0; };
+  }
+  auto Before(NodeId n) const {
+    return [lab = lab_, n](NodeId x) { return lab->CompareOrder(x, n) < 0; };
+  }
+  auto InSubtree(NodeId a) const {
+    return [lab = lab_, a](NodeId x) {
+      return x == a || lab->IsAncestor(a, x);
+    };
+  }
 
  private:
   const Labeling* lab_;
@@ -147,8 +165,6 @@ class ContainmentView {
  public:
   static constexpr bool kColumns = true;
   using Value = typename Codec::Value;
-  // How a probe holds a bound: words by value, strings by reference.
-  using Key = std::conditional_t<std::is_scalar_v<Value>, Value, const Value&>;
 
   explicit ContainmentView(const labeling::ContainmentLabeling<Codec>& lab)
       : start_(&lab.starts()), end_(&lab.ends()), level_(&lab.levels()) {}
@@ -169,7 +185,25 @@ class ContainmentView {
     return Level(c) - Level(p) == 1 && IsAncestor(p, c);
   }
 
+  // Each probe reads one start value and compares it with a bound read
+  // once. From `a` on, an element is in a's subtree iff it starts before
+  // `a` ends.
+  auto NotAfter(NodeId n) const { return StartsBelow<true>{*this, Start(n)}; }
+  auto Before(NodeId n) const { return StartsBelow<false>{*this, Start(n)}; }
+  auto InSubtree(NodeId a) const { return StartsBelow<false>{*this, End(a)}; }
+
  private:
+  // True for elements that start below `bound` (or at it, kOrAt). Words are
+  // held by value, strings by reference into their column.
+  template <bool kOrAt>
+  struct StartsBelow {
+    ContainmentView view;
+    std::conditional_t<std::is_scalar_v<Value>, Value, const Value&> bound;
+    bool operator()(NodeId x) const {
+      return kOrAt ? !(bound < view.Start(x)) : view.Start(x) < bound;
+    }
+  };
+
   const util::CowVector<Value>* start_;
   const util::CowVector<Value>* end_;
   const util::CowVector<int>* level_;
@@ -374,79 +408,36 @@ class Navigator {
  private:
   bool ScopeIsRoot() const { return scope_ == doc_.root(); }
 
-  // Index of the first element of list[from, to) that fails `holds`, true
-  // on a prefix of that range.
-  template <typename Holds>
-  size_t Search(const TagList& list, size_t from, size_t to, Holds holds) {
-    return list.PartitionPoint(from, to, holds, &comparisons_);
-  }
-
-  // Index of the first element of `list` after `node` in document order:
-  // the first whose start passes start(node). `from` is a lower bound on
-  // the answer; the search gallops from it.
+  // Index of the first element of `list` after `node` in document order.
+  // `from` is a lower bound on the answer; the search gallops from it.
   size_t FirstAfter(const TagList& list, NodeId node, size_t from) {
-    const View view = view_;
-    if constexpr (View::kColumns) {
-      const typename View::Key start = view.Start(node);
-      return Search(list, from, list.size(), [view, start](NodeId x) {
-        return !(start < view.Start(x));
-      });
-    } else {
-      return Search(list, from, list.size(), [view, node](NodeId x) {
-        return view.CompareOrder(node, x) >= 0;
-      });
-    }
+    return list.PartitionPoint(from, list.size(), view_.NotAfter(node),
+                               &comparisons_);
   }
 
   // Index of the first element of list[from, to) that is not a descendant
   // of `anchor`. Every element of that range must come after `anchor`, so
-  // its descendants there form a prefix: those that start before `anchor`
-  // ends.
+  // its descendants there form a prefix.
   size_t SubtreeEnd(const TagList& list, NodeId anchor, size_t from,
                     size_t to) {
-    const View view = view_;
-    if constexpr (View::kColumns) {
-      const typename View::Key end = view.End(anchor);
-      return Search(list, from, to,
-                    [view, end](NodeId x) { return view.Start(x) < end; });
-    } else {
-      return Search(list, from, to, [view, anchor](NodeId x) {
-        return view.IsAncestor(anchor, x);
-      });
-    }
+    return list.PartitionPoint(from, to, view_.InSubtree(anchor),
+                               &comparisons_);
   }
 
   // Index of the scope itself in `list`, or of the first element after it;
   // `from` is a lower bound.
   size_t ScopeBegin(const TagList& list, size_t from) {
     if (ScopeIsRoot()) return 0;
-    const View view = view_;
-    const NodeId scope = scope_;
-    if constexpr (View::kColumns) {
-      const typename View::Key start = view.Start(scope);
-      return Search(list, from, list.size(),
-                    [view, start](NodeId x) { return view.Start(x) < start; });
-    } else {
-      return Search(list, from, list.size(), [view, scope](NodeId x) {
-        return view.CompareOrder(x, scope) < 0;
-      });
-    }
+    return list.PartitionPoint(from, list.size(), view_.Before(scope_),
+                               &comparisons_);
   }
 
   // Index of the first element of `list` past the scope's subtree; `from`
   // is at least ScopeBegin.
   size_t ScopeEnd(const TagList& list, size_t from) {
     if (ScopeIsRoot()) return list.size();
-    if constexpr (View::kColumns) {
-      // The scope itself starts before its end too.
-      return SubtreeEnd(list, scope_, from, list.size());
-    } else {
-      const View view = view_;
-      const NodeId scope = scope_;
-      return Search(list, from, list.size(), [view, scope](NodeId x) {
-        return x == scope || view.IsAncestor(scope, x);
-      });
-    }
+    return list.PartitionPoint(from, list.size(), view_.InSubtree(scope_),
+                               &comparisons_);
   }
 
   // True when every descendant of `parent` in `list` is a child of it: the
