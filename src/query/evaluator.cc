@@ -159,13 +159,14 @@ class LabelingView {
 // ancestor of `d` iff start(a) < start(d) and end(d) < end(a), document
 // order is start order, and the level is stored. One view serves every
 // containment codec (V/F-Binary, Float, V/F-CDBS, QED, Hybrid): each
-// orders its values by `<`.
-template <typename Codec>
+// orders its values by `<`. It depends only on the value type, so codecs
+// with the same one (Binary and CDBS words) share one navigator.
+template <typename Value>
 class ContainmentView {
  public:
   static constexpr bool kColumns = true;
-  using Value = typename Codec::Value;
 
+  template <typename Codec>
   explicit ContainmentView(const labeling::ContainmentLabeling<Codec>& lab)
       : start_(&lab.starts()), end_(&lab.ends()), level_(&lab.levels()) {}
 
@@ -215,7 +216,9 @@ template <typename Codec, typename F>
 bool WithColumns(const Labeling& lab, F& f) {
   const auto* containment =
       dynamic_cast<const labeling::ContainmentLabeling<Codec>*>(&lab);
-  if (containment != nullptr) f(ContainmentView<Codec>(*containment));
+  if (containment != nullptr) {
+    f(ContainmentView<typename Codec::Value>(*containment));
+  }
   return containment != nullptr;
 }
 
