@@ -472,7 +472,7 @@ class Navigator {
       const size_t begin = ScopeBegin(list, cursor->at);
       const size_t end = ScopeEnd(list, begin);
       cursor->at = end;
-      if (s.predicates.empty() && s.position == 0) {
+      if (CopiesSpan(scope_, step)) {
         sink->Span(list, begin, end);
       } else {
         sink->Visit([&](auto visit) { Filter(begin, end, step, visit); });
@@ -514,12 +514,8 @@ class Navigator {
     while (i < end) {
       const NodeId cand = *it;
       ++scanned;
-      bool child;
-      if constexpr (View::kColumns) {
-        child = view.Level(cand) == child_level;
-      } else {
-        child = view.IsParent(parent, cand);
-      }
+      const bool child = View::kColumns ? view.Level(cand) == child_level
+                                        : view.IsParent(parent, cand);
       if (child) {
         if (!visit(cand)) break;
         last_child = cand;

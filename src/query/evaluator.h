@@ -32,9 +32,11 @@
 ///  * A child step over a tag list that never held a node deeper than one
 ///    level below the context (`TagList::max_level`) is the context's
 ///    descendant span: taken whole, `[n]` an index into it. Otherwise it
-///    tests each candidate of that span for the child level; a deeper one
-///    lies under an earlier child, so the rest of the last child's subtree
-///    is galloped over, and a child `[n]` ends the scan at the n-th child.
+///    tests each candidate for being a child (the level inside the span
+///    when reading containment columns, `IsParent` otherwise); a deeper
+///    descendant lies under an earlier child, so the rest of the last
+///    child's subtree is galloped over, and a child `[n]` ends the scan at
+///    the n-th child.
 ///  * One forward cursor per step: the context list is strictly in document
 ///    order, so each context's first position in the step's list is never
 ///    before the previous one's, and the search gallops on from there
