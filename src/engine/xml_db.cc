@@ -117,6 +117,10 @@ Result<std::unique_ptr<XmlDb>> XmlDb::Open(XmlTree tree,
     return Status::InvalidArgument("document has no root");
   }
   auto scheme = labeling::SchemeByName(options.scheme_name);
+  if (scheme == nullptr) {
+    return Status::InvalidArgument("unknown labeling scheme '" +
+                                   options.scheme_name + "'");
+  }
   std::unique_ptr<XmlDb> db(new XmlDb(std::move(tree), std::move(scheme)));
   CDBS_RETURN_NOT_OK(db->InitStore(options));
   return db;

@@ -127,7 +127,8 @@ class XmlTree {
 /// A labeled, queryable, updatable XML document.
 class XmlDb {
  public:
-  /// Labels `tree` and builds a database over it.
+  /// Labels `tree` and builds a database over it. Fails with
+  /// InvalidArgument when `options.scheme_name` names no registered scheme.
   static Result<std::unique_ptr<XmlDb>> Open(XmlTree tree,
                                              const XmlDbOptions& options);
 

@@ -351,20 +351,11 @@ class ContainmentLabeling : public Labeling {
 
   const TreeSkeleton& skeleton() const override { return skeleton_; }
 
-  std::unique_ptr<Labeling> Clone() const override {
-    return std::make_unique<ContainmentLabeling<Codec>>(*this);
-  }
-
   std::unique_ptr<Labeling> ForkShared() const override {
     // The copy constructor is COW across all per-node state (CowVector
-    // labels/levels + COW TreeSkeleton), so a fork shares every chunk:
-    // O(chunks), not O(nodes). This is the fast path the concurrent
-    // engine's publish takes for the whole containment family (V/F-Binary,
-    // Float, V/F-CDBS, QED, Hybrid).
+    // labels/levels + COW TreeSkeleton), so a fork shares every chunk.
     return std::make_unique<ContainmentLabeling<Codec>>(*this);
   }
-
-  bool SupportsSharedFork() const override { return true; }
 
   /// The label columns, read-only: readers that decide structure from the
   /// values directly (query/evaluator.cc) instead of per-node virtual

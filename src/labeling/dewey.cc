@@ -140,17 +140,10 @@ class DeweyLabeling : public Labeling {
 
   const TreeSkeleton& skeleton() const override { return skeleton_; }
 
-  std::unique_ptr<Labeling> Clone() const override {
-    return std::make_unique<DeweyLabeling>(*this);
-  }
-
   std::unique_ptr<Labeling> ForkShared() const override {
-    // Copy construction is COW (CowVector labels + COW TreeSkeleton): a
-    // fork shares every chunk, O(chunks) instead of O(nodes).
+    // Copy construction is COW (CowVector labels + COW TreeSkeleton).
     return std::make_unique<DeweyLabeling>(*this);
   }
-
-  bool SupportsSharedFork() const override { return true; }
 
   /// Test hook: the raw component path.
   const std::vector<uint64_t>& label(NodeId n) const { return labels_[n]; }

@@ -188,25 +188,14 @@ class Labeling {
     return SerializeLabel(n).size();
   }
 
-  /// Logically independent copy of this labeling (labels, skeleton, codec
-  /// state). One side may keep inserting while the other is read
-  /// concurrently. Implementations may share immutable state (e.g. COW
-  /// chunks) as long as that independence holds under the serving layer's
-  /// thread contract (see util/cow_vector.h).
-  virtual std::unique_ptr<Labeling> Clone() const = 0;
-
-  /// Copy-on-write fork: the O(touched) snapshot primitive behind the
-  /// concurrent serving layer (docs/CONCURRENCY.md). Semantics are exactly
-  /// Clone()'s; schemes whose state is COW-backed (the containment family,
-  /// Dewey) override this to share chunks so a fork costs O(chunks), not
-  /// O(nodes). The default falls back to the deep Clone().
-  virtual std::unique_ptr<Labeling> ForkShared() const { return Clone(); }
-
-  /// True when ForkShared() genuinely shares state (COW chunks) instead of
-  /// falling back to the deep Clone(). The per-shard concurrent serving
-  /// path (src/shard/) publishes a snapshot per group commit and refuses
-  /// schemes where that publish would be O(nodes) — see ShardedDb::Open.
-  virtual bool SupportsSharedFork() const { return false; }
+  /// Copy-on-write fork: the snapshot primitive behind the concurrent
+  /// serving layer (docs/CONCURRENCY.md). The fork is logically independent
+  /// of this labeling: one side may keep inserting while the other is read
+  /// concurrently. Every scheme keeps its per-node state in
+  /// `util::CowVector`s, so a fork shares every chunk and costs O(chunks),
+  /// not O(nodes); the side that mutates path-copies only the chunks it
+  /// touches (see util/cow_vector.h for the thread contract).
+  virtual std::unique_ptr<Labeling> ForkShared() const = 0;
 
   /// Structural skeleton (shared bookkeeping; not used by predicates).
   virtual const TreeSkeleton& skeleton() const = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/cow_vector.h"
 
 namespace cdbs::labeling {
 
@@ -139,19 +140,19 @@ class OrdPathLabeling : public Labeling {
       : name_(std::move(name)), variant1_(variant1) {
     skeleton_ = std::move(skeleton);
     const NodeId count = static_cast<NodeId>(skeleton_.size());
-    labels_.resize(count);
-    self_len_.resize(count, 1);
     std::vector<int64_t> ordinal(count, 1);
     for (NodeId n = 0; n < count; ++n) {
+      self_len_.PushBack(1);
       const NodeId parent = skeleton_.parent(n);
       if (parent == kNoNode) {
-        labels_[n] = {1};
+        labels_.PushBack({1});
         continue;
       }
       const NodeId prev = skeleton_.prev_sibling(n);
       if (prev != kNoNode) ordinal[n] = ordinal[prev] + 2;  // odd ordinals
-      labels_[n] = labels_[parent];
-      labels_[n].push_back(ordinal[n]);
+      std::vector<int64_t> label = labels_[parent];
+      label.push_back(ordinal[n]);
+      labels_.PushBack(std::move(label));
     }
   }
 
@@ -160,8 +161,8 @@ class OrdPathLabeling : public Labeling {
 
   uint64_t TotalLabelBits() const override {
     uint64_t total = 0;
-    for (const auto& label : labels_) {
-      for (const int64_t component : label) {
+    for (size_t n = 0; n < labels_.size(); ++n) {
+      for (const int64_t component : labels_[n]) {
         total += variant1_ ? OrdPath1ComponentBits(component)
                            : OrdPath2ComponentBits(component);
       }
@@ -248,7 +249,7 @@ class OrdPathLabeling : public Labeling {
 
   const TreeSkeleton& skeleton() const override { return skeleton_; }
 
-  std::unique_ptr<Labeling> Clone() const override {
+  std::unique_ptr<Labeling> ForkShared() const override {
     return std::make_unique<OrdPathLabeling>(*this);
   }
 
@@ -268,16 +269,17 @@ class OrdPathLabeling : public Labeling {
     const OrdPathSelf self = OrdPathInsertBetween(left, right);
     std::vector<int64_t> label = labels_[skeleton_.parent(id)];
     label.insert(label.end(), self.begin(), self.end());
-    labels_.push_back(std::move(label));
-    self_len_.push_back(static_cast<uint32_t>(self.size()));
+    labels_.PushBack(std::move(label));
+    self_len_.PushBack(static_cast<uint32_t>(self.size()));
     return result;  // relabeled == 0: the ORDPATH guarantee
   }
 
   std::string name_;
   bool variant1_;
   TreeSkeleton skeleton_;
-  std::vector<std::vector<int64_t>> labels_;
-  std::vector<uint32_t> self_len_;
+  // Copy-on-write, like the skeleton: a fork shares every chunk.
+  util::CowVector<std::vector<int64_t>> labels_;
+  util::CowVector<uint32_t> self_len_;
 };
 
 }  // namespace

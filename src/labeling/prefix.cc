@@ -7,6 +7,7 @@
 #include "core/cdbs.h"
 #include "core/qed.h"
 #include "util/check.h"
+#include "util/cow_vector.h"
 
 namespace cdbs::labeling {
 
@@ -81,8 +82,10 @@ class DynamicPrefixLabeling : public Labeling {
 
   uint64_t TotalLabelBits() const override {
     uint64_t total = 0;
-    for (const auto& label : labels_) {
-      for (const Self& self : label) total += policy_.SelfStoredBits(self);
+    for (size_t n = 0; n < labels_.size(); ++n) {
+      for (const Self& self : labels_[n]) {
+        total += policy_.SelfStoredBits(self);
+      }
     }
     return total;
   }
@@ -146,7 +149,7 @@ class DynamicPrefixLabeling : public Labeling {
 
   const TreeSkeleton& skeleton() const override { return skeleton_; }
 
-  std::unique_ptr<Labeling> Clone() const override {
+  std::unique_ptr<Labeling> ForkShared() const override {
     return std::make_unique<DynamicPrefixLabeling>(*this);
   }
 
@@ -166,11 +169,13 @@ class DynamicPrefixLabeling : public Labeling {
     }
     policy_.Init(max_group);
 
-    labels_.resize(count);
+    // An overflow re-encode rewrites every label in place; chunks a fork
+    // still shares are path-copied, the rest are written where they sit.
+    labels_.Resize(count);
     for (NodeId n = 0; n < count; ++n) {
       if (skeleton_.is_removed(n)) continue;  // stale label, dead id
       if (skeleton_.parent(n) == kNoNode) {
-        labels_[n] = {policy_.InitialGroup(1)[0]};
+        labels_.Set(n, {policy_.InitialGroup(1)[0]});
         continue;
       }
       if (skeleton_.prev_sibling(n) != kNoNode) continue;  // handled below
@@ -180,8 +185,9 @@ class DynamicPrefixLabeling : public Labeling {
       const std::vector<Self> group = policy_.InitialGroup(group_size[parent]);
       size_t i = 0;
       for (NodeId s = n; s != kNoNode; s = skeleton_.next_sibling(s), ++i) {
-        labels_[s] = labels_[parent];
-        labels_[s].push_back(group[i]);
+        std::vector<Self> label = labels_[parent];
+        label.push_back(group[i]);
+        labels_.Set(s, std::move(label));
       }
     }
   }
@@ -194,13 +200,13 @@ class DynamicPrefixLabeling : public Labeling {
     if (policy_.InsertBetween(left, right, &self, &neighbor_bits)) {
       std::vector<Self> label = labels_[skeleton_.parent(id)];
       label.push_back(std::move(self));
-      labels_.push_back(std::move(label));
+      labels_.PushBack(std::move(label));
       result.neighbor_bits_modified = neighbor_bits;
       return result;
     }
     // Length-field overflow: re-encode everything (Example 6.1).
     const uint64_t existing = skeleton_.size() - 1;
-    labels_.emplace_back();  // placeholder; InitialEncode rebuilds all
+    labels_.PushBack({});  // placeholder; InitialEncode rebuilds all
     InitialEncode();
     result.relabeled = existing;
     result.overflow = true;
@@ -215,7 +221,7 @@ class DynamicPrefixLabeling : public Labeling {
   std::string name_;
   Policy policy_;
   TreeSkeleton skeleton_;
-  std::vector<std::vector<Self>> labels_;
+  util::CowVector<std::vector<Self>> labels_;
 };
 
 // QED-Prefix with the storage the QED paper actually uses: one flat
@@ -230,8 +236,8 @@ class QedPrefixLabeling : public Labeling {
       : name_(std::move(name)) {
     skeleton_ = std::move(skeleton);
     const NodeId count = static_cast<NodeId>(skeleton_.size());
-    labels_.resize(count);
-    selves_.resize(count);
+    labels_.Resize(count);
+    selves_.Resize(count);
     std::vector<uint32_t> group_size(count, 0);
     for (NodeId n = 0; n < count; ++n) {
       const NodeId parent = skeleton_.parent(n);
@@ -240,8 +246,8 @@ class QedPrefixLabeling : public Labeling {
     for (NodeId n = 0; n < count; ++n) {
       const NodeId parent = skeleton_.parent(n);
       if (parent == kNoNode) {
-        selves_[n] = "2";
-        labels_[n] = "20";
+        selves_.Set(n, "2");
+        labels_.Set(n, "20");
         continue;
       }
       if (skeleton_.prev_sibling(n) != kNoNode) continue;
@@ -249,8 +255,8 @@ class QedPrefixLabeling : public Labeling {
           core::QedEncodeRange(group_size[parent]);
       size_t i = 0;
       for (NodeId s = n; s != kNoNode; s = skeleton_.next_sibling(s), ++i) {
-        selves_[s] = group[i];
-        labels_[s] = labels_[parent] + group[i] + '0';
+        selves_.Set(s, group[i]);
+        labels_.Set(s, labels_[parent] + group[i] + '0');
       }
     }
   }
@@ -262,7 +268,9 @@ class QedPrefixLabeling : public Labeling {
   /// digit.
   uint64_t TotalLabelBits() const override {
     uint64_t total = 0;
-    for (const std::string& label : labels_) total += 2 * label.size();
+    for (size_t n = 0; n < labels_.size(); ++n) {
+      total += 2 * labels_[n].size();
+    }
     return total;
   }
 
@@ -317,7 +325,7 @@ class QedPrefixLabeling : public Labeling {
 
   const TreeSkeleton& skeleton() const override { return skeleton_; }
 
-  std::unique_ptr<Labeling> Clone() const override {
+  std::unique_ptr<Labeling> ForkShared() const override {
     return std::make_unique<QedPrefixLabeling>(*this);
   }
 
@@ -327,16 +335,16 @@ class QedPrefixLabeling : public Labeling {
     InsertResult result;
     result.new_node = id;
     const core::QedCode self = core::QedInsertBetween(left, right);
-    selves_.push_back(self);
-    labels_.push_back(labels_[skeleton_.parent(id)] + self + '0');
+    selves_.PushBack(self);
+    labels_.PushBack(labels_[skeleton_.parent(id)] + self + '0');
     result.neighbor_bits_modified = 2;  // one quaternary digit
     return result;
   }
 
   std::string name_;
   TreeSkeleton skeleton_;
-  std::vector<std::string> labels_;       // flat, separator-delimited
-  std::vector<core::QedCode> selves_;     // last component per node
+  util::CowVector<std::string> labels_;    // flat, separator-delimited
+  util::CowVector<core::QedCode> selves_;  // last component per node
 };
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "bigint/bigint.h"
 #include "util/check.h"
+#include "util/cow_vector.h"
 
 namespace cdbs::labeling {
 
@@ -45,18 +47,17 @@ class PrimeLabeling : public Labeling {
     const NodeId count = static_cast<NodeId>(skeleton_.size());
     // Node at document position k (1-based) takes the k-th prime; the k-th
     // prime always exceeds k, so order residues round-trip through CRT.
-    primes_ = FirstPrimes(count + 1);  // headroom for one insertion
-    self_.resize(count);
-    label_.resize(count);
+    primes_ = std::make_shared<const std::vector<uint64_t>>(
+        FirstPrimes(count + 1));  // headroom for one insertion
     order_.resize(count);
     by_order_.resize(count);
     for (NodeId n = 0; n < count; ++n) {
-      self_[n] = primes_[n];  // ids are document-ordered
+      self_.PushBack((*primes_)[n]);  // ids are document-ordered
       order_[n] = n + 1;
       by_order_[n] = n;
       const NodeId parent = skeleton_.parent(n);
-      label_[n] = parent == kNoNode ? BigInt(self_[n])
-                                    : label_[parent].MulSmall(self_[n]);
+      label_.PushBack(parent == kNoNode ? BigInt(self_[n])
+                                        : label_[parent].MulSmall(self_[n]));
     }
     next_prime_index_ = count;
     RecomputeScFrom(0);
@@ -76,7 +77,7 @@ class PrimeLabeling : public Labeling {
     }
     // The SC values are part of the scheme's per-document storage: without
     // them there is no document order.
-    for (const BigInt& sc : sc_) total += sc.BitLength();
+    for (size_t g = 0; g < sc_.size(); ++g) total += sc_[g].BitLength();
     return total;
   }
 
@@ -141,7 +142,10 @@ class PrimeLabeling : public Labeling {
 
   const TreeSkeleton& skeleton() const override { return skeleton_; }
 
-  std::unique_ptr<Labeling> Clone() const override {
+  std::unique_ptr<Labeling> ForkShared() const override {
+    // Self primes, labels and SC values are COW and the prime table is
+    // shared; the two order vectors are copied whole, which is cheap next
+    // to the renumbering every Prime insert already does.
     return std::make_unique<PrimeLabeling>(*this);
   }
 
@@ -159,18 +163,16 @@ class PrimeLabeling : public Labeling {
   // document order past its self prime, which would break the SC residue
   // round-trip. Returns the number of labels rewritten.
   uint64_t RePrime(NodeId n) {
-    if (next_prime_index_ >= primes_.size()) {
-      primes_ = FirstPrimes(primes_.size() * 2);
-    }
-    self_[n] = primes_[next_prime_index_++];
+    self_.Set(n, NextPrime());
     uint64_t rewritten = 0;
     std::vector<NodeId> stack = {n};
     while (!stack.empty()) {
       const NodeId cur = stack.back();
       stack.pop_back();
       const NodeId parent = skeleton_.parent(cur);
-      label_[cur] = parent == kNoNode ? BigInt(self_[cur])
-                                      : label_[parent].MulSmall(self_[cur]);
+      label_.Set(cur, parent == kNoNode
+                          ? BigInt(self_[cur])
+                          : label_[parent].MulSmall(self_[cur]));
       ++rewritten;
       for (NodeId c = skeleton_.first_child(cur); c != kNoNode;
            c = skeleton_.next_sibling(c)) {
@@ -185,7 +187,7 @@ class PrimeLabeling : public Labeling {
   uint64_t RecomputeScFrom(size_t first_group) {
     const size_t group_count =
         (by_order_.size() + kScGroupSize - 1) / kScGroupSize;
-    sc_.resize(group_count);
+    sc_.Resize(group_count);
     uint64_t recomputed = 0;
     std::vector<uint64_t> residues;
     std::vector<uint64_t> moduli;
@@ -201,22 +203,29 @@ class PrimeLabeling : public Labeling {
         residues.push_back(order_[n]);
         moduli.push_back(self_[n]);
       }
-      sc_[g] = bigint::CrtCombine(residues, moduli);
+      sc_.Set(g, bigint::CrtCombine(residues, moduli));
       ++recomputed;
     }
     return recomputed;
+  }
+
+  // The next unused prime. A table that runs out is replaced by one twice
+  // the size; forks keep the table they were made with.
+  uint64_t NextPrime() {
+    if (next_prime_index_ >= primes_->size()) {
+      primes_ = std::make_shared<const std::vector<uint64_t>>(
+          FirstPrimes(primes_->size() * 2));
+    }
+    return (*primes_)[next_prime_index_++];
   }
 
   InsertResult Insert(NodeId id, uint32_t position) {
     InsertResult result;
     result.new_node = id;
     // Fresh prime for the new node; labels of existing nodes are untouched.
-    if (next_prime_index_ >= primes_.size()) {
-      primes_ = FirstPrimes(primes_.size() * 2);
-    }
-    self_.push_back(primes_[next_prime_index_++]);
+    self_.PushBack(NextPrime());
     const NodeId parent = skeleton_.parent(id);
-    label_.push_back(label_[parent].MulSmall(self_.back()));
+    label_.PushBack(label_[parent].MulSmall(self_[id]));
     // Shift document orders at/after the insertion point.
     by_order_.insert(by_order_.begin() + (position - 1), id);
     order_.push_back(position);
@@ -231,13 +240,15 @@ class PrimeLabeling : public Labeling {
 
   std::string name_;
   TreeSkeleton skeleton_;
-  std::vector<uint64_t> primes_;
+  // Immutable once built, so every fork shares it.
+  std::shared_ptr<const std::vector<uint64_t>> primes_;
   size_t next_prime_index_ = 0;
-  std::vector<uint64_t> self_;
-  std::vector<BigInt> label_;
+  util::CowVector<uint64_t> self_;
+  util::CowVector<BigInt> label_;
+  // Plain vectors: every insert renumbers all later positions anyway.
   std::vector<uint32_t> order_;    // 1-based document order per node
   std::vector<NodeId> by_order_;   // node at each document position
-  std::vector<BigInt> sc_;         // one SC value per group of 5 positions
+  util::CowVector<BigInt> sc_;     // one SC value per group of 5 positions
 };
 
 }  // namespace

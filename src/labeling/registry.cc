@@ -7,7 +7,6 @@
 #include "labeling/ordpath.h"
 #include "labeling/prefix.h"
 #include "labeling/prime.h"
-#include "util/check.h"
 
 namespace cdbs::labeling {
 
@@ -50,7 +49,6 @@ std::unique_ptr<LabelingScheme> SchemeByName(const std::string& name) {
   for (auto& scheme : AllSchemes()) {
     if (scheme->name() == name) return std::move(scheme);
   }
-  CDBS_CHECK(false && "unknown scheme name");
   return nullptr;
 }
 

@@ -23,7 +23,7 @@ std::vector<std::unique_ptr<LabelingScheme>> AllSchemes();
 /// Float-point-Containment, V/F-CDBS-Containment, QED-Containment.
 std::vector<std::unique_ptr<LabelingScheme>> DynamicSchemes();
 
-/// Looks up one scheme by its paper name; aborts on unknown names.
+/// Looks up one scheme by its paper name; null for unknown names.
 std::unique_ptr<LabelingScheme> SchemeByName(const std::string& name);
 
 }  // namespace cdbs::labeling

@@ -44,9 +44,8 @@ class LabeledDocument {
   /// Logically independent copy — the snapshot the concurrent engine
   /// publishes. The fork can be read from any thread while the original
   /// keeps mutating. Cost: O(chunks shared), not O(nodes): the labeling is
-  /// forked via `Labeling::ForkShared()` (COW for the containment and
-  /// Dewey families, deep `Clone()` fallback elsewhere) and the tag index
-  /// shares all runs/chunks copy-on-write.
+  /// forked via `Labeling::ForkShared()` (COW for every scheme) and the tag
+  /// index shares all runs/chunks copy-on-write.
   std::unique_ptr<LabeledDocument> Fork() const;
 
   const labeling::Labeling& labeling() const { return *labeling_; }

@@ -3,9 +3,7 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -88,10 +86,6 @@ std::future<Result<T>> FailedFuture(Status st) {
   return p.get_future();
 }
 
-const char* RouterName(RouterKind k) {
-  return k == RouterKind::kHash ? "hash" : "explicit";
-}
-
 }  // namespace
 
 std::string EncodeManifest(const ShardManifest& manifest) {
@@ -159,48 +153,6 @@ Status DecodeManifest(std::string_view bytes, ShardManifest* out) {
   return Status::OK();
 }
 
-size_t ApplyShardCountKnob(const char* raw, size_t fallback) {
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  // Strict parse, same discipline as CDBS_NET_DRAIN_MS: the whole string
-  // must be one positive integer, or the knob is ignored.
-  size_t parsed = 0;
-  const char* end = raw + std::strlen(raw);
-  const auto [ptr, ec] = std::from_chars(raw, end, parsed);
-  if (ec != std::errc() || ptr != end || parsed == 0) {
-    std::fprintf(stderr,
-                 "warning: ignoring CDBS_SHARD_COUNT=\"%s\" (want a whole "
-                 "positive integer); using default %zu\n",
-                 raw, fallback);
-    return fallback;
-  }
-  return parsed;
-}
-
-RouterKind ApplyShardRouterKnob(const char* raw, RouterKind fallback) {
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  const std::string_view v(raw);
-  if (v == "hash") return RouterKind::kHash;
-  if (v == "explicit") return RouterKind::kExplicit;
-  std::fprintf(stderr,
-               "warning: ignoring CDBS_SHARD_ROUTER=\"%s\" (want \"hash\" or "
-               "\"explicit\"); using default \"%s\"\n",
-               raw, RouterName(fallback));
-  return fallback;
-}
-
-void ShardedDbOptions::ApplyEnvKnobs() {
-  shard_count = ApplyShardCountKnob(std::getenv("CDBS_SHARD_COUNT"),
-                                    shard_count);
-  router = ApplyShardRouterKnob(std::getenv("CDBS_SHARD_ROUTER"), router);
-}
-
-bool SchemeSupportsSharedFork(const std::string& scheme_name) {
-  labeling::TreeSkeleton probe;
-  probe.AddNode(labeling::kNoNode);
-  const auto scheme = labeling::SchemeByName(scheme_name);
-  return scheme->Label(std::move(probe))->SupportsSharedFork();
-}
-
 uint32_t HashShardOf(uint64_t doc, uint32_t shard_count) {
   // splitmix64 finalizer: a few multiplies, avalanches every input bit, and
   // is trivially stable across platforms/processes — what a persisted
@@ -241,19 +193,15 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
         "shard.shared_readers empty");
   }
 
-  // Gate deep-clone labeling schemes up front, before labeling the real
-  // corpus: every group commit publishes a forked snapshot per shard, and a
-  // scheme whose ForkShared() falls back to Clone() turns each publish into
-  // an O(nodes) copy.
-  if (!SchemeSupportsSharedFork(options.shard.db.scheme_name)) {
-    return Status::InvalidArgument(
-        "labeling scheme '" + options.shard.db.scheme_name +
-        "' deep-clones on ForkShared(); the sharded concurrent path "
-        "requires a copy-on-write fork (containment family or Dewey)");
+  // Every shard would fail the same way; reject the name before anything
+  // (a MANIFEST included) reaches storage_dir.
+  if (labeling::SchemeByName(options.shard.db.scheme_name) == nullptr) {
+    return Status::InvalidArgument("unknown labeling scheme '" +
+                                   options.shard.db.scheme_name + "'");
   }
 
   // Placement: a manifest on disk is authoritative — documents never move
-  // between shards because options or env knobs changed across restarts.
+  // between shards because options changed across restarts.
   ShardManifest manifest;
   bool from_disk = false;
   std::string manifest_path;

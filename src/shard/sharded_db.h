@@ -53,7 +53,7 @@ enum class RouterKind : uint8_t {
 
 /// The persisted placement record: written to `<storage_dir>/MANIFEST` at
 /// first open, authoritative on every reopen — documents never silently
-/// move between shards when options or env knobs change.
+/// move between shards when options change.
 struct ShardManifest {
   uint32_t shard_count = 0;
   RouterKind router = RouterKind::kHash;
@@ -88,30 +88,11 @@ struct ShardedDbOptions {
   /// writable. `supervisor.enabled = false` restores the unsupervised
   /// behavior.
   SupervisorOptions supervisor;
-
-  /// Applies the strict `CDBS_SHARD_COUNT` / `CDBS_SHARD_ROUTER` env knobs
-  /// to this options struct (malformed values warn on stderr and keep the
-  /// current value). Callers opt in — Open never reads the environment
-  /// itself. A manifest on disk still overrides both on reopen.
-  void ApplyEnvKnobs();
 };
-
-/// Strict knob parsers (exposed for unit tests, same discipline as
-/// net::ApplyDrainMsKnob): the whole string must parse or the fallback is
-/// kept with a warning on stderr.
-size_t ApplyShardCountKnob(const char* raw, size_t fallback);
-RouterKind ApplyShardRouterKnob(const char* raw, RouterKind fallback);
 
 /// Pure routing function behind RouterKind::kHash (exposed for tests):
 /// stable across processes and opens for a given (doc, shard_count).
 uint32_t HashShardOf(uint64_t doc, uint32_t shard_count);
-
-/// True when `scheme_name`'s labelings genuinely share state on
-/// ForkShared() (the COW fork the per-shard publish path requires). Decided
-/// by probing a one-node document — fork sharing is a property of the
-/// scheme, not the data. Aborts on unknown names, like
-/// labeling::SchemeByName.
-bool SchemeSupportsSharedFork(const std::string& scheme_name);
 
 /// One shard's contribution to a scatter-gathered count.
 struct ShardCount {
@@ -136,11 +117,12 @@ struct GatheredCount {
 /// reader pool.
 class ShardedDb {
  public:
-  /// Labels and serves `docs` across shards. Fails with InvalidArgument
-  /// when the configured labeling scheme cannot `ForkShared()` (deep-clone
-  /// schemes would make every per-shard publish O(nodes)), when an explicit
-  /// placement is inconsistent, or when a manifest on disk disagrees with
-  /// the document count.
+  /// Labels and serves `docs` across shards under any registered labeling
+  /// scheme; every shard publishes its group commits through the scheme's
+  /// copy-on-write `ForkShared()`. Fails with InvalidArgument when the
+  /// scheme name is unknown (before any MANIFEST is written), when an
+  /// explicit placement is inconsistent, or when a manifest on disk
+  /// disagrees with the document count.
   static Result<std::unique_ptr<ShardedDb>> Open(
       std::vector<xml::Document> docs, const ShardedDbOptions& options);
 

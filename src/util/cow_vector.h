@@ -54,7 +54,7 @@ struct CowStats {
   }
 };
 
-/// A grow-only chunked COW vector. See the file comment for the contract.
+/// A chunked COW vector. See the file comment for the contract.
 template <typename T, size_t kChunkSizeLog2 = 8>
 class CowVector {
  public:
@@ -112,12 +112,16 @@ class CowVector {
     ++size_;
   }
 
-  /// Grows to `n` elements, the new ones default-constructed. Grow-only:
-  /// nothing in this codebase shrinks per-node state (ids are never
-  /// reused).
+  /// Resizes to `n` elements; new ones are default-constructed. Shrinking
+  /// drops whole chunks past the end and leaves the tail of the last chunk
+  /// as it is, to be overwritten by the next PushBack. Per-node state never
+  /// shrinks (ids are never reused); Prime's per-group SC values do.
   void Resize(size_t n) {
-    CDBS_CHECK(n >= size_);
     while (size_ < n) PushBack(T{});
+    if (n < size_) {
+      spine_.resize((n + kMask) >> kChunkSizeLog2);
+      size_ = n;
+    }
   }
 
   void Clear() {

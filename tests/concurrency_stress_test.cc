@@ -81,70 +81,78 @@ TEST(SnapshotManagerStressTest, ReadersNeverObserveTornOrFreedViews) {
 }
 
 TEST(ConcurrentStressTest, HamletReadersSeeOrderedDuplicateFreeSpeakers) {
-  ConcurrentXmlDbOptions options;
-  options.read_workers = 2;
-  auto db = ConcurrentXmlDb::Open(xml::GenerateHamlet(), options);
-  ASSERT_TRUE(db.ok());
+  // Both CDBS families overflow under this skew. A CDBS-Prefix overflow
+  // re-encode rewrites every label in place while readers hold forks of
+  // the previous version: the whole-labeling case of the CowVector
+  // in-place (use_count()==1) contract.
+  for (const char* scheme : {"V-CDBS-Containment", "CDBS-Prefix"}) {
+    SCOPED_TRACE(scheme);
+    ConcurrentXmlDbOptions options;
+    options.db.scheme_name = scheme;
+    options.read_workers = 2;
+    auto db = ConcurrentXmlDb::Open(xml::GenerateHamlet(), options);
+    ASSERT_TRUE(db.ok());
 
-  // The hot spot: the first <speaker> of the play. Every insertion lands
-  // right after it — the paper's skewed "frequent insertions at one point"
-  // scenario, which repeatedly squeezes new CDBS codes into the same gap
-  // and eventually forces overflow re-encodes.
-  const std::vector<NodeId> speakers = (*db)->Query("//speaker").value();
-  ASSERT_FALSE(speakers.empty());
-  const NodeId hot = speakers[0];
-  const size_t initial_count = speakers.size();
-  constexpr int kInserts = 400;
-  constexpr int kReaders = 4;
+    // The hot spot: the first <speaker> of the play. Every insertion lands
+    // right after it — the paper's skewed "frequent insertions at one point"
+    // scenario, which repeatedly squeezes new CDBS codes into the same gap
+    // and eventually forces overflow re-encodes.
+    const std::vector<NodeId> speakers = (*db)->Query("//speaker").value();
+    ASSERT_FALSE(speakers.empty());
+    const NodeId hot = speakers[0];
+    const size_t initial_count = speakers.size();
+    constexpr int kInserts = 400;
+    constexpr int kReaders = 4;
 
-  std::atomic<bool> writer_done{false};
-  std::atomic<uint64_t> consistency_failures{0};
-  std::atomic<uint64_t> reads_done{0};
+    std::atomic<bool> writer_done{false};
+    std::atomic<uint64_t> consistency_failures{0};
+    std::atomic<uint64_t> reads_done{0};
 
-  auto reader = [&] {
-    const Result<query::Query> parsed = query::ParseQuery("//speaker");
-    ASSERT_TRUE(parsed.ok());
-    size_t last_count = 0;  // per-reader monotonicity floor
-    do {
-      const ConcurrentXmlDb::Snapshot snap = (*db)->PinSnapshot();
-      const std::vector<NodeId> result =
-          query::EvaluateQuery(*parsed, snap.view());
-      bool ok = result.size() >= initial_count &&
-                result.size() >= last_count;
-      // Document-order label sequence: strictly ascending under the SAME
-      // snapshot's labels — which also rules out duplicates.
-      for (size_t i = 1; ok && i < result.size(); ++i) {
-        ok = snap->labeling().CompareOrder(result[i - 1], result[i]) < 0;
-      }
-      for (size_t i = 0; ok && i < result.size(); ++i) {
-        ok = snap->tag(result[i]) == "speaker";
-      }
-      if (!ok) consistency_failures.fetch_add(1);
-      last_count = result.size();
-      reads_done.fetch_add(1);
-    } while (!writer_done.load(std::memory_order_relaxed));
-  };
+    auto reader = [&] {
+      const Result<query::Query> parsed = query::ParseQuery("//speaker");
+      ASSERT_TRUE(parsed.ok());
+      size_t last_count = 0;  // per-reader monotonicity floor
+      do {
+        const ConcurrentXmlDb::Snapshot snap = (*db)->PinSnapshot();
+        const std::vector<NodeId> result =
+            query::EvaluateQuery(*parsed, snap.view());
+        bool ok = result.size() >= initial_count &&
+                  result.size() >= last_count;
+        // Document-order label sequence: strictly ascending under the SAME
+        // snapshot's labels — which also rules out duplicates.
+        for (size_t i = 1; ok && i < result.size(); ++i) {
+          ok = snap->labeling().CompareOrder(result[i - 1], result[i]) < 0;
+        }
+        for (size_t i = 0; ok && i < result.size(); ++i) {
+          ok = snap->tag(result[i]) == "speaker";
+        }
+        if (!ok) consistency_failures.fetch_add(1);
+        last_count = result.size();
+        reads_done.fetch_add(1);
+      } while (!writer_done.load(std::memory_order_relaxed));
+    };
 
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) readers.emplace_back(reader);
+    std::vector<std::thread> readers;
+    readers.reserve(kReaders);
+    for (int r = 0; r < kReaders; ++r) readers.emplace_back(reader);
 
-  // The writer: skewed insertions, every one of them a new <speaker>.
-  for (int i = 0; i < kInserts; ++i) {
-    Result<NodeId> id = (*db)->SubmitInsertAfter(hot, "speaker").get();
-    ASSERT_TRUE(id.ok()) << id.status();
+    // The writer: skewed insertions, every one of them a new <speaker>.
+    for (int i = 0; i < kInserts; ++i) {
+      Result<NodeId> id = (*db)->SubmitInsertAfter(hot, "speaker").get();
+      ASSERT_TRUE(id.ok()) << id.status();
+    }
+    writer_done.store(true);
+    for (std::thread& t : readers) t.join();
+
+    EXPECT_EQ(consistency_failures.load(), 0u);
+    EXPECT_GT(reads_done.load(), 0u);
+    // Every reader eventually converges on the final count.
+    EXPECT_EQ((*db)->Query("//speaker").value().size(),
+              initial_count + kInserts);
+    // The skewed hot spot must have forced at least one overflow re-encode —
+    // the interesting code path this stress exists to exercise concurrently.
+    EXPECT_GT((*db)->Stats().overflow_events, 0u);
   }
-  writer_done.store(true);
-  for (std::thread& t : readers) t.join();
-
-  EXPECT_EQ(consistency_failures.load(), 0u);
-  EXPECT_GT(reads_done.load(), 0u);
-  // Every reader eventually converges on the final count.
-  EXPECT_EQ((*db)->Query("//speaker").value().size(),
-            initial_count + kInserts);
-  // The skewed hot spot must have forced at least one overflow re-encode —
-  // the interesting code path this stress exists to exercise concurrently.
-  EXPECT_GT((*db)->Stats().overflow_events, 0u);
 }
 
 TEST(ConcurrentStressTest, StoreBackedPipelineStaysDurableUnderLoad) {

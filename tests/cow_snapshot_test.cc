@@ -72,6 +72,24 @@ TEST(CowVectorTest, ResizeGrowsWithDefaults) {
   EXPECT_EQ(v[299], 7u);
 }
 
+TEST(CowVectorTest, ResizeShrinksAndRegrowsWithDefaults) {
+  CowVector<uint32_t> v;
+  for (uint32_t i = 0; i < 600; ++i) v.PushBack(i + 1);
+  const CowVector<uint32_t> fork = v;
+  v.Resize(300);
+  ASSERT_EQ(v.size(), 300u);
+  EXPECT_EQ(v.chunk_count(), 2u);
+  EXPECT_EQ(v[299], 300u);
+  // Regrowing overwrites the stale tail of the last chunk with defaults,
+  // and the fork keeps every element it had.
+  v.Resize(600);
+  EXPECT_EQ(v[300], 0u);
+  EXPECT_EQ(v[599], 0u);
+  EXPECT_EQ(fork.size(), 600u);
+  EXPECT_EQ(fork[300], 301u);
+  EXPECT_EQ(fork[599], 600u);
+}
+
 // ---------------------------------------------------------------------------
 // TagList: COW sorted runs.
 
@@ -415,24 +433,32 @@ std::pair<uint64_t, uint64_t> OneInsertCopyCost(LabeledDocument* doc) {
   return {stats.chunk_copies - copies0, shared};
 }
 
+// Prime is not an input: each of its inserts renumbers every later
+// document position and recomputes every later SC value, so the chunks it
+// copies grow with the document by design (the paper's Table 4 cost).
 TEST(CowAccountingTest, OneInsertCopiesConstantChunks) {
-  auto scheme = labeling::SchemeByName("V-CDBS-Containment");
+  for (const char* name :
+       {"V-CDBS-Containment", "OrdPath1-Prefix", "OrdPath2-Prefix",
+        "CDBS-Prefix", "QED-Prefix", "DeweyID(UTF8)-Prefix"}) {
+    SCOPED_TRACE(name);
+    auto scheme = labeling::SchemeByName(name);
 
-  xml::Document small_doc = xml::GeneratePlay(7, 2000);
-  LabeledDocument small(small_doc, *scheme);
-  const auto [small_copies, small_shared] = OneInsertCopyCost(&small);
+    xml::Document small_doc = xml::GeneratePlay(7, 2000);
+    LabeledDocument small(small_doc, *scheme);
+    const auto [small_copies, small_shared] = OneInsertCopyCost(&small);
 
-  xml::Document big_doc = xml::GeneratePlay(7, 16000);
-  LabeledDocument big(big_doc, *scheme);
-  const auto [big_copies, big_shared] = OneInsertCopyCost(&big);
+    xml::Document big_doc = xml::GeneratePlay(7, 16000);
+    LabeledDocument big(big_doc, *scheme);
+    const auto [big_copies, big_shared] = OneInsertCopyCost(&big);
 
-  // The fork shares O(N) chunks...
-  EXPECT_GT(big_shared, 2 * small_shared);
-  EXPECT_GT(small_shared, kMaxChunksPerInsert);
-  // ...but the insert copies O(1) of them, independent of size.
-  EXPECT_LE(small_copies, kMaxChunksPerInsert);
-  EXPECT_LE(big_copies, kMaxChunksPerInsert);
-  EXPECT_LE(big_copies, small_copies + 8);
+    // The fork shares O(N) chunks...
+    EXPECT_GT(big_shared, 2 * small_shared);
+    EXPECT_GT(small_shared, kMaxChunksPerInsert);
+    // ...but the insert copies O(1) of them, independent of size.
+    EXPECT_LE(small_copies, kMaxChunksPerInsert);
+    EXPECT_LE(big_copies, kMaxChunksPerInsert);
+    EXPECT_LE(big_copies, small_copies + 8);
+  }
 }
 
 TEST(CowAccountingTest, SteadyStateInsertsShareAllButTouchedChunks) {

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/corpus.h"
 #include "labeling/registry.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -88,53 +87,6 @@ TEST(ShardRouterTest, ExplicitPlacementMustCoverEveryDoc) {
 }
 
 // --------------------------------------------------------------------------
-// Env knobs (strict parse, same discipline as CDBS_NET_DRAIN_MS)
-
-TEST(ShardKnobTest, ShardCountKnobParsesWholePositiveIntegersOnly) {
-  EXPECT_EQ(ApplyShardCountKnob(nullptr, 4), 4u);
-  EXPECT_EQ(ApplyShardCountKnob("", 4), 4u);
-  EXPECT_EQ(ApplyShardCountKnob("8", 4), 8u);
-  EXPECT_EQ(ApplyShardCountKnob("1", 4), 1u);
-  // Anything short of a whole positive integer warns and keeps the
-  // fallback: the server must come up even with a mangled knob.
-  EXPECT_EQ(ApplyShardCountKnob("0", 4), 4u);      // shardless is not a thing
-  EXPECT_EQ(ApplyShardCountKnob(" 8", 4), 4u);     // leading space
-  EXPECT_EQ(ApplyShardCountKnob("8x", 4), 4u);     // trailing unit
-  EXPECT_EQ(ApplyShardCountKnob("-2", 4), 4u);     // negative
-  EXPECT_EQ(ApplyShardCountKnob("2.5", 4), 4u);    // fractional
-  EXPECT_EQ(ApplyShardCountKnob("abc", 4), 4u);    // garbage
-  EXPECT_EQ(ApplyShardCountKnob("99999999999999999999", 4), 4u);  // overflow
-}
-
-TEST(ShardKnobTest, RouterKnobAcceptsOnlyKnownNames) {
-  EXPECT_EQ(ApplyShardRouterKnob(nullptr, RouterKind::kHash), RouterKind::kHash);
-  EXPECT_EQ(ApplyShardRouterKnob("", RouterKind::kExplicit),
-            RouterKind::kExplicit);
-  EXPECT_EQ(ApplyShardRouterKnob("hash", RouterKind::kExplicit),
-            RouterKind::kHash);
-  EXPECT_EQ(ApplyShardRouterKnob("explicit", RouterKind::kHash),
-            RouterKind::kExplicit);
-  // Unknown names warn and keep the fallback (no fuzzy matching).
-  EXPECT_EQ(ApplyShardRouterKnob("Hash", RouterKind::kExplicit),
-            RouterKind::kExplicit);
-  EXPECT_EQ(ApplyShardRouterKnob("random", RouterKind::kHash),
-            RouterKind::kHash);
-}
-
-TEST(ShardKnobTest, ApplyEnvKnobsReadsTheProcessEnvironment) {
-  ::setenv("CDBS_SHARD_COUNT", "3", 1);
-  ::setenv("CDBS_SHARD_ROUTER", "hash", 1);
-  ShardedDbOptions options;
-  options.shard_count = 1;
-  options.router = RouterKind::kExplicit;
-  options.ApplyEnvKnobs();
-  ::unsetenv("CDBS_SHARD_COUNT");
-  ::unsetenv("CDBS_SHARD_ROUTER");
-  EXPECT_EQ(options.shard_count, 3u);
-  EXPECT_EQ(options.router, RouterKind::kHash);
-}
-
-// --------------------------------------------------------------------------
 // Manifest codec
 
 TEST(ShardManifestTest, EncodeDecodeRoundTrips) {
@@ -161,34 +113,33 @@ TEST(ShardManifestTest, DetectsCorruption) {
 }
 
 // --------------------------------------------------------------------------
-// Scheme gating
+// Scheme names
 
-TEST(ShardSchemeTest, RejectsDeepCloneSchemes) {
-  // The per-shard publish path needs ForkShared() to genuinely share
-  // state; deep-clone schemes would make every commit O(nodes).
-  EXPECT_TRUE(SchemeSupportsSharedFork("V-CDBS-Containment"));
-  EXPECT_TRUE(SchemeSupportsSharedFork("DeweyID(UTF8)-Prefix"));
-  EXPECT_FALSE(SchemeSupportsSharedFork("QED-Prefix"));
-  EXPECT_FALSE(SchemeSupportsSharedFork("Prime"));
-
+TEST(ShardSchemeTest, RejectsUnknownSchemeBeforeWritingAManifest) {
+  const std::string dir = ::testing::TempDir() + "/shard_unknown_scheme_" +
+                          std::to_string(::getpid());
   ShardedDbOptions options;
-  options.shard.db.scheme_name = "QED-Prefix";
+  options.shard.db.scheme_name = "No-Such-Scheme";
+  options.storage_dir = dir;
   auto db = ShardedDb::Open(Plays(2), options);
-  ASSERT_FALSE(db.ok());
-  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(db.status().message().find("QED-Prefix"), std::string::npos)
+  ASSERT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(db.status().message().find("No-Such-Scheme"), std::string::npos)
       << db.status();
+  struct stat st;
+  EXPECT_NE(::stat((dir + "/MANIFEST").c_str(), &st), 0);
 }
 
 // --------------------------------------------------------------------------
 // Document-scoped reads
 
 TEST(ShardReadTest, DocScopedQueriesMatchPerDocGroundTruth) {
-  // Ground truth: the legacy per-file corpus path under a deep-clone
-  // scheme evaluates each document in isolation.
-  auto legacy = engine::Corpus::FromDocuments(Plays(4), "QED-Prefix");
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_EQ(legacy->sharded(), nullptr);
+  // Ground truth: each play labeled and counted on its own.
+  const std::vector<xml::Document> plays = Plays(4);
+  const auto scheme = labeling::SchemeByName("QED-Prefix");
+  std::vector<std::unique_ptr<query::LabeledDocument>> alone;
+  for (const xml::Document& play : plays) {
+    alone.push_back(std::make_unique<query::LabeledDocument>(play, *scheme));
+  }
 
   ShardedDbOptions options;
   options.shard_count = 3;
@@ -196,15 +147,19 @@ TEST(ShardReadTest, DocScopedQueriesMatchPerDocGroundTruth) {
   ASSERT_TRUE(db.ok()) << db.status();
 
   for (const char* q : {"/play/act", "//speech", "/play/act/scene", "//line"}) {
-    auto truth = legacy->CountPerFile(q);
-    ASSERT_TRUE(truth.ok()) << q;
+    auto query = query::ParseQuery(q);
+    ASSERT_TRUE(query.ok()) << q;
+    std::vector<uint64_t> truth;
+    for (const auto& doc : alone) {
+      truth.push_back(query::CountQuery(*query, *doc, doc->root()));
+    }
     auto per_doc = (*db)->CountPerDoc(q);
     ASSERT_TRUE(per_doc.ok()) << q << ": " << per_doc.status();
-    EXPECT_EQ(*per_doc, *truth) << q;
+    EXPECT_EQ(*per_doc, truth) << q;
     for (uint64_t doc = 0; doc < 4; ++doc) {
       auto count = (*db)->CountDoc(doc, q);
       ASSERT_TRUE(count.ok()) << q;
-      EXPECT_EQ(*count, (*truth)[doc]) << q << " doc " << doc;
+      EXPECT_EQ(*count, truth[doc]) << q << " doc " << doc;
     }
   }
 }
@@ -243,48 +198,53 @@ TEST(ShardReadTest, RejectsBadQueriesAndBadDocs) {
 // see the other documents merged into the same shard. Ground truth: each
 // play labeled and evaluated alone. The merged shard lays document d out
 // from DocRoot(d) in the standalone pre-order, so ids map by an offset.
+// Every registered scheme serves a shard, so every scheme is checked.
 TEST(ShardReadTest, ShardReadsMatchEachDocumentEvaluatedAlone) {
-  std::vector<xml::Document> plays;
-  for (size_t i = 0; i < 3; ++i) plays.push_back(xml::GeneratePlay(i + 1, 800));
-  const auto scheme = labeling::SchemeByName("V-CDBS-Containment");
-  std::vector<std::unique_ptr<query::LabeledDocument>> alone;
-  for (const xml::Document& play : plays) {
-    alone.push_back(std::make_unique<query::LabeledDocument>(play, *scheme));
-  }
-  ShardedDbOptions options;
-  options.shard_count = 1;
-  options.shard.db.scheme_name = "V-CDBS-Containment";
-  auto db = ShardedDb::Open(std::move(plays), options);
-  ASSERT_TRUE(db.ok()) << db.status();
-
-  for (const char* text :
-       {"//act[2]/following::speaker", "//play[1]",
-        "//act/scene[./following::act]", "/play/act[1]/following::act",
-        "//speech/ancestor::*", "//act/parent::*"}) {
-    auto query = query::ParseQuery(text);
-    ASSERT_TRUE(query.ok()) << text;
-    auto per_doc = (*db)->CountPerDoc(text);
-    ASSERT_TRUE(per_doc.ok()) << text << ": " << per_doc.status();
-    uint64_t sum = 0;
-    for (uint64_t doc = 0; doc < 3; ++doc) {
-      const std::vector<query::NodeId> want =
-          query::EvaluateQuery(*query, *alone[doc]);
-      ASSERT_FALSE(want.empty()) << text << " doc " << doc;
-      auto ids = (*db)->QueryDoc(doc, text);
-      ASSERT_TRUE(ids.ok()) << text << ": " << ids.status();
-      ASSERT_EQ(ids->size(), want.size()) << text << " doc " << doc;
-      for (size_t k = 0; k < want.size(); ++k) {
-        EXPECT_EQ((*ids)[k], (*db)->DocRoot(doc) + want[k])
-            << text << " doc " << doc;
-      }
-      EXPECT_EQ(*(*db)->CountDoc(doc, text), want.size())
-          << text << " doc " << doc;
-      EXPECT_EQ((*per_doc)[doc], want.size()) << text << " doc " << doc;
-      sum += want.size();
+  for (const auto& scheme : labeling::AllSchemes()) {
+    SCOPED_TRACE(scheme->name());
+    std::vector<xml::Document> plays;
+    for (size_t i = 0; i < 3; ++i) {
+      plays.push_back(xml::GeneratePlay(i + 1, 800));
     }
-    auto gathered = (*db)->CountAll(text);
-    ASSERT_TRUE(gathered.ok()) << text;
-    EXPECT_EQ(gathered->total, sum) << text;
+    std::vector<std::unique_ptr<query::LabeledDocument>> alone;
+    for (const xml::Document& play : plays) {
+      alone.push_back(std::make_unique<query::LabeledDocument>(play, *scheme));
+    }
+    ShardedDbOptions options;
+    options.shard_count = 1;
+    options.shard.db.scheme_name = scheme->name();
+    auto db = ShardedDb::Open(std::move(plays), options);
+    ASSERT_TRUE(db.ok()) << db.status();
+
+    for (const char* text :
+         {"//act[2]/following::speaker", "//play[1]",
+          "//act/scene[./following::act]", "/play/act[1]/following::act",
+          "//speech/ancestor::*", "//act/parent::*"}) {
+      auto query = query::ParseQuery(text);
+      ASSERT_TRUE(query.ok()) << text;
+      auto per_doc = (*db)->CountPerDoc(text);
+      ASSERT_TRUE(per_doc.ok()) << text << ": " << per_doc.status();
+      uint64_t sum = 0;
+      for (uint64_t doc = 0; doc < 3; ++doc) {
+        const std::vector<query::NodeId> want =
+            query::EvaluateQuery(*query, *alone[doc]);
+        ASSERT_FALSE(want.empty()) << text << " doc " << doc;
+        auto ids = (*db)->QueryDoc(doc, text);
+        ASSERT_TRUE(ids.ok()) << text << ": " << ids.status();
+        ASSERT_EQ(ids->size(), want.size()) << text << " doc " << doc;
+        for (size_t k = 0; k < want.size(); ++k) {
+          EXPECT_EQ((*ids)[k], (*db)->DocRoot(doc) + want[k])
+              << text << " doc " << doc;
+        }
+        EXPECT_EQ(*(*db)->CountDoc(doc, text), want.size())
+            << text << " doc " << doc;
+        EXPECT_EQ((*per_doc)[doc], want.size()) << text << " doc " << doc;
+        sum += want.size();
+      }
+      auto gathered = (*db)->CountAll(text);
+      ASSERT_TRUE(gathered.ok()) << text;
+      EXPECT_EQ(gathered->total, sum) << text;
+    }
   }
 }
 
@@ -611,24 +571,78 @@ TEST_F(ShardPersistenceTest, TornWalTailRecoversOnlyTheAffectedShard) {
 }
 
 // --------------------------------------------------------------------------
-// Corpus integration
+// The corpus as a unit: the shape of the paper's datasets (D5 is 37 plays,
+// Fig. 6 queries D5 replicated ten times), served under any scheme.
 
-TEST(ShardCorpusTest, CowForkSchemesTakeTheShardedPath) {
-  auto sharded = engine::Corpus::FromDocuments(Plays(3), "V-CDBS-Containment");
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_NE(sharded->sharded(), nullptr);
-  auto legacy = engine::Corpus::FromDocuments(Plays(3), "QED-Prefix");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->sharded(), nullptr);
+std::vector<xml::Document> TwoPlays() {
+  std::vector<xml::Document> docs;
+  docs.push_back(xml::GeneratePlay(1, 600));
+  docs.push_back(xml::GeneratePlay(2, 900));
+  return docs;
 }
 
-TEST(ShardCorpusTest, ShardCountKnobReachesTheCorpus) {
-  ::setenv("CDBS_SHARD_COUNT", "2", 1);
-  auto corpus = engine::Corpus::FromDocuments(Plays(5), "V-CDBS-Containment");
-  ::unsetenv("CDBS_SHARD_COUNT");
-  ASSERT_TRUE(corpus.ok());
-  ASSERT_NE(corpus->sharded(), nullptr);
-  EXPECT_EQ(corpus->sharded()->shard_count(), 2u);
+ShardedDbOptions CorpusOptions(const std::string& scheme_name) {
+  ShardedDbOptions options;
+  options.shard_count = 2;
+  options.shard.db.scheme_name = scheme_name;
+  return options;
+}
+
+TEST(CorpusTest, AggregatesAcrossFiles) {
+  auto db = ShardedDb::Open(TwoPlays(), CorpusOptions("V-CDBS-Containment"));
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ((*db)->doc_count(), 2u);
+  EXPECT_EQ((*db)->TotalNodes(), 1500u);
+  EXPECT_GT((*db)->TotalLabelBits(), 0u);
+  // Every play has five acts.
+  auto acts = (*db)->CountAll("/play/act");
+  ASSERT_TRUE(acts.ok());
+  EXPECT_EQ(acts->total, 10u);
+}
+
+TEST(CorpusTest, PerFileCounts) {
+  auto db = ShardedDb::Open(TwoPlays(), CorpusOptions("QED-Prefix"));
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto per_file = (*db)->CountPerDoc("/play/act[4]");
+  ASSERT_TRUE(per_file.ok());
+  EXPECT_EQ(*per_file, (std::vector<uint64_t>{1, 1}));
+}
+
+TEST(CorpusTest, RejectsEmptyCorpus) {
+  EXPECT_EQ(ShardedDb::Open({}, CorpusOptions("V-CDBS-Containment"))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CorpusTest, RejectsBadQuery) {
+  auto db = ShardedDb::Open(TwoPlays(), CorpusOptions("V-CDBS-Containment"));
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ((*db)->CountAll("no-slash").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CorpusTest, SchemesAgreeOnCorpusCounts) {
+  auto a = ShardedDb::Open(TwoPlays(), CorpusOptions("V-CDBS-Containment"));
+  auto b = ShardedDb::Open(TwoPlays(), CorpusOptions("OrdPath1-Prefix"));
+  ASSERT_TRUE(a.ok() && b.ok());
+  for (const char* q : {"//speech", "/play/act/scene", "//line"}) {
+    EXPECT_EQ((*a)->CountAll(q)->total, (*b)->CountAll(q)->total) << q;
+  }
+}
+
+TEST(CorpusTest, MatchesPaperStyleWorkload) {
+  // A miniature of the Figure 6 setup: a scaled corpus queried as a unit.
+  std::vector<xml::Document> base;
+  base.push_back(xml::GeneratePlay(7, 800));
+  std::vector<xml::Document> docs = xml::ScaleDataset(base, 3);
+  auto db =
+      ShardedDb::Open(std::move(docs), CorpusOptions("F-CDBS-Containment"));
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ((*db)->doc_count(), 3u);
+  auto acts = (*db)->CountAll("/play/act");
+  ASSERT_TRUE(acts.ok());
+  EXPECT_EQ(acts->total, 15u);
 }
 
 // --------------------------------------------------------------------------

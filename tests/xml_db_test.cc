@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/concurrent_db.h"
 #include "labeling/registry.h"
 #include "obs/metrics.h"
 #include "repl/replication.h"
@@ -31,6 +32,25 @@ TEST(XmlDbTest, OpenFromXmlAndQuery) {
   EXPECT_EQ(*count, 2u);
   EXPECT_EQ(*(*db)->Count("//book"), 2u);
   EXPECT_EQ(*(*db)->Count("/library/*"), 2u);
+}
+
+// A scheme name straight from a command line must come back as an error,
+// not abort the process.
+TEST(XmlDbTest, UnknownSchemeIsInvalidArgument) {
+  XmlDbOptions options;
+  options.scheme_name = "No-Such-Scheme";
+  auto db = XmlDb::OpenFromXml(kDoc, options);
+  ASSERT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(db.status().message().find("No-Such-Scheme"), std::string::npos)
+      << db.status();
+
+  ConcurrentXmlDbOptions concurrent;
+  concurrent.db = options;
+  auto served = ConcurrentXmlDb::OpenFromXml(kDoc, concurrent);
+  ASSERT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(served.status().message().find("No-Such-Scheme"),
+            std::string::npos)
+      << served.status();
 }
 
 // Opening seeds `labeling.label_bits` with one merged batch; the snapshot
