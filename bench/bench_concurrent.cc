@@ -36,6 +36,7 @@
 namespace {
 
 using cdbs::engine::NodeId;
+using cdbs::engine::WriteOp;
 using cdbs::Result;
 using cdbs::engine::ConcurrentXmlDb;
 using cdbs::engine::ConcurrentXmlDbOptions;
@@ -98,9 +99,9 @@ PhaseResult RunMixedPhase(int readers, uint64_t duration_ms) {
   }
   std::atomic<uint64_t> inserts{0};
   pool.emplace_back([&] {
-    std::vector<std::future<Result<NodeId>>> pendings;
+    std::vector<std::future<Result<uint64_t>>> pendings;
     while (!stop.load(std::memory_order_relaxed)) {
-      pendings.push_back(db.SubmitInsertAfter(hot, "speaker"));
+      pendings.push_back(db.Submit(WriteOp::InsertAfter(hot, "speaker")));
       if (pendings.size() >= 32) {
         for (auto& f : pendings) {
           if (f.get().ok()) inserts.fetch_add(1);
@@ -213,7 +214,8 @@ int main() {
     for (int s = 0; s < kSubmitters; ++s) {
       submitters.emplace_back([&] {
         for (int i = 0; i < kPerThread; ++i) {
-          static_cast<void>(db.SubmitInsertAfter(hot, "entry").get());
+          static_cast<void>(
+              db.Submit(WriteOp::InsertAfter(hot, "entry")).get());
         }
       });
     }
@@ -265,8 +267,11 @@ int main() {
       // Synchronous inserts: each lands in its own group commit, so each
       // publish carries exactly one touched insert.
       for (int i = 0; i < kCommits; ++i) {
-        const auto inserted = db.InsertElementAfter(
-            lines[static_cast<size_t>(i) * 131 % lines.size()], "line");
+        const auto inserted =
+            db.Submit(WriteOp::InsertAfter(
+                          lines[static_cast<size_t>(i) * 131 % lines.size()],
+                          "line"))
+                .get();
         if (!inserted.ok()) return 1;
       }
       uint64_t bytes = 0;

@@ -51,6 +51,7 @@ using cdbs::StatusCode;
 using cdbs::engine::ConcurrentXmlDb;
 using cdbs::engine::ConcurrentXmlDbOptions;
 using cdbs::engine::NodeId;
+using cdbs::engine::WriteOp;
 using cdbs::net::CdbsClient;
 using cdbs::net::ClientOptions;
 using cdbs::net::Server;
@@ -310,7 +311,7 @@ int main() {
   // Seed a write mix and let both followers converge on it.
   const NodeId hot = (*db)->Query("//b").value()[0];
   for (int i = 0; i < 50; ++i) {
-    if (!(*db)->InsertElementAfter(hot, "seed").ok()) return 1;
+    if (!(*db)->Submit(WriteOp::InsertAfter(hot, "seed")).get().ok()) return 1;
   }
   if (!WaitConverged(raw_followers, db->get(), 15000)) {
     std::fprintf(stderr, "followers never converged on the seed\n");
@@ -331,7 +332,9 @@ int main() {
     auto measure = [&](double* out) -> bool {
       const uint64_t tx0 = GlobalCounter("net.frame.tx.bytes");
       for (uint64_t i = 0; i < burst; ++i) {
-        if (!(*db)->InsertElementAfter(hot, "r").ok()) return false;
+        if (!(*db)->Submit(WriteOp::InsertAfter(hot, "r")).get().ok()) {
+          return false;
+        }
       }
       if (!WaitConverged(raw_followers, db->get(), 15000)) return false;
       *out = static_cast<double>(GlobalCounter("net.frame.tx.bytes") - tx0) /

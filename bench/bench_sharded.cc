@@ -54,6 +54,7 @@ namespace {
 
 using cdbs::Result;
 using cdbs::engine::NodeId;
+using cdbs::engine::WriteOp;
 using cdbs::shard::RouterKind;
 using cdbs::shard::ShardedDb;
 using cdbs::shard::ShardedDbOptions;
@@ -119,7 +120,9 @@ PhaseResult RunPhase(size_t shards, uint64_t duration_ms) {
         // Uniform over documents (and therefore over shards): client c
         // walks the documents round-robin from its own offset.
         const uint64_t doc = (c + i++) % kDocs;
-        if (db.SubmitInsertAfter(doc, anchors[doc], "w").get().ok()) {
+        if (db.Submit(doc, WriteOp::InsertAfter(anchors[doc], "w"))
+                .get()
+                .ok()) {
           inserts.fetch_add(1);
         }
       }

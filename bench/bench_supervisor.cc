@@ -51,6 +51,7 @@ namespace {
 
 using cdbs::Result;
 using cdbs::engine::NodeId;
+using cdbs::engine::WriteOp;
 using cdbs::shard::RouterKind;
 using cdbs::shard::ShardedDb;
 using cdbs::shard::ShardedDbOptions;
@@ -86,8 +87,9 @@ PhaseCounts RunLoad(ShardedDb& db, const std::vector<NodeId>& anchors,
       while (!stop.load(std::memory_order_relaxed)) {
         const uint64_t doc = (c + i++) % kDocs;
         const bool sick = db.ShardOfDoc(doc) == kSickShard;
-        const bool ok =
-            db.SubmitInsertAfter(doc, anchors[doc], "w").get().ok();
+        const bool ok = db.Submit(doc, WriteOp::InsertAfter(anchors[doc], "w"))
+                            .get()
+                            .ok();
         if (ok) {
           (sick ? sick_ok : healthy_ok).fetch_add(1);
         } else if (sick) {

@@ -91,7 +91,7 @@ ConcurrentXmlDb::ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
   writes_ = counter("engine.concurrent.writes",
                     "Write requests processed by the writer");
   rejected_ = counter("engine.concurrent.rejected",
-                      "Writes bounced by admission control");
+                      "Shed writes bounced off a full queue (kRetryAfter)");
   deadline_exceeded_ =
       counter("engine.concurrent.deadline_exceeded",
               "Requests that expired before executing (write or read)");
@@ -259,20 +259,18 @@ std::future<Result<std::vector<uint64_t>>> ConcurrentXmlDb::SubmitCount(
 // --------------------------------------------------------------------------
 // Write path: submission.
 
-bool ConcurrentXmlDb::EnqueueWrite(WriteRequest req, bool blocking,
-                                   bool* accepted) {
-  const WriteRequest::Kind kind = req.kind;
+void ConcurrentXmlDb::EnqueueWrite(WriteRequest req, Admission admission) {
   // Trace attribution rides in from the submitting thread's scope; the
   // admission span covers this function (the queue push or its bounce).
   req.trace_id = obs::TraceScope::current();
   if (req.trace_id != 0) req.submit_ns = obs::Tracer::NowNs();
-  obs::TraceSpan admission(obs::SpanName::kAdmission);
+  obs::TraceSpan admission_span(obs::SpanName::kAdmission);
   Status rejection;
   if (req.deadline.expired()) {
     deadline_exceeded_.Increment();
     rejection =
         Status::DeadlineExceeded("write deadline expired at submission");
-  } else if (blocking) {
+  } else if (admission == Admission::kBlock) {
     const util::Deadline deadline = req.deadline;
     switch (write_queue_.PushUntil(std::move(req), deadline)) {
       case concurrency::BoundedQueue<WriteRequest>::PushOutcome::kAccepted:
@@ -287,109 +285,39 @@ bool ConcurrentXmlDb::EnqueueWrite(WriteRequest req, bool blocking,
         break;
     }
   } else if (!write_queue_.TryPush(std::move(req))) {
-    rejected_.Increment();
-    rejection = shut_down_.load()
-                    ? Status::IoError("database shut down")
-                    : Status::RetryAfter("write queue full; retry after " +
-                                         std::to_string(
-                                             RetryAfterHintMillis()) +
-                                         " ms");
-  }
-  const bool admitted = rejection.ok();
-  if (accepted != nullptr) *accepted = admitted;
-  if (!admitted) {
-    admission.set_outcome(rejection.code() == StatusCode::kRetryAfter
-                              ? obs::SpanOutcome::kShed
-                          : rejection.code() == StatusCode::kDeadlineExceeded
-                              ? obs::SpanOutcome::kDeadline
-                              : obs::SpanOutcome::kError);
-    // `req` is untouched on a failed push; fail its promise in place.
-    if (kind == WriteRequest::Kind::kDelete) {
-      req.delete_promise.set_value(rejection);
-    } else if (kind == WriteRequest::Kind::kSnapshot) {
-      req.snapshot_promise.set_value(rejection);
-    } else if (kind == WriteRequest::Kind::kReopen) {
-      req.reopen_promise.set_value(rejection);
+    if (shut_down_.load()) {
+      rejection = Status::IoError("database shut down");
     } else {
-      req.insert_promise.set_value(rejection);
+      rejected_.Increment();
+      rejection = Status::RetryAfter("write queue full; retry after " +
+                                     std::to_string(RetryAfterHintMillis()) +
+                                     " ms");
     }
-    return false;
+  }
+  if (!rejection.ok()) {
+    admission_span.set_outcome(
+        rejection.code() == StatusCode::kRetryAfter ? obs::SpanOutcome::kShed
+        : rejection.code() == StatusCode::kDeadlineExceeded
+            ? obs::SpanOutcome::kDeadline
+            : obs::SpanOutcome::kError);
+    // `req` is untouched on a failed push; fail its promise in place.
+    std::visit([&](auto& promise) { promise.set_value(rejection); },
+               req.promise);
+    return;
   }
   queue_depth_.Set(static_cast<double>(write_queue_.size()));
-  return true;
 }
 
-std::future<Result<NodeId>> ConcurrentXmlDb::SubmitInsert(
-    WriteRequest::Kind kind, NodeId target, std::string tag, bool blocking,
-    bool* accepted, util::Deadline deadline) {
+std::future<Result<uint64_t>> ConcurrentXmlDb::Submit(WriteOp op,
+                                                      Admission admission,
+                                                      util::Deadline deadline) {
   WriteRequest req;
-  req.kind = kind;
-  req.target = target;
-  req.tag = std::move(tag);
+  req.op = std::move(op);
   req.deadline = deadline;
-  std::future<Result<NodeId>> fut = req.insert_promise.get_future();
-  EnqueueWrite(std::move(req), blocking, accepted);
+  std::future<Result<uint64_t>> fut =
+      std::get<WritePromise>(req.promise).get_future();
+  EnqueueWrite(std::move(req), admission);
   return fut;
-}
-
-std::future<Result<NodeId>> ConcurrentXmlDb::SubmitInsertBefore(
-    NodeId target, std::string tag, util::Deadline deadline) {
-  return SubmitInsert(WriteRequest::Kind::kInsertBefore, target,
-                      std::move(tag), /*blocking=*/true, nullptr, deadline);
-}
-
-std::future<Result<NodeId>> ConcurrentXmlDb::SubmitInsertAfter(
-    NodeId target, std::string tag, util::Deadline deadline) {
-  return SubmitInsert(WriteRequest::Kind::kInsertAfter, target,
-                      std::move(tag), /*blocking=*/true, nullptr, deadline);
-}
-
-std::future<Result<NodeId>> ConcurrentXmlDb::TrySubmitInsertAfter(
-    NodeId target, std::string tag, bool* accepted, util::Deadline deadline) {
-  return SubmitInsert(WriteRequest::Kind::kInsertAfter, target,
-                      std::move(tag), /*blocking=*/false, accepted, deadline);
-}
-
-std::future<Result<NodeId>> ConcurrentXmlDb::TrySubmitInsertBefore(
-    NodeId target, std::string tag, bool* accepted, util::Deadline deadline) {
-  return SubmitInsert(WriteRequest::Kind::kInsertBefore, target,
-                      std::move(tag), /*blocking=*/false, accepted, deadline);
-}
-
-std::future<Result<uint64_t>> ConcurrentXmlDb::SubmitDelete(
-    NodeId target, util::Deadline deadline) {
-  WriteRequest req;
-  req.kind = WriteRequest::Kind::kDelete;
-  req.target = target;
-  req.deadline = deadline;
-  std::future<Result<uint64_t>> fut = req.delete_promise.get_future();
-  EnqueueWrite(std::move(req), /*blocking=*/true, nullptr);
-  return fut;
-}
-
-std::future<Result<uint64_t>> ConcurrentXmlDb::TrySubmitDelete(
-    NodeId target, bool* accepted, util::Deadline deadline) {
-  WriteRequest req;
-  req.kind = WriteRequest::Kind::kDelete;
-  req.target = target;
-  req.deadline = deadline;
-  std::future<Result<uint64_t>> fut = req.delete_promise.get_future();
-  EnqueueWrite(std::move(req), /*blocking=*/false, accepted);
-  return fut;
-}
-
-Result<NodeId> ConcurrentXmlDb::InsertElementBefore(NodeId target,
-                                                    const std::string& tag) {
-  return SubmitInsertBefore(target, tag).get();
-}
-
-Result<NodeId> ConcurrentXmlDb::InsertElementAfter(NodeId target,
-                                                   const std::string& tag) {
-  return SubmitInsertAfter(target, tag).get();
-}
-
-Result<uint64_t> ConcurrentXmlDb::DeleteElement(NodeId target) {
-  return SubmitDelete(target).get();
 }
 
 // --------------------------------------------------------------------------
@@ -439,10 +367,11 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
   // exactly to commit_lsn_ — every op at or below it applied, none above
   // it — which is the invariant a bootstrapping follower depends on.
   for (WriteRequest& req : *group) {
-    if (req.kind != WriteRequest::Kind::kSnapshot) continue;
+    auto* promise = std::get_if<SnapshotPromise>(&req.promise);
+    if (promise == nullptr) continue;
     if (req.deadline.expired()) {
       deadline_exceeded_.Increment();
-      req.snapshot_promise.set_value(Status::DeadlineExceeded(
+      promise->set_value(Status::DeadlineExceeded(
           "bootstrap deadline expired while queued"));
       continue;
     }
@@ -450,7 +379,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     image.spec = db_->CaptureBootstrapSpec();
     image.lsn = commit_lsn_.load(std::memory_order_acquire);
     image.epoch = repl_log_ != nullptr ? repl_log_->epoch() : 0;
-    req.snapshot_promise.set_value(std::move(image));
+    promise->set_value(std::move(image));
   }
 
   // Reopen requests are also handled at the group boundary: the writer
@@ -459,10 +388,11 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
   // successful reopen clears the poisoned state, so writes later in this
   // same group already commit normally.
   for (WriteRequest& req : *group) {
-    if (req.kind != WriteRequest::Kind::kReopen) continue;
+    auto* promise = std::get_if<ReopenPromise>(&req.promise);
+    if (promise == nullptr) continue;
     if (req.deadline.expired()) {
       deadline_exceeded_.Increment();
-      req.reopen_promise.set_value(Status::DeadlineExceeded(
+      promise->set_value(Status::DeadlineExceeded(
           "reopen deadline expired while queued"));
       continue;
     }
@@ -477,12 +407,13 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
       poisoned_gauge_.Set(0);
       reopens_.Increment();
     }
-    req.reopen_promise.set_value(reopened);
+    promise->set_value(reopened);
   }
   std::vector<PendingInsert> pending;
   std::vector<storage::StoreBatch> batches;
-  std::vector<std::optional<Result<NodeId>>> insert_results(n);
-  std::vector<std::optional<Result<uint64_t>>> delete_results(n);
+  // One result per write request: the new node's id or the number of
+  // nodes removed; empty for the snapshot and reopen requests.
+  std::vector<std::optional<Result<uint64_t>>> results(n);
   bool mutated = false;
 
   // Phase 1: apply every request to the writer's in-memory state, building
@@ -491,57 +422,48 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
   obs::TraceSpan phase1_span(obs::SpanName::kCommitPhase1);
   for (size_t i = 0; i < n; ++i) {
     WriteRequest& req = (*group)[i];
-    if (req.kind == WriteRequest::Kind::kSnapshot ||
-        req.kind == WriteRequest::Kind::kReopen) {
+    if (!std::holds_alternative<WritePromise>(req.promise)) {
       continue;  // handled above
     }
     write_wait_ns_.Record(static_cast<uint64_t>(req.queued.ElapsedNanos()));
+    const WriteOp& op = req.op;
     if (poisoned_.load(std::memory_order_acquire)) {
       // Tripped circuit breaker: fast-fail without touching the database or
       // its WAL. Reads keep serving the last published snapshot; a
       // successful Reopen() re-admits writes.
-      Status unavailable = Status::Unavailable(
-          "writer poisoned by a persistent persist failure; awaiting reopen");
-      if (req.kind == WriteRequest::Kind::kDelete) {
-        delete_results[i].emplace(std::move(unavailable));
-      } else {
-        insert_results[i].emplace(std::move(unavailable));
-      }
+      results[i].emplace(Status::Unavailable(
+          "writer poisoned by a persistent persist failure; awaiting reopen"));
       continue;
     }
     if (req.deadline.expired()) {
       // Expired while queued: shed before it costs writer time. The
       // request never touches the tree, labels, or WAL.
       deadline_exceeded_.Increment();
-      Status expired = Status::DeadlineExceeded(
-          "write deadline expired while queued behind the writer");
-      if (req.kind == WriteRequest::Kind::kDelete) {
-        delete_results[i].emplace(std::move(expired));
-      } else {
-        insert_results[i].emplace(std::move(expired));
-      }
+      results[i].emplace(Status::DeadlineExceeded(
+          "write deadline expired while queued behind the writer"));
       continue;
     }
-    if (req.kind == WriteRequest::Kind::kDelete) {
-      Result<uint64_t> removed = db_->DeleteElement(req.target);
+    if (op.kind == WriteOp::Kind::kDelete) {
+      Result<uint64_t> removed = db_->DeleteElement(op.target);
       if (removed.ok() && *removed > 0) mutated = true;
-      delete_results[i].emplace(std::move(removed));
+      results[i].emplace(std::move(removed));
       continue;
     }
     labeling::InsertResult applied;
     Result<NodeId> id = db_->ApplyInsertInMemory(
-        req.target, req.tag, req.kind == WriteRequest::Kind::kInsertBefore,
-        &applied);
-    if (id.ok()) {
-      // Serialize this insertion's store ops *now*, against the labels as
-      // they stand after it — so a crash that recovers only a WAL prefix
-      // lands on exactly the state some prefix of this group produced.
-      batches.emplace_back();
-      db_->BuildPersistOps(applied, &batches.back());
-      pending.push_back(PendingInsert{i, applied});
-      mutated = true;
+        op.target, op.tag, op.kind == WriteOp::Kind::kInsertBefore, &applied);
+    if (!id.ok()) {
+      results[i].emplace(id.status());
+      continue;
     }
-    insert_results[i].emplace(std::move(id));
+    // Serialize this insertion's store ops *now*, against the labels as
+    // they stand after it — so a crash that recovers only a WAL prefix
+    // lands on exactly the state some prefix of this group produced.
+    batches.emplace_back();
+    db_->BuildPersistOps(applied, &batches.back());
+    pending.push_back(PendingInsert{i, applied});
+    mutated = true;
+    results[i].emplace(*id);
   }
 
   phase1_span.End();
@@ -556,11 +478,12 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     // stand, exactly as in the single-threaded engine.
     for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
       db_->RollbackInsert(it->applied);
-      insert_results[it->request_index].emplace(persisted);
+      results[it->request_index].emplace(persisted);
     }
+    // Only deletions can still hold a result here.
     mutated = false;
-    for (const auto& d : delete_results) {
-      if (d.has_value() && d->ok() && **d > 0) mutated = true;
+    for (const auto& r : results) {
+      if (r.has_value() && r->ok() && **r > 0) mutated = true;
     }
     // Failure classification drives the circuit breaker: persistent errors
     // (disk full, an I/O error that survived the storage retries) poison
@@ -603,30 +526,12 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     std::vector<repl::ReplOp> ops;
     ops.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      const WriteRequest& req = (*group)[i];
-      repl::ReplOp op;
-      op.target = req.target;
-      if (req.kind == WriteRequest::Kind::kDelete) {
-        if (!delete_results[i].has_value() || !delete_results[i]->ok() ||
-            **delete_results[i] == 0) {
-          continue;
-        }
-        op.kind = repl::ReplOp::Kind::kDelete;
-        op.new_id = **delete_results[i];
-      } else if (req.kind == WriteRequest::Kind::kInsertBefore ||
-                 req.kind == WriteRequest::Kind::kInsertAfter) {
-        if (!insert_results[i].has_value() || !insert_results[i]->ok()) {
-          continue;
-        }
-        op.kind = req.kind == WriteRequest::Kind::kInsertBefore
-                      ? repl::ReplOp::Kind::kInsertBefore
-                      : repl::ReplOp::Kind::kInsertAfter;
-        op.new_id = **insert_results[i];
-        op.tag = req.tag;
-      } else {
-        continue;
-      }
-      ops.push_back(std::move(op));
+      // Control requests, failed writes and deletions that removed nothing
+      // leave no trace in the stream.
+      const std::optional<Result<uint64_t>>& r = results[i];
+      if (!r.has_value() || !r->ok() || **r == 0) continue;
+      const WriteOp& op = (*group)[i].op;
+      ops.push_back(repl::ReplOp{op.kind, op.target, **r, op.tag});
     }
     if (!ops.empty()) {
       Result<uint64_t> lsn = repl_log_->Append(ops);
@@ -653,16 +558,10 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
   commit_batch_.Record(n);
   for (size_t i = 0; i < n; ++i) {
     WriteRequest& req = (*group)[i];
-    if (req.kind == WriteRequest::Kind::kSnapshot ||
-        req.kind == WriteRequest::Kind::kReopen) {
-      continue;  // resolved above
-    }
+    auto* promise = std::get_if<WritePromise>(&req.promise);
+    if (promise == nullptr) continue;  // resolved above
     write_ns_.Record(static_cast<uint64_t>(req.queued.ElapsedNanos()));
-    if (req.kind == WriteRequest::Kind::kDelete) {
-      req.delete_promise.set_value(std::move(*delete_results[i]));
-    } else {
-      req.insert_promise.set_value(std::move(*insert_results[i]));
-    }
+    promise->set_value(std::move(*results[i]));
   }
 }
 
@@ -679,20 +578,21 @@ Status ConcurrentXmlDb::last_persist_error() const {
 
 Status ConcurrentXmlDb::Reopen(util::Deadline deadline) {
   WriteRequest req;
-  req.kind = WriteRequest::Kind::kReopen;
+  req.promise = ReopenPromise();
   req.deadline = deadline;
-  std::future<Status> fut = req.reopen_promise.get_future();
-  EnqueueWrite(std::move(req), /*blocking=*/true, nullptr);
+  std::future<Status> fut = std::get<ReopenPromise>(req.promise).get_future();
+  EnqueueWrite(std::move(req), Admission::kBlock);
   return fut.get();
 }
 
 Result<BootstrapImage> ConcurrentXmlDb::CaptureBootstrap(
     util::Deadline deadline) {
   WriteRequest req;
-  req.kind = WriteRequest::Kind::kSnapshot;
+  req.promise = SnapshotPromise();
   req.deadline = deadline;
-  std::future<Result<BootstrapImage>> fut = req.snapshot_promise.get_future();
-  EnqueueWrite(std::move(req), /*blocking=*/true, nullptr);
+  std::future<Result<BootstrapImage>> fut =
+      std::get<SnapshotPromise>(req.promise).get_future();
+  EnqueueWrite(std::move(req), Admission::kBlock);
   return fut.get();
 }
 

@@ -9,6 +9,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "concurrency/bounded_queue.h"
@@ -49,9 +51,9 @@ struct ConcurrentXmlDbOptions {
   /// NOT shut down by ConcurrentXmlDb::Shutdown — the owner does that,
   /// after shutting down every database that uses it.
   std::shared_ptr<concurrency::ThreadPool> shared_readers;
-  /// Capacity of the write submission queue. Blocking submits stall when
-  /// it fills (backpressure); TrySubmit* bounce instead (admission
-  /// control).
+  /// Capacity of the write submission queue. A full queue stalls
+  /// Admission::kBlock submits (backpressure) and bounces kShed ones
+  /// (admission control).
   size_t write_queue_capacity = 256;
   /// Most write requests folded into one group commit (one store fsync).
   size_t group_commit_limit = 64;
@@ -72,6 +74,30 @@ struct ConcurrentXmlDbOptions {
   int poison_after_persist_failures = 3;
 };
 
+/// One of the paper's three updates as one value: insert a new element
+/// `tag` before or after the sibling `target`, or delete the subtree at
+/// `target`. repl::ReplOp is the same op plus its result.
+struct WriteOp {
+  using Kind = repl::ReplOp::Kind;
+  Kind kind = Kind::kInsertAfter;
+  NodeId target = 0;
+  std::string tag;  // inserts only
+
+  static WriteOp InsertBefore(NodeId target, std::string tag) {
+    return {Kind::kInsertBefore, target, std::move(tag)};
+  }
+  static WriteOp InsertAfter(NodeId target, std::string tag) {
+    return {Kind::kInsertAfter, target, std::move(tag)};
+  }
+  static WriteOp Delete(NodeId target) { return {Kind::kDelete, target, {}}; }
+};
+
+/// What a write submission does when the write queue is full.
+enum class Admission {
+  kBlock,  ///< wait for room (backpressure), up to the request's deadline
+  kShed,   ///< fail at once with kRetryAfter (admission control)
+};
+
 /// A consistent (document, LSN) pair captured between group commits — what
 /// a snapshot bootstrap ships to a follower too far behind the log. The
 /// spec carries the id-space history (not just the serialized tree) so the
@@ -90,9 +116,9 @@ struct BootstrapImage {
 ///    any thread, any time; each pins the latest published snapshot.
 ///  - `SubmitQuery`/`SubmitCount` — any thread; run on the read worker
 ///    pool.
-///  - `Submit*`/`TrySubmit*` writes — any thread; applied by the single
-///    writer thread in submission order, durably group-committed before
-///    their futures resolve.
+///  - `Submit` writes — any thread; applied by the single writer thread in
+///    submission order, durably group-committed before their futures
+///    resolve.
 ///  - After `Shutdown` (or destruction) all submissions fail cleanly.
 class ConcurrentXmlDb {
  public:
@@ -161,45 +187,21 @@ class ConcurrentXmlDb {
 
   // --- write path: serialized, group-committed ---
 
-  /// Enqueues an insertion; blocks while the submission queue is full. The
-  /// future resolves with the new node's id once the insertion is durable
-  /// (group-committed) and visible to new snapshots.
+  /// Enqueues `op` for the single writer. The future resolves once the
+  /// write is durable (group-committed) and visible to new snapshots, with
+  /// the new node's id for an insert or the number of nodes removed for a
+  /// delete — the value repl::ReplOp::new_id and the wire response's
+  /// `id_or_count` carry.
   ///
-  /// Deadline semantics (all Submit*/TrySubmit* writes): a request whose
-  /// deadline has already passed — or passes while blocked on a full
+  /// A full queue blocks the caller (kBlock, backpressure) or fails the
+  /// future at once with kRetryAfter (kShed, admission control). A request
+  /// whose deadline has already passed — or passes while blocked on a full
   /// queue, or while waiting in the queue — fails with kDeadlineExceeded
-  /// *before* touching the database or its WAL.
-  std::future<Result<NodeId>> SubmitInsertBefore(NodeId target,
-                                                 std::string tag,
-                                                 util::Deadline deadline = {});
-  std::future<Result<NodeId>> SubmitInsertAfter(NodeId target,
-                                                std::string tag,
-                                                util::Deadline deadline = {});
-
-  /// Non-blocking admission-controlled variant: fails the future
-  /// immediately with kRetryAfter when the queue is full. `accepted`, when
-  /// non-null, reports whether the request was admitted.
-  std::future<Result<NodeId>> TrySubmitInsertAfter(
-      NodeId target, std::string tag, bool* accepted = nullptr,
-      util::Deadline deadline = {});
-  std::future<Result<NodeId>> TrySubmitInsertBefore(
-      NodeId target, std::string tag, bool* accepted = nullptr,
-      util::Deadline deadline = {});
-
-  /// Enqueues a subtree deletion; resolves with the number of nodes
-  /// removed.
-  std::future<Result<uint64_t>> SubmitDelete(NodeId target,
-                                             util::Deadline deadline = {});
-
-  /// Non-blocking admission-controlled deletion.
-  std::future<Result<uint64_t>> TrySubmitDelete(NodeId target,
-                                                bool* accepted = nullptr,
-                                                util::Deadline deadline = {});
-
-  /// Convenience synchronous wrappers (submit + wait).
-  Result<NodeId> InsertElementBefore(NodeId target, const std::string& tag);
-  Result<NodeId> InsertElementAfter(NodeId target, const std::string& tag);
-  Result<uint64_t> DeleteElement(NodeId target);
+  /// *before* touching the database or its WAL. After Shutdown every
+  /// submission fails with kIoError.
+  std::future<Result<uint64_t>> Submit(WriteOp op,
+                                       Admission admission = Admission::kBlock,
+                                       util::Deadline deadline = {});
 
   // --- lifecycle & introspection ---
 
@@ -296,17 +298,17 @@ class ConcurrentXmlDb {
   XmlDb& underlying() { return *db_; }
 
  private:
+  using WritePromise = std::promise<Result<uint64_t>>;
+  using SnapshotPromise = std::promise<Result<BootstrapImage>>;
+  using ReopenPromise = std::promise<Status>;
+
   struct WriteRequest {
-    enum class Kind { kInsertBefore, kInsertAfter, kDelete, kSnapshot,
-                      kReopen };
-    Kind kind = Kind::kInsertAfter;
-    NodeId target = 0;
-    std::string tag;
+    /// What the writer does with the request, told by the one promise it
+    /// holds: apply `op`, capture a bootstrap image, or reopen the store
+    /// (the last two at the group boundary).
+    std::variant<WritePromise, SnapshotPromise, ReopenPromise> promise;
+    WriteOp op;               // WritePromise requests only
     util::Deadline deadline;  // infinite unless the caller set one
-    std::promise<Result<NodeId>> insert_promise;
-    std::promise<Result<uint64_t>> delete_promise;
-    std::promise<Result<BootstrapImage>> snapshot_promise;  // kSnapshot
-    std::promise<Status> reopen_promise;                    // kReopen
     util::Stopwatch queued;  // started at submission, for latency metrics
     /// Trace attribution (obs/trace.h): captured from the submitting
     /// thread's TraceScope so the writer can fan group spans (wal.fsync,
@@ -335,13 +337,9 @@ class ConcurrentXmlDb {
   std::future<Result<T>> SubmitRead(util::Deadline deadline,
                                     std::function<Result<T>()> read);
 
-  std::future<Result<NodeId>> SubmitInsert(WriteRequest::Kind kind,
-                                           NodeId target, std::string tag,
-                                           bool blocking, bool* accepted,
-                                           util::Deadline deadline);
-  /// Enqueues `req` (blocking or admission-controlled), resolving its
-  /// promise in place on rejection. Returns whether it was admitted.
-  bool EnqueueWrite(WriteRequest req, bool blocking, bool* accepted);
+  /// Enqueues `req` under `admission`, resolving its promise in place on
+  /// rejection.
+  void EnqueueWrite(WriteRequest req, Admission admission);
   void WriterLoop();
   void ProcessGroup(std::vector<WriteRequest>* group);
   void PublishSnapshot();
@@ -379,7 +377,7 @@ class ConcurrentXmlDb {
   MirroredHistogram commit_batch_;    // requests per group commit
   mutable MirroredCounter reads_;
   MirroredCounter writes_;
-  MirroredCounter rejected_;          // admission-control bounces
+  MirroredCounter rejected_;          // kShed bounces off a full queue
   MirroredCounter deadline_exceeded_;  // requests expired before running
   MirroredCounter snapshots_published_;
   MirroredHistogram publish_ns_;  // Fork + Publish wall time per snapshot

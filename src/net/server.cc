@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,15 @@ util::Deadline DeadlineFromRequest(const Request& req) {
   return req.deadline_ms == 0
              ? util::Deadline::Infinite()
              : util::Deadline::AfterMillis(req.deadline_ms);
+}
+
+/// The engine write a kInsertBefore/kInsertAfter/kDelete request asks for.
+engine::WriteOp WriteOpOf(const Request& req) {
+  using Kind = engine::WriteOp::Kind;
+  const Kind kind = req.op == Opcode::kInsertBefore  ? Kind::kInsertBefore
+                    : req.op == Opcode::kInsertAfter ? Kind::kInsertAfter
+                                                     : Kind::kDelete;
+  return {kind, static_cast<engine::NodeId>(req.target), req.tag};
 }
 
 obs::SpanOutcome OutcomeFromStatus(StatusCode code) {
@@ -315,8 +325,30 @@ Response Server::Execute(const Request& req) {
     return resp;
   }
 
+  const bool write = req.op == Opcode::kInsertBefore ||
+                     req.op == Opcode::kInsertAfter ||
+                     req.op == Opcode::kDelete;
+  // Engine node ids are 32-bit: a wider target names no node, and
+  // narrowing it would alias one that exists.
+  if (write && req.target > std::numeric_limits<engine::NodeId>::max()) {
+    resp.code = StatusCode::kOutOfRange;
+    resp.message = "node " + std::to_string(req.target) + " out of range";
+    return resp;
+  }
+
   if (sharded_ != nullptr) {
     return ExecuteSharded(req, deadline, std::move(resp));
+  }
+  // An unsharded server holds one document, number 0 (what its kCount
+  // reports as its one shard): a request scoped to any other document asks
+  // about one that is not here.
+  const bool doc_scoped =
+      write || req.op == Opcode::kQuery || req.op == Opcode::kCount;
+  if (doc_scoped && req.doc_id != Request::kNoDoc && req.doc_id != 0) {
+    resp.code = StatusCode::kInvalidArgument;
+    resp.message = "no document " + std::to_string(req.doc_id) +
+                   " on an unsharded server; its one document is 0";
+    return resp;
   }
 
   // Route the request. A replica serves reads from the follower's current
@@ -395,37 +427,17 @@ Response Server::Execute(const Request& req) {
       break;
     }
     case Opcode::kInsertBefore:
-    case Opcode::kInsertAfter: {
+    case Opcode::kInsertAfter:
+    case Opcode::kDelete: {
       if (write_db == nullptr) {
         not_leader();
         break;
       }
       // Admission-controlled: a full queue sheds with retry-after instead
       // of blocking this connection's thread behind the writer.
-      Result<engine::NodeId> r =
-          req.op == Opcode::kInsertAfter
-              ? write_db
-                    ->TrySubmitInsertAfter(req.target, req.tag, nullptr,
-                                           deadline)
-                    .get()
-              : write_db
-                    ->TrySubmitInsertBefore(req.target, req.tag, nullptr,
-                                            deadline)
-                    .get();
-      if (!r.ok()) {
-        fill_error(r.status());
-        break;
-      }
-      resp.id_or_count = *r;
-      break;
-    }
-    case Opcode::kDelete: {
-      if (write_db == nullptr) {
-        not_leader();
-        break;
-      }
       Result<uint64_t> r =
-          write_db->TrySubmitDelete(req.target, nullptr, deadline).get();
+          write_db->Submit(WriteOpOf(req), engine::Admission::kShed, deadline)
+              .get();
       if (!r.ok()) {
         fill_error(r.status());
         break;
@@ -585,29 +597,13 @@ Response Server::ExecuteSharded(const Request& req, util::Deadline deadline,
       break;
     }
     case Opcode::kInsertBefore:
-    case Opcode::kInsertAfter: {
-      if (need_doc()) break;
-      Result<engine::NodeId> r =
-          req.op == Opcode::kInsertAfter
-              ? sharded_
-                    ->TrySubmitInsertAfter(req.doc_id, req.target, req.tag,
-                                           deadline)
-                    .get()
-              : sharded_
-                    ->TrySubmitInsertBefore(req.doc_id, req.target, req.tag,
-                                            deadline)
-                    .get();
-      if (!r.ok()) {
-        fill_error(r.status());
-        break;
-      }
-      resp.id_or_count = *r;
-      break;
-    }
+    case Opcode::kInsertAfter:
     case Opcode::kDelete: {
       if (need_doc()) break;
-      Result<uint64_t> r =
-          sharded_->TrySubmitDelete(req.doc_id, req.target, deadline).get();
+      Result<uint64_t> r = sharded_
+                               ->Submit(req.doc_id, WriteOpOf(req),
+                                        engine::Admission::kShed, deadline)
+                               .get();
       if (!r.ok()) {
         fill_error(r.status());
         break;

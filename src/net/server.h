@@ -26,9 +26,9 @@
 /// connection finish its in-flight request, then close.
 ///
 /// Overload semantics (the whole point — see docs/NETWORKING.md):
-///   * writes go through the admission-controlled TrySubmit* path; a full
-///     queue becomes a kRetryAfter response carrying a backoff hint derived
-///     from the live queue depth, not an unbounded wait;
+///   * every write is one `Submit` with `Admission::kShed`; a full queue
+///     becomes a kRetryAfter response carrying a backoff hint derived from
+///     the live queue depth, not an unbounded wait;
 ///   * request deadlines (`Request::deadline_ms`) ride into the engine, so
 ///     work that expires while queued is shed as kDeadlineExceeded instead
 ///     of executing;
@@ -77,7 +77,9 @@ class Server {
  public:
   /// Serves `db` directly (a primary). When `db` has a replication log, a
   /// ReplicationSender is attached and kSubscribe/kBootstrap streams are
-  /// served to followers.
+  /// served to followers. `db` is document 0: a kQuery, kCount, kInsert*
+  /// or kDelete whose `Request::doc_id` names any other document bounces
+  /// with kInvalidArgument (so does one served by StartReplica).
   static Result<std::unique_ptr<Server>> Start(engine::ConcurrentXmlDb* db,
                                                const ServerOptions& options);
 

@@ -296,43 +296,21 @@ Status Follower::Bootstrap(int fd) {
 Status Follower::ApplyRecord(engine::ConcurrentXmlDb* db, uint64_t lsn,
                              const std::vector<ReplOp>& ops) {
   for (const ReplOp& op : ops) {
-    switch (op.kind) {
-      case ReplOp::Kind::kInsertBefore:
-      case ReplOp::Kind::kInsertAfter: {
-        const auto target = static_cast<engine::NodeId>(op.target);
-        Result<engine::NodeId> id =
-            op.kind == ReplOp::Kind::kInsertBefore
-                ? db->InsertElementBefore(target, op.tag)
-                : db->InsertElementAfter(target, op.tag);
-        if (!id.ok()) {
-          return Status::Corruption("replica replay failed at lsn " +
-                                    std::to_string(lsn) + ": " +
-                                    id.status().ToString());
-        }
-        if (*id != op.new_id) {
-          return Status::Corruption(
-              "replica diverged at lsn " + std::to_string(lsn) +
-              ": replayed id " + std::to_string(*id) + " != primary id " +
-              std::to_string(op.new_id));
-        }
-        break;
-      }
-      case ReplOp::Kind::kDelete: {
-        Result<uint64_t> removed =
-            db->DeleteElement(static_cast<engine::NodeId>(op.target));
-        if (!removed.ok()) {
-          return Status::Corruption("replica replay failed at lsn " +
-                                    std::to_string(lsn) + ": " +
-                                    removed.status().ToString());
-        }
-        if (*removed != op.new_id) {
-          return Status::Corruption(
-              "replica diverged at lsn " + std::to_string(lsn) +
-              ": removed " + std::to_string(*removed) + " != primary " +
-              std::to_string(op.new_id));
-        }
-        break;
-      }
+    Result<uint64_t> replayed =
+        db->Submit({op.kind, static_cast<engine::NodeId>(op.target), op.tag})
+            .get();
+    if (!replayed.ok()) {
+      return Status::Corruption("replica replay failed at lsn " +
+                                std::to_string(lsn) + ": " +
+                                replayed.status().ToString());
+    }
+    // An insert must re-derive the primary's node id, a delete remove as
+    // many nodes; anything else means the replica diverged.
+    if (*replayed != op.new_id) {
+      return Status::Corruption(
+          "replica diverged at lsn " + std::to_string(lsn) + ": replayed " +
+          std::to_string(*replayed) + " != primary " +
+          std::to_string(op.new_id));
     }
   }
   return Status::OK();

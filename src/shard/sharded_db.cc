@@ -79,13 +79,6 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   return Status::OK();
 }
 
-template <typename T>
-std::future<Result<T>> FailedFuture(Status st) {
-  std::promise<Result<T>> p;
-  p.set_value(Result<T>(std::move(st)));
-  return p.get_future();
-}
-
 }  // namespace
 
 std::string EncodeManifest(const ShardManifest& manifest) {
@@ -517,94 +510,21 @@ Status ShardedDb::ResolveWrite(uint64_t doc, engine::NodeId target,
   return Status::OK();
 }
 
-std::future<Result<engine::NodeId>> ShardedDb::SubmitInsertBefore(
-    uint64_t doc, engine::NodeId target, std::string tag,
-    util::Deadline deadline) {
+std::future<Result<uint64_t>> ShardedDb::Submit(uint64_t doc,
+                                                engine::WriteOp op,
+                                                engine::Admission admission,
+                                                util::Deadline deadline) {
   uint32_t s = 0;
-  if (Status st = ResolveWrite(doc, target, &s); !st.ok()) {
-    return FailedFuture<engine::NodeId>(std::move(st));
-  }
-  if (Status st = GateWrite(s); !st.ok()) {
-    return FailedFuture<engine::NodeId>(std::move(st));
+  Status st = ResolveWrite(doc, op.target, &s);
+  if (st.ok()) st = GateWrite(s);
+  if (!st.ok()) {
+    std::promise<Result<uint64_t>> failed;
+    failed.set_value(std::move(st));
+    return failed.get_future();
   }
   routed_writes_->Increment();
   per_shard_metrics_[s].writes->Increment();
-  return shards_[s]->SubmitInsertBefore(target, std::move(tag), deadline);
-}
-
-std::future<Result<engine::NodeId>> ShardedDb::SubmitInsertAfter(
-    uint64_t doc, engine::NodeId target, std::string tag,
-    util::Deadline deadline) {
-  uint32_t s = 0;
-  if (Status st = ResolveWrite(doc, target, &s); !st.ok()) {
-    return FailedFuture<engine::NodeId>(std::move(st));
-  }
-  if (Status st = GateWrite(s); !st.ok()) {
-    return FailedFuture<engine::NodeId>(std::move(st));
-  }
-  routed_writes_->Increment();
-  per_shard_metrics_[s].writes->Increment();
-  return shards_[s]->SubmitInsertAfter(target, std::move(tag), deadline);
-}
-
-std::future<Result<engine::NodeId>> ShardedDb::TrySubmitInsertBefore(
-    uint64_t doc, engine::NodeId target, std::string tag,
-    util::Deadline deadline) {
-  uint32_t s = 0;
-  if (Status st = ResolveWrite(doc, target, &s); !st.ok()) {
-    return FailedFuture<engine::NodeId>(std::move(st));
-  }
-  if (Status st = GateWrite(s); !st.ok()) {
-    return FailedFuture<engine::NodeId>(std::move(st));
-  }
-  routed_writes_->Increment();
-  per_shard_metrics_[s].writes->Increment();
-  return shards_[s]->TrySubmitInsertBefore(target, std::move(tag),
-                                           /*accepted=*/nullptr, deadline);
-}
-
-std::future<Result<engine::NodeId>> ShardedDb::TrySubmitInsertAfter(
-    uint64_t doc, engine::NodeId target, std::string tag,
-    util::Deadline deadline) {
-  uint32_t s = 0;
-  if (Status st = ResolveWrite(doc, target, &s); !st.ok()) {
-    return FailedFuture<engine::NodeId>(std::move(st));
-  }
-  if (Status st = GateWrite(s); !st.ok()) {
-    return FailedFuture<engine::NodeId>(std::move(st));
-  }
-  routed_writes_->Increment();
-  per_shard_metrics_[s].writes->Increment();
-  return shards_[s]->TrySubmitInsertAfter(target, std::move(tag),
-                                          /*accepted=*/nullptr, deadline);
-}
-
-std::future<Result<uint64_t>> ShardedDb::SubmitDelete(
-    uint64_t doc, engine::NodeId target, util::Deadline deadline) {
-  uint32_t s = 0;
-  if (Status st = ResolveWrite(doc, target, &s); !st.ok()) {
-    return FailedFuture<uint64_t>(std::move(st));
-  }
-  if (Status st = GateWrite(s); !st.ok()) {
-    return FailedFuture<uint64_t>(std::move(st));
-  }
-  routed_writes_->Increment();
-  per_shard_metrics_[s].writes->Increment();
-  return shards_[s]->SubmitDelete(target, deadline);
-}
-
-std::future<Result<uint64_t>> ShardedDb::TrySubmitDelete(
-    uint64_t doc, engine::NodeId target, util::Deadline deadline) {
-  uint32_t s = 0;
-  if (Status st = ResolveWrite(doc, target, &s); !st.ok()) {
-    return FailedFuture<uint64_t>(std::move(st));
-  }
-  if (Status st = GateWrite(s); !st.ok()) {
-    return FailedFuture<uint64_t>(std::move(st));
-  }
-  routed_writes_->Increment();
-  per_shard_metrics_[s].writes->Increment();
-  return shards_[s]->TrySubmitDelete(target, /*accepted=*/nullptr, deadline);
+  return shards_[s]->Submit(std::move(op), admission, deadline);
 }
 
 uint64_t ShardedDb::RetryAfterHintMillis(uint64_t doc) const {

@@ -201,33 +201,30 @@ class ShardedDb {
 
   // --- document-scoped writes ------------------------------------------
 
-  /// Inserts a new element before/after `target`, which must lie strictly
-  /// inside `doc` (the document root itself is rejected: a sibling of it
-  /// would escape the document). Blocking (backpressure) variants.
-  std::future<Result<engine::NodeId>> SubmitInsertBefore(
-      uint64_t doc, engine::NodeId target, std::string tag,
-      util::Deadline deadline = {});
-  std::future<Result<engine::NodeId>> SubmitInsertAfter(
-      uint64_t doc, engine::NodeId target, std::string tag,
-      util::Deadline deadline = {});
-
-  /// Admission-controlled variants (kRetryAfter when the owning shard's
-  /// queue is full) — what the network front-end uses.
-  std::future<Result<engine::NodeId>> TrySubmitInsertBefore(
-      uint64_t doc, engine::NodeId target, std::string tag,
-      util::Deadline deadline = {});
-  std::future<Result<engine::NodeId>> TrySubmitInsertAfter(
-      uint64_t doc, engine::NodeId target, std::string tag,
+  /// Submits `op` to the shard owning `doc` (ConcurrentXmlDb::Submit).
+  /// `op.target` must lie strictly inside `doc`: the document root is
+  /// rejected, since a sibling of it would escape the document and deleting
+  /// it is not supported. A target in another document, or a corpus whose
+  /// supervisor has tripped that shard's breaker, fails the future before
+  /// it is queued.
+  std::future<Result<uint64_t>> Submit(
+      uint64_t doc, engine::WriteOp op,
+      engine::Admission admission = engine::Admission::kBlock,
       util::Deadline deadline = {});
 
-  /// Deletes the subtree at `target` inside `doc` (the document root is
-  /// rejected). Resolves with the number of nodes removed.
-  std::future<Result<uint64_t>> SubmitDelete(uint64_t doc,
-                                             engine::NodeId target,
-                                             util::Deadline deadline = {});
-  std::future<Result<uint64_t>> TrySubmitDelete(uint64_t doc,
-                                                engine::NodeId target,
-                                                util::Deadline deadline = {});
+  /// Blocking inserts, kept as forwarders to Submit because the repository
+  /// benchmark (perfbench/ladder.cc) calls them.
+  std::future<Result<uint64_t>> SubmitInsertBefore(uint64_t doc,
+                                                   engine::NodeId target,
+                                                   std::string tag) {
+    return Submit(doc, engine::WriteOp::InsertBefore(target, std::move(tag)));
+  }
+  /// As SubmitInsertBefore; kept for perfbench/ladder.cc too.
+  std::future<Result<uint64_t>> SubmitInsertAfter(uint64_t doc,
+                                                  engine::NodeId target,
+                                                  std::string tag) {
+    return Submit(doc, engine::WriteOp::InsertAfter(target, std::move(tag)));
+  }
 
   /// Retry-after hint of the shard owning `doc` (for kRetryAfter bounces).
   uint64_t RetryAfterHintMillis(uint64_t doc) const;

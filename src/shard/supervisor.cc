@@ -316,12 +316,15 @@ Status ShardSupervisor::ProbeWrite(uint32_t s) {
   // the whole durability path, not just the reopen.
   probe_writes_->Increment();
   engine::ConcurrentXmlDb* eng = shards_[s].engine;
-  Result<engine::NodeId> inserted =
-      eng->SubmitInsertAfter(shards_[s].probe_target, kProbeTag).get();
+  Result<uint64_t> inserted =
+      eng->Submit(engine::WriteOp::InsertAfter(shards_[s].probe_target,
+                                               kProbeTag))
+          .get();
   if (!inserted.ok()) return inserted.status();
-  Result<uint64_t> removed = eng->SubmitDelete(*inserted).get();
-  if (!removed.ok()) return removed.status();
-  return Status::OK();
+  return eng->Submit(engine::WriteOp::Delete(
+                         static_cast<engine::NodeId>(*inserted)))
+      .get()
+      .status();
 }
 
 void ShardSupervisor::ProbeManifestDir() {

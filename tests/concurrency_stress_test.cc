@@ -28,6 +28,7 @@ namespace {
 using engine::ConcurrentXmlDb;
 using engine::ConcurrentXmlDbOptions;
 using engine::NodeId;
+using engine::WriteOp;
 
 // Engine-written records carry a varint TagId prefix when the store's
 // header holds a tag table (docs/ENCODING.md); strip (and sanity-check)
@@ -138,7 +139,8 @@ TEST(ConcurrentStressTest, HamletReadersSeeOrderedDuplicateFreeSpeakers) {
 
     // The writer: skewed insertions, every one of them a new <speaker>.
     for (int i = 0; i < kInserts; ++i) {
-      Result<NodeId> id = (*db)->SubmitInsertAfter(hot, "speaker").get();
+      Result<uint64_t> id =
+          (*db)->Submit(WriteOp::InsertAfter(hot, "speaker")).get();
       ASSERT_TRUE(id.ok()) << id.status();
     }
     writer_done.store(true);
@@ -185,7 +187,8 @@ TEST(ConcurrentStressTest, StoreBackedPipelineStaysDurableUnderLoad) {
   for (int w = 0; w < kWriterThreads; ++w) {
     writers.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        Result<NodeId> id = (*db)->SubmitInsertAfter(hot, "entry").get();
+        Result<uint64_t> id =
+            (*db)->Submit(WriteOp::InsertAfter(hot, "entry")).get();
         ASSERT_TRUE(id.ok()) << id.status();
       }
     });

@@ -24,9 +24,11 @@ namespace {
 using concurrency::BoundedQueue;
 using concurrency::SnapshotManager;
 using concurrency::ThreadPool;
+using engine::Admission;
 using engine::ConcurrentXmlDb;
 using engine::ConcurrentXmlDbOptions;
 using engine::NodeId;
+using engine::WriteOp;
 
 // Engine-written records carry a varint TagId prefix when the store's
 // header holds a tag table (docs/ENCODING.md); strip (and sanity-check)
@@ -291,6 +293,29 @@ TEST(SnapshotManagerTest, MovedPinReleasesExactlyOnce) {
 constexpr char kSmallDoc[] =
     "<root><a><b/><b/></a><c><b/></c></root>";
 
+uint64_t CounterValue(const obs::MetricRegistry& registry,
+                      const std::string& name) {
+  for (const obs::MetricSnapshot& m : registry.Snapshot()) {
+    if (m.name == name) return m.counter_value;
+  }
+  return 0;
+}
+
+/// Runs `check(op, admission)` for every kind of write under every
+/// admission, each under a SCOPED_TRACE naming the pair.
+template <typename Check>
+void ForEveryWriteShape(NodeId target, Check check) {
+  for (const WriteOp::Kind kind :
+       {WriteOp::Kind::kInsertBefore, WriteOp::Kind::kInsertAfter,
+        WriteOp::Kind::kDelete}) {
+    for (const Admission admission : {Admission::kBlock, Admission::kShed}) {
+      SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                   (admission == Admission::kShed ? ", shed" : ", block"));
+      check(WriteOp{kind, target, "x"}, admission);
+    }
+  }
+}
+
 TEST(ConcurrentXmlDbTest, ReadsSeeInitialDocument) {
   auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
   ASSERT_TRUE(db.ok());
@@ -304,7 +329,8 @@ TEST(ConcurrentXmlDbTest, InsertIsVisibleOnceItsFutureResolves) {
   ASSERT_TRUE(db.ok());
   const std::vector<NodeId> cs = (*db)->Query("//c").value();
   ASSERT_FALSE(cs.empty());
-  Result<NodeId> fresh = (*db)->SubmitInsertAfter(cs[0], "d").get();
+  Result<uint64_t> fresh =
+      (*db)->Submit(WriteOp::InsertAfter(cs[0], "d")).get();
   ASSERT_TRUE(fresh.ok());
   // Read-your-writes: the snapshot was published before the future
   // resolved.
@@ -316,7 +342,7 @@ TEST(ConcurrentXmlDbTest, DeleteRemovesSubtreeFromNewSnapshots) {
   auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
   ASSERT_TRUE(db.ok());
   const NodeId a = (*db)->Query("/root/a").value()[0];
-  Result<uint64_t> removed = (*db)->DeleteElement(a);
+  Result<uint64_t> removed = (*db)->Submit(WriteOp::Delete(a)).get();
   ASSERT_TRUE(removed.ok());
   EXPECT_EQ(*removed, 3u);  // <a> and its two <b/> children
   EXPECT_EQ(*(*db)->Count("//b"), 1u);
@@ -325,17 +351,20 @@ TEST(ConcurrentXmlDbTest, DeleteRemovesSubtreeFromNewSnapshots) {
 TEST(ConcurrentXmlDbTest, InvalidTargetsFailTheirFutures) {
   auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->SubmitInsertAfter(9999, "x").get().status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ((*db)->SubmitInsertBefore(0, "x").get().status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ((*db)->SubmitDelete(0).get().status().code(),
+  EXPECT_EQ(
+      (*db)->Submit(WriteOp::InsertAfter(9999, "x")).get().status().code(),
+      StatusCode::kOutOfRange);
+  EXPECT_EQ(
+      (*db)->Submit(WriteOp::InsertBefore(0, "x")).get().status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ((*db)->Submit(WriteOp::Delete(0)).get().status().code(),
             StatusCode::kInvalidArgument);
   // A target deleted earlier in the pipeline fails cleanly, even when both
   // requests ride the same group commit.
   const NodeId a = (*db)->Query("/root/a").value()[0];
-  std::future<Result<uint64_t>> del = (*db)->SubmitDelete(a);
-  std::future<Result<NodeId>> ins = (*db)->SubmitInsertAfter(a, "x");
+  std::future<Result<uint64_t>> del = (*db)->Submit(WriteOp::Delete(a));
+  std::future<Result<uint64_t>> ins =
+      (*db)->Submit(WriteOp::InsertAfter(a, "x"));
   EXPECT_TRUE(del.get().ok());
   EXPECT_EQ(ins.get().status().code(), StatusCode::kNotFound);
 }
@@ -349,17 +378,19 @@ TEST(ConcurrentXmlDbTest, WritesUnderADeletedSubtreeFailTheirFutures) {
   const std::vector<NodeId> bs = (*db)->Query("//a/b").value();
   ASSERT_EQ(bs.size(), 2u);
   const NodeId a = (*db)->Query("//a").value()[0];
-  std::future<Result<uint64_t>> del = (*db)->SubmitDelete(a);
-  std::future<Result<uint64_t>> del_child = (*db)->SubmitDelete(bs[0]);
-  std::future<Result<NodeId>> ins = (*db)->SubmitInsertAfter(bs[1], "x");
+  std::future<Result<uint64_t>> del = (*db)->Submit(WriteOp::Delete(a));
+  std::future<Result<uint64_t>> del_child =
+      (*db)->Submit(WriteOp::Delete(bs[0]));
+  std::future<Result<uint64_t>> ins =
+      (*db)->Submit(WriteOp::InsertAfter(bs[1], "x"));
   EXPECT_EQ(*del.get(), 3u);
   EXPECT_EQ(del_child.get().status().code(), StatusCode::kNotFound);
   EXPECT_EQ(ins.get().status().code(), StatusCode::kNotFound);
-  EXPECT_EQ((*db)->SubmitDelete(bs[1]).get().status().code(),
+  EXPECT_EQ((*db)->Submit(WriteOp::Delete(bs[1])).get().status().code(),
             StatusCode::kNotFound);
   // The writer is still alive and applying.
   const NodeId c = (*db)->Query("//c").value()[0];
-  EXPECT_TRUE((*db)->SubmitInsertAfter(c, "d").get().ok());
+  EXPECT_TRUE((*db)->Submit(WriteOp::InsertAfter(c, "d")).get().ok());
   EXPECT_EQ(*(*db)->Count("/*/*"), 2u);
 }
 
@@ -368,12 +399,13 @@ TEST(ConcurrentXmlDbTest, SubmissionsFailCleanlyAfterShutdown) {
   ASSERT_TRUE(db.ok());
   const NodeId b = (*db)->Query("//b").value()[0];
   (*db)->Shutdown();
-  bool accepted = true;
-  Result<NodeId> rejected =
-      (*db)->TrySubmitInsertAfter(b, "x", &accepted).get();
-  EXPECT_FALSE(accepted);
-  EXPECT_FALSE(rejected.ok());
-  EXPECT_FALSE((*db)->SubmitDelete(b).get().ok());
+  // Every write fails with IoError, shed or not; a closed queue is no
+  // admission-control bounce, so `rejected` stays at 0.
+  ForEveryWriteShape(b, [&](WriteOp op, Admission admission) {
+    EXPECT_EQ((*db)->Submit(std::move(op), admission).get().status().code(),
+              StatusCode::kIoError);
+  });
+  EXPECT_EQ(CounterValue((*db)->metrics(), "engine.concurrent.rejected"), 0u);
   Result<std::vector<NodeId>> read = (*db)->SubmitQuery("//b").get();
   EXPECT_FALSE(read.ok());
   // Snapshot reads still work after shutdown (the last version persists).
@@ -406,10 +438,10 @@ TEST(ConcurrentXmlDbTest, GroupCommitAmortizesStoreFsyncs) {
   // the first group, the rest pile up and commit under later, larger
   // groups.
   constexpr int kInserts = 64;
-  std::vector<std::future<Result<NodeId>>> futures;
+  std::vector<std::future<Result<uint64_t>>> futures;
   futures.reserve(kInserts);
   for (int i = 0; i < kInserts; ++i) {
-    futures.push_back((*db)->SubmitInsertAfter(b, "n"));
+    futures.push_back((*db)->Submit(WriteOp::InsertAfter(b, "n")));
   }
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
 
@@ -447,16 +479,6 @@ TEST(ConcurrentXmlDbTest, GroupCommitAmortizesStoreFsyncs) {
 // --------------------------------------------------------------------------
 // Deadline propagation
 
-namespace {
-uint64_t CounterValue(const obs::MetricRegistry& registry,
-                      const std::string& name) {
-  for (const obs::MetricSnapshot& m : registry.Snapshot()) {
-    if (m.name == name) return m.counter_value;
-  }
-  return 0;
-}
-}  // namespace
-
 TEST(ConcurrentXmlDbTest, ExpiredWriteNeverReachesWal) {
   const std::string path = ::testing::TempDir() + "/deadline_write.bin";
   std::remove(path.c_str());
@@ -467,17 +489,23 @@ TEST(ConcurrentXmlDbTest, ExpiredWriteNeverReachesWal) {
   ASSERT_TRUE(db.ok());
   const NodeId b = (*db)->Query("//b").value()[0];
 
-  // Already expired at submission: rejected before it is even enqueued.
-  Result<NodeId> dead =
-      (*db)->SubmitInsertAfter(b, "n", util::Deadline::AfterMillis(-10)).get();
-  EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded);
+  // Already expired at submission: rejected before it is even enqueued,
+  // whatever the write and its admission.
+  ForEveryWriteShape(b, [&](WriteOp op, Admission admission) {
+    EXPECT_EQ((*db)->Submit(std::move(op), admission,
+                            util::Deadline::AfterMillis(-10))
+                  .get()
+                  .status()
+                  .code(),
+              StatusCode::kDeadlineExceeded);
+  });
   EXPECT_EQ(CounterValue((*db)->underlying().store()->metrics(),
                          "wal.appends"),
             0u)
       << "an expired write must never produce a WAL record";
 
   // A live write still goes through — proving the WAL counter works.
-  ASSERT_TRUE((*db)->SubmitInsertAfter(b, "n").get().ok());
+  ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(b, "n")).get().ok());
   EXPECT_EQ(CounterValue((*db)->underlying().store()->metrics(),
                          "wal.appends"),
             1u);
@@ -502,11 +530,13 @@ TEST(ConcurrentXmlDbTest, WriteExpiredWhileQueuedIsShedBeforeTheWal) {
   ASSERT_TRUE(
       util::Failpoints::Activate("engine.concurrent.write.delay", "delay=150")
           .ok());
-  std::future<Result<NodeId>> live = (*db)->SubmitInsertAfter(b, "n");
-  std::future<Result<NodeId>> doomed =
-      (*db)->SubmitInsertAfter(b, "n", util::Deadline::AfterMillis(25));
-  Result<NodeId> live_result = live.get();
-  Result<NodeId> doomed_result = doomed.get();
+  std::future<Result<uint64_t>> live =
+      (*db)->Submit(WriteOp::InsertAfter(b, "n"));
+  std::future<Result<uint64_t>> doomed =
+      (*db)->Submit(WriteOp::InsertAfter(b, "n"), Admission::kBlock,
+                    util::Deadline::AfterMillis(25));
+  Result<uint64_t> live_result = live.get();
+  Result<uint64_t> doomed_result = doomed.get();
   util::Failpoints::Deactivate("engine.concurrent.write.delay");
 
   ASSERT_TRUE(live_result.ok());
@@ -519,7 +549,7 @@ TEST(ConcurrentXmlDbTest, WriteExpiredWhileQueuedIsShedBeforeTheWal) {
   EXPECT_EQ(CounterValue((*db)->underlying().store()->metrics(),
                          "wal.appends"),
             1u);
-  ASSERT_TRUE((*db)->SubmitInsertAfter(b, "n").get().ok());
+  ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(b, "n")).get().ok());
   EXPECT_EQ(CounterValue((*db)->underlying().store()->metrics(),
                          "wal.appends"),
             2u);
@@ -563,7 +593,7 @@ TEST(ConcurrentXmlDbTest, QueryExpiredWhileQueuedIsShedWithoutRunning) {
 }
 
 TEST(ConcurrentXmlDbTest, AdmissionControlReturnsRetryAfterWithHint) {
-  // A tiny queue plus a slowed writer forces TrySubmit to shed. The
+  // A tiny queue plus a slowed writer forces kShed submits to shed. The
   // rejection carries kRetryAfter (not a generic error) and the hint is a
   // positive bounded backoff.
   ConcurrentXmlDbOptions options;
@@ -574,35 +604,35 @@ TEST(ConcurrentXmlDbTest, AdmissionControlReturnsRetryAfterWithHint) {
   ASSERT_TRUE(
       util::Failpoints::Activate("engine.concurrent.write.delay", "delay=100")
           .ok());
-  std::vector<std::future<Result<NodeId>>> futures;
-  bool saw_retry_after = false;
+  // A shed write's future fails with kRetryAfter; every other one commits
+  // once the writer catches up.
+  std::vector<std::future<Result<uint64_t>>> futures;
   for (int i = 0; i < 32; ++i) {
-    bool accepted = false;
-    std::future<Result<NodeId>> f =
-        (*db)->TrySubmitInsertAfter(b, "n", &accepted);
-    if (!accepted) {
-      Result<NodeId> shed = f.get();
-      ASSERT_EQ(shed.status().code(), StatusCode::kRetryAfter);
-      saw_retry_after = true;
-    } else {
-      futures.push_back(std::move(f));
-    }
+    futures.push_back(
+        (*db)->Submit(WriteOp::InsertAfter(b, "n"), Admission::kShed));
   }
   const uint64_t hint = (*db)->RetryAfterHintMillis();
   EXPECT_GE(hint, 1u);
   EXPECT_LE(hint, 2000u);
   util::Failpoints::Deactivate("engine.concurrent.write.delay");
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_TRUE(saw_retry_after) << "32 bursts into a 2-deep queue behind a "
-                                  "100ms-delayed writer must shed";
-  EXPECT_GE(CounterValue((*db)->metrics(), "engine.concurrent.rejected"), 1u);
+  uint64_t shed = 0;
+  for (auto& f : futures) {
+    Result<uint64_t> r = f.get();
+    if (r.ok()) continue;
+    EXPECT_EQ(r.status().code(), StatusCode::kRetryAfter);
+    ++shed;
+  }
+  EXPECT_GE(shed, 1u) << "32 bursts into a 2-deep queue behind a "
+                         "100ms-delayed writer must shed";
+  EXPECT_EQ(CounterValue((*db)->metrics(), "engine.concurrent.rejected"),
+            shed);
 }
 
 TEST(ConcurrentXmlDbTest, StatsAndMetricsReflectActivity) {
   auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
   ASSERT_TRUE(db.ok());
   const NodeId b = (*db)->Query("//b").value()[0];
-  ASSERT_TRUE((*db)->InsertElementAfter(b, "n").ok());
+  ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(b, "n")).get().ok());
   engine::XmlDbStats stats = (*db)->Stats();
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.node_count, 7u);  // 6 initial + 1 inserted
@@ -650,7 +680,7 @@ TEST_F(ConcurrentPersistFailureTest, RepeatedFailuresRollBackEachGroup) {
   ASSERT_TRUE(
       util::Failpoints::Activate("storage.sync.error", "enospc").ok());
   for (int i = 0; i < 5; ++i) {
-    Result<NodeId> r = (*db)->SubmitInsertAfter(b, "b").get();
+    Result<uint64_t> r = (*db)->Submit(WriteOp::InsertAfter(b, "b")).get();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
         << r.status().ToString();
@@ -665,7 +695,7 @@ TEST_F(ConcurrentPersistFailureTest, RepeatedFailuresRollBackEachGroup) {
   // Fault clears: service resumes without any reopen (rollback left the
   // store consistent) and the failure streak resets.
   util::Failpoints::Deactivate("storage.sync.error");
-  ASSERT_TRUE((*db)->SubmitInsertAfter(b, "b").get().ok());
+  ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(b, "b")).get().ok());
   EXPECT_EQ((*db)->Count("//b").value(), before + 1);
   EXPECT_EQ((*db)->consecutive_persist_failures(), 0u);
   std::remove(path.c_str());
@@ -686,7 +716,7 @@ TEST_F(ConcurrentPersistFailureTest, PersistentFailuresPoisonDeterministically) 
   // Sequential submits — each .get() forces its own group — so strikes
   // accumulate deterministically: exactly 3 storage-failed groups poison.
   for (int i = 0; i < 3; ++i) {
-    Result<NodeId> r = (*db)->SubmitInsertAfter(b, "b").get();
+    Result<uint64_t> r = (*db)->Submit(WriteOp::InsertAfter(b, "b")).get();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   }
@@ -694,7 +724,8 @@ TEST_F(ConcurrentPersistFailureTest, PersistentFailuresPoisonDeterministically) 
 
   // Poisoned: writes fast-fail with kUnavailable without touching storage,
   // while reads keep serving the last published snapshot.
-  Result<NodeId> bounced = (*db)->SubmitInsertAfter(b, "b").get();
+  Result<uint64_t> bounced =
+      (*db)->Submit(WriteOp::InsertAfter(b, "b")).get();
   ASSERT_FALSE(bounced.ok());
   EXPECT_EQ(bounced.status().code(), StatusCode::kUnavailable);
   EXPECT_TRUE((*db)->Count("//b").ok());
@@ -713,7 +744,7 @@ TEST_F(ConcurrentPersistFailureTest, ReopenRestoresServiceLosingNoAckedWrite) {
 
   // Some acked writes before the fault.
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*db)->SubmitInsertAfter(b, "pre").get().ok());
+    ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(b, "pre")).get().ok());
   }
   const uint64_t acked_pre = (*db)->Count("//pre").value();
   ASSERT_EQ(acked_pre, 4u);
@@ -722,7 +753,7 @@ TEST_F(ConcurrentPersistFailureTest, ReopenRestoresServiceLosingNoAckedWrite) {
   ASSERT_TRUE(
       util::Failpoints::Activate("storage.sync.error", "enospc").ok());
   for (int i = 0; i < 2; ++i) {
-    ASSERT_FALSE((*db)->SubmitInsertAfter(b, "lost").get().ok());
+    ASSERT_FALSE((*db)->Submit(WriteOp::InsertAfter(b, "lost")).get().ok());
   }
   ASSERT_TRUE((*db)->poisoned());
 
@@ -739,7 +770,7 @@ TEST_F(ConcurrentPersistFailureTest, ReopenRestoresServiceLosingNoAckedWrite) {
 
   // Service restored: new writes commit durably.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*db)->SubmitInsertAfter(b, "post").get().ok());
+    ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(b, "post")).get().ok());
   }
 
   // Ground truth: exactly the acked writes survive — the rolled-back
@@ -772,7 +803,7 @@ TEST_F(ConcurrentPersistFailureTest, InMemoryDatabaseNeverPoisons) {
   ASSERT_TRUE(db.ok());
   const NodeId b = (*db)->Query("//b").value()[0];
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE((*db)->SubmitInsertAfter(b, "n").get().ok());
+    ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(b, "n")).get().ok());
   }
   EXPECT_FALSE((*db)->poisoned());
   EXPECT_EQ((*db)->consecutive_persist_failures(), 0u);

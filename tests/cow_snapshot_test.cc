@@ -25,6 +25,7 @@
 namespace cdbs {
 namespace {
 
+using engine::WriteOp;
 using labeling::NodeId;
 using query::LabeledDocument;
 using query::TagList;
@@ -514,7 +515,9 @@ uint64_t BytesPerPublish(uint64_t total_nodes, int inserts) {
     // Synchronous submit: each insert lands in its own group commit, so
     // every publish carries exactly one touched insert.
     auto inserted =
-        (*db)->InsertElementAfter((*target)[i % target->size()], "line");
+        (*db)->Submit(WriteOp::InsertAfter((*target)[i % target->size()],
+                                           "line"))
+            .get();
     CDBS_CHECK(inserted.ok());
   }
   const uint64_t publishes = published->value() - published0;

@@ -33,6 +33,7 @@ namespace {
 
 using engine::ConcurrentXmlDb;
 using engine::ConcurrentXmlDbOptions;
+using engine::WriteOp;
 
 uint64_t StepsSorted() {
   return obs::MetricRegistry::Default()
@@ -373,7 +374,7 @@ TEST_P(EvaluatorOrderTest, ChildSpansFollowDeeperInsertsDeletesAndForks) {
   ASSERT_TRUE(db.ok()) << db.status();
   RefTree live = before_insert;
   const ConcurrentXmlDb::Snapshot pinned = (*db)->PinSnapshot();
-  Result<NodeId> deep = (*db)->InsertElementAfter(y, "b");
+  Result<uint64_t> deep = (*db)->Submit(WriteOp::InsertAfter(y, "b")).get();
   ASSERT_TRUE(deep.ok()) << deep.status();
   ASSERT_EQ(*deep, live.AddSibling(y, /*before=*/false, "b"));
   {
@@ -381,7 +382,7 @@ TEST_P(EvaluatorOrderTest, ChildSpansFollowDeeperInsertsDeletesAndForks) {
     ASSERT_NO_FATAL_FAILURE(check(now.view(), live, "engine after insert"));
   }
   ASSERT_NO_FATAL_FAILURE(check(pinned.view(), before_insert, "pinned"));
-  ASSERT_TRUE((*db)->DeleteElement(*deep).ok());
+  ASSERT_TRUE((*db)->Submit(WriteOp::Delete(*deep)).get().ok());
   live.RemoveSubtree(*deep);
   {
     const ConcurrentXmlDb::Snapshot now = (*db)->PinSnapshot();

@@ -22,9 +22,11 @@
 namespace cdbs::net {
 namespace {
 
+using engine::Admission;
 using engine::ConcurrentXmlDb;
 using engine::ConcurrentXmlDbOptions;
 using engine::NodeId;
+using engine::WriteOp;
 
 // --------------------------------------------------------------------------
 // Protocol: payload (de)serialization
@@ -345,22 +347,25 @@ class NetTest : public ::testing::Test {
   /// once the failpoint is lifted). Deterministic: waits for the writer to
   /// dequeue the pilot write (and start sleeping in the injected delay)
   /// before filling, so the queue genuinely sits at capacity afterwards.
-  std::vector<std::future<Result<NodeId>>> StallWriterAndFillQueue(
+  std::vector<std::future<Result<uint64_t>>> StallWriterAndFillQueue(
       NodeId target, int delay_ms) {
     EXPECT_TRUE(util::Failpoints::Activate("engine.concurrent.write.delay",
                                            "delay=" +
                                                std::to_string(delay_ms))
                     .ok());
-    std::vector<std::future<Result<NodeId>>> futures;
-    futures.push_back(db_->SubmitInsertAfter(target, "n"));
+    std::vector<std::future<Result<uint64_t>>> futures;
+    futures.push_back(db_->Submit(WriteOp::InsertAfter(target, "n")));
     while (db_->write_queue_depth() > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     for (size_t i = 0; i < db_->write_queue_capacity(); ++i) {
-      bool accepted = false;
-      std::future<Result<NodeId>> f =
-          db_->TrySubmitInsertAfter(target, "n", &accepted);
-      if (!accepted) break;
+      std::future<Result<uint64_t>> f =
+          db_->Submit(WriteOp::InsertAfter(target, "n"), Admission::kShed);
+      // The writer is stalled, so only a shed write resolves this early.
+      if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+        EXPECT_EQ(f.get().status().code(), StatusCode::kRetryAfter);
+        break;
+      }
       futures.push_back(std::move(f));
     }
     EXPECT_EQ(db_->write_queue_depth(), db_->write_queue_capacity());
@@ -436,6 +441,46 @@ TEST_F(NetTest, ServerErrorsTravelBackWithTheirCodes) {
   EXPECT_EQ(bad_delete.status().code(), StatusCode::kInvalidArgument);
   // The connection survives error responses: the next call still works.
   EXPECT_TRUE((*client)->Ping().ok());
+}
+
+// An unsharded server holds one document, number 0. A request scoped to any
+// other document is rejected before it reaches the engine, instead of being
+// answered from (or applied to) the one document there is.
+TEST_F(NetTest, UnshardedServerRejectsOtherDocumentIds) {
+  auto client = CdbsClient::Connect(ClientFor());
+  ASSERT_TRUE(client.ok());
+  const NodeId b = db_->Query("//b").value()[0];
+  EXPECT_EQ((*client)->DeleteIn(7, b).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*client)->InsertAfterIn(7, b, "x").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*client)->InsertBeforeIn(7, b, "x").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*client)->QueryDoc(7, "//b").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*client)->CountIn(7, "//b").status().code(),
+            StatusCode::kInvalidArgument);
+  // Nothing was written, and document 0 still answers.
+  EXPECT_EQ(db_->Query("//b").value(), std::vector<NodeId>({2, 3, 5}));
+  Result<uint64_t> count = (*client)->CountIn(0, "//b");
+  ASSERT_TRUE(count.ok()) << count.status().message();
+  EXPECT_EQ(*count, 3u);
+  EXPECT_EQ((*client)->QueryDoc(0, "//b").value(),
+            std::vector<uint64_t>({2, 3, 5}));
+}
+
+// Wire targets are 64-bit, engine node ids 32-bit: a target past 2^32 - 1
+// is out of range, not the node its low 32 bits name.
+TEST_F(NetTest, WriteTargetsBeyondTheNodeIdRangeAreOutOfRange) {
+  auto client = CdbsClient::Connect(ClientFor());
+  ASSERT_TRUE(client.ok());
+  const uint64_t aliases_a = (uint64_t{1} << 32) + 1;  // a is node 1
+  EXPECT_EQ((*client)->Delete(aliases_a).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ((*client)->InsertAfter(aliases_a, "x").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(*db_->Count("//a"), 1u);
+  EXPECT_EQ(*db_->Count("//x"), 0u);
 }
 
 // Writes aimed inside a deleted subtree are NotFound over the wire, and the
@@ -522,7 +567,7 @@ TEST_F(NetTest, FullWriteQueueShedsWithRetryAfterOnTheRawWire) {
   db_options_.write_queue_capacity = 8;
   Restart();
   const NodeId b = db_->Query("//b").value()[0];
-  std::vector<std::future<Result<NodeId>>> queued =
+  std::vector<std::future<Result<uint64_t>>> queued =
       StallWriterAndFillQueue(b, /*delay_ms=*/400);
 
   Result<int> fd = ConnectTcp("127.0.0.1", server_->port(), 2000);
@@ -556,7 +601,7 @@ TEST_F(NetTest, ClientHonorsRetryAfterAndEventuallySucceeds) {
   const NodeId b = db_->Query("//b").value()[0];
   auto client = CdbsClient::Connect(ClientFor(/*max_attempts=*/30));
   ASSERT_TRUE(client.ok());
-  std::vector<std::future<Result<NodeId>>> backlog =
+  std::vector<std::future<Result<uint64_t>>> backlog =
       StallWriterAndFillQueue(b, /*delay_ms=*/200);
   Result<uint64_t> through = (*client)->InsertAfter(b, "w");
   util::Failpoints::Deactivate("engine.concurrent.write.delay");

@@ -42,6 +42,7 @@ namespace {
 using engine::ConcurrentXmlDb;
 using engine::ConcurrentXmlDbOptions;
 using engine::NodeId;
+using engine::WriteOp;
 
 constexpr char kDoc[] = "<root><a><b/><b/></a><c><b/></c></root>";
 
@@ -271,12 +272,14 @@ TEST_F(ReplicationChaosTest, FaultyStreamStillConvergesBitIdentically) {
     ASSERT_FALSE(bs.empty());
     std::string tag(1, 'n');
     tag += std::to_string(i);
-    Result<NodeId> after = primary_db_->InsertElementAfter(bs[0], tag);
+    Result<uint64_t> after =
+        primary_db_->Submit(WriteOp::InsertAfter(bs[0], tag)).get();
     ASSERT_TRUE(after.ok()) << after.status().message();
     if (i % 4 == 3) {
-      Result<NodeId> extra = primary_db_->InsertElementBefore(bs[0], "m");
+      Result<uint64_t> extra =
+          primary_db_->Submit(WriteOp::InsertBefore(bs[0], "m")).get();
       ASSERT_TRUE(extra.ok());
-      ASSERT_TRUE(primary_db_->DeleteElement(*extra).ok());
+      ASSERT_TRUE(primary_db_->Submit(WriteOp::Delete(*extra)).get().ok());
     }
   }
   util::Failpoints::Deactivate("net.conn.delay");

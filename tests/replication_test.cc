@@ -26,6 +26,7 @@ namespace {
 using engine::ConcurrentXmlDb;
 using engine::ConcurrentXmlDbOptions;
 using engine::NodeId;
+using engine::WriteOp;
 
 // --------------------------------------------------------------------------
 // ReplOp codec
@@ -316,12 +317,14 @@ class ReplicationE2ETest : public ::testing::Test {
       ASSERT_FALSE(bs.empty());
       std::string tag(1, 'n');
       tag += std::to_string(i);
-      Result<NodeId> after = primary_db_->InsertElementAfter(bs[0], tag);
+      Result<uint64_t> after =
+          primary_db_->Submit(WriteOp::InsertAfter(bs[0], tag)).get();
       ASSERT_TRUE(after.ok()) << after.status().message();
-      Result<NodeId> before = primary_db_->InsertElementBefore(bs[0], "m");
+      Result<uint64_t> before =
+          primary_db_->Submit(WriteOp::InsertBefore(bs[0], "m")).get();
       ASSERT_TRUE(before.ok());
       if (i % 3 == 2) {
-        ASSERT_TRUE(primary_db_->DeleteElement(*before).ok());
+        ASSERT_TRUE(primary_db_->Submit(WriteOp::Delete(*before)).get().ok());
       }
     }
   }

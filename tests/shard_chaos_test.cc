@@ -40,6 +40,9 @@
 namespace cdbs::shard {
 namespace {
 
+using engine::Admission;
+using engine::WriteOp;
+
 class ShardChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -112,9 +115,9 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
     writers.emplace_back([&, d] {
       const std::string tag = "w" + std::to_string(d);
       for (int i = 0; i < kOps && !stop_writers.load(); ++i) {
-        Result<engine::NodeId> r =
-            db->SubmitInsertAfter(d, targets[d], tag,
-                                  util::Deadline::AfterMillis(5000))
+        Result<uint64_t> r =
+            db->Submit(d, WriteOp::InsertAfter(targets[d], tag),
+                       Admission::kBlock, util::Deadline::AfterMillis(5000))
                 .get();
         if (r.ok()) {
           acked[d].fetch_add(1);
@@ -161,9 +164,10 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
   for (int round = 0; round < 3; ++round) {
     for (uint64_t d = 0; d < kDocs; ++d) {
       if (d % kShards == kSickShard) continue;
-      Result<engine::NodeId> r =
-          db->SubmitInsertAfter(d, targets[d], "w" + std::to_string(d),
-                                util::Deadline::AfterMillis(5000))
+      Result<uint64_t> r =
+          db->Submit(d,
+                     WriteOp::InsertAfter(targets[d], "w" + std::to_string(d)),
+                     Admission::kBlock, util::Deadline::AfterMillis(5000))
               .get();
       EXPECT_TRUE(r.ok()) << "healthy doc " << d << " during fault: "
                           << r.status().ToString();
@@ -173,9 +177,9 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
   const uint64_t sick_doc = kSickShard;  // doc 2 lives on shard 2
   EXPECT_EQ(db->CountDoc(sick_doc, "/play/act").value(), 5u);
   {
-    Result<engine::NodeId> r =
-        db->SubmitInsertAfter(sick_doc, targets[sick_doc], "w2",
-                              util::Deadline::AfterMillis(5000))
+    Result<uint64_t> r =
+        db->Submit(sick_doc, WriteOp::InsertAfter(targets[sick_doc], "w2"),
+                   Admission::kBlock, util::Deadline::AfterMillis(5000))
             .get();
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(IsExpectedSickWriteFailure(r.status()))
@@ -193,9 +197,9 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
 
   // Recovered: the sick shard commits again (count it like the rest).
   {
-    Result<engine::NodeId> r =
-        db->SubmitInsertAfter(sick_doc, targets[sick_doc], "w2",
-                              util::Deadline::AfterMillis(5000))
+    Result<uint64_t> r =
+        db->Submit(sick_doc, WriteOp::InsertAfter(targets[sick_doc], "w2"),
+                   Admission::kBlock, util::Deadline::AfterMillis(5000))
             .get();
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (r.ok()) acked[sick_doc].fetch_add(1);
@@ -246,7 +250,7 @@ TEST_F(ShardChaosTest, EioPageWriteKillsAndRecoversAShard) {
                   .ok());
   uint64_t acked = 0;
   for (int i = 0; i < 20; ++i) {
-    Result<engine::NodeId> r = db->SubmitInsertAfter(1, act1, "x").get();
+    Result<uint64_t> r = db->Submit(1, WriteOp::InsertAfter(act1, "x")).get();
     if (r.ok()) {
       ++acked;
       continue;
@@ -264,12 +268,12 @@ TEST_F(ShardChaosTest, EioPageWriteKillsAndRecoversAShard) {
   ASSERT_NE(db->supervisor()->health(1), ShardHealth::kHealthy);
   // Shard 0 is untouched the whole time.
   const engine::NodeId act0 = db->QueryDoc(0, "/play/act").value()[0];
-  ASSERT_TRUE(db->SubmitInsertAfter(0, act0, "alive").get().ok());
+  ASSERT_TRUE(db->Submit(0, WriteOp::InsertAfter(act0, "alive")).get().ok());
 
   util::Failpoints::Deactivate("storage.shard-1.write_page.error");
   ASSERT_TRUE(db->supervisor()->WaitForHealth(1, ShardHealth::kHealthy,
                                               /*timeout_ms=*/15000));
-  Result<engine::NodeId> r = db->SubmitInsertAfter(1, act1, "x").get();
+  Result<uint64_t> r = db->Submit(1, WriteOp::InsertAfter(act1, "x")).get();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ++acked;
   EXPECT_EQ(db->CountDoc(1, "/play/x").value(), acked);

@@ -30,6 +30,8 @@
 namespace cdbs::shard {
 namespace {
 
+using engine::WriteOp;
+
 TEST(ShardStressTest, ConcurrentWritersAndScatterGatherReaders) {
   constexpr size_t kDocs = 8;
   constexpr size_t kShards = 4;
@@ -68,7 +70,9 @@ TEST(ShardStressTest, ConcurrentWritersAndScatterGatherReaders) {
       for (int i = 0; i < kInsertsPerWriter; ++i) {
         // Round-robin over documents so every shard's writer stays busy.
         const uint64_t doc = (w * kInsertsPerWriter + i) % kDocs;
-        auto id = db->SubmitInsertAfter(doc, anchors[doc], "stress").get();
+        auto id =
+            db->Submit(doc, WriteOp::InsertAfter(anchors[doc], "stress"))
+                .get();
         if (id.ok()) {
           acked.fetch_add(1);
         } else {

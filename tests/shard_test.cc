@@ -3,11 +3,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "net/socket_io.h"
 #include "query/evaluator.h"
 #include "query/tag_index.h"
 #include "query/xpath.h"
@@ -30,6 +34,9 @@
 
 namespace cdbs::shard {
 namespace {
+
+using engine::Admission;
+using engine::WriteOp;
 
 std::vector<xml::Document> Plays(size_t n) {
   std::vector<xml::Document> docs;
@@ -346,7 +353,8 @@ TEST(ShardWriteTest, WritesRouteToTheOwningShardAndAreReadable) {
   ASSERT_TRUE(acts.ok());
   ASSERT_FALSE(acts->empty());
 
-  auto inserted = (*db)->SubmitInsertAfter(1, acts->front(), "encore").get();
+  auto inserted =
+      (*db)->Submit(1, WriteOp::InsertAfter(acts->front(), "encore")).get();
   ASSERT_TRUE(inserted.ok()) << inserted.status();
 
   // Read-your-writes: visible in doc 1, invisible in its shard-mates and
@@ -362,7 +370,8 @@ TEST(ShardWriteTest, WritesRouteToTheOwningShardAndAreReadable) {
   auto ids = (*db)->QueryDoc(1, "/play/encore");
   ASSERT_TRUE(ids.ok());
   ASSERT_EQ(ids->size(), 1u);
-  auto removed = (*db)->TrySubmitDelete(1, ids->front()).get();
+  auto removed =
+      (*db)->Submit(1, WriteOp::Delete(ids->front()), Admission::kShed).get();
   ASSERT_TRUE(removed.ok()) << removed.status();
   EXPECT_EQ(*removed, 1u);
   EXPECT_EQ(*(*db)->CountDoc(1, "/play/encore"), 0u);
@@ -375,11 +384,11 @@ TEST(ShardWriteTest, RejectsRootsAndCrossDocTargets) {
   ASSERT_TRUE(db.ok());
 
   // The synthetic shard root (id 0) is not addressable.
-  EXPECT_EQ((*db)->SubmitDelete(0, 0).get().status().code(),
+  EXPECT_EQ((*db)->Submit(0, WriteOp::Delete(0)).get().status().code(),
             StatusCode::kInvalidArgument);
   // The document root is rejected: a sibling of it would escape the doc.
   EXPECT_EQ((*db)
-                ->SubmitInsertAfter(0, (*db)->DocRoot(0), "x")
+                ->Submit(0, WriteOp::InsertAfter((*db)->DocRoot(0), "x"))
                 .get()
                 .status()
                 .code(),
@@ -388,12 +397,13 @@ TEST(ShardWriteTest, RejectsRootsAndCrossDocTargets) {
   auto other = (*db)->QueryDoc(1, "/play/act");
   ASSERT_TRUE(other.ok());
   ASSERT_FALSE(other->empty());
-  EXPECT_EQ((*db)->SubmitDelete(0, other->front()).get().status().code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(
+      (*db)->Submit(0, WriteOp::Delete(other->front())).get().status().code(),
+      StatusCode::kNotFound);
   // Out-of-range ids and docs.
-  EXPECT_EQ((*db)->SubmitDelete(0, 1u << 30).get().status().code(),
+  EXPECT_EQ((*db)->Submit(0, WriteOp::Delete(1u << 30)).get().status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ((*db)->SubmitDelete(9, 1).get().status().code(),
+  EXPECT_EQ((*db)->Submit(9, WriteOp::Delete(1)).get().status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -529,8 +539,8 @@ TEST_F(ShardPersistenceTest, TornWalTailRecoversOnlyTheAffectedShard) {
     for (uint64_t doc = 0; doc < 2; ++doc) {
       auto acts = (*db)->QueryDoc(doc, "/play/act");
       ASSERT_TRUE(acts.ok());
-      ASSERT_TRUE(
-          (*db)->SubmitInsertAfter(doc, acts->front(), "encore").get().ok());
+      const WriteOp encore = WriteOp::InsertAfter(acts->front(), "encore");
+      ASSERT_TRUE((*db)->Submit(doc, encore).get().ok());
     }
     (*db)->Shutdown();
   }
@@ -650,11 +660,17 @@ TEST(CorpusTest, MatchesPaperStyleWorkload) {
 
 class ShardServerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Serve(/*write_queue_capacity=*/256); }
+
+  /// Serves two plays, one per shard, each shard with a write queue of
+  /// `write_queue_capacity`; replaces any corpus served before.
+  void Serve(size_t write_queue_capacity) {
+    TearDown();
     ShardedDbOptions options;
     options.shard_count = 2;
     options.router = RouterKind::kExplicit;
     options.placement = {0, 1};
+    options.shard.write_queue_capacity = write_queue_capacity;
     auto db = ShardedDb::Open(Plays(2), options);
     ASSERT_TRUE(db.ok()) << db.status();
     db_ = std::move(*db);
@@ -724,6 +740,51 @@ TEST_F(ShardServerTest, NodeAddressedOpsNeedADocumentId) {
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ((*client)->InsertAfter(1, "x").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(ShardServerTest, FullShardQueueShedsWithRetryAfterHint) {
+  // Stall the writers and fill the queue of doc 1's shard, then speak the
+  // protocol directly so no client-side retry can mask the shed response.
+  Serve(/*write_queue_capacity=*/4);
+  const engine::NodeId act = db_->QueryDoc(1, "/play/act").value().front();
+  engine::ConcurrentXmlDb* shard = db_->shard(db_->ShardOfDoc(1));
+  ASSERT_TRUE(
+      util::Failpoints::Activate("engine.concurrent.write.delay", "delay=400")
+          .ok());
+  std::vector<std::future<Result<uint64_t>>> queued;
+  queued.push_back(db_->Submit(1, WriteOp::InsertAfter(act, "n")));
+  // The writer has taken the pilot write and sleeps in the delay.
+  while (shard->write_queue_depth() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (size_t i = 0; i < shard->write_queue_capacity(); ++i) {
+    queued.push_back(
+        db_->Submit(1, WriteOp::InsertAfter(act, "n"), Admission::kShed));
+  }
+  ASSERT_EQ(shard->write_queue_depth(), shard->write_queue_capacity());
+
+  Result<int> fd = net::ConnectTcp("127.0.0.1", server_->port(), 2000);
+  ASSERT_TRUE(fd.ok());
+  net::Request req;
+  req.op = net::Opcode::kInsertAfter;
+  req.request_id = 1;
+  req.doc_id = 1;
+  req.target = act;
+  req.tag = "n";
+  ASSERT_TRUE(
+      net::WriteFrame(*fd, net::EncodeFrame(net::EncodeRequest(req)), 2000)
+          .ok());
+  std::string payload;
+  ASSERT_TRUE(net::ReadFrame(*fd, &payload, 2000).ok());
+  net::Response resp;
+  ASSERT_TRUE(net::DecodeResponse(payload, &resp).ok());
+  ::close(*fd);
+  EXPECT_EQ(resp.code, StatusCode::kRetryAfter) << resp.message;
+  EXPECT_GE(resp.retry_after_ms, 1u);
+  EXPECT_LE(resp.retry_after_ms, 2000u);
+
+  util::Failpoints::Deactivate("engine.concurrent.write.delay");
+  for (auto& f : queued) EXPECT_TRUE(f.get().ok());
 }
 
 TEST_F(ShardServerTest, PartialGatherCrossesTheWire) {

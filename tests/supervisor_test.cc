@@ -26,6 +26,8 @@
 namespace cdbs::shard {
 namespace {
 
+using engine::WriteOp;
+
 std::vector<xml::Document> Plays(size_t n) {
   std::vector<xml::Document> docs;
   for (size_t i = 0; i < n; ++i) {
@@ -84,8 +86,8 @@ class SupervisorTest : public ::testing::Test {
     // submissions may be needed if the supervisor's gate starts bouncing
     // first (that IS the breaker working), so stop on kUnavailable too.
     for (int i = 0; i < 20; ++i) {
-      Result<engine::NodeId> r =
-          db->SubmitInsertAfter(0, act, "sick").get();
+      Result<uint64_t> r =
+          db->Submit(0, WriteOp::InsertAfter(act, "sick")).get();
       EXPECT_FALSE(r.ok());
       if (r.status().code() == StatusCode::kUnavailable) break;
       EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
@@ -132,7 +134,7 @@ TEST_F(SupervisorTest, DisabledSupervisionKeepsTheOldBehavior) {
   EXPECT_EQ((*db)->supervisor(), nullptr);
   EXPECT_EQ((*db)->HealthJson(), "{}");
   const engine::NodeId act = (*db)->QueryDoc(0, "/play/act").value()[0];
-  EXPECT_TRUE((*db)->SubmitInsertAfter(0, act, "x").get().ok());
+  EXPECT_TRUE((*db)->Submit(0, WriteOp::InsertAfter(act, "x")).get().ok());
 }
 
 TEST_F(SupervisorTest, BreakerTripsFastFailsAndAutoRecovers) {
@@ -142,8 +144,8 @@ TEST_F(SupervisorTest, BreakerTripsFastFailsAndAutoRecovers) {
 
   // Tripped: writes to the sick shard bounce with kUnavailable before they
   // ever queue, and the hint reflects the recovery schedule.
-  Result<engine::NodeId> bounced =
-      db->SubmitInsertAfter(0, act0, "bounced").get();
+  Result<uint64_t> bounced =
+      db->Submit(0, WriteOp::InsertAfter(act0, "bounced")).get();
   ASSERT_FALSE(bounced.ok());
   EXPECT_EQ(bounced.status().code(), StatusCode::kUnavailable);
   EXPECT_GE(db->RetryAfterHintMillis(0), 1u);
@@ -153,7 +155,7 @@ TEST_F(SupervisorTest, BreakerTripsFastFailsAndAutoRecovers) {
   // the corpus.
   EXPECT_EQ(db->CountDoc(0, "/play/act").value(), 5u);
   const engine::NodeId act1 = db->QueryDoc(1, "/play/act").value()[0];
-  ASSERT_TRUE(db->SubmitInsertAfter(1, act1, "alive").get().ok());
+  ASSERT_TRUE(db->Submit(1, WriteOp::InsertAfter(act1, "alive")).get().ok());
   EXPECT_EQ(db->supervisor()->health(1), ShardHealth::kHealthy);
 
   // Fault clears: the supervisor reopens the store through WAL recovery,
@@ -162,7 +164,8 @@ TEST_F(SupervisorTest, BreakerTripsFastFailsAndAutoRecovers) {
   ASSERT_TRUE(db->supervisor()->WaitForHealth(0, ShardHealth::kHealthy,
                                               /*timeout_ms=*/10000));
   EXPECT_GE(db->supervisor()->recoveries(), 1u);
-  ASSERT_TRUE(db->SubmitInsertAfter(0, act0, "recovered").get().ok());
+  ASSERT_TRUE(
+      db->Submit(0, WriteOp::InsertAfter(act0, "recovered")).get().ok());
   EXPECT_EQ(db->CountDoc(0, "/play/recovered").value(), 1u);
   // No rolled-back write ever became visible.
   EXPECT_EQ(db->CountDoc(0, "/play/sick").value(), 0u);
@@ -204,7 +207,7 @@ TEST_F(SupervisorTest, ManifestDirUnwritableDegradesToReadOnly) {
 
   // Read-only: every write bounces, reads keep serving, health JSON says
   // so.
-  Result<engine::NodeId> w = db->SubmitInsertAfter(0, act, "x").get();
+  Result<uint64_t> w = db->Submit(0, WriteOp::InsertAfter(act, "x")).get();
   ASSERT_FALSE(w.ok());
   EXPECT_EQ(w.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(db->CountDoc(0, "/play/act").value(), 5u);
@@ -219,7 +222,7 @@ TEST_F(SupervisorTest, ManifestDirUnwritableDegradesToReadOnly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_FALSE(db->supervisor()->read_only());
-  EXPECT_TRUE(db->SubmitInsertAfter(0, act, "x").get().ok());
+  EXPECT_TRUE(db->Submit(0, WriteOp::InsertAfter(act, "x")).get().ok());
 }
 
 // --------------------------------------------------------------------------

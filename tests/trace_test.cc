@@ -21,6 +21,7 @@ namespace {
 using engine::ConcurrentXmlDb;
 using engine::ConcurrentXmlDbOptions;
 using engine::NodeId;
+using engine::WriteOp;
 using obs::RequestTrace;
 using obs::Span;
 using obs::SpanName;
@@ -84,7 +85,7 @@ TEST_F(TraceTest, DisabledTracingRecordsNoSpans) {
     RequestTrace rt(0);
     EXPECT_FALSE(rt.active());  // nothing sampled, no slow threshold
     const NodeId b = (*db)->Query("//b").value()[0];
-    ASSERT_TRUE((*db)->InsertElementAfter(b, "n").ok());
+    ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(b, "n")).get().ok());
     ASSERT_TRUE((*db)->Query("//n").ok());
   }
   (*db)->Shutdown();
@@ -137,7 +138,7 @@ TEST_F(TraceTest, WriteTraceStagesSumToEndToEndLatency) {
     RequestTrace rt(0);
     ASSERT_TRUE(rt.active());
     trace_id = rt.trace_id();
-    auto fut = (*db)->SubmitInsertAfter(target, "traced");
+    auto fut = (*db)->Submit(WriteOp::InsertAfter(target, "traced"));
     ASSERT_TRUE(fut.get().ok());
   }
   util::Failpoints::Deactivate("wal.sync.io_error");
@@ -222,7 +223,8 @@ TEST_F(TraceTest, SlowRequestsAreRetainedWithoutSampling) {
   {
     RequestTrace fast(0);
     ASSERT_TRUE(fast.active());  // recorded (slow capture), not retained
-    ASSERT_TRUE((*db)->SubmitInsertAfter(target, "fast").get().ok());
+    ASSERT_TRUE(
+        (*db)->Submit(WriteOp::InsertAfter(target, "fast")).get().ok());
   }
   EXPECT_TRUE(Tracer::Instance().Retained().empty());
 
@@ -231,7 +233,8 @@ TEST_F(TraceTest, SlowRequestsAreRetainedWithoutSampling) {
                   .ok());
   {
     RequestTrace slow(0);
-    ASSERT_TRUE((*db)->SubmitInsertAfter(target, "slow").get().ok());
+    ASSERT_TRUE(
+        (*db)->Submit(WriteOp::InsertAfter(target, "slow")).get().ok());
   }
   util::Failpoints::Deactivate("engine.concurrent.write.delay");
   (*db)->Shutdown();
@@ -276,7 +279,7 @@ TEST_F(TraceTest, ChromeJsonExportHasTraceEventShape) {
   const NodeId target = (*db)->Query("//b").value()[0];
   {
     RequestTrace rt(0);
-    ASSERT_TRUE((*db)->SubmitInsertAfter(target, "x").get().ok());
+    ASSERT_TRUE((*db)->Submit(WriteOp::InsertAfter(target, "x")).get().ok());
   }
   (*db)->Shutdown();
 
