@@ -179,16 +179,17 @@ struct OverdriveResult {
 };
 
 /// Open-loop write drive at `rate_per_s` with retries off, while a sampler
-/// tracks the peak of the primary's repl.lag.* gauges.
+/// tracks the peak of the primary's repl.lag.* gauges (in `primary`, the
+/// primary engine's registry).
 OverdriveResult DriveAndSampleLag(uint16_t port, NodeId hot,
-                                  double rate_per_s, uint64_t duration_ms) {
+                                  double rate_per_s, uint64_t duration_ms,
+                                  cdbs::obs::MetricRegistry& primary) {
   constexpr int kThreads = 32;
   OverdriveResult out;
   std::atomic<uint64_t> offered{0}, accepted{0}, shed{0}, other{0};
   std::atomic<bool> stop_sampler{false};
-  cdbs::obs::MetricRegistry& reg = cdbs::obs::MetricRegistry::Default();
-  cdbs::obs::Gauge* lag_records = reg.GetGauge("repl.lag.records", "");
-  cdbs::obs::Gauge* lag_ms = reg.GetGauge("repl.lag.ms", "");
+  cdbs::obs::Gauge* lag_records = primary.GetGauge("repl.lag.records", "");
+  cdbs::obs::Gauge* lag_ms = primary.GetGauge("repl.lag.ms", "");
   std::thread sampler([&] {
     while (!stop_sampler.load(std::memory_order_relaxed)) {
       out.max_lag_records = std::max(out.max_lag_records,
@@ -393,8 +394,8 @@ int main() {
     std::fprintf(stderr, "no write committed in the measuring phase\n");
     return 1;
   }
-  const OverdriveResult over =
-      DriveAndSampleLag(primary_port, hot, 2 * sustainable, duration_ms);
+  const OverdriveResult over = DriveAndSampleLag(
+      primary_port, hot, 2 * sustainable, duration_ms, (*db)->registry());
   cdbs::util::Failpoints::Deactivate("engine.concurrent.write.delay");
 
   // The backlog the burst left behind must drain completely.

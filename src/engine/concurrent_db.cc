@@ -14,7 +14,7 @@ namespace cdbs::engine {
 
 namespace {
 
-/// Opens the replication log against the db's private registry when the
+/// Opens the replication log against the db's registry when the
 /// options ask for one; nullptr (replication off) otherwise.
 Result<std::unique_ptr<repl::ReplicationLog>> OpenReplLog(
     obs::MetricRegistry* registry, const ConcurrentXmlDbOptions& options) {
@@ -68,56 +68,54 @@ ConcurrentXmlDb::ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
       repl_log_(std::move(repl_log)),
       snapshots_(db_->labeled().Fork()),
       write_queue_(options.write_queue_capacity) {
-  obs::MetricRegistry& local = db_->registry_;
-  obs::MetricRegistry& global = obs::MetricRegistry::Default();
-  auto hist = [&](std::string_view name, std::string_view help) {
-    return obs::MirrorHistogram(local, global, name, help);
-  };
-  auto counter = [&](std::string_view name, std::string_view help) {
-    return obs::MirrorCounter(local, global, name, help);
-  };
-  auto gauge = [&](std::string_view name, std::string_view help) {
-    return obs::MirrorGauge(local, global, name, help);
-  };
-  read_ns_ = hist("engine.concurrent.read.ns",
-                  "Wall time per snapshot-isolated read");
-  write_wait_ns_ = hist("engine.concurrent.write.wait.ns",
-                        "Submission-to-dequeue wait per write");
-  write_ns_ = hist("engine.concurrent.write.ns",
-                   "Submission-to-durable-commit wall time per write");
-  commit_batch_ = hist("engine.concurrent.commit.batch",
+  obs::MetricRegistry& reg = db_->registry_;
+  read_ns_ = reg.GetHistogram("engine.concurrent.read.ns",
+                              "Wall time per snapshot-isolated read");
+  write_wait_ns_ = reg.GetHistogram("engine.concurrent.write.wait.ns",
+                                    "Submission-to-dequeue wait per write");
+  write_ns_ =
+      reg.GetHistogram("engine.concurrent.write.ns",
+                       "Submission-to-durable-commit wall time per write");
+  commit_batch_ =
+      reg.GetHistogram("engine.concurrent.commit.batch",
                        "Write requests folded into one group commit");
-  reads_ = counter("engine.concurrent.reads", "Snapshot-isolated reads");
-  writes_ = counter("engine.concurrent.writes",
-                    "Write requests processed by the writer");
-  rejected_ = counter("engine.concurrent.rejected",
-                      "Shed writes bounced off a full queue (kRetryAfter)");
+  reads_ = reg.GetCounter("engine.concurrent.reads", "Snapshot-isolated reads");
+  writes_ = reg.GetCounter("engine.concurrent.writes",
+                           "Write requests processed by the writer");
+  rejected_ =
+      reg.GetCounter("engine.concurrent.rejected",
+                     "Shed writes bounced off a full queue (kRetryAfter)");
   deadline_exceeded_ =
-      counter("engine.concurrent.deadline_exceeded",
-              "Requests that expired before executing (write or read)");
-  snapshots_published_ = counter("engine.concurrent.snapshots",
-                                 "Snapshots published (one per group commit)");
-  publish_ns_ = hist("engine.concurrent.snapshot.publish.ns",
-                     "Wall time per snapshot publication (Fork + Publish)");
-  cow_bytes_copied_ =
-      counter("engine.concurrent.snapshot.bytes_copied",
-              "Bytes path-copied (COW) per publish, summed over publishes");
-  cow_chunks_copied_ = counter("engine.concurrent.snapshot.chunks_copied",
-                               "COW chunks/runs path-copied across publishes");
+      reg.GetCounter("engine.concurrent.deadline_exceeded",
+                     "Requests that expired before executing (write or read)");
+  snapshots_published_ =
+      reg.GetCounter("engine.concurrent.snapshots",
+                     "Snapshots published (one per group commit)");
+  publish_ns_ =
+      reg.GetHistogram("engine.concurrent.snapshot.publish.ns",
+                       "Wall time per snapshot publication (Fork + Publish)");
+  cow_bytes_copied_ = reg.GetCounter(
+      "engine.concurrent.snapshot.bytes_copied",
+      "Bytes path-copied (COW) per publish, summed over publishes");
+  cow_chunks_copied_ =
+      reg.GetCounter("engine.concurrent.snapshot.chunks_copied",
+                     "COW chunks/runs path-copied across publishes");
   cow_chunks_shared_ =
-      counter("engine.concurrent.snapshot.chunks_shared",
-              "COW chunks/runs shared (not copied) by snapshot forks");
-  queue_depth_ = gauge("engine.concurrent.queue.depth",
-                       "Write submission queue depth");
-  snapshots_live_ = gauge("engine.concurrent.snapshots.live",
-                          "Snapshot versions alive (current + pinned)");
-  persist_failures_ = counter("engine.concurrent.persist.failures",
-                              "Group persists that failed and rolled back");
-  reopens_ = counter("engine.concurrent.reopens",
-                     "Store reopens through the WAL recovery path");
-  poisoned_gauge_ = gauge("engine.concurrent.writer.poisoned",
-                          "1 while the writer circuit breaker is tripped");
-  snapshots_live_.Set(1);
+      reg.GetCounter("engine.concurrent.snapshot.chunks_shared",
+                     "COW chunks/runs shared (not copied) by snapshot forks");
+  queue_depth_ = reg.GetGauge("engine.concurrent.queue.depth",
+                              "Write submission queue depth");
+  snapshots_live_ = reg.GetGauge("engine.concurrent.snapshots.live",
+                                 "Snapshot versions alive (current + pinned)");
+  persist_failures_ =
+      reg.GetCounter("engine.concurrent.persist.failures",
+                     "Group persists that failed and rolled back");
+  reopens_ = reg.GetCounter("engine.concurrent.reopens",
+                            "Store reopens through the WAL recovery path");
+  poisoned_gauge_ =
+      reg.GetGauge("engine.concurrent.writer.poisoned",
+                   "1 while the writer circuit breaker is tripped");
+  snapshots_live_->Set(1);
 
   if (options_.shared_readers != nullptr) {
     readers_ = options_.shared_readers;
@@ -162,8 +160,8 @@ Result<T> ConcurrentXmlDb::Read(const std::string& xpath, Eval eval) const {
   obs::TraceSpan eval_span(obs::SpanName::kEval);
   Result<T> out = eval(*parsed, pin.view());
   eval_span.End();
-  reads_.Increment();
-  read_ns_.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
+  reads_->Increment();
+  read_ns_->Record(static_cast<uint64_t>(timer.ElapsedNanos()));
   return out;
 }
 
@@ -201,7 +199,7 @@ std::future<Result<T>> ConcurrentXmlDb::SubmitRead(
   auto promise = std::make_shared<std::promise<Result<T>>>();
   std::future<Result<T>> fut = promise->get_future();
   if (deadline.expired()) {
-    deadline_exceeded_.Increment();
+    deadline_exceeded_->Increment();
     promise->set_value(
         Status::DeadlineExceeded("query deadline expired at submission"));
     return fut;
@@ -225,7 +223,7 @@ std::future<Result<T>> ConcurrentXmlDb::SubmitRead(
         // Re-check on the worker: the request may have aged out while
         // queued behind slower reads — shed it without evaluating.
         if (deadline.expired()) {
-          deadline_exceeded_.Increment();
+          deadline_exceeded_->Increment();
           promise->set_value(Status::DeadlineExceeded(
               "query deadline expired while queued"));
           return;
@@ -267,7 +265,7 @@ void ConcurrentXmlDb::EnqueueWrite(WriteRequest req, Admission admission) {
   obs::TraceSpan admission_span(obs::SpanName::kAdmission);
   Status rejection;
   if (req.deadline.expired()) {
-    deadline_exceeded_.Increment();
+    deadline_exceeded_->Increment();
     rejection =
         Status::DeadlineExceeded("write deadline expired at submission");
   } else if (admission == Admission::kBlock) {
@@ -279,7 +277,7 @@ void ConcurrentXmlDb::EnqueueWrite(WriteRequest req, Admission admission) {
         rejection = Status::IoError("database shut down");
         break;
       case concurrency::BoundedQueue<WriteRequest>::PushOutcome::kTimedOut:
-        deadline_exceeded_.Increment();
+        deadline_exceeded_->Increment();
         rejection = Status::DeadlineExceeded(
             "write deadline expired while blocked on a full queue");
         break;
@@ -288,7 +286,7 @@ void ConcurrentXmlDb::EnqueueWrite(WriteRequest req, Admission admission) {
     if (shut_down_.load()) {
       rejection = Status::IoError("database shut down");
     } else {
-      rejected_.Increment();
+      rejected_->Increment();
       rejection = Status::RetryAfter("write queue full; retry after " +
                                      std::to_string(RetryAfterHintMillis()) +
                                      " ms");
@@ -305,7 +303,7 @@ void ConcurrentXmlDb::EnqueueWrite(WriteRequest req, Admission admission) {
                req.promise);
     return;
   }
-  queue_depth_.Set(static_cast<double>(write_queue_.size()));
+  queue_depth_->Set(static_cast<double>(write_queue_.size()));
 }
 
 std::future<Result<uint64_t>> ConcurrentXmlDb::Submit(WriteOp op,
@@ -330,7 +328,7 @@ void ConcurrentXmlDb::WriterLoop() {
     const size_t n =
         write_queue_.PopBatch(&group, options_.group_commit_limit);
     if (n == 0) return;  // closed and drained
-    queue_depth_.Set(static_cast<double>(write_queue_.size()));
+    queue_depth_->Set(static_cast<double>(write_queue_.size()));
     ProcessGroup(&group);
   }
 }
@@ -370,7 +368,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     auto* promise = std::get_if<SnapshotPromise>(&req.promise);
     if (promise == nullptr) continue;
     if (req.deadline.expired()) {
-      deadline_exceeded_.Increment();
+      deadline_exceeded_->Increment();
       promise->set_value(Status::DeadlineExceeded(
           "bootstrap deadline expired while queued"));
       continue;
@@ -391,7 +389,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     auto* promise = std::get_if<ReopenPromise>(&req.promise);
     if (promise == nullptr) continue;
     if (req.deadline.expired()) {
-      deadline_exceeded_.Increment();
+      deadline_exceeded_->Increment();
       promise->set_value(Status::DeadlineExceeded(
           "reopen deadline expired while queued"));
       continue;
@@ -404,8 +402,8 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
         last_persist_error_ = Status::OK();
       }
       poisoned_.store(false, std::memory_order_release);
-      poisoned_gauge_.Set(0);
-      reopens_.Increment();
+      poisoned_gauge_->Set(0);
+      reopens_->Increment();
     }
     promise->set_value(reopened);
   }
@@ -425,7 +423,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     if (!std::holds_alternative<WritePromise>(req.promise)) {
       continue;  // handled above
     }
-    write_wait_ns_.Record(static_cast<uint64_t>(req.queued.ElapsedNanos()));
+    write_wait_ns_->Record(static_cast<uint64_t>(req.queued.ElapsedNanos()));
     const WriteOp& op = req.op;
     if (poisoned_.load(std::memory_order_acquire)) {
       // Tripped circuit breaker: fast-fail without touching the database or
@@ -438,7 +436,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     if (req.deadline.expired()) {
       // Expired while queued: shed before it costs writer time. The
       // request never touches the tree, labels, or WAL.
-      deadline_exceeded_.Increment();
+      deadline_exceeded_->Increment();
       results[i].emplace(Status::DeadlineExceeded(
           "write deadline expired while queued behind the writer"));
       continue;
@@ -490,7 +488,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     // the writer after K consecutive strikes; corruption poisons at once —
     // re-trying against a corrupt store only grinds it further. Transient
     // failures just count.
-    persist_failures_.Increment();
+    persist_failures_->Increment();
     {
       std::lock_guard<std::mutex> lock(persist_error_mu_);
       last_persist_error_ = persisted;
@@ -505,7 +503,7 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
          (cls == FailureClass::kPersistent &&
           strikes >= static_cast<uint64_t>(threshold)))) {
       poisoned_.store(true, std::memory_order_release);
-      poisoned_gauge_.Set(1);
+      poisoned_gauge_->Set(1);
     }
   } else {
     if (!pending.empty()) {
@@ -554,13 +552,13 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
   // own write (read-your-writes across the two pipelines).
   if (mutated) PublishSnapshot();
 
-  writes_.Increment(n);
-  commit_batch_.Record(n);
+  writes_->Increment(n);
+  commit_batch_->Record(n);
   for (size_t i = 0; i < n; ++i) {
     WriteRequest& req = (*group)[i];
     auto* promise = std::get_if<WritePromise>(&req.promise);
     if (promise == nullptr) continue;  // resolved above
-    write_ns_.Record(static_cast<uint64_t>(req.queued.ElapsedNanos()));
+    write_ns_->Record(static_cast<uint64_t>(req.queued.ElapsedNanos()));
     promise->set_value(std::move(*results[i]));
   }
 }
@@ -600,7 +598,7 @@ uint64_t ConcurrentXmlDb::RetryAfterHintMillis() const {
   // Estimate the queue's drain time: depth x mean durable-commit latency,
   // amortized over the group size (a full group commits under one fsync).
   const double depth = static_cast<double>(write_queue_.size()) + 1.0;
-  double mean_commit_ns = write_ns_.local()->mean();
+  double mean_commit_ns = write_ns_->mean();
   if (mean_commit_ns <= 0) mean_commit_ns = 1e6;  // cold start: assume 1 ms
   const double group =
       static_cast<double>(options_.group_commit_limit > 0
@@ -622,16 +620,16 @@ void ConcurrentXmlDb::PublishSnapshot() {
   obs::TraceSpan publish_span(obs::SpanName::kPublish);
   snapshots_.Publish(db_->labeled().Fork());
   publish_span.End();
-  publish_ns_.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
+  publish_ns_->Record(static_cast<uint64_t>(timer.ElapsedNanos()));
   const util::CowStats& stats = util::CowStats::Local();
-  cow_bytes_copied_.Increment(stats.bytes_copied - last_cow_bytes_);
-  cow_chunks_copied_.Increment(stats.chunk_copies - last_cow_chunk_copies_);
-  cow_chunks_shared_.Increment(stats.chunks_shared - last_cow_chunks_shared_);
+  cow_bytes_copied_->Increment(stats.bytes_copied - last_cow_bytes_);
+  cow_chunks_copied_->Increment(stats.chunk_copies - last_cow_chunk_copies_);
+  cow_chunks_shared_->Increment(stats.chunks_shared - last_cow_chunks_shared_);
   last_cow_bytes_ = stats.bytes_copied;
   last_cow_chunk_copies_ = stats.chunk_copies;
   last_cow_chunks_shared_ = stats.chunks_shared;
-  snapshots_published_.Increment();
-  snapshots_live_.Set(static_cast<double>(snapshots_.live_versions()));
+  snapshots_published_->Increment();
+  snapshots_live_->Set(static_cast<double>(snapshots_.live_versions()));
 }
 
 // --------------------------------------------------------------------------

@@ -366,37 +366,34 @@ class ConcurrentXmlDb {
   mutable std::mutex persist_error_mu_;  // guards last_persist_error_
   Status last_persist_error_;
 
-  // engine.concurrent.* metrics, registered in the db's private registry
-  // and mirrored into MetricRegistry::Default() (obs::Mirrored).
-  using MirroredHistogram = obs::Mirrored<obs::Histogram>;
-  using MirroredCounter = obs::Mirrored<obs::Counter>;
-  using MirroredGauge = obs::Mirrored<obs::Gauge>;
-  mutable MirroredHistogram read_ns_;
-  MirroredHistogram write_wait_ns_;   // submission -> dequeue
-  MirroredHistogram write_ns_;        // submission -> durable commit
-  MirroredHistogram commit_batch_;    // requests per group commit
-  mutable MirroredCounter reads_;
-  MirroredCounter writes_;
-  MirroredCounter rejected_;          // kShed bounces off a full queue
-  MirroredCounter deadline_exceeded_;  // requests expired before running
-  MirroredCounter snapshots_published_;
-  MirroredHistogram publish_ns_;  // Fork + Publish wall time per snapshot
+  // engine.concurrent.* metrics, in the db's registry (a child of
+  // MetricRegistry::Default(), which sums them across databases).
+  obs::Histogram* read_ns_;
+  obs::Histogram* write_wait_ns_;   // submission -> dequeue
+  obs::Histogram* write_ns_;        // submission -> durable commit
+  obs::Histogram* commit_batch_;    // requests per group commit
+  obs::Counter* reads_;
+  obs::Counter* writes_;
+  obs::Counter* rejected_;          // kShed bounces off a full queue
+  obs::Counter* deadline_exceeded_;  // requests expired before running
+  obs::Counter* snapshots_published_;
+  obs::Histogram* publish_ns_;  // Fork + Publish wall time per snapshot
   // COW publish cost, from the writer thread's CowStats deltas: bytes and
   // chunks path-copied since the previous publish (the group's touched
   // set), and chunks shared by the Fork. These are the counters that prove
   // a publish is O(touched), not O(N) (docs/CONCURRENCY.md).
-  MirroredCounter cow_bytes_copied_;
-  MirroredCounter cow_chunks_copied_;
-  MirroredCounter cow_chunks_shared_;
+  obs::Counter* cow_bytes_copied_;
+  obs::Counter* cow_chunks_copied_;
+  obs::Counter* cow_chunks_shared_;
   // Writer-thread CowStats baselines at the previous publish.
   uint64_t last_cow_bytes_ = 0;
   uint64_t last_cow_chunk_copies_ = 0;
   uint64_t last_cow_chunks_shared_ = 0;
-  MirroredGauge queue_depth_;
-  MirroredGauge snapshots_live_;
-  MirroredCounter persist_failures_;   // failed group persists (rolled back)
-  MirroredCounter reopens_;            // successful store reopens
-  MirroredGauge poisoned_gauge_;       // 1 while the breaker is tripped
+  obs::Gauge* queue_depth_;
+  obs::Gauge* snapshots_live_;
+  obs::Counter* persist_failures_;   // failed group persists (rolled back)
+  obs::Counter* reopens_;            // successful store reopens
+  obs::Gauge* poisoned_gauge_;       // 1 while the breaker is tripped
 };
 
 }  // namespace cdbs::engine

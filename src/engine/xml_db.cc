@@ -90,18 +90,13 @@ XmlDb::XmlDb(XmlTree tree, std::unique_ptr<labeling::LabelingScheme> scheme)
   delete_ns_ =
       registry_.GetHistogram("engine.delete.ns", "Wall time per deletion");
   query_ns_ = registry_.GetHistogram("engine.query.ns", "Wall time per query");
-  obs::MetricRegistry& global = obs::MetricRegistry::Default();
-  global_insertions_ =
-      global.GetCounter("engine.inserts", "Element insertions, all databases");
-  global_deletions_ =
-      global.GetCounter("engine.deletes", "Nodes removed, all databases");
-  global_relabeled_ = global.GetCounter(
-      "engine.relabels", "Stored labels rewritten by updates, all databases");
-  global_overflows_ = global.GetCounter(
-      "engine.overflows", "Overflow re-encodes, all databases");
-
+  reloads_ = registry_.GetCounter(
+      "engine.store.reloads",
+      "Full store rewrites after a label outgrew its slot or a rollback");
+  reload_ns_ = registry_.GetHistogram("engine.store.reload.ns",
+                                      "Wall time per full store rewrite");
   // Seed the process-wide label-size distribution (the Figure 5 metric).
-  obs::Histogram* label_bits = global.GetHistogram(
+  obs::Histogram* label_bits = obs::MetricRegistry::Default().GetHistogram(
       "labeling.label_bits", "Stored label size in bits per node");
   const labeling::Labeling& lab = labeled_->labeling();
   obs::Histogram::Batch sizes;
@@ -485,6 +480,8 @@ Status XmlDb::PersistBatches(const std::vector<storage::StoreBatch>& batches) {
     // the labels as they stand *after* every insertion in the group, so it
     // subsumes all of the incremental batches.
   }
+  obs::ScopedTimer timer(reload_ns_);
+  reloads_->Increment();
   storage::StoreBatch reload;
   reload.Reload(AllRecords(), 16);
   CDBS_RETURN_NOT_OK(store_->ApplyBatch(reload));
@@ -506,13 +503,8 @@ void XmlDb::RollbackInsert(const labeling::InsertResult& applied) {
 
 void XmlDb::NoteInsertCommitted(const labeling::InsertResult& result) {
   insertions_->Increment();
-  global_insertions_->Increment();
   relabeled_total_->Increment(result.relabeled);
-  global_relabeled_->Increment(result.relabeled);
-  if (result.overflow) {
-    overflow_events_->Increment();
-    global_overflows_->Increment();
-  }
+  if (result.overflow) overflow_events_->Increment();
 }
 
 Result<uint64_t> XmlDb::DeleteElement(NodeId target) {
@@ -520,9 +512,7 @@ Result<uint64_t> XmlDb::DeleteElement(NodeId target) {
   CDBS_RETURN_NOT_OK(CheckTarget(target, "cannot delete the root"));
   const labeling::DeleteResult result = labeled_->DeleteSubtree(target);
   deletions_->Increment(result.removed.size());
-  global_deletions_->Increment(result.removed.size());
   relabeled_total_->Increment(result.relabeled);
-  global_relabeled_->Increment(result.relabeled);
   // Orphaned store records are simply left behind; a compaction pass would
   // reclaim them in a production system.
   return static_cast<uint64_t>(result.removed.size());

@@ -193,10 +193,10 @@ class XmlDb {
   /// Counters — a thin view over metrics().
   XmlDbStats Stats() const;
 
-  /// This database's private metric registry: `engine.*` counters and
-  /// per-operation latency histograms (`engine.insert.ns`, ...). Every
-  /// increment is mirrored into MetricRegistry::Default() as well, so
-  /// process-wide exporters see the aggregate across databases.
+  /// This database's metric registry: `engine.*` counters and
+  /// per-operation latency histograms (`engine.insert.ns`, ...). It is a
+  /// child of MetricRegistry::Default(), so process-wide exporters see the
+  /// sum across databases.
   const obs::MetricRegistry& metrics() const { return registry_; }
 
   /// Underlying labeling (for inspection).
@@ -298,8 +298,7 @@ class XmlDb {
   // name was interned) re-pushes before the next persist.
   size_t pushed_tags_ = 0;
 
-  obs::MetricRegistry registry_;
-  // Per-instance counters/timers and their process-wide mirrors.
+  obs::MetricRegistry registry_{&obs::MetricRegistry::Default()};
   obs::Counter* insertions_;
   obs::Counter* deletions_;
   obs::Counter* relabeled_total_;
@@ -307,10 +306,8 @@ class XmlDb {
   obs::Histogram* insert_ns_;
   obs::Histogram* delete_ns_;
   obs::Histogram* query_ns_;
-  obs::Counter* global_insertions_;
-  obs::Counter* global_deletions_;
-  obs::Counter* global_relabeled_;
-  obs::Counter* global_overflows_;
+  obs::Counter* reloads_;
+  obs::Histogram* reload_ns_;
 };
 
 }  // namespace cdbs::engine

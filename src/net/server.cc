@@ -336,6 +336,35 @@ Response Server::Execute(const Request& req) {
     return resp;
   }
 
+  // Opcodes that ask no engine anything, answered alike sharded or not.
+  switch (req.op) {
+    case Opcode::kPing:
+      return resp;
+    case Opcode::kStats:
+      // The process-wide registry: serve.* / net.* live here, and every
+      // engine's and store's registry is merged in as a child of it — one
+      // place to see the whole serving stack.
+      resp.stats_json =
+          obs::ToJson(obs::MetricRegistry::Default(), "serve.stats");
+      return resp;
+    case Opcode::kIntrospect:
+      resp.stats_json =
+          obs::ToJson(obs::MetricRegistry::Default(), "serve.introspect");
+      if (sharded_ != nullptr) {
+        // Splice per-shard health (docs/ROBUSTNESS.md) into the metrics
+        // object: {"metrics":..., "health":{...}}.
+        const size_t close = resp.stats_json.find_last_of('}');
+        if (close != std::string::npos) {
+          resp.stats_json.insert(close,
+                                 ",\"health\":" + sharded_->HealthJson());
+        }
+      }
+      resp.traces_json = obs::Tracer::Instance().ToChromeJson();
+      return resp;
+    default:
+      break;
+  }
+
   if (sharded_ != nullptr) {
     return ExecuteSharded(req, deadline, std::move(resp));
   }
@@ -391,18 +420,9 @@ Response Server::Execute(const Request& req) {
 
   switch (req.op) {
     case Opcode::kPing:
-      break;
     case Opcode::kStats:
-      // The process-wide registry: serve.* / net.* live here, alongside the
-      // engine's global mirrors — one place to see the whole serving stack.
-      resp.stats_json =
-          obs::ToJson(obs::MetricRegistry::Default(), "serve.stats");
-      break;
     case Opcode::kIntrospect:
-      resp.stats_json =
-          obs::ToJson(obs::MetricRegistry::Default(), "serve.introspect");
-      resp.traces_json = obs::Tracer::Instance().ToChromeJson();
-      break;
+      break;  // answered above
     case Opcode::kQuery: {
       Result<std::vector<engine::NodeId>> r =
           read_db->SubmitQuery(req.xpath, deadline).get();
@@ -540,24 +560,9 @@ Response Server::ExecuteSharded(const Request& req, util::Deadline deadline,
 
   switch (req.op) {
     case Opcode::kPing:
-      break;
     case Opcode::kStats:
-      resp.stats_json =
-          obs::ToJson(obs::MetricRegistry::Default(), "serve.stats");
-      break;
-    case Opcode::kIntrospect: {
-      // Splice per-shard health (docs/ROBUSTNESS.md) into the metrics
-      // object: {"metrics":..., "health":{...}}.
-      std::string json =
-          obs::ToJson(obs::MetricRegistry::Default(), "serve.introspect");
-      const size_t close = json.find_last_of('}');
-      if (close != std::string::npos) {
-        json.insert(close, ",\"health\":" + sharded_->HealthJson());
-      }
-      resp.stats_json = std::move(json);
-      resp.traces_json = obs::Tracer::Instance().ToChromeJson();
-      break;
-    }
+    case Opcode::kIntrospect:
+      break;  // answered in Execute
     case Opcode::kQuery: {
       if (need_doc()) break;
       Result<std::vector<engine::NodeId>> r =

@@ -35,9 +35,10 @@
 /// `Record` (off-by-one skew, never corruption).
 ///
 /// There is one process-wide `MetricRegistry::Default()` that the library's
-/// built-in instrumentation reports to, and components that need isolated
-/// counts (`engine::XmlDb`, `storage::LabelStore`) additionally own a
-/// private registry, mirroring increments into both.
+/// built-in instrumentation reports to. Components that need isolated
+/// counts (`engine::XmlDb`, `storage::LabelStore`) own a child registry of
+/// it: each metric lives once, in the instance's registry, and
+/// `Default().Snapshot()` merges the children in by name.
 
 namespace cdbs::obs {
 
@@ -86,6 +87,9 @@ class Histogram {
   struct Batch {
     void Record(uint64_t value);
 
+    /// Estimated value at quantile `q` in [0, 1]; 0 when empty.
+    uint64_t Quantile(double q) const;
+
     uint64_t buckets[kNumBuckets] = {};
     uint64_t count = 0;
     uint64_t sum = 0;
@@ -98,6 +102,9 @@ class Histogram {
   /// Adds every sample of `batch`; the result equals recording them one by
   /// one.
   void Merge(const Batch& batch);
+
+  /// Adds this histogram's samples to `batch` (the inverse of Merge).
+  void AddTo(Batch* batch) const;
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -155,9 +162,19 @@ struct MetricSnapshot {
 /// call with a name creates the metric, later calls return the same object
 /// (the type must match — a mismatch is a programming error and aborts).
 /// Returned pointers stay valid for the registry's lifetime.
+///
+/// A registry may be the child of a parent registry. The parent's
+/// `Snapshot()` merges its own metrics by name with every attached child's:
+/// counters and histograms are summed, and gauges are summed over the live
+/// children. A child folds its counters and histograms into the parent when
+/// it is destroyed and before it resets, so the parent's totals never go
+/// backwards and outlive the child; its gauges leave with it.
 class MetricRegistry {
  public:
   MetricRegistry() = default;
+  /// A child of `parent`, which must outlive it.
+  explicit MetricRegistry(MetricRegistry* parent);
+  ~MetricRegistry();
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
@@ -165,10 +182,13 @@ class MetricRegistry {
   Gauge* GetGauge(std::string_view name, std::string_view help = "");
   Histogram* GetHistogram(std::string_view name, std::string_view help = "");
 
-  /// Copies of all registered metrics, sorted by name.
+  /// Copies of all registered metrics, merged with the attached children's
+  /// (see the class comment), sorted by name.
   std::vector<MetricSnapshot> Snapshot() const;
 
-  /// Zeroes every metric (keeps registrations). For tests and benches.
+  /// Zeroes this registry's own metrics (keeps registrations; children are
+  /// left alone). A child first folds its counters and histograms into its
+  /// parent.
   void ResetAll();
 
   /// The process-wide registry the built-in instrumentation reports to.
@@ -183,76 +203,23 @@ class MetricRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  struct Merged;
+  using MergedMap = std::map<std::string, Merged, std::less<>>;
+
   Entry* GetOrCreate(std::string_view name, std::string_view help,
                      MetricType type);
+  // The callers below hold mu_ (and, for FoldIntoParentLocked, the
+  // parent's mu_, which is always taken before a child's).
+  Entry* GetOrCreateLocked(std::string_view name, std::string_view help,
+                           MetricType type);
+  void MergeLocked(MergedMap* out) const;
+  void FoldIntoParentLocked();
 
+  MetricRegistry* const parent_ = nullptr;
   mutable std::mutex mu_;
   std::map<std::string, Entry, std::less<>> metrics_;
+  std::vector<MetricRegistry*> children_;  // guarded by mu_
 };
-
-/// A metric mirrored across two registries — typically a component's
-/// private registry and the process-wide `MetricRegistry::Default()` — so
-/// one update lands in both. `M` is Counter, Gauge or Histogram; only the
-/// forwarders matching M's interface may be instantiated (templates are
-/// lazy), so `Mirrored<Counter>` has Increment, `Mirrored<Histogram>` has
-/// Record, `Mirrored<Gauge>` has Set/Add. Reusable by any layer that keeps
-/// per-component plus global views (engine::ConcurrentXmlDb today, the
-/// sharded-corpus work next).
-template <typename M>
-class Mirrored {
- public:
-  Mirrored() = default;
-  Mirrored(M* local, M* global) : local_(local), global_(global) {}
-
-  /// Counter interface.
-  void Increment(uint64_t n = 1) {
-    local_->Increment(n);
-    global_->Increment(n);
-  }
-
-  /// Histogram interface.
-  void Record(uint64_t v) {
-    local_->Record(v);
-    global_->Record(v);
-  }
-
-  /// Gauge interface.
-  void Set(double v) {
-    local_->Set(v);
-    global_->Set(v);
-  }
-  void Add(double delta) {
-    local_->Add(delta);
-    global_->Add(delta);
-  }
-
-  M* local() const { return local_; }
-  M* global() const { return global_; }
-
- private:
-  M* local_ = nullptr;
-  M* global_ = nullptr;
-};
-
-/// Registers `name` in both registries and returns the mirrored pair.
-inline Mirrored<Counter> MirrorCounter(MetricRegistry& local,
-                                       MetricRegistry& global,
-                                       std::string_view name,
-                                       std::string_view help = "") {
-  return {local.GetCounter(name, help), global.GetCounter(name, help)};
-}
-inline Mirrored<Gauge> MirrorGauge(MetricRegistry& local,
-                                   MetricRegistry& global,
-                                   std::string_view name,
-                                   std::string_view help = "") {
-  return {local.GetGauge(name, help), global.GetGauge(name, help)};
-}
-inline Mirrored<Histogram> MirrorHistogram(MetricRegistry& local,
-                                           MetricRegistry& global,
-                                           std::string_view name,
-                                           std::string_view help = "") {
-  return {local.GetHistogram(name, help), global.GetHistogram(name, help)};
-}
 
 /// Records elapsed wall-clock nanoseconds into a histogram when it goes out
 /// of scope (or at an explicit `StopAndRecord`). A null histogram disables

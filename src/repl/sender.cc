@@ -36,30 +36,29 @@ net::Response MakeBatchResponse(uint64_t lsn, uint64_t epoch,
 ReplicationSender::ReplicationSender(engine::ConcurrentXmlDb* db,
                                      ReplicationSenderOptions options)
     : db_(db), options_(options) {
-  obs::MetricRegistry& local = db_->registry();
-  obs::MetricRegistry& global = obs::MetricRegistry::Default();
-  followers_gauge_ = obs::MirrorGauge(local, global, "repl.followers",
-                                      "Currently subscribed followers");
-  records_sent_ = obs::MirrorCounter(local, global, "repl.records_sent",
-                                     "Replication records written to streams");
-  bytes_sent_ = obs::MirrorCounter(local, global, "repl.bytes_sent",
-                                   "Replication frame bytes written");
-  heartbeats_ = obs::MirrorCounter(local, global, "repl.heartbeats",
-                                   "Heartbeat frames written to streams");
-  followers_dropped_ = obs::MirrorCounter(
-      local, global, "repl.followers_dropped",
-      "Followers dropped (slow, torn stream, or ack timeout)");
-  sync_ack_timeouts_ = obs::MirrorCounter(
-      local, global, "repl.sync_ack_timeouts",
-      "Sync-commit waits that timed out and dropped laggards");
-  lag_records_ = obs::MirrorGauge(
-      local, global, "repl.lag.records",
-      "Commit LSN minus the slowest live follower's acked LSN");
-  lag_bytes_ = obs::MirrorGauge(local, global, "repl.lag.bytes",
-                                "Frame bytes buffered for the slowest "
-                                "live follower");
-  lag_ms_ = obs::MirrorGauge(
-      local, global, "repl.lag.ms",
+  obs::MetricRegistry& reg = db_->registry();
+  followers_gauge_ = reg.GetGauge("repl.followers",
+                                  "Currently subscribed followers");
+  records_sent_ = reg.GetCounter("repl.records_sent",
+                                 "Replication records written to streams");
+  bytes_sent_ = reg.GetCounter("repl.bytes_sent",
+                               "Replication frame bytes written");
+  heartbeats_ = reg.GetCounter("repl.heartbeats",
+                               "Heartbeat frames written to streams");
+  followers_dropped_ =
+      reg.GetCounter("repl.followers_dropped",
+                     "Followers dropped (slow, torn stream, or ack timeout)");
+  sync_ack_timeouts_ =
+      reg.GetCounter("repl.sync_ack_timeouts",
+                     "Sync-commit waits that timed out and dropped laggards");
+  lag_records_ =
+      reg.GetGauge("repl.lag.records",
+                   "Commit LSN minus the slowest live follower's acked LSN");
+  lag_bytes_ =
+      reg.GetGauge("repl.lag.bytes",
+                   "Frame bytes buffered for the slowest live follower");
+  lag_ms_ = reg.GetGauge(
+      "repl.lag.ms",
       "Commit-to-ack latency of the most recently acked record, ms");
 }
 
@@ -115,7 +114,7 @@ void ReplicationSender::OnCommit(const ReplRecord& record) {
       return stopped_.load(std::memory_order_acquire) || all_acked();
     });
     if (!acked && !stopped_.load(std::memory_order_acquire)) {
-      sync_ack_timeouts_.Increment();
+      sync_ack_timeouts_->Increment();
       for (const std::shared_ptr<FollowerState>& f : followers_) {
         if (f->dropped.load(std::memory_order_acquire)) continue;
         if (f->acked_lsn.load(std::memory_order_acquire) < record.lsn) {
@@ -128,7 +127,7 @@ void ReplicationSender::OnCommit(const ReplRecord& record) {
 
 void ReplicationSender::DropFollower(FollowerState* f, const char* /*why*/) {
   if (f->dropped.exchange(true, std::memory_order_acq_rel)) return;
-  followers_dropped_.Increment();
+  followers_dropped_->Increment();
   f->queue.Close();
   // Shock the socket so a stream thread blocked in write/poll — and the
   // follower's reader on the other end — sees the drop now, not at the
@@ -182,17 +181,17 @@ void ReplicationSender::UpdateLagMetrics() {
     }
   }
   if (min_acked == UINT64_MAX) {
-    lag_records_.Set(0);
-    lag_bytes_.Set(0);
+    lag_records_->Set(0);
+    lag_bytes_->Set(0);
     return;
   }
-  lag_records_.Set(commit > min_acked
+  lag_records_->Set(commit > min_acked
                        ? static_cast<double>(commit - min_acked)
                        : 0);
   // Approximate byte lag by the deepest queue backlog in records times a
   // nominal frame size; precise per-byte accounting is not worth a second
   // pass over the queues.
-  lag_bytes_.Set(static_cast<double>(max_backlog) * 64);
+  lag_bytes_->Set(static_cast<double>(max_backlog) * 64);
 }
 
 void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
@@ -236,7 +235,7 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
     if (compress) {
       compressed_followers_.fetch_add(1, std::memory_order_acq_rel);
     }
-    followers_gauge_.Set(static_cast<double>(followers_.size()));
+    followers_gauge_->Set(static_cast<double>(followers_.size()));
   }
 
   std::vector<ReplRecord> backlog;
@@ -276,8 +275,8 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
       healthy = false;
       break;
     }
-    records_sent_.Increment();
-    bytes_sent_.Increment(frame.size());
+    records_sent_->Increment();
+    bytes_sent_->Increment(frame.size());
     last_sent = rec.lsn;
   }
 
@@ -299,7 +298,7 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
       const std::string frame =
           net::EncodeFrame(net::EncodeResponse(hb), compress);
       if (!net::WriteFrame(fd, frame, options_.write_timeout_ms).ok()) break;
-      heartbeats_.Increment();
+      heartbeats_->Increment();
     }
     for (const QueuedRecord& rec : batch) {
       // The register-then-read handoff can duplicate records the catch-up
@@ -325,11 +324,11 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
         healthy = false;
         break;
       }
-      records_sent_.Increment();
-      bytes_sent_.Increment(frame.size());
+      records_sent_->Increment();
+      bytes_sent_->Increment(frame.size());
       last_sent = rec.lsn;
       const auto now = std::chrono::steady_clock::now();
-      lag_ms_.Set(static_cast<double>(
+      lag_ms_->Set(static_cast<double>(
           std::chrono::duration_cast<std::chrono::milliseconds>(
               now - rec.committed_at)
               .count()));
@@ -346,7 +345,7 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
     if (compress) {
       compressed_followers_.fetch_sub(1, std::memory_order_acq_rel);
     }
-    followers_gauge_.Set(static_cast<double>(followers_.size()));
+    followers_gauge_->Set(static_cast<double>(followers_.size()));
   }
   UpdateLagMetrics();
 }

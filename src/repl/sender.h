@@ -133,17 +133,17 @@ class ReplicationSender {
   /// OnCommit skip building the compressed encoding when nobody wants it.
   std::atomic<size_t> compressed_followers_{0};
 
-  // repl.* metrics, in the engine's registry (kIntrospect/Prometheus) and
-  // mirrored into MetricRegistry::Default().
-  obs::Mirrored<obs::Gauge> followers_gauge_;
-  obs::Mirrored<obs::Counter> records_sent_;
-  obs::Mirrored<obs::Counter> bytes_sent_;
-  obs::Mirrored<obs::Counter> heartbeats_;
-  obs::Mirrored<obs::Counter> followers_dropped_;
-  obs::Mirrored<obs::Counter> sync_ack_timeouts_;
-  obs::Mirrored<obs::Gauge> lag_records_;
-  obs::Mirrored<obs::Gauge> lag_bytes_;
-  obs::Mirrored<obs::Gauge> lag_ms_;
+  // repl.* metrics, in the engine's registry (a child of
+  // MetricRegistry::Default(), so kIntrospect/Prometheus see them).
+  obs::Gauge* followers_gauge_;
+  obs::Counter* records_sent_;
+  obs::Counter* bytes_sent_;
+  obs::Counter* heartbeats_;
+  obs::Counter* followers_dropped_;
+  obs::Counter* sync_ack_timeouts_;
+  obs::Gauge* lag_records_;
+  obs::Gauge* lag_bytes_;
+  obs::Gauge* lag_ms_;
 };
 
 }  // namespace cdbs::repl

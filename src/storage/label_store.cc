@@ -101,22 +101,6 @@ LabelStore::LabelStore() {
                                      "Wall time per page write");
   recovery_ns_ = registry_.GetHistogram("storage.recovery.ns",
                                         "Wall time per WAL replay at open");
-  obs::MetricRegistry& global = obs::MetricRegistry::Default();
-  global_page_reads_ = global.GetCounter(
-      "storage.page_reads", "Pages read across all label stores");
-  global_page_writes_ = global.GetCounter(
-      "storage.page_writes", "Pages written across all label stores");
-  global_bytes_written_ = global.GetCounter(
-      "storage.bytes_written", "Bytes written across all label stores");
-  global_page_payload_bytes_ = global.GetCounter(
-      "storage.page.payload_bytes",
-      "Encoded page payload bytes staged, all label stores");
-  global_checksum_failures_ = global.GetCounter(
-      "storage.checksum_failures", "Page CRC failures, all label stores");
-  global_io_retries_ = global.GetCounter(
-      "storage.io_retries", "Page I/O retries, all label stores");
-  global_recoveries_ = global.GetCounter(
-      "storage.recovery.replays", "WAL replay passes, all label stores");
 }
 
 LabelStore::~LabelStore() {
@@ -178,7 +162,6 @@ Status LabelStore::BuildPageImage(const std::string* records, size_t n,
     used = kPageCountBytes + body.size();
   }
   page_payload_bytes_->Increment(used);
-  global_page_payload_bytes_->Increment(used);
   return Status::OK();
 }
 
@@ -188,7 +171,6 @@ Status LabelStore::SetPageRecord(std::vector<char>* page, size_t slot_index,
   if (format_ == kFormatLegacy) {
     EncodeSlot(page->data() + slot_index * slot_size, slot_size, record);
     page_payload_bytes_->Increment(slot_size);
-    global_page_payload_bytes_->Increment(slot_size);
     return Status::OK();
   }
   std::vector<std::string> records;
@@ -279,7 +261,6 @@ Status LabelStore::OpenExisting(const std::string& path) {
     CDBS_RETURN_NOT_OK(SyncFile());
     CDBS_RETURN_NOT_OK(wal_->Reset());
     recoveries_->Increment();
-    global_recoveries_->Increment();
   }
 
   struct stat st;
@@ -299,7 +280,6 @@ Status LabelStore::OpenExisting(const std::string& path) {
   const uint32_t stored_crc = GetU32(header.data() + kPageDataSize);
   if (stored_crc != util::Crc32c(header.data(), kPageDataSize)) {
     checksum_failures_->Increment();
-    global_checksum_failures_->Increment();
     return Status::Corruption(path + ": header checksum mismatch");
   }
   format_ = version;
@@ -716,7 +696,6 @@ Status LabelStore::SyncFile() {
       return Status::IoError("fdatasync failed after retries");
     }
     io_retries_->Increment();
-    global_io_retries_->Increment();
     internal::BackoffSleep(attempt);
   }
 }
@@ -752,11 +731,9 @@ Status LabelStore::ReadPageRaw(uint64_t page_index, std::vector<char>* page) {
       return Status::IoError("pread failed after retries");
     }
     io_retries_->Increment();
-    global_io_retries_->Increment();
     internal::BackoffSleep(attempt);
   }
   page_reads_->Increment();
-  global_page_reads_->Increment();
   return Status::OK();
 }
 
@@ -765,7 +742,6 @@ Status LabelStore::ReadPage(uint64_t page_index, std::vector<char>* page) {
   const uint32_t stored = GetU32(page->data() + kPageDataSize);
   if (stored != util::Crc32c(page->data(), kPageDataSize)) {
     checksum_failures_->Increment();
-    global_checksum_failures_->Increment();
     return Status::Corruption("page " + std::to_string(page_index) +
                               " checksum mismatch");
   }
@@ -811,13 +787,10 @@ Status LabelStore::WritePage(uint64_t page_index, std::vector<char>* page) {
       return Status::IoError("pwrite failed after retries");
     }
     io_retries_->Increment();
-    global_io_retries_->Increment();
     internal::BackoffSleep(attempt);
   }
   page_writes_->Increment();
-  global_page_writes_->Increment();
   bytes_written_->Increment(kPageSize);
-  global_bytes_written_->Increment(kPageSize);
   return Status::OK();
 }
 

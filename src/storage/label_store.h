@@ -172,8 +172,8 @@ class LabelStore {
   /// I/O counters since Open — a thin view over metrics().
   IoStats io_stats() const;
 
-  /// This store's private metric registry (counters reset on Open; every
-  /// increment is mirrored into MetricRegistry::Default() as well).
+  /// This store's metric registry (counters reset on Open). It is a child
+  /// of MetricRegistry::Default(), which keeps the totals across stores.
   const obs::MetricRegistry& metrics() const { return registry_; }
 
   /// Slot size chosen at bulk load.
@@ -267,8 +267,8 @@ class LabelStore {
   std::string scoped_write_error_;
   std::unique_ptr<Wal> wal_;
 
-  obs::MetricRegistry registry_;
-  // Per-instance counters (reset on Open) and their process-wide mirrors.
+  obs::MetricRegistry registry_{&obs::MetricRegistry::Default()};
+  // Per-instance counters (reset on Open).
   obs::Counter* page_reads_;
   obs::Counter* page_writes_;
   obs::Counter* bytes_written_;
@@ -279,13 +279,6 @@ class LabelStore {
   obs::Histogram* read_ns_;
   obs::Histogram* write_ns_;
   obs::Histogram* recovery_ns_;
-  obs::Counter* global_page_reads_;
-  obs::Counter* global_page_writes_;
-  obs::Counter* global_bytes_written_;
-  obs::Counter* global_page_payload_bytes_;
-  obs::Counter* global_checksum_failures_;
-  obs::Counter* global_io_retries_;
-  obs::Counter* global_recoveries_;
 };
 
 }  // namespace cdbs::storage

@@ -81,19 +81,6 @@ Wal::Wal(obs::MetricRegistry* registry) {
       "wal.truncated_bytes", "Torn-tail bytes truncated during recovery");
   io_retries_ = registry->GetCounter(
       "wal.io_retries", "Transient WAL I/O failures that were retried");
-  obs::MetricRegistry& global = obs::MetricRegistry::Default();
-  global_appends_ =
-      global.GetCounter("wal.appends", "Records appended, all WALs");
-  global_bytes_written_ =
-      global.GetCounter("wal.bytes_written", "Bytes appended, all WALs");
-  global_logical_bytes_ = global.GetCounter(
-      "wal.logical_bytes", "Pre-compression WAL bytes, all WALs");
-  global_replayed_ = global.GetCounter("wal.replayed_records",
-                                       "Records replayed, all WALs");
-  global_checksum_failures_ = global.GetCounter(
-      "wal.checksum_failures", "WAL checksum failures, all WALs");
-  global_io_retries_ =
-      global.GetCounter("wal.io_retries", "WAL I/O retries, all WALs");
 }
 
 Wal::~Wal() {
@@ -127,7 +114,6 @@ Status Wal::WriteAt(uint64_t offset, const char* data, size_t n) {
       return Status::IoError("WAL write failed after retries");
     }
     io_retries_->Increment();
-    global_io_retries_->Increment();
     internal::BackoffSleep(attempt);
   }
 }
@@ -189,11 +175,8 @@ Status Wal::AppendBatch(const std::vector<std::string_view>& payloads) {
   end_offset_ += buf.size();
   next_lsn_ = lsn;
   appends_->Increment(payloads.size());
-  global_appends_->Increment(payloads.size());
   bytes_written_->Increment(buf.size());
-  global_bytes_written_->Increment(buf.size());
   logical_bytes_->Increment(logical);
-  global_logical_bytes_->Increment(logical);
   return Status::OK();
 }
 
@@ -213,7 +196,6 @@ Status Wal::Sync() {
       return Status::IoError("WAL fdatasync failed after retries");
     }
     io_retries_->Increment();
-    global_io_retries_->Increment();
     internal::BackoffSleep(attempt);
   }
   syncs_->Increment();
@@ -254,7 +236,6 @@ Status Wal::Recover(std::vector<std::string>* payloads) {
                           actual);
     if (actual != crc) {
       checksum_failures_->Increment();
-      global_checksum_failures_->Increment();
       torn = true;
       break;
     }
@@ -271,7 +252,6 @@ Status Wal::Recover(std::vector<std::string>* payloads) {
     payloads->push_back(std::move(payload));
     if (lsn + 1 > next_lsn_) next_lsn_ = lsn + 1;
     replayed_records_->Increment();
-    global_replayed_->Increment();
     offset += kRecordHeader + len;
   }
   if (offset < size) torn = true;  // trailing sub-header bytes

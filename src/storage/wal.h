@@ -46,8 +46,8 @@ struct WalRecord {
 
 class Wal {
  public:
-  /// Binds this WAL's counters into `registry` (the owning store's private
-  /// registry); increments are mirrored into MetricRegistry::Default().
+  /// Binds this WAL's counters into `registry` (the owning store's or
+  /// database's registry).
   explicit Wal(obs::MetricRegistry* registry);
   ~Wal();
 
@@ -126,7 +126,7 @@ class Wal {
   uint64_t next_lsn_ = 1;
   bool crashed_ = false;  // poisoned by an injected crash failpoint
 
-  // Private counters and their process-wide mirrors.
+  // Counters in the owner's registry.
   obs::Counter* appends_;
   obs::Counter* bytes_written_;
   obs::Counter* logical_bytes_;
@@ -135,12 +135,6 @@ class Wal {
   obs::Counter* checksum_failures_;
   obs::Counter* truncated_bytes_;
   obs::Counter* io_retries_;
-  obs::Counter* global_appends_;
-  obs::Counter* global_bytes_written_;
-  obs::Counter* global_logical_bytes_;
-  obs::Counter* global_replayed_;
-  obs::Counter* global_checksum_failures_;
-  obs::Counter* global_io_retries_;
 };
 
 }  // namespace cdbs::storage

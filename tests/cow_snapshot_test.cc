@@ -497,15 +497,16 @@ TEST(CowAccountingTest, SteadyStateInsertsShareAllButTouchedChunks) {
 // document size.
 
 uint64_t BytesPerPublish(uint64_t total_nodes, int inserts) {
-  obs::Counter* bytes = obs::MetricRegistry::Default().GetCounter(
-      "engine.concurrent.snapshot.bytes_copied");
-  obs::Counter* published = obs::MetricRegistry::Default().GetCounter(
-      "engine.concurrent.snapshots");
-
   engine::ConcurrentXmlDbOptions options;
   auto db = engine::ConcurrentXmlDb::Open(
       xml::GeneratePlay(11, total_nodes), options);
   CDBS_CHECK(db.ok());
+  // The db's own registry: the process view folds these in only once the
+  // db is gone.
+  obs::Counter* bytes = (*db)->registry().GetCounter(
+      "engine.concurrent.snapshot.bytes_copied");
+  obs::Counter* published =
+      (*db)->registry().GetCounter("engine.concurrent.snapshots");
   auto target = (*db)->Query("//line");
   CDBS_CHECK(target.ok() && !target->empty());
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -369,27 +371,126 @@ TEST(WriteJsonFileTest, RoundTrips) {
   ExpectBalancedJson(content);
 }
 
-TEST(MirroredMetricTest, UpdatesLandInBothRegistries) {
-  MetricRegistry local;
-  MetricRegistry global;
-  Mirrored<Counter> counter = MirrorCounter(local, global, "m.count", "help");
-  counter.Increment(3);
-  EXPECT_EQ(local.GetCounter("m.count")->value(), 3u);
-  EXPECT_EQ(global.GetCounter("m.count")->value(), 3u);
-  EXPECT_EQ(counter.local(), local.GetCounter("m.count"));
-  EXPECT_EQ(counter.global(), global.GetCounter("m.count"));
+// The entry named `name` in `reg`'s snapshot; fails the test unless there
+// is exactly one.
+MetricSnapshot Find(const MetricRegistry& reg, const std::string& name) {
+  MetricSnapshot found;
+  int hits = 0;
+  for (MetricSnapshot& m : reg.Snapshot()) {
+    if (m.name == name) {
+      found = std::move(m);
+      ++hits;
+    }
+  }
+  EXPECT_EQ(hits, 1) << name;
+  return found;
+}
 
-  Mirrored<Histogram> hist = MirrorHistogram(local, global, "m.hist");
-  hist.Record(42);
-  hist.Record(7);
-  EXPECT_EQ(local.GetHistogram("m.hist")->count(), 2u);
-  EXPECT_EQ(global.GetHistogram("m.hist")->sum(), 49u);
+TEST(ObsRegistryTreeTest, ChildUpdatesAppearOnceInParent) {
+  MetricRegistry parent;
+  MetricRegistry child(&parent);
+  child.GetCounter("m.count", "help")->Increment(3);
+  Histogram* hist = child.GetHistogram("m.hist");
+  hist->Record(42);
+  hist->Record(7);
 
-  Mirrored<Gauge> gauge = MirrorGauge(local, global, "m.gauge");
-  gauge.Set(2.0);
-  gauge.Add(0.5);
-  EXPECT_DOUBLE_EQ(local.GetGauge("m.gauge")->value(), 2.5);
-  EXPECT_DOUBLE_EQ(global.GetGauge("m.gauge")->value(), 2.5);
+  EXPECT_EQ(Find(parent, "m.count").counter_value, 3u);
+  EXPECT_EQ(Find(parent, "m.count").help, "help");
+  const MetricSnapshot h = Find(parent, "m.hist");
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_EQ(h.sum, 49u);
+  EXPECT_EQ(h.min, 7u);
+  EXPECT_EQ(h.max, 42u);
+  EXPECT_EQ(h.p99, 42u);
+  // One home per metric: the parent holds no copy of its own, and the
+  // child's view is the child's alone.
+  EXPECT_EQ(parent.GetCounter("m.count")->value(), 0u);
+  parent.GetCounter("m.count")->Increment(1);
+  EXPECT_EQ(Find(parent, "m.count").counter_value, 4u);
+  EXPECT_EQ(Find(child, "m.count").counter_value, 3u);
+}
+
+TEST(ObsRegistryTreeTest, GaugesSumOverLiveChildren) {
+  MetricRegistry parent;
+  auto a = std::make_unique<MetricRegistry>(&parent);
+  MetricRegistry b(&parent);
+  a->GetGauge("m.live")->Set(2.0);
+  b.GetGauge("m.live")->Set(3.0);
+  EXPECT_DOUBLE_EQ(Find(parent, "m.live").gauge_value, 5.0);
+  a.reset();
+  EXPECT_DOUBLE_EQ(Find(parent, "m.live").gauge_value, 3.0);
+  b.GetGauge("m.live")->Set(0.5);
+  EXPECT_DOUBLE_EQ(Find(parent, "m.live").gauge_value, 0.5);
+}
+
+TEST(ObsRegistryTreeTest, TotalsSurviveChildResetAndDestruction) {
+  MetricRegistry parent;
+  {
+    MetricRegistry child(&parent);
+    child.GetCounter("m.count")->Increment(5);
+    child.GetHistogram("m.hist")->Record(100);
+    child.GetGauge("m.gauge")->Set(9.0);
+    child.ResetAll();
+    EXPECT_EQ(child.GetCounter("m.count")->value(), 0u);
+    EXPECT_EQ(Find(parent, "m.count").counter_value, 5u);
+    EXPECT_EQ(Find(parent, "m.hist").count, 1u);
+    EXPECT_DOUBLE_EQ(Find(parent, "m.gauge").gauge_value, 0.0);
+
+    child.GetCounter("m.count")->Increment(2);
+    child.GetHistogram("m.hist")->Record(3);
+    EXPECT_EQ(Find(parent, "m.count").counter_value, 7u);
+  }
+  EXPECT_EQ(Find(parent, "m.count").counter_value, 7u);
+  EXPECT_EQ(parent.GetCounter("m.count")->value(), 7u);
+  const MetricSnapshot h = Find(parent, "m.hist");
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_EQ(h.sum, 103u);
+  EXPECT_EQ(h.min, 3u);
+  EXPECT_EQ(h.max, 100u);
+  // A gauge leaves with its child; its name stays.
+  EXPECT_DOUBLE_EQ(Find(parent, "m.gauge").gauge_value, 0.0);
+}
+
+TEST(ObsRegistryTreeTest, ConcurrentAttachDetachAndSnapshotAreExact) {
+  MetricRegistry parent;
+  constexpr int kThreads = 8;
+  constexpr int kChildren = 200;
+  constexpr int kPerChild = 10;
+  std::atomic<bool> done{false};
+  std::thread snapshotter([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      for (const MetricSnapshot& m : parent.Snapshot()) {
+        if (m.name != "mt.count") continue;
+        // Folding moves a child's count to the parent atomically with
+        // respect to a snapshot, so the total never goes backwards.
+        EXPECT_GE(m.counter_value, last);
+        last = m.counter_value;
+      }
+    }
+  });
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&parent] {
+      for (int c = 0; c < kChildren; ++c) {
+        MetricRegistry child(&parent);
+        for (int i = 0; i < kPerChild; ++i) {
+          child.GetCounter("mt.count")->Increment();
+          child.GetHistogram("mt.hist")->Record(static_cast<uint64_t>(i));
+          child.GetGauge("mt.gauge")->Add(1.0);
+        }
+        if (c % 2 == 0) child.ResetAll();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  done.store(true);
+  snapshotter.join();
+  constexpr uint64_t kTotal = uint64_t{kThreads} * kChildren * kPerChild;
+  EXPECT_EQ(Find(parent, "mt.count").counter_value, kTotal);
+  EXPECT_EQ(Find(parent, "mt.hist").count, kTotal);
+  EXPECT_DOUBLE_EQ(Find(parent, "mt.gauge").gauge_value, 0.0);
 }
 
 TEST(PrometheusExportTest, HelpLinesAlwaysPresentAndEscaped) {

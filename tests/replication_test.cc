@@ -329,8 +329,14 @@ class ReplicationE2ETest : public ::testing::Test {
     }
   }
 
+  // The process view: Default's own metrics merged with every live
+  // instance registry's.
   uint64_t DefaultCounter(const std::string& name) {
-    return obs::MetricRegistry::Default().GetCounter(name, "")->value();
+    for (const obs::MetricSnapshot& m :
+         obs::MetricRegistry::Default().Snapshot()) {
+      if (m.name == name) return m.counter_value;
+    }
+    return 0;
   }
   uint64_t PrimaryCounter(const std::string& name) {
     return primary_db_->registry().GetCounter(name, "")->value();

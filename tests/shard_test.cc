@@ -255,6 +255,29 @@ TEST(ShardReadTest, ShardReadsMatchEachDocumentEvaluatedAlone) {
   }
 }
 
+// Every shard is its own engine with its own registry; the process view
+// sums their gauges instead of keeping whichever shard set one last.
+TEST(ShardMetricsTest, ProcessViewSumsTheShardsGauges) {
+  ShardedDbOptions options;
+  options.shard_count = 4;
+  auto db = ShardedDb::Open(Plays(4), options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto live = [](const obs::MetricRegistry& registry) {
+    for (const obs::MetricSnapshot& m : registry.Snapshot()) {
+      if (m.name == "engine.concurrent.snapshots.live") return m.gauge_value;
+    }
+    return -1.0;
+  };
+  double shards_sum = 0;
+  for (size_t i = 0; i < (*db)->shard_count(); ++i) {
+    const double own = live((*db)->shard(i)->metrics());
+    EXPECT_GE(own, 1.0) << "shard " << i;
+    shards_sum += own;
+  }
+  EXPECT_GE(shards_sum, 4.0);
+  EXPECT_DOUBLE_EQ(live(obs::MetricRegistry::Default()), shards_sum);
+}
+
 // A count whose last step needs no sort never builds the match list:
 // query.eval.steps_counted adds one per document for Table 3's Q1, Q2, Q5
 // and Q6, and nothing for Q3, whose preceding-sibling:: step is sorted.

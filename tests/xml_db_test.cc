@@ -346,6 +346,47 @@ TEST(XmlDbTest, StoreFileIsReopenableAndComplete) {
   std::remove(options.storage_path.c_str());
 }
 
+// A label that outgrows its store slot forces a full store rewrite; each
+// one is counted and timed in the db's registry and, through it, in the
+// process view.
+TEST(XmlDbTest, StoreReloadsAreCountedAndTimed) {
+  auto process_reloads = [] {
+    for (const obs::MetricSnapshot& m :
+         obs::MetricRegistry::Default().Snapshot()) {
+      if (m.name == "engine.store.reloads") return m.counter_value;
+    }
+    return uint64_t{0};
+  };
+  const uint64_t process_before = process_reloads();
+  XmlDbOptions options;
+  options.storage_path = ::testing::TempDir() + "/xml_db_reloads_" +
+                         std::to_string(::getpid()) + ".db";
+  options.store_headroom = 0;  // no slack: the first longer label outgrows
+  auto db = XmlDb::OpenFromXml(kDoc, options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto target = (*db)->QueryOne("/library/desk");
+  ASSERT_TRUE(target.ok());
+  NodeId t = *target;
+  for (int i = 0; i < 20; ++i) {
+    auto inserted = (*db)->InsertElementBefore(t, "note");
+    ASSERT_TRUE(inserted.ok()) << inserted.status();
+    t = *inserted;
+  }
+  uint64_t reloads = 0;
+  uint64_t timed = 0;
+  for (const obs::MetricSnapshot& m : (*db)->metrics().Snapshot()) {
+    if (m.name == "engine.store.reloads") reloads = m.counter_value;
+    if (m.name == "engine.store.reload.ns") timed = m.count;
+  }
+  EXPECT_GE(reloads, 1u);
+  EXPECT_EQ(timed, reloads);
+  EXPECT_GE(process_reloads() - process_before, reloads);
+  db->reset();
+  EXPECT_GE(process_reloads() - process_before, reloads);
+  std::remove(options.storage_path.c_str());
+  std::remove((options.storage_path + ".wal").c_str());
+}
+
 TEST(XmlDbTest, WorksOnGeneratedPlay) {
   xml::Document play = xml::GeneratePlay(3, 2000);
   auto db = XmlDb::Open(std::move(play), {});
