@@ -266,22 +266,24 @@ int main() {
   // server's true capacity (1 commit / 20 ms), so "2x sustainable" in
   // phase 2 genuinely overdrives it.
   db_options.group_commit_limit = 1;
-  auto db = ConcurrentXmlDb::OpenFromXml(kDoc, db_options);
-  if (!db.ok()) {
+  // A plain primary: kDoc as a one-shard, one-document corpus.
+  auto corpus = cdbs::bench::OpenOneDocCorpus(kDoc, db_options);
+  if (!corpus.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
-                 db.status().ToString().c_str());
+                 corpus.status().ToString().c_str());
     return 1;
   }
+  ConcurrentXmlDb* db = (*corpus)->shard(0);
   ServerOptions server_options;
-  auto server = Server::Start(db->get(), server_options);
+  auto server = Server::StartSharded(corpus->get(), server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "server start failed: %s\n",
                  server.status().ToString().c_str());
     return 1;
   }
   const uint16_t port = (*server)->port();
-  const NodeId hot = (*db)->Query("//b").value()[0];
-  const std::vector<NodeId> golden_raw = (*db)->Query("//b").value();
+  const NodeId hot = db->Query("//b").value()[0];
+  const std::vector<NodeId> golden_raw = db->Query("//b").value();
   std::vector<uint64_t> golden_b(golden_raw.begin(), golden_raw.end());
   cdbs::obs::MetricRegistry& reg = cdbs::obs::MetricRegistry::Default();
 
@@ -406,7 +408,7 @@ int main() {
       ->Set(static_cast<double>(chaos.wrong_reads));
 
   (*server)->Shutdown();
-  (*db)->Shutdown();
+  (*corpus)->Shutdown();
   // With CDBS_TRACE_SAMPLE set, every server-side request above ran under
   // a trace envelope: print where the time went and export the retained
   // traces (CDBS_TRACE_JSON) for chrome://tracing.

@@ -254,14 +254,17 @@ int main() {
   db_options.write_queue_capacity = 16;
   db_options.group_commit_limit = 1;
   db_options.replication_log_path = dir + "/primary.repl";
-  auto db = ConcurrentXmlDb::OpenFromXml(kDoc, db_options);
-  if (!db.ok()) {
-    std::fprintf(stderr, "open failed: %s\n", db.status().ToString().c_str());
+  // A plain primary: kDoc as a one-shard, one-document corpus.
+  auto corpus = cdbs::bench::OpenOneDocCorpus(kDoc, db_options);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "open failed: %s\n",
+                 corpus.status().ToString().c_str());
     return 1;
   }
+  ConcurrentXmlDb* db = (*corpus)->shard(0);
   ServerOptions server_options;
   server_options.repl.heartbeat_ms = 20;
-  auto server = Server::Start(db->get(), server_options);
+  auto server = Server::StartSharded(corpus->get(), server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "server start failed: %s\n",
                  server.status().ToString().c_str());
@@ -310,15 +313,15 @@ int main() {
   if (!start_followers(/*compress=*/false)) return 1;
 
   // Seed a write mix and let both followers converge on it.
-  const NodeId hot = (*db)->Query("//b").value()[0];
+  const NodeId hot = db->Query("//b").value()[0];
   for (int i = 0; i < 50; ++i) {
-    if (!(*db)->Submit(WriteOp::InsertAfter(hot, "seed")).get().ok()) return 1;
+    if (!db->Submit(WriteOp::InsertAfter(hot, "seed")).get().ok()) return 1;
   }
-  if (!WaitConverged(raw_followers, db->get(), 15000)) {
+  if (!WaitConverged(raw_followers, db, 15000)) {
     std::fprintf(stderr, "followers never converged on the seed\n");
     return 1;
   }
-  const std::vector<NodeId> golden_raw = (*db)->Query("//b").value();
+  const std::vector<NodeId> golden_raw = db->Query("//b").value();
   const std::vector<uint64_t> golden_b(golden_raw.begin(), golden_raw.end());
   cdbs::obs::MetricRegistry& reg = cdbs::obs::MetricRegistry::Default();
 
@@ -333,11 +336,11 @@ int main() {
     auto measure = [&](double* out) -> bool {
       const uint64_t tx0 = GlobalCounter("net.frame.tx.bytes");
       for (uint64_t i = 0; i < burst; ++i) {
-        if (!(*db)->Submit(WriteOp::InsertAfter(hot, "r")).get().ok()) {
+        if (!db->Submit(WriteOp::InsertAfter(hot, "r")).get().ok()) {
           return false;
         }
       }
-      if (!WaitConverged(raw_followers, db->get(), 15000)) return false;
+      if (!WaitConverged(raw_followers, db, 15000)) return false;
       *out = static_cast<double>(GlobalCounter("net.frame.tx.bytes") - tx0) /
              static_cast<double>(burst);
       return true;
@@ -348,7 +351,7 @@ int main() {
     // Swap in compressed followers (they bootstrap to the current state;
     // the delta below only covers the post-convergence burst).
     if (!start_followers(/*compress=*/true)) return 1;
-    if (!WaitConverged(raw_followers, db->get(), 15000)) return 1;
+    if (!WaitConverged(raw_followers, db, 15000)) return 1;
     if (!measure(&comp_per_op)) return 1;
     std::printf(
         "  stream bytes/write (2 followers)  plain: %.0f B   compressed: "
@@ -395,11 +398,11 @@ int main() {
     return 1;
   }
   const OverdriveResult over = DriveAndSampleLag(
-      primary_port, hot, 2 * sustainable, duration_ms, (*db)->registry());
+      primary_port, hot, 2 * sustainable, duration_ms, db->registry());
   cdbs::util::Failpoints::Deactivate("engine.concurrent.write.delay");
 
   // The backlog the burst left behind must drain completely.
-  const bool drained = WaitConverged(raw_followers, db->get(), 15000);
+  const bool drained = WaitConverged(raw_followers, db, 15000);
   std::printf(
       "  offered %.0f/s: accepted %" PRIu64 ", shed %" PRIu64
       ", other %" PRIu64 "\n"
@@ -418,7 +421,7 @@ int main() {
   for (auto& rs : replica_servers) rs->Shutdown();
   for (auto& f : followers) f->Stop();
   (*server)->Shutdown();
-  (*db)->Shutdown();
+  (*corpus)->Shutdown();
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   cdbs::bench::PrintStageBreakdown();

@@ -8,13 +8,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "engine/concurrent_db.h"
 #include "labeling/label.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shard/sharded_db.h"
+#include "util/status.h"
+#include "xml/parser.h"
 
 /// \file
 /// Small shared helpers for the experiment harness binaries. Each bench
@@ -188,6 +195,20 @@ inline void DumpMetrics(const std::string& bench_name) {
     std::fprintf(stderr, "failed to write metrics snapshot: %s\n",
                  status.ToString().c_str());
   }
+}
+
+/// `text` as a one-shard, one-document corpus whose shard opens with
+/// `shard_options`: a plain primary, as net::Server serves it.
+inline Result<std::unique_ptr<shard::ShardedDb>> OpenOneDocCorpus(
+    std::string_view text,
+    const engine::ConcurrentXmlDbOptions& shard_options) {
+  Result<xml::Document> doc = xml::ParseXml(text);
+  if (!doc.ok()) return doc.status();
+  std::vector<xml::Document> docs;
+  docs.push_back(std::move(*doc));
+  shard::ShardedDbOptions options;
+  options.shard = shard_options;
+  return shard::ShardedDb::Open(std::move(docs), options);
 }
 
 }  // namespace cdbs::bench

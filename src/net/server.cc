@@ -43,6 +43,18 @@ engine::WriteOp WriteOpOf(const Request& req) {
   return {kind, static_cast<engine::NodeId>(req.target), req.tag};
 }
 
+constexpr char kNoReplication[] =
+    "replication is served only by a one-shard, one-document corpus with a "
+    "replication log";
+
+/// True when `db` can feed followers: one shard holding one document,
+/// and that shard keeps a replication log. A follower replays the shard's
+/// log by raw node id into a corpus of the same shape.
+bool Replicable(shard::ShardedDb* db) {
+  return db->shard_count() == 1 && db->doc_count() == 1 &&
+         db->shard(0)->replication_log() != nullptr;
+}
+
 obs::SpanOutcome OutcomeFromStatus(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
@@ -75,9 +87,9 @@ int ApplyDrainMsKnob(const char* raw, int drain_timeout_ms) {
   return parsed;
 }
 
-Result<std::unique_ptr<Server>> Server::Start(engine::ConcurrentXmlDb* db,
-                                              const ServerOptions& options) {
-  std::unique_ptr<Server> server(new Server(db, nullptr, nullptr, options));
+Result<std::unique_ptr<Server>> Server::StartSharded(
+    shard::ShardedDb* db, const ServerOptions& options) {
+  std::unique_ptr<Server> server(new Server(db, nullptr, options));
   CDBS_RETURN_NOT_OK(server->Listen());
   server->MaybeAttachSender(db);
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
@@ -86,24 +98,15 @@ Result<std::unique_ptr<Server>> Server::Start(engine::ConcurrentXmlDb* db,
 
 Result<std::unique_ptr<Server>> Server::StartReplica(
     repl::Follower* follower, const ServerOptions& options) {
-  std::unique_ptr<Server> server(new Server(nullptr, follower, nullptr,
-                                            options));
+  std::unique_ptr<Server> server(new Server(nullptr, follower, options));
   CDBS_RETURN_NOT_OK(server->Listen());
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
   return server;
 }
 
-Result<std::unique_ptr<Server>> Server::StartSharded(
-    shard::ShardedDb* db, const ServerOptions& options) {
-  std::unique_ptr<Server> server(new Server(nullptr, nullptr, db, options));
-  CDBS_RETURN_NOT_OK(server->Listen());
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
-  return server;
-}
-
-Server::Server(engine::ConcurrentXmlDb* db, repl::Follower* follower,
-               shard::ShardedDb* sharded, const ServerOptions& options)
-    : db_(db), follower_(follower), sharded_(sharded), options_(options) {
+Server::Server(shard::ShardedDb* corpus, repl::Follower* follower,
+               const ServerOptions& options)
+    : corpus_(corpus), follower_(follower), options_(options) {
   options_.drain_timeout_ms = ApplyDrainMsKnob(
       std::getenv("CDBS_NET_DRAIN_MS"), options_.drain_timeout_ms);
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
@@ -126,21 +129,13 @@ Server::Server(engine::ConcurrentXmlDb* db, repl::Follower* follower,
 
 Server::~Server() { Shutdown(); }
 
-void Server::MaybeAttachSender(engine::ConcurrentXmlDb* db) {
-  if (db == nullptr || db->replication_log() == nullptr) return;
+void Server::MaybeAttachSender(shard::ShardedDb* db) {
+  if (!Replicable(db)) return;
   std::lock_guard<std::mutex> lock(repl_mu_);
   if (sender_ != nullptr) return;
-  sender_ = std::make_unique<repl::ReplicationSender>(db, options_.repl);
+  sender_ = std::make_unique<repl::ReplicationSender>(db->shard(0),
+                                                      options_.repl);
   sender_->Attach();
-}
-
-engine::ConcurrentXmlDb* Server::WriteDb(
-    std::shared_ptr<engine::ConcurrentXmlDb>* pin) {
-  if (follower_ == nullptr) return db_;
-  std::lock_guard<std::mutex> lock(repl_mu_);
-  if (promoted_db_ == nullptr) return nullptr;
-  *pin = promoted_db_;
-  return pin->get();
 }
 
 Status Server::Listen() {
@@ -255,14 +250,8 @@ void Server::ServeConnection(Connection* conn) {
         conn->stream.store(true, std::memory_order_release);
         sender->RunFollowerStream(conn->fd, req, conn->compress);
       } else {
-        Response resp;
-        resp.request_id = req.request_id;
-        resp.op = req.op;
-        resp.code = follower_ != nullptr ? StatusCode::kNotLeader
-                                         : StatusCode::kInvalidArgument;
-        resp.message = "this node does not serve replication streams";
         static_cast<void>(WriteFrame(conn->fd,
-                                     EncodeFrame(EncodeResponse(resp)),
+                                     EncodeFrame(EncodeResponse(Execute(req))),
                                      options_.write_timeout_ms));
       }
       break;
@@ -336,71 +325,51 @@ Response Server::Execute(const Request& req) {
     return resp;
   }
 
-  // Opcodes that ask no engine anything, answered alike sharded or not.
-  switch (req.op) {
-    case Opcode::kPing:
-      return resp;
-    case Opcode::kStats:
-      // The process-wide registry: serve.* / net.* live here, and every
-      // engine's and store's registry is merged in as a child of it — one
-      // place to see the whole serving stack.
-      resp.stats_json =
-          obs::ToJson(obs::MetricRegistry::Default(), "serve.stats");
-      return resp;
-    case Opcode::kIntrospect:
-      resp.stats_json =
-          obs::ToJson(obs::MetricRegistry::Default(), "serve.introspect");
-      if (sharded_ != nullptr) {
-        // Splice per-shard health (docs/ROBUSTNESS.md) into the metrics
-        // object: {"metrics":..., "health":{...}}.
-        const size_t close = resp.stats_json.find_last_of('}');
-        if (close != std::string::npos) {
-          resp.stats_json.insert(close,
-                                 ",\"health\":" + sharded_->HealthJson());
-        }
-      }
-      resp.traces_json = obs::Tracer::Instance().ToChromeJson();
-      return resp;
-    default:
-      break;
-  }
-
-  if (sharded_ != nullptr) {
-    return ExecuteSharded(req, deadline, std::move(resp));
-  }
-  // An unsharded server holds one document, number 0 (what its kCount
-  // reports as its one shard): a request scoped to any other document asks
-  // about one that is not here.
-  const bool doc_scoped =
-      write || req.op == Opcode::kQuery || req.op == Opcode::kCount;
-  if (doc_scoped && req.doc_id != Request::kNoDoc && req.doc_id != 0) {
-    resp.code = StatusCode::kInvalidArgument;
-    resp.message = "no document " + std::to_string(req.doc_id) +
-                   " on an unsharded server; its one document is 0";
-    return resp;
-  }
-
-  // Route the request. A replica serves reads from the follower's current
-  // database (pinned so a concurrent re-bootstrap cannot free it) and
-  // bounces writes to the primary; once promoted it serves both.
-  std::shared_ptr<engine::ConcurrentXmlDb> pin;
-  engine::ConcurrentXmlDb* write_db = WriteDb(&pin);
-  engine::ConcurrentXmlDb* read_db = write_db;
-  if (read_db == nullptr && follower_ != nullptr &&
-      (req.op == Opcode::kQuery || req.op == Opcode::kCount)) {
-    Result<std::shared_ptr<engine::ConcurrentXmlDb>> replica =
-        follower_->ReadableDb();
-    if (!replica.ok()) {
-      resp.code = replica.status().code();
-      resp.message = replica.status().message();
-      if (resp.code == StatusCode::kRetryAfter) resp.retry_after_ms = 50;
-      return resp;
+  // The corpus a request runs against: the primary's own, or a replica's
+  // current one, pinned for the request so a concurrent re-bootstrap
+  // cannot free it. A replica serves `leader_only` requests only once
+  // promoted. Null, with `resp` filled, when this node cannot serve it.
+  std::shared_ptr<shard::ShardedDb> pin;
+  auto serving = [&](bool leader_only) -> shard::ShardedDb* {
+    if (follower_ == nullptr) return corpus_;
+    {
+      std::lock_guard<std::mutex> lock(repl_mu_);
+      pin = promoted_;
     }
-    pin = std::move(*replica);
-    read_db = pin.get();
-  }
-
-  auto fill_error = [&](const Status& st) {
+    if (pin == nullptr && leader_only) {
+      resp.code = StatusCode::kNotLeader;
+      resp.message = "this node is a replica; send writes to the primary";
+      return nullptr;
+    }
+    if (pin == nullptr) {
+      Result<std::shared_ptr<shard::ShardedDb>> replica =
+          follower_->ReadableDb();
+      if (!replica.ok()) {
+        resp.code = replica.status().code();
+        resp.message = replica.status().message();
+        if (resp.code == StatusCode::kRetryAfter) resp.retry_after_ms = 50;
+        return nullptr;
+      }
+      pin = std::move(*replica);
+    }
+    return pin.get();
+  };
+  // Node ids are per-shard, so a node-addressed request names its
+  // document; on a one-document corpus it defaults to the only one.
+  uint64_t doc = req.doc_id;
+  auto resolve_doc = [&](const shard::ShardedDb& db) {
+    if (doc != Request::kNoDoc) return true;
+    if (db.doc_count() == 1) {
+      doc = 0;
+      return true;
+    }
+    resp.code = StatusCode::kInvalidArgument;
+    resp.message = "a corpus of " + std::to_string(db.doc_count()) +
+                   " documents needs a document id for node-addressed "
+                   "operations";
+    return false;
+  };
+  auto fill_error = [&](const shard::ShardedDb& db, const Status& st) {
     resp.code = st.code();
     resp.message = st.message();
     // kRetryAfter (queue full) and kUnavailable (breaker tripped /
@@ -408,77 +377,106 @@ Response Server::Execute(const Request& req) {
     // instead of hammering a sick server (docs/ROBUSTNESS.md).
     if ((st.code() == StatusCode::kRetryAfter ||
          st.code() == StatusCode::kUnavailable) &&
-        write_db != nullptr) {
+        doc != Request::kNoDoc) {
       resp.retry_after_ms =
-          static_cast<uint32_t>(write_db->RetryAfterHintMillis());
+          static_cast<uint32_t>(db.RetryAfterHintMillis(doc));
     }
-  };
-  auto not_leader = [&] {
-    resp.code = StatusCode::kNotLeader;
-    resp.message = "this node is a replica; send writes to the primary";
   };
 
   switch (req.op) {
     case Opcode::kPing:
+      break;
     case Opcode::kStats:
+      // The process-wide registry: serve.* / net.* live here, and every
+      // engine's and store's registry is merged in as a child of it — one
+      // place to see the whole serving stack.
+      resp.stats_json =
+          obs::ToJson(obs::MetricRegistry::Default(), "serve.stats");
+      break;
     case Opcode::kIntrospect:
-      break;  // answered above
+      resp.stats_json =
+          obs::ToJson(obs::MetricRegistry::Default(), "serve.introspect");
+      if (corpus_ != nullptr) {
+        // Splice per-shard health (docs/ROBUSTNESS.md) into the metrics
+        // object: {"metrics":..., "health":{...}}.
+        const size_t close = resp.stats_json.find_last_of('}');
+        if (close != std::string::npos) {
+          resp.stats_json.insert(close,
+                                 ",\"health\":" + corpus_->HealthJson());
+        }
+      }
+      resp.traces_json = obs::Tracer::Instance().ToChromeJson();
+      break;
     case Opcode::kQuery: {
+      shard::ShardedDb* db = serving(/*leader_only=*/false);
+      if (db == nullptr || !resolve_doc(*db)) break;
       Result<std::vector<engine::NodeId>> r =
-          read_db->SubmitQuery(req.xpath, deadline).get();
+          db->QueryDoc(doc, req.xpath, deadline);
       if (!r.ok()) {
-        fill_error(r.status());
+        fill_error(*db, r.status());
         break;
       }
       resp.node_ids.assign(r->begin(), r->end());
       break;
     }
     case Opcode::kCount: {
-      // Unsharded servers answer kCount too — one logical "shard" — so a
-      // shard-aware client works against any server.
-      Result<std::vector<uint64_t>> r =
-          read_db->SubmitCount(req.xpath, {0}, deadline).get();
-      if (!r.ok()) {
-        fill_error(r.status());
+      shard::ShardedDb* db = serving(/*leader_only=*/false);
+      if (db == nullptr) break;
+      if (doc != Request::kNoDoc) {
+        Result<uint64_t> r = db->CountDoc(doc, req.xpath, deadline);
+        if (!r.ok()) {
+          fill_error(*db, r.status());
+          break;
+        }
+        resp.id_or_count = *r;
+        resp.shard_counts.push_back(
+            {db->ShardOfDoc(doc), StatusCode::kOk, *r, ""});
         break;
       }
-      resp.id_or_count = (*r)[0];
-      resp.shard_counts.push_back({0, StatusCode::kOk, (*r)[0], ""});
+      // Scatter-gather: the response is kOk as long as ANY shard answered;
+      // shards that could not serve their leg ride along as non-OK entries.
+      Result<shard::GatheredCount> r = db->CountAll(req.xpath, deadline);
+      if (!r.ok()) {
+        fill_error(*db, r.status());
+        break;
+      }
+      resp.id_or_count = r->total;
+      resp.shard_counts.reserve(r->per_shard.size());
+      for (const auto& e : r->per_shard) {
+        resp.shard_counts.push_back({e.shard, e.code, e.count, e.message});
+      }
       break;
     }
     case Opcode::kInsertBefore:
     case Opcode::kInsertAfter:
     case Opcode::kDelete: {
-      if (write_db == nullptr) {
-        not_leader();
-        break;
-      }
+      shard::ShardedDb* db = serving(/*leader_only=*/true);
+      if (db == nullptr || !resolve_doc(*db)) break;
       // Admission-controlled: a full queue sheds with retry-after instead
       // of blocking this connection's thread behind the writer.
       Result<uint64_t> r =
-          write_db->Submit(WriteOpOf(req), engine::Admission::kShed, deadline)
+          db->Submit(doc, WriteOpOf(req), engine::Admission::kShed, deadline)
               .get();
       if (!r.ok()) {
-        fill_error(r.status());
+        fill_error(*db, r.status());
         break;
       }
       resp.id_or_count = *r;
       break;
     }
     case Opcode::kBootstrap: {
-      if (write_db == nullptr) {
-        not_leader();
-        break;
-      }
-      if (write_db->replication_log() == nullptr) {
+      shard::ShardedDb* db = serving(/*leader_only=*/true);
+      if (db == nullptr) break;
+      if (!Replicable(db)) {
         resp.code = StatusCode::kInvalidArgument;
-        resp.message = "replication is not enabled on this server";
+        resp.message = kNoReplication;
         break;
       }
+      doc = 0;  // the corpus's one document, for the retry hint
       Result<engine::BootstrapImage> image =
-          write_db->CaptureBootstrap(deadline);
+          db->shard(0)->CaptureBootstrap(deadline);
       if (!image.ok()) {
-        fill_error(image.status());
+        fill_error(*db, image.status());
         break;
       }
       std::string blob = repl::EncodeBootstrapSpec(image->spec);
@@ -492,142 +490,50 @@ Response Server::Execute(const Request& req) {
       resp.epoch = image->epoch;
       break;
     }
+    case Opcode::kSubscribe:
+      // Reached only when no replication sender serves this node;
+      // ServeConnection hands the connection to the sender otherwise.
+      if (serving(/*leader_only=*/true) != nullptr) {
+        resp.code = StatusCode::kInvalidArgument;
+        resp.message = kNoReplication;
+      }
+      break;
     case Opcode::kPromote: {
       if (follower_ == nullptr) {
         resp.code = StatusCode::kInvalidArgument;
         resp.message = "this node is already a primary";
         break;
       }
-      Result<std::shared_ptr<engine::ConcurrentXmlDb>> promoted =
+      Result<std::shared_ptr<shard::ShardedDb>> promoted =
           follower_->Promote();
       if (!promoted.ok()) {
-        fill_error(promoted.status());
+        resp.code = promoted.status().code();
+        resp.message = promoted.status().message();
         break;
       }
       {
         std::lock_guard<std::mutex> lock(repl_mu_);
-        promoted_db_ = *promoted;
+        promoted_ = *promoted;
       }
-      // The promoted database is a primary now: serve follower streams
-      // from it (its own replication log, its own epoch — subscribers of
-      // the old primary will epoch-mismatch into a bootstrap, which is
-      // exactly right after a failover).
+      // The promoted corpus is a primary now: serve follower streams from
+      // it (its own replication log, its own epoch — subscribers of the old
+      // primary will epoch-mismatch into a bootstrap, which is exactly right
+      // after a failover).
       MaybeAttachSender(promoted->get());
-      resp.id_or_count = (*promoted)->commit_lsn();
-      resp.epoch = (*promoted)->replication_log() != nullptr
-                       ? (*promoted)->replication_log()->epoch()
+      engine::ConcurrentXmlDb* shard = (*promoted)->shard(0);
+      resp.id_or_count = shard->commit_lsn();
+      resp.epoch = shard->replication_log() != nullptr
+                       ? shard->replication_log()->epoch()
                        : 0;
       break;
     }
-    case Opcode::kSubscribe:
     case Opcode::kReplBatch:
     case Opcode::kReplAck:
     case Opcode::kHello:
-      // kSubscribe and kHello are intercepted in ServeConnection; the
-      // other two only ever travel primary→follower / follower→primary
-      // inside a stream.
+      // kHello is intercepted in ServeConnection; the other two only ever
+      // travel primary→follower / follower→primary inside a stream.
       resp.code = StatusCode::kInvalidArgument;
       resp.message = "replication stream opcode outside a stream";
-      break;
-  }
-  return resp;
-}
-
-Response Server::ExecuteSharded(const Request& req, util::Deadline deadline,
-                                Response resp) {
-  auto fill_error = [&](const Status& st) {
-    resp.code = st.code();
-    resp.message = st.message();
-    // Like the unsharded path: a breaker-tripped kUnavailable carries the
-    // supervisor's recovery-schedule hint (a pre-execution bounce, so the
-    // retry is always safe).
-    if ((st.code() == StatusCode::kRetryAfter ||
-         st.code() == StatusCode::kUnavailable) &&
-        req.doc_id != Request::kNoDoc) {
-      resp.retry_after_ms = static_cast<uint32_t>(
-          sharded_->RetryAfterHintMillis(req.doc_id));
-    }
-  };
-  // Node ids are per-shard, so a node-addressed request without a document
-  // is ambiguous: there is no shard to resolve the id against.
-  auto need_doc = [&]() -> bool {
-    if (req.doc_id != Request::kNoDoc) return false;
-    resp.code = StatusCode::kInvalidArgument;
-    resp.message =
-        "a sharded server needs a document id for node-addressed operations";
-    return true;
-  };
-
-  switch (req.op) {
-    case Opcode::kPing:
-    case Opcode::kStats:
-    case Opcode::kIntrospect:
-      break;  // answered in Execute
-    case Opcode::kQuery: {
-      if (need_doc()) break;
-      Result<std::vector<engine::NodeId>> r =
-          sharded_->QueryDoc(req.doc_id, req.xpath, deadline);
-      if (!r.ok()) {
-        fill_error(r.status());
-        break;
-      }
-      resp.node_ids.assign(r->begin(), r->end());
-      break;
-    }
-    case Opcode::kCount: {
-      if (req.doc_id != Request::kNoDoc) {
-        Result<uint64_t> r =
-            sharded_->CountDoc(req.doc_id, req.xpath, deadline);
-        if (!r.ok()) {
-          fill_error(r.status());
-          break;
-        }
-        resp.id_or_count = *r;
-        resp.shard_counts.push_back({sharded_->ShardOfDoc(req.doc_id),
-                                     StatusCode::kOk, *r, ""});
-        break;
-      }
-      // Scatter-gather: the response is kOk as long as ANY shard answered;
-      // shards that could not serve their leg ride along as non-OK entries.
-      Result<shard::GatheredCount> r = sharded_->CountAll(req.xpath, deadline);
-      if (!r.ok()) {
-        fill_error(r.status());
-        break;
-      }
-      resp.id_or_count = r->total;
-      resp.shard_counts.reserve(r->per_shard.size());
-      for (const auto& e : r->per_shard) {
-        resp.shard_counts.push_back({e.shard, e.code, e.count, e.message});
-      }
-      break;
-    }
-    case Opcode::kInsertBefore:
-    case Opcode::kInsertAfter:
-    case Opcode::kDelete: {
-      if (need_doc()) break;
-      Result<uint64_t> r = sharded_
-                               ->Submit(req.doc_id, WriteOpOf(req),
-                                        engine::Admission::kShed, deadline)
-                               .get();
-      if (!r.ok()) {
-        fill_error(r.status());
-        break;
-      }
-      resp.id_or_count = *r;
-      break;
-    }
-    case Opcode::kBootstrap:
-    case Opcode::kPromote:
-    case Opcode::kSubscribe:
-    case Opcode::kReplBatch:
-    case Opcode::kReplAck:
-      resp.code = StatusCode::kInvalidArgument;
-      resp.message = "replication is not supported on a sharded server";
-      break;
-    case Opcode::kHello:
-      // Intercepted in ServeConnection; unreachable here.
-      resp.code = StatusCode::kInvalidArgument;
-      resp.message = "negotiation opcode outside the connection handshake";
       break;
   }
   return resp;

@@ -9,7 +9,6 @@
 #include <string>
 #include <thread>
 
-#include "engine/concurrent_db.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "repl/follower.h"
@@ -18,17 +17,21 @@
 #include "util/status.h"
 
 /// \file
-/// The network front-end: a dependency-free TCP server exposing
-/// `engine::ConcurrentXmlDb` over the framed protocol in net/protocol.h.
-/// One thread per connection (bounded by `max_connections`), per-frame
-/// read/write timeouts so a slow or stalled client can never pin a thread
-/// forever, and graceful drain on shutdown: stop accepting, let every
-/// connection finish its in-flight request, then close.
+/// The network front-end: a dependency-free TCP server exposing a
+/// `shard::ShardedDb` over the framed protocol in net/protocol.h. A plain
+/// primary is a one-shard, one-document corpus; a replica serves its
+/// follower's corpus of the same shape (docs/REPLICATION.md). One `Execute`
+/// switch answers every opcode for all of them. One thread per connection
+/// (bounded by `max_connections`), per-frame read/write timeouts so a slow
+/// or stalled client can never pin a thread forever, and graceful drain on
+/// shutdown: stop accepting, let every connection finish its in-flight
+/// request, then close.
 ///
 /// Overload semantics (the whole point — see docs/NETWORKING.md):
 ///   * every write is one `Submit` with `Admission::kShed`; a full queue
 ///     becomes a kRetryAfter response carrying a backoff hint derived from
-///     the live queue depth, not an unbounded wait;
+///     the live queue depth (or, behind a tripped breaker, from the
+///     supervisor's recovery schedule), not an unbounded wait;
 ///   * request deadlines (`Request::deadline_ms`) ride into the engine, so
 ///     work that expires while queued is shed as kDeadlineExceeded instead
 ///     of executing;
@@ -60,8 +63,8 @@ struct ServerOptions {
   /// a whole non-negative integer, anything else warns and keeps this
   /// default) — the ops knob for rolling restarts, no rebuild needed.
   int drain_timeout_ms = 2000;
-  /// Replication sender tuning, used when the served database has a
-  /// replication log (docs/REPLICATION.md).
+  /// Replication sender tuning, used when the served corpus feeds
+  /// followers (see Server::StartSharded; docs/REPLICATION.md).
   repl::ReplicationSenderOptions repl;
 };
 
@@ -75,31 +78,29 @@ int ApplyDrainMsKnob(const char* raw, int drain_timeout_ms);
 /// drain and stop.
 class Server {
  public:
-  /// Serves `db` directly (a primary). When `db` has a replication log, a
-  /// ReplicationSender is attached and kSubscribe/kBootstrap streams are
-  /// served to followers. `db` is document 0: a kQuery, kCount, kInsert*
-  /// or kDelete whose `Request::doc_id` names any other document bounces
-  /// with kInvalidArgument (so does one served by StartReplica).
-  static Result<std::unique_ptr<Server>> Start(engine::ConcurrentXmlDb* db,
-                                               const ServerOptions& options);
-
-  /// Serves a replica: reads come from `follower`'s database (bounded by
-  /// its staleness options), writes are rejected with kNotLeader, and a
-  /// kPromote request flips the node into a primary (serving writes and —
-  /// when the replica database has its own replication log — follower
-  /// streams). `follower` must outlive the server.
-  static Result<std::unique_ptr<Server>> StartReplica(
-      repl::Follower* follower, const ServerOptions& options);
-
-  /// Serves a sharded corpus (docs/SHARDING.md). Node-addressed operations
-  /// (kQuery, kInsert*, kDelete) must carry `Request::doc_id` — node ids
-  /// are per-shard, so a request without a document is ambiguous and
-  /// bounces with kInvalidArgument. kCount without a doc_id scatter-gathers
-  /// across every shard with per-shard partial-failure semantics.
-  /// Replication opcodes are not served in this mode. `db` must outlive
-  /// the server.
+  /// Serves a corpus (docs/SHARDING.md) as a primary; a plain primary is
+  /// `ShardedDb::Open({doc}, options)` with one shard. Node-addressed
+  /// operations (kQuery, kInsert*, kDelete) name their document in
+  /// `Request::doc_id`, since node ids are per-shard; without one they
+  /// address a one-document corpus's only document and bounce with
+  /// kInvalidArgument on any other. kCount without a doc_id scatter-gathers
+  /// across every shard with per-shard partial-failure semantics. When the
+  /// corpus is one shard holding one document and that shard has a
+  /// replication log, a ReplicationSender is attached to it and kSubscribe/
+  /// kBootstrap streams are served to followers; every other corpus answers
+  /// the replication opcodes with kInvalidArgument. `db` must outlive the
+  /// server. Keeps its name because the repository benchmark (perfbench/)
+  /// calls it.
   static Result<std::unique_ptr<Server>> StartSharded(
       shard::ShardedDb* db, const ServerOptions& options);
+
+  /// Serves a replica: reads come from `follower`'s one-shard corpus, pinned
+  /// per request and bounded by its staleness options; writes are rejected
+  /// with kNotLeader; and a kPromote request flips the node into a primary
+  /// (serving writes and — when the replica's shard has its own replication
+  /// log — follower streams). `follower` must outlive the server.
+  static Result<std::unique_ptr<Server>> StartReplica(
+      repl::Follower* follower, const ServerOptions& options);
 
   ~Server();
 
@@ -138,31 +139,21 @@ class Server {
     bool compress = false;
   };
 
-  Server(engine::ConcurrentXmlDb* db, repl::Follower* follower,
-         shard::ShardedDb* sharded, const ServerOptions& options);
+  Server(shard::ShardedDb* corpus, repl::Follower* follower,
+         const ServerOptions& options);
 
   Status Listen();
   void AcceptLoop();
   void ServeConnection(Connection* conn);
-  /// Executes one decoded request against the database.
+  /// Executes one decoded request: the one dispatcher for every opcode.
   Response Execute(const Request& req);
-  /// Sharded-mode dispatch (document-routed reads/writes, scatter-gather
-  /// counts). `resp` arrives with request_id/op prefilled.
-  Response ExecuteSharded(const Request& req, util::Deadline deadline,
-                          Response resp);
   void ReapFinishedLocked();
-  /// The database writes (and bootstraps) go to: the primary's, or the
-  /// promoted replica's. Null on an unpromoted replica — writes bounce
-  /// with kNotLeader. The shared_ptr pin keeps a replica database alive
-  /// across a concurrent re-bootstrap swap.
-  engine::ConcurrentXmlDb* WriteDb(
-      std::shared_ptr<engine::ConcurrentXmlDb>* pin);
-  /// Attaches a replication sender to `db` if it has a replication log.
-  void MaybeAttachSender(engine::ConcurrentXmlDb* db);
+  /// Attaches a replication sender to `db`'s one shard when `db` can feed
+  /// followers (see StartSharded).
+  void MaybeAttachSender(shard::ShardedDb* db);
 
-  engine::ConcurrentXmlDb* db_;          // primary mode; null on a replica
-  repl::Follower* follower_ = nullptr;   // replica mode; null on a primary
-  shard::ShardedDb* sharded_ = nullptr;  // sharded mode; null otherwise
+  shard::ShardedDb* corpus_;            // primary; null on a replica
+  repl::Follower* follower_ = nullptr;  // replica; null on a primary
   ServerOptions options_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
@@ -174,13 +165,13 @@ class Server {
   std::list<std::unique_ptr<Connection>> conns_;
   std::atomic<size_t> active_connections_{0};
 
-  /// Replication state. `sender_` exists while this node serves follower
-  /// streams (primary from Start; replica after promotion). `promoted_db_`
-  /// pins the replica database once promoted, so it outlives any follower
-  /// re-bootstrap bookkeeping.
+  /// Replication state. `promoted_` pins a replica's corpus once
+  /// promoted: from then on it takes writes. `sender_` exists while this
+  /// node serves follower streams (a primary from the start; a replica
+  /// after promotion).
   std::mutex repl_mu_;
+  std::shared_ptr<shard::ShardedDb> promoted_;
   std::unique_ptr<repl::ReplicationSender> sender_;
-  std::shared_ptr<engine::ConcurrentXmlDb> promoted_db_;
 
   // serve.* / net.* metrics, in the process-wide registry.
   obs::Counter* requests_;

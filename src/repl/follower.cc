@@ -30,30 +30,29 @@ std::unique_ptr<Follower> Follower::Start(FollowerOptions options) {
 }
 
 Follower::Follower(FollowerOptions options) : options_(std::move(options)) {
-  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-  state_gauge_ = reg.GetGauge(
+  state_gauge_ = registry_.GetGauge(
       "repl.follower.state",
       "Replica lifecycle: 0 connecting, 1 bootstrapping, 2 streaming, "
       "3 promoted, 4 stopped");
-  applied_gauge_ = reg.GetGauge("repl.follower.applied_lsn",
-                                "Last primary LSN fully applied");
-  staleness_gauge_ = reg.GetGauge(
+  applied_gauge_ = registry_.GetGauge("repl.follower.applied_lsn",
+                                      "Last primary LSN fully applied");
+  staleness_gauge_ = registry_.GetGauge(
       "repl.follower.staleness_ms",
       "Milliseconds since last observed caught-up with the primary");
-  bootstraps_ = reg.GetCounter("repl.follower.bootstraps",
-                               "Snapshot bootstraps performed");
-  records_applied_ = reg.GetCounter("repl.follower.records_applied",
-                                    "Stream records replayed");
-  reconnects_ = reg.GetCounter("repl.follower.reconnects",
-                               "Stream (re)connection attempts");
-  stale_reads_rejected_ = reg.GetCounter(
+  bootstraps_ = registry_.GetCounter("repl.follower.bootstraps",
+                                     "Snapshot bootstraps performed");
+  records_applied_ = registry_.GetCounter("repl.follower.records_applied",
+                                          "Stream records replayed");
+  reconnects_ = registry_.GetCounter("repl.follower.reconnects",
+                                     "Stream (re)connection attempts");
+  stale_reads_rejected_ = registry_.GetCounter(
       "repl.follower.stale_reads_rejected",
       "Reads rejected for exceeding the staleness bound");
 }
 
 Follower::~Follower() { Stop(); }
 
-std::shared_ptr<engine::ConcurrentXmlDb> Follower::db() const {
+std::shared_ptr<shard::ShardedDb> Follower::db() const {
   std::lock_guard<std::mutex> lock(db_mu_);
   return db_;
 }
@@ -65,9 +64,9 @@ int64_t Follower::staleness_ms() const {
   return ms > 0 ? ms : 0;
 }
 
-Result<std::shared_ptr<engine::ConcurrentXmlDb>> Follower::ReadableDb(
+Result<std::shared_ptr<shard::ShardedDb>> Follower::ReadableDb(
     int64_t max_staleness_ms) const {
-  std::shared_ptr<engine::ConcurrentXmlDb> current = db();
+  std::shared_ptr<shard::ShardedDb> current = db();
   if (current == nullptr) {
     return Status::RetryAfter("replica has no snapshot yet");
   }
@@ -223,9 +222,9 @@ void Follower::RunOnce() {
         need_bootstrap_ = true;
         break;
       }
-      std::shared_ptr<engine::ConcurrentXmlDb> current = db();
+      std::shared_ptr<shard::ShardedDb> current = db();
       if (current == nullptr ||
-          !ApplyRecord(current.get(), lsn, ops).ok()) {
+          !ApplyRecord(current->shard(0), lsn, ops).ok()) {
         // Divergence (or a half-dead replica db): the only safe repair is
         // a fresh snapshot — logical replay must match ids exactly.
         need_bootstrap_ = true;
@@ -266,7 +265,7 @@ Status Follower::Bootstrap(int fd) {
   }
 
   // Tear down the previous replica before reopening its storage paths.
-  std::shared_ptr<engine::ConcurrentXmlDb> old;
+  std::shared_ptr<shard::ShardedDb> old;
   {
     std::lock_guard<std::mutex> lock(db_mu_);
     old = std::move(db_);
@@ -274,17 +273,17 @@ Status Follower::Bootstrap(int fd) {
   }
   if (old != nullptr) old->Shutdown();
 
-  // The blob carries the primary's id-space history, not just the tree:
-  // OpenFromImage rebuilds a bit-identical id space so replica reads
+  // The blob carries the primary shard's id-space history, not just the
+  // tree: OpenFromImage rebuilds a bit-identical id space so replica reads
   // return the primary's ids and the op stream keeps applying cleanly.
   engine::BootstrapSpec spec;
   CDBS_RETURN_NOT_OK(DecodeBootstrapSpec(resp.blob, &spec));
-  Result<std::unique_ptr<engine::ConcurrentXmlDb>> fresh =
-      engine::ConcurrentXmlDb::OpenFromImage(spec, options_.db);
+  Result<std::unique_ptr<shard::ShardedDb>> fresh =
+      shard::ShardedDb::OpenFromImage(spec, options_.db);
   if (!fresh.ok()) return fresh.status();
   {
     std::lock_guard<std::mutex> lock(db_mu_);
-    db_ = std::shared_ptr<engine::ConcurrentXmlDb>(std::move(*fresh));
+    db_ = std::move(*fresh);
   }
   applied_lsn_.store(resp.id_or_count, std::memory_order_release);
   primary_epoch_ = resp.epoch;
@@ -293,11 +292,12 @@ Status Follower::Bootstrap(int fd) {
   return Status::OK();
 }
 
-Status Follower::ApplyRecord(engine::ConcurrentXmlDb* db, uint64_t lsn,
+Status Follower::ApplyRecord(engine::ConcurrentXmlDb* shard, uint64_t lsn,
                              const std::vector<ReplOp>& ops) {
   for (const ReplOp& op : ops) {
     Result<uint64_t> replayed =
-        db->Submit({op.kind, static_cast<engine::NodeId>(op.target), op.tag})
+        shard
+            ->Submit({op.kind, static_cast<engine::NodeId>(op.target), op.tag})
             .get();
     if (!replayed.ok()) {
       return Status::Corruption("replica replay failed at lsn " +
@@ -316,8 +316,8 @@ Status Follower::ApplyRecord(engine::ConcurrentXmlDb* db, uint64_t lsn,
   return Status::OK();
 }
 
-Result<std::shared_ptr<engine::ConcurrentXmlDb>> Follower::Promote() {
-  std::shared_ptr<engine::ConcurrentXmlDb> current = db();
+Result<std::shared_ptr<shard::ShardedDb>> Follower::Promote() {
+  std::shared_ptr<shard::ShardedDb> current = db();
   if (current == nullptr) {
     return Status::RetryAfter("replica has no snapshot to promote");
   }
@@ -336,9 +336,9 @@ void Follower::Stop() {
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   if (receiver_.joinable()) receiver_.join();
   if (!was_promoted) {
-    // A promoted database belongs to its new callers; an unpromoted
-    // replica dies with its follower.
-    std::shared_ptr<engine::ConcurrentXmlDb> current = db();
+    // A promoted corpus belongs to its new callers; an unpromoted replica
+    // dies with its follower.
+    std::shared_ptr<shard::ShardedDb> current = db();
     if (current != nullptr) current->Shutdown();
     SetState(State::kStopped);
   }

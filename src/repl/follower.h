@@ -12,18 +12,19 @@
 #include "engine/concurrent_db.h"
 #include "obs/metrics.h"
 #include "repl/replication.h"
+#include "shard/sharded_db.h"
 #include "util/status.h"
 
 /// \file
 /// The follower half of replication (docs/REPLICATION.md): a replica that
-/// bootstraps a document snapshot from the primary, subscribes to its
-/// commit stream, and replays each committed batch into its own
-/// `ConcurrentXmlDb`. Because CDBS label assignment is deterministic
-/// (Theorem 3.1 — insertions never relabel, labels depend only on the
-/// neighbours), replaying the primary's logical operations reproduces its
-/// labels and node ids bit for bit; the follower checks every replayed id
-/// against the primary's (`ReplOp::new_id`) and treats any divergence as
-/// corruption, fixed by re-bootstrapping.
+/// bootstraps a snapshot of the primary's one-shard, one-document corpus,
+/// subscribes to its commit stream, and replays each committed batch into
+/// its own one-shard `shard::ShardedDb`. Because CDBS label assignment is
+/// deterministic (Theorem 3.1 — insertions never relabel, labels depend
+/// only on the neighbours), replaying the primary's logical operations
+/// reproduces its labels and node ids bit for bit; the follower checks
+/// every replayed id against the primary's (`ReplOp::new_id`) and treats
+/// any divergence as corruption, fixed by re-bootstrapping.
 ///
 /// Crash/restart model: nothing replication-specific is persisted. A
 /// restarted follower bootstraps afresh; a follower whose stream tears
@@ -35,9 +36,10 @@ namespace cdbs::repl {
 struct FollowerOptions {
   std::string primary_host = "127.0.0.1";
   uint16_t primary_port = 0;
-  /// Options for the replica's own database. Give it its own storage /
-  /// replication-log paths: after `Promote()` this database is a primary
-  /// in its own right (fresh epoch, fresh LSN space).
+  /// Options for the replica corpus's one shard, used as given
+  /// (`shard::ShardedDb::OpenFromImage`). Give it its own storage /
+  /// replication-log paths: after `Promote()` this corpus is a primary in
+  /// its own right (fresh epoch, fresh LSN space).
   engine::ConcurrentXmlDbOptions db;
   /// Default read-staleness bound, milliseconds; 0 = serve reads no matter
   /// how stale. A read is rejected (kRetryAfter — try another endpoint)
@@ -56,7 +58,7 @@ struct FollowerOptions {
 };
 
 /// A live replica: owns the replication receiver thread and the replica
-/// database it replays into. Thread contract: `Start` once; `db`/
+/// corpus it replays into. Thread contract: `Start` once; `db`/
 /// `ReadableDb`/LSN accessors from any thread; `Promote`/`Stop` from any
 /// thread, once.
 class Follower {
@@ -80,15 +82,15 @@ class Follower {
   Follower(const Follower&) = delete;
   Follower& operator=(const Follower&) = delete;
 
-  /// The current replica database; null until the first bootstrap lands.
+  /// The current replica corpus; null until the first bootstrap lands.
   /// May be replaced wholesale by a re-bootstrap — callers hold the
   /// returned shared_ptr for the duration of one logical read.
-  std::shared_ptr<engine::ConcurrentXmlDb> db() const;
+  std::shared_ptr<shard::ShardedDb> db() const;
 
   /// `db()` gated by staleness: kRetryAfter when no snapshot has landed
   /// yet or the replica has not been caught up within `max_staleness_ms`
   /// (-1 = the configured default; 0 = unbounded).
-  Result<std::shared_ptr<engine::ConcurrentXmlDb>> ReadableDb(
+  Result<std::shared_ptr<shard::ShardedDb>> ReadableDb(
       int64_t max_staleness_ms = -1) const;
 
   /// Last primary LSN fully applied here (primary coordinates).
@@ -113,14 +115,19 @@ class Follower {
 
   bool promoted() const { return state() == State::kPromoted; }
 
-  /// Failover: stops replicating and makes the replica database the write
-  /// target. Returns the promoted database (its own replication log's
+  /// This follower's `repl.follower.*` metrics. A child of
+  /// MetricRegistry::Default(), so process-wide exporters sum them with
+  /// every other follower's.
+  const obs::MetricRegistry& metrics() const { return registry_; }
+
+  /// Failover: stops replicating and makes the replica corpus the write
+  /// target. Returns the promoted corpus (its shard's replication log's
   /// epoch now identifies the new primary incarnation — old followers
   /// subscribing with the dead primary's epoch are told to bootstrap).
   /// Fails with kRetryAfter when no bootstrap has landed yet.
-  Result<std::shared_ptr<engine::ConcurrentXmlDb>> Promote();
+  Result<std::shared_ptr<shard::ShardedDb>> Promote();
 
-  /// Stops the receiver thread and shuts the replica database down.
+  /// Stops the receiver thread and shuts the replica corpus down.
   /// Idempotent; the destructor calls it.
   void Stop();
 
@@ -132,11 +139,13 @@ class Follower {
   /// stream. Returns when the stream tears / the follower stops.
   void RunOnce();
   /// Requests and loads a snapshot over `fd`. On success installs the new
-  /// database and sets applied_lsn_/epoch_.
+  /// corpus and sets applied_lsn_/epoch_.
   Status Bootstrap(int fd);
-  /// Applies one stream record; any divergence from the primary's ids
-  /// returns Corruption (caller re-bootstraps).
-  Status ApplyRecord(engine::ConcurrentXmlDb* db, uint64_t lsn,
+  /// Applies one stream record to the replica's shard, by raw node id:
+  /// the primary's supervisor probes beside the document root replicate
+  /// too. Any divergence from the primary's ids returns Corruption (caller
+  /// re-bootstraps).
+  Status ApplyRecord(engine::ConcurrentXmlDb* shard, uint64_t lsn,
                      const std::vector<ReplOp>& ops);
   void SetState(State s);
   void MarkContact(uint64_t primary_last);
@@ -154,7 +163,7 @@ class Follower {
   bool hello_unsupported_ = false;
 
   mutable std::mutex db_mu_;
-  std::shared_ptr<engine::ConcurrentXmlDb> db_;
+  std::shared_ptr<shard::ShardedDb> db_;
 
   /// steady_clock when the replica was last observed caught-up,
   /// nanoseconds since epoch; 0 = never.
@@ -162,6 +171,7 @@ class Follower {
 
   std::thread receiver_;
 
+  obs::MetricRegistry registry_{&obs::MetricRegistry::Default()};
   obs::Gauge* state_gauge_;
   obs::Gauge* applied_gauge_;
   obs::Gauge* staleness_gauge_;

@@ -267,21 +267,6 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
   db->readers_ =
       std::make_shared<concurrency::ThreadPool>(options.read_workers);
 
-  auto& reg = obs::MetricRegistry::Default();
-  db->routed_reads_ = reg.GetCounter(
-      "shard.routed.reads", "document-scoped reads routed to their shard");
-  db->routed_writes_ = reg.GetCounter(
-      "shard.routed.writes", "document-scoped writes routed to their shard");
-  db->scatter_queries_ = reg.GetCounter(
-      "shard.scatter.queries", "cross-shard scatter-gather queries");
-  db->scatter_partial_ = reg.GetCounter(
-      "shard.scatter.partial", "gathers that returned partial results");
-  db->scatter_shard_errors_ = reg.GetCounter(
-      "shard.scatter.shard_errors", "per-shard failures inside gathers");
-  db->shard_count_gauge_ =
-      reg.GetGauge("shard.count", "number of shards being served");
-  db->shard_count_gauge_->Set(static_cast<double>(manifest.shard_count));
-
   for (uint32_t s = 0; s < manifest.shard_count; ++s) {
     // Ingest the shard's documents under one synthetic root, in corpus
     // order. Each input is freed as soon as it is ingested, before the
@@ -313,17 +298,8 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
     auto shard = engine::ConcurrentXmlDb::Open(std::move(tree), opts);
     if (!shard.ok()) return shard.status();
     db->shards_.push_back(std::move(shard).value());
-
-    const std::string prefix = "shard." + std::to_string(s);
-    PerShardMetrics m;
-    m.reads = reg.GetCounter(prefix + ".reads",
-                             "document-scoped reads served by this shard");
-    m.writes = reg.GetCounter(prefix + ".writes",
-                              "document-scoped writes served by this shard");
-    m.unavailable = reg.GetCounter(
-        prefix + ".unavailable", "gather legs this shard failed to serve");
-    db->per_shard_metrics_.push_back(m);
   }
+  db->RegisterMetrics();
 
   // Supervision (docs/ROBUSTNESS.md): each shard's probe target is its
   // first document root — a probe insert right after it lands between
@@ -342,6 +318,69 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
     db->supervisor_->Start();
   }
   return db;
+}
+
+Result<std::unique_ptr<ShardedDb>> ShardedDb::OpenFromImage(
+    const engine::BootstrapSpec& spec,
+    engine::ConcurrentXmlDbOptions options) {
+  if (options.shared_readers != nullptr) {
+    return Status::InvalidArgument(
+        "the reader pool is owned by the ShardedDb; leave shared_readers "
+        "empty");
+  }
+  // Ids list the tree in document order: node 0 first, then its first
+  // child.
+  if (spec.ids.size() < 2 || spec.ids[0] != 0 || spec.ids[1] != 1) {
+    return Status::Corruption(
+        "bootstrap image is not a one-document shard: node 1 is not the "
+        "first child of node 0");
+  }
+  std::unique_ptr<ShardedDb> db(new ShardedDb());
+  db->manifest_ = {1, RouterKind::kHash, {0}};
+  db->doc_shard_ = {0};
+  db->doc_root_ = {1};
+  db->shard_docs_ = {{0}};
+  db->readers_ =
+      std::make_shared<concurrency::ThreadPool>(options.read_workers);
+  options.shared_readers = db->readers_;
+  auto shard = engine::ConcurrentXmlDb::OpenFromImage(spec, options);
+  if (!shard.ok()) return shard.status();
+  if ((*shard)->TagOf(0) != kShardRootTag) {
+    return Status::Corruption("bootstrap image root is <" +
+                              (*shard)->TagOf(0) + ">, not the <" +
+                              kShardRootTag + "> shard root");
+  }
+  db->shards_.push_back(std::move(shard).value());
+  db->RegisterMetrics();
+  return db;
+}
+
+void ShardedDb::RegisterMetrics() {
+  auto& reg = obs::MetricRegistry::Default();
+  routed_reads_ = reg.GetCounter(
+      "shard.routed.reads", "document-scoped reads routed to their shard");
+  routed_writes_ = reg.GetCounter(
+      "shard.routed.writes", "document-scoped writes routed to their shard");
+  scatter_queries_ = reg.GetCounter(
+      "shard.scatter.queries", "cross-shard scatter-gather queries");
+  scatter_partial_ = reg.GetCounter(
+      "shard.scatter.partial", "gathers that returned partial results");
+  scatter_shard_errors_ = reg.GetCounter(
+      "shard.scatter.shard_errors", "per-shard failures inside gathers");
+  shard_count_gauge_ =
+      reg.GetGauge("shard.count", "number of shards being served");
+  shard_count_gauge_->Set(static_cast<double>(shards_.size()));
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const std::string prefix = "shard." + std::to_string(s);
+    PerShardMetrics m;
+    m.reads = reg.GetCounter(prefix + ".reads",
+                             "document-scoped reads served by this shard");
+    m.writes = reg.GetCounter(prefix + ".writes",
+                              "document-scoped writes served by this shard");
+    m.unavailable = reg.GetCounter(
+        prefix + ".unavailable", "gather legs this shard failed to serve");
+    per_shard_metrics_.push_back(m);
+  }
 }
 
 ShardedDb::~ShardedDb() { Shutdown(); }
@@ -495,8 +534,8 @@ Status ShardedDb::ResolveWrite(uint64_t doc, engine::NodeId target,
   const auto pin = shards_[s]->PinSnapshot();
   const labeling::Labeling& lab = pin->labeling();
   if (target >= lab.skeleton().size()) {
-    return Status::NotFound("no node " + std::to_string(target) +
-                            " in shard " + std::to_string(s));
+    return Status::OutOfRange("no node " + std::to_string(target) +
+                              " in shard " + std::to_string(s));
   }
   if (lab.skeleton().is_removed(target)) {
     return Status::NotFound("node " + std::to_string(target) +

@@ -126,6 +126,16 @@ class ShardedDb {
   static Result<std::unique_ptr<ShardedDb>> Open(
       std::vector<xml::Document> docs, const ShardedDbOptions& options);
 
+  /// A one-shard, one-document corpus rebuilt from a bootstrap image of
+  /// such a corpus's shard (what a replica serves; docs/REPLICATION.md).
+  /// The shard opens with `options` as given, storage and replication-log
+  /// paths included, and is unsupervised. Corruption unless node 0 of the
+  /// image is the `kShardRootTag` root and node 1, its first child, the
+  /// document root.
+  static Result<std::unique_ptr<ShardedDb>> OpenFromImage(
+      const engine::BootstrapSpec& spec,
+      engine::ConcurrentXmlDbOptions options);
+
   ~ShardedDb();
 
   ShardedDb(const ShardedDb&) = delete;
@@ -242,7 +252,11 @@ class ShardedDb {
  private:
   ShardedDb() = default;
 
+  /// Registers the shard.* metrics, once `shards_` is filled.
+  void RegisterMetrics();
+
   /// Routes + validates a write target; fills `shard` on success.
+  /// OutOfRange for an id the shard never assigned, as XmlDb answers.
   Status ResolveWrite(uint64_t doc, engine::NodeId target, uint32_t* shard);
 
   /// Health gate consulted before a write is forwarded to `shard`:

@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "corpus_util.h"
 #include "engine/concurrent_db.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket_io.h"
+#include "shard/sharded_db.h"
 #include "storage/label_store.h"
 #include "storage/wal.h"
 #include "util/failpoint.h"
@@ -202,17 +204,18 @@ constexpr char kDoc[] = "<root><a><b/><b/></a><c><b/></c></root>";
 class FrameCompatTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto db = engine::ConcurrentXmlDb::OpenFromXml(kDoc, {});
-    ASSERT_TRUE(db.ok()) << db.status().message();
-    db_ = std::move(*db);
-    auto server = net::Server::Start(db_.get(), {});
+    auto corpus = OpenCorpus(kDoc);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().message();
+    corpus_ = std::move(*corpus);
+    db_ = corpus_->shard(0);
+    auto server = net::Server::StartSharded(corpus_.get(), {});
     ASSERT_TRUE(server.ok()) << server.status().message();
     server_ = std::move(*server);
   }
 
   void TearDown() override {
     if (server_) server_->Shutdown();
-    if (db_) db_->Shutdown();
+    if (corpus_) corpus_->Shutdown();
   }
 
   net::ClientOptions ClientFor(bool enable_compression) const {
@@ -226,7 +229,8 @@ class FrameCompatTest : public ::testing::Test {
     return o;
   }
 
-  std::unique_ptr<engine::ConcurrentXmlDb> db_;
+  std::unique_ptr<shard::ShardedDb> corpus_;
+  engine::ConcurrentXmlDb* db_ = nullptr;  // the corpus's one shard
   std::unique_ptr<net::Server> server_;
 };
 

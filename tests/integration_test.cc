@@ -162,6 +162,7 @@ TEST(IntegrationTest, XmlDbSurvivesMixedWorkloadWithPersistence) {
   }
   EXPECT_EQ(*(*db)->Count("/play/act"), expected_acts);
   std::remove(options.storage_path.c_str());
+  std::remove((options.storage_path + ".wal").c_str());
 }
 
 TEST(IntegrationTest, DatasetWideLabelingSmoke) {

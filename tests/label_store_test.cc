@@ -23,7 +23,10 @@ class LabelStoreTest : public ::testing::Test {
     ASSERT_TRUE(store_.Open(path_).ok());
   }
 
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove(LabelStore::WalPath(path_).c_str());
+  }
 
   std::string path_;
   LabelStore store_;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus_util.h"
 #include "engine/concurrent_db.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -67,16 +68,17 @@ bool IsExpectedChaosFailure(const Status& st) {
 }
 
 TEST_F(NetChaosTest, MixedWorkloadSurvivesInjectedFaults) {
-  auto db = ConcurrentXmlDb::OpenFromXml(kDoc, {});
-  ASSERT_TRUE(db.ok());
+  auto corpus = OpenCorpus(kDoc);
+  ASSERT_TRUE(corpus.ok());
+  ConcurrentXmlDb* db = (*corpus)->shard(0);
   ServerOptions server_options;
   server_options.read_timeout_ms = 2000;
   server_options.write_timeout_ms = 2000;
-  auto server = Server::Start(db->get(), server_options);
+  auto server = Server::StartSharded(corpus->get(), server_options);
   ASSERT_TRUE(server.ok());
 
   // The reference answer chaos must never corrupt: the initial //b ids.
-  const std::vector<NodeId> golden_b = (*db)->Query("//b").value();
+  const std::vector<NodeId> golden_b = db->Query("//b").value();
   ASSERT_EQ(golden_b.size(), 3u);
 
   // The chaos profile (also the CI chaos-net job's CDBS_FAILPOINTS line).
@@ -228,9 +230,9 @@ TEST_F(NetChaosTest, MixedWorkloadSurvivesInjectedFaults) {
     EXPECT_EQ((*final_b)[j], static_cast<uint64_t>(golden_b[j]));
   }
   (*server)->Shutdown();
-  (*db)->Shutdown();
+  (*corpus)->Shutdown();
   // The engine survived intact underneath: a direct read agrees.
-  EXPECT_EQ(*(*db)->Count("//b"), 3u);
+  EXPECT_EQ(*db->Count("//b"), 3u);
 }
 
 }  // namespace

@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus_util.h"
 #include "engine/concurrent_db.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket_io.h"
 #include "obs/trace.h"
+#include "shard/sharded_db.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -309,14 +311,7 @@ constexpr char kSmallDoc[] = "<root><a><b/><b/></a><c><b/></c></root>";
 
 class NetTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, db_options_);
-    ASSERT_TRUE(db.ok()) << db.status().message();
-    db_ = std::move(*db);
-    auto server = Server::Start(db_.get(), server_options_);
-    ASSERT_TRUE(server.ok()) << server.status().message();
-    server_ = std::move(*server);
-  }
+  void SetUp() override { Restart(); }
 
   void TearDown() override {
     for (const std::string& site : util::Failpoints::ActiveSites()) {
@@ -326,18 +321,19 @@ class NetTest : public ::testing::Test {
       }
     }
     if (server_) server_->Shutdown();
-    if (db_) db_->Shutdown();
+    if (corpus_) corpus_->Shutdown();
   }
 
-  /// Tears down and rebuilds the database and server with the current
+  /// Tears down and rebuilds the corpus and server with the current
   /// db_options_ / server_options_ (for tests needing a tiny queue or cap).
   void Restart() {
     server_.reset();
-    db_.reset();
-    auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, db_options_);
-    ASSERT_TRUE(db.ok()) << db.status().message();
-    db_ = std::move(*db);
-    auto server = Server::Start(db_.get(), server_options_);
+    corpus_.reset();
+    auto corpus = OpenCorpus(kSmallDoc, db_options_);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().message();
+    corpus_ = std::move(*corpus);
+    db_ = corpus_->shard(0);
+    auto server = Server::StartSharded(corpus_.get(), server_options_);
     ASSERT_TRUE(server.ok()) << server.status().message();
     server_ = std::move(*server);
   }
@@ -384,7 +380,8 @@ class NetTest : public ::testing::Test {
 
   ConcurrentXmlDbOptions db_options_;
   ServerOptions server_options_;
-  std::unique_ptr<ConcurrentXmlDb> db_;
+  std::unique_ptr<shard::ShardedDb> corpus_;
+  ConcurrentXmlDb* db_ = nullptr;  // the corpus's one shard
   std::unique_ptr<Server> server_;
 };
 
@@ -437,14 +434,14 @@ TEST_F(NetTest, ServerErrorsTravelBackWithTheirCodes) {
   }
   Result<uint64_t> bad_target = (*client)->InsertAfter(999999, "x");
   EXPECT_EQ(bad_target.status().code(), StatusCode::kOutOfRange);
-  Result<uint64_t> bad_delete = (*client)->Delete(0);
+  Result<uint64_t> bad_delete = (*client)->Delete(1);  // the document root
   EXPECT_EQ(bad_delete.status().code(), StatusCode::kInvalidArgument);
   // The connection survives error responses: the next call still works.
   EXPECT_TRUE((*client)->Ping().ok());
 }
 
-// An unsharded server holds one document, number 0. A request scoped to any
-// other document is rejected before it reaches the engine, instead of being
+// A one-document corpus holds document 0. A request scoped to any other
+// document is rejected before it reaches the engine, instead of being
 // answered from (or applied to) the one document there is.
 TEST_F(NetTest, UnshardedServerRejectsOtherDocumentIds) {
   auto client = CdbsClient::Connect(ClientFor());
@@ -461,12 +458,48 @@ TEST_F(NetTest, UnshardedServerRejectsOtherDocumentIds) {
   EXPECT_EQ((*client)->CountIn(7, "//b").status().code(),
             StatusCode::kInvalidArgument);
   // Nothing was written, and document 0 still answers.
-  EXPECT_EQ(db_->Query("//b").value(), std::vector<NodeId>({2, 3, 5}));
+  EXPECT_EQ(db_->Query("//b").value(), std::vector<NodeId>({3, 4, 6}));
   Result<uint64_t> count = (*client)->CountIn(0, "//b");
   ASSERT_TRUE(count.ok()) << count.status().message();
   EXPECT_EQ(*count, 3u);
   EXPECT_EQ((*client)->QueryDoc(0, "//b").value(),
-            std::vector<uint64_t>({2, 3, 5}));
+            std::vector<uint64_t>({3, 4, 6}));
+}
+
+// A node-addressed request without a doc_id addresses a one-document
+// corpus's only document; on a corpus of two it names no node and bounces.
+TEST_F(NetTest, RequestsWithoutADocIdAddressTheOnlyDocument) {
+  auto client = CdbsClient::Connect(ClientFor());
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ((*client)->Query("//b").value(),
+            (*client)->QueryDoc(0, "//b").value());
+  Result<uint64_t> fresh = (*client)->InsertAfter(3, "x");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().message();
+  EXPECT_EQ(corpus_->QueryDoc(0, "//x").value(),
+            std::vector<NodeId>({static_cast<NodeId>(*fresh)}));
+  Result<uint64_t> removed = (*client)->Delete(*fresh);
+  ASSERT_TRUE(removed.ok()) << removed.status().message();
+  EXPECT_EQ(*removed, 1u);
+  EXPECT_EQ(*corpus_->CountDoc(0, "//x"), 0u);
+
+  auto two = OpenCorpus(kSmallDoc, {}, /*copies=*/2);
+  ASSERT_TRUE(two.ok()) << two.status().message();
+  auto server = Server::StartSharded(two->get(), server_options_);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  ClientOptions o = ClientFor();
+  o.port = (*server)->port();
+  auto other = CdbsClient::Connect(o);
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ((*other)->Query("//b").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*other)->InsertAfter(3, "x").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*other)->Delete(3).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*other)->QueryDoc(1, "//b").value().size(), 3u);
+  EXPECT_EQ(*(*two)->CountDoc(0, "//x"), 0u);
+  other->reset();
+  (*server)->Shutdown();
+  (*two)->Shutdown();
 }
 
 // Wire targets are 64-bit, engine node ids 32-bit: a target past 2^32 - 1
@@ -474,7 +507,7 @@ TEST_F(NetTest, UnshardedServerRejectsOtherDocumentIds) {
 TEST_F(NetTest, WriteTargetsBeyondTheNodeIdRangeAreOutOfRange) {
   auto client = CdbsClient::Connect(ClientFor());
   ASSERT_TRUE(client.ok());
-  const uint64_t aliases_a = (uint64_t{1} << 32) + 1;  // a is node 1
+  const uint64_t aliases_a = (uint64_t{1} << 32) + 2;  // a is node 2
   EXPECT_EQ((*client)->Delete(aliases_a).status().code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ((*client)->InsertAfter(aliases_a, "x").status().code(),
@@ -489,21 +522,21 @@ TEST_F(NetTest, WriteTargetsBeyondTheNodeIdRangeAreOutOfRange) {
 TEST_F(NetTest, WritesUnderADeletedSubtreeAreNotFoundAndTheServerLives) {
   auto client = CdbsClient::Connect(ClientFor());
   ASSERT_TRUE(client.ok());
-  // kSmallDoc ids: root=0 a=1 b=2 b=3 c=4 b=5.
-  Result<uint64_t> removed = (*client)->Delete(1);
+  // kSmallDoc ids: root=1 a=2 b=3 b=4 c=5 b=6.
+  Result<uint64_t> removed = (*client)->Delete(2);
   ASSERT_TRUE(removed.ok()) << removed.status().message();
   EXPECT_EQ(*removed, 3u);
-  EXPECT_EQ((*client)->Delete(2).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ((*client)->InsertAfter(3, "x").status().code(),
+  EXPECT_EQ((*client)->Delete(3).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ((*client)->InsertAfter(4, "x").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ((*client)->InsertBefore(2, "x").status().code(),
+  EXPECT_EQ((*client)->InsertBefore(3, "x").status().code(),
             StatusCode::kNotFound);
   ASSERT_TRUE((*client)->Ping().ok());
-  Result<uint64_t> fresh = (*client)->InsertAfter(5, "x");
+  Result<uint64_t> fresh = (*client)->InsertAfter(6, "x");
   ASSERT_TRUE(fresh.ok()) << fresh.status().message();
   Result<std::vector<uint64_t>> bs = (*client)->Query("//b");
   ASSERT_TRUE(bs.ok());
-  EXPECT_EQ(*bs, std::vector<uint64_t>{5});
+  EXPECT_EQ(*bs, std::vector<uint64_t>{6});
 }
 
 TEST_F(NetTest, StatsReturnsTheMetricRegistryAsJson) {
@@ -634,7 +667,7 @@ TEST_F(NetTest, CorruptResponseFramesAreDetectedNeverDelivered) {
   Result<std::vector<uint64_t>> read = (*client)->Query("//b");
   EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
   // A write must NOT be resent on a torn stream: outcome unknown.
-  Result<uint64_t> write = (*client)->InsertAfter(1, "x");
+  Result<uint64_t> write = (*client)->InsertAfter(2, "x");
   EXPECT_EQ(write.status().code(), StatusCode::kIoError);
   EXPECT_NE(write.status().message().find("unknown"), std::string::npos);
   util::Failpoints::Deactivate("net.frame.corrupt");
@@ -646,7 +679,7 @@ TEST_F(NetTest, ConnectionCapShedsExcessConnections) {
   // Rebuild the server with a cap of one connection.
   server_->Shutdown();
   server_options_.max_connections = 1;
-  auto server = Server::Start(db_.get(), server_options_);
+  auto server = Server::StartSharded(corpus_.get(), server_options_);
   ASSERT_TRUE(server.ok());
   server_ = std::move(*server);
 

@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus_util.h"
 #include "engine/concurrent_db.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "repl/follower.h"
+#include "shard/sharded_db.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -88,7 +90,7 @@ class ReplicationChaosTest : public ::testing::Test {
     if (replica_server_) replica_server_->Shutdown();
     if (follower_) follower_->Stop();
     if (primary_server_) primary_server_->Shutdown();
-    if (primary_db_) primary_db_->Shutdown();
+    if (primary_) primary_->Shutdown();
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
   }
@@ -96,13 +98,14 @@ class ReplicationChaosTest : public ::testing::Test {
   void StartPrimary(ReplicationSenderOptions repl) {
     ConcurrentXmlDbOptions o;
     o.replication_log_path = dir_ + "/primary.repl";
-    auto db = ConcurrentXmlDb::OpenFromXml(kDoc, o);
-    ASSERT_TRUE(db.ok()) << db.status().message();
-    primary_db_ = std::move(*db);
+    auto corpus = OpenCorpus(kDoc, o);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().message();
+    primary_ = std::move(*corpus);
+    primary_db_ = primary_->shard(0);
     net::ServerOptions so;
     so.repl = repl;
     so.repl.heartbeat_ms = 20;
-    auto server = net::Server::Start(primary_db_.get(), so);
+    auto server = net::Server::StartSharded(primary_.get(), so);
     ASSERT_TRUE(server.ok()) << server.status().message();
     primary_server_ = std::move(*server);
     primary_port_ = primary_server_->port();
@@ -122,6 +125,14 @@ class ReplicationChaosTest : public ::testing::Test {
     return image.ok() ? image->spec.xml : std::string();
   }
 
+  /// Stream (re)connection attempts of one follower, from its registry.
+  static uint64_t Reconnects(const Follower& follower) {
+    for (const obs::MetricSnapshot& m : follower.metrics().Snapshot()) {
+      if (m.name == "repl.follower.reconnects") return m.counter_value;
+    }
+    return 0;
+  }
+
   static int ChaosOps(int fallback) {
     const char* raw = std::getenv("CDBS_CHAOS_OPS");
     return raw != nullptr ? std::atoi(raw) : fallback;
@@ -129,7 +140,8 @@ class ReplicationChaosTest : public ::testing::Test {
 
   std::string dir_;
   uint16_t primary_port_ = 0;
-  std::unique_ptr<ConcurrentXmlDb> primary_db_;
+  std::unique_ptr<shard::ShardedDb> primary_;
+  ConcurrentXmlDb* primary_db_ = nullptr;  // the primary's one shard
   std::unique_ptr<net::Server> primary_server_;
   std::unique_ptr<Follower> follower_;
   std::unique_ptr<net::Server> replica_server_;
@@ -223,12 +235,13 @@ TEST_F(ReplicationChaosTest, KillPrimaryLosesNoAckedWrites) {
   ASSERT_TRUE(follower_->promoted());
 
   // The contract: every OK the clients saw is on the promoted node.
-  std::shared_ptr<ConcurrentXmlDb> promoted = follower_->db();
+  std::shared_ptr<shard::ShardedDb> promoted = follower_->db();
   ASSERT_NE(promoted, nullptr);
   uint64_t verified = 0;
   for (int t = 0; t < kThreads; ++t) {
     for (const std::string& tag : acked[t]) {
-      Result<std::vector<NodeId>> found = promoted->Query("//" + tag);
+      Result<std::vector<NodeId>> found =
+          promoted->shard(0)->Query("//" + tag);
       ASSERT_TRUE(found.ok()) << found.status().message();
       EXPECT_EQ(found->size(), 1u)
           << "acked write " << tag << " lost in failover";
@@ -253,10 +266,7 @@ TEST_F(ReplicationChaosTest, FaultyStreamStillConvergesBitIdentically) {
   ASSERT_TRUE(WaitUntil([&] {
     return follower_->state() == Follower::State::kStreaming;
   }));
-  const uint64_t reconnects_before =
-      obs::MetricRegistry::Default()
-          .GetCounter("repl.follower.reconnects", "")
-          ->value();
+  const uint64_t reconnects_before = Reconnects(*follower_);
 
   // Chaos on: every net frame — including each replicated record — may be
   // delayed, dropped, or corrupted. Writes go straight into the engine so
@@ -299,15 +309,12 @@ TEST_F(ReplicationChaosTest, FaultyStreamStillConvergesBitIdentically) {
            pristine->applied_lsn() == primary_db_->commit_lsn();
   })) << "pristine follower never converged";
 
-  const std::string truth = DocXml(primary_db_.get());
-  EXPECT_EQ(DocXml(follower_->db().get()), truth);
-  EXPECT_EQ(DocXml(pristine->db().get()), truth);
+  const std::string truth = DocXml(primary_db_);
+  EXPECT_EQ(DocXml(follower_->db()->shard(0)), truth);
+  EXPECT_EQ(DocXml(pristine->db()->shard(0)), truth);
   pristine->Stop();
 
-  const uint64_t reconnects_after =
-      obs::MetricRegistry::Default()
-          .GetCounter("repl.follower.reconnects", "")
-          ->value();
+  const uint64_t reconnects_after = Reconnects(*follower_);
   EXPECT_GT(reconnects_after, reconnects_before)
       << "the chaos profile never actually tore the stream";
 }

@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus_util.h"
 #include "engine/concurrent_db.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "repl/follower.h"
 #include "repl/replication.h"
+#include "shard/sharded_db.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -253,7 +255,7 @@ class ReplicationE2ETest : public ::testing::Test {
     if (replica_server_) replica_server_->Shutdown();
     if (follower_) follower_->Stop();
     if (primary_server_) primary_server_->Shutdown();
-    if (primary_db_) primary_db_->Shutdown();
+    if (primary_) primary_->Shutdown();
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
   }
@@ -261,19 +263,20 @@ class ReplicationE2ETest : public ::testing::Test {
   /// Starts (or restarts, on the same port) the primary database + server.
   void StartPrimary(uint64_t retain_bytes = 4ull << 20,
                     ReplicationSenderOptions repl = {}) {
-    if (primary_db_ == nullptr) {
+    if (primary_ == nullptr) {
       ConcurrentXmlDbOptions o;
       o.replication_log_path = dir_ + "/primary.repl";
       o.replication_retain_bytes = retain_bytes;
-      auto db = ConcurrentXmlDb::OpenFromXml(kDoc, o);
-      ASSERT_TRUE(db.ok()) << db.status().message();
-      primary_db_ = std::move(*db);
+      auto corpus = OpenCorpus(kDoc, o);
+      ASSERT_TRUE(corpus.ok()) << corpus.status().message();
+      primary_ = std::move(*corpus);
+      primary_db_ = primary_->shard(0);
     }
     net::ServerOptions so;
     so.port = primary_port_;  // 0 first time; the bound port on restarts
     so.repl = repl;
     so.repl.heartbeat_ms = 20;  // fast staleness refresh in tests
-    auto server = net::Server::Start(primary_db_.get(), so);
+    auto server = net::Server::StartSharded(primary_.get(), so);
     ASSERT_TRUE(server.ok()) << server.status().message();
     primary_server_ = std::move(*server);
     primary_port_ = primary_server_->port();
@@ -302,8 +305,11 @@ class ReplicationE2ETest : public ::testing::Test {
            << " primary=" << primary_db_->commit_lsn();
   }
 
-  /// Serialized document — label-order identical across replicas by
+  /// Serialized shard — label-order identical across replicas by
   /// Theorem 3.1 (replay never relabels; assignment is neighbour-local).
+  static std::string DocXml(shard::ShardedDb* corpus) {
+    return DocXml(corpus->shard(0));
+  }
   static std::string DocXml(ConcurrentXmlDb* db) {
     Result<engine::BootstrapImage> image = db->CaptureBootstrap();
     EXPECT_TRUE(image.ok()) << image.status().message();
@@ -332,11 +338,24 @@ class ReplicationE2ETest : public ::testing::Test {
   // The process view: Default's own metrics merged with every live
   // instance registry's.
   uint64_t DefaultCounter(const std::string& name) {
-    for (const obs::MetricSnapshot& m :
-         obs::MetricRegistry::Default().Snapshot()) {
-      if (m.name == name) return m.counter_value;
+    const std::vector<obs::MetricSnapshot> snapshot =
+        obs::MetricRegistry::Default().Snapshot();
+    const obs::MetricSnapshot* m = Find(snapshot, name);
+    return m != nullptr ? m->counter_value : 0;
+  }
+  static const obs::MetricSnapshot* Find(
+      const std::vector<obs::MetricSnapshot>& snapshot,
+      const std::string& name) {
+    for (const obs::MetricSnapshot& m : snapshot) {
+      if (m.name == name) return &m;
     }
-    return 0;
+    return nullptr;
+  }
+  static double Gauge(const obs::MetricRegistry& registry,
+                      const std::string& name) {
+    const std::vector<obs::MetricSnapshot> snapshot = registry.Snapshot();
+    const obs::MetricSnapshot* m = Find(snapshot, name);
+    return m != nullptr ? m->gauge_value : -1;
   }
   uint64_t PrimaryCounter(const std::string& name) {
     return primary_db_->registry().GetCounter(name, "")->value();
@@ -344,7 +363,8 @@ class ReplicationE2ETest : public ::testing::Test {
 
   std::string dir_;
   uint16_t primary_port_ = 0;
-  std::unique_ptr<ConcurrentXmlDb> primary_db_;
+  std::unique_ptr<shard::ShardedDb> primary_;
+  ConcurrentXmlDb* primary_db_ = nullptr;  // the primary's one shard
   std::unique_ptr<net::Server> primary_server_;
   std::unique_ptr<Follower> follower_;
   std::unique_ptr<net::Server> replica_server_;
@@ -361,9 +381,9 @@ TEST_F(ReplicationE2ETest, FollowerBootstrapsStreamsAndConverges) {
 
   // Logical replay reproduced the primary bit for bit: same serialized
   // document, and the same node ids answer the same query.
-  std::shared_ptr<ConcurrentXmlDb> replica = follower_->db();
-  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_.get()));
-  EXPECT_EQ(replica->Query("//n0").value(),
+  std::shared_ptr<shard::ShardedDb> replica = follower_->db();
+  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_));
+  EXPECT_EQ(replica->shard(0)->Query("//n0").value(),
             primary_db_->Query("//n0").value());
   EXPECT_EQ(follower_->primary_last_lsn(), primary_db_->commit_lsn());
   EXPECT_LT(follower_->staleness_ms(), INT64_MAX);
@@ -433,8 +453,8 @@ TEST_F(ReplicationE2ETest, TornStreamCatchesUpFromTheLogWithoutBootstrap) {
 
   EXPECT_EQ(DefaultCounter("repl.follower.bootstraps"), bootstraps_before)
       << "catch-up within the retention window must not re-bootstrap";
-  std::shared_ptr<ConcurrentXmlDb> replica = follower_->db();
-  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_.get()));
+  std::shared_ptr<shard::ShardedDb> replica = follower_->db();
+  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_));
 }
 
 TEST_F(ReplicationE2ETest, FallingBehindRetentionForcesSnapshotBootstrap) {
@@ -455,12 +475,14 @@ TEST_F(ReplicationE2ETest, FallingBehindRetentionForcesSnapshotBootstrap) {
   ASSERT_TRUE(Converged(follower_.get()));
 
   EXPECT_GT(DefaultCounter("repl.follower.bootstraps"), bootstraps_before);
-  std::shared_ptr<ConcurrentXmlDb> replica = follower_->db();
-  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_.get()));
+  std::shared_ptr<shard::ShardedDb> replica = follower_->db();
+  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_));
   // The snapshot covered a mutated id space (inserted, deleted AND burnt
   // ids): the reconstruction must hand back the primary's ids...
-  EXPECT_EQ(replica->Query("//n5").value(), primary_db_->Query("//n5").value());
-  EXPECT_EQ(replica->Query("//m").value(), primary_db_->Query("//m").value());
+  EXPECT_EQ(replica->shard(0)->Query("//n5").value(),
+            primary_db_->Query("//n5").value());
+  EXPECT_EQ(replica->shard(0)->Query("//m").value(),
+            primary_db_->Query("//m").value());
 
   // ...and the op stream must keep applying on top of it — more writes
   // converge logically, with no further snapshot.
@@ -470,8 +492,9 @@ TEST_F(ReplicationE2ETest, FallingBehindRetentionForcesSnapshotBootstrap) {
   EXPECT_EQ(DefaultCounter("repl.follower.bootstraps"), bootstraps_after)
       << "post-bootstrap stream diverged and forced another snapshot";
   replica = follower_->db();
-  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_.get()));
-  EXPECT_EQ(replica->Query("//m").value(), primary_db_->Query("//m").value());
+  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_));
+  EXPECT_EQ(replica->shard(0)->Query("//m").value(),
+            primary_db_->Query("//m").value());
 }
 
 TEST_F(ReplicationE2ETest, SlowFollowerIsDroppedThenCatchesBackUp) {
@@ -495,8 +518,8 @@ TEST_F(ReplicationE2ETest, SlowFollowerIsDroppedThenCatchesBackUp) {
 
   // The drop is not fatal: resubscribe from applied+1, catch up, converge.
   ASSERT_TRUE(Converged(follower_.get()));
-  std::shared_ptr<ConcurrentXmlDb> replica = follower_->db();
-  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_.get()));
+  std::shared_ptr<shard::ShardedDb> replica = follower_->db();
+  EXPECT_EQ(DocXml(replica.get()), DocXml(primary_db_));
 }
 
 TEST_F(ReplicationE2ETest, StalenessBoundGatesReadsUntilContactResumes) {
@@ -567,15 +590,116 @@ TEST_F(ReplicationE2ETest, PromotedReplicaServesWritesAndNewFollowers) {
   fo.db.replication_log_path = dir_ + "/second.repl";
   fo.reconnect_backoff_ms = 20;
   std::unique_ptr<Follower> second = Follower::Start(std::move(fo));
-  std::shared_ptr<ConcurrentXmlDb> promoted = follower_->db();
+  std::shared_ptr<shard::ShardedDb> promoted = follower_->db();
   ASSERT_TRUE(WaitUntil([&] {
     return second->state() == Follower::State::kStreaming &&
-           second->applied_lsn() == promoted->commit_lsn();
+           second->applied_lsn() == promoted->shard(0)->commit_lsn();
   })) << "second-generation follower never converged";
   EXPECT_EQ(DocXml(second->db().get()), DocXml(promoted.get()));
   EXPECT_NE(DocXml(second->db().get()), at_failover)
       << "post-failover write must be part of the replicated state";
   second->Stop();
+}
+
+// Each follower's repl.follower.* metrics live in its own registry: two
+// followers in one process keep their own applied LSN, and the process
+// view sums them and still exports every name.
+TEST_F(ReplicationE2ETest, EachFollowerKeepsItsOwnMetrics) {
+  StartPrimary();
+  WriteMix(1);
+  follower_ = StartFollowerNode();
+  ASSERT_TRUE(Converged(follower_.get()));
+  const double first_lsn = static_cast<double>(primary_db_->commit_lsn());
+  ASSERT_TRUE(WaitUntil([&] {
+    return Gauge(follower_->metrics(), "repl.follower.applied_lsn") ==
+           first_lsn;
+  }));
+  follower_->Stop();
+
+  WriteMix(2);
+  std::unique_ptr<Follower> second = StartFollowerNode(0, "second");
+  ASSERT_TRUE(Converged(second.get()));
+  const double second_lsn = static_cast<double>(primary_db_->commit_lsn());
+  ASSERT_GT(second_lsn, first_lsn);
+  ASSERT_TRUE(WaitUntil([&] {
+    return Gauge(second->metrics(), "repl.follower.applied_lsn") ==
+           second_lsn;
+  }));
+  EXPECT_EQ(Gauge(follower_->metrics(), "repl.follower.applied_lsn"),
+            first_lsn);
+  EXPECT_EQ(Gauge(follower_->metrics(), "repl.follower.state"),
+            static_cast<double>(Follower::State::kStopped));
+  EXPECT_EQ(Gauge(second->metrics(), "repl.follower.state"),
+            static_cast<double>(Follower::State::kStreaming));
+
+  EXPECT_EQ(Gauge(obs::MetricRegistry::Default(), "repl.follower.applied_lsn"),
+            first_lsn + second_lsn);
+  const std::vector<obs::MetricSnapshot> process =
+      obs::MetricRegistry::Default().Snapshot();
+  for (const char* name :
+       {"repl.follower.state", "repl.follower.applied_lsn",
+        "repl.follower.staleness_ms", "repl.follower.bootstraps",
+        "repl.follower.records_applied", "repl.follower.reconnects",
+        "repl.follower.stale_reads_rejected"}) {
+    EXPECT_NE(Find(process, name), nullptr) << name;
+  }
+  second->Stop();
+}
+
+// A one-shard, one-document corpus with a replication log serves kBootstrap
+// through StartSharded, and its image reopens as the same corpus. A corpus
+// of two shards has no one LSN stream and answers kInvalidArgument.
+TEST_F(ReplicationE2ETest, BootstrapImageReopensAsTheSameCorpus) {
+  StartPrimary();
+  WriteMix(3);
+  net::ClientOptions o;
+  o.port = primary_port_;
+  o.jitter_seed = 7;
+  auto client = net::CdbsClient::Connect(o);
+  ASSERT_TRUE(client.ok());
+  Result<net::CdbsClient::BootstrapImage> image = (*client)->Bootstrap();
+  ASSERT_TRUE(image.ok()) << image.status().message();
+  EXPECT_EQ(image->lsn, primary_db_->commit_lsn());
+  engine::BootstrapSpec spec;
+  ASSERT_TRUE(DecodeBootstrapSpec(image->xml, &spec).ok());
+  auto reopened = shard::ShardedDb::OpenFromImage(spec, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ((*reopened)->doc_count(), 1u);
+  EXPECT_EQ((*reopened)->QueryDoc(0, "//b").value(),
+            primary_->QueryDoc(0, "//b").value());
+  client->reset();
+  primary_server_->Shutdown();
+  primary_->Shutdown();
+  (*reopened)->Shutdown();
+  EXPECT_EQ((*reopened)->shard(0)->underlying().ToXml(),
+            primary_db_->underlying().ToXml());
+
+  ConcurrentXmlDbOptions logged;
+  logged.replication_log_path = dir_ + "/sharded.repl";
+  auto sharded = OpenCorpus(kDoc, logged, /*copies=*/2, /*shard_count=*/2);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().message();
+  auto server = net::Server::StartSharded(sharded->get(), {});
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  o.port = (*server)->port();
+  auto sclient = net::CdbsClient::Connect(o);
+  ASSERT_TRUE(sclient.ok());
+  EXPECT_EQ((*sclient)->Bootstrap().status().code(),
+            StatusCode::kInvalidArgument);
+  sclient->reset();
+  (*server)->Shutdown();
+  (*sharded)->Shutdown();
+}
+
+// A replica corpus is rebuilt only from a shard's image: node 0 the shard
+// root, node 1 its first child. A bare engine's image is neither.
+TEST(ShardImageTest, OpenFromImageRejectsAnImageThatIsNotAShard) {
+  auto bare = ConcurrentXmlDb::OpenFromXml(kDoc, {});
+  ASSERT_TRUE(bare.ok());
+  Result<engine::BootstrapImage> image = (*bare)->CaptureBootstrap();
+  ASSERT_TRUE(image.ok());
+  EXPECT_EQ(shard::ShardedDb::OpenFromImage(image->spec, {}).status().code(),
+            StatusCode::kCorruption);
+  (*bare)->Shutdown();
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -51,7 +52,11 @@ class ShardChaosTest : public ::testing::Test {
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
   }
 
-  void TearDown() override { util::Failpoints::DeactivateAll(); }
+  void TearDown() override {
+    util::Failpoints::DeactivateAll();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
 
   std::string dir_;
 };

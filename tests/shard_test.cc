@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -425,7 +426,7 @@ TEST(ShardWriteTest, RejectsRootsAndCrossDocTargets) {
       StatusCode::kNotFound);
   // Out-of-range ids and docs.
   EXPECT_EQ((*db)->Submit(0, WriteOp::Delete(1u << 30)).get().status().code(),
-            StatusCode::kNotFound);
+            StatusCode::kOutOfRange);
   EXPECT_EQ((*db)->Submit(9, WriteOp::Delete(1)).get().status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -495,6 +496,11 @@ class ShardPersistenceTest : public ::testing::Test {
     dir_ = ::testing::TempDir() + "/shard_persist_" +
            std::to_string(::getpid()) + "_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
   }
 
   std::string ShardStorePath(size_t shard) const {
@@ -826,8 +832,9 @@ TEST_F(ShardServerTest, PartialGatherCrossesTheWire) {
 TEST_F(ShardServerTest, ReplicationOpcodesAreRejected) {
   auto client = net::CdbsClient::Connect(ClientFor());
   ASSERT_TRUE(client.ok());
-  // There is no per-shard LSN stream to promote or bootstrap from behind
-  // the routing front-end; replication is wired per shard, not here.
+  // Two shards have no one LSN stream to bootstrap from, and a primary
+  // has nothing to promote; only a one-shard, one-document corpus
+  // replicates.
   EXPECT_EQ((*client)->Promote().status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*client)->Bootstrap().status().code(),

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -57,7 +58,11 @@ class SupervisorTest : public ::testing::Test {
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
   }
 
-  void TearDown() override { util::Failpoints::DeactivateAll(); }
+  void TearDown() override {
+    util::Failpoints::DeactivateAll();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
 
   /// A persistent two-shard corpus, doc i on shard i, breaker after 2
   /// strikes.
@@ -243,6 +248,8 @@ class SupervisorServerTest : public SupervisorTest {
     util::Failpoints::DeactivateAll();
     if (server_) server_->Shutdown();
     if (db_) db_->Shutdown();
+    db_.reset();
+    SupervisorTest::TearDown();
   }
 
   net::ClientOptions ClientFor(int max_attempts) const {

@@ -255,6 +255,7 @@ TEST_P(XmlDbPersistenceTest, UpdatesFlowToStore) {
   EXPECT_GT((*db)->Stats().store_page_writes, writes_initial);
   EXPECT_EQ(*(*db)->Count("/library/lamp"), 1u);
   std::remove(options.storage_path.c_str());
+  std::remove((options.storage_path + ".wal").c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -344,6 +345,7 @@ TEST(XmlDbTest, StoreFileIsReopenableAndComplete) {
     EXPECT_FALSE(record.empty()) << i;
   }
   std::remove(options.storage_path.c_str());
+  std::remove((options.storage_path + ".wal").c_str());
 }
 
 // A label that outgrows its store slot forces a full store rewrite; each
