@@ -253,9 +253,10 @@ int main() {
   ConcurrentXmlDbOptions db_options;
   db_options.write_queue_capacity = 16;
   db_options.group_commit_limit = 1;
-  db_options.replication_log_path = dir + "/primary.repl";
-  // A plain primary: kDoc as a one-shard, one-document corpus.
-  auto corpus = cdbs::bench::OpenOneDocCorpus(kDoc, db_options);
+  // A plain primary: kDoc as a one-shard, one-document corpus, stored so
+  // its log can feed followers.
+  auto corpus =
+      cdbs::bench::OpenOneDocCorpus(kDoc, db_options, dir + "/primary");
   if (!corpus.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  corpus.status().ToString().c_str());
@@ -291,9 +292,9 @@ int main() {
     for (int i = 0; i < 2; ++i) {
       FollowerOptions fo;
       fo.primary_port = primary_port;
-      fo.db.replication_log_path = dir + "/replica" +
-                                   std::to_string(follower_gen) + "_" +
-                                   std::to_string(i) + ".repl";
+      fo.db.db.storage_path = dir + "/replica" +
+                              std::to_string(follower_gen) + "_" +
+                              std::to_string(i) + ".cdbs";
       fo.reconnect_backoff_ms = 20;
       fo.enable_compression = compress;
       followers.push_back(Follower::Start(std::move(fo)));

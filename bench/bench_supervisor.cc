@@ -5,7 +5,7 @@
 // 4 shards (explicit placement, 2 documents each). Three measured phases:
 //
 //   baseline   all shards healthy;
-//   fault      `storage.shard-0.sync.error=enospc` is armed, the shard's
+//   fault      `wal.shard-0.sync.error=enospc` is armed, the shard's
 //              writer poisons, the supervisor trips its breaker, and
 //              writes routed to it fast-fail while the other 3 shards keep
 //              committing;
@@ -179,7 +179,7 @@ int main() {
               baseline.healthy_ips(), baseline.sick_ok / baseline.seconds,
               baseline.sick_fail / baseline.seconds);
 
-  if (!cdbs::util::Failpoints::Activate("storage.shard-0.sync.error",
+  if (!cdbs::util::Failpoints::Activate("wal.shard-0.sync.error",
                                         "enospc")
            .ok()) {
     std::fprintf(stderr, "failed to arm the ENOSPC failpoint\n");
@@ -190,7 +190,7 @@ int main() {
               fault.healthy_ips(), fault.sick_ok / fault.seconds,
               fault.sick_fail / fault.seconds);
 
-  cdbs::util::Failpoints::Deactivate("storage.shard-0.sync.error");
+  cdbs::util::Failpoints::Deactivate("wal.shard-0.sync.error");
   cdbs::util::Stopwatch recovery_timer;
   const bool recovered = db.supervisor()->WaitForHealth(
       kSickShard, ShardHealth::kHealthy, /*timeout_ms=*/30000);

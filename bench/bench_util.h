@@ -201,13 +201,15 @@ inline void DumpMetrics(const std::string& bench_name) {
 /// `shard_options`: a plain primary, as net::Server serves it.
 inline Result<std::unique_ptr<shard::ShardedDb>> OpenOneDocCorpus(
     std::string_view text,
-    const engine::ConcurrentXmlDbOptions& shard_options) {
+    const engine::ConcurrentXmlDbOptions& shard_options,
+    const std::string& storage_dir = "") {
   Result<xml::Document> doc = xml::ParseXml(text);
   if (!doc.ok()) return doc.status();
   std::vector<xml::Document> docs;
   docs.push_back(std::move(*doc));
   shard::ShardedDbOptions options;
   options.shard = shard_options;
+  options.storage_dir = storage_dir;
   return shard::ShardedDb::Open(std::move(docs), options);
 }
 

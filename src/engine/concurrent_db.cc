@@ -12,32 +12,11 @@
 
 namespace cdbs::engine {
 
-namespace {
-
-/// Opens the replication log against the db's registry when the
-/// options ask for one; nullptr (replication off) otherwise.
-Result<std::unique_ptr<repl::ReplicationLog>> OpenReplLog(
-    obs::MetricRegistry* registry, const ConcurrentXmlDbOptions& options) {
-  if (options.replication_log_path.empty()) {
-    return std::unique_ptr<repl::ReplicationLog>();
-  }
-  repl::ReplicationLogOptions log_options;
-  log_options.retain_bytes = options.replication_retain_bytes;
-  auto log = std::make_unique<repl::ReplicationLog>(registry, log_options);
-  CDBS_RETURN_NOT_OK(log->Open(options.replication_log_path));
-  return log;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::Wrap(
     Result<std::unique_ptr<XmlDb>> db, const ConcurrentXmlDbOptions& options) {
   if (!db.ok()) return db.status();
-  Result<std::unique_ptr<repl::ReplicationLog>> log =
-      OpenReplLog(&(*db)->registry_, options);
-  if (!log.ok()) return log.status();
-  return std::unique_ptr<ConcurrentXmlDb>(new ConcurrentXmlDb(
-      std::move(db).value(), std::move(log).value(), options));
+  return std::unique_ptr<ConcurrentXmlDb>(
+      new ConcurrentXmlDb(std::move(db).value(), options));
 }
 
 Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::Open(
@@ -60,12 +39,16 @@ Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::OpenFromImage(
   return Wrap(XmlDb::OpenFromBootstrap(spec, options.db), options);
 }
 
+Result<std::unique_ptr<ConcurrentXmlDb>> ConcurrentXmlDb::Recover(
+    const ConcurrentXmlDbOptions& options) {
+  return Wrap(XmlDb::Recover(options.db), options);
+}
+
 ConcurrentXmlDb::ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
-                                 std::unique_ptr<repl::ReplicationLog> repl_log,
                                  const ConcurrentXmlDbOptions& options)
     : options_(options),
       db_(std::move(db)),
-      repl_log_(std::move(repl_log)),
+      commit_lsn_(db_->log_ != nullptr ? db_->log_->last_lsn() : 0),
       snapshots_(db_->labeled().Fork()),
       write_queue_(options.write_queue_capacity) {
   obs::MetricRegistry& reg = db_->registry_;
@@ -111,7 +94,7 @@ ConcurrentXmlDb::ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
       reg.GetCounter("engine.concurrent.persist.failures",
                      "Group persists that failed and rolled back");
   reopens_ = reg.GetCounter("engine.concurrent.reopens",
-                            "Store reopens through the WAL recovery path");
+                            "Log reopens after failed group commits");
   poisoned_gauge_ =
       reg.GetGauge("engine.concurrent.writer.poisoned",
                    "1 while the writer circuit breaker is tripped");
@@ -334,13 +317,9 @@ void ConcurrentXmlDb::WriterLoop() {
 }
 
 void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
-  struct PendingInsert {
-    size_t request_index;
-    labeling::InsertResult applied;
-  };
   const size_t n = group->size();
   // Group trace attribution: every span the writer records from here on
-  // (commit phases, WAL append/fsync, store apply, publish) fans out to
+  // (commit phases, WAL append/fsync, publish) fans out to
   // each traced request in the group — the group's one fsync genuinely is
   // part of each of their critical paths. queue_wait is per-request: it
   // ends now, at dequeue.
@@ -376,15 +355,15 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     BootstrapImage image;
     image.spec = db_->CaptureBootstrapSpec();
     image.lsn = commit_lsn_.load(std::memory_order_acquire);
-    image.epoch = repl_log_ != nullptr ? repl_log_->epoch() : 0;
+    repl::ReplicationLog* log = db_->log_.get();
+    image.epoch = log != nullptr ? log->epoch() : 0;
     promise->set_value(std::move(image));
   }
 
   // Reopen requests are also handled at the group boundary: the writer
-  // thread owns every mutation of db_, so no fencing is needed — closing
-  // and reopening the store here is serialized with all group commits. A
-  // successful reopen clears the poisoned state, so writes later in this
-  // same group already commit normally.
+  // thread is the only appender, so no fencing is needed. A successful
+  // reopen clears the poisoned state, so writes later in this same group
+  // already commit normally.
   for (WriteRequest& req : *group) {
     auto* promise = std::get_if<ReopenPromise>(&req.promise);
     if (promise == nullptr) continue;
@@ -394,7 +373,10 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
           "reopen deadline expired while queued"));
       continue;
     }
-    const Status reopened = db_->ReopenStore();
+    const Status reopened =
+        db_->log_ == nullptr
+            ? Status::OK()
+            : db_->log_->Reopen(commit_lsn_.load(std::memory_order_acquire));
     if (reopened.ok()) {
       consecutive_persist_failures_.store(0, std::memory_order_release);
       {
@@ -407,16 +389,15 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     }
     promise->set_value(reopened);
   }
-  std::vector<PendingInsert> pending;
-  std::vector<storage::StoreBatch> batches;
   // One result per write request: the new node's id or the number of
   // nodes removed; empty for the snapshot and reopen requests.
   std::vector<std::optional<Result<uint64_t>>> results(n);
-  bool mutated = false;
+  // The group's committed effects, in commit order: the one log record.
+  std::vector<repl::ReplOp> ops;
+  XmlDb::Tally tally;
 
-  // Phase 1: apply every request to the writer's in-memory state, building
-  // one store batch per successful insertion. Later requests see earlier
-  // ones' effects — submission order is commit order.
+  // Phase 1: apply every request to the writer's in-memory state. Later
+  // requests see earlier ones' effects — submission order is commit order.
   obs::TraceSpan phase1_span(obs::SpanName::kCommitPhase1);
   for (size_t i = 0; i < n; ++i) {
     WriteRequest& req = (*group)[i];
@@ -424,10 +405,9 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
       continue;  // handled above
     }
     write_wait_ns_->Record(static_cast<uint64_t>(req.queued.ElapsedNanos()));
-    const WriteOp& op = req.op;
     if (poisoned_.load(std::memory_order_acquire)) {
       // Tripped circuit breaker: fast-fail without touching the database or
-      // its WAL. Reads keep serving the last published snapshot; a
+      // its log. Reads keep serving the last published snapshot; a
       // successful Reopen() re-admits writes.
       results[i].emplace(Status::Unavailable(
           "writer poisoned by a persistent persist failure; awaiting reopen"));
@@ -435,122 +415,37 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     }
     if (req.deadline.expired()) {
       // Expired while queued: shed before it costs writer time. The
-      // request never touches the tree, labels, or WAL.
+      // request never touches the tree, labels, or log.
       deadline_exceeded_->Increment();
       results[i].emplace(Status::DeadlineExceeded(
           "write deadline expired while queued behind the writer"));
       continue;
     }
-    if (op.kind == WriteOp::Kind::kDelete) {
-      Result<uint64_t> removed = db_->DeleteElement(op.target);
-      if (removed.ok() && *removed > 0) mutated = true;
-      results[i].emplace(std::move(removed));
-      continue;
+    results[i].emplace(db_->Apply(req.op, &tally));
+    if (results[i]->ok()) {
+      ops.push_back({req.op.kind, req.op.target, **results[i], req.op.tag});
     }
-    labeling::InsertResult applied;
-    Result<NodeId> id = db_->ApplyInsertInMemory(
-        op.target, op.tag, op.kind == WriteOp::Kind::kInsertBefore, &applied);
-    if (!id.ok()) {
-      results[i].emplace(id.status());
-      continue;
-    }
-    // Serialize this insertion's store ops *now*, against the labels as
-    // they stand after it — so a crash that recovers only a WAL prefix
-    // lands on exactly the state some prefix of this group produced.
-    batches.emplace_back();
-    db_->BuildPersistOps(applied, &batches.back());
-    pending.push_back(PendingInsert{i, applied});
-    mutated = true;
-    results[i].emplace(*id);
   }
-
   phase1_span.End();
 
-  // Phase 2: one group commit — a single WAL append + fsync covers every
-  // insertion in the group.
-  Status persisted = Status::OK();
-  if (!pending.empty()) persisted = db_->PersistBatches(batches);
-  if (!persisted.ok()) {
-    // The store took none of it (all-or-nothing on disk). Undo the
-    // insertions in reverse order; deletions never touch the store and
-    // stand, exactly as in the single-threaded engine.
-    for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-      db_->RollbackInsert(it->applied);
-      results[it->request_index].emplace(persisted);
-    }
-    // Only deletions can still hold a result here.
-    mutated = false;
-    for (const auto& r : results) {
-      if (r.has_value() && r->ok() && **r > 0) mutated = true;
-    }
-    // Failure classification drives the circuit breaker: persistent errors
-    // (disk full, an I/O error that survived the storage retries) poison
-    // the writer after K consecutive strikes; corruption poisons at once —
-    // re-trying against a corrupt store only grinds it further. Transient
-    // failures just count.
-    persist_failures_->Increment();
-    {
-      std::lock_guard<std::mutex> lock(persist_error_mu_);
-      last_persist_error_ = persisted;
-    }
-    const uint64_t strikes = consecutive_persist_failures_.fetch_add(
-                                 1, std::memory_order_acq_rel) +
-                             1;
-    const int threshold = options_.poison_after_persist_failures;
-    const FailureClass cls = FailureClassOf(persisted);
-    if (threshold > 0 &&
-        (cls == FailureClass::kCorruption ||
-         (cls == FailureClass::kPersistent &&
-          strikes >= static_cast<uint64_t>(threshold)))) {
-      poisoned_.store(true, std::memory_order_release);
-      poisoned_gauge_->Set(1);
-    }
-  } else {
-    if (!pending.empty()) {
-      consecutive_persist_failures_.store(0, std::memory_order_release);
-    }
-    for (const PendingInsert& p : pending) {
-      db_->NoteInsertCommitted(p.applied);
-    }
-  }
-
-  // Replication: the committed effects of this group — inserts that
-  // persisted, deletions that removed something — become one LSN-stamped
-  // record, appended post-fsync and handed to the sender's sink BEFORE any
-  // client promise resolves. An acknowledged write is therefore always in
-  // the replication stream (and, with a sync-mode sink, already
-  // acknowledged by every healthy follower).
-  if (repl_log_ != nullptr && mutated) {
-    std::vector<repl::ReplOp> ops;
-    ops.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      // Control requests, failed writes and deletions that removed nothing
-      // leave no trace in the stream.
-      const std::optional<Result<uint64_t>>& r = results[i];
-      if (!r.has_value() || !r->ok() || **r == 0) continue;
-      const WriteOp& op = (*group)[i].op;
-      ops.push_back(repl::ReplOp{op.kind, op.target, **r, op.tag});
-    }
-    if (!ops.empty()) {
-      Result<uint64_t> lsn = repl_log_->Append(ops);
-      if (lsn.ok()) {
-        commit_lsn_.store(*lsn, std::memory_order_release);
-        std::lock_guard<std::mutex> lock(sink_mu_);
-        if (commit_sink_) {
-          commit_sink_(repl::ReplRecord{*lsn, std::move(ops)});
-        }
+  // Phase 2: one group commit — a single log append + fsync covers every
+  // write in the group, before any promise resolves. An acknowledged write
+  // is therefore durable and in the replication stream (and, with a
+  // sync-mode sink, already acknowledged by every healthy follower).
+  if (!ops.empty()) {
+    const Status logged = LogGroup(std::move(ops));
+    if (logged.ok()) {
+      db_->Count(tally);
+      // Publish the post-group snapshot before resolving any promise, so a
+      // client that waits on its future then queries is guaranteed to see
+      // its own write (read-your-writes across the two pipelines).
+      PublishSnapshot();
+    } else {
+      for (auto& r : results) {
+        if (r.has_value() && r->ok()) r.emplace(logged);
       }
-      // An append failure leaves a gap no follower can stream across; the
-      // next record a live follower sees will fail to apply (its target id
-      // is missing) and force a self-healing re-bootstrap. Rare enough
-      // (local-disk I/O error) that the simple path wins.
     }
   }
-
-  // Publish the post-group snapshot before resolving any promise, so a
-  // client that waits on its future then queries is guaranteed to see its
-  // own write (read-your-writes across the two pipelines).
-  if (mutated) PublishSnapshot();
 
   writes_->Increment(n);
   commit_batch_->Record(n);
@@ -561,6 +456,51 @@ void ConcurrentXmlDb::ProcessGroup(std::vector<WriteRequest>* group) {
     write_ns_->Record(static_cast<uint64_t>(req.queued.ElapsedNanos()));
     promise->set_value(std::move(*results[i]));
   }
+
+  // Retention, at the group boundary and off the acknowledgement path.
+  repl::ReplicationLog* log = db_->log_.get();
+  if (log != nullptr && log->size_bytes() > options_.replication_retain_bytes) {
+    static_cast<void>(db_->Checkpoint());  // a failure retries next group
+  }
+}
+
+Status ConcurrentXmlDb::LogGroup(std::vector<repl::ReplOp> ops) {
+  repl::ReplicationLog* log = db_->log_.get();
+  if (log == nullptr) return Status::OK();
+  const Result<uint64_t> lsn = log->Append(ops);
+  if (lsn.ok()) {
+    consecutive_persist_failures_.store(0, std::memory_order_release);
+    commit_lsn_.store(*lsn, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(sink_mu_);
+    if (commit_sink_) commit_sink_(repl::ReplRecord{*lsn, std::move(ops)});
+    return Status::OK();
+  }
+  // Nothing of the group is durable and the log was cut back, so restore
+  // memory to the last published snapshot: the failed inserts' ids are
+  // free again, as the next logged insert's replay expects.
+  db_->labeled_ = snapshots_.Acquire()->Fork();
+  // Failure classification drives the circuit breaker: persistent errors
+  // (disk full, an I/O error that survived the storage retries) poison
+  // the writer after K consecutive strikes; corruption poisons at once.
+  // Transient failures just count.
+  persist_failures_->Increment();
+  {
+    std::lock_guard<std::mutex> lock(persist_error_mu_);
+    last_persist_error_ = lsn.status();
+  }
+  const uint64_t strikes =
+      consecutive_persist_failures_.fetch_add(1, std::memory_order_acq_rel) +
+      1;
+  const int threshold = options_.poison_after_persist_failures;
+  const FailureClass cls = FailureClassOf(lsn.status());
+  if (threshold > 0 &&
+      (cls == FailureClass::kCorruption ||
+       (cls == FailureClass::kPersistent &&
+        strikes >= static_cast<uint64_t>(threshold)))) {
+    poisoned_.store(true, std::memory_order_release);
+    poisoned_gauge_->Set(1);
+  }
+  return lsn.status();
 }
 
 void ConcurrentXmlDb::SetCommitSink(
@@ -645,9 +585,6 @@ XmlDbStats ConcurrentXmlDb::Stats() const {
   stats.deletions = db_->deletions_->value();
   stats.relabeled_total = db_->relabeled_total_->value();
   stats.overflow_events = db_->overflow_events_->value();
-  if (db_->store_ != nullptr) {
-    stats.store_page_writes = db_->store_->io_stats().page_writes;
-  }
   return stats;
 }
 

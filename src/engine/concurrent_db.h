@@ -19,7 +19,6 @@
 #include "engine/xml_db.h"
 #include "obs/metrics.h"
 #include "query/tag_index.h"
-#include "repl/replication.h"
 #include "util/deadline.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -27,7 +26,7 @@
 /// \file
 /// A multi-client front-end over `XmlDb`: snapshot-isolated reads from any
 /// thread, writes serialized through a single writer thread that
-/// group-commits them (one store fsync per batch of insertions). See
+/// group-commits them (one log append + fsync per batch of writes). See
 /// docs/CONCURRENCY.md for the architecture and its invariants.
 ///
 /// Why this works so well for CDBS specifically: insertions never relabel
@@ -55,14 +54,11 @@ struct ConcurrentXmlDbOptions {
   /// Admission::kBlock submits (backpressure) and bounces kShed ones
   /// (admission control).
   size_t write_queue_capacity = 256;
-  /// Most write requests folded into one group commit (one store fsync).
+  /// Most write requests folded into one group commit (one log fsync).
   size_t group_commit_limit = 64;
-  /// When non-empty, every committed group is also appended — post-fsync —
-  /// to a repl::ReplicationLog at this path, and the database exposes a
-  /// monotonically increasing commit LSN plus a commit sink for the
-  /// replication sender (docs/REPLICATION.md). Empty = replication off.
-  std::string replication_log_path;
-  /// Retention bound for the replication log (see ReplicationLogOptions).
+  /// Retention bound for a stored database's log: once it passes this many
+  /// bytes, the writer checkpoints at a group boundary and empties it.
+  /// Followers below the new floor re-bootstrap (docs/REPLICATION.md).
   uint64_t replication_retain_bytes = 4ull << 20;
   /// Circuit breaker on the persist path (docs/ROBUSTNESS.md): after this
   /// many consecutive persistent persist failures (kResourceExhausted /
@@ -72,24 +68,6 @@ struct ConcurrentXmlDbOptions {
   /// poisons immediately. 0 disables poisoning (failures keep rolling back
   /// one group at a time, the pre-supervision behavior).
   int poison_after_persist_failures = 3;
-};
-
-/// One of the paper's three updates as one value: insert a new element
-/// `tag` before or after the sibling `target`, or delete the subtree at
-/// `target`. repl::ReplOp is the same op plus its result.
-struct WriteOp {
-  using Kind = repl::ReplOp::Kind;
-  Kind kind = Kind::kInsertAfter;
-  NodeId target = 0;
-  std::string tag;  // inserts only
-
-  static WriteOp InsertBefore(NodeId target, std::string tag) {
-    return {Kind::kInsertBefore, target, std::move(tag)};
-  }
-  static WriteOp InsertAfter(NodeId target, std::string tag) {
-    return {Kind::kInsertAfter, target, std::move(tag)};
-  }
-  static WriteOp Delete(NodeId target) { return {Kind::kDelete, target, {}}; }
 };
 
 /// What a write submission does when the write queue is full.
@@ -135,6 +113,12 @@ class ConcurrentXmlDb {
   /// XmlDb::OpenFromBootstrap). Corruption when the spec is inconsistent.
   static Result<std::unique_ptr<ConcurrentXmlDb>> OpenFromImage(
       const BootstrapSpec& spec, const ConcurrentXmlDbOptions& options);
+
+  /// Serves the durable database at `options.db.storage_path` after a
+  /// restart (see XmlDb::Recover); `commit_lsn()` resumes at the log's
+  /// last LSN.
+  static Result<std::unique_ptr<ConcurrentXmlDb>> Recover(
+      const ConcurrentXmlDbOptions& options);
 
   ~ConcurrentXmlDb();
 
@@ -228,12 +212,14 @@ class ConcurrentXmlDb {
   /// The most recent persist failure (OK if none since open/reopen).
   Status last_persist_error() const;
 
-  /// Recovery entry point, called by the shard supervisor: runs a store
-  /// reopen through the write pipeline, so the writer thread itself — the
-  /// only mutator of the underlying database — closes the store and
-  /// reopens it through the WAL crash-recovery path (XmlDb::ReopenStore),
-  /// then clears the poisoned state on success. Safe to call while
-  /// poisoned: queued writes fast-fail around it. Blocks until processed.
+  /// Recovery entry point, called by the shard supervisor: runs through
+  /// the write pipeline, so the writer thread itself — the only appender —
+  /// opens a fresh log handle, truncates any torn tail, cuts records that
+  /// were never acknowledged and checks the log ends at `commit_lsn()`
+  /// (repl::ReplicationLog::Reopen), then clears the poisoned state on
+  /// success. Memory needs no repair: a failed group already restored it.
+  /// Safe to call while poisoned: queued writes fast-fail around it.
+  /// Blocks until processed.
   Status Reopen(util::Deadline deadline = {});
 
   /// Epoch of the latest published snapshot (bumps once per group commit).
@@ -255,18 +241,19 @@ class ConcurrentXmlDb {
 
   // --- replication (primary side; see docs/REPLICATION.md) ---
 
-  /// The replication log, or nullptr when `replication_log_path` was empty.
-  repl::ReplicationLog* replication_log() { return repl_log_.get(); }
+  /// The durability log the sender streams from, or nullptr for an
+  /// in-memory database (which cannot feed followers).
+  repl::ReplicationLog* replication_log() { return db_->log_.get(); }
 
   /// LSN of the most recently committed-and-logged group (0 = none, or
-  /// replication off). Monotonic; safe from any thread.
+  /// in-memory). Monotonic; safe from any thread.
   uint64_t commit_lsn() const {
     return commit_lsn_.load(std::memory_order_acquire);
   }
 
   /// Installs the post-commit sink the writer invokes — after the group's
-  /// fsync and its replication-log append, before resolving any client
-  /// promise — with each committed record. The sender uses it to fan
+  /// log append + fsync, before resolving any client promise — with each
+  /// committed record. The sender uses it to fan
   /// records out to follower buffers (and, in sync mode, to block the
   /// commit until followers acknowledge). Pass nullptr to detach.
   void SetCommitSink(std::function<void(const repl::ReplRecord&)> sink);
@@ -318,11 +305,9 @@ class ConcurrentXmlDb {
   };
 
   ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
-                  std::unique_ptr<repl::ReplicationLog> repl_log,
                   const ConcurrentXmlDbOptions& options);
 
-  /// Every Open* funnels here: opens the replication log the options ask
-  /// for and serves `db`.
+  /// Every Open* funnels here: serves `db`.
   static Result<std::unique_ptr<ConcurrentXmlDb>> Wrap(
       Result<std::unique_ptr<XmlDb>> db, const ConcurrentXmlDbOptions& options);
 
@@ -342,11 +327,14 @@ class ConcurrentXmlDb {
   void EnqueueWrite(WriteRequest req, Admission admission);
   void WriterLoop();
   void ProcessGroup(std::vector<WriteRequest>* group);
+  /// Logs the group's committed `ops` (one append + fsync). On failure,
+  /// restores memory to the last published snapshot — exactly the
+  /// acknowledged state — and runs the circuit breaker.
+  Status LogGroup(std::vector<repl::ReplOp> ops);
   void PublishSnapshot();
 
   ConcurrentXmlDbOptions options_;
   std::unique_ptr<XmlDb> db_;  // mutated only by the writer thread
-  std::unique_ptr<repl::ReplicationLog> repl_log_;  // null = replication off
   std::atomic<uint64_t> commit_lsn_{0};
   std::mutex sink_mu_;  // guards commit_sink_ (set at attach, read per group)
   std::function<void(const repl::ReplRecord&)> commit_sink_;
@@ -392,7 +380,7 @@ class ConcurrentXmlDb {
   obs::Gauge* queue_depth_;
   obs::Gauge* snapshots_live_;
   obs::Counter* persist_failures_;   // failed group persists (rolled back)
-  obs::Counter* reopens_;            // successful store reopens
+  obs::Counter* reopens_;            // successful log reopens
   obs::Gauge* poisoned_gauge_;       // 1 while the breaker is tripped
 };
 

@@ -9,7 +9,6 @@
 #include "query/evaluator.h"
 #include "query/xpath.h"
 #include "util/check.h"
-#include "util/ordered_varint.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -90,11 +89,6 @@ XmlDb::XmlDb(XmlTree tree, std::unique_ptr<labeling::LabelingScheme> scheme)
   delete_ns_ =
       registry_.GetHistogram("engine.delete.ns", "Wall time per deletion");
   query_ns_ = registry_.GetHistogram("engine.query.ns", "Wall time per query");
-  reloads_ = registry_.GetCounter(
-      "engine.store.reloads",
-      "Full store rewrites after a label outgrew its slot or a rollback");
-  reload_ns_ = registry_.GetHistogram("engine.store.reload.ns",
-                                      "Wall time per full store rewrite");
   // Seed the process-wide label-size distribution (the Figure 5 metric).
   obs::Histogram* label_bits = obs::MetricRegistry::Default().GetHistogram(
       "labeling.label_bits", "Stored label size in bits per node");
@@ -117,7 +111,9 @@ Result<std::unique_ptr<XmlDb>> XmlDb::Open(XmlTree tree,
                                    options.scheme_name + "'");
   }
   std::unique_ptr<XmlDb> db(new XmlDb(std::move(tree), std::move(scheme)));
-  CDBS_RETURN_NOT_OK(db->InitStore(options));
+  if (!options.storage_path.empty()) {
+    CDBS_RETURN_NOT_OK(db->CreateLog(options, db->CaptureBootstrapSpec()));
+  }
   return db;
 }
 
@@ -145,6 +141,15 @@ BootstrapSpec XmlDb::CaptureBootstrapSpec() const {
 
 Result<std::unique_ptr<XmlDb>> XmlDb::OpenFromBootstrap(
     const BootstrapSpec& spec, const XmlDbOptions& options) {
+  if (!options.storage_path.empty()) {
+    // Rebuild in memory (the rebuild's own updates are not history), then
+    // start the log from `spec` itself.
+    XmlDbOptions memory = options;
+    memory.storage_path.clear();
+    Result<std::unique_ptr<XmlDb>> db = OpenFromBootstrap(spec, memory);
+    if (db.ok()) CDBS_RETURN_NOT_OK((*db)->CreateLog(options, spec));
+    return db;
+  }
   Result<xml::Document> parsed = xml::ParseXml(spec.xml);
   if (!parsed.ok()) return parsed.status();
   const std::vector<xml::Node*> order = parsed->NodesInDocumentOrder();
@@ -312,81 +317,48 @@ Result<std::unique_ptr<XmlDb>> XmlDb::OpenFromBootstrap(
   return db;
 }
 
-std::string XmlDb::SerializeRecord(NodeId n) const {
-  std::string rec;
-  if (store_tags_enabled_) {
-    (void)util::EncodeOrderedVarint(labeled_->tag_id(n), &rec);
+Result<std::unique_ptr<XmlDb>> XmlDb::Recover(const XmlDbOptions& options) {
+  if (options.storage_path.empty()) {
+    return Status::InvalidArgument("Recover needs a storage_path");
   }
-  rec += labeled_->labeling().SerializeLabel(n);
-  return rec;
+  auto log = std::make_unique<repl::ReplicationLog>(options.failpoint_scope);
+  BootstrapSpec spec;
+  std::vector<repl::ReplRecord> tail;
+  CDBS_RETURN_NOT_OK(log->Recover(options.storage_path, &spec, &tail));
+  XmlDbOptions memory = options;
+  memory.storage_path.clear();
+  Result<std::unique_ptr<XmlDb>> opened = OpenFromBootstrap(spec, memory);
+  if (!opened.ok()) return opened.status();
+  std::unique_ptr<XmlDb> db = std::move(opened).value();
+  // Redo, the way a follower applies the stream: the same ops on the same
+  // tree re-derive the same ids (Theorem 3.1), and each result is checked.
+  Tally tally;
+  for (const repl::ReplRecord& record : tail) {
+    for (const repl::ReplOp& op : record.ops) {
+      const Result<uint64_t> replayed = db->Apply(
+          {op.kind, static_cast<NodeId>(op.target), op.tag}, &tally);
+      if (!replayed.ok() || *replayed != op.new_id) {
+        return Status::Corruption("log replay diverged at lsn " +
+                                  std::to_string(record.lsn));
+      }
+    }
+  }
+  db->Count(tally);
+  db->log_ = std::move(log);
+  return db;
 }
 
-std::vector<std::string> XmlDb::AllRecords() const {
-  std::vector<std::string> records(labeled_->labeling().num_nodes());
-  for (NodeId n = 0; n < records.size(); ++n) records[n] = SerializeRecord(n);
-  return records;
-}
-
-void XmlDb::SyncTagTable(storage::LabelStore* store) {
-  const std::shared_ptr<const query::TagPool>& pool = labeled_->tag_pool();
-  if (store_tags_enabled_ && pool->size() == pushed_tags_) return;
-  std::vector<std::string> names;
-  names.reserve(pool->size());
-  for (size_t id = 0; id < pool->size(); ++id) {
-    names.push_back(pool->name(static_cast<query::TagId>(id)));
-  }
-  const bool was_enabled = store_tags_enabled_;
-  store_tags_enabled_ = store->SetTagTable(names).ok();
-  pushed_tags_ = store_tags_enabled_ ? names.size() : 0;
-  if (was_enabled && !store_tags_enabled_) {
-    // Records with tag prefixes are on disk but the header can no longer
-    // describe them; the next persist rebuilds everything bare-label.
-    store_needs_reload_ = true;
-  }
-}
-
-Status XmlDb::InitStore(const XmlDbOptions& options) {
-  if (options.storage_path.empty()) return Status::OK();
-  storage_path_ = options.storage_path;
-  store_headroom_ = options.store_headroom;
-  failpoint_scope_ = options.failpoint_scope;
-  store_ = std::make_unique<storage::LabelStore>();
-  store_->set_failpoint_scope(failpoint_scope_);
-  CDBS_RETURN_NOT_OK(store_->Open(options.storage_path));
-  SyncTagTable(store_.get());
-  return store_->BulkLoad(AllRecords(), options.store_headroom);
-}
-
-Status XmlDb::ReopenStore() {
-  if (store_ == nullptr) return Status::OK();
-  // A fresh LabelStore instance: an injected-crash poison flag on the old
-  // one does not carry over, exactly like a process restart.
-  auto fresh = std::make_unique<storage::LabelStore>();
-  fresh->set_failpoint_scope(failpoint_scope_);
-  Status recovered = fresh->OpenExisting(storage_path_);
-  if (recovered.ok()) recovered = fresh->VerifyChecksums();
-  if (!recovered.ok()) {
-    // Corrupt beyond WAL repair: rebuild the file outright. The in-memory
-    // labels are exactly the acked state, so nothing durable is lost.
-    fresh = std::make_unique<storage::LabelStore>();
-    fresh->set_failpoint_scope(failpoint_scope_);
-    CDBS_RETURN_NOT_OK(fresh->Open(storage_path_));
-  }
-  // Re-sync the store content with the acked in-memory labels. WAL redo can
-  // leave the recovered store a step AHEAD of memory: a group whose WAL
-  // append was fsynced but whose page writes failed was rolled back in
-  // memory, yet OpenExisting just replayed it. Memory is authoritative —
-  // it holds precisely the acknowledged writes.
-  store_tags_enabled_ = false;  // re-negotiate against the fresh handle
-  pushed_tags_ = 0;
-  SyncTagTable(fresh.get());
-  storage::StoreBatch reload;
-  reload.Reload(AllRecords(), store_headroom_);
-  CDBS_RETURN_NOT_OK(fresh->ApplyBatch(reload));
-  CDBS_RETURN_NOT_OK(fresh->VerifyChecksums());
-  store_ = std::move(fresh);
-  store_needs_reload_ = false;
+Status XmlDb::CreateLog(const XmlDbOptions& options,
+                        const BootstrapSpec& spec) {
+  auto log = std::make_unique<repl::ReplicationLog>(options.failpoint_scope);
+  CDBS_RETURN_NOT_OK(log->Create(options.storage_path, spec));
+  log_ = std::move(log);
   return Status::OK();
+}
+
+Status XmlDb::Checkpoint() {
+  return log_ == nullptr ? Status::OK()
+                         : log_->Checkpoint(CaptureBootstrapSpec());
 }
 
 Result<std::vector<NodeId>> XmlDb::Query(const std::string& xpath) const {
@@ -413,24 +385,26 @@ Result<NodeId> XmlDb::QueryOne(const std::string& xpath) const {
   return (*matches)[0];
 }
 
-Result<NodeId> XmlDb::Insert(NodeId target, const std::string& tag,
-                             bool before) {
-  obs::ScopedTimer timer(insert_ns_);
-  labeling::InsertResult applied;
-  const Result<NodeId> id = ApplyInsertInMemory(target, tag, before, &applied);
-  if (!id.ok()) return id;
-  std::vector<storage::StoreBatch> batches;
-  if (store_ != nullptr) {
-    batches.emplace_back();
-    BuildPersistOps(applied, &batches.back());
+Result<uint64_t> XmlDb::Commit(const WriteOp& op) {
+  obs::ScopedTimer timer(op.kind == WriteOp::Kind::kDelete ? delete_ns_
+                                                           : insert_ns_);
+  // A stored database keeps the pre-op state to restore if the log refuses
+  // the op: the id it would have burnt stays free, as replay expects.
+  std::unique_ptr<query::LabeledDocument> before =
+      log_ != nullptr ? labeled_->Fork() : nullptr;
+  Tally tally;
+  const Result<uint64_t> result = Apply(op, &tally);
+  if (!result.ok()) return result;
+  if (log_ != nullptr) {
+    const Result<uint64_t> lsn =
+        log_->Append({repl::ReplOp{op.kind, op.target, *result, op.tag}});
+    if (!lsn.ok()) {
+      labeled_ = std::move(before);
+      return lsn.status();
+    }
   }
-  const Status persisted = PersistBatches(batches);
-  if (!persisted.ok()) {
-    RollbackInsert(applied);
-    return persisted;
-  }
-  NoteInsertCommitted(applied);
-  return id;
+  Count(tally);
+  return result;
 }
 
 Status XmlDb::CheckTarget(NodeId target, const char* root_error) const {
@@ -442,90 +416,51 @@ Status XmlDb::CheckTarget(NodeId target, const char* root_error) const {
   return Status::OK();
 }
 
-Result<NodeId> XmlDb::ApplyInsertInMemory(NodeId target, const std::string& tag,
-                                          bool before,
-                                          labeling::InsertResult* applied) {
+Result<uint64_t> XmlDb::Apply(const WriteOp& op, Tally* tally) {
+  if (op.kind == WriteOp::Kind::kDelete) {
+    CDBS_RETURN_NOT_OK(CheckTarget(op.target, "cannot delete the root"));
+    const labeling::DeleteResult result = labeled_->DeleteSubtree(op.target);
+    tally->deleted += result.removed.size();
+    tally->relabeled += result.relabeled;
+    return static_cast<uint64_t>(result.removed.size());
+  }
   CDBS_RETURN_NOT_OK(
-      CheckTarget(target, "cannot insert a sibling of the root"));
+      CheckTarget(op.target, "cannot insert a sibling of the root"));
   labeling::Labeling* lab = labeled_->labeling_mutable();
-  *applied = before ? lab->InsertSiblingBefore(target)
-                    : lab->InsertSiblingAfter(target);
-  labeled_->NoteInsertedNode(applied->new_node, tag);
-  return applied->new_node;
+  const labeling::InsertResult result =
+      op.kind == WriteOp::Kind::kInsertBefore
+          ? lab->InsertSiblingBefore(op.target)
+          : lab->InsertSiblingAfter(op.target);
+  labeled_->NoteInsertedNode(result.new_node, op.tag);
+  ++tally->inserts;
+  tally->relabeled += result.relabeled;
+  if (result.overflow) ++tally->overflows;
+  return static_cast<uint64_t>(result.new_node);
 }
 
-void XmlDb::BuildPersistOps(const labeling::InsertResult& result,
-                            storage::StoreBatch* out) const {
-  for (const NodeId n : result.relabeled_nodes) {
-    out->Rewrite(n, SerializeRecord(n));
-  }
-  out->Append(SerializeRecord(result.new_node));
-}
-
-Status XmlDb::PersistBatches(const std::vector<storage::StoreBatch>& batches) {
-  if (store_ == nullptr) return Status::OK();
-  // A brand-new tag name interned by this group must reach the header's
-  // tag table in the same commit as the records referencing its id. If the
-  // grown table no longer fits, SyncTagTable flips to bare-label records
-  // and forces the reload below, which subsumes the prefixed batches.
-  SyncTagTable(store_.get());
-  if (!store_needs_reload_) {
-    std::vector<const storage::StoreBatch*> group;
-    group.reserve(batches.size());
-    for (const storage::StoreBatch& batch : batches) group.push_back(&batch);
-    const Status status = store_->ApplyBatchGroup(group);
-    if (status.code() != StatusCode::kOutOfRange) return status;
-    // Some label outgrew its slot — fall through to a full reload with
-    // fresh slot sizing, a storage-level re-labeling. The reload serializes
-    // the labels as they stand *after* every insertion in the group, so it
-    // subsumes all of the incremental batches.
-  }
-  obs::ScopedTimer timer(reload_ns_);
-  reloads_->Increment();
-  storage::StoreBatch reload;
-  reload.Reload(AllRecords(), 16);
-  CDBS_RETURN_NOT_OK(store_->ApplyBatch(reload));
-  store_needs_reload_ = false;
-  return Status::OK();
-}
-
-void XmlDb::RollbackInsert(const labeling::InsertResult& applied) {
-  // The store did not take the update (atomically: on disk it is all-or-
-  // nothing, see LabelStore::ApplyBatch) — roll the in-memory mutation
-  // back by deleting the fresh node again, exactly like DeleteElement
-  // does. Node ids are never reused, so the id stays burnt (removed, like
-  // any deleted node). Existing labels the insert rewrote in memory stay
-  // rewritten — they remain a valid labeling without the new node — so
-  // the whole store is re-synced on the next successful persist.
-  labeled_->DeleteSubtree(applied.new_node);
-  store_needs_reload_ = true;
-}
-
-void XmlDb::NoteInsertCommitted(const labeling::InsertResult& result) {
-  insertions_->Increment();
-  relabeled_total_->Increment(result.relabeled);
-  if (result.overflow) overflow_events_->Increment();
+void XmlDb::Count(const Tally& tally) {
+  insertions_->Increment(tally.inserts);
+  deletions_->Increment(tally.deleted);
+  relabeled_total_->Increment(tally.relabeled);
+  overflow_events_->Increment(tally.overflows);
 }
 
 Result<uint64_t> XmlDb::DeleteElement(NodeId target) {
-  obs::ScopedTimer timer(delete_ns_);
-  CDBS_RETURN_NOT_OK(CheckTarget(target, "cannot delete the root"));
-  const labeling::DeleteResult result = labeled_->DeleteSubtree(target);
-  deletions_->Increment(result.removed.size());
-  relabeled_total_->Increment(result.relabeled);
-  // Orphaned store records are simply left behind; a compaction pass would
-  // reclaim them in a production system.
-  return static_cast<uint64_t>(result.removed.size());
+  return Commit(WriteOp::Delete(target));
 }
 
 Result<NodeId> XmlDb::InsertElementBefore(NodeId target,
                                           const std::string& tag) {
-  return Insert(target, tag, /*before=*/true);
+  const Result<uint64_t> id = Commit(WriteOp::InsertBefore(target, tag));
+  if (!id.ok()) return id.status();
+  return static_cast<NodeId>(*id);
 }
 
 Result<NodeId> XmlDb::InsertElementAfter(NodeId target,
                                          const std::string& tag) {
-  return Insert(target, tag, /*before=*/false);
+  const Result<uint64_t> id = Commit(WriteOp::InsertAfter(target, tag));
+  if (!id.ok()) return id.status();
+  return static_cast<NodeId>(*id);
 }
 
 const std::string& XmlDb::TagOf(NodeId node) const {
@@ -590,9 +525,6 @@ XmlDbStats XmlDb::Stats() const {
   stats.deletions = deletions_->value();
   stats.relabeled_total = relabeled_total_->value();
   stats.overflow_events = overflow_events_->value();
-  if (store_ != nullptr) {
-    stats.store_page_writes = store_->io_stats().page_writes;
-  }
   return stats;
 }
 

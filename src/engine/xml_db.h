@@ -9,7 +9,7 @@
 #include "labeling/label.h"
 #include "obs/metrics.h"
 #include "query/tag_index.h"
-#include "storage/label_store.h"
+#include "repl/replication.h"
 #include "util/cow_vector.h"
 #include "util/status.h"
 #include "xml/tree.h"
@@ -17,8 +17,8 @@
 /// \file
 /// The downstream-facing face of the library: a single-document XML store
 /// that keeps the tree, its labels (any registered scheme), the tag index,
-/// and — optionally — a persistent label store consistent across queries
-/// and order-preserving updates. The tree is the labeling's skeleton plus
+/// and — optionally — a durable log of every committed update on top of a
+/// checkpoint (docs/DURABILITY.md). The tree is the labeling's skeleton plus
 /// each node's tag and a side table of attributes and text; the parsed
 /// document it was opened from is freed on open, never kept.
 ///
@@ -36,17 +36,34 @@ struct XmlDbOptions {
   /// Labeling scheme name from labeling::AllSchemes(); the default is the
   /// paper's headline scheme.
   std::string scheme_name = "V-CDBS-Containment";
-  /// When non-empty, serialized labels are persisted to this file through
-  /// storage::LabelStore, and every update rewrites exactly the changed
-  /// records.
+  /// When non-empty, the database is durable: a checkpoint at this path
+  /// and, at `<path>.wal`, a log of every update committed after it, each
+  /// fsynced before the update returns (repl::ReplicationLog). `Open`
+  /// creates both, replacing what was there; `Recover` reopens them.
   std::string storage_path;
-  /// Slot headroom (bytes) for label growth in the store.
-  size_t store_headroom = 16;
-  /// When non-empty, the label store also evaluates errno-injection
-  /// failpoints scoped to this name (e.g. `storage.shard-1.sync.error`),
-  /// letting chaos tests fail one shard's storage while others stay
-  /// healthy. See LabelStore::set_failpoint_scope.
+  /// When non-empty, the log also evaluates errno-injection failpoints
+  /// scoped to this name (e.g. `wal.shard-1.sync.error`), letting chaos
+  /// tests fail one shard's storage while others stay healthy. See
+  /// storage::Wal.
   std::string failpoint_scope;
+};
+
+/// One of the paper's three updates as one value: insert a new element
+/// `tag` before or after the sibling `target`, or delete the subtree at
+/// `target`. repl::ReplOp is the same op plus its result.
+struct WriteOp {
+  using Kind = repl::ReplOp::Kind;
+  Kind kind = Kind::kInsertAfter;
+  NodeId target = 0;
+  std::string tag;  // inserts only
+
+  static WriteOp InsertBefore(NodeId target, std::string tag) {
+    return {Kind::kInsertBefore, target, std::move(tag)};
+  }
+  static WriteOp InsertAfter(NodeId target, std::string tag) {
+    return {Kind::kInsertAfter, target, std::move(tag)};
+  }
+  static WriteOp Delete(NodeId target) { return {Kind::kDelete, target, {}}; }
 };
 
 /// Aggregate counters for observability. A point-in-time view computed from
@@ -60,7 +77,6 @@ struct XmlDbStats {
   uint64_t deletions = 0;          // nodes removed so far
   uint64_t relabeled_total = 0;   // labels rewritten by updates so far
   uint64_t overflow_events = 0;   // full re-encodes (Example 6.1)
-  uint64_t store_page_writes = 0;  // 0 when not persistent
 };
 
 /// An id-preserving snapshot of a database: the serialized tree plus the
@@ -150,6 +166,14 @@ class XmlDb {
   static Result<std::unique_ptr<XmlDb>> OpenFromBootstrap(
       const BootstrapSpec& spec, const XmlDbOptions& options);
 
+  /// Reopens the durable database at `options.storage_path` after a
+  /// restart or crash: rebuilds the checkpoint through OpenFromBootstrap,
+  /// then replays every logged op after it, checking that each re-derives
+  /// the id (or removed count) it was logged with. The result holds
+  /// exactly the acknowledged updates. NotFound without a checkpoint;
+  /// Corruption when the checkpoint or the replay does not check out.
+  static Result<std::unique_ptr<XmlDb>> Recover(const XmlDbOptions& options);
+
   /// Captures the id-preserving snapshot of the current state. Not
   /// synchronized with updates: callers serialize against writes (the
   /// concurrent front-end captures on its writer thread).
@@ -168,8 +192,9 @@ class XmlDb {
   Result<NodeId> QueryOne(const std::string& xpath) const;
 
   /// Inserts a new element `tag` as the sibling immediately before/after
-  /// `target` (which must not be the root), updating tree, labels, index
-  /// and store. Returns the new node's id.
+  /// `target` (which must not be the root), updating tree, labels and
+  /// index, and logging the insert durably when stored. Returns the new
+  /// node's id. A failed log write leaves the database as it was.
   Result<NodeId> InsertElementBefore(NodeId target, const std::string& tag);
   Result<NodeId> InsertElementAfter(NodeId target, const std::string& tag);
 
@@ -177,6 +202,10 @@ class XmlDb {
   /// number of nodes removed. Remaining labels are untouched (deletions
   /// never disturb relative order — Section 5.2.1).
   Result<uint64_t> DeleteElement(NodeId target);
+
+  /// Writes the current state as the new checkpoint and empties the log
+  /// (retention). No-op for an in-memory database.
+  Status Checkpoint();
 
   /// Tag of a node.
   const std::string& TagOf(NodeId node) const;
@@ -207,20 +236,39 @@ class XmlDb {
   /// The labeled document + tag index (for snapshotting via Fork()).
   const query::LabeledDocument& labeled() const { return *labeled_; }
 
-  /// The persistent label store; null when the database is in-memory only.
-  /// Exposed for store-level inspection (I/O and WAL metrics) in tests and
-  /// benches.
-  const storage::LabelStore* store() const { return store_.get(); }
+  /// Nodes present at open: every id at or above it is an inserted leaf.
+  size_t original_count() const { return original_count_; }
+
+  /// The durability log; null when the database is in-memory only. Exposed
+  /// for inspection (its `wal.*` metrics) in tests and benches.
+  const repl::ReplicationLog* store() const { return log_.get(); }
 
  private:
-  // The concurrent front-end drives the two-phase update hooks below to
-  // batch many insertions under one group-committed store write.
+  // The concurrent front-end applies a group of ops in memory, then logs
+  // them under one append + fsync.
   friend class ConcurrentXmlDb;
+
+  // Counter increments of applied ops, made once the ops are durable.
+  struct Tally {
+    uint64_t inserts = 0;
+    uint64_t deleted = 0;
+    uint64_t relabeled = 0;
+    uint64_t overflows = 0;
+  };
 
   XmlDb(XmlTree tree, std::unique_ptr<labeling::LabelingScheme> scheme);
 
-  Status InitStore(const XmlDbOptions& options);
-  Result<NodeId> Insert(NodeId target, const std::string& tag, bool before);
+  // Starts this database's log with `spec` (its current state) as the
+  // checkpoint.
+  Status CreateLog(const XmlDbOptions& options, const BootstrapSpec& spec);
+  // Applies `op` in memory and logs it: the one-op group commit behind the
+  // public update methods.
+  Result<uint64_t> Commit(const WriteOp& op);
+  // Applies `op` to the in-memory state only, adding its effect to
+  // `tally`: the per-op apply shared by Commit, the concurrent writer and
+  // Recover's replay. Returns the new id or the number of nodes removed.
+  Result<uint64_t> Apply(const WriteOp& op, Tally* tally);
+  void Count(const Tally& tally);
   // OK when `target` is an attached non-root node: OutOfRange past the
   // last id, InvalidArgument (`root_error`) for the root, NotFound inside
   // a deleted subtree.
@@ -228,49 +276,6 @@ class XmlDb {
   // The serialized tree; appends each node's id, in document order, to
   // `ids` when it is non-null.
   std::string Serialize(std::vector<NodeId>* ids) const;
-
-  // --- two-phase insertion, the building blocks of Insert ---
-  // Phase 1: mutate labels + index in memory; `applied` is what undoing it
-  // needs.
-  Result<NodeId> ApplyInsertInMemory(NodeId target, const std::string& tag,
-                                     bool before,
-                                     labeling::InsertResult* applied);
-  // Serializes one insertion's store ops (relabel rewrites + the append).
-  void BuildPersistOps(const labeling::InsertResult& result,
-                       storage::StoreBatch* out) const;
-  /// One node's on-disk record: varint(interned TagId) + serialized label
-  /// when the store carries a tag table (docs/ENCODING.md), the bare label
-  /// otherwise. The engine never reads records back (memory is
-  /// authoritative), so the prefix is pure on-disk self-description.
-  std::string SerializeRecord(NodeId n) const;
-  /// Every node's record, by id.
-  std::vector<std::string> AllRecords() const;
-  /// Mirrors the tag pool into `store`'s header tag table when it grew (or
-  /// was never pushed). A store that cannot carry the table — legacy
-  /// format, or a pathological table bigger than the header page — drops
-  /// this database to bare-label records; when records with prefixes were
-  /// already written, the next persist rebuilds them via a Reload.
-  void SyncTagTable(storage::LabelStore* store);
-  // Phase 2: group-commits the batches (one WAL fsync for all of them),
-  // falling back to a full Reload when a label outgrew its slot or a prior
-  // failure left the store out of sync. No-op without a store.
-  Status PersistBatches(const std::vector<storage::StoreBatch>& batches);
-  // Undoes phase 1 after a failed phase 2 (reverse order across a group).
-  void RollbackInsert(const labeling::InsertResult& applied);
-  // Bumps the update counters once an insertion is fully committed.
-  void NoteInsertCommitted(const labeling::InsertResult& result);
-
-  /// Recovery hook for the supervision layer (docs/ROBUSTNESS.md): closes
-  /// the label store and reopens it through the WAL crash-recovery path
-  /// (OpenExisting), falling back to a full rebuild (Open + BulkLoad from
-  /// the in-memory labels) when the file is corrupt beyond WAL repair.
-  /// Either way the store is then re-synced to the acked in-memory state —
-  /// a rolled-back group whose WAL record was already durable would
-  /// otherwise be replayed, leaving the store a step AHEAD of memory — and
-  /// checksum-verified before the old store is swapped out. No-op for an
-  /// in-memory database. Called from the concurrent front-end's writer
-  /// thread only (it owns all mutation of this object).
-  Status ReopenStore();
 
   std::unique_ptr<labeling::LabelingScheme> scheme_;
   std::unique_ptr<query::LabeledDocument> labeled_;
@@ -282,22 +287,6 @@ class XmlDb {
   // such nodes are leaf elements forever. CaptureBootstrapSpec ships this
   // so OpenFromBootstrap can split originals from inserted leaves.
   size_t original_count_ = 0;
-  std::unique_ptr<storage::LabelStore> store_;  // null when not persistent
-  // Saved from XmlDbOptions so ReopenStore can rebuild the store.
-  std::string storage_path_;
-  size_t store_headroom_ = 16;
-  std::string failpoint_scope_;
-  // Set when a persist failure rolled back an update whose in-memory label
-  // state may have diverged from the store (e.g. an overflow re-encode):
-  // the next successful persist re-syncs everything with a Reload batch.
-  bool store_needs_reload_ = false;
-  // Records carry an interned-TagId prefix (the store accepted a tag
-  // table). False for legacy-format or tableless stores.
-  bool store_tags_enabled_ = false;
-  // Pool size last pushed via SetTagTable; a bigger pool (a brand-new tag
-  // name was interned) re-pushes before the next persist.
-  size_t pushed_tags_ = 0;
-
   obs::MetricRegistry registry_{&obs::MetricRegistry::Default()};
   obs::Counter* insertions_;
   obs::Counter* deletions_;
@@ -306,8 +295,7 @@ class XmlDb {
   obs::Histogram* insert_ns_;
   obs::Histogram* delete_ns_;
   obs::Histogram* query_ns_;
-  obs::Counter* reloads_;
-  obs::Histogram* reload_ns_;
+  std::unique_ptr<repl::ReplicationLog> log_;  // null when not durable
 };
 
 }  // namespace cdbs::engine

@@ -432,22 +432,16 @@ class ContainmentLabeling : public Labeling {
           end_.Mutable(i) += 2;
           touched = true;
         }
-        if (touched) result.relabeled_nodes.push_back(static_cast<NodeId>(i));
+        if (touched) ++result.relabeled;
       }
       start_.PushBack(pivot);
       end_.PushBack(pivot + 1);
       level_.PushBack(skeleton_.level(id));
       codec_.NoteUniverse(2 * skeleton_.size());
-      result.relabeled = result.relabeled_nodes.size();
     } else {
       // Full re-encode of every value (the new node included).
-      const uint64_t existing = skeleton_.size() - 1;
       Encode();
-      result.relabeled = existing;
-      result.relabeled_nodes.reserve(existing);
-      for (uint64_t i = 0; i < existing; ++i) {
-        result.relabeled_nodes.push_back(static_cast<NodeId>(i));
-      }
+      result.relabeled = skeleton_.size() - 1;
     }
     return result;
   }

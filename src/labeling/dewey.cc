@@ -95,14 +95,13 @@ class DeweyLabeling : public Labeling {
     const size_t depth_index = labels_[target].size() - 1;
     const uint64_t new_ordinal = labels_[target][depth_index];
     for (NodeId s = target; s != kNoNode; s = skeleton_.next_sibling(s)) {
-      BumpComponentInSubtree(s, depth_index, &result.relabeled_nodes);
+      result.relabeled += BumpComponentInSubtree(s, depth_index);
     }
     const NodeId id = skeleton_.AddSiblingBefore(target);
     std::vector<uint64_t> label = labels_[skeleton_.parent(id)];
     label.push_back(new_ordinal);
     labels_.PushBack(std::move(label));
     result.new_node = id;
-    result.relabeled = result.relabeled_nodes.size();
     return result;
   }
 
@@ -112,14 +111,13 @@ class DeweyLabeling : public Labeling {
     const uint64_t new_ordinal = labels_[target][depth_index] + 1;
     for (NodeId s = skeleton_.next_sibling(target); s != kNoNode;
          s = skeleton_.next_sibling(s)) {
-      BumpComponentInSubtree(s, depth_index, &result.relabeled_nodes);
+      result.relabeled += BumpComponentInSubtree(s, depth_index);
     }
     const NodeId id = skeleton_.AddSiblingAfter(target);
     std::vector<uint64_t> label = labels_[skeleton_.parent(id)];
     label.push_back(new_ordinal);
     labels_.PushBack(std::move(label));
     result.new_node = id;
-    result.relabeled = result.relabeled_nodes.size();
     return result;
   }
 
@@ -151,19 +149,22 @@ class DeweyLabeling : public Labeling {
  private:
   // Adds one to the component at `depth_index` throughout the subtree of
   // `s`, appending the touched node ids to *touched.
-  void BumpComponentInSubtree(NodeId s, size_t depth_index,
-                              std::vector<NodeId>* touched) {
+  // Bumps component `depth_index` of every label in `s`'s subtree;
+  // returns how many labels changed.
+  uint64_t BumpComponentInSubtree(NodeId s, size_t depth_index) {
+    uint64_t touched = 0;
     std::vector<NodeId> stack = {s};
     while (!stack.empty()) {
       const NodeId cur = stack.back();
       stack.pop_back();
       ++labels_.Mutable(cur)[depth_index];
-      touched->push_back(cur);
+      ++touched;
       for (NodeId c = skeleton_.first_child(cur); c != kNoNode;
            c = skeleton_.next_sibling(c)) {
         stack.push_back(c);
       }
     }
+    return touched;
   }
 
   std::string name_;

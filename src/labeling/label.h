@@ -45,11 +45,6 @@ struct InsertResult {
   /// True when the insertion hit the scheme's overflow condition and forced
   /// a full re-encode (Section 6, Example 6.1).
   bool overflow = false;
-  /// Ids of the nodes whose stored labels changed, for persisting the
-  /// update (empty for the Prime scheme, whose recomputed SC values are
-  /// per-group records rather than node labels; `relabeled` still counts
-  /// them).
-  std::vector<NodeId> relabeled_nodes;
 };
 
 /// Outcome of one subtree deletion. Deletion never disturbs the relative

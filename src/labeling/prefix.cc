@@ -211,10 +211,6 @@ class DynamicPrefixLabeling : public Labeling {
     result.relabeled = existing;
     result.overflow = true;
     NoteOverflowEvent();
-    result.relabeled_nodes.reserve(existing);
-    for (uint64_t i = 0; i < existing; ++i) {
-      result.relabeled_nodes.push_back(static_cast<NodeId>(i));
-    }
     return result;
   }
 

@@ -44,12 +44,11 @@ engine::WriteOp WriteOpOf(const Request& req) {
 }
 
 constexpr char kNoReplication[] =
-    "replication is served only by a one-shard, one-document corpus with a "
-    "replication log";
+    "replication is served only by a stored one-shard, one-document corpus";
 
-/// True when `db` can feed followers: one shard holding one document,
-/// and that shard keeps a replication log. A follower replays the shard's
-/// log by raw node id into a corpus of the same shape.
+/// True when `db` can feed followers: one stored shard holding one
+/// document. A follower replays the shard's log by raw node id into a
+/// corpus of the same shape.
 bool Replicable(shard::ShardedDb* db) {
   return db->shard_count() == 1 && db->doc_count() == 1 &&
          db->shard(0)->replication_log() != nullptr;
@@ -185,6 +184,7 @@ void Server::AcceptLoop() {
 void Server::ServeConnection(Connection* conn) {
   bool dropped = false;
   while (!stopping_.load(std::memory_order_relaxed)) {
+    conn->busy.store(false);
     std::string payload;
     bool clean_eof = false;
     const Status read = ReadFrame(conn->fd, &payload,
@@ -195,6 +195,11 @@ void Server::ServeConnection(Connection* conn) {
       dropped = !clean_eof;
       break;
     }
+    // Busy before the stop check (both sequentially consistent): either
+    // Shutdown sees this request in flight and waits for it, or this
+    // thread sees the stop and drops the request unserved.
+    conn->busy.store(true);
+    if (stopping_.load()) break;
     // Chaos: per-request latency injection (arm with a delay= spec).
     static_cast<void>(CDBS_FAILPOINT("net.conn.delay"));
     if (CDBS_FAILPOINT("net.conn.drop")) {
@@ -554,7 +559,7 @@ void Server::ReapFinishedLocked() {
 void Server::Shutdown() {
   std::call_once(shutdown_once_, [this] {
     // 1. Stop accepting.
-    stopping_.store(true, std::memory_order_relaxed);
+    stopping_.store(true);
     if (accept_thread_.joinable()) accept_thread_.join();
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);
@@ -562,25 +567,26 @@ void Server::Shutdown() {
     }
     const util::Deadline drain =
         util::Deadline::AfterMillis(options_.drain_timeout_ms);
-    const auto drained = [this](bool streams_too) {
+    // True once no live connection of the kind waited for is left: the
+    // replication streams, or the request/response connections with a
+    // request in flight. Idle connections are never waited for.
+    const auto drained = [this](bool streams) {
       std::lock_guard<std::mutex> lock(conns_mu_);
       for (const auto& c : conns_) {
-        if (!streams_too && c->stream.load(std::memory_order_acquire)) {
-          continue;
-        }
-        if (!c->done.load(std::memory_order_acquire)) return false;
+        const bool stream = c->stream.load(std::memory_order_acquire);
+        const bool waits = streams ? stream : !stream && c->busy.load();
+        if (waits && !c->done.load(std::memory_order_acquire)) return false;
       }
       return true;
     };
-    // 2. Drain request/response connections BEFORE stopping replication:
-    // a sync-commit write in flight right now resolves its client promise
+    // 2. Drain in-flight requests BEFORE stopping replication: a
+    // sync-commit write in flight right now resolves its client promise
     // only once followers acknowledge, and that needs a live sender.
     // Stopping the sender first would release those waits un-acked — an
     // OK the follower never saw, exactly the failover loss sync mode
-    // exists to prevent. Each connection notices `stopping_` after its
-    // in-flight request (bounded by the frame timeouts and, in sync mode,
-    // the sender's ack timeout).
-    while (!drained(/*streams_too=*/false) && !drain.expired()) {
+    // exists to prevent. A request finishes within the frame timeouts
+    // and, in sync mode, the sender's ack timeout.
+    while (!drained(/*streams=*/false) && !drain.expired()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     // 3. Stop replication streams: long-lived connections that only end
@@ -589,11 +595,11 @@ void Server::Shutdown() {
       std::lock_guard<std::mutex> lock(repl_mu_);
       if (sender_ != nullptr) sender_->Stop();
     }
-    while (!drained(/*streams_too=*/true) && !drain.expired()) {
+    while (!drained(/*streams=*/true) && !drain.expired()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    // 4. Force-close stragglers (a blocked read/write fails immediately
-    // once the socket is shut down), then join everything.
+    // 4. Shut down idle connections and stragglers (a blocked read/write
+    // fails immediately once the socket is shut down), then join all.
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& c : conns_) {
       if (!c->done.load(std::memory_order_acquire) && c->fd >= 0) {

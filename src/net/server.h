@@ -85,8 +85,8 @@ class Server {
   /// address a one-document corpus's only document and bounce with
   /// kInvalidArgument on any other. kCount without a doc_id scatter-gathers
   /// across every shard with per-shard partial-failure semantics. When the
-  /// corpus is one shard holding one document and that shard has a
-  /// replication log, a ReplicationSender is attached to it and kSubscribe/
+  /// corpus is one stored shard holding one document, a ReplicationSender
+  /// streaming from the shard's log is attached to it and kSubscribe/
   /// kBootstrap streams are served to followers; every other corpus answers
   /// the replication opcodes with kInvalidArgument. `db` must outlive the
   /// server. Keeps its name because the repository benchmark (perfbench/)
@@ -129,6 +129,9 @@ class Server {
     int fd = -1;
     std::thread thread;
     std::atomic<bool> done{false};
+    /// A request is being served: read, not yet answered. Shutdown drains
+    /// only these; idle connections are shut down without a wait.
+    std::atomic<bool> busy{false};
     /// Became a replication push stream (kSubscribe). Streams only end
     /// when the sender stops, so Shutdown drains them in a later phase
     /// than request/response connections.

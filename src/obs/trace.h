@@ -58,10 +58,10 @@ enum class SpanName : uint8_t {
   kSnapshotPin,   ///< read path: pinning the published snapshot
   kEval,          ///< read path: query evaluation against the snapshot
   kCommitPhase1,  ///< writer: in-memory apply of the whole group
-  kCommitStage,   ///< store: staging page after-images + WAL payloads
+  kCommitStage,   ///< LabelStore: staging page after-images + WAL payloads
   kWalAppend,     ///< WAL: the group's record append (one pwrite)
   kWalFsync,      ///< WAL: the group's one fdatasync
-  kStoreApply,    ///< store: page images + header write + store fsync
+  kStoreApply,    ///< LabelStore: page images + header write + fsync
   kPublish,       ///< snapshot publication (Fork + Publish)
 };
 inline constexpr int kNumSpanNames = 12;

@@ -37,9 +37,10 @@ struct FollowerOptions {
   std::string primary_host = "127.0.0.1";
   uint16_t primary_port = 0;
   /// Options for the replica corpus's one shard, used as given
-  /// (`shard::ShardedDb::OpenFromImage`). Give it its own storage /
-  /// replication-log paths: after `Promote()` this corpus is a primary in
-  /// its own right (fresh epoch, fresh LSN space).
+  /// (`shard::ShardedDb::OpenFromImage`). Give it its own
+  /// `db.storage_path`: after `Promote()` this corpus is a primary in its
+  /// own right (fresh epoch, fresh LSN space), and only a stored one can
+  /// feed followers.
   engine::ConcurrentXmlDbOptions db;
   /// Default read-staleness bound, milliseconds; 0 = serve reads no matter
   /// how stale. A read is rejected (kRetryAfter — try another endpoint)
@@ -121,8 +122,8 @@ class Follower {
   const obs::MetricRegistry& metrics() const { return registry_; }
 
   /// Failover: stops replicating and makes the replica corpus the write
-  /// target. Returns the promoted corpus (its shard's replication log's
-  /// epoch now identifies the new primary incarnation — old followers
+  /// target. Returns the promoted corpus (its shard's log's epoch now
+  /// identifies the new primary incarnation — old followers
   /// subscribing with the dead primary's epoch are told to bootstrap).
   /// Fails with kRetryAfter when no bootstrap has landed yet.
   Result<std::shared_ptr<shard::ShardedDb>> Promote();

@@ -1,10 +1,13 @@
 #include "repl/replication.h"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <limits>
 #include <random>
 
 #include "engine/xml_db.h"
+#include "util/crc32c.h"
 
 namespace cdbs::repl {
 
@@ -119,9 +122,13 @@ namespace {
 constexpr uint8_t kBootstrapVersion = 1;
 }  // namespace
 
-std::string EncodeBootstrapSpec(const engine::BootstrapSpec& spec) {
+namespace {
+
+// Everything of EncodeBootstrapSpec's blob but the trailing xml.
+std::string EncodeBootstrapHeader(const engine::BootstrapSpec& spec,
+                                  size_t reserve_xml) {
   std::string out;
-  out.reserve(1 + 3 * 8 + 8 * spec.ids.size() + spec.xml.size());
+  out.reserve(1 + 3 * 8 + 8 * spec.ids.size() + reserve_xml);
   out.push_back(static_cast<char>(kBootstrapVersion));
   AppendU64(&out, spec.next_id);
   AppendU64(&out, spec.original_count);
@@ -129,6 +136,13 @@ std::string EncodeBootstrapSpec(const engine::BootstrapSpec& spec) {
   for (const engine::NodeId id : spec.ids) {
     AppendU64(&out, static_cast<uint64_t>(id));
   }
+  return out;
+}
+
+}  // namespace
+
+std::string EncodeBootstrapSpec(const engine::BootstrapSpec& spec) {
+  std::string out = EncodeBootstrapHeader(spec, spec.xml.size());
   out.append(spec.xml);
   return out;
 }
@@ -164,46 +178,152 @@ Status DecodeBootstrapSpec(std::string_view blob, engine::BootstrapSpec* out) {
   return Status::OK();
 }
 
-ReplicationLog::ReplicationLog(obs::MetricRegistry* registry,
-                               ReplicationLogOptions options)
-    : wal_(registry), options_(options) {
-  appends_ = registry->GetCounter("repl.log.appends",
-                                  "Record batches appended to the repl log");
-  bytes_appended_ = registry->GetCounter(
-      "repl.log.bytes_appended", "Bytes appended to the repl log");
-  evictions_ = registry->GetCounter(
-      "repl.log.evictions",
-      "Retention evictions (whole-log resets) of the repl log");
+namespace {
+
+// Checkpoint file: [8 magic][u64 lsn][EncodeBootstrapSpec blob][u32 crc32c
+// of everything before it].
+constexpr char kCheckpointMagic[8] = {'C', 'D', 'B', 'S', 'C', 'K', 'P', 'T'};
+
+Status WriteCheckpoint(const std::string& path, uint64_t lsn,
+                       const engine::BootstrapSpec& spec) {
+  std::string head(kCheckpointMagic, sizeof(kCheckpointMagic));
+  AppendU64(&head, lsn);
+  // The xml is written from `spec` itself, not copied into a blob.
+  const std::string ids = EncodeBootstrapHeader(spec, 0);
+  uint32_t crc = util::Crc32c(head.data(), head.size());
+  crc = util::Crc32c(ids.data(), ids.size(), crc);
+  crc = util::Crc32c(spec.xml.data(), spec.xml.size(), crc);
+  std::string tail;
+  AppendU32(&tail, crc);
+  return storage::WriteFileAtomic(path, {head, ids, spec.xml, tail});
 }
 
-Status ReplicationLog::Open(const std::string& path) {
+Status ReadCheckpoint(const std::string& path, uint64_t* lsn,
+                      engine::BootstrapSpec* spec) {
+  std::string bytes;
+  CDBS_RETURN_NOT_OK(storage::ReadFile(path, &bytes));
+  constexpr size_t kFixed = sizeof(kCheckpointMagic) + 8 + 4;
+  if (bytes.size() < kFixed ||
+      bytes.compare(0, sizeof(kCheckpointMagic), kCheckpointMagic,
+                    sizeof(kCheckpointMagic)) != 0) {
+    return Status::Corruption("checkpoint " + path + ": bad magic or size");
+  }
+  size_t pos = bytes.size() - 4;
+  uint32_t stored = 0;
+  ReadU32(bytes, &pos, &stored);
+  if (util::Crc32c(bytes.data(), bytes.size() - 4) != stored) {
+    return Status::Corruption("checkpoint " + path + ": checksum mismatch");
+  }
+  pos = sizeof(kCheckpointMagic);
+  ReadU64(bytes, &pos, lsn);
+  return DecodeBootstrapSpec(
+      std::string_view(bytes).substr(pos, bytes.size() - 4 - pos), spec);
+}
+
+}  // namespace
+
+ReplicationLog::ReplicationLog(const std::string& failpoint_scope)
+    : wal_(&registry_, failpoint_scope), epoch_(MintEpoch()) {
+  evictions_ = registry_.GetCounter(
+      "repl.log.evictions",
+      "Checkpoints that emptied the log (retention evictions)");
+}
+
+Status ReplicationLog::Create(const std::string& path,
+                              const engine::BootstrapSpec& spec) {
   std::lock_guard<std::mutex> lock(mu_);
-  CDBS_RETURN_NOT_OK(wal_.Open(path));
+  path_ = path;
+  CDBS_RETURN_NOT_OK(wal_.Open(path + ".wal"));
+  if (wal_.size_bytes() > 0) {  // a previous database's log
+    CDBS_RETURN_NOT_OK(wal_.Truncate(0, 1));
+    CDBS_RETURN_NOT_OK(wal_.Sync());
+  }
+  oldest_lsn_ = 1;
+  last_lsn_ = 0;
+  return WriteCheckpoint(path, 0, spec);
+}
+
+Status ReplicationLog::Recover(const std::string& path,
+                               engine::BootstrapSpec* spec,
+                               std::vector<ReplRecord>* tail) {
+  std::lock_guard<std::mutex> lock(mu_);
+  path_ = path;
+  // A crash mid-checkpoint leaves its temp file; the old checkpoint holds.
+  ::unlink((path + ".tmp").c_str());
+  uint64_t checkpoint_lsn = 0;
+  CDBS_RETURN_NOT_OK(ReadCheckpoint(path, &checkpoint_lsn, spec));
+  CDBS_RETURN_NOT_OK(wal_.Open(path + ".wal"));
   std::vector<std::string> discard;
   CDBS_RETURN_NOT_OK(wal_.Recover(&discard));  // restores the LSN counter
-  std::vector<storage::WalRecord> records;
-  CDBS_RETURN_NOT_OK(wal_.ReadFrom(0, &records));
-  oldest_lsn_ = records.empty() ? wal_.next_lsn() : records.front().lsn;
-  epoch_ = MintEpoch();
+  if (wal_.last_lsn() <= checkpoint_lsn) {
+    // The checkpoint covers the whole log: finish the interrupted reset.
+    CDBS_RETURN_NOT_OK(wal_.Truncate(0, checkpoint_lsn + 1));
+  }
+  oldest_lsn_ = checkpoint_lsn + 1;
+  last_lsn_ = wal_.last_lsn();
+  CDBS_RETURN_NOT_OK(ReadLocked(oldest_lsn_, tail));
+  for (size_t i = 0; i < tail->size(); ++i) {
+    if ((*tail)[i].lsn != oldest_lsn_ + i) {
+      return Status::Corruption("log " + path + ": a gap before lsn " +
+                                std::to_string((*tail)[i].lsn));
+    }
+  }
   return Status::OK();
 }
 
 Result<uint64_t> ReplicationLog::Append(const std::vector<ReplOp>& ops) {
   const std::string payload = EncodeReplOps(ops);
   std::lock_guard<std::mutex> lock(mu_);
-  CDBS_RETURN_NOT_OK(wal_.Append(payload));
-  const uint64_t lsn = wal_.last_lsn();
-  appends_->Increment();
-  bytes_appended_->Increment(payload.size());
-  if (wal_.size_bytes() > options_.retain_bytes) {
-    // Whole-log eviction: crude but O(1), and correct because the floor
-    // moves with it — a reader below the floor is told to bootstrap
-    // instead of silently skipping records.
-    CDBS_RETURN_NOT_OK(wal_.Reset());
-    oldest_lsn_ = wal_.next_lsn();
-    evictions_->Increment();
+  const uint64_t end = wal_.size_bytes();
+  const uint64_t next = wal_.next_lsn();
+  Status status = wal_.Append(payload);
+  if (status.ok()) status = wal_.Sync();
+  if (!status.ok()) {
+    // Best effort: a handle that cannot cut stays dead until Reopen.
+    static_cast<void>(wal_.Truncate(end, next));
+    return status;
   }
-  return lsn;
+  last_lsn_ = wal_.last_lsn();
+  return last_lsn_;
+}
+
+Status ReplicationLog::Checkpoint(const engine::BootstrapSpec& spec) {
+  // Only the writer appends, so last_lsn() cannot move under the write. It
+  // is the last acknowledged record, even when a failed append could not
+  // be cut back.
+  const uint64_t lsn = last_lsn();
+  CDBS_RETURN_NOT_OK(WriteCheckpoint(path_, lsn, spec));
+  std::lock_guard<std::mutex> lock(mu_);
+  // Whole-log eviction: the floor moves with it, so a reader below it is
+  // told to bootstrap instead of silently skipping records.
+  CDBS_RETURN_NOT_OK(wal_.Reset());
+  oldest_lsn_ = lsn + 1;
+  evictions_->Increment();
+  return Status::OK();
+}
+
+Status ReplicationLog::Reopen(uint64_t lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  CDBS_RETURN_NOT_OK(wal_.Open(path_ + ".wal"));
+  std::vector<std::string> discard;
+  CDBS_RETURN_NOT_OK(wal_.Recover(&discard));  // truncates a torn tail
+  std::vector<storage::WalRecord> records;
+  CDBS_RETURN_NOT_OK(wal_.ReadFrom(0, &records));
+  uint64_t keep = 0;                 // bytes of the records up to `lsn`
+  uint64_t last = oldest_lsn_ - 1;   // the checkpoint covers up to here
+  for (const storage::WalRecord& rec : records) {
+    if (rec.lsn > lsn) break;
+    keep = rec.end;
+    last = rec.lsn;
+  }
+  if (last != lsn) {
+    return Status::Corruption("log ends at lsn " + std::to_string(last) +
+                              ", not at the acknowledged " +
+                              std::to_string(lsn));
+  }
+  CDBS_RETURN_NOT_OK(wal_.Truncate(keep, lsn + 1));
+  last_lsn_ = lsn;
+  return wal_.Sync();
 }
 
 Status ReplicationLog::ReadFrom(uint64_t lsn,
@@ -214,6 +334,11 @@ Status ReplicationLog::ReadFrom(uint64_t lsn,
         "lsn " + std::to_string(lsn) + " evicted (retention floor " +
         std::to_string(oldest_lsn_) + "); bootstrap required");
   }
+  return ReadLocked(lsn, out);
+}
+
+Status ReplicationLog::ReadLocked(uint64_t lsn,
+                                  std::vector<ReplRecord>* out) const {
   std::vector<storage::WalRecord> raw;
   CDBS_RETURN_NOT_OK(wal_.ReadFrom(lsn, &raw));
   out->reserve(out->size() + raw.size());
@@ -228,12 +353,17 @@ Status ReplicationLog::ReadFrom(uint64_t lsn,
 
 uint64_t ReplicationLog::last_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return wal_.last_lsn();
+  return last_lsn_;
 }
 
 uint64_t ReplicationLog::oldest_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
   return oldest_lsn_;
+}
+
+uint64_t ReplicationLog::size_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return wal_.size_bytes();
 }
 
 }  // namespace cdbs::repl

@@ -2,7 +2,6 @@
 #define CDBS_REPL_REPLICATION_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -13,22 +12,17 @@
 #include "util/status.h"
 
 /// \file
-/// Logical replication records and the primary's replication log
-/// (docs/REPLICATION.md).
-///
-/// CDBS replication ships *logical* operations, not label-page images: the
-/// paper's labeling is deterministic (insertions never relabel existing
-/// nodes, Theorem 3.1, and label assignment depends only on the neighbour
-/// labels), so a follower that applies the same operation sequence to the
-/// same starting document derives bit-identical labels and node ids. Each
-/// committed group becomes one `ReplRecord` — a batch of `ReplOp`s stamped
-/// with the commit LSN — appended post-fsync to a dedicated `storage::Wal`
-/// that acts as a bounded retention buffer for follower catch-up. Live
-/// followers receive records pushed over their subscribe stream; a
-/// follower that reconnects resumes with `ReadFrom(last_applied + 1)`, and
-/// one that has fallen behind the retention window (or carries LSNs from a
-/// different primary incarnation, detected via the epoch) falls back to a
-/// full snapshot bootstrap.
+/// Logical replication records and the durability log they live in
+/// (docs/DURABILITY.md, docs/REPLICATION.md). CDBS logs *logical*
+/// operations, not label-page images: insertions never relabel existing
+/// nodes (Theorem 3.1) and a label depends only on its neighbours', so the
+/// same operation sequence applied to the same document derives identical
+/// labels and node ids. Each committed group becomes one LSN-stamped
+/// `ReplRecord`, fsynced before any write of the group is acknowledged.
+/// That one log is the redo log a restart replays on top of the last
+/// checkpoint and the stream followers catch up from (`ReadFrom`); a
+/// follower behind the last checkpoint, or from another incarnation (see
+/// the epoch), re-bootstraps from a snapshot.
 
 namespace cdbs::engine {
 struct BootstrapSpec;
@@ -75,60 +69,81 @@ std::string EncodeBootstrapSpec(const engine::BootstrapSpec& spec);
 /// truncated, malformed or unknown-version blob.
 Status DecodeBootstrapSpec(std::string_view blob, engine::BootstrapSpec* out);
 
-struct ReplicationLogOptions {
-  /// Retention bound: once the log file exceeds this many bytes the whole
-  /// file is evicted (storage::Wal::Reset — LSNs keep counting). Catch-up
-  /// readers below the post-eviction floor get kOutOfRange and must
-  /// bootstrap. Small by design: the log is a catch-up buffer, not the
-  /// durability store (the label store's own WAL is).
-  uint64_t retain_bytes = 4ull << 20;
-};
-
-/// The primary's replication log: an LSN-stamped `storage::Wal` of encoded
-/// ReplRecords plus the primary-incarnation epoch. Thread-safe: the
-/// group-commit writer appends while follower connections read.
+/// A database's one durable log: the checkpoint at `path` (an
+/// EncodeBootstrapSpec image plus the LSN it covers, CRC32C-sealed) and the
+/// `<path>.wal` of encoded ReplRecords committed after it, plus the
+/// incarnation's epoch. Thread-safe: the group-commit writer appends while
+/// follower connections read.
 class ReplicationLog {
  public:
-  explicit ReplicationLog(obs::MetricRegistry* registry,
-                          ReplicationLogOptions options = {});
+  /// `failpoint_scope` scopes the WAL's errno-injection sites (see
+  /// storage::Wal). The metrics live in the log's own registry, a child
+  /// of MetricRegistry::Default().
+  explicit ReplicationLog(const std::string& failpoint_scope);
 
-  /// Opens (creating if missing) the log file and mints this incarnation's
-  /// epoch. An existing file restores the LSN counter so the sequence
-  /// continues across restarts, but the epoch always changes — a follower
-  /// holding LSNs from the previous incarnation re-bootstraps rather than
-  /// trusting coordinates across a restart it cannot vouch for.
-  Status Open(const std::string& path);
+  /// Starts a fresh log whose checkpoint is `spec` at LSN 0: empties any
+  /// previous `<path>.wal` first, then writes the checkpoint, so a crash
+  /// in between leaves the previous checkpoint with no log after it.
+  Status Create(const std::string& path, const engine::BootstrapSpec& spec);
 
-  /// Appends one committed group; returns its LSN. Does not fsync: the
-  /// log's loss model is "primary restart re-mints the epoch and followers
-  /// re-bootstrap", so retention — not durability — is its contract.
+  /// Reopens an existing log after a restart: reads the checkpoint into
+  /// `*spec`, truncates a torn WAL tail and appends every record above the
+  /// checkpoint's LSN to `*tail`, in order. NotFound without a checkpoint,
+  /// Corruption for a damaged one or a gap after it. LSNs continue where
+  /// the log left off; the epoch is new.
+  Status Recover(const std::string& path, engine::BootstrapSpec* spec,
+                 std::vector<ReplRecord>* tail);
+
+  /// Appends one committed group and fsyncs it; returns its LSN. On
+  /// failure the log is cut back to the previous record, so nothing of the
+  /// group is durable.
   Result<uint64_t> Append(const std::vector<ReplOp>& ops);
+
+  /// Writes `spec` — the state after every record so far — as the new
+  /// checkpoint, then empties the WAL. LSNs keep counting; readers below
+  /// the new floor must bootstrap.
+  Status Checkpoint(const engine::BootstrapSpec& spec);
+
+  /// Recovery after failed appends: reopens the WAL on a fresh handle,
+  /// truncates a torn tail, cuts records above `lsn` (never acknowledged)
+  /// and syncs. Corruption when records at or below `lsn` are missing.
+  Status Reopen(uint64_t lsn);
 
   /// Reads every retained record with lsn >= `lsn`, in order. Returns
   /// kOutOfRange when `lsn` precedes the retention floor (the reader must
   /// snapshot-bootstrap instead).
   Status ReadFrom(uint64_t lsn, std::vector<ReplRecord>* out) const;
 
-  /// LSN of the most recently appended record (0 = none yet).
+  /// LSN of the last acknowledged (appended and fsynced) record, or of
+  /// the checkpoint when no record follows it.
   uint64_t last_lsn() const;
 
-  /// Smallest LSN still retained; equals `last_lsn() + 1` when the log was
-  /// just evicted or never written.
+  /// Smallest LSN still retained; equals `last_lsn() + 1` right after a
+  /// checkpoint.
   uint64_t oldest_lsn() const;
 
-  /// This primary incarnation's identity, stamped on every stream frame.
+  /// Bytes in the WAL since the last checkpoint.
+  uint64_t size_bytes() const;
+
+  /// This incarnation's identity, stamped on every stream frame.
   uint64_t epoch() const { return epoch_; }
 
+  /// `wal.*` (appends, bytes_written, syncs, ...) and `repl.log.*` metrics.
+  const obs::MetricRegistry& metrics() const { return registry_; }
+
  private:
+  // ReadFrom's decode, with mu_ held.
+  Status ReadLocked(uint64_t lsn, std::vector<ReplRecord>* out) const;
+
+  obs::MetricRegistry registry_{&obs::MetricRegistry::Default()};
   mutable std::mutex mu_;
   storage::Wal wal_;
-  ReplicationLogOptions options_;
+  std::string path_;  // the checkpoint; the WAL is `<path_>.wal`
   uint64_t oldest_lsn_ = 1;
-  uint64_t epoch_ = 0;
+  uint64_t last_lsn_ = 0;
+  const uint64_t epoch_;
 
-  obs::Counter* appends_;
-  obs::Counter* bytes_appended_;
-  obs::Counter* evictions_;
+  obs::Counter* evictions_;  // retention checkpoints
 };
 
 }  // namespace cdbs::repl

@@ -5,11 +5,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "labeling/registry.h"
 #include "query/xpath.h"
+#include "storage/wal.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 
@@ -46,37 +46,6 @@ Status MakeDir(const std::string& path) {
     return Status::OK();
   }
   return Status::IoError("mkdir " + path + ": " + std::strerror(errno));
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-Status ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("open " + path + " for read failed");
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IoError("read " + path + " failed");
-  return Status::OK();
-}
-
-/// Write-to-temp + rename so a crash never leaves a half-written manifest.
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("open " + tmp + " for write failed");
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) return Status::IoError("write " + tmp + " failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename " + tmp + " -> " + path + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -159,16 +128,6 @@ uint32_t HashShardOf(uint64_t doc, uint32_t shard_count) {
 
 Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
     std::vector<xml::Document> docs, const ShardedDbOptions& options) {
-  if (docs.empty()) {
-    return Status::InvalidArgument(
-        "a sharded corpus needs at least one document");
-  }
-  for (size_t i = 0; i < docs.size(); ++i) {
-    if (docs[i].root() == nullptr) {
-      return Status::InvalidArgument("document " + std::to_string(i) +
-                                     " has no root element");
-    }
-  }
   if (options.shard_count == 0) {
     return Status::InvalidArgument("shard_count must be >= 1");
   }
@@ -193,19 +152,22 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
                                    options.shard.db.scheme_name + "'");
   }
 
-  // Placement: a manifest on disk is authoritative — documents never move
-  // between shards because options changed across restarts.
+  // A manifest on disk is authoritative — documents never move between
+  // shards because options changed across restarts — and means every
+  // shard's checkpoint exists (it is written last): the corpus recovers
+  // from its shards' logs and the documents are not read.
   ShardManifest manifest;
   bool from_disk = false;
   std::string manifest_path;
   if (!options.storage_dir.empty()) {
     CDBS_RETURN_NOT_OK(MakeDir(options.storage_dir));
     manifest_path = options.storage_dir + "/MANIFEST";
-    if (FileExists(manifest_path)) {
-      std::string bytes;
-      CDBS_RETURN_NOT_OK(ReadFile(manifest_path, &bytes));
+    std::string bytes;
+    const Status read = storage::ReadFile(manifest_path, &bytes);
+    if (read.code() != StatusCode::kNotFound) {
+      CDBS_RETURN_NOT_OK(read);
       CDBS_RETURN_NOT_OK(DecodeManifest(bytes, &manifest));
-      if (manifest.placement.size() != docs.size()) {
+      if (!docs.empty() && manifest.placement.size() != docs.size()) {
         return Status::InvalidArgument(
             "manifest at " + manifest_path + " places " +
             std::to_string(manifest.placement.size()) +
@@ -222,6 +184,16 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
     }
   }
   if (!from_disk) {
+    if (docs.empty()) {
+      return Status::InvalidArgument(
+          "a sharded corpus needs at least one document");
+    }
+    for (size_t i = 0; i < docs.size(); ++i) {
+      if (docs[i].root() == nullptr) {
+        return Status::InvalidArgument("document " + std::to_string(i) +
+                                       " has no root element");
+      }
+    }
     manifest.shard_count = static_cast<uint32_t>(options.shard_count);
     manifest.router = options.router;
     if (options.router == RouterKind::kExplicit) {
@@ -250,40 +222,25 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
         manifest.placement[i] = HashShardOf(i, manifest.shard_count);
       }
     }
-    if (!manifest_path.empty()) {
-      CDBS_RETURN_NOT_OK(
-          WriteFileAtomic(manifest_path, EncodeManifest(manifest)));
-    }
   }
 
   std::unique_ptr<ShardedDb> db(new ShardedDb());
   db->manifest_ = manifest;
   db->doc_shard_ = manifest.placement;
-  db->doc_root_.resize(docs.size());
+  db->doc_root_.resize(manifest.placement.size());
   db->shard_docs_.resize(manifest.shard_count);
-  for (size_t i = 0; i < docs.size(); ++i) {
+  for (size_t i = 0; i < manifest.placement.size(); ++i) {
     db->shard_docs_[manifest.placement[i]].push_back(i);
   }
   db->readers_ =
       std::make_shared<concurrency::ThreadPool>(options.read_workers);
 
   for (uint32_t s = 0; s < manifest.shard_count; ++s) {
-    // Ingest the shard's documents under one synthetic root, in corpus
-    // order. Each input is freed as soon as it is ingested, before the
-    // shard is labeled, so the labeling reuses its heap and no document
-    // outlives Open.
-    engine::XmlTree tree;
-    const engine::NodeId root =
-        tree.AddElement(kShardRootTag, labeling::kNoNode);
-    for (uint64_t d : db->shard_docs_[s]) {
-      db->doc_root_[d] = tree.Ingest(std::move(docs[d]), root);
-    }
-
     engine::ConcurrentXmlDbOptions opts = options.shard;
     opts.shared_readers = db->readers_;
     // Scope errno-injection failpoints to this shard, so chaos tests can
-    // sicken exactly one shard's storage (`storage.shard-1.sync.error`)
-    // while the others stay healthy.
+    // sicken exactly one shard's log (`wal.shard-1.sync.error`) while the
+    // others stay healthy.
     opts.db.failpoint_scope = "shard-" + std::to_string(s);
     if (!options.storage_dir.empty()) {
       const std::string dir =
@@ -291,13 +248,16 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
       CDBS_RETURN_NOT_OK(MakeDir(dir));
       opts.db.storage_path = dir + "/labels.cdbs";
     }
-    if (!opts.replication_log_path.empty()) {
-      // Each shard is its own LSN stream; fan the configured log path out.
-      opts.replication_log_path += ".shard-" + std::to_string(s);
-    }
-    auto shard = engine::ConcurrentXmlDb::Open(std::move(tree), opts);
+    auto shard = from_disk ? engine::ConcurrentXmlDb::Recover(opts)
+                           : engine::ConcurrentXmlDb::Open(
+                                 db->IngestShard(s, &docs), opts);
     if (!shard.ok()) return shard.status();
     db->shards_.push_back(std::move(shard).value());
+    if (from_disk) CDBS_RETURN_NOT_OK(db->FindDocRoots(s));
+  }
+  if (!from_disk && !manifest_path.empty()) {
+    CDBS_RETURN_NOT_OK(storage::WriteFileAtomic(
+        manifest_path, {EncodeManifest(manifest)}));
   }
   db->RegisterMetrics();
 
@@ -318,6 +278,42 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
     db->supervisor_->Start();
   }
   return db;
+}
+
+engine::XmlTree ShardedDb::IngestShard(uint32_t s,
+                                       std::vector<xml::Document>* docs) {
+  // The shard's documents under one synthetic root, in corpus order. Each
+  // input is freed as soon as it is ingested, before the shard is labeled,
+  // so the labeling reuses its heap and no document outlives Open.
+  engine::XmlTree tree;
+  const engine::NodeId root = tree.AddElement(kShardRootTag, labeling::kNoNode);
+  for (uint64_t d : shard_docs_[s]) {
+    doc_root_[d] = tree.Ingest(std::move((*docs)[d]), root);
+  }
+  return tree;
+}
+
+Status ShardedDb::FindDocRoots(uint32_t s) {
+  // The document roots are the shard root's children that were there at
+  // open, in corpus order; later children are supervisor probes.
+  engine::ConcurrentXmlDb& shard = *shards_[s];
+  const size_t original = shard.underlying().original_count();
+  const auto pin = shard.PinSnapshot();
+  const labeling::TreeSkeleton& sk = pin->labeling().skeleton();
+  size_t k = 0;
+  for (engine::NodeId c = sk.first_child(0); c != labeling::kNoNode;
+       c = sk.next_sibling(c)) {
+    if (c >= original) continue;
+    if (k == shard_docs_[s].size()) break;
+    doc_root_[shard_docs_[s][k++]] = c;
+  }
+  if (k != shard_docs_[s].size() || pin->tag(0) != kShardRootTag) {
+    return Status::Corruption("shard " + std::to_string(s) +
+                              " does not hold the " +
+                              std::to_string(shard_docs_[s].size()) +
+                              " documents its manifest places there");
+  }
+  return Status::OK();
 }
 
 Result<std::unique_ptr<ShardedDb>> ShardedDb::OpenFromImage(
@@ -356,7 +352,7 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::OpenFromImage(
 }
 
 void ShardedDb::RegisterMetrics() {
-  auto& reg = obs::MetricRegistry::Default();
+  obs::MetricRegistry& reg = registry_;
   routed_reads_ = reg.GetCounter(
       "shard.routed.reads", "document-scoped reads routed to their shard");
   routed_writes_ = reg.GetCounter(

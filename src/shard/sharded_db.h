@@ -75,7 +75,7 @@ struct ShardedDbOptions {
   /// store paths are derived from `storage_dir`. `shared_readers` must be
   /// empty — the ShardedDb installs its own shared pool.
   engine::ConcurrentXmlDbOptions shard;
-  /// When non-empty, each shard persists its labels + WAL under
+  /// When non-empty, each shard keeps its checkpoint and log under
   /// `<storage_dir>/shard-<i>/` and the placement manifest lives at
   /// `<storage_dir>/MANIFEST`. Empty = fully in-memory.
   std::string storage_dir;
@@ -119,17 +119,21 @@ class ShardedDb {
  public:
   /// Labels and serves `docs` across shards under any registered labeling
   /// scheme; every shard publishes its group commits through the scheme's
-  /// copy-on-write `ForkShared()`. Fails with InvalidArgument when the
-  /// scheme name is unknown (before any MANIFEST is written), when an
-  /// explicit placement is inconsistent, or when a manifest on disk
-  /// disagrees with the document count.
+  /// copy-on-write `ForkShared()`. With a `storage_dir`, creates each
+  /// shard's checkpoint and log, then the MANIFEST. When `storage_dir`
+  /// already holds a MANIFEST, recovers the corpus instead: every shard is
+  /// rebuilt from its checkpoint plus log (ConcurrentXmlDb::Recover), with
+  /// every acknowledged write, and `docs` may be empty. Fails with
+  /// InvalidArgument when the scheme name is unknown (before anything
+  /// reaches storage_dir), when an explicit placement is inconsistent, or
+  /// when a manifest on disk disagrees with a non-empty `docs`.
   static Result<std::unique_ptr<ShardedDb>> Open(
       std::vector<xml::Document> docs, const ShardedDbOptions& options);
 
   /// A one-shard, one-document corpus rebuilt from a bootstrap image of
   /// such a corpus's shard (what a replica serves; docs/REPLICATION.md).
-  /// The shard opens with `options` as given, storage and replication-log
-  /// paths included, and is unsupervised. Corruption unless node 0 of the
+  /// The shard opens with `options` as given, storage path included, and
+  /// is unsupervised. Corruption unless node 0 of the
   /// image is the `kShardRootTag` root and node 1, its first child, the
   /// document root.
   static Result<std::unique_ptr<ShardedDb>> OpenFromImage(
@@ -255,6 +259,13 @@ class ShardedDb {
   /// Registers the shard.* metrics, once `shards_` is filled.
   void RegisterMetrics();
 
+  /// Shard `s`'s documents under one synthetic root, freeing each input;
+  /// fills their `doc_root_` entries.
+  engine::XmlTree IngestShard(uint32_t s, std::vector<xml::Document>* docs);
+
+  /// Fills `doc_root_` for shard `s`'s documents from its recovered tree.
+  Status FindDocRoots(uint32_t s);
+
   /// Routes + validates a write target; fills `shard` on success.
   /// OutOfRange for an id the shard never assigned, as XmlDb answers.
   Status ResolveWrite(uint64_t doc, engine::NodeId target, uint32_t* shard);
@@ -286,8 +297,9 @@ class ShardedDb {
   std::unique_ptr<ShardSupervisor> supervisor_;  // null = supervision off
   std::once_flag shutdown_once_;
 
-  // shard.* routing/scatter metrics in the process-wide registry, plus
-  // per-shard shard.<i>.* counters.
+  // shard.* routing/scatter metrics, plus per-shard shard.<i>.* counters,
+  // in a child of MetricRegistry::Default(), which sums the live corpora.
+  obs::MetricRegistry registry_{&obs::MetricRegistry::Default()};
   obs::Counter* routed_reads_ = nullptr;
   obs::Counter* routed_writes_ = nullptr;
   obs::Counter* scatter_queries_ = nullptr;

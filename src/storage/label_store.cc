@@ -72,13 +72,6 @@ void StoreBatch::Append(std::string record) {
   ops_.push_back(Op{OpKind::kAppend, 0, std::move(record)});
 }
 
-void StoreBatch::Reload(std::vector<std::string> records, uint64_t headroom) {
-  reload_ = true;
-  reload_records_ = std::move(records);
-  reload_headroom_ = headroom;
-  ops_.clear();
-}
-
 LabelStore::LabelStore() {
   page_reads_ = registry_.GetCounter("storage.page_reads",
                                      "Pages read from the label store file");
@@ -389,42 +382,11 @@ Status LabelStore::BulkLoad(const std::vector<std::string>& records,
   return wal_->Reset();
 }
 
-Status LabelStore::ApplyBatch(const StoreBatch& batch) {
-  return ApplyBatchGroup({&batch});
-}
 
 Status LabelStore::StageBatch(const StoreBatch& batch, uint64_t* count,
                               uint64_t* slot,
                               std::map<uint64_t, std::vector<char>>* dirty,
                               std::set<uint64_t>* touched) {
-  if (batch.reload_) {
-    size_t max_record = 1;
-    for (const std::string& r : batch.reload_records_) {
-      max_record = std::max(max_record, r.size());
-    }
-    const uint64_t new_slot = max_record + kSlotHeader + batch.reload_headroom_;
-    const size_t per_page = SlotsPerPageFor(new_slot);
-    if (per_page == 0) {
-      return Status::InvalidArgument("record larger than a page");
-    }
-    // A reload supersedes everything staged so far: every surviving page
-    // image comes from the reload, so nothing is read from disk after it.
-    dirty->clear();
-    touched->clear();
-    *slot = new_slot;
-    *count = batch.reload_records_.size();
-    for (size_t start = 0; start < batch.reload_records_.size();
-         start += per_page) {
-      const size_t n = std::min(per_page, batch.reload_records_.size() - start);
-      const uint64_t page_index = 1 + start / per_page;
-      auto [it, inserted] = dirty->try_emplace(page_index, kPageSize, '\0');
-      CDBS_RETURN_NOT_OK(BuildPageImage(batch.reload_records_.data() + start,
-                                        n, new_slot, &it->second));
-      touched->insert(page_index);
-    }
-    return Status::OK();
-  }
-
   if (*slot == 0) return Status::Internal("batch before bulk load");
   const size_t per_page = SlotsPerPageFor(*slot);
   if (per_page == 0) return Status::Internal("staged slot size is invalid");
@@ -488,39 +450,27 @@ std::string LabelStore::EncodeWalPayload(
   return payload;
 }
 
-Status LabelStore::ApplyBatchGroup(
-    const std::vector<const StoreBatch*>& batches) {
+Status LabelStore::ApplyBatch(const StoreBatch& batch) {
   if (fd_ < 0) return Status::Internal("store not open");
   if (crashed_) return Status::IoError("store crashed (injected)");
+  if (batch.empty()) return Status::OK();
 
-  // Stage 1 — build the after-image of every page the group touches, in
-  // memory, validating everything. The staged state evolves batch by batch
-  // (later batches see earlier ones' pages), and each batch gets its own
-  // WAL record: replaying any durable prefix of them lands on a state some
-  // prefix of the group produced. No I/O errors past this point can tear
-  // the store: the WAL records below carry these exact images.
+  // Stage 1 — build the after-image of every page the batch touches, in
+  // memory, validating everything. No I/O errors past this point can tear
+  // the store: the WAL record below carries these exact images.
   obs::TraceSpan stage_span(obs::SpanName::kCommitStage);
   uint64_t new_count = record_count_;
   uint64_t new_slot = slot_size_;
   std::map<uint64_t, std::vector<char>> dirty;  // page index -> full page
-  std::vector<std::string> payloads;
-  payloads.reserve(batches.size());
-  for (const StoreBatch* batch : batches) {
-    if (batch == nullptr || batch->empty()) continue;
-    std::set<uint64_t> touched;
-    CDBS_RETURN_NOT_OK(
-        StageBatch(*batch, &new_count, &new_slot, &dirty, &touched));
-    payloads.push_back(EncodeWalPayload(
-        new_count, new_slot, PagesFor(new_count, new_slot), dirty, touched));
-  }
-  if (payloads.empty()) return Status::OK();
+  std::set<uint64_t> touched;
+  CDBS_RETURN_NOT_OK(
+      StageBatch(batch, &new_count, &new_slot, &dirty, &touched));
+  const std::string payload = EncodeWalPayload(
+      new_count, new_slot, PagesFor(new_count, new_slot), dirty, touched);
   stage_span.End();
 
-  // Stage 2 — group commit: make every batch durable in the WAL with ONE
-  // append + ONE fsync before touching any page. This is where batching
-  // concurrent updates amortizes the durability cost.
-  std::vector<std::string_view> views(payloads.begin(), payloads.end());
-  CDBS_RETURN_NOT_OK(wal_->AppendBatch(views));
+  // Stage 2 — make the batch durable in the WAL before touching any page.
+  CDBS_RETURN_NOT_OK(wal_->Append(payload));
   CDBS_RETURN_NOT_OK(wal_->Sync());
 
   // Stage 3 — apply. A crash from here on is repaired by redo at reopen.
@@ -531,7 +481,7 @@ Status LabelStore::ApplyBatchGroup(
   CDBS_RETURN_NOT_OK(SyncFile());
 
   // Stage 4 — checkpoint: pages and header are durable, drop the records.
-  // (A crash before this lands merely replays the group, idempotently.)
+  // (A crash before this lands merely replays the batch, idempotently.)
   return wal_->Reset();
 }
 
@@ -658,16 +608,6 @@ Status LabelStore::Append(const std::string& record) {
 
 Status LabelStore::Sync() { return SyncFile(); }
 
-void LabelStore::set_failpoint_scope(std::string_view scope) {
-  if (scope.empty()) {
-    scoped_sync_error_.clear();
-    scoped_write_error_.clear();
-    return;
-  }
-  scoped_sync_error_ = "storage." + std::string(scope) + ".sync.error";
-  scoped_write_error_ = "storage." + std::string(scope) + ".write_page.error";
-}
-
 Status LabelStore::SyncFile() {
   if (fd_ < 0) return Status::Internal("store not open");
   if (crashed_) return Status::IoError("store crashed (injected)");
@@ -679,9 +619,7 @@ Status LabelStore::SyncFile() {
   // surfaced immediately without retrying — a full disk does not clear on
   // its own; the supervision layer owns recovery (docs/ROBUSTNESS.md).
   int injected_errno = 0;
-  if (CDBS_FAILPOINT_ERRNO("storage.sync.error", &injected_errno) ||
-      (!scoped_sync_error_.empty() &&
-       CDBS_FAILPOINT_ERRNO(scoped_sync_error_, &injected_errno))) {
+  if (CDBS_FAILPOINT_ERRNO("storage.sync.error", &injected_errno)) {
     return ErrnoToStatus(injected_errno, "injected sync error");
   }
   for (int attempt = 0;; ++attempt) {
@@ -766,9 +704,7 @@ Status LabelStore::WritePage(uint64_t page_index, std::vector<char>* page) {
   }
   // Errno-classified injection: persistent, never retried (see SyncFile).
   int injected_errno = 0;
-  if (CDBS_FAILPOINT_ERRNO("storage.write_page.error", &injected_errno) ||
-      (!scoped_write_error_.empty() &&
-       CDBS_FAILPOINT_ERRNO(scoped_write_error_, &injected_errno))) {
+  if (CDBS_FAILPOINT_ERRNO("storage.write_page.error", &injected_errno)) {
     return ErrnoToStatus(injected_errno, "injected page-write error");
   }
   for (int attempt = 0;; ++attempt) {

@@ -42,7 +42,7 @@ struct IoStats {
 };
 
 /// One atomic multi-record update: any mix of in-place rewrites and
-/// appends, or a full reload (the overflow re-encode of Example 6.1).
+/// appends.
 /// Build it up, then hand it to `LabelStore::ApplyBatch` — the whole batch
 /// reaches the store or none of it does, even across a crash.
 class StoreBatch {
@@ -53,11 +53,7 @@ class StoreBatch {
   /// Appends a record at the end.
   void Append(std::string record);
 
-  /// Replaces the entire store content with `records`, re-sizing slots
-  /// with `headroom` growth bytes. Supersedes any queued ops.
-  void Reload(std::vector<std::string> records, uint64_t headroom);
-
-  bool empty() const { return ops_.empty() && !reload_; }
+  bool empty() const { return ops_.empty(); }
 
  private:
   friend class LabelStore;
@@ -70,9 +66,6 @@ class StoreBatch {
   };
 
   std::vector<Op> ops_;
-  bool reload_ = false;
-  std::vector<std::string> reload_records_;
-  uint64_t reload_headroom_ = 0;
 };
 
 /// File-backed label store.
@@ -129,18 +122,8 @@ class LabelStore {
   /// affected pages + header, fsyncs, then checkpoints the WAL. After a
   /// crash anywhere inside, OpenExisting recovers either the full batch or
   /// none of it. Returns OutOfRange (before any I/O) when a record does
-  /// not fit its slot — the caller re-issues as a Reload batch.
+  /// not fit its slot — the caller re-bulk-loads (a re-labeling).
   Status ApplyBatch(const StoreBatch& batch);
-
-  /// Group commit: applies a whole sequence of batches with ONE WAL append
-  /// + fsync for the group (then one page-write pass + file sync). Later
-  /// batches see earlier ones' effects — appends chain, rewrites may hit
-  /// records appended earlier in the group. Each batch still gets its own
-  /// WAL record, so a crash mid-commit recovers to a state some *prefix*
-  /// of the group produced; once the single fsync returns, the whole group
-  /// is durable. Returns OutOfRange (before any I/O) when any record does
-  /// not fit its slot — the caller re-issues the group as one Reload.
-  Status ApplyBatchGroup(const std::vector<const StoreBatch*>& batches);
 
   /// Number of records.
   size_t size() const { return record_count_; }
@@ -194,14 +177,6 @@ class LabelStore {
   /// The installed tag table (empty when records carry no tag ids).
   const std::vector<std::string>& tag_table() const { return tag_names_; }
 
-  /// Scopes errno-injection failpoints to this store instance: when set to
-  /// e.g. "shard-1", the store also evaluates `storage.shard-1.sync.error`
-  /// and `storage.shard-1.write_page.error` next to the global
-  /// `storage.sync.error` / `storage.write_page.error` sites, so chaos
-  /// tests can sicken exactly one shard of a sharded corpus. Survives
-  /// Open/OpenExisting. Empty (the default) disables the scoped sites.
-  void set_failpoint_scope(std::string_view scope);
-
  private:
   /// Records per data page for `slot_size` under the current format: the
   /// legacy layout packs fixed slots; the compact layout reserves the
@@ -236,9 +211,9 @@ class LabelStore {
                          uint64_t total_pages,
                          std::map<uint64_t, std::vector<char>>& pages);
 
-  /// Stage 1 of ApplyBatchGroup: folds one batch into the evolving staged
-  /// state (`count`/`slot`/`dirty`), recording the page indices this batch
-  /// touched. Reads un-staged pages from disk; performs no writes.
+  /// Stage 1 of ApplyBatch: folds the batch into the staged state
+  /// (`count`/`slot`/`dirty`), recording the page indices it touched.
+  /// Reads un-staged pages from disk; performs no writes.
   Status StageBatch(const StoreBatch& batch, uint64_t* count, uint64_t* slot,
                     std::map<uint64_t, std::vector<char>>* dirty,
                     std::set<uint64_t>* touched);
@@ -262,9 +237,6 @@ class LabelStore {
   std::vector<std::string> tag_names_;  // interned tag table (may be empty)
   std::string tag_blob_;                // its encoded header form
   bool crashed_ = false;  // poisoned by an injected crash failpoint
-  // Precomputed scoped errno-injection site names (empty: disabled).
-  std::string scoped_sync_error_;
-  std::string scoped_write_error_;
   std::unique_ptr<Wal> wal_;
 
   obs::MetricRegistry registry_{&obs::MetricRegistry::Default()};

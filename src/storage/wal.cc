@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "obs/trace.h"
 #include "storage/io_retry.h"
@@ -66,7 +68,13 @@ bool Wal::compression_enabled() {
   return EnvCompressionEnabled();
 }
 
-Wal::Wal(obs::MetricRegistry* registry) {
+Wal::Wal(obs::MetricRegistry* registry, const std::string& failpoint_scope)
+    : scoped_append_error_(failpoint_scope.empty()
+                               ? ""
+                               : "wal." + failpoint_scope + ".append.error"),
+      scoped_sync_error_(failpoint_scope.empty()
+                             ? ""
+                             : "wal." + failpoint_scope + ".sync.error") {
   appends_ = registry->GetCounter("wal.appends", "Records appended to the WAL");
   bytes_written_ =
       registry->GetCounter("wal.bytes_written", "Bytes appended to the WAL");
@@ -99,7 +107,17 @@ Status Wal::Open(const std::string& path) {
   return Status::OK();
 }
 
+Status Wal::InjectedError(const std::string& scoped_site, const char* site) {
+  int injected = 0;
+  const bool fired = CDBS_FAILPOINT_ERRNO(site, &injected) ||
+                     (!scoped_site.empty() &&
+                      CDBS_FAILPOINT_ERRNO(scoped_site, &injected));
+  return fired ? ErrnoToStatus(injected, std::string("injected ") + site)
+               : Status::OK();
+}
+
 Status Wal::WriteAt(uint64_t offset, const char* data, size_t n) {
+  CDBS_RETURN_NOT_OK(InjectedError(scoped_append_error_, "wal.append.error"));
   for (int attempt = 0;; ++attempt) {
     bool failed = CDBS_FAILPOINT("wal.append.io_error");
     if (!failed) {
@@ -188,6 +206,7 @@ Status Wal::Sync() {
     crashed_ = true;
     return Status::IoError("injected crash: WAL sync");
   }
+  CDBS_RETURN_NOT_OK(InjectedError(scoped_sync_error_, "wal.sync.error"));
   for (int attempt = 0;; ++attempt) {
     const bool failed =
         CDBS_FAILPOINT("wal.sync.io_error") || ::fdatasync(fd_) != 0;
@@ -202,14 +221,10 @@ Status Wal::Sync() {
   return Status::OK();
 }
 
-Status Wal::Recover(std::vector<std::string>* payloads) {
-  if (fd_ < 0) return Status::Internal("WAL not open");
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) return Status::IoError("fstat failed on WAL");
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
+Status Wal::Scan(uint64_t limit, uint64_t from, std::vector<WalRecord>* out,
+                 uint64_t* end, bool* bad_crc) const {
   uint64_t offset = 0;
-  bool torn = false;
-  while (offset + kRecordHeader <= size) {
+  while (offset + kRecordHeader <= limit) {
     char header[kRecordHeader];
     if (::pread(fd_, header, kRecordHeader, static_cast<off_t>(offset)) !=
         static_cast<ssize_t>(kRecordHeader)) {
@@ -220,73 +235,7 @@ Status Wal::Recover(std::vector<std::string>* payloads) {
     const bool compressed = (len_field & kCompressedLenBit) != 0;
     const uint32_t len = len_field & kLenMask;
     const uint64_t lsn = GetU64(header + 8);
-    if (offset + kRecordHeader + len > size) {
-      torn = true;  // length runs past the tail: torn append
-      break;
-    }
-    std::string payload(len, '\0');
-    if (len > 0 &&
-        ::pread(fd_, payload.data(), len,
-                static_cast<off_t>(offset + kRecordHeader)) !=
-            static_cast<ssize_t>(len)) {
-      return Status::IoError("pread failed on WAL payload");
-    }
-    uint32_t actual = util::Crc32c(header + 4, kRecordHeader - 4);
-    actual = util::Crc32c(payload.data(), payload.size(),
-                          actual);
-    if (actual != crc) {
-      checksum_failures_->Increment();
-      torn = true;
-      break;
-    }
-    if (compressed) {
-      // The CRC verified, so the stored bytes are exactly what the writer
-      // produced; a decompression failure here is real corruption, not a
-      // torn tail — surface it instead of silently truncating.
-      std::string raw;
-      size_t pos = 0;
-      CDBS_RETURN_NOT_OK(
-          util::DecompressBytes(payload, &pos, kLenMask, &raw));
-      payload = std::move(raw);
-    }
-    payloads->push_back(std::move(payload));
-    if (lsn + 1 > next_lsn_) next_lsn_ = lsn + 1;
-    replayed_records_->Increment();
-    offset += kRecordHeader + len;
-  }
-  if (offset < size) torn = true;  // trailing sub-header bytes
-  if (torn) {
-    if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
-      return Status::IoError("cannot truncate torn WAL tail");
-    }
-    truncated_bytes_->Increment(size - offset);
-  }
-  end_offset_ = offset;
-  return Status::OK();
-}
-
-Status Wal::ReadFrom(uint64_t lsn, std::vector<WalRecord>* out) const {
-  if (fd_ < 0) return Status::Internal("WAL not open");
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) return Status::IoError("fstat failed on WAL");
-  // Bound the scan to the logical tail: bytes past end_offset_ belong to
-  // an append that has not completed (or a torn tail Recover has not seen
-  // yet) and must not be surfaced to a cursor.
-  const uint64_t size =
-      std::min(static_cast<uint64_t>(st.st_size), end_offset_);
-  uint64_t offset = 0;
-  while (offset + kRecordHeader <= size) {
-    char header[kRecordHeader];
-    if (::pread(fd_, header, kRecordHeader, static_cast<off_t>(offset)) !=
-        static_cast<ssize_t>(kRecordHeader)) {
-      return Status::IoError("pread failed on WAL header");
-    }
-    const uint32_t crc = GetU32(header);
-    const uint32_t len_field = GetU32(header + 4);
-    const bool compressed = (len_field & kCompressedLenBit) != 0;
-    const uint32_t len = len_field & kLenMask;
-    const uint64_t record_lsn = GetU64(header + 8);
-    if (offset + kRecordHeader + len > size) break;  // torn tail: stop
+    if (offset + kRecordHeader + len > limit) break;  // torn append
     std::string payload(len, '\0');
     if (len > 0 &&
         ::pread(fd_, payload.data(), len,
@@ -296,30 +245,125 @@ Status Wal::ReadFrom(uint64_t lsn, std::vector<WalRecord>* out) const {
     }
     uint32_t actual = util::Crc32c(header + 4, kRecordHeader - 4);
     actual = util::Crc32c(payload.data(), payload.size(), actual);
-    if (actual != crc) break;  // checksum-failing tail: stop, no truncate
-    if (record_lsn >= lsn) {
-      if (compressed) {
-        std::string raw;
-        size_t pos = 0;
-        CDBS_RETURN_NOT_OK(
-            util::DecompressBytes(payload, &pos, kLenMask, &raw));
-        payload = std::move(raw);
-      }
-      out->push_back(WalRecord{record_lsn, std::move(payload)});
+    if (actual != crc) {
+      *bad_crc = true;
+      break;
     }
     offset += kRecordHeader + len;
+    if (lsn < from) continue;
+    if (compressed) {
+      // The CRC verified, so the stored bytes are exactly what the writer
+      // produced; a decompression failure here is real corruption, not a
+      // torn tail — surface it instead of silently truncating.
+      std::string raw;
+      size_t pos = 0;
+      CDBS_RETURN_NOT_OK(util::DecompressBytes(payload, &pos, kLenMask, &raw));
+      payload = std::move(raw);
+    }
+    out->push_back(WalRecord{lsn, std::move(payload), offset});
+  }
+  *end = offset;
+  return Status::OK();
+}
+
+Status Wal::Recover(std::vector<std::string>* payloads) {
+  if (fd_ < 0) return Status::Internal("WAL not open");
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return Status::IoError("fstat failed on WAL");
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  std::vector<WalRecord> records;
+  bool bad_crc = false;
+  CDBS_RETURN_NOT_OK(Scan(size, 0, &records, &end_offset_, &bad_crc));
+  if (bad_crc) checksum_failures_->Increment();
+  for (WalRecord& record : records) {
+    if (record.lsn + 1 > next_lsn_) next_lsn_ = record.lsn + 1;
+    payloads->push_back(std::move(record.payload));
+  }
+  replayed_records_->Increment(records.size());
+  if (end_offset_ < size) {  // a torn or checksum-failing tail
+    if (::ftruncate(fd_, static_cast<off_t>(end_offset_)) != 0) {
+      return Status::IoError("cannot truncate torn WAL tail");
+    }
+    truncated_bytes_->Increment(size - end_offset_);
   }
   return Status::OK();
 }
 
-Status Wal::Reset() {
+Status Wal::ReadFrom(uint64_t lsn, std::vector<WalRecord>* out) const {
+  if (fd_ < 0) return Status::Internal("WAL not open");
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return Status::IoError("fstat failed on WAL");
+  // Bound the scan to the logical tail: bytes past end_offset_ belong to
+  // an append that has not completed (or a torn tail Recover has not seen
+  // yet) and must not be surfaced to a cursor. A torn or checksum-failing
+  // tail simply ends the scan; nothing is truncated.
+  uint64_t end = 0;
+  bool bad_crc = false;
+  return Scan(std::min(static_cast<uint64_t>(st.st_size), end_offset_), lsn,
+              out, &end, &bad_crc);
+}
+
+Status Wal::Reset() { return Truncate(0, next_lsn_); }
+
+Status Wal::Truncate(uint64_t offset, uint64_t next_lsn) {
   if (fd_ < 0) return Status::Internal("WAL not open");
   if (crashed_) return Status::IoError("WAL crashed (injected)");
-  if (::ftruncate(fd_, 0) != 0) {
-    return Status::IoError("cannot reset WAL");
+  if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
+    crashed_ = true;
+    return Status::IoError("cannot truncate WAL");
   }
-  end_offset_ = 0;
+  end_offset_ = offset;
+  next_lsn_ = next_lsn;
   return Status::OK();
+}
+
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<std::string_view>& pieces) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return ErrnoToStatus(errno, "cannot create " + tmp);
+  bool ok = true;
+  for (std::string_view piece : pieces) {
+    while (ok && !piece.empty()) {
+      const ssize_t n = ::write(fd, piece.data(), piece.size());
+      ok = n > 0 || (n < 0 && errno == EINTR);
+      if (n > 0) piece.remove_prefix(static_cast<size_t>(n));
+    }
+  }
+  // An injected crash leaves the temp file behind, as a real one would.
+  if (ok && CDBS_FAILPOINT("file.sync.crash")) {
+    ::close(fd);
+    return Status::IoError("injected crash: file sync");
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ::close(fd);
+  if (ok && CDBS_FAILPOINT("file.rename.crash")) {
+    return Status::IoError("injected crash: file rename");
+  }
+  if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    const Status failed = ErrnoToStatus(errno, "cannot write " + path);
+    ::unlink(tmp.c_str());
+    return failed;
+  }
+  // Make the rename itself durable.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  ok = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  return ok ? Status::OK() : Status::IoError("cannot fsync " + dir);
+}
+
+Status ReadFile(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return errno == ENOENT ? Status::NotFound("no file " + path)
+                           : Status::IoError("cannot open " + path);
+  }
+  out->assign(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
+  return in.bad() ? Status::IoError("cannot read " + path) : Status::OK();
 }
 
 }  // namespace cdbs::storage

@@ -10,11 +10,13 @@
 #include "util/status.h"
 
 /// \file
-/// A checksummed, length-prefixed write-ahead log. `LabelStore` logs every
-/// update batch here — as one record, fsynced — *before* mutating any page,
-/// so a crash at any point leaves either a replayable record (redo wins) or
-/// a torn tail (truncated on recovery, pre-update state wins). Record
-/// layout and the recovery protocol are documented in docs/DURABILITY.md.
+/// A checksummed, length-prefixed write-ahead log. The serving engine's one
+/// durability log (repl::ReplicationLog) appends each committed group here
+/// and fsyncs it before acknowledging; `LabelStore` (the Figure 7
+/// substrate) logs every page batch here before mutating any page. A crash
+/// at any point leaves either a replayable record or a torn tail, truncated
+/// on recovery. Record layout and the recovery protocol are documented in
+/// docs/DURABILITY.md.
 ///
 /// On-disk record: `[u32 crc32c][u32 len][u64 lsn][len payload bytes]`,
 /// little-endian, where the CRC covers the length field, the LSN and the
@@ -42,13 +44,19 @@ namespace cdbs::storage {
 struct WalRecord {
   uint64_t lsn = 0;
   std::string payload;
+  uint64_t end = 0;  // file offset just past the record
 };
 
 class Wal {
  public:
   /// Binds this WAL's counters into `registry` (the owning store's or
-  /// database's registry).
-  explicit Wal(obs::MetricRegistry* registry);
+  /// log's registry). A non-empty `failpoint_scope` also evaluates the
+  /// errno-injection sites `wal.<scope>.append.error` and
+  /// `wal.<scope>.sync.error` next to the global `wal.append.error` /
+  /// `wal.sync.error`, so chaos tests can sicken one shard's log while the
+  /// others stay healthy.
+  explicit Wal(obs::MetricRegistry* registry,
+               const std::string& failpoint_scope = "");
   ~Wal();
 
   Wal(const Wal&) = delete;
@@ -91,12 +99,16 @@ class Wal {
   /// cursor avoids re-reading what it already consumed.
   Status ReadFrom(uint64_t lsn, std::vector<WalRecord>* out) const;
 
-  /// Empties the log (after a checkpoint: the store's pages and header are
-  /// durable, so the logged batch is no longer needed). The LSN counter is
-  /// preserved — records appended after a Reset continue the sequence, so
-  /// a reader that saw LSN n can detect that records (n, m) were evicted
-  /// rather than silently miss them.
+  /// Empties the log (after a checkpoint made its records redundant). The
+  /// LSN counter is preserved — records appended after a Reset continue the
+  /// sequence, so a reader that saw LSN n can detect that records (n, m)
+  /// were evicted rather than silently miss them.
   Status Reset();
+
+  /// Cuts the log back to `offset` bytes and the LSN counter back to
+  /// `next_lsn`: undoes appends that were never acknowledged. A failed cut
+  /// leaves the handle dead (every later call fails) until `Open`.
+  Status Truncate(uint64_t offset, uint64_t next_lsn);
 
   /// Current log tail offset in bytes.
   uint64_t size_bytes() const { return end_offset_; }
@@ -119,12 +131,23 @@ class Wal {
 
  private:
   Status WriteAt(uint64_t offset, const char* data, size_t n);
+  // Reads the intact records in the first `limit` bytes, appending those
+  // with LSN >= `from` to `out`. `*end` is where the intact prefix ends;
+  // `*bad_crc` is set when a checksum failure ended it.
+  Status Scan(uint64_t limit, uint64_t from, std::vector<WalRecord>* out,
+              uint64_t* end, bool* bad_crc) const;
+  // The mapped error when the errno-armed `site` or its scoped twin fires,
+  // else OK. Such failures are persistent: never retried.
+  static Status InjectedError(const std::string& scoped_site,
+                              const char* site);
 
   int fd_ = -1;
   std::string path_;
   uint64_t end_offset_ = 0;
   uint64_t next_lsn_ = 1;
   bool crashed_ = false;  // poisoned by an injected crash failpoint
+  const std::string scoped_append_error_;  // empty: no scope
+  const std::string scoped_sync_error_;
 
   // Counters in the owner's registry.
   obs::Counter* appends_;
@@ -136,6 +159,19 @@ class Wal {
   obs::Counter* truncated_bytes_;
   obs::Counter* io_retries_;
 };
+
+/// Replaces `path` with the concatenation of `pieces` crash-atomically: the
+/// bytes go to `<path>.tmp`, which is fsynced and renamed over `path`, and
+/// then the parent directory is fsynced. A crash leaves the old file or the
+/// new one, never a torn or empty one; at worst a stale `.tmp` is left for
+/// the next writer (or recovery) to remove. Failpoints `file.sync.crash`
+/// and `file.rename.crash` simulate a crash before the fsync and before
+/// the rename.
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<std::string_view>& pieces);
+
+/// Reads the whole file at `path`; NotFound when it does not exist.
+Status ReadFile(const std::string& path, std::string* out);
 
 }  // namespace cdbs::storage
 

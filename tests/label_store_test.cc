@@ -276,24 +276,6 @@ TEST_F(LabelStoreTest, ApplyBatchRejectsOversizedRecordBeforeAnyIo) {
   EXPECT_EQ(got, "abc");
 }
 
-TEST_F(LabelStoreTest, ApplyBatchReloadResizesSlots) {
-  ASSERT_TRUE(store_.BulkLoad({"a", "b", "c"}, 2).ok());
-  StoreBatch batch;
-  batch.Reload({std::string(200, 'x'), "tiny", std::string(150, 'y')}, 16);
-  ASSERT_TRUE(store_.ApplyBatch(batch).ok());
-  EXPECT_EQ(store_.size(), 3u);
-  EXPECT_EQ(store_.slot_size(), 200u + 2u + 16u);
-  std::string got;
-  ASSERT_TRUE(store_.Read(0, &got).ok());
-  EXPECT_EQ(got, std::string(200, 'x'));
-
-  LabelStore reopened;
-  ASSERT_TRUE(reopened.OpenExisting(path_).ok());
-  EXPECT_EQ(reopened.size(), 3u);
-  ASSERT_TRUE(reopened.Read(2, &got).ok());
-  EXPECT_EQ(got, std::string(150, 'y'));
-}
-
 TEST_F(LabelStoreTest, ApplyBatchCheckpointsTheWal) {
   ASSERT_TRUE(store_.BulkLoad({"a", "b"}, 8).ok());
   StoreBatch batch;

@@ -727,6 +727,23 @@ TEST_F(NetTest, GracefulDrainFinishesInFlightRequests) {
   EXPECT_FALSE(CdbsClient::Connect(ClientFor(/*max_attempts=*/1)).ok());
 }
 
+// Shutdown waits only for requests in flight: connected clients that sit
+// idle between requests are shut down at once, not drained until the
+// drain timeout.
+TEST_F(NetTest, IdleConnectionsDoNotStallShutdown) {
+  auto first = CdbsClient::Connect(ClientFor(/*max_attempts=*/1));
+  auto second = CdbsClient::Connect(ClientFor(/*max_attempts=*/1));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE((*first)->Ping().ok());
+  ASSERT_TRUE((*second)->Ping().ok());
+  const auto start = std::chrono::steady_clock::now();
+  server_->Shutdown();
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(took.count(), server_options_.drain_timeout_ms / 2);
+}
+
 TEST_F(NetTest, DroppedConnectionFailsReadsAfterRetriesNotHangs) {
   ASSERT_TRUE(util::Failpoints::Activate("net.conn.drop", "always").ok());
   auto client = CdbsClient::Connect(ClientFor(/*max_attempts=*/3));

@@ -96,9 +96,7 @@ class ReplicationChaosTest : public ::testing::Test {
   }
 
   void StartPrimary(ReplicationSenderOptions repl) {
-    ConcurrentXmlDbOptions o;
-    o.replication_log_path = dir_ + "/primary.repl";
-    auto corpus = OpenCorpus(kDoc, o);
+    auto corpus = OpenCorpus(kDoc, {}, 1, 1, dir_ + "/primary");
     ASSERT_TRUE(corpus.ok()) << corpus.status().message();
     primary_ = std::move(*corpus);
     primary_db_ = primary_->shard(0);
@@ -114,7 +112,7 @@ class ReplicationChaosTest : public ::testing::Test {
   std::unique_ptr<Follower> StartFollowerNode(const std::string& name) {
     FollowerOptions fo;
     fo.primary_port = primary_port_;
-    fo.db.replication_log_path = dir_ + "/" + name + ".repl";
+    fo.db.db.storage_path = dir_ + "/" + name + ".cdbs";
     fo.reconnect_backoff_ms = 20;
     return Follower::Start(std::move(fo));
   }

@@ -12,6 +12,7 @@
 
 #include "corpus_util.h"
 #include "engine/concurrent_db.h"
+#include "engine/xml_db.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
@@ -135,10 +136,15 @@ class ReplicationLogTest : public ::testing::Test {
   void SetUp() override {
     path_ = ::testing::TempDir() + "/repl_log_" +
             std::to_string(::getpid()) + "_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".wal";
-    std::remove(path_.c_str());
+            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".cdbs";
+    auto db = engine::XmlDb::OpenFromXml("<r><a/></r>", {});
+    ASSERT_TRUE(db.ok());
+    spec_ = (*db)->CaptureBootstrapSpec();
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".wal").c_str());
+  }
 
   static std::vector<ReplOp> OneInsert(uint64_t target, uint64_t new_id) {
     std::vector<ReplOp> ops(1);
@@ -150,12 +156,12 @@ class ReplicationLogTest : public ::testing::Test {
   }
 
   std::string path_;
-  obs::MetricRegistry registry_;
+  engine::BootstrapSpec spec_;
 };
 
 TEST_F(ReplicationLogTest, AppendsStampMonotonicLsnsAndReadFromCursors) {
-  ReplicationLog log(&registry_);
-  ASSERT_TRUE(log.Open(path_).ok());
+  ReplicationLog log("");
+  ASSERT_TRUE(log.Create(path_, spec_).ok());
   EXPECT_EQ(log.last_lsn(), 0u);
   EXPECT_EQ(log.oldest_lsn(), 1u);
   EXPECT_NE(log.epoch(), 0u);
@@ -179,10 +185,8 @@ TEST_F(ReplicationLogTest, AppendsStampMonotonicLsnsAndReadFromCursors) {
 }
 
 TEST_F(ReplicationLogTest, EvictionMovesTheFloorAndKeepsLsnsCounting) {
-  ReplicationLogOptions options;
-  options.retain_bytes = 64;  // a couple of records, then evict
-  ReplicationLog log(&registry_, options);
-  ASSERT_TRUE(log.Open(path_).ok());
+  ReplicationLog log("");
+  ASSERT_TRUE(log.Create(path_, spec_).ok());
 
   uint64_t last = 0;
   for (uint64_t i = 1; i <= 20; ++i) {
@@ -190,31 +194,42 @@ TEST_F(ReplicationLogTest, EvictionMovesTheFloorAndKeepsLsnsCounting) {
     ASSERT_TRUE(lsn.ok());
     EXPECT_EQ(*lsn, i) << "LSNs keep counting across evictions";
     last = *lsn;
+    if (i % 7 == 0) {
+      ASSERT_TRUE(log.Checkpoint(spec_).ok());
+    }
   }
-  EXPECT_GT(log.oldest_lsn(), 1u) << "retention must have evicted";
+  EXPECT_EQ(log.oldest_lsn(), 15u) << "the last checkpoint covered 1..14";
   EXPECT_LE(log.oldest_lsn(), last + 1);
 
   // Below the floor: the reader is told to bootstrap.
   std::vector<ReplRecord> records;
   EXPECT_EQ(log.ReadFrom(1, &records).code(), StatusCode::kOutOfRange);
-  // At the floor: whatever is retained (possibly nothing) reads cleanly.
+  // At the floor: everything retained reads cleanly.
   records.clear();
   EXPECT_TRUE(log.ReadFrom(log.oldest_lsn(), &records).ok());
+  ASSERT_EQ(records.size(), 6u);
   for (const ReplRecord& r : records) EXPECT_GE(r.lsn, log.oldest_lsn());
 }
 
 TEST_F(ReplicationLogTest, ReopenContinuesLsnsButMintsAFreshEpoch) {
   uint64_t first_epoch = 0;
   {
-    ReplicationLog log(&registry_);
-    ASSERT_TRUE(log.Open(path_).ok());
+    ReplicationLog log("");
+    ASSERT_TRUE(log.Create(path_, spec_).ok());
     ASSERT_TRUE(log.Append(OneInsert(1, 1)).ok());
+    ASSERT_TRUE(log.Checkpoint(spec_).ok());
     ASSERT_TRUE(log.Append(OneInsert(2, 2)).ok());
     first_epoch = log.epoch();
   }
-  ReplicationLog reopened(&registry_);
-  ASSERT_TRUE(reopened.Open(path_).ok());
+  ReplicationLog reopened("");
+  engine::BootstrapSpec spec;
+  std::vector<ReplRecord> tail;
+  ASSERT_TRUE(reopened.Recover(path_, &spec, &tail).ok());
+  EXPECT_EQ(spec.xml, spec_.xml);
+  ASSERT_EQ(tail.size(), 1u) << "only the record after the checkpoint";
+  EXPECT_EQ(tail[0].lsn, 2u);
   EXPECT_EQ(reopened.last_lsn(), 2u) << "LSN counter survives a restart";
+  EXPECT_EQ(reopened.oldest_lsn(), 2u);
   EXPECT_NE(reopened.epoch(), first_epoch)
       << "every incarnation must be distinguishable on the wire";
   Result<uint64_t> next = reopened.Append(OneInsert(3, 3));
@@ -265,9 +280,8 @@ class ReplicationE2ETest : public ::testing::Test {
                     ReplicationSenderOptions repl = {}) {
     if (primary_ == nullptr) {
       ConcurrentXmlDbOptions o;
-      o.replication_log_path = dir_ + "/primary.repl";
       o.replication_retain_bytes = retain_bytes;
-      auto corpus = OpenCorpus(kDoc, o);
+      auto corpus = OpenCorpus(kDoc, o, 1, 1, dir_ + "/primary");
       ASSERT_TRUE(corpus.ok()) << corpus.status().message();
       primary_ = std::move(*corpus);
       primary_db_ = primary_->shard(0);
@@ -286,7 +300,7 @@ class ReplicationE2ETest : public ::testing::Test {
       int64_t max_staleness_ms = 0, const std::string& name = "replica") {
     FollowerOptions fo;
     fo.primary_port = primary_port_;
-    fo.db.replication_log_path = dir_ + "/" + name + ".repl";
+    fo.db.db.storage_path = dir_ + "/" + name + ".cdbs";
     fo.max_staleness_ms = max_staleness_ms;
     fo.reconnect_backoff_ms = 20;
     return Follower::Start(std::move(fo));
@@ -470,7 +484,12 @@ TEST_F(ReplicationE2ETest, FallingBehindRetentionForcesSnapshotBootstrap) {
   primary_server_->Shutdown();
   primary_server_.reset();
   WriteMix(20);
-  ASSERT_GT(PrimaryCounter("repl.log.evictions"), 0u);
+  uint64_t evictions = 0;
+  for (const obs::MetricSnapshot& m :
+       primary_db_->replication_log()->metrics().Snapshot()) {
+    if (m.name == "repl.log.evictions") evictions = m.counter_value;
+  }
+  ASSERT_GT(evictions, 0u);
   StartPrimary(/*retain_bytes=*/256);
   ASSERT_TRUE(Converged(follower_.get()));
 
@@ -587,7 +606,7 @@ TEST_F(ReplicationE2ETest, PromotedReplicaServesWritesAndNewFollowers) {
   const uint16_t promoted_port = replica_server_->port();
   FollowerOptions fo;
   fo.primary_port = promoted_port;
-  fo.db.replication_log_path = dir_ + "/second.repl";
+  fo.db.db.storage_path = dir_ + "/second.cdbs";
   fo.reconnect_backoff_ms = 20;
   std::unique_ptr<Follower> second = Follower::Start(std::move(fo));
   std::shared_ptr<shard::ShardedDb> promoted = follower_->db();
@@ -646,7 +665,7 @@ TEST_F(ReplicationE2ETest, EachFollowerKeepsItsOwnMetrics) {
   second->Stop();
 }
 
-// A one-shard, one-document corpus with a replication log serves kBootstrap
+// A stored one-shard, one-document corpus serves kBootstrap
 // through StartSharded, and its image reopens as the same corpus. A corpus
 // of two shards has no one LSN stream and answers kInvalidArgument.
 TEST_F(ReplicationE2ETest, BootstrapImageReopensAsTheSameCorpus) {
@@ -674,9 +693,8 @@ TEST_F(ReplicationE2ETest, BootstrapImageReopensAsTheSameCorpus) {
   EXPECT_EQ((*reopened)->shard(0)->underlying().ToXml(),
             primary_db_->underlying().ToXml());
 
-  ConcurrentXmlDbOptions logged;
-  logged.replication_log_path = dir_ + "/sharded.repl";
-  auto sharded = OpenCorpus(kDoc, logged, /*copies=*/2, /*shard_count=*/2);
+  auto sharded = OpenCorpus(kDoc, {}, /*copies=*/2, /*shard_count=*/2,
+                            dir_ + "/sharded");
   ASSERT_TRUE(sharded.ok()) << sharded.status().message();
   auto server = net::Server::StartSharded(sharded->get(), {});
   ASSERT_TRUE(server.ok()) << server.status().message();

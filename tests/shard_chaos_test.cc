@@ -148,7 +148,7 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
   // Warm up under healthy load, then break shard 2's disk.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ASSERT_TRUE(util::Failpoints::Activate(
-                  "storage.shard-" + std::to_string(kSickShard) +
+                  "wal.shard-" + std::to_string(kSickShard) +
                       ".sync.error",
                   "enospc")
                   .ok());
@@ -193,7 +193,7 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
   }
 
   // Fault clears: the shard must re-admit itself.
-  util::Failpoints::Deactivate("storage.shard-" +
+  util::Failpoints::Deactivate("wal.shard-" +
                                std::to_string(kSickShard) + ".sync.error");
   EXPECT_TRUE(db->supervisor()->WaitForHealth(kSickShard,
                                               ShardHealth::kHealthy,
@@ -230,7 +230,7 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
 }
 
 TEST_F(ShardChaosTest, EioPageWriteKillsAndRecoversAShard) {
-  // The "kill-shard" variant of the matrix: EIO on the page-write path
+  // The "kill-shard" variant of the matrix: EIO on the log's write path
   // (not fsync) — a dying disk rather than a full one. Same supervision
   // contract, different injection site and errno class.
   ShardedDbOptions options;
@@ -250,7 +250,7 @@ TEST_F(ShardChaosTest, EioPageWriteKillsAndRecoversAShard) {
   ShardedDb* db = opened->get();
 
   const engine::NodeId act1 = db->QueryDoc(1, "/play/act").value()[0];
-  ASSERT_TRUE(util::Failpoints::Activate("storage.shard-1.write_page.error",
+  ASSERT_TRUE(util::Failpoints::Activate("wal.shard-1.append.error",
                                          "eio")
                   .ok());
   uint64_t acked = 0;
@@ -275,7 +275,7 @@ TEST_F(ShardChaosTest, EioPageWriteKillsAndRecoversAShard) {
   const engine::NodeId act0 = db->QueryDoc(0, "/play/act").value()[0];
   ASSERT_TRUE(db->Submit(0, WriteOp::InsertAfter(act0, "alive")).get().ok());
 
-  util::Failpoints::Deactivate("storage.shard-1.write_page.error");
+  util::Failpoints::Deactivate("wal.shard-1.append.error");
   ASSERT_TRUE(db->supervisor()->WaitForHealth(1, ShardHealth::kHealthy,
                                               /*timeout_ms=*/15000));
   Result<uint64_t> r = db->Submit(1, WriteOp::InsertAfter(act1, "x")).get();

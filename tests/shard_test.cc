@@ -27,7 +27,6 @@
 #include "query/tag_index.h"
 #include "query/xpath.h"
 #include "repl/replication.h"
-#include "storage/label_store.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 #include "xml/parser.h"
@@ -277,6 +276,27 @@ TEST(ShardMetricsTest, ProcessViewSumsTheShardsGauges) {
   }
   EXPECT_GE(shards_sum, 4.0);
   EXPECT_DOUBLE_EQ(live(obs::MetricRegistry::Default()), shards_sum);
+}
+
+// shard.count lives in each corpus's own registry: the process view sums
+// the live corpora instead of keeping whichever opened last.
+TEST(ShardMetricsTest, ShardCountIsPerCorpus) {
+  auto shard_count = [] {
+    for (const obs::MetricSnapshot& m :
+         obs::MetricRegistry::Default().Snapshot()) {
+      if (m.name == "shard.count") return m.gauge_value;
+    }
+    return -1.0;
+  };
+  ShardedDbOptions four;
+  four.shard_count = 4;
+  auto big = ShardedDb::Open(Plays(4), four);
+  ASSERT_TRUE(big.ok()) << big.status();
+  auto small = ShardedDb::Open(Plays(1), {});
+  ASSERT_TRUE(small.ok()) << small.status();
+  EXPECT_DOUBLE_EQ(shard_count(), 5.0);
+  big->reset();
+  EXPECT_DOUBLE_EQ(shard_count(), 1.0);
 }
 
 // A count whose last step needs no sort never builds the match list:
@@ -564,7 +584,7 @@ TEST_F(ShardPersistenceTest, TornWalTailRecoversOnlyTheAffectedShard) {
   {
     auto db = ShardedDb::Open(Plays(2), options);
     ASSERT_TRUE(db.ok()) << db.status();
-    // Commit one insert per shard so both WAL streams have real records.
+    // Commit one insert per shard so both logs have real records.
     for (uint64_t doc = 0; doc < 2; ++doc) {
       auto acts = (*db)->QueryDoc(doc, "/play/act");
       ASSERT_TRUE(acts.ok());
@@ -574,39 +594,83 @@ TEST_F(ShardPersistenceTest, TornWalTailRecoversOnlyTheAffectedShard) {
     (*db)->Shutdown();
   }
 
-  // Tear shard 1's WAL tail — a crash mid-append leaves a partial record.
-  const std::string torn_wal = storage::LabelStore::WalPath(ShardStorePath(1));
-  const std::string clean_wal =
-      storage::LabelStore::WalPath(ShardStorePath(0));
+  // Tear shard 1's log tail — a crash mid-append leaves a partial record.
+  const std::string torn_log = ShardStorePath(1) + ".wal";
+  const std::string clean_log = ShardStorePath(0) + ".wal";
   struct stat st {};
-  ASSERT_EQ(::stat(torn_wal.c_str(), &st), 0) << torn_wal;
+  ASSERT_EQ(::stat(torn_log.c_str(), &st), 0) << torn_log;
   const off_t before = st.st_size;
   {
-    std::ofstream out(torn_wal, std::ios::binary | std::ios::app);
+    std::ofstream out(torn_log, std::ios::binary | std::ios::app);
     out << "garbage-partial-record";
   }
-  ASSERT_EQ(::stat(clean_wal.c_str(), &st), 0);
+  ASSERT_EQ(::stat(clean_log.c_str(), &st), 0);
   const off_t clean_before = st.st_size;
 
-  // Each shard recovers independently: shard 1 truncates its torn tail,
-  // shard 0's stream is untouched.
-  {
-    storage::LabelStore torn;
-    ASSERT_TRUE(torn.OpenExisting(ShardStorePath(1)).ok());
-    ASSERT_TRUE(torn.VerifyChecksums().ok());
-    storage::LabelStore clean;
-    ASSERT_TRUE(clean.OpenExisting(ShardStorePath(0)).ok());
-    ASSERT_TRUE(clean.VerifyChecksums().ok());
-  }
-  ASSERT_EQ(::stat(torn_wal.c_str(), &st), 0);
-  EXPECT_EQ(st.st_size, before);  // the garbage tail is gone
-  ASSERT_EQ(::stat(clean_wal.c_str(), &st), 0);
-  EXPECT_EQ(st.st_size, clean_before);
-
-  // And the sharded front-end itself comes back up on the same placement.
-  auto db = ShardedDb::Open(Plays(2), options);
+  // The corpus recovers from its logs alone: shard 1 truncates its torn
+  // tail, shard 0's log is untouched, and both acknowledged inserts are
+  // back on the same placement.
+  auto db = ShardedDb::Open({}, options);
   ASSERT_TRUE(db.ok()) << db.status();
   EXPECT_EQ((*db)->manifest().placement, (std::vector<uint32_t>{0, 1}));
+  for (uint64_t doc = 0; doc < 2; ++doc) {
+    EXPECT_EQ((*db)->CountDoc(doc, "/play/encore").value(), 1u) << doc;
+  }
+  ASSERT_EQ(::stat(torn_log.c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, before);  // the garbage tail is gone
+  ASSERT_EQ(::stat(clean_log.c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, clean_before);
+}
+
+// A restart loses no acknowledged write: two stored shards, three plays,
+// two inserts and a delete; the corpus reopened over its MANIFEST (no
+// documents) is the same corpus, node ids included.
+TEST_F(ShardPersistenceTest, RestartRecoversEveryAcknowledgedWrite) {
+  ShardedDbOptions options;
+  options.shard_count = 2;
+  options.storage_dir = dir_;
+  std::vector<engine::BootstrapSpec> before;
+  {
+    std::vector<xml::Document> docs;
+    for (uint64_t i = 0; i < 3; ++i) {
+      docs.push_back(xml::GeneratePlay(/*seed=*/i + 1, /*total_nodes=*/2000));
+    }
+    auto db = ShardedDb::Open(std::move(docs), options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_EQ((*db)->CountAll("//speech")->total, 956u);
+    for (uint64_t doc : {0, 2}) {
+      const engine::NodeId act = (*db)->QueryDoc(doc, "/play/act")->front();
+      ASSERT_TRUE(
+          (*db)->Submit(doc, WriteOp::InsertAfter(act, "encore")).get().ok());
+    }
+    const engine::NodeId speech = (*db)->QueryDoc(1, "//speech")->front();
+    ASSERT_TRUE((*db)->Submit(1, WriteOp::Delete(speech)).get().ok());
+    EXPECT_EQ((*db)->CountAll("//encore")->total, 2u);
+    EXPECT_EQ((*db)->CountAll("//speech")->total, 955u);
+    (*db)->Shutdown();
+    for (size_t s = 0; s < (*db)->shard_count(); ++s) {
+      before.push_back((*db)->shard(s)->underlying().CaptureBootstrapSpec());
+    }
+  }
+
+  auto db = ShardedDb::Open({}, options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ((*db)->doc_count(), 3u);
+  EXPECT_EQ((*db)->CountAll("//encore")->total, 2u);
+  EXPECT_EQ((*db)->CountAll("//speech")->total, 955u);
+  ASSERT_EQ((*db)->shard_count(), before.size());
+  for (size_t s = 0; s < before.size(); ++s) {
+    const engine::BootstrapSpec after =
+        (*db)->shard(s)->underlying().CaptureBootstrapSpec();
+    EXPECT_EQ(after.xml, before[s].xml) << "shard " << s;
+    EXPECT_EQ(after.ids, before[s].ids) << "shard " << s;
+    EXPECT_EQ(after.next_id, before[s].next_id) << "shard " << s;
+  }
+  // And it keeps serving writes, at the next id of the recovered space.
+  const uint32_t s0 = (*db)->ShardOfDoc(0);
+  const engine::NodeId act = (*db)->QueryDoc(0, "/play/act")->front();
+  EXPECT_EQ((*db)->Submit(0, WriteOp::InsertAfter(act, "again")).get().value(),
+            before[s0].next_id);
 }
 
 // --------------------------------------------------------------------------

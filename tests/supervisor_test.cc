@@ -21,7 +21,7 @@
 // Shard supervision and self-healing (docs/ROBUSTNESS.md): the health state
 // machine, the per-shard circuit breaker, auto-reopen recovery, and
 // whole-corpus read-only degradation. Faults are injected through the
-// shard-scoped errno failpoints (`storage.shard-<i>.sync.error`), so
+// shard-scoped errno failpoints (`wal.shard-<i>.sync.error`), so
 // exactly one shard's storage gets sick while the others stay healthy.
 
 namespace cdbs::shard {
@@ -83,7 +83,7 @@ class SupervisorTest : public ::testing::Test {
   /// failpoint and submits writes until the writer poisons and the
   /// supervisor notices. Returns a valid write target inside doc 0.
   engine::NodeId TripShard0(ShardedDb* db) {
-    EXPECT_TRUE(util::Failpoints::Activate("storage.shard-0.sync.error",
+    EXPECT_TRUE(util::Failpoints::Activate("wal.shard-0.sync.error",
                                            "enospc")
                     .ok());
     const engine::NodeId act = db->QueryDoc(0, "/play/act").value()[0];
@@ -163,9 +163,9 @@ TEST_F(SupervisorTest, BreakerTripsFastFailsAndAutoRecovers) {
   ASSERT_TRUE(db->Submit(1, WriteOp::InsertAfter(act1, "alive")).get().ok());
   EXPECT_EQ(db->supervisor()->health(1), ShardHealth::kHealthy);
 
-  // Fault clears: the supervisor reopens the store through WAL recovery,
+  // Fault clears: the supervisor reopens the shard's log,
   // re-admits after half-open probes, and service resumes by itself.
-  util::Failpoints::Deactivate("storage.shard-0.sync.error");
+  util::Failpoints::Deactivate("wal.shard-0.sync.error");
   ASSERT_TRUE(db->supervisor()->WaitForHealth(0, ShardHealth::kHealthy,
                                               /*timeout_ms=*/10000));
   EXPECT_GE(db->supervisor()->recoveries(), 1u);
@@ -182,14 +182,14 @@ TEST_F(SupervisorTest, RecoveryWaitsOutAPersistentFault) {
   ASSERT_NE(db, nullptr);
   TripShard0(db.get());
 
-  // While the fault is live every reopen fails (the fresh store hits the
-  // same injected ENOSPC): the shard must stay sick, cycling down ->
+  // While the fault is live every reopen fails (the fresh log handle's
+  // sync hits the same injected ENOSPC): the shard must stay sick, cycling down ->
   // recovering attempts with backoff, never falsely healthy.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_NE(db->supervisor()->health(0), ShardHealth::kHealthy);
   EXPECT_EQ(db->supervisor()->recoveries(), 0u);
 
-  util::Failpoints::Deactivate("storage.shard-0.sync.error");
+  util::Failpoints::Deactivate("wal.shard-0.sync.error");
   EXPECT_TRUE(db->supervisor()->WaitForHealth(0, ShardHealth::kHealthy,
                                               /*timeout_ms=*/10000));
 }
@@ -294,7 +294,7 @@ TEST_F(SupervisorServerTest, BreakerBounceCarriesRetryAfterAndClientHonorsIt) {
   // A retrying client rides the hint through recovery: clear the fault,
   // and the SAME logical call eventually commits once the supervisor
   // re-admits the shard — no manual retry loop in the caller.
-  util::Failpoints::Deactivate("storage.shard-0.sync.error");
+  util::Failpoints::Deactivate("wal.shard-0.sync.error");
   auto client = net::CdbsClient::Connect(ClientFor(/*max_attempts=*/200));
   ASSERT_TRUE(client.ok()) << client.status();
   auto w = (*client)->InsertAfterIn(0, act0, "healed");

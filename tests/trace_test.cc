@@ -115,7 +115,7 @@ TEST_F(TraceTest, ScopedSpansFanOutToEveryGroupId) {
   }
 }
 
-// The tentpole acceptance test: one traced write against a store-backed
+// The tentpole acceptance test: one traced write against a stored
 // database must retain >= 6 distinct stage spans whose durations sum to
 // within 10% of the end-to-end latency. The WAL fsync is slowed by 80ms
 // (failpoint delay spec: sleeps, then syncs normally) so the breakdown has
@@ -164,8 +164,7 @@ TEST_F(TraceTest, WriteTraceStagesSumToEndToEndLatency) {
   EXPECT_GE(stages.size(), 6u) << "stages seen: " << stages.size();
   for (const SpanName expected :
        {SpanName::kAdmission, SpanName::kQueueWait, SpanName::kCommitPhase1,
-        SpanName::kCommitStage, SpanName::kWalAppend, SpanName::kWalFsync,
-        SpanName::kStoreApply, SpanName::kPublish}) {
+        SpanName::kWalAppend, SpanName::kWalFsync, SpanName::kPublish}) {
     EXPECT_TRUE(stages.count(expected) != 0)
         << "missing stage " << SpanNameString(expected);
   }

@@ -238,6 +238,15 @@ TEST(XmlDbTest, BinarySchemeRelabelsOnInsert) {
 
 class XmlDbPersistenceTest : public ::testing::TestWithParam<std::string> {};
 
+uint64_t LogCounter(const XmlDb& db, const std::string& name) {
+  for (const obs::MetricSnapshot& m : db.store()->metrics().Snapshot()) {
+    if (m.name == name) return m.counter_value;
+  }
+  return 0;
+}
+
+// Every update is one fsynced log record, and a restart recovers the same
+// tree and id space under every scheme.
 TEST_P(XmlDbPersistenceTest, UpdatesFlowToStore) {
   XmlDbOptions options;
   options.scheme_name = GetParam();
@@ -245,15 +254,26 @@ TEST_P(XmlDbPersistenceTest, UpdatesFlowToStore) {
                          std::to_string(::getpid()) + "_" +
                          std::to_string(reinterpret_cast<uintptr_t>(this)) +
                          ".db";
-  auto db = XmlDb::OpenFromXml(kDoc, options);
-  ASSERT_TRUE(db.ok()) << db.status();
-  const uint64_t writes_initial = (*db)->Stats().store_page_writes;
-  EXPECT_GT(writes_initial, 0u);  // the bulk load
-  auto desk = (*db)->QueryOne("/library/desk");
-  ASSERT_TRUE(desk.ok());
-  ASSERT_TRUE((*db)->InsertElementBefore(*desk, "lamp").ok());
-  EXPECT_GT((*db)->Stats().store_page_writes, writes_initial);
-  EXPECT_EQ(*(*db)->Count("/library/lamp"), 1u);
+  BootstrapSpec before;
+  {
+    auto db = XmlDb::OpenFromXml(kDoc, options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_EQ(LogCounter(**db, "wal.appends"), 0u);
+    auto desk = (*db)->QueryOne("/library/desk");
+    ASSERT_TRUE(desk.ok());
+    ASSERT_TRUE((*db)->InsertElementBefore(*desk, "lamp").ok());
+    ASSERT_TRUE((*db)->DeleteElement(*(*db)->QueryOne("/library/shelf")).ok());
+    EXPECT_EQ(LogCounter(**db, "wal.appends"), 2u);
+    EXPECT_EQ(LogCounter(**db, "wal.syncs"), 2u);
+    EXPECT_EQ(*(*db)->Count("/library/lamp"), 1u);
+    before = (*db)->CaptureBootstrapSpec();
+  }
+  auto recovered = XmlDb::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  const BootstrapSpec after = (*recovered)->CaptureBootstrapSpec();
+  EXPECT_EQ(after.xml, before.xml);
+  EXPECT_EQ(after.ids, before.ids);
+  EXPECT_EQ(after.next_id, before.next_id);
   std::remove(options.storage_path.c_str());
   std::remove((options.storage_path + ".wal").c_str());
 }
@@ -324,10 +344,13 @@ TEST(XmlDbTest, PrimeDeleteRecomputesScValues) {
   EXPECT_EQ(*(*db)->Count("/library/*"), 1u);
 }
 
+// The checkpoint and log on disk are the whole database: Recover rebuilds
+// it with no input document, and keeps logging from where it left off.
 TEST(XmlDbTest, StoreFileIsReopenableAndComplete) {
   XmlDbOptions options;
   options.storage_path = ::testing::TempDir() + "/xml_db_reopen_" +
                          std::to_string(::getpid()) + ".db";
+  EXPECT_EQ(XmlDb::Recover(options).status().code(), StatusCode::kNotFound);
   {
     auto db = XmlDb::OpenFromXml(kDoc, options);
     ASSERT_TRUE(db.ok());
@@ -335,56 +358,23 @@ TEST(XmlDbTest, StoreFileIsReopenableAndComplete) {
     ASSERT_TRUE(desk.ok());
     ASSERT_TRUE((*db)->InsertElementBefore(*desk, "lamp").ok());
   }
-  // The store on disk is a valid label store holding one record per node.
-  cdbs::storage::LabelStore store;
-  ASSERT_TRUE(store.OpenExisting(options.storage_path).ok());
-  EXPECT_EQ(store.size(), 6u);  // 5 original + 1 inserted
-  std::string record;
-  for (size_t i = 0; i < store.size(); ++i) {
-    ASSERT_TRUE(store.Read(i, &record).ok()) << i;
-    EXPECT_FALSE(record.empty()) << i;
-  }
-  std::remove(options.storage_path.c_str());
-  std::remove((options.storage_path + ".wal").c_str());
-}
-
-// A label that outgrows its store slot forces a full store rewrite; each
-// one is counted and timed in the db's registry and, through it, in the
-// process view.
-TEST(XmlDbTest, StoreReloadsAreCountedAndTimed) {
-  auto process_reloads = [] {
-    for (const obs::MetricSnapshot& m :
-         obs::MetricRegistry::Default().Snapshot()) {
-      if (m.name == "engine.store.reloads") return m.counter_value;
+  for (int round = 0; round < 2; ++round) {
+    auto db = XmlDb::Recover(options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_EQ((*db)->Stats().node_count, 6u + round);  // 5 + inserts
+    EXPECT_EQ(*(*db)->Count("/library/lamp"), 1u);
+    EXPECT_EQ(*(*db)->Count("/library/chair"), static_cast<uint64_t>(round));
+    if (round == 0) {
+      // A checkpoint empties the log; the next restart starts from it.
+      ASSERT_TRUE((*db)->Checkpoint().ok());
+      EXPECT_EQ((*db)->store()->size_bytes(), 0u);
+      auto chair = (*db)->InsertElementAfter(
+          *(*db)->QueryOne("/library/desk"), "chair");
+      ASSERT_TRUE(chair.ok());
+      EXPECT_EQ(*chair, 6u);
+      EXPECT_EQ((*db)->store()->last_lsn(), 2u);
     }
-    return uint64_t{0};
-  };
-  const uint64_t process_before = process_reloads();
-  XmlDbOptions options;
-  options.storage_path = ::testing::TempDir() + "/xml_db_reloads_" +
-                         std::to_string(::getpid()) + ".db";
-  options.store_headroom = 0;  // no slack: the first longer label outgrows
-  auto db = XmlDb::OpenFromXml(kDoc, options);
-  ASSERT_TRUE(db.ok()) << db.status();
-  auto target = (*db)->QueryOne("/library/desk");
-  ASSERT_TRUE(target.ok());
-  NodeId t = *target;
-  for (int i = 0; i < 20; ++i) {
-    auto inserted = (*db)->InsertElementBefore(t, "note");
-    ASSERT_TRUE(inserted.ok()) << inserted.status();
-    t = *inserted;
   }
-  uint64_t reloads = 0;
-  uint64_t timed = 0;
-  for (const obs::MetricSnapshot& m : (*db)->metrics().Snapshot()) {
-    if (m.name == "engine.store.reloads") reloads = m.counter_value;
-    if (m.name == "engine.store.reload.ns") timed = m.count;
-  }
-  EXPECT_GE(reloads, 1u);
-  EXPECT_EQ(timed, reloads);
-  EXPECT_GE(process_reloads() - process_before, reloads);
-  db->reset();
-  EXPECT_GE(process_reloads() - process_before, reloads);
   std::remove(options.storage_path.c_str());
   std::remove((options.storage_path + ".wal").c_str());
 }
