@@ -60,7 +60,7 @@ struct PhaseResult {
 // phase-local.
 PhaseResult RunMixedPhase(int readers, uint64_t duration_ms) {
   ConcurrentXmlDbOptions options;
-  options.read_workers = 2;  // SubmitQuery is not exercised here
+  options.read_workers = 2;  // SubmitCount is not exercised here
   auto opened = ConcurrentXmlDb::Open(cdbs::xml::GenerateHamlet(), options);
   if (!opened.ok()) {
     std::fprintf(stderr, "open failed: %s\n",

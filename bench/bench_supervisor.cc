@@ -22,7 +22,8 @@
 // the regression guard for blast-radius containment: supervision must not
 // let one sick shard drag down the survivors' group-commit streams.
 //
-// Knobs: CDBS_BENCH_MS (per-phase duration, default 400 ms),
+// Knobs: CDBS_BENCH_MS (per-phase duration, default 400 ms; a phase runs
+// on until it has 200 healthy commits, for at most 20 s),
 // CDBS_SHARD_FSYNC_DELAY_MS (default 2), CDBS_SUPERVISOR_MIN_RETENTION_PCT
 // (default 50; "0" disables the guard). Set CDBS_BENCH_JSON to persist the
 // metric registry.
@@ -71,8 +72,15 @@ struct PhaseCounts {
   double healthy_ips() const { return healthy_ok / seconds; }
 };
 
+// A phase runs at least this many healthy commits, so the retention ratio
+// rests on enough of them in a slow (sanitizer) build too, but stops at
+// the wall cap.
+constexpr uint64_t kMinHealthyCommits = 200;
+constexpr uint64_t kPhaseCapMs = 20000;
+
 // Runs kClients blocking writers round-robin over every document for
-// `duration_ms`, attributing results to the faulted vs healthy shards.
+// `duration_ms`, extended until kMinHealthyCommits healthy commits or
+// kPhaseCapMs, attributing results to the faulted vs healthy shards.
 PhaseCounts RunLoad(ShardedDb& db, const std::vector<NodeId>& anchors,
                     uint64_t duration_ms) {
   std::atomic<bool> stop{false};
@@ -100,6 +108,10 @@ PhaseCounts RunLoad(ShardedDb& db, const std::vector<NodeId>& anchors,
   }
   cdbs::util::Stopwatch timer;
   std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
+  while (healthy_ok.load() < kMinHealthyCommits &&
+         timer.ElapsedMillis() < kPhaseCapMs) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   stop.store(true);
   for (std::thread& t : clients) t.join();
 
@@ -172,12 +184,12 @@ int main() {
     return 1;
   }
 
-  std::printf("  %-10s %14s %14s %14s\n", "phase", "healthy ins/s",
-              "sick ins/s", "sick fails/s");
+  std::printf("  %-10s %14s %14s %14s %14s\n", "phase", "healthy ins/s",
+              "sick ins/s", "sick fails/s", "healthy ins");
   const PhaseCounts baseline = RunLoad(db, anchors, duration_ms);
-  std::printf("  %-10s %14.0f %14.0f %14.0f\n", "baseline",
+  std::printf("  %-10s %14.0f %14.0f %14.0f %14" PRIu64 "\n", "baseline",
               baseline.healthy_ips(), baseline.sick_ok / baseline.seconds,
-              baseline.sick_fail / baseline.seconds);
+              baseline.sick_fail / baseline.seconds, baseline.healthy_ok);
 
   if (!cdbs::util::Failpoints::Activate("wal.shard-0.sync.error",
                                         "enospc")
@@ -186,9 +198,9 @@ int main() {
     return 1;
   }
   const PhaseCounts fault = RunLoad(db, anchors, duration_ms);
-  std::printf("  %-10s %14.0f %14.0f %14.0f\n", "fault",
+  std::printf("  %-10s %14.0f %14.0f %14.0f %14" PRIu64 "\n", "fault",
               fault.healthy_ips(), fault.sick_ok / fault.seconds,
-              fault.sick_fail / fault.seconds);
+              fault.sick_fail / fault.seconds, fault.healthy_ok);
 
   cdbs::util::Failpoints::Deactivate("wal.shard-0.sync.error");
   cdbs::util::Stopwatch recovery_timer;

@@ -129,7 +129,19 @@ void ConcurrentXmlDb::Shutdown() {
 // Read path.
 
 template <typename T, typename Eval>
-Result<T> ConcurrentXmlDb::Read(const std::string& xpath, Eval eval) const {
+Result<T> ConcurrentXmlDb::Read(const std::string& xpath,
+                                util::Deadline deadline, Eval eval) const {
+  // Chaos/test hook: arm with a delay= spec to slow every read and make
+  // deadlines age out deterministically. Expired work (on arrival, after a
+  // wait in the pool's queue or in the hook) is shed without evaluating.
+  if (!deadline.expired()) {
+    static_cast<void>(CDBS_FAILPOINT("engine.concurrent.read.delay"));
+  }
+  if (deadline.expired()) {
+    deadline_exceeded_->Increment();
+    return Status::DeadlineExceeded(
+        "query deadline expired before evaluation");
+  }
   // The TraceSpans are free unless the caller's thread carries a
   // TraceScope and tracing is on (one relaxed load each).
   util::Stopwatch timer;
@@ -148,25 +160,28 @@ Result<T> ConcurrentXmlDb::Read(const std::string& xpath, Eval eval) const {
   return out;
 }
 
-Result<std::vector<NodeId>> ConcurrentXmlDb::Query(const std::string& xpath,
-                                                   NodeId scope) const {
+Result<std::vector<NodeId>> ConcurrentXmlDb::Query(
+    const std::string& xpath, NodeId scope, util::Deadline deadline) const {
   return Read<std::vector<NodeId>>(
-      xpath, [scope](const query::Query& q, const query::LabeledDocument& d) {
+      xpath, deadline,
+      [scope](const query::Query& q, const query::LabeledDocument& d) {
         return query::EvaluateQuery(q, d, scope);
       });
 }
 
 Result<uint64_t> ConcurrentXmlDb::Count(const std::string& xpath) const {
   return Read<uint64_t>(
-      xpath, [](const query::Query& q, const query::LabeledDocument& d) {
+      xpath, {}, [](const query::Query& q, const query::LabeledDocument& d) {
         return query::CountQuery(q, d, d.root());
       });
 }
 
 Result<std::vector<uint64_t>> ConcurrentXmlDb::CountPerScope(
-    const std::string& xpath, const std::vector<NodeId>& scopes) const {
+    const std::string& xpath, const std::vector<NodeId>& scopes,
+    util::Deadline deadline) const {
   return Read<std::vector<uint64_t>>(
-      xpath, [&scopes](const query::Query& q, const query::LabeledDocument& d) {
+      xpath, deadline,
+      [&scopes](const query::Query& q, const query::LabeledDocument& d) {
         return query::CountPerScope(q, d, scopes);
       });
 }
@@ -176,11 +191,11 @@ std::string ConcurrentXmlDb::TagOf(NodeId node) const {
   return pin->tag(node);
 }
 
-template <typename T>
-std::future<Result<T>> ConcurrentXmlDb::SubmitRead(
-    util::Deadline deadline, std::function<Result<T>()> read) {
-  auto promise = std::make_shared<std::promise<Result<T>>>();
-  std::future<Result<T>> fut = promise->get_future();
+std::future<Result<std::vector<uint64_t>>> ConcurrentXmlDb::SubmitCount(
+    std::string xpath, std::vector<NodeId> scopes, util::Deadline deadline) {
+  using Counts = Result<std::vector<uint64_t>>;
+  auto promise = std::make_shared<std::promise<Counts>>();
+  std::future<Counts> fut = promise->get_future();
   if (deadline.expired()) {
     deadline_exceeded_->Increment();
     promise->set_value(
@@ -192,49 +207,21 @@ std::future<Result<T>> ConcurrentXmlDb::SubmitRead(
   const uint64_t submit_ns =
       trace_id != 0 ? obs::Tracer::NowNs() : 0;
   const bool accepted = readers_->Submit(
-      [this, promise, deadline, trace_id, submit_ns,
-       read = std::move(read)] {
+      [this, promise, trace_id, submit_ns, xpath = std::move(xpath),
+       scopes = std::move(scopes), deadline] {
         obs::TraceScope scope(trace_id);
         if (trace_id != 0) {
           obs::Tracer::Instance().RecordSpan(
               trace_id, obs::SpanName::kQueueWait, submit_ns,
               obs::Tracer::NowNs() - submit_ns, obs::SpanOutcome::kOk);
         }
-        // Chaos/test hook: arm with a delay= spec to slow the reader pool
-        // and make queued queries age out deterministically.
-        static_cast<void>(CDBS_FAILPOINT("engine.concurrent.read.delay"));
-        // Re-check on the worker: the request may have aged out while
-        // queued behind slower reads — shed it without evaluating.
-        if (deadline.expired()) {
-          deadline_exceeded_->Increment();
-          promise->set_value(Status::DeadlineExceeded(
-              "query deadline expired while queued"));
-          return;
-        }
-        promise->set_value(read());
+        promise->set_value(CountPerScope(xpath, scopes, deadline));
       });
   if (!accepted) {
     promise->set_value(
         Status::IoError("read pool shut down; query rejected"));
   }
   return fut;
-}
-
-std::future<Result<std::vector<NodeId>>> ConcurrentXmlDb::SubmitQuery(
-    std::string xpath, util::Deadline deadline, NodeId scope) {
-  return SubmitRead<std::vector<NodeId>>(
-      deadline, [this, xpath = std::move(xpath), scope] {
-        return Query(xpath, scope);
-      });
-}
-
-std::future<Result<std::vector<uint64_t>>> ConcurrentXmlDb::SubmitCount(
-    std::string xpath, std::vector<NodeId> scopes, util::Deadline deadline) {
-  return SubmitRead<std::vector<uint64_t>>(
-      deadline,
-      [this, xpath = std::move(xpath), scopes = std::move(scopes)] {
-        return CountPerScope(xpath, scopes);
-      });
 }
 
 // --------------------------------------------------------------------------

@@ -91,9 +91,9 @@ struct BootstrapImage {
 ///
 /// Thread contract:
 ///  - `Query`/`Count`/`CountPerScope`/`TagOf`/`Stats`/`snapshot_epoch` —
-///    any thread, any time; each pins the latest published snapshot.
-///  - `SubmitQuery`/`SubmitCount` — any thread; run on the read worker
-///    pool.
+///    any thread, any time, on that thread; each pins the latest published
+///    snapshot.
+///  - `SubmitCount` — any thread; runs on the read worker pool.
 ///  - `Submit` writes — any thread; applied by the single writer thread in
 ///    submission order, durably group-committed before their futures
 ///    resolve.
@@ -139,9 +139,12 @@ class ConcurrentXmlDb {
 
   /// Evaluates an XPath-subset query against the latest published snapshot,
   /// with `scope`'s subtree as the whole document (query/evaluator.h); the
-  /// default scope is the root element.
+  /// default scope is the root element. Runs on the calling thread; a
+  /// request whose `deadline` has expired is shed with kDeadlineExceeded
+  /// without evaluating.
   Result<std::vector<NodeId>> Query(const std::string& xpath,
-                                    NodeId scope = 0) const;
+                                    NodeId scope = 0,
+                                    util::Deadline deadline = {}) const;
 
   /// Number of matches of `xpath` in the latest snapshot, counted without
   /// building the match list where the query allows.
@@ -149,22 +152,20 @@ class ConcurrentXmlDb {
 
   /// Match counts of `xpath` inside each of `scopes` (index-aligned), all
   /// on one pinned snapshot. Scopes in document order, none inside
-  /// another, share the evaluator's step cursors.
+  /// another, share the evaluator's step cursors. Deadline handling as in
+  /// Query.
   Result<std::vector<uint64_t>> CountPerScope(
-      const std::string& xpath, const std::vector<NodeId>& scopes) const;
+      const std::string& xpath, const std::vector<NodeId>& scopes,
+      util::Deadline deadline = {}) const;
 
   /// Tag of `node` in the latest snapshot (by value: the snapshot may be
   /// reclaimed after this returns).
   std::string TagOf(NodeId node) const;
 
-  /// Runs `Query(xpath, scope)` on the read worker pool. A request whose
-  /// `deadline` expires while still queued resolves with kDeadlineExceeded
-  /// without evaluating (expired work is the cheapest work to shed).
-  std::future<Result<std::vector<NodeId>>> SubmitQuery(
-      std::string xpath, util::Deadline deadline = {}, NodeId scope = 0);
-
-  /// Runs `CountPerScope(xpath, scopes)` on the read worker pool, with the
-  /// same deadline handling as SubmitQuery.
+  /// Runs `CountPerScope(xpath, scopes, deadline)` on the read worker pool
+  /// (a scatter leg, src/shard/). A request whose `deadline` expires
+  /// before it is queued, or while it waits there, resolves with
+  /// kDeadlineExceeded without evaluating.
   std::future<Result<std::vector<uint64_t>>> SubmitCount(
       std::string xpath, std::vector<NodeId> scopes,
       util::Deadline deadline = {});
@@ -311,16 +312,16 @@ class ConcurrentXmlDb {
   static Result<std::unique_ptr<ConcurrentXmlDb>> Wrap(
       Result<std::unique_ptr<XmlDb>> db, const ConcurrentXmlDbOptions& options);
 
-  /// Parses `xpath` and runs `eval(query, view)` on a freshly pinned
-  /// snapshot, with the read path's spans and metrics.
+  /// The one read routine, on whichever thread serves the read: sheds an
+  /// expired `deadline`, runs the `engine.concurrent.read.delay` failpoint,
+  /// re-checks the deadline, then parses `xpath` and runs
+  /// `eval(query, view)` on a freshly pinned snapshot, with the read path's
+  /// spans and metrics.
   template <typename T, typename Eval>
-  Result<T> Read(const std::string& xpath, Eval eval) const;
+  Result<T> Read(const std::string& xpath, util::Deadline deadline,
+                 Eval eval) const;
 
-  /// Runs `read` on the read worker pool: the one submission path behind
-  /// SubmitQuery and SubmitCount (trace hand-off, deadline shedding).
-  template <typename T>
-  std::future<Result<T>> SubmitRead(util::Deadline deadline,
-                                    std::function<Result<T>()> read);
+
 
   /// Enqueues `req` under `admission`, resolving its promise in place on
   /// rejection.

@@ -4,25 +4,17 @@
 
 #include "util/crc32c.h"
 #include "util/label_codec.h"
+#include "util/little_endian.h"
 
 namespace cdbs::net {
 
 namespace {
 
+using util::AppendU32;
+using util::AppendU64;
+
 void AppendU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
 }
 
 void AppendString(std::string* out, std::string_view s) {
@@ -35,40 +27,26 @@ class Cursor {
  public:
   explicit Cursor(std::string_view data) : data_(data) {}
 
-  Status ReadU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) return Truncated();
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return Status::OK();
+  /// Reads one fixed-width value (`n` into `v[0..n)`).
+  template <typename T>
+  Status Read(T* v, size_t n = 1) {
+    return util::ReadLE(data_, &pos_, v, n) ? Status::OK() : Truncated();
   }
 
-  Status ReadU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return Truncated();
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return Truncated();
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return Status::OK();
+  /// A u32 count, then that many u64 values, read as one block.
+  Status ReadU64Array(std::vector<uint64_t>* v) {
+    uint32_t n = 0;
+    CDBS_RETURN_NOT_OK(Read(&n));
+    // Checked before the resize: a hostile count must not allocate.
+    if ((data_.size() - pos_) / sizeof(uint64_t) < n) return Truncated();
+    v->resize(n);
+    return Read(v->data(), n);
   }
 
   Status ReadString(std::string* v) {
     uint32_t len = 0;
-    CDBS_RETURN_NOT_OK(ReadU32(&len));
-    if (pos_ + len > data_.size()) return Truncated();
+    CDBS_RETURN_NOT_OK(Read(&len));
+    if (data_.size() - pos_ < len) return Truncated();
     v->assign(data_.data() + pos_, len);
     pos_ += len;
     return Status::OK();
@@ -184,10 +162,10 @@ std::string EncodeRequest(const Request& req) {
 Status DecodeRequest(std::string_view payload, Request* out) {
   Cursor cur(payload);
   uint8_t op_raw = 0;
-  CDBS_RETURN_NOT_OK(cur.ReadU8(&op_raw));
+  CDBS_RETURN_NOT_OK(cur.Read(&op_raw));
   CDBS_RETURN_NOT_OK(ValidateOpcode(op_raw, &out->op));
-  CDBS_RETURN_NOT_OK(cur.ReadU64(&out->request_id));
-  CDBS_RETURN_NOT_OK(cur.ReadU32(&out->deadline_ms));
+  CDBS_RETURN_NOT_OK(cur.Read(&out->request_id));
+  CDBS_RETURN_NOT_OK(cur.Read(&out->deadline_ms));
   switch (out->op) {
     case Opcode::kPing:
     case Opcode::kStats:
@@ -199,34 +177,34 @@ Status DecodeRequest(std::string_view payload, Request* out) {
       break;
     case Opcode::kInsertBefore:
     case Opcode::kInsertAfter:
-      CDBS_RETURN_NOT_OK(cur.ReadU64(&out->target));
+      CDBS_RETURN_NOT_OK(cur.Read(&out->target));
       CDBS_RETURN_NOT_OK(cur.ReadString(&out->tag));
       break;
     case Opcode::kDelete:
-      CDBS_RETURN_NOT_OK(cur.ReadU64(&out->target));
+      CDBS_RETURN_NOT_OK(cur.Read(&out->target));
       break;
     case Opcode::kSubscribe:
-      CDBS_RETURN_NOT_OK(cur.ReadU64(&out->target));
-      CDBS_RETURN_NOT_OK(cur.ReadU64(&out->epoch));
+      CDBS_RETURN_NOT_OK(cur.Read(&out->target));
+      CDBS_RETURN_NOT_OK(cur.Read(&out->epoch));
       break;
     case Opcode::kBootstrap:
     case Opcode::kPromote:
     case Opcode::kReplBatch:
       break;
     case Opcode::kReplAck:
-      CDBS_RETURN_NOT_OK(cur.ReadU64(&out->target));
+      CDBS_RETURN_NOT_OK(cur.Read(&out->target));
       break;
     case Opcode::kHello:
-      CDBS_RETURN_NOT_OK(cur.ReadU64(&out->target));
+      CDBS_RETURN_NOT_OK(cur.Read(&out->target));
       break;
   }
   out->trace_id = 0;
   out->doc_id = Request::kNoDoc;
   if (!cur.exhausted()) {
-    CDBS_RETURN_NOT_OK(cur.ReadU64(&out->trace_id));
+    CDBS_RETURN_NOT_OK(cur.Read(&out->trace_id));
   }
   if (!cur.exhausted()) {
-    CDBS_RETURN_NOT_OK(cur.ReadU64(&out->doc_id));
+    CDBS_RETURN_NOT_OK(cur.Read(&out->doc_id));
   }
   if (!cur.exhausted()) {
     return Status::Corruption("trailing bytes after request");
@@ -236,6 +214,7 @@ Status DecodeRequest(std::string_view payload, Request* out) {
 
 std::string EncodeResponse(const Response& resp) {
   std::string out;
+  out.reserve(22 + resp.message.size() + 8 * resp.node_ids.size());
   AppendU64(&out, resp.request_id);
   AppendU8(&out, static_cast<uint8_t>(resp.op));
   AppendU8(&out, static_cast<uint8_t>(resp.code));
@@ -247,7 +226,7 @@ std::string EncodeResponse(const Response& resp) {
         break;
       case Opcode::kQuery:
         AppendU32(&out, static_cast<uint32_t>(resp.node_ids.size()));
-        for (uint64_t id : resp.node_ids) AppendU64(&out, id);
+        util::AppendU64s(&out, resp.node_ids.data(), resp.node_ids.size());
         break;
       case Opcode::kInsertBefore:
       case Opcode::kInsertAfter:
@@ -294,35 +273,26 @@ std::string EncodeResponse(const Response& resp) {
 
 Status DecodeResponse(std::string_view payload, Response* out) {
   Cursor cur(payload);
-  CDBS_RETURN_NOT_OK(cur.ReadU64(&out->request_id));
+  CDBS_RETURN_NOT_OK(cur.Read(&out->request_id));
   uint8_t op_raw = 0;
-  CDBS_RETURN_NOT_OK(cur.ReadU8(&op_raw));
+  CDBS_RETURN_NOT_OK(cur.Read(&op_raw));
   CDBS_RETURN_NOT_OK(ValidateOpcode(op_raw, &out->op));
   uint8_t code_raw = 0;
-  CDBS_RETURN_NOT_OK(cur.ReadU8(&code_raw));
+  CDBS_RETURN_NOT_OK(cur.Read(&code_raw));
   CDBS_RETURN_NOT_OK(ValidateStatusCode(code_raw, &out->code));
-  CDBS_RETURN_NOT_OK(cur.ReadU32(&out->retry_after_ms));
+  CDBS_RETURN_NOT_OK(cur.Read(&out->retry_after_ms));
   CDBS_RETURN_NOT_OK(cur.ReadString(&out->message));
   if (out->code == StatusCode::kOk) {
     switch (out->op) {
       case Opcode::kPing:
         break;
-      case Opcode::kQuery: {
-        uint32_t n = 0;
-        CDBS_RETURN_NOT_OK(cur.ReadU32(&n));
-        if (static_cast<size_t>(n) * 8 > payload.size()) {
-          return Status::Corruption("query result count exceeds payload");
-        }
-        out->node_ids.resize(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          CDBS_RETURN_NOT_OK(cur.ReadU64(&out->node_ids[i]));
-        }
+      case Opcode::kQuery:
+        CDBS_RETURN_NOT_OK(cur.ReadU64Array(&out->node_ids));
         break;
-      }
       case Opcode::kInsertBefore:
       case Opcode::kInsertAfter:
       case Opcode::kDelete:
-        CDBS_RETURN_NOT_OK(cur.ReadU64(&out->id_or_count));
+        CDBS_RETURN_NOT_OK(cur.Read(&out->id_or_count));
         break;
       case Opcode::kStats:
         CDBS_RETURN_NOT_OK(cur.ReadString(&out->stats_json));
@@ -333,22 +303,22 @@ Status DecodeResponse(std::string_view payload, Response* out) {
         break;
       case Opcode::kSubscribe:
       case Opcode::kPromote:
-        CDBS_RETURN_NOT_OK(cur.ReadU64(&out->id_or_count));
-        CDBS_RETURN_NOT_OK(cur.ReadU64(&out->epoch));
+        CDBS_RETURN_NOT_OK(cur.Read(&out->id_or_count));
+        CDBS_RETURN_NOT_OK(cur.Read(&out->epoch));
         break;
       case Opcode::kHello:
-        CDBS_RETURN_NOT_OK(cur.ReadU64(&out->id_or_count));
+        CDBS_RETURN_NOT_OK(cur.Read(&out->id_or_count));
         break;
       case Opcode::kBootstrap:
       case Opcode::kReplBatch:
-        CDBS_RETURN_NOT_OK(cur.ReadU64(&out->id_or_count));
-        CDBS_RETURN_NOT_OK(cur.ReadU64(&out->epoch));
+        CDBS_RETURN_NOT_OK(cur.Read(&out->id_or_count));
+        CDBS_RETURN_NOT_OK(cur.Read(&out->epoch));
         CDBS_RETURN_NOT_OK(cur.ReadString(&out->blob));
         break;
       case Opcode::kCount: {
-        CDBS_RETURN_NOT_OK(cur.ReadU64(&out->id_or_count));
+        CDBS_RETURN_NOT_OK(cur.Read(&out->id_or_count));
         uint32_t n = 0;
-        CDBS_RETURN_NOT_OK(cur.ReadU32(&n));
+        CDBS_RETURN_NOT_OK(cur.Read(&n));
         // Each entry is at least 17 bytes (u32 + u8 + u64 + empty string).
         if (static_cast<size_t>(n) * 17 > payload.size()) {
           return Status::Corruption("shard count entries exceed payload");
@@ -356,11 +326,11 @@ Status DecodeResponse(std::string_view payload, Response* out) {
         out->shard_counts.resize(n);
         for (uint32_t i = 0; i < n; ++i) {
           auto& e = out->shard_counts[i];
-          CDBS_RETURN_NOT_OK(cur.ReadU32(&e.shard));
+          CDBS_RETURN_NOT_OK(cur.Read(&e.shard));
           uint8_t code_byte = 0;
-          CDBS_RETURN_NOT_OK(cur.ReadU8(&code_byte));
+          CDBS_RETURN_NOT_OK(cur.Read(&code_byte));
           CDBS_RETURN_NOT_OK(ValidateStatusCode(code_byte, &e.code));
-          CDBS_RETURN_NOT_OK(cur.ReadU64(&e.count));
+          CDBS_RETURN_NOT_OK(cur.Read(&e.count));
           CDBS_RETURN_NOT_OK(cur.ReadString(&e.message));
         }
         break;
@@ -393,29 +363,16 @@ std::string EncodeFrame(std::string_view payload, bool allow_compress) {
   }
   std::string out;
   out.reserve(kFrameHeaderBytes + stored.size());
-  std::string len_bytes;
-  AppendU32(&len_bytes, len_field);
-  uint32_t crc = util::Crc32c(len_bytes.data(), len_bytes.size());
-  crc = util::Crc32c(stored.data(), stored.size(), crc);
-  AppendU32(&out, crc);
-  out += len_bytes;
+  out.resize(kFrameHeaderBytes);
   out.append(stored.data(), stored.size());
+  util::StoreU32(out.data() + 4, len_field);
+  util::StoreU32(out.data(), util::Crc32c(out.data() + 4, 4 + stored.size()));
   return out;
 }
-
-namespace {
-uint32_t LoadU32(const char* p) {
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return out;
-}
-}  // namespace
 
 Status ParseFrameHeader(const char* header, uint32_t* payload_len,
                         bool* compressed) {
-  const uint32_t raw = LoadU32(header + 4);
+  const uint32_t raw = util::LoadU32(header + 4);
   const bool is_compressed = (raw & kFrameCompressedBit) != 0;
   const uint32_t len = raw & ~kFrameCompressedBit;
   if (compressed != nullptr) {
@@ -430,7 +387,7 @@ Status ParseFrameHeader(const char* header, uint32_t* payload_len,
 }
 
 Status VerifyFrame(const char* header, std::string_view payload) {
-  const uint32_t expected = LoadU32(header);
+  const uint32_t expected = util::LoadU32(header);
   uint32_t crc = util::Crc32c(header + 4, 4);
   crc = util::Crc32c(payload.data(), payload.size(), crc);
   if (crc != expected) {

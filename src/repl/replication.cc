@@ -8,46 +8,15 @@
 
 #include "engine/xml_db.h"
 #include "util/crc32c.h"
+#include "util/little_endian.h"
 
 namespace cdbs::repl {
 
 namespace {
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-bool ReadU32(std::string_view data, size_t* pos, uint32_t* v) {
-  if (*pos + 4 > data.size()) return false;
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>(data[*pos + i]))
-           << (8 * i);
-  }
-  *pos += 4;
-  *v = out;
-  return true;
-}
-
-bool ReadU64(std::string_view data, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > data.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(data[*pos + i]))
-           << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
-}
+using util::AppendU32;
+using util::AppendU64;
+using util::ReadLE;
 
 uint64_t MintEpoch() {
   // Random, not sequential: two primaries must never mint the same epoch,
@@ -78,7 +47,7 @@ std::string EncodeReplOps(const std::vector<ReplOp>& ops) {
 Status DecodeReplOps(std::string_view payload, std::vector<ReplOp>* out) {
   size_t pos = 0;
   uint32_t count = 0;
-  if (!ReadU32(payload, &pos, &count)) {
+  if (!ReadLE(payload, &pos, &count)) {
     return Status::Corruption("repl batch truncated at count");
   }
   // Each op occupies at least 21 bytes; a count beyond that is corruption,
@@ -100,9 +69,9 @@ Status DecodeReplOps(std::string_view payload, std::vector<ReplOp>* out) {
     }
     op.kind = static_cast<ReplOp::Kind>(kind);
     uint32_t tag_len = 0;
-    if (!ReadU64(payload, &pos, &op.target) ||
-        !ReadU64(payload, &pos, &op.new_id) ||
-        !ReadU32(payload, &pos, &tag_len)) {
+    if (!ReadLE(payload, &pos, &op.target) ||
+        !ReadLE(payload, &pos, &op.new_id) ||
+        !ReadLE(payload, &pos, &tag_len)) {
       return Status::Corruption("repl op truncated");
     }
     if (pos + tag_len > payload.size()) {
@@ -133,8 +102,12 @@ std::string EncodeBootstrapHeader(const engine::BootstrapSpec& spec,
   AppendU64(&out, spec.next_id);
   AppendU64(&out, spec.original_count);
   AppendU64(&out, static_cast<uint64_t>(spec.ids.size()));
+  // Ids widen from NodeId to u64: one store each into the pre-sized tail.
+  out.resize(out.size() + 8 * spec.ids.size());
+  char* p = out.data() + out.size() - 8 * spec.ids.size();
   for (const engine::NodeId id : spec.ids) {
-    AppendU64(&out, static_cast<uint64_t>(id));
+    util::StoreU64(p, id);
+    p += 8;
   }
   return out;
 }
@@ -154,25 +127,22 @@ Status DecodeBootstrapSpec(std::string_view blob, engine::BootstrapSpec* out) {
     return Status::Corruption("bootstrap blob: missing or unknown version");
   }
   uint64_t count = 0;
-  if (!ReadU64(blob, &pos, &out->next_id) ||
-      !ReadU64(blob, &pos, &out->original_count) ||
-      !ReadU64(blob, &pos, &count)) {
+  if (!ReadLE(blob, &pos, &out->next_id) ||
+      !ReadLE(blob, &pos, &out->original_count) ||
+      !ReadLE(blob, &pos, &count)) {
     return Status::Corruption("bootstrap blob: truncated header");
   }
   if (count > (blob.size() - pos) / 8) {
     return Status::Corruption("bootstrap blob: id count exceeds payload");
   }
-  out->ids.clear();
-  out->ids.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    if (!ReadU64(blob, &pos, &id)) {
-      return Status::Corruption("bootstrap blob: truncated id list");
-    }
-    if (id > std::numeric_limits<engine::NodeId>::max()) {
+  out->ids.resize(count);
+  for (engine::NodeId& id : out->ids) {
+    const uint64_t wide = util::LoadU64(blob.data() + pos);
+    pos += 8;
+    if (wide > std::numeric_limits<engine::NodeId>::max()) {
       return Status::Corruption("bootstrap blob: id overflows NodeId");
     }
-    out->ids.push_back(static_cast<engine::NodeId>(id));
+    id = static_cast<engine::NodeId>(wide);
   }
   out->xml.assign(blob.substr(pos));
   return Status::OK();
@@ -210,12 +180,12 @@ Status ReadCheckpoint(const std::string& path, uint64_t* lsn,
   }
   size_t pos = bytes.size() - 4;
   uint32_t stored = 0;
-  ReadU32(bytes, &pos, &stored);
+  ReadLE(bytes, &pos, &stored);
   if (util::Crc32c(bytes.data(), bytes.size() - 4) != stored) {
     return Status::Corruption("checkpoint " + path + ": checksum mismatch");
   }
   pos = sizeof(kCheckpointMagic);
-  ReadU64(bytes, &pos, lsn);
+  ReadLE(bytes, &pos, lsn);
   return DecodeBootstrapSpec(
       std::string_view(bytes).substr(pos, bytes.size() - 4 - pos), spec);
 }

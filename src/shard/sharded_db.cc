@@ -12,6 +12,7 @@
 #include "storage/wal.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
+#include "util/little_endian.h"
 
 namespace cdbs::shard {
 
@@ -24,19 +25,8 @@ constexpr uint32_t kManifestVersion = 1;
 constexpr size_t kManifestHeaderBytes = 8 + 4 + 4 + 1 + 4;  // magic..count
 constexpr size_t kManifestCrcBytes = 4;
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t ReadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
+using util::AppendU32;
+using util::LoadU32;
 
 // --- tiny filesystem helpers (POSIX; no std::filesystem dependency) ------
 
@@ -71,20 +61,20 @@ Status DecodeManifest(std::string_view bytes, ShardManifest* out) {
     return Status::Corruption("bad shard manifest magic");
   }
   const uint32_t stored =
-      ReadU32(bytes.data() + bytes.size() - kManifestCrcBytes);
+      LoadU32(bytes.data() + bytes.size() - kManifestCrcBytes);
   const uint32_t actual =
       util::Crc32c(bytes.data(), bytes.size() - kManifestCrcBytes);
   if (stored != actual) {
     return Status::Corruption("shard manifest checksum mismatch");
   }
   const char* p = bytes.data() + sizeof(kManifestMagic);
-  const uint32_t version = ReadU32(p);
+  const uint32_t version = LoadU32(p);
   p += 4;
   if (version != kManifestVersion) {
     return Status::Corruption("unsupported shard manifest version " +
                               std::to_string(version));
   }
-  out->shard_count = ReadU32(p);
+  out->shard_count = LoadU32(p);
   p += 4;
   if (out->shard_count == 0) {
     return Status::Corruption("shard manifest has zero shards");
@@ -95,7 +85,7 @@ Status DecodeManifest(std::string_view bytes, ShardManifest* out) {
     return Status::Corruption("bad router kind in shard manifest");
   }
   out->router = static_cast<RouterKind>(router);
-  const uint32_t n = ReadU32(p);
+  const uint32_t n = LoadU32(p);
   p += 4;
   if (bytes.size() !=
       kManifestHeaderBytes + 4ull * n + kManifestCrcBytes) {
@@ -103,7 +93,7 @@ Status DecodeManifest(std::string_view bytes, ShardManifest* out) {
   }
   out->placement.resize(n);
   for (uint32_t i = 0; i < n; ++i, p += 4) {
-    const uint32_t v = ReadU32(p);
+    const uint32_t v = LoadU32(p);
     if (v >= out->shard_count) {
       return Status::Corruption("shard manifest places document " +
                                 std::to_string(i) + " on shard " +
@@ -406,7 +396,12 @@ std::future<Result<std::vector<uint64_t>>> ShardedDb::SubmitLeg(
   std::vector<engine::NodeId> roots;
   roots.reserve(shard_docs_[s].size());
   for (const uint64_t doc : shard_docs_[s]) roots.push_back(doc_root_[doc]);
-  return shards_[s]->SubmitCount(xpath, std::move(roots), deadline);
+  if (s + 1 < shards_.size()) {
+    return shards_[s]->SubmitCount(xpath, std::move(roots), deadline);
+  }
+  std::promise<Result<std::vector<uint64_t>>> here;
+  here.set_value(shards_[s]->CountPerScope(xpath, roots, deadline));
+  return here.get_future();
 }
 
 Result<std::vector<engine::NodeId>> ShardedDb::QueryDoc(
@@ -415,7 +410,7 @@ Result<std::vector<engine::NodeId>> ShardedDb::QueryDoc(
   const uint32_t s = doc_shard_[doc];
   routed_reads_->Increment();
   per_shard_metrics_[s].reads->Increment();
-  return shards_[s]->SubmitQuery(xpath, deadline, doc_root_[doc]).get();
+  return shards_[s]->Query(xpath, doc_root_[doc], deadline);
 }
 
 Result<uint64_t> ShardedDb::CountDoc(uint64_t doc, const std::string& xpath,
@@ -424,7 +419,7 @@ Result<uint64_t> ShardedDb::CountDoc(uint64_t doc, const std::string& xpath,
   const uint32_t s = doc_shard_[doc];
   routed_reads_->Increment();
   per_shard_metrics_[s].reads->Increment();
-  auto res = shards_[s]->SubmitCount(xpath, {doc_root_[doc]}, deadline).get();
+  auto res = shards_[s]->CountPerScope(xpath, {doc_root_[doc]}, deadline);
   if (!res.ok()) return res.status();
   return (*res)[0];
 }

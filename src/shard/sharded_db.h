@@ -32,9 +32,11 @@
 /// alone, on every axis. Node ids are per-shard: every read and write is
 /// addressed as (document, node id in its shard).
 ///
-/// Cross-shard reads scatter-gather: `CountAll` fans the query out to every
-/// shard on the shared reader pool, propagates the caller's deadline to
-/// each, and returns *per-shard* results — a shard that cannot answer
+/// Document-scoped reads run on the caller's thread. Cross-shard reads
+/// scatter-gather: `CountAll` fans the query out to every shard (all legs
+/// but the last on the shared reader pool, the last on the caller's
+/// thread), propagates the caller's deadline to each, and returns
+/// *per-shard* results — a shard that cannot answer
 /// (failpoint, deadline) contributes a kUnavailable entry instead of
 /// failing the whole request.
 
@@ -79,7 +81,8 @@ struct ShardedDbOptions {
   /// `<storage_dir>/shard-<i>/` and the placement manifest lives at
   /// `<storage_dir>/MANIFEST`. Empty = fully in-memory.
   std::string storage_dir;
-  /// Size of the reader pool shared by every shard.
+  /// Size of the reader pool shared by every shard. It runs scatter legs
+  /// only; document-scoped reads run on their caller's thread.
   size_t read_workers = 4;
 
   /// Supervision and self-healing (docs/ROBUSTNESS.md): health state
@@ -182,9 +185,11 @@ class ShardedDb {
 
   // --- document-scoped reads -------------------------------------------
 
-  /// Evaluates `xpath` within `doc` only, on the shared reader pool,
-  /// snapshot-isolated against that shard's writer. Returned ids are node
-  /// ids in the document's shard.
+  /// Evaluates `xpath` within `doc` only, on the calling thread,
+  /// snapshot-isolated against that shard's writer
+  /// (ConcurrentXmlDb::Query: an expired `deadline` sheds with
+  /// kDeadlineExceeded without evaluating). Returned ids are node ids in
+  /// the document's shard.
   Result<std::vector<engine::NodeId>> QueryDoc(uint64_t doc,
                                                const std::string& xpath,
                                                util::Deadline deadline = {});
@@ -204,8 +209,8 @@ class ShardedDb {
 
   /// Total matches of `xpath` across all shards: the sum of the
   /// per-document counts, each document evaluated in its own scope. The
-  /// query fans out to every shard concurrently (shared reader pool), each
-  /// with the caller's deadline; a shard that cannot answer yields a
+  /// query fans out to every shard concurrently (SubmitLeg), each with the
+  /// caller's deadline; a shard that cannot answer yields a
   /// per-shard kUnavailable (or kDeadlineExceeded) entry while the others
   /// still count. The call
   /// itself fails only when the query does not parse or when EVERY shard
@@ -283,7 +288,9 @@ class ShardedDb {
 
   /// Counts `xpath` in each document of shard `s`, in document order, on
   /// one pinned snapshot (one scatter leg). Resolves with per-document
-  /// counts, index-aligned with shard_docs_[s].
+  /// counts, index-aligned with shard_docs_[s]. Callers submit legs in
+  /// shard order: the last shard's leg runs here, on the calling thread,
+  /// once every other leg is queued on the reader pool.
   std::future<Result<std::vector<uint64_t>>> SubmitLeg(
       uint32_t s, const std::string& xpath, util::Deadline deadline);
 

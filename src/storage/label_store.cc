@@ -16,6 +16,7 @@
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/label_codec.h"
+#include "util/little_endian.h"
 #include "util/ordered_varint.h"
 
 namespace cdbs::storage {
@@ -30,19 +31,6 @@ constexpr size_t kPageCountBytes = 2;
 constexpr size_t kHeaderTagOffset = 24;
 constexpr size_t kMaxTagBlobBytes =
     LabelStore::kPageDataSize - kHeaderTagOffset - 4;
-
-void PutU32(char* dst, uint32_t v) { std::memcpy(dst, &v, sizeof(v)); }
-uint32_t GetU32(const char* src) {
-  uint32_t v = 0;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
-}
-void PutU64(char* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
-uint64_t GetU64(const char* src) {
-  uint64_t v = 0;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
-}
 
 void EncodeSlot(char* slot, size_t slot_size, const std::string& record) {
   std::memset(slot, 0, slot_size);
@@ -263,21 +251,21 @@ Status LabelStore::OpenExisting(const std::string& path) {
   }
   std::vector<char> header;
   CDBS_RETURN_NOT_OK(ReadPageRaw(0, &header));
-  if (GetU32(header.data()) != kMagic) {
+  if (util::LoadU32(header.data()) != kMagic) {
     return Status::Corruption(path + " is not a label store");
   }
-  const uint32_t version = GetU32(header.data() + 4);
+  const uint32_t version = util::LoadU32(header.data() + 4);
   if (version != kFormatLegacy && version != kFormatCompact) {
     return Status::Corruption(path + ": unsupported label store version");
   }
-  const uint32_t stored_crc = GetU32(header.data() + kPageDataSize);
+  const uint32_t stored_crc = util::LoadU32(header.data() + kPageDataSize);
   if (stored_crc != util::Crc32c(header.data(), kPageDataSize)) {
     checksum_failures_->Increment();
     return Status::Corruption(path + ": header checksum mismatch");
   }
   format_ = version;
-  slot_size_ = static_cast<size_t>(GetU64(header.data() + 8));
-  record_count_ = static_cast<size_t>(GetU64(header.data() + 16));
+  slot_size_ = static_cast<size_t>(util::LoadU64(header.data() + 8));
+  record_count_ = static_cast<size_t>(util::LoadU64(header.data() + 16));
   if (slot_size_ > kPageDataSize || (slot_size_ == 0 && record_count_ != 0) ||
       (record_count_ != 0 && SlotsPerPageFor(slot_size_) == 0)) {
     return Status::Corruption("label store header has a bad slot size");
@@ -285,7 +273,7 @@ Status LabelStore::OpenExisting(const std::string& path) {
   tag_names_.clear();
   tag_blob_.clear();
   if (format_ == kFormatCompact) {
-    const uint32_t blob_len = GetU32(header.data() + kHeaderTagOffset);
+    const uint32_t blob_len = util::LoadU32(header.data() + kHeaderTagOffset);
     if (blob_len > kMaxTagBlobBytes) {
       return Status::Corruption("label store tag table overruns the header");
     }
@@ -314,13 +302,13 @@ Status LabelStore::OpenExisting(const std::string& path) {
 
 Status LabelStore::WriteHeaderWith(uint64_t slot_size, uint64_t record_count) {
   std::vector<char> header(kPageSize, 0);
-  PutU32(header.data(), kMagic);
-  PutU32(header.data() + 4, format_);
-  PutU64(header.data() + 8, slot_size);
-  PutU64(header.data() + 16, record_count);
+  util::StoreU32(header.data(), kMagic);
+  util::StoreU32(header.data() + 4, format_);
+  util::StoreU64(header.data() + 8, slot_size);
+  util::StoreU64(header.data() + 16, record_count);
   if (format_ == kFormatCompact) {
     CDBS_CHECK(tag_blob_.size() <= kMaxTagBlobBytes);
-    PutU32(header.data() + kHeaderTagOffset,
+    util::StoreU32(header.data() + kHeaderTagOffset,
            static_cast<uint32_t>(tag_blob_.size()));
     std::memcpy(header.data() + kHeaderTagOffset + 4, tag_blob_.data(),
                 tag_blob_.size());
@@ -382,7 +370,6 @@ Status LabelStore::BulkLoad(const std::vector<std::string>& records,
   return wal_->Reset();
 }
 
-
 Status LabelStore::StageBatch(const StoreBatch& batch, uint64_t* count,
                               uint64_t* slot,
                               std::map<uint64_t, std::vector<char>>* dirty,
@@ -434,18 +421,18 @@ std::string LabelStore::EncodeWalPayload(
       8 * 3 + 4 + touched.size() * (8 + kPageDataSize) + 8 + tag_blob_.size(),
       '\0');
   char* out = payload.data();
-  PutU64(out, new_count);
-  PutU64(out + 8, new_slot);
-  PutU64(out + 16, total_pages);
-  PutU32(out + 24, static_cast<uint32_t>(touched.size()));
+  util::StoreU64(out, new_count);
+  util::StoreU64(out + 8, new_slot);
+  util::StoreU64(out + 16, total_pages);
+  util::StoreU32(out + 24, static_cast<uint32_t>(touched.size()));
   out += 28;
   for (const uint64_t page_index : touched) {
-    PutU64(out, page_index);
+    util::StoreU64(out, page_index);
     std::memcpy(out + 8, dirty.at(page_index).data(), kPageDataSize);
     out += 8 + kPageDataSize;
   }
-  PutU32(out, format_);
-  PutU32(out + 4, static_cast<uint32_t>(tag_blob_.size()));
+  util::StoreU32(out, format_);
+  util::StoreU32(out + 4, static_cast<uint32_t>(tag_blob_.size()));
   std::memcpy(out + 8, tag_blob_.data(), tag_blob_.size());
   return payload;
 }
@@ -503,10 +490,10 @@ Status LabelStore::ApplyPageImages(
 Status LabelStore::ReplayWalRecord(const std::string& payload) {
   if (payload.size() < 28) return Status::Corruption("bad WAL record");
   const char* in = payload.data();
-  const uint64_t new_count = GetU64(in);
-  const uint64_t new_slot = GetU64(in + 8);
-  const uint64_t total_pages = GetU64(in + 16);
-  const uint32_t npages = GetU32(in + 24);
+  const uint64_t new_count = util::LoadU64(in);
+  const uint64_t new_slot = util::LoadU64(in + 8);
+  const uint64_t total_pages = util::LoadU64(in + 16);
+  const uint32_t npages = util::LoadU32(in + 24);
   const size_t base =
       28 + static_cast<size_t>(npages) * (8 + kPageDataSize);
   if (payload.size() < base) {
@@ -515,7 +502,7 @@ Status LabelStore::ReplayWalRecord(const std::string& payload) {
   in += 28;
   std::map<uint64_t, std::vector<char>> pages;
   for (uint32_t i = 0; i < npages; ++i) {
-    const uint64_t page_index = GetU64(in);
+    const uint64_t page_index = util::LoadU64(in);
     std::vector<char> page(kPageSize, 0);
     std::memcpy(page.data(), in + 8, kPageDataSize);
     pages.emplace(page_index, std::move(page));
@@ -533,8 +520,8 @@ Status LabelStore::ReplayWalRecord(const std::string& payload) {
     if (payload.size() < base + 8) {
       return Status::Corruption("bad WAL record extension");
     }
-    const uint32_t format = GetU32(in);
-    const uint32_t blob_len = GetU32(in + 4);
+    const uint32_t format = util::LoadU32(in);
+    const uint32_t blob_len = util::LoadU32(in + 4);
     if ((format != kFormatLegacy && format != kFormatCompact) ||
         blob_len > kMaxTagBlobBytes ||
         payload.size() != base + 8 + blob_len) {
@@ -677,7 +664,7 @@ Status LabelStore::ReadPageRaw(uint64_t page_index, std::vector<char>* page) {
 
 Status LabelStore::ReadPage(uint64_t page_index, std::vector<char>* page) {
   CDBS_RETURN_NOT_OK(ReadPageRaw(page_index, page));
-  const uint32_t stored = GetU32(page->data() + kPageDataSize);
+  const uint32_t stored = util::LoadU32(page->data() + kPageDataSize);
   if (stored != util::Crc32c(page->data(), kPageDataSize)) {
     checksum_failures_->Increment();
     return Status::Corruption("page " + std::to_string(page_index) +
@@ -689,7 +676,7 @@ Status LabelStore::ReadPage(uint64_t page_index, std::vector<char>* page) {
 Status LabelStore::WritePage(uint64_t page_index, std::vector<char>* page) {
   obs::ScopedTimer timer(write_ns_);
   if (crashed_) return Status::IoError("store crashed (injected)");
-  PutU32(page->data() + kPageDataSize,
+  util::StoreU32(page->data() + kPageDataSize,
          util::Crc32c(page->data(), kPageDataSize));
   if (CDBS_FAILPOINT("storage.write_page.crash")) {
     crashed_ = true;

@@ -17,6 +17,7 @@
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/label_codec.h"
+#include "util/little_endian.h"
 
 namespace cdbs::storage {
 
@@ -41,19 +42,6 @@ bool EnvCompressionEnabled() {
     return v == nullptr || std::string_view(v) != "0";
   }();
   return enabled;
-}
-
-void PutU32(char* dst, uint32_t v) { std::memcpy(dst, &v, sizeof(v)); }
-void PutU64(char* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
-uint32_t GetU32(const char* src) {
-  uint32_t v = 0;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
-}
-uint64_t GetU64(const char* src) {
-  uint64_t v = 0;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
 }
 
 }  // namespace
@@ -173,10 +161,11 @@ Status Wal::AppendBatch(const std::vector<std::string_view>& payloads) {
     const std::string_view payload = stored[i];
     const uint32_t len = static_cast<uint32_t>(payload.size()) |
                          (is_compressed[i] ? kCompressedLenBit : 0);
-    PutU32(out + 4, len);
-    PutU64(out + 8, lsn++);
+    util::StoreU32(out + 4, len);
+    util::StoreU64(out + 8, lsn++);
     std::memcpy(out + kRecordHeader, payload.data(), payload.size());
-    PutU32(out, util::Crc32c(out + 4, kRecordHeader - 4 + payload.size()));
+    util::StoreU32(out,
+                   util::Crc32c(out + 4, kRecordHeader - 4 + payload.size()));
     out += kRecordHeader + payload.size();
   }
 
@@ -230,11 +219,11 @@ Status Wal::Scan(uint64_t limit, uint64_t from, std::vector<WalRecord>* out,
         static_cast<ssize_t>(kRecordHeader)) {
       return Status::IoError("pread failed on WAL header");
     }
-    const uint32_t crc = GetU32(header);
-    const uint32_t len_field = GetU32(header + 4);
+    const uint32_t crc = util::LoadU32(header);
+    const uint32_t len_field = util::LoadU32(header + 4);
     const bool compressed = (len_field & kCompressedLenBit) != 0;
     const uint32_t len = len_field & kLenMask;
-    const uint64_t lsn = GetU64(header + 8);
+    const uint64_t lsn = util::LoadU64(header + 8);
     if (offset + kRecordHeader + len > limit) break;  // torn append
     std::string payload(len, '\0');
     if (len > 0 &&

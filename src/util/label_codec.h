@@ -69,7 +69,9 @@ void CompressBytes(std::string_view in, std::string* out);
 
 /// Decodes one CompressBytes stream starting at `data[*pos]`, appending
 /// the original bytes to `*out` and advancing `*pos` past the stream.
-/// Refuses (Corruption) malformed input or an original size > `max_out`.
+/// Refuses (Corruption) malformed input or an original size > `max_out`,
+/// which bounds the one allocation it makes; on failure `*out` and `*pos`
+/// are left as they were.
 Status DecompressBytes(std::string_view data, size_t* pos, size_t max_out,
                        std::string* out);
 

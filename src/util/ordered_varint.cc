@@ -4,86 +4,33 @@
 
 namespace cdbs::util {
 
-namespace {
-
-// Payload bit capacity per encoded length 1..6.
-constexpr int kPayloadBits[7] = {0, 7, 11, 16, 21, 26, 31};
-
-// Lead byte prefix per encoded length 1..6 (the fixed high bits).
-constexpr uint8_t kLeadPrefix[7] = {0, 0x00, 0xC0, 0xE0, 0xF0, 0xF8, 0xFC};
-
-int LengthClass(uint64_t value) {
-  for (int len = 1; len <= 6; ++len) {
-    if (value < (1ULL << kPayloadBits[len])) return len;
-  }
-  return 0;  // out of range
-}
-
-}  // namespace
-
 size_t OrderedVarintLength(uint64_t value) {
-  const int len = LengthClass(value);
-  CDBS_CHECK(len != 0);
-  return static_cast<size_t>(len);
+  CDBS_CHECK(value <= kMaxOrderedVarint);
+  if (value < 0x80) return 1;
+  size_t len = 2;  // PutOrderedVarint's length rule
+  while (value >> (5 * len + 1) != 0) ++len;
+  return len;
 }
 
 Status EncodeOrderedVarint(uint64_t value, std::string* out) {
-  const int len = LengthClass(value);
-  if (len == 0) {
+  if (value > kMaxOrderedVarint) {
     return Status::InvalidArgument("ordered varint value exceeds 2^31-1");
   }
-  // Lead byte carries the highest payload bits; continuation bytes carry six
-  // bits each, most significant first.
-  const int cont_bytes = len - 1;
-  const int lead_bits = kPayloadBits[len] - 6 * cont_bytes;
-  out->push_back(static_cast<char>(
-      kLeadPrefix[len] |
-      static_cast<uint8_t>(value >> (6 * cont_bytes) &
-                           ((1u << lead_bits) - 1))));
-  for (int i = cont_bytes - 1; i >= 0; --i) {
-    out->push_back(
-        static_cast<char>(0x80 | ((value >> (6 * i)) & 0x3F)));
-  }
+  char buf[6];
+  out->append(buf, PutOrderedVarint(buf, value));
   return Status::OK();
 }
 
 Status DecodeOrderedVarint(std::string_view data, size_t* pos,
                            uint64_t* value) {
-  if (*pos >= data.size()) {
-    return Status::Corruption("ordered varint: empty input");
+  const char* end = data.data() + data.size();
+  const char* next = *pos <= data.size()
+                         ? GetOrderedVarint(data.data() + *pos, end, value)
+                         : nullptr;
+  if (next == nullptr) {
+    return Status::Corruption("ordered varint: truncated or malformed");
   }
-  const uint8_t lead = static_cast<uint8_t>(data[*pos]);
-  int len = 0;
-  if ((lead & 0x80) == 0x00) {
-    len = 1;
-  } else if ((lead & 0xE0) == 0xC0) {
-    len = 2;
-  } else if ((lead & 0xF0) == 0xE0) {
-    len = 3;
-  } else if ((lead & 0xF8) == 0xF0) {
-    len = 4;
-  } else if ((lead & 0xFC) == 0xF8) {
-    len = 5;
-  } else if ((lead & 0xFE) == 0xFC) {
-    len = 6;
-  } else {
-    return Status::Corruption("ordered varint: bad lead byte");
-  }
-  if (*pos + static_cast<size_t>(len) > data.size()) {
-    return Status::Corruption("ordered varint: truncated");
-  }
-  const int cont_bytes = len - 1;
-  const int lead_bits = kPayloadBits[len] - 6 * cont_bytes;
-  uint64_t v = lead & ((1u << lead_bits) - 1);
-  for (int i = 1; i < len; ++i) {
-    const uint8_t b = static_cast<uint8_t>(data[*pos + static_cast<size_t>(i)]);
-    if ((b & 0xC0) != 0x80) {
-      return Status::Corruption("ordered varint: bad continuation byte");
-    }
-    v = (v << 6) | (b & 0x3F);
-  }
-  *pos += static_cast<size_t>(len);
-  *value = v;
+  *pos = static_cast<size_t>(next - data.data());
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #ifndef CDBS_UTIL_ORDERED_VARINT_H_
 #define CDBS_UTIL_ORDERED_VARINT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -48,6 +49,49 @@ Status DecodeOrderedVarint(std::string_view data, size_t* pos,
 inline Status DecodeOrderedVarint(const std::string& data, size_t* pos,
                                   uint64_t* value) {
   return DecodeOrderedVarint(std::string_view(data), pos, value);
+}
+
+/// The two codecs above over raw bytes, for hot loops that must not build a
+/// Status per value (util/label_codec.h's zero-RLE tokens).
+///
+/// Writes the encoding of `value` (<= kMaxOrderedVarint) at `dst`, which
+/// has room for OrderedVarintLength(value) bytes, and returns its end.
+inline char* PutOrderedVarint(char* dst, uint64_t value) {
+  if (value < 0x80) {
+    *dst = static_cast<char>(value);
+    return dst + 1;
+  }
+  // Lead byte: `len` ones, a zero, then the highest payload bits;
+  // continuation bytes carry six bits each, most significant first.
+  int len = 2;
+  while (value >> (5 * len + 1) != 0) ++len;
+  *dst++ = static_cast<char>((0xFF00u >> len) | (value >> (6 * (len - 1))));
+  for (int i = len - 2; i >= 0; --i) {
+    *dst++ = static_cast<char>(0x80 | ((value >> (6 * i)) & 0x3F));
+  }
+  return dst;
+}
+
+/// Decodes one varint from [p, end) into `*value`; returns its end, or
+/// nullptr when the bytes are truncated or malformed.
+inline const char* GetOrderedVarint(const char* p, const char* end,
+                                    uint64_t* value) {
+  if (p == end) return nullptr;
+  const uint8_t lead = static_cast<uint8_t>(*p);
+  if (lead < 0x80) {
+    *value = lead;
+    return p + 1;
+  }
+  const int len = std::countl_one(lead);
+  if (len < 2 || len > 6 || end - p < len) return nullptr;
+  uint64_t v = lead & (0x7Fu >> len);
+  for (int i = 1; i < len; ++i) {
+    const uint8_t b = static_cast<uint8_t>(p[i]);
+    if ((b & 0xC0) != 0x80) return nullptr;
+    v = (v << 6) | (b & 0x3F);
+  }
+  *value = v;
+  return p + len;
 }
 
 }  // namespace cdbs::util

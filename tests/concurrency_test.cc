@@ -407,7 +407,7 @@ TEST(ConcurrentXmlDbTest, SubmissionsFailCleanlyAfterShutdown) {
               StatusCode::kIoError);
   });
   EXPECT_EQ(CounterValue((*db)->metrics(), "engine.concurrent.rejected"), 0u);
-  Result<std::vector<NodeId>> read = (*db)->SubmitQuery("//b").get();
+  Result<std::vector<uint64_t>> read = (*db)->SubmitCount("//b", {0}).get();
   EXPECT_FALSE(read.ok());
   // Snapshot reads still work after shutdown (the last version persists).
   EXPECT_EQ(*(*db)->Count("//b"), 3u);
@@ -416,12 +416,14 @@ TEST(ConcurrentXmlDbTest, SubmissionsFailCleanlyAfterShutdown) {
 TEST(ConcurrentXmlDbTest, SubmittedQueriesRunOnTheWorkerPool) {
   auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
   ASSERT_TRUE(db.ok());
-  std::vector<std::future<Result<std::vector<NodeId>>>> futures;
-  for (int i = 0; i < 32; ++i) futures.push_back((*db)->SubmitQuery("//b"));
+  std::vector<std::future<Result<std::vector<uint64_t>>>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back((*db)->SubmitCount("//b", {0}));
+  }
   for (auto& f : futures) {
-    Result<std::vector<NodeId>> r = f.get();
+    Result<std::vector<uint64_t>> r = f.get();
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->size(), 3u);
+    EXPECT_EQ(*r, std::vector<uint64_t>{3});
   }
 }
 
@@ -561,8 +563,8 @@ TEST(ConcurrentXmlDbTest, QueryExpiredWhileQueuedIsShedWithoutRunning) {
   ASSERT_TRUE(db.ok());
 
   // Already expired at submission: never reaches the reader pool.
-  Result<std::vector<NodeId>> dead =
-      (*db)->SubmitQuery("//b", util::Deadline::AfterMillis(-10)).get();
+  Result<std::vector<uint64_t>> dead =
+      (*db)->SubmitCount("//b", {0}, util::Deadline::AfterMillis(-10)).get();
   EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded);
 
   // Expired while queued: the worker sees the delay-injected latency, then
@@ -572,8 +574,8 @@ TEST(ConcurrentXmlDbTest, QueryExpiredWhileQueuedIsShedWithoutRunning) {
   ASSERT_TRUE(
       util::Failpoints::Activate("engine.concurrent.read.delay", "delay=100")
           .ok());
-  Result<std::vector<NodeId>> doomed =
-      (*db)->SubmitQuery("//b", util::Deadline::AfterMillis(20)).get();
+  Result<std::vector<uint64_t>> doomed =
+      (*db)->SubmitCount("//b", {0}, util::Deadline::AfterMillis(20)).get();
   util::Failpoints::Deactivate("engine.concurrent.read.delay");
   EXPECT_EQ(doomed.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(CounterValue((*db)->metrics(), "engine.concurrent.reads"),
@@ -584,10 +586,10 @@ TEST(ConcurrentXmlDbTest, QueryExpiredWhileQueuedIsShedWithoutRunning) {
             2u);
 
   // A live query still runs fine afterwards.
-  Result<std::vector<NodeId>> live =
-      (*db)->SubmitQuery("//b", util::Deadline::AfterMillis(5000)).get();
+  Result<std::vector<uint64_t>> live =
+      (*db)->SubmitCount("//b", {0}, util::Deadline::AfterMillis(5000)).get();
   ASSERT_TRUE(live.ok());
-  EXPECT_EQ(live->size(), 3u);
+  EXPECT_EQ(*live, std::vector<uint64_t>{3});
 }
 
 TEST(ConcurrentXmlDbTest, AdmissionControlReturnsRetryAfterWithHint) {

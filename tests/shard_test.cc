@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <set>
@@ -19,6 +20,7 @@
 #include "labeling/registry.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -27,6 +29,7 @@
 #include "query/tag_index.h"
 #include "query/xpath.h"
 #include "repl/replication.h"
+#include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 #include "xml/parser.h"
@@ -505,6 +508,118 @@ TEST(ShardScatterTest, AllShardsFailedFailsTheGather) {
   auto gathered = (*db)->CountAll("/play/act");
   util::Failpoints::DeactivateAll();
   EXPECT_EQ(gathered.status().code(), StatusCode::kUnavailable);
+}
+
+// --------------------------------------------------------------------------
+// Routed reads run on the caller's thread, through the engine's one read
+// routine: deadline check, read.delay failpoint, deadline re-check.
+
+uint64_t CounterValue(const obs::MetricRegistry& registry,
+                      const std::string& name) {
+  for (const obs::MetricSnapshot& m : registry.Snapshot()) {
+    if (m.name == name) return m.counter_value;
+  }
+  return 0;
+}
+
+class ShardRoutedReadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ShardedDbOptions options;
+    options.shard_count = 2;
+    options.router = RouterKind::kExplicit;
+    options.placement = {0, 1, 1};
+    auto db = ShardedDb::Open(Plays(3), options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    db_ = std::move(db).value();
+  }
+
+  void TearDown() override {
+    util::Failpoints::DeactivateAll();
+    obs::Tracer::Instance().Configure(obs::TraceOptions{});  // off
+    obs::Tracer::Instance().Clear();
+  }
+
+  // Reads evaluated and requests shed by document 2's shard.
+  uint64_t Reads() const {
+    return CounterValue(db_->shard(1)->metrics(), "engine.concurrent.reads");
+  }
+  uint64_t Shed() const {
+    return CounterValue(db_->shard(1)->metrics(),
+                        "engine.concurrent.deadline_exceeded");
+  }
+
+  std::unique_ptr<ShardedDb> db_;
+};
+
+TEST_F(ShardRoutedReadTest, ExpiredDeadlineShedsWithoutEvaluating) {
+  const uint64_t reads = Reads();
+  const uint64_t shed = Shed();
+  const util::Deadline expired = util::Deadline::AfterMillis(-10);
+  EXPECT_EQ(db_->QueryDoc(2, "//speech", expired).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(db_->CountDoc(2, "//speech", expired).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(Reads(), reads) << "a shed read must not have been evaluated";
+  EXPECT_EQ(Shed(), shed + 2);
+  EXPECT_TRUE(db_->QueryDoc(2, "//speech", util::Deadline::AfterMillis(5000))
+                  .ok());
+  EXPECT_EQ(Reads(), reads + 1);
+}
+
+TEST_F(ShardRoutedReadTest, ReadDelayPastTheDeadlineSheds) {
+  const uint64_t reads = Reads();
+  const uint64_t shed = Shed();
+  ASSERT_TRUE(
+      util::Failpoints::Activate("engine.concurrent.read.delay", "delay=60")
+          .ok());
+  EXPECT_EQ(db_->QueryDoc(2, "//speech", util::Deadline::AfterMillis(20))
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(db_->CountDoc(2, "//speech", util::Deadline::AfterMillis(20))
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  util::Failpoints::Deactivate("engine.concurrent.read.delay");
+  EXPECT_EQ(Reads(), reads);
+  EXPECT_EQ(Shed(), shed + 2);
+}
+
+// Every span of a routed read is recorded on the caller's thread and none
+// waits in the pool's queue; a gather queues all legs but the last.
+TEST_F(ShardRoutedReadTest, OnlyScatterLegsWaitInThePoolQueue) {
+  obs::TraceOptions sampled;
+  sampled.sample_every = 1;
+  sampled.retain = 16;
+  obs::Tracer::Instance().Configure(sampled);
+  obs::Tracer::Instance().Clear();
+  auto spans_of = [](const std::function<void()>& request) {
+    { obs::RequestTrace trace(0); request(); }
+    const auto retained = obs::Tracer::Instance().Retained();
+    obs::Tracer::Instance().Clear();
+    return retained.size() == 1 ? retained[0].spans
+                                : std::vector<obs::Span>{};
+  };
+  auto count = [](const std::vector<obs::Span>& spans, obs::SpanName name) {
+    size_t n = 0;
+    for (const obs::Span& s : spans) n += s.name == name ? 1 : 0;
+    return n;
+  };
+  for (const auto& routed : std::vector<std::function<void()>>{
+           [&] { ASSERT_TRUE(db_->QueryDoc(2, "//speech").ok()); },
+           [&] { ASSERT_TRUE(db_->CountDoc(2, "//speech").ok()); }}) {
+    const std::vector<obs::Span> spans = spans_of(routed);
+    ASSERT_EQ(count(spans, obs::SpanName::kEval), 1u);
+    EXPECT_EQ(count(spans, obs::SpanName::kQueueWait), 0u);
+    std::set<uint32_t> threads;
+    for (const obs::Span& s : spans) threads.insert(s.tid);
+    EXPECT_EQ(threads.size(), 1u) << "a routed read left the caller's thread";
+  }
+  const std::vector<obs::Span> gather =
+      spans_of([&] { ASSERT_TRUE(db_->CountAll("//speech").ok()); });
+  EXPECT_EQ(count(gather, obs::SpanName::kEval), 2u);
+  EXPECT_EQ(count(gather, obs::SpanName::kQueueWait), 1u);
 }
 
 // --------------------------------------------------------------------------

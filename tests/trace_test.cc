@@ -192,7 +192,7 @@ TEST_F(TraceTest, ReadTraceCarriesReadPathStages) {
     RequestTrace rt(0);
     ASSERT_TRUE(rt.active());
     trace_id = rt.trace_id();
-    auto fut = (*db)->SubmitQuery("//b");
+    auto fut = (*db)->SubmitCount("//b", {0});
     ASSERT_TRUE(fut.get().ok());
   }
   (*db)->Shutdown();
