@@ -426,12 +426,8 @@ Result<uint64_t> XmlDb::Apply(const WriteOp& op, Tally* tally) {
   }
   CDBS_RETURN_NOT_OK(
       CheckTarget(op.target, "cannot insert a sibling of the root"));
-  labeling::Labeling* lab = labeled_->labeling_mutable();
-  const labeling::InsertResult result =
-      op.kind == WriteOp::Kind::kInsertBefore
-          ? lab->InsertSiblingBefore(op.target)
-          : lab->InsertSiblingAfter(op.target);
-  labeled_->NoteInsertedNode(result.new_node, op.tag);
+  const labeling::InsertResult result = labeled_->InsertSibling(
+      op.target, op.kind == WriteOp::Kind::kInsertBefore, op.tag);
   ++tally->inserts;
   tally->relabeled += result.relabeled;
   if (result.overflow) ++tally->overflows;

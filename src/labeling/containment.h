@@ -1,6 +1,7 @@
 #ifndef CDBS_LABELING_CONTAINMENT_H_
 #define CDBS_LABELING_CONTAINMENT_H_
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -67,6 +68,11 @@ class IntContainmentCodec {
 
   int Compare(const Value& a, const Value& b) const {
     return a < b ? -1 : (a > b ? 1 : 0);
+  }
+
+  /// The order key: the value saturated at 2^32 - 1, exact below it.
+  static uint32_t Key(Value v) {
+    return v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v);
   }
 
   size_t StoredBits(const Value& v) const {
@@ -188,6 +194,10 @@ class CdbsContainmentCodec {
 
   int Compare(Value a, Value b) const { return a < b ? -1 : (a > b ? 1 : 0); }
 
+  /// The order key: the word's top 32 bits, i.e. the code's first 32 bits,
+  /// which hold the whole code while it is at most 32 bits long.
+  static uint32_t Key(Value v) { return static_cast<uint32_t>(v >> 32); }
+
   size_t StoredBits(Value v) const {
     // F-CDBS: fixed slots of the initial width (codes grown past the width
     // live in the slot headroom; see DESIGN.md). V-CDBS: length field +
@@ -272,6 +282,8 @@ template <typename Codec>
 class ContainmentLabeling : public Labeling {
  public:
   using Value = typename Codec::Value;
+  /// Whether the codec abbreviates a start value to a 32-bit order key.
+  static constexpr bool kKeyed = requires(Value v) { Codec::Key(v); };
 
   ContainmentLabeling(std::string name, Codec codec, TreeSkeleton skeleton)
       : name_(std::move(name)), codec_(std::move(codec)) {
@@ -298,14 +310,24 @@ class ContainmentLabeling : public Labeling {
   }
 
   bool IsParent(NodeId p, NodeId c) const override {
-    return level_[c] - level_[p] == 1 && IsAncestor(p, c);
+    return Level(c) - Level(p) == 1 && IsAncestor(p, c);
   }
 
   int CompareOrder(NodeId a, NodeId b) const override {
     return codec_.Compare(start_[a], start_[b]);
   }
 
-  int Level(NodeId n) const override { return level_[n]; }
+  int Level(NodeId n) const override { return skeleton_.level(n); }
+
+  bool HasOrderKeys() const override { return kKeyed; }
+
+  uint32_t OrderKey(NodeId n) const override {
+    if constexpr (kKeyed) {
+      return Codec::Key(start_[n]);
+    } else {
+      return 0;
+    }
+  }
 
   InsertResult InsertSiblingBefore(NodeId target) override {
     // The new interval goes between the value preceding start(target) —
@@ -333,7 +355,7 @@ class ContainmentLabeling : public Labeling {
   std::string SerializeLabel(NodeId n) const override {
     std::string out = codec_.Serialize(start_[n]);
     out += codec_.Serialize(end_[n]);
-    out.push_back(static_cast<char>(level_[n]));
+    out.push_back(static_cast<char>(Level(n)));
     return out;
   }
 
@@ -353,16 +375,20 @@ class ContainmentLabeling : public Labeling {
 
   std::unique_ptr<Labeling> ForkShared() const override {
     // The copy constructor is COW across all per-node state (CowVector
-    // labels/levels + COW TreeSkeleton), so a fork shares every chunk.
+    // labels + COW TreeSkeleton), so a fork shares every chunk.
     return std::make_unique<ContainmentLabeling<Codec>>(*this);
   }
 
   /// The label columns, read-only: readers that decide structure from the
   /// values directly (query/evaluator.cc) instead of per-node virtual
-  /// calls. Every codec orders its values by the Value's `<`.
+  /// calls. Every codec orders its values by the Value's `<`. A label's
+  /// level is the skeleton's level column, shared rather than copied: it
+  /// never changes after an insert, and a re-encode leaves it alone.
   const util::CowVector<Value>& starts() const { return start_; }
   const util::CowVector<Value>& ends() const { return end_; }
-  const util::CowVector<int>& levels() const { return level_; }
+  const util::CowVector<uint16_t>& levels() const {
+    return skeleton_.levels();
+  }
 
   /// Test hooks: a value as its codec presents it (CDBS words decode to
   /// their BitString).
@@ -388,13 +414,11 @@ class ContainmentLabeling : public Labeling {
     codec_.Init(2 * skeleton_.live_count(), &values);
     start_.Resize(skeleton_.size());
     end_.Resize(skeleton_.size());
-    level_.Resize(skeleton_.size());
     for (size_t i = 0; i < skeleton_.size(); ++i) {
       if (skeleton_.is_removed(static_cast<NodeId>(i))) continue;
       // Each rank indexes `values` exactly once, so moving out is safe.
       start_.Set(i, std::move(values[start_rank[i] - 1]));
       end_.Set(i, std::move(values[end_rank[i] - 1]));
-      level_.Set(i, skeleton_.level(static_cast<NodeId>(i)));
     }
   }
 
@@ -409,7 +433,6 @@ class ContainmentLabeling : public Labeling {
     if (codec_.TryInsertTwoBetween(left, right, &v1, &v2, &neighbor_bits)) {
       start_.PushBack(std::move(v1));
       end_.PushBack(std::move(v2));
-      level_.PushBack(skeleton_.level(id));
       codec_.NoteUniverse(2 * skeleton_.size());
       result.neighbor_bits_modified = neighbor_bits;
       return result;
@@ -436,7 +459,6 @@ class ContainmentLabeling : public Labeling {
       }
       start_.PushBack(pivot);
       end_.PushBack(pivot + 1);
-      level_.PushBack(skeleton_.level(id));
       codec_.NoteUniverse(2 * skeleton_.size());
     } else {
       // Full re-encode of every value (the new node included).
@@ -451,7 +473,6 @@ class ContainmentLabeling : public Labeling {
   TreeSkeleton skeleton_;
   util::CowVector<Value> start_;
   util::CowVector<Value> end_;
-  util::CowVector<int> level_;
 };
 
 /// ---- Factories ----------------------------------------------------------

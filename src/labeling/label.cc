@@ -1,5 +1,8 @@
 #include "labeling/label.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -35,28 +38,45 @@ TreeSkeleton TreeSkeleton::FromDocument(
   return sk;
 }
 
+void TreeSkeleton::PushLevel(int level) {
+  CDBS_CHECK(level <= std::numeric_limits<uint16_t>::max());
+  level_.PushBack(static_cast<uint16_t>(level));
+}
+
 NodeId TreeSkeleton::AddNode(NodeId parent_id) {
   const NodeId id = static_cast<NodeId>(parent_.size());
   CDBS_CHECK(parent_id == kNoNode ? id == 0 : parent_id < id);
   ++live_count_;
-  removed_.PushBack(0);
   parent_.PushBack(parent_id);
-  level_.PushBack(parent_id == kNoNode ? 1 : level_[parent_id] + 1);
+  PushLevel(parent_id == kNoNode ? 1 : level_[parent_id] + 1);
   prev_sibling_.PushBack(kNoNode);
   next_sibling_.PushBack(kNoNode);
   first_child_.PushBack(kNoNode);
-  last_child_.PushBack(kNoNode);
-  if (parent_id != kNoNode) {
-    const NodeId prev = last_child_[parent_id];
-    prev_sibling_.Set(id, prev);
-    if (prev != kNoNode) {
-      next_sibling_.Set(prev, id);
-    } else {
-      first_child_.Set(parent_id, id);
+  if (parent_id != kNoNode && first_child_[parent_id] == kNoNode) {
+    first_child_.Set(parent_id, id);
+  } else if (parent_id != kNoNode) {
+    // The parent's last child so far: in a pre-order build, the ancestor
+    // of the node added last that sits just below the parent. A node the
+    // walk passes is closed for good, so a whole build walks each node at
+    // most once.
+    NodeId prev = id - 1;
+    while (prev != kNoNode && parent_[prev] != parent_id) {
+      prev = parent_[prev];
     }
-    last_child_.Set(parent_id, id);
+    if (prev == kNoNode || next_sibling_[prev] != kNoNode) {
+      prev = last_child(parent_id);  // not a pre-order add
+    }
+    prev_sibling_.Set(id, prev);
+    next_sibling_.Set(prev, id);
   }
   return id;
+}
+
+NodeId TreeSkeleton::last_child(NodeId n) const {
+  NodeId child = first_child_[n];
+  if (child == kNoNode) return kNoNode;
+  while (next_sibling_[child] != kNoNode) child = next_sibling_[child];
+  return child;
 }
 
 uint64_t TreeSkeleton::SubtreeSize(NodeId n) const {
@@ -76,15 +96,13 @@ uint64_t TreeSkeleton::SubtreeSize(NodeId n) const {
 NodeId TreeSkeleton::AddSiblingBefore(NodeId target) {
   ++live_count_;
   CDBS_CHECK(target < parent_.size());
-  CDBS_CHECK(removed_[target] == 0);
+  CDBS_CHECK(!is_removed(target));
   const NodeId parent_id = parent_[target];
   CDBS_CHECK(parent_id != kNoNode);  // cannot insert beside the root
   const NodeId id = static_cast<NodeId>(parent_.size());
-  removed_.PushBack(0);
   parent_.PushBack(parent_id);
-  level_.PushBack(level_[parent_id] + 1);
+  PushLevel(level_[parent_id] + 1);
   first_child_.PushBack(kNoNode);
-  last_child_.PushBack(kNoNode);
   const NodeId prev = prev_sibling_[target];
   prev_sibling_.PushBack(prev);
   next_sibling_.PushBack(target);
@@ -100,30 +118,24 @@ NodeId TreeSkeleton::AddSiblingBefore(NodeId target) {
 NodeId TreeSkeleton::AddSiblingAfter(NodeId target) {
   ++live_count_;
   CDBS_CHECK(target < parent_.size());
-  CDBS_CHECK(removed_[target] == 0);
+  CDBS_CHECK(!is_removed(target));
   const NodeId parent_id = parent_[target];
   CDBS_CHECK(parent_id != kNoNode);
   const NodeId id = static_cast<NodeId>(parent_.size());
-  removed_.PushBack(0);
   parent_.PushBack(parent_id);
-  level_.PushBack(level_[parent_id] + 1);
+  PushLevel(level_[parent_id] + 1);
   first_child_.PushBack(kNoNode);
-  last_child_.PushBack(kNoNode);
   const NodeId next = next_sibling_[target];
   prev_sibling_.PushBack(target);
   next_sibling_.PushBack(next);
   next_sibling_.Set(target, id);
-  if (next != kNoNode) {
-    prev_sibling_.Set(next, id);
-  } else {
-    last_child_.Set(parent_id, id);
-  }
+  if (next != kNoNode) prev_sibling_.Set(next, id);
   return id;
 }
 
 std::vector<NodeId> TreeSkeleton::RemoveSubtree(NodeId target) {
   CDBS_CHECK(target < parent_.size());
-  CDBS_CHECK(removed_[target] == 0);
+  CDBS_CHECK(!is_removed(target));
   const NodeId parent_id = parent_[target];
   CDBS_CHECK(parent_id != kNoNode);  // cannot remove the root
   // Collect the subtree in document order before unlinking.
@@ -133,9 +145,11 @@ std::vector<NodeId> TreeSkeleton::RemoveSubtree(NodeId target) {
     const NodeId cur = stack.back();
     stack.pop_back();
     removed.push_back(cur);
-    for (NodeId c = last_child_[cur]; c != kNoNode; c = prev_sibling_[c]) {
+    const size_t first = stack.size();
+    for (NodeId c = first_child_[cur]; c != kNoNode; c = next_sibling_[c]) {
       stack.push_back(c);
     }
+    std::reverse(stack.begin() + first, stack.end());  // first child on top
   }
   // Unlink target from its sibling chain.
   const NodeId prev = prev_sibling_[target];
@@ -145,13 +159,8 @@ std::vector<NodeId> TreeSkeleton::RemoveSubtree(NodeId target) {
   } else {
     first_child_.Set(parent_id, next);
   }
-  if (next != kNoNode) {
-    prev_sibling_.Set(next, prev);
-  } else {
-    last_child_.Set(parent_id, prev);
-  }
-  parent_.Set(target, kNoNode);
-  for (const NodeId n : removed) removed_.Set(n, 1);
+  if (next != kNoNode) prev_sibling_.Set(next, prev);
+  for (const NodeId n : removed) parent_.Set(n, kNoNode);
   live_count_ -= removed.size();
   return removed;
 }

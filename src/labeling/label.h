@@ -66,7 +66,10 @@ void NoteOverflowEvent();
 /// Structural bookkeeping shared by all schemes: parent/level/sibling links
 /// for every labeled node, maintained across insertions. Schemes use it to
 /// locate the neighbouring labels an insertion goes between; it is *not*
-/// consulted by the relationship predicates (those use labels only).
+/// consulted by the relationship predicates (those use labels only). The
+/// one exception is the level column, which the containment schemes keep
+/// as the level part of their "start, end, level" labels rather than
+/// storing a second copy.
 class TreeSkeleton {
  public:
   /// Builds the skeleton of `doc` in document order. If `order_out` is
@@ -85,10 +88,16 @@ class TreeSkeleton {
 
   NodeId parent(NodeId n) const { return parent_[n]; }
   int level(NodeId n) const { return level_[n]; }
+  /// The level column: the containment schemes store it as the level
+  /// part of their labels instead of keeping a copy.
+  const util::CowVector<uint16_t>& levels() const { return level_; }
   NodeId prev_sibling(NodeId n) const { return prev_sibling_[n]; }
   NodeId next_sibling(NodeId n) const { return next_sibling_[n]; }
   NodeId first_child(NodeId n) const { return first_child_[n]; }
-  NodeId last_child(NodeId n) const { return last_child_[n]; }
+  /// Walks n's children: O(#children). No column stores it; only a
+  /// pre-order build appends children, and it finds the last one from the
+  /// node added before.
+  NodeId last_child(NodeId n) const;
 
   /// Number of nodes in the subtree rooted at `n` (inclusive).
   uint64_t SubtreeSize(NodeId n) const;
@@ -113,21 +122,23 @@ class TreeSkeleton {
   /// Number of nodes still attached (size() minus removed ones).
   size_t live_count() const { return live_count_; }
 
-  /// True iff `n` was removed by RemoveSubtree.
-  bool is_removed(NodeId n) const { return removed_[n] != 0; }
+  /// True iff `n` was removed by RemoveSubtree: removal unlinks every node
+  /// of the subtree from its parent, and only the root has none otherwise.
+  bool is_removed(NodeId n) const { return n != 0 && parent_[n] == kNoNode; }
 
  private:
+  // Appends a node's level.
+  void PushLevel(int level);
+
   // All per-node state is chunked copy-on-write (util/cow_vector.h): copying
   // a TreeSkeleton shares every chunk, and link updates path-copy only the
   // touched chunks. This is what makes Labeling::ForkShared O(touched).
   size_t live_count_ = 0;
-  util::CowVector<uint8_t> removed_;
-  util::CowVector<NodeId> parent_;
-  util::CowVector<int> level_;
+  util::CowVector<NodeId> parent_;  ///< kNoNode: the root or a removed node
+  util::CowVector<uint16_t> level_;  ///< root == 1; CHECKed to fit
   util::CowVector<NodeId> prev_sibling_;
   util::CowVector<NodeId> next_sibling_;
   util::CowVector<NodeId> first_child_;
-  util::CowVector<NodeId> last_child_;
 };
 
 /// A labeled document snapshot: relationship predicates over labels plus
@@ -163,6 +174,16 @@ class Labeling {
 
   /// Tree level of `n` (root == 1).
   virtual int Level(NodeId n) const = 0;
+
+  /// Whether OrderKey is defined: the scheme has an order-preserving
+  /// 32-bit abbreviation of the label that decides document order.
+  virtual bool HasOrderKeys() const { return false; }
+
+  /// The 32-bit abbreviation of `n`'s document-order label, when
+  /// HasOrderKeys(): OrderKey(a) < OrderKey(b) implies a precedes b, and
+  /// equal keys leave the order to CompareOrder. Tag lists store one per
+  /// entry so a search probes keys, not labels (query/tag_list.h).
+  virtual uint32_t OrderKey(NodeId) const { return 0; }
 
   /// Inserts a new element as the sibling immediately before `target`.
   virtual InsertResult InsertSiblingBefore(NodeId target) = 0;

@@ -171,23 +171,28 @@ class DynamicPrefixLabeling : public Labeling {
 
     // An overflow re-encode rewrites every label in place; chunks a fork
     // still shares are path-copied, the rest are written where they sit.
+    // Labels of removed nodes stay stale (their ids are dead).
     labels_.Resize(count);
-    for (NodeId n = 0; n < count; ++n) {
-      if (skeleton_.is_removed(n)) continue;  // stale label, dead id
-      if (skeleton_.parent(n) == kNoNode) {
-        labels_.Set(n, {policy_.InitialGroup(1)[0]});
-        continue;
-      }
-      if (skeleton_.prev_sibling(n) != kNoNode) continue;  // handled below
-      // First child: encode the whole sibling group at once (Algorithm 2
-      // applied to the group size, per Example 5.1).
-      const NodeId parent = skeleton_.parent(n);
+    if (count == 0) return;
+    labels_.Set(0, {policy_.InitialGroup(1)[0]});
+    // Parents before children: walk down from the root, encoding each
+    // sibling group at once (Algorithm 2 applied to the group size, per
+    // Example 5.1). Id order is no guide once siblings were inserted: a
+    // group's first child can have a larger id than nodes below its later
+    // siblings.
+    std::vector<NodeId> parents = {0};
+    while (!parents.empty()) {
+      const NodeId parent = parents.back();
+      parents.pop_back();
+      const NodeId first = skeleton_.first_child(parent);
+      if (first == kNoNode) continue;
       const std::vector<Self> group = policy_.InitialGroup(group_size[parent]);
       size_t i = 0;
-      for (NodeId s = n; s != kNoNode; s = skeleton_.next_sibling(s), ++i) {
+      for (NodeId s = first; s != kNoNode; s = skeleton_.next_sibling(s), ++i) {
         std::vector<Self> label = labels_[parent];
         label.push_back(group[i]);
         labels_.Set(s, std::move(label));
+        parents.push_back(s);
       }
     }
   }

@@ -25,9 +25,6 @@ namespace cdbs::net {
 
 namespace {
 
-/// Poll interval for loops that must notice the stop flag.
-constexpr int kStopPollMs = 50;
-
 util::Deadline DeadlineFromRequest(const Request& req) {
   return req.deadline_ms == 0
              ? util::Deadline::Infinite()
@@ -146,13 +143,15 @@ Status Server::Listen() {
 }
 
 void Server::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  // Blocks without a timeout: Shutdown shuts the listening socket down,
+  // which wakes the poll (and fails any accept) once the stop flag is set,
+  // so an idle server never wakes up.
+  while (!stopping_.load()) {
     struct pollfd pfd;
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
     pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, kStopPollMs);
-    if (rc <= 0) continue;  // timeout, EINTR, or transient poll error
+    if (::poll(&pfd, 1, -1) <= 0) continue;  // EINTR or transient error
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     connections_total_->Increment();
@@ -558,8 +557,10 @@ void Server::ReapFinishedLocked() {
 
 void Server::Shutdown() {
   std::call_once(shutdown_once_, [this] {
-    // 1. Stop accepting.
+    // 1. Stop accepting: the accept loop sees the flag once the shut-down
+    // listening socket wakes its poll.
     stopping_.store(true);
+    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
     if (accept_thread_.joinable()) accept_thread_.join();
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);

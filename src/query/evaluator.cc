@@ -160,15 +160,22 @@ class LabelingView {
 // order is start order, and the level is stored. One view serves every
 // containment codec (V/F-Binary, Float, V/F-CDBS, QED, Hybrid): each
 // orders its values by `<`. It depends only on the value type, so codecs
-// with the same one (Binary and CDBS words) share one navigator.
+// with the same one (Binary and CDBS words) share one navigator. Word
+// values have order keys (Codec::Key), which the document's tag lists
+// carry, so a search over them probes keys and reads a start value only
+// on a tie.
 template <typename Value>
 class ContainmentView {
  public:
   static constexpr bool kColumns = true;
+  static constexpr bool kKeyed = std::is_same_v<Value, uint64_t>;
 
   template <typename Codec>
   explicit ContainmentView(const labeling::ContainmentLabeling<Codec>& lab)
-      : start_(&lab.starts()), end_(&lab.ends()), level_(&lab.levels()) {}
+      : start_(&lab.starts()), end_(&lab.ends()), level_(&lab.levels()) {
+    static_assert(labeling::ContainmentLabeling<Codec>::kKeyed == kKeyed);
+    if constexpr (kKeyed) key_ = &Codec::Key;
+  }
 
   const Value& Start(NodeId n) const { return (*start_)[n]; }
   const Value& End(NodeId n) const { return (*end_)[n]; }
@@ -186,12 +193,12 @@ class ContainmentView {
     return Level(c) - Level(p) == 1 && IsAncestor(p, c);
   }
 
-  // Each probe reads one start value and compares it with a bound read
-  // once. From `a` on, an element is in a's subtree iff it starts before
-  // `a` ends.
-  auto NotAfter(NodeId n) const { return StartsBelow<true>{*this, Start(n)}; }
-  auto Before(NodeId n) const { return StartsBelow<false>{*this, Start(n)}; }
-  auto InSubtree(NodeId a) const { return StartsBelow<false>{*this, End(a)}; }
+  // Each probe compares an element's start value (or its key) with a bound
+  // read once. From `a` on, an element is in a's subtree iff it starts
+  // before `a` ends.
+  auto NotAfter(NodeId n) const { return Probe<true>(Start(n)); }
+  auto Before(NodeId n) const { return Probe<false>(Start(n)); }
+  auto InSubtree(NodeId a) const { return Probe<false>(End(a)); }
 
  private:
   // True for elements that start below `bound` (or at it, kOrAt). Words are
@@ -205,9 +212,22 @@ class ContainmentView {
     }
   };
 
+  // The search for elements starting below `bound` (or at it): by key, with
+  // the start value deciding ties, where the lists are keyed.
+  template <bool kOrAt>
+  auto Probe(const Value& bound) const {
+    const StartsBelow<kOrAt> below{*this, bound};
+    if constexpr (kKeyed) {
+      return KeyProbe<StartsBelow<kOrAt>>{key_(bound), below};
+    } else {
+      return below;
+    }
+  }
+
   const util::CowVector<Value>* start_;
   const util::CowVector<Value>* end_;
-  const util::CowVector<int>* level_;
+  const util::CowVector<uint16_t>* level_;
+  uint32_t (*key_)(uint64_t) = nullptr;
 };
 
 // Calls f(view) over the columns of `lab` when it is a containment

@@ -25,7 +25,8 @@
 ///    search pays one or two run lookups, not one per probe. A descendant
 ///    step finds where a context's subtree ends with it (O(log k) probes
 ///    to pass k descendants; for containment, each probe compares one
-///    start value with the context's end). With nothing to test per
+///    start value, or its 32-bit order key where the lists carry keys,
+///    with the context's end). With nothing to test per
 ///    match, the whole span is taken in one piece; with `[n]` or
 ///    predicates, only the span is iterated. A following:: step skips the
 ///    anchor's subtree the same way.

@@ -41,20 +41,39 @@ void LabeledDocument::Index(labeling::TreeSkeleton skeleton,
                             const labeling::LabelingScheme& scheme) {
   CDBS_CHECK(skeleton.size() == tags_.size());
   labeling_ = scheme.Label(std::move(skeleton));
+  const labeling::Labeling& lab = *labeling_;
+  const bool keyed = lab.HasOrderKeys();
+  all_elements_ = TagList(keyed);
   // Ids ascend in document order, so the tag lists are built by pure
   // appends (runs sealed at kRunTarget). Levels come from the skeleton's
   // column, not from per-node label decoding.
-  const labeling::TreeSkeleton& tree = labeling_->skeleton();
+  const labeling::TreeSkeleton& tree = lab.skeleton();
   for (NodeId id = 0; id < tags_.size(); ++id) {
     const TagId tag = tags_[id];
     if (tag == TagId{0}) continue;  // text node
     const int level = tree.level(id);
-    all_elements_.Append(id);
+    const uint32_t key = keyed ? lab.OrderKey(id) : 0;
+    all_elements_.Append(id, key);
     all_elements_.RaiseMaxLevel(level);
-    TagList& list = by_tag_[tag];
-    list.Append(id);
+    TagList& list = by_tag_.try_emplace(tag, keyed).first->second;
+    list.Append(id, key);
     list.RaiseMaxLevel(level);
   }
+}
+
+void LabeledDocument::CheckKeys(const TagList& list, size_t from,
+                                size_t to) const {
+#ifndef NDEBUG
+  const labeling::Labeling& lab = *labeling_;
+  CDBS_CHECK(list.keyed() == lab.HasOrderKeys());
+  CDBS_CHECK(list.SpineConsistent());
+  CDBS_CHECK(list.KeysMatch([&lab](NodeId n) { return lab.OrderKey(n); },
+                            from, to));
+#else
+  static_cast<void>(list);
+  static_cast<void>(from);
+  static_cast<void>(to);
+#endif
 }
 
 std::unique_ptr<LabeledDocument> LabeledDocument::Fork() const {
@@ -75,26 +94,48 @@ const TagList& LabeledDocument::WithTag(const std::string& name) const {
   return it == by_tag_.end() ? EmptyTagList() : it->second;
 }
 
-void LabeledDocument::NoteInsertedNode(NodeId id, const std::string& tag) {
+labeling::InsertResult LabeledDocument::InsertSibling(
+    NodeId target, bool before, const std::string& tag) {
+  labeling::Labeling& lab = *labeling_;
+  const labeling::InsertResult result = before
+                                            ? lab.InsertSiblingBefore(target)
+                                            : lab.InsertSiblingAfter(target);
+  const NodeId id = result.new_node;
   const TagId tag_id = TagPool::Intern(&pool_, tag);
   if (tags_.size() < static_cast<size_t>(id) + 1) {
     tags_.Resize(static_cast<size_t>(id) + 1);
   }
   tags_.Set(id, tag_id);
-  const auto less = [this](NodeId a, NodeId b) {
-    return labeling_->CompareOrder(a, b) < 0;
+  const auto less = [&lab](NodeId a, NodeId b) {
+    return lab.CompareOrder(a, b) < 0;
   };
   // Splice into the touched tag run only; all other runs stay shared with
   // any published snapshot. InsertSorted asserts (debug-only) that the
   // splice lands between its neighbors, pinning the invariant the COW runs
   // rely on — runs stay CompareOrder-sorted, no full-list re-sort ever
   // runs.
-  const int level = labeling_->Level(id);
-  all_elements_.InsertSorted(id, less);
+  const bool keyed = lab.HasOrderKeys();
+  const uint32_t key = keyed ? lab.OrderKey(id) : 0;
+  const int level = lab.Level(id);
+  const size_t all_at = all_elements_.InsertSorted(id, less, key);
   all_elements_.RaiseMaxLevel(level);
-  TagList& list = by_tag_[tag_id];
-  list.InsertSorted(id, less);
+  TagList& list = by_tag_.try_emplace(tag_id, keyed).first->second;
+  const size_t at = list.InsertSorted(id, less, key);
   list.RaiseMaxLevel(level);
+  if (keyed && (result.relabeled > 0 || result.overflow)) {
+    // The insert moved other labels: a V-Binary shift or a re-encode.
+    const auto key_of = [&lab](NodeId n) { return lab.OrderKey(n); };
+    all_elements_.Rekey(key_of);
+    CheckKeys(all_elements_, 0, all_elements_.size());
+    for (auto& [other_tag, other] : by_tag_) {
+      other.Rekey(key_of);
+      CheckKeys(other, 0, other.size());
+    }
+  } else {
+    CheckKeys(all_elements_, all_at, all_at + 1);
+    CheckKeys(list, at, at + 1);
+  }
+  return result;
 }
 
 labeling::DeleteResult LabeledDocument::DeleteSubtree(NodeId target) {
@@ -119,9 +160,12 @@ labeling::DeleteResult LabeledDocument::DeleteSubtree(NodeId target) {
       elements.push_back(id);
       by_tag_ids[tags_[id]].push_back(id);
     }
-    all_elements_.EraseIds(elements, less);
+    const size_t all_at = all_elements_.EraseIds(elements, less);
+    CheckKeys(all_elements_, all_at, all_at + 1);
     for (auto& [tag, tag_ids] : by_tag_ids) {
-      by_tag_[tag].EraseIds(tag_ids, less);
+      TagList& list = by_tag_.at(tag);
+      const size_t at = list.EraseIds(tag_ids, less);
+      CheckKeys(list, at, at + 1);
     }
   }
   return labeling_->DeleteSubtree(target);

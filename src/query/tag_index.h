@@ -17,6 +17,12 @@
 /// evaluator combines these lists with the labeling's predicates —
 /// structural joins over labels, which is where the schemes' costs diverge.
 ///
+/// Every tag list of a labeling with order keys (Labeling::HasOrderKeys)
+/// is keyed: each id is stored with its key, and this class alone keeps
+/// the keys equal to the labeling's, across inserts, relabels and deletes.
+/// The keys live in memory only; nothing on disk or on the wire carries
+/// them.
+///
 /// Everything per-node is copy-on-write (util/cow_vector.h,
 /// query/tag_list.h): `Fork()` — the unit the concurrent engine publishes
 /// as a read snapshot, once per group commit — shares every chunk and run
@@ -74,29 +80,36 @@ class LabeledDocument {
   /// can carry a TagId instead of the tag string (docs/ENCODING.md).
   const std::shared_ptr<const TagPool>& tag_pool() const { return pool_; }
 
-  /// Mutable access to the labeling (used by the update engine; queries use
-  /// the const accessor).
-  labeling::Labeling* labeling_mutable() { return labeling_.get(); }
-
-  /// Registers a node freshly inserted through the labeling: records its
-  /// tag and splices it into the document-ordered tag lists (position found
-  /// by label-order binary search; exactly one run per list is copied),
-  /// raising their max_level() to its level.
-  void NoteInsertedNode(NodeId id, const std::string& tag);
+  /// Inserts a new element tagged `tag` as the sibling just before
+  /// `target` (after it when `before` is false) and returns the labeling's
+  /// result. Records the tag and splices the id, with its order key on a
+  /// keyed labeling, into the document-ordered tag lists (position found by
+  /// label-order binary search; one run per list is copied), raising their
+  /// max_level() to its level. When the insert moved other labels (a
+  /// V-Binary shift, an overflow re-encode), every key is recomputed, and
+  /// only the runs whose keys changed are copied.
+  labeling::InsertResult InsertSibling(NodeId target, bool before,
+                                       const std::string& tag);
 
   /// Deletes the subtree rooted at `target` (not the root) from the
-  /// labeling and the tag lists; its ids become invalid. The lists are
-  /// updated first, while the subtree's labels still compare: positions are
-  /// found by label-order binary search and batch-erased, O(k log N +
-  /// touched runs) for a k-node delete.
+  /// labeling and the tag lists, ids and keys together; its ids become
+  /// invalid. The lists are updated first, while the subtree's labels
+  /// still compare: positions are found by label-order binary search and
+  /// batch-erased, O(k log N + touched runs) for a k-node delete.
   labeling::DeleteResult DeleteSubtree(NodeId target);
 
  private:
   LabeledDocument() = default;  // for Fork
 
-  // Labels `skeleton` and builds the tag lists from tags_.
+  // Labels `skeleton` and builds the tag lists, with keys when the
+  // labeling has them, from tags_ in one pass.
   void Index(labeling::TreeSkeleton skeleton,
              const labeling::LabelingScheme& scheme);
+
+  // Debug builds: after a write, checks that `list`'s spine agrees with its
+  // runs and that the keys of the runs holding [from, to) are the
+  // labeling's OrderKey of their ids.
+  void CheckKeys(const TagList& list, size_t from, size_t to) const;
 
   std::unique_ptr<labeling::Labeling> labeling_;
   std::shared_ptr<const TagPool> pool_;

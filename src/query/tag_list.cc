@@ -37,99 +37,153 @@ TagId TagPool::Intern(std::shared_ptr<const TagPool>* pool,
 // ---------------------------------------------------------------------------
 // TagList
 
-size_t TagList::RunOf(size_t i) const {
-  // First run whose cumulative size exceeds i.
-  const auto it = std::upper_bound(cum_.begin(), cum_.end(), i);
-  CDBS_CHECK(it != cum_.end());
-  return static_cast<size_t>(it - cum_.begin());
-}
-
-std::vector<NodeId>* TagList::MutableRun(size_t r) {
-  std::shared_ptr<std::vector<NodeId>>& run = runs_[r];
+TagList::Run* TagList::MutableRun(size_t r) {
+  std::shared_ptr<Run>& run = runs_[r];
   if (run.use_count() != 1) {
     util::CowStats& stats = util::CowStats::Local();
     ++stats.chunk_copies;
-    stats.bytes_copied += run->size() * sizeof(NodeId);
-    run = std::make_shared<std::vector<NodeId>>(*run);
+    stats.bytes_copied += run->ids.size() * sizeof(NodeId) +
+                          run->keys.size() * sizeof(uint32_t);
+    run = std::make_shared<Run>(*run);
   }
   return run.get();
 }
 
-void TagList::RebuildCum() {
-  cum_.resize(runs_.size());
+void TagList::RefreshFence(size_t r) {
+  const Run& run = *runs_[r];
+  Fence& fence = fences_[r];
+  fence.ids = run.ids.data();
+  fence.keys = keyed_ ? run.keys.data() : nullptr;
+  fence.last_key = keyed_ ? run.keys.back() : 0;
+}
+
+void TagList::RebuildSpine() {
+  fences_.resize(runs_.size());
   uint32_t total = 0;
   for (size_t r = 0; r < runs_.size(); ++r) {
-    total += static_cast<uint32_t>(runs_[r]->size());
-    cum_[r] = total;
+    total += static_cast<uint32_t>(runs_[r]->ids.size());
+    fences_[r].cum = total;
+    RefreshFence(r);
+  }
+  directory_.resize((size_t{total} + (size_t{1} << kBlockLog2) - 1) >>
+                    kBlockLog2);
+  size_t r = 0;
+  for (size_t b = 0; b < directory_.size(); ++b) {
+    while (fences_[r].cum <= b << kBlockLog2) ++r;
+    directory_[b] = static_cast<uint32_t>(r);
   }
 }
 
-void TagList::Append(NodeId id) {
-  if (runs_.empty() || runs_.back()->size() >= kRunTarget) {
-    runs_.push_back(std::make_shared<std::vector<NodeId>>());
-    runs_.back()->reserve(kRunTarget);
-    cum_.push_back(cum_.empty() ? 0 : cum_.back());
-  } else {
-    MutableRun(runs_.size() - 1);
+bool TagList::SpineConsistent() const {
+  if (fences_.size() != runs_.size()) return false;
+  size_t total = 0;
+  for (size_t r = 0; r < runs_.size(); ++r) {
+    const Run& run = *runs_[r];
+    const Fence& fence = fences_[r];
+    if (run.ids.empty()) return false;
+    if (run.keys.size() != (keyed_ ? run.ids.size() : 0)) return false;
+    total += run.ids.size();
+    if (fence.cum != total || fence.ids != run.ids.data()) return false;
+    if (keyed_ && (fence.keys != run.keys.data() ||
+                   fence.last_key != run.keys.back())) {
+      return false;
+    }
   }
-  runs_.back()->push_back(id);
-  ++cum_.back();
+  const size_t block = size_t{1} << kBlockLog2;
+  if (directory_.size() != (total + block - 1) / block) return false;
+  for (size_t b = 0; b < directory_.size(); ++b) {
+    const size_t r = directory_[b];
+    if (r >= runs_.size() || RunStart(r) > b * block ||
+        fences_[r].cum <= b * block) {
+      return false;
+    }
+  }
+  return true;
 }
 
-void TagList::InsertAt(size_t pos, NodeId id) {
+void TagList::Append(NodeId id, uint32_t key) {
+  const size_t n = size();
+  if (runs_.empty() || runs_.back()->ids.size() >= kRunTarget) {
+    auto run = std::make_shared<Run>();
+    run->ids.reserve(kRunTarget);
+    if (keyed_) run->keys.reserve(kRunTarget);
+    runs_.push_back(std::move(run));
+    fences_.push_back(Fence{0, static_cast<uint32_t>(n), nullptr, nullptr});
+  }
+  Run* run = MutableRun(runs_.size() - 1);
+  run->ids.push_back(id);
+  if (keyed_) run->keys.push_back(key);
+  ++fences_.back().cum;
+  RefreshFence(runs_.size() - 1);
+  if ((n & ((size_t{1} << kBlockLog2) - 1)) == 0) {
+    directory_.push_back(static_cast<uint32_t>(runs_.size() - 1));
+  }
+}
+
+void TagList::InsertAt(size_t pos, NodeId id, uint32_t key) {
   if (runs_.empty()) {
-    Append(id);
+    Append(id, key);
     return;
   }
   // pos == size() lands in the final run (append to it rather than opening
   // a fresh run, keeping runs near kRunTarget).
   const size_t r = pos == size() ? runs_.size() - 1 : RunOf(pos);
-  std::vector<NodeId>* run = MutableRun(r);
-  run->insert(run->begin() + (pos - RunStart(r)), id);
-  if (run->size() > kRunMax) {
+  const size_t offset = pos - RunStart(r);
+  Run* run = MutableRun(r);
+  run->ids.insert(run->ids.begin() + offset, id);
+  if (keyed_) run->keys.insert(run->keys.begin() + offset, key);
+  if (run->ids.size() > kRunMax) {
     // Split in half so both halves accept ~kRunTarget further splices
     // before copying more than kRunMax ids again.
-    const size_t half = run->size() / 2;
-    auto right = std::make_shared<std::vector<NodeId>>(
-        run->begin() + half, run->end());
-    run->resize(half);
+    const size_t half = run->ids.size() / 2;
+    auto right = std::make_shared<Run>();
+    right->ids.assign(run->ids.begin() + half, run->ids.end());
+    run->ids.resize(half);
+    if (keyed_) {
+      right->keys.assign(run->keys.begin() + half, run->keys.end());
+      run->keys.resize(half);
+    }
     runs_.insert(runs_.begin() + r + 1, std::move(right));
   }
-  RebuildCum();
+  RebuildSpine();
 }
 
-void TagList::ErasePositions(std::vector<size_t>* positions) {
-  if (positions->empty()) return;
+size_t TagList::ErasePositions(std::vector<size_t>* positions) {
+  if (positions->empty()) return size();
   std::sort(positions->begin(), positions->end());
   positions->erase(std::unique(positions->begin(), positions->end()),
                    positions->end());
   // Walk runs once; rewrite each touched run once, skipping its erased
-  // offsets.
+  // offsets. The fences keep the counts from before the erase until the
+  // spine is rebuilt.
   size_t p = 0;
   for (size_t r = 0; r < runs_.size() && p < positions->size(); ++r) {
     const size_t start = RunStart(r);
-    const size_t stop = cum_[r];
-    if ((*positions)[p] >= stop) continue;
-    std::vector<NodeId>* run = MutableRun(r);
+    if ((*positions)[p] >= fences_[r].cum) continue;
+    Run* run = MutableRun(r);
     size_t out = 0;
     size_t q = p;
-    for (size_t i = 0; i < run->size(); ++i) {
+    for (size_t i = 0; i < run->ids.size(); ++i) {
       if (q < positions->size() && (*positions)[q] == start + i) {
         ++q;
         continue;
       }
-      (*run)[out++] = (*run)[i];
+      run->ids[out] = run->ids[i];
+      if (keyed_) run->keys[out] = run->keys[i];
+      ++out;
     }
-    run->resize(out);
+    run->ids.resize(out);
+    if (keyed_) run->keys.resize(out);
     p = q;
   }
   // Drop emptied runs.
   size_t kept = 0;
   for (size_t r = 0; r < runs_.size(); ++r) {
-    if (!runs_[r]->empty()) runs_[kept++] = std::move(runs_[r]);
+    if (!runs_[r]->ids.empty()) runs_[kept++] = std::move(runs_[r]);
   }
   runs_.resize(kept);
-  RebuildCum();
+  RebuildSpine();
+  return (*positions)[0];
 }
 
 void TagList::AppendRange(size_t from, size_t to,
@@ -139,9 +193,9 @@ void TagList::AppendRange(size_t from, size_t to,
   size_t r = RunOf(from);
   size_t offset = from - RunStart(r);
   while (from < to) {
-    const std::vector<NodeId>& run = *runs_[r];
-    const size_t take = std::min(run.size() - offset, to - from);
-    out->insert(out->end(), run.begin() + offset, run.begin() + offset + take);
+    const NodeId* ids = fences_[r].ids;
+    const size_t take = std::min(RunSize(r) - offset, to - from);
+    out->insert(out->end(), ids + offset, ids + offset + take);
     from += take;
     ++r;
     offset = 0;
@@ -151,8 +205,8 @@ void TagList::AppendRange(size_t from, size_t to,
 std::vector<NodeId> TagList::ToVector() const {
   std::vector<NodeId> out;
   out.reserve(size());
-  for (const std::shared_ptr<std::vector<NodeId>>& run : runs_) {
-    out.insert(out.end(), run->begin(), run->end());
+  for (const std::shared_ptr<Run>& run : runs_) {
+    out.insert(out.end(), run->ids.begin(), run->ids.end());
   }
   return out;
 }

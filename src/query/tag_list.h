@@ -16,11 +16,12 @@
 /// The COW building blocks of the tag index (query/tag_index.h):
 ///
 ///  * `TagList` — a document-ordered node-id list stored as a sequence of
-///    immutable sorted runs held by `shared_ptr`. Forking shares every run;
+///    immutable sorted runs held by `shared_ptr`, each id with a 32-bit
+///    order key where the labeling has one. Forking shares every run;
 ///    splicing or erasing path-copies only the touched run. This is what
 ///    makes snapshot publication O(touched): the hot write path
-///    (`NoteInsertedNode`) copies one run of at most kRunMax ids instead of
-///    a whole per-tag vector.
+///    (`LabeledDocument::InsertSibling`) copies one run of at most kRunMax
+///    ids and keys instead of a whole per-tag vector.
 ///  * `TagPool` — an immutable interning pool mapping tag names to dense
 ///    `TagId`s. All snapshot versions share one pool by `shared_ptr`;
 ///    interning a brand-new tag name (rare) copies the pool, never touching
@@ -62,28 +63,66 @@ class TagPool {
   std::unordered_map<std::string, TagId> index_;
 };
 
+/// How a search over a keyed list compares an entry with its bound: the
+/// entry holds where its key is below `key` and fails where it is above.
+/// Where the key equals `key` (two labels that share their abbreviation),
+/// `tie(id)` decides from the full label. A key must never order two
+/// entries against their labels: key(a) < key(b) only if a precedes b.
+template <typename Tie>
+struct KeyProbe {
+  uint32_t key;
+  Tie tie;
+};
+
+template <typename Probe>
+inline constexpr bool kIsKeyProbe = false;
+template <typename Tie>
+inline constexpr bool kIsKeyProbe<KeyProbe<Tie>> = true;
+
 /// A document-ordered list of node ids as COW sorted runs. Forks share all
 /// runs; one insert or erase copies exactly one run (plus an O(#runs)
-/// offset rebuild). Reads are allocation-free.
+/// spine rebuild). Reads are allocation-free.
+///
+/// A keyed list also stores, next to each id in the same run, a 32-bit key:
+/// an order-preserving abbreviation of the id's label (LabeledDocument
+/// keeps it equal to the labeling's OrderKey). A search then probes the
+/// run's contiguous keys and reads a label only on a tie. Two spine arrays,
+/// rebuilt whenever runs change, spare a search every pointer chase but the
+/// one into the run it lands in:
+///
+///  * the run directory maps each block of 2^kBlockLog2 logical indexes to
+///    the run holding its first index, so finding an index's run is O(1);
+///  * the fences hold, for each run, its cumulative count, its last key and
+///    pointers to its ids and keys, so a gallop across runs reads one
+///    contiguous array.
 class TagList {
  public:
   /// Runs are sealed at kRunTarget ids during in-order bulk builds and
   /// split once an insertion grows one past kRunMax.
   static constexpr size_t kRunTarget = 256;
   static constexpr size_t kRunMax = 512;
+  /// log2 of the logical indexes one run-directory entry covers.
+  static constexpr size_t kBlockLog2 = 7;
 
-  TagList() = default;
+  /// An unkeyed list, or a keyed one: every entry then carries a key.
+  explicit TagList(bool keyed = false) : keyed_(keyed) {}
 
   /// O(#runs) spine copy; every run becomes shared.
   TagList(const TagList& other)
-      : runs_(other.runs_), cum_(other.cum_), max_level_(other.max_level_) {
+      : runs_(other.runs_),
+        fences_(other.fences_),
+        directory_(other.directory_),
+        max_level_(other.max_level_),
+        keyed_(other.keyed_) {
     util::CowStats::Local().chunks_shared += runs_.size();
   }
   TagList& operator=(const TagList& other) {
     if (this != &other) {
       runs_ = other.runs_;
-      cum_ = other.cum_;
+      fences_ = other.fences_;
+      directory_ = other.directory_;
       max_level_ = other.max_level_;
+      keyed_ = other.keyed_;
       util::CowStats::Local().chunks_shared += runs_.size();
     }
     return *this;
@@ -91,9 +130,10 @@ class TagList {
   TagList(TagList&&) noexcept = default;
   TagList& operator=(TagList&&) noexcept = default;
 
-  size_t size() const { return cum_.empty() ? 0 : cum_.back(); }
+  size_t size() const { return fences_.empty() ? 0 : fences_.back().cum; }
   bool empty() const { return size() == 0; }
   size_t run_count() const { return runs_.size(); }
+  bool keyed() const { return keyed_; }
 
   /// An upper bound on the tree level of every id the list has ever held
   /// (0 for a list that never held one). Erasing never lowers it. A node
@@ -104,10 +144,17 @@ class TagList {
   /// every id added.
   void RaiseMaxLevel(int level) { max_level_ = std::max(max_level_, level); }
 
-  /// Random access by logical index: O(log #runs).
+  /// Random access by logical index: O(1).
   NodeId operator[](size_t i) const {
     const size_t r = RunOf(i);
-    return (*runs_[r])[i - RunStart(r)];
+    return fences_[r].ids[i - RunStart(r)];
+  }
+
+  /// The key stored with the id at logical index `i` (keyed lists only).
+  uint32_t key(size_t i) const {
+    CDBS_DCHECK(keyed_);
+    const size_t r = RunOf(i);
+    return fences_[r].keys[i - RunStart(r)];
   }
 
   /// Allocation-free forward iterator with O(1) increment; the sequential
@@ -115,9 +162,9 @@ class TagList {
   class Iterator {
    public:
     Iterator() = default;
-    NodeId operator*() const { return (*list_->runs_[run_])[offset_]; }
+    NodeId operator*() const { return list_->fences_[run_].ids[offset_]; }
     Iterator& operator++() {
-      if (++offset_ == list_->runs_[run_]->size()) {
+      if (++offset_ == list_->RunSize(run_)) {
         ++run_;
         offset_ = 0;
       }
@@ -125,7 +172,7 @@ class TagList {
     }
     /// Steps back one element; O(1). Must not be called on begin().
     Iterator& operator--() {
-      if (offset_ == 0) offset_ = list_->runs_[--run_]->size();
+      if (offset_ == 0) offset_ = list_->RunSize(--run_);
       --offset_;
       return *this;
     }
@@ -152,36 +199,43 @@ class TagList {
     return Iterator(this, r, i - RunStart(r));
   }
 
-  /// Index of the first element of [from, to) for which `holds` is false,
-  /// given that `holds` is true on a prefix of that range and false on the
-  /// rest; `to` when it holds throughout. Gallops inside `from`'s run,
-  /// indexing that run directly: one probe when the answer is `from`,
+  /// Index of the first element of [from, to) at which `probe` fails, given
+  /// that it holds on a prefix of that range and fails on the rest; `to`
+  /// when it holds throughout. `probe` is a KeyProbe, which a keyed list
+  /// answers from its keys, or a callable `bool(NodeId)` asked with each
+  /// probed id.
+  ///
+  /// Gallops inside `from`'s run: one probe when the answer is `from`,
   /// O(log k) for an answer k places on. When the whole run holds, it
-  /// gallops over the last in-range element of each later run, then
-  /// binary-searches the run it lands in. So a call costs one or two run
-  /// lookups, not one per probe. Adds the number of `holds` calls to
-  /// `*probes`.
-  template <typename Holds>
-  size_t PartitionPoint(size_t from, size_t to, Holds holds,
+  /// gallops over the fences' last entries of later runs, then
+  /// binary-searches the run it lands in. So a call reads the fences and
+  /// one or two runs. Adds the number of probes to `*probes`.
+  template <typename Probe>
+  size_t PartitionPoint(size_t from, size_t to, const Probe& probe,
                         uint64_t* probes) const {
     if (from >= to) return from;
+    CDBS_DCHECK(keyed_ || !kIsKeyProbe<Probe>);
     uint64_t count = 0;
     size_t r = RunOf(from);
     size_t start = RunStart(r);
-    size_t stop = std::min<size_t>(cum_[r], to);
-    const std::vector<NodeId>* run = runs_[r].get();
-    size_t at = Gallop(
-        from - start, stop - start,
-        [run, &holds](size_t i) { return holds((*run)[i]); }, &count);
+    size_t stop = std::min<size_t>(fences_[r].cum, to);
+    const auto in_run = [this, &probe, &r](size_t i) {
+      return Holds(probe, fences_[r], i);
+    };
+    size_t at = Gallop(from - start, stop - start, in_run, &count);
     if (at == stop - start && stop < to) {
       // All of run r's in-range part holds: find the first later run whose
       // last in-range element fails, then search inside it.
       const size_t last = to == size() ? runs_.size() - 1 : RunOf(to - 1);
       const size_t found = Gallop(
           r + 1, last + 1,
-          [this, last, to, &holds](size_t q) {
-            return holds(q == last ? (*runs_[q])[to - 1 - RunStart(q)]
-                                   : runs_[q]->back());
+          [this, last, to, &probe](size_t q) {
+            if (q == last) return Holds(probe, fences_[q], to - 1 - RunStart(q));
+            if constexpr (kIsKeyProbe<Probe>) {
+              const uint32_t k = fences_[q].last_key;
+              if (k != probe.key) return k < probe.key;
+            }
+            return Holds(probe, fences_[q], RunSize(q) - 1);
           },
           &count);
       if (found > last) {
@@ -190,34 +244,34 @@ class TagList {
       }
       r = found;
       start = RunStart(r);
-      stop = std::min<size_t>(cum_[r], to);
-      run = runs_[r].get();
+      stop = std::min<size_t>(fences_[r].cum, to);
       // The run's last in-range element fails; everything before the run
       // holds.
-      at = Bisect(
-          0, stop - start - 1,
-          [run, &holds](size_t i) { return holds((*run)[i]); }, &count);
+      at = Bisect(0, stop - start - 1, in_run, &count);
     }
     *probes += count;
     return start + at;
   }
 
-  /// Appends `id` (must come last in the list's order): in-order bulk
-  /// build. Touches only the final run.
-  void Append(NodeId id);
+  /// Appends `id` with its `key` (ignored on an unkeyed list); `id` must
+  /// come last in the list's order: in-order bulk build. Touches only the
+  /// final run.
+  void Append(NodeId id, uint32_t key = 0);
 
-  /// Splices `id` at its ordered position under `less` (a strict weak
-  /// order; here: label document order). Copies exactly the touched run.
+  /// Splices `id` (with its `key` on a keyed list) at its ordered position
+  /// under `less` (a strict weak order; here: label document order).
+  /// Copies exactly the touched run. Returns the position.
   template <typename Less>
-  void InsertSorted(NodeId id, Less less) {
+  size_t InsertSorted(NodeId id, Less less, uint32_t key = 0) {
     const size_t pos = UpperBound(id, less);
-    InsertAt(pos, id);
+    InsertAt(pos, id, key);
 #ifndef NDEBUG
     // O(1) inductive sortedness pin: the splice landed strictly between its
     // neighbors, so runs that were sorted stay sorted.
     CDBS_CHECK(pos == 0 || less((*this)[pos - 1], id));
     CDBS_CHECK(pos + 1 >= size() || less(id, (*this)[pos + 1]));
 #endif
+    return pos;
   }
 
   /// Index of the first element strictly greater than `id` under `less`.
@@ -236,12 +290,13 @@ class TagList {
     return lo;
   }
 
-  /// Removes every id of `ids` present in the list. Positions are located
-  /// by `less` binary search (the lists are sorted by label order), so the
-  /// labels of `ids` must still be live: erase before the labeling deletes
-  /// them. Each touched run is copied once.
+  /// Removes every id of `ids` present in the list, with its key. Positions
+  /// are located by `less` binary search (the lists are sorted by label
+  /// order), so the labels of `ids` must still be live: erase before the
+  /// labeling deletes them. Each touched run is copied once. Returns the
+  /// smallest erased position (size() after the erase when none was).
   template <typename Less>
-  void EraseIds(const std::vector<NodeId>& ids, Less less) {
+  size_t EraseIds(const std::vector<NodeId>& ids, Less less) {
     std::vector<size_t> positions;
     positions.reserve(ids.size());
     for (const NodeId id : ids) {
@@ -259,7 +314,23 @@ class TagList {
       }
       if (lo < size() && (*this)[lo] == id) positions.push_back(lo);
     }
-    ErasePositions(&positions);
+    return ErasePositions(&positions);
+  }
+
+  /// Sets every key of a keyed list to key_of(id), as after a relabel that
+  /// moved labels. Copies only the runs whose keys change.
+  template <typename KeyOf>
+  void Rekey(KeyOf key_of) {
+    CDBS_DCHECK(keyed_);
+    for (size_t r = 0; r < runs_.size(); ++r) {
+      const Run& run = *runs_[r];
+      size_t i = 0;
+      while (i < run.ids.size() && run.keys[i] == key_of(run.ids[i])) ++i;
+      if (i == run.ids.size()) continue;
+      Run* copy = MutableRun(r);
+      for (; i < copy->ids.size(); ++i) copy->keys[i] = key_of(copy->ids[i]);
+      RefreshFence(r);
+    }
   }
 
   /// Appends the ids at logical indexes [from, to) to `*out`, one run slice
@@ -277,8 +348,8 @@ class TagList {
   bool RunsSorted(Less less) const {
     NodeId prev = 0;
     bool have_prev = false;
-    for (const std::shared_ptr<std::vector<NodeId>>& run : runs_) {
-      for (const NodeId id : *run) {
+    for (const std::shared_ptr<Run>& run : runs_) {
+      for (const NodeId id : run->ids) {
         if (have_prev && less(id, prev)) return false;
         prev = id;
         have_prev = true;
@@ -287,7 +358,51 @@ class TagList {
     return true;
   }
 
+  /// Debug invariant: no run is empty, a keyed list's runs carry one key
+  /// per id, and the fences and the run directory agree with the runs.
+  bool SpineConsistent() const;
+
+  /// Debug invariant: every key of each run that holds an index of
+  /// [from, to) equals key_of of its id. Indexes past size() are ignored.
+  template <typename KeyOf>
+  bool KeysMatch(KeyOf key_of, size_t from, size_t to) const {
+    if (!keyed_) return true;
+    to = std::min(to, size());
+    for (size_t r = from < to ? RunOf(from) : runs_.size();
+         r < runs_.size() && RunStart(r) < to; ++r) {
+      const Run& run = *runs_[r];
+      for (size_t i = 0; i < run.ids.size(); ++i) {
+        if (run.keys[i] != key_of(run.ids[i])) return false;
+      }
+    }
+    return true;
+  }
+
  private:
+  struct Run {
+    std::vector<NodeId> ids;
+    std::vector<uint32_t> keys;  ///< one per id on a keyed list, else empty
+  };
+
+  /// Run r as a search reads it, without dereferencing its shared_ptr.
+  struct Fence {
+    uint32_t last_key = 0;  ///< the run's last key (keyed lists)
+    uint32_t cum = 0;       ///< ids in runs [0, r]
+    const uint32_t* keys = nullptr;
+    const NodeId* ids = nullptr;
+  };
+
+  /// Whether `probe` holds at entry `i` of the run behind `fence`.
+  template <typename Probe>
+  static bool Holds(const Probe& probe, const Fence& fence, size_t i) {
+    if constexpr (kIsKeyProbe<Probe>) {
+      const uint32_t k = fence.keys[i];
+      return k != probe.key ? k < probe.key : probe.tie(fence.ids[i]);
+    } else {
+      return probe(fence.ids[i]);
+    }
+  }
+
   /// First index of [lo, hi) at which `holds(i)` is false (`hi` when none
   /// is), given a true prefix: probes lo, lo+1, lo+3, lo+7, ... clamped to
   /// hi-1, then bisects the last gap. A range that holds throughout costs
@@ -327,21 +442,34 @@ class TagList {
     return lo;
   }
 
-  /// Index of the run containing logical index `i`.
-  size_t RunOf(size_t i) const;
-  size_t RunStart(size_t r) const { return r == 0 ? 0 : cum_[r - 1]; }
+  /// Index of the run containing logical index `i` (< size()): the
+  /// directory names the run holding i's block start, and i lies in it or a
+  /// few runs on.
+  size_t RunOf(size_t i) const {
+    size_t r = directory_[i >> kBlockLog2];
+    while (fences_[r].cum <= i) ++r;
+    return r;
+  }
+  size_t RunStart(size_t r) const { return r == 0 ? 0 : fences_[r - 1].cum; }
+  size_t RunSize(size_t r) const { return fences_[r].cum - RunStart(r); }
 
-  void InsertAt(size_t pos, NodeId id);
+  void InsertAt(size_t pos, NodeId id, uint32_t key);
   /// Erases the given positions (any order, repeats allowed), copying each
-  /// touched run once.
-  void ErasePositions(std::vector<size_t>* positions);
-  /// Clones runs_[r] iff shared; charges CowStats.
-  std::vector<NodeId>* MutableRun(size_t r);
-  void RebuildCum();
+  /// touched run once; returns the smallest one (size() when none).
+  size_t ErasePositions(std::vector<size_t>* positions);
+  /// Clones runs_[r] iff shared; charges CowStats. Refresh its fence after
+  /// changing it.
+  Run* MutableRun(size_t r);
+  /// Points fence r at run r's arrays and last key; its count stays.
+  void RefreshFence(size_t r);
+  /// Rebuilds every fence and the run directory from the runs.
+  void RebuildSpine();
 
-  std::vector<std::shared_ptr<std::vector<NodeId>>> runs_;
-  std::vector<uint32_t> cum_;  ///< cum_[r] = ids in runs_[0..r] inclusive
+  std::vector<std::shared_ptr<Run>> runs_;
+  std::vector<Fence> fences_;          ///< one per run
+  std::vector<uint32_t> directory_;    ///< run of index b << kBlockLog2
   int max_level_ = 0;
+  bool keyed_ = false;
 };
 
 }  // namespace cdbs::query

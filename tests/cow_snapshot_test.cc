@@ -3,15 +3,20 @@
 // copy O(touched) chunks, not O(N) (accounting) — the property behind
 // O(touched) group-commit publishes (docs/CONCURRENCY.md).
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/bit_string.h"
+#include "core/cdbs.h"
 #include "engine/concurrent_db.h"
+#include "labeling/containment.h"
 #include "labeling/registry.h"
 #include "obs/metrics.h"
 #include "query/evaluator.h"
@@ -309,6 +314,327 @@ TEST(TagListTest, EraseWholeRunsDropsThem) {
 }
 
 // ---------------------------------------------------------------------------
+// Keyed TagList: a search probes the runs' 32-bit keys and reads the full
+// label only where a key ties the bound.
+
+using query::KeyProbe;
+using CdbsCodec = labeling::CdbsContainmentCodec;
+
+// Ascending CDBS words: Algorithm 2's codes for `n` values, plus codes grown
+// past 32 bits by `skewed` pairs of inserts at one gap, spliced in at the
+// quarter mark. The grown codes share their first 32 bits, so their keys
+// tie. Id i is labeled words[i].
+std::vector<uint64_t> SkewedCdbsWords(uint64_t n, int skewed) {
+  std::vector<uint64_t> words = core::EncodeRangeWords(n);
+  const core::BitString left = core::WordToCode(words[n / 4 - 1]);
+  core::BitString right = core::WordToCode(words[n / 4]);
+  for (int i = 0; i < skewed; ++i) {
+    auto [m1, m2] = core::AssignTwoMiddleBinaryStrings(left, right);
+    if (m2.size() >= 64) break;
+    words.push_back(core::CodeToWord(m1));
+    words.push_back(core::CodeToWord(m2));
+    right = m1;
+  }
+  std::sort(words.begin(), words.end());
+  return words;
+}
+
+// A keyed list over `words` (ids ascend with their words): every fourth id
+// appended, the odd ids of [n/8, n/2) spliced in (splitting runs past
+// kRunMax), then every id erased that is not a multiple of `keep_every`
+// and has a code of at most 24 bits, and the whole last eighth. So the
+// skewed block's tying keys stay. The spine is checked after each stage.
+TagList KeyedUnevenList(const std::vector<uint64_t>& words,
+                        NodeId keep_every) {
+  const NodeId n = static_cast<NodeId>(words.size());
+  const auto less = [](NodeId a, NodeId b) { return a < b; };
+  const auto key = [&words](NodeId id) { return CdbsCodec::Key(words[id]); };
+  TagList list(/*keyed=*/true);
+  for (NodeId i = 0; i < n; i += 4) list.Append(i, key(i));
+  EXPECT_TRUE(list.SpineConsistent());
+  for (NodeId i = n / 8 + 1; i < n / 2; i += 2) {
+    list.InsertSorted(i, less, key(i));
+  }
+  EXPECT_TRUE(list.SpineConsistent());
+  std::vector<NodeId> victims;
+  for (NodeId i = 0; i < n; ++i) {
+    const bool long_code = CdbsCodec::CodeBits(words[i]) > 24;
+    if ((!long_code && i % keep_every != 0) || i >= n - n / 8) {
+      victims.push_back(i);
+    }
+  }
+  list.EraseIds(victims, less);
+  EXPECT_TRUE(list.SpineConsistent());
+  EXPECT_TRUE(list.KeysMatch(key, 0, list.size()));
+  EXPECT_TRUE(list.RunsSorted(less));
+  return list;
+}
+
+// Probe and tie counts over a series of keyed searches.
+struct KeyedSearchStats {
+  uint64_t probes = 0;
+  uint64_t ties = 0;
+};
+
+// Keyed PartitionPoint against std::partition_point over the flattened
+// list, for elements below `bound` and for those at or below it.
+void ExpectKeyedPartitionPoint(const TagList& list, size_t from, size_t to,
+                               uint64_t bound,
+                               const std::vector<uint64_t>& words,
+                               const std::vector<NodeId>& flat,
+                               KeyedSearchStats* stats) {
+  for (const bool or_at : {false, true}) {
+    const auto holds = [&words, bound, or_at](NodeId x) {
+      return or_at ? words[x] <= bound : words[x] < bound;
+    };
+    uint64_t ties = 0;
+    const auto tie = [&holds, &ties](NodeId x) {
+      ++ties;
+      return holds(x);
+    };
+    uint64_t probes = 0;
+    const size_t got = list.PartitionPoint(
+        from, to, KeyProbe<decltype(tie)>{CdbsCodec::Key(bound), tie},
+        &probes);
+    const size_t want = static_cast<size_t>(
+        std::partition_point(flat.begin() + static_cast<ptrdiff_t>(from),
+                             flat.begin() + static_cast<ptrdiff_t>(to),
+                             holds) -
+        flat.begin());
+    ASSERT_EQ(got, want) << "[" << from << ", " << to << ") "
+                         << (or_at ? "at or below " : "below ") << bound;
+    EXPECT_LE(ties, probes);
+    if (from < to) {
+      EXPECT_LE(probes, 64u);
+    }
+    stats->probes += probes;
+    stats->ties += ties;
+  }
+}
+
+// The bounds a search meets: each element's own word (a tie with itself),
+// and the words just below and above it.
+std::vector<uint64_t> BoundsAround(const std::vector<uint64_t>& words,
+                                   const std::vector<NodeId>& flat,
+                                   size_t k) {
+  if (k == flat.size()) return {~uint64_t{0}};
+  const uint64_t w = words[flat[k]];
+  return {w - 1, w, w + 1};
+}
+
+TEST(TagListKeyTest, SkewedCodesPastThirtyTwoBitsTieOnTheirKeys) {
+  const std::vector<uint64_t> words = SkewedCdbsWords(4000, 40);
+  size_t long_codes = 0;
+  size_t ties = 0;
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (CdbsCodec::CodeBits(words[i]) > 32) ++long_codes;
+    if (i > 0) {
+      ASSERT_LT(words[i - 1], words[i]);
+      ASSERT_LE(CdbsCodec::Key(words[i - 1]), CdbsCodec::Key(words[i]));
+      if (CdbsCodec::Key(words[i - 1]) == CdbsCodec::Key(words[i])) ++ties;
+    }
+  }
+  EXPECT_GT(long_codes, 20u);
+  EXPECT_GT(ties, 20u);
+}
+
+TEST(TagListKeyTest, PartitionPointMatchesStdOnEveryRangeOfASmallList) {
+  const std::vector<uint64_t> words = SkewedCdbsWords(4000, 40);
+  const TagList list = KeyedUnevenList(words, 61);
+  ASSERT_GT(list.run_count(), 3u);
+  const std::vector<NodeId> flat = list.ToVector();
+  ASSERT_LT(flat.size(), 400u);
+  KeyedSearchStats stats;
+  for (size_t from = 0; from <= flat.size(); from += 3) {
+    for (size_t to = from; to <= flat.size(); to += 2) {
+      for (size_t k = from; k <= to; ++k) {
+        for (const uint64_t bound : BoundsAround(words, flat, k)) {
+          ASSERT_NO_FATAL_FAILURE(ExpectKeyedPartitionPoint(
+              list, from, to, bound, words, flat, &stats));
+        }
+      }
+    }
+  }
+  // Ties are the exception: most probes are settled by the key alone.
+  EXPECT_GT(stats.ties, 0u);
+  EXPECT_LT(stats.ties * 2, stats.probes);
+}
+
+TEST(TagListKeyTest, PartitionPointMatchesStdOnRandomRangesOfALargeList) {
+  const std::vector<uint64_t> words = SkewedCdbsWords(40000, 40);
+  const TagList list = KeyedUnevenList(words, 3);
+  ASSERT_GT(list.run_count(), 10u);
+  const std::vector<NodeId> flat = list.ToVector();
+  std::mt19937_64 rng(5);
+  KeyedSearchStats stats;
+  for (int trial = 0; trial < 5000; ++trial) {
+    size_t from = rng() % (flat.size() + 1);
+    size_t to = rng() % (flat.size() + 1);
+    if (from > to) std::swap(from, to);
+    // Random words, and the words around random elements (the skewed block
+    // among them).
+    const size_t k = trial % 4 == 0 ? flat.size() / 4 + rng() % 60
+                                    : rng() % (flat.size() + 1);
+    std::vector<uint64_t> bounds = BoundsAround(words, flat, k);
+    bounds.push_back(rng());
+    for (const uint64_t bound : bounds) {
+      ASSERT_NO_FATAL_FAILURE(ExpectKeyedPartitionPoint(list, from, to, bound,
+                                                        words, flat, &stats));
+    }
+  }
+  EXPECT_GT(stats.ties, 0u);
+}
+
+TEST(TagListKeyTest, SpineFollowsOneElementRunsSplitsRekeysAndForks) {
+  const std::vector<uint64_t> words = SkewedCdbsWords(70000, 30);
+  const NodeId n = static_cast<NodeId>(words.size());
+  const auto less = [](NodeId a, NodeId b) { return a < b; };
+  const auto key = [&words](NodeId id) { return CdbsCodec::Key(words[id]); };
+  // Appends seal a run every kRunTarget ids, so run r starts at
+  // r * kRunTarget.
+  TagList list(/*keyed=*/true);
+  for (NodeId i = 0; i < n; ++i) list.Append(i, key(i));
+  ASSERT_TRUE(list.SpineConsistent());
+  const size_t runs = list.run_count();
+  ASSERT_EQ(runs, (n + TagList::kRunTarget - 1) / TagList::kRunTarget);
+  ASSERT_GT(runs, size_t{1} << TagList::kBlockLog2);  // >1 block of 1-runs
+
+  // Shrink every run to its first id: the directory then scans past many
+  // one-element runs per block.
+  std::vector<NodeId> victims;
+  for (NodeId i = 0; i < n; ++i) {
+    if (i % TagList::kRunTarget != 0) victims.push_back(i);
+  }
+  list.EraseIds(victims, less);
+  ASSERT_TRUE(list.SpineConsistent());
+  ASSERT_EQ(list.run_count(), runs);
+  ASSERT_EQ(list.size(), runs);
+  ASSERT_TRUE(list.KeysMatch(key, 0, list.size()));
+  std::vector<NodeId> flat = list.ToVector();
+  std::mt19937_64 rng(7);
+  KeyedSearchStats stats;
+  for (int trial = 0; trial < 3000; ++trial) {
+    size_t from = rng() % (flat.size() + 1);
+    size_t to = rng() % (flat.size() + 1);
+    if (from > to) std::swap(from, to);
+    for (const uint64_t bound : BoundsAround(words, flat, rng() % (flat.size() + 1))) {
+      ASSERT_NO_FATAL_FAILURE(ExpectKeyedPartitionPoint(list, from, to, bound,
+                                                        words, flat, &stats));
+    }
+  }
+
+  // Drop the runs of [lo, lo + 5 * kRunTarget), then splice the ids of
+  // that range (the skewed block among them) back in, one checked splice
+  // at a time, while a fork pins the one-element runs. They all land in
+  // the run before `lo`, which splits past kRunMax again and again.
+  const TagList fork = list;
+  const NodeId lo = static_cast<NodeId>((n / 4 / TagList::kRunTarget - 1) *
+                                        TagList::kRunTarget);
+  const NodeId hi = lo + 5 * TagList::kRunTarget;
+  std::vector<NodeId> run_heads;
+  for (NodeId i = lo; i < hi; i += TagList::kRunTarget) run_heads.push_back(i);
+  list.EraseIds(run_heads, less);
+  ASSERT_TRUE(list.SpineConsistent());
+  ASSERT_EQ(list.run_count(), runs - run_heads.size());
+  for (NodeId i = lo; i < hi; ++i) {
+    list.InsertSorted(i, less, key(i));
+    ASSERT_TRUE(list.SpineConsistent()) << i;
+    ASSERT_TRUE(list.KeysMatch(key, 0, list.size())) << i;
+  }
+  // 5 * kRunTarget ids spliced into one run split it at least 3 times.
+  EXPECT_GE(list.run_count(), runs - run_heads.size() + 3);
+  ASSERT_TRUE(fork.SpineConsistent());
+  ASSERT_EQ(fork.ToVector(), flat);
+  flat = list.ToVector();
+  for (int trial = 0; trial < 3000; ++trial) {
+    size_t from = rng() % (flat.size() + 1);
+    size_t to = rng() % (flat.size() + 1);
+    if (from > to) std::swap(from, to);
+    const size_t k = rng() % (flat.size() + 1);
+    for (const uint64_t bound : BoundsAround(words, flat, k)) {
+      ASSERT_NO_FATAL_FAILURE(ExpectKeyedPartitionPoint(list, from, to, bound,
+                                                        words, flat, &stats));
+    }
+  }
+  EXPECT_GT(stats.ties, 0u);
+
+  // A relabel that moves the upper half: Rekey copies only the runs whose
+  // keys change, and the fork keeps its keys.
+  const NodeId half = n / 2;
+  const auto moved = [&words, half](NodeId id) {
+    return CdbsCodec::Key(id < half ? words[id] : words[id] + (uint64_t{1} << 40));
+  };
+  const TagList before_rekey = list;
+  CowStats& cow = CowStats::Local();
+  const uint64_t copies0 = cow.chunk_copies;
+  list.Rekey(moved);
+  const uint64_t copied = cow.chunk_copies - copies0;
+  EXPECT_GT(copied, 0u);
+  EXPECT_LT(copied, list.run_count());
+  ASSERT_TRUE(list.SpineConsistent());
+  EXPECT_TRUE(list.KeysMatch(moved, 0, list.size()));
+  EXPECT_TRUE(before_rekey.KeysMatch(key, 0, before_rekey.size()));
+  EXPECT_TRUE(fork.KeysMatch(key, 0, fork.size()));
+}
+
+// Readers search a fork's key runs while the writer splices, erases and
+// rekeys the live list, path-copying the runs they read (the engine's
+// snapshot readers against its writer; run under TSan in CI).
+TEST(TagListKeyTest, ForkReadersProbeWhileTheWriterSplices) {
+  const std::vector<uint64_t> words = SkewedCdbsWords(20000, 30);
+  const NodeId n = static_cast<NodeId>(words.size());
+  const auto less = [](NodeId a, NodeId b) { return a < b; };
+  const auto key = [&words](NodeId id) { return CdbsCodec::Key(words[id]); };
+  TagList live(/*keyed=*/true);
+  for (NodeId i = 0; i < n; i += 2) live.Append(i, key(i));
+  const TagList fork = live;
+  const std::vector<NodeId> flat = fork.ToVector();
+  std::vector<uint64_t> bounds;
+  std::vector<size_t> want;
+  for (size_t k = 0; k <= flat.size(); k += 37) {
+    for (const uint64_t bound : BoundsAround(words, flat, k)) {
+      const auto below = [&words, bound](NodeId x) { return words[x] < bound; };
+      bounds.push_back(bound);
+      want.push_back(static_cast<size_t>(
+          std::partition_point(flat.begin(), flat.end(), below) -
+          flat.begin()));
+    }
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      do {
+        for (size_t b = 0; b < bounds.size(); ++b) {
+          const uint64_t bound = bounds[b];
+          const auto below = [&words, bound](NodeId x) {
+            return words[x] < bound;
+          };
+          uint64_t probes = 0;
+          const size_t got = fork.PartitionPoint(
+              0, fork.size(),
+              KeyProbe<decltype(below)>{CdbsCodec::Key(bound), below},
+              &probes);
+          if (got != want[b]) wrong.fetch_add(1);
+        }
+      } while (!stop.load());
+    });
+  }
+  for (NodeId i = 1; i < n; i += 2) live.InsertSorted(i, less, key(i));
+  std::vector<NodeId> victims;
+  for (NodeId i = 0; i < n; i += 3) victims.push_back(i);
+  live.EraseIds(victims, less);
+  live.Rekey([&words](NodeId id) { return CdbsCodec::Key(words[id] + 1); });
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_TRUE(live.SpineConsistent());
+  EXPECT_TRUE(fork.SpineConsistent());
+  EXPECT_EQ(fork.ToVector(), flat);
+}
+
+// ---------------------------------------------------------------------------
 // Fork aliasing: after Fork(), mutating the live document (inserts incl.
 // scheme-relabeling overflows, deletes, new tag names) must leave the
 // pinned snapshot byte-identical.
@@ -358,9 +684,8 @@ TEST(CowForkAliasingTest, LiveMutationsNeverLeakIntoFork) {
     // delete.
     for (int i = 0; i < 8; ++i) {
       const labeling::InsertResult r =
-          live.labeling_mutable()->InsertSiblingAfter(2);
+          live.InsertSibling(2, /*before=*/false, i == 0 ? "znew" : "c");
       ASSERT_NE(r.new_node, labeling::kNoNode);
-      live.NoteInsertedNode(r.new_node, i == 0 ? "znew" : "c");
     }
     live.DeleteSubtree(5);  // the <d> subtree
 
@@ -426,11 +751,10 @@ std::pair<uint64_t, uint64_t> OneInsertCopyCost(LabeledDocument* doc) {
   const uint64_t shared = stats.chunks_shared - shared0;
   EXPECT_EQ(stats.chunk_copies, copies0) << "forking must copy nothing";
 
-  const labeling::InsertResult r =
-      doc->labeling_mutable()->InsertSiblingAfter(
-          doc->WithTag("line")[doc->WithTag("line").size() / 2]);
+  const labeling::InsertResult r = doc->InsertSibling(
+      doc->WithTag("line")[doc->WithTag("line").size() / 2],
+      /*before=*/false, "line");
   EXPECT_NE(r.new_node, labeling::kNoNode);
-  doc->NoteInsertedNode(r.new_node, "line");
   return {stats.chunk_copies - copies0, shared};
 }
 
@@ -474,11 +798,10 @@ TEST(CowAccountingTest, SteadyStateInsertsShareAllButTouchedChunks) {
   for (int round = 0; round < 16; ++round) {
     pinned.push_back(live.Fork());
     const uint64_t copies0 = stats.chunk_copies;
-    const labeling::InsertResult r =
-        live.labeling_mutable()->InsertSiblingAfter(
-            live.WithTag("line")[static_cast<size_t>(round) * 97 % 500]);
+    const labeling::InsertResult r = live.InsertSibling(
+        live.WithTag("line")[static_cast<size_t>(round) * 97 % 500],
+        /*before=*/false, "line");
     ASSERT_NE(r.new_node, labeling::kNoNode);
-    live.NoteInsertedNode(r.new_node, "line");
     EXPECT_LE(stats.chunk_copies - copies0, kMaxChunksPerInsert)
         << "round " << round;
   }

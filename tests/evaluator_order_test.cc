@@ -19,6 +19,7 @@
 
 #include "dom_reference.h"
 #include "engine/concurrent_db.h"
+#include "labeling/containment.h"
 #include "labeling/registry.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -169,11 +170,8 @@ void ApplyRandomUpdates(std::mt19937_64* rng, RefTree* ref,
     } else {
       const bool before = (*rng)() % 2 == 0;
       const std::string tag = RandomTag(rng);
-      labeling::Labeling* lab = labeled->labeling_mutable();
       const labeling::InsertResult result =
-          before ? lab->InsertSiblingBefore(target)
-                 : lab->InsertSiblingAfter(target);
-      labeled->NoteInsertedNode(result.new_node, tag);
+          labeled->InsertSibling(target, before, tag);
       ASSERT_EQ(result.new_node, ref->AddSibling(target, before, tag));
     }
   }
@@ -349,8 +347,7 @@ TEST_P(EvaluatorOrderTest, ChildSpansFollowDeeperInsertsDeletesAndForks) {
 
   // A `b` next to `y`, deeper than any `b` before it.
   const labeling::InsertResult inserted =
-      labeled.labeling_mutable()->InsertSiblingAfter(y);
-  labeled.NoteInsertedNode(inserted.new_node, "b");
+      labeled.InsertSibling(y, /*before=*/false, "b");
   ASSERT_EQ(inserted.new_node, ref.AddSibling(y, /*before=*/false, "b"));
   ASSERT_NO_FATAL_FAILURE(check(labeled, ref, "after the deep insert"));
   EXPECT_EQ(labeled.WithTag("b").max_level(), 3);
@@ -389,6 +386,117 @@ TEST_P(EvaluatorOrderTest, ChildSpansFollowDeeperInsertsDeletesAndForks) {
     ASSERT_NO_FATAL_FAILURE(check(now.view(), live, "engine after delete"));
   }
   ASSERT_NO_FATAL_FAILURE(check(pinned.view(), before_insert, "pinned"));
+}
+
+// The order key a keyed tag list must carry for `id`: the codec's
+// abbreviation of its start value. Null for schemes without keys.
+std::function<uint32_t(NodeId)> CodecKeyOf(const labeling::Labeling& lab) {
+  using labeling::CdbsContainmentCodec;
+  using labeling::ContainmentLabeling;
+  using labeling::IntContainmentCodec;
+  if (const auto* binary =
+          dynamic_cast<const ContainmentLabeling<IntContainmentCodec>*>(
+              &lab)) {
+    return [binary](NodeId id) {
+      return IntContainmentCodec::Key(binary->starts()[id]);
+    };
+  }
+  if (const auto* cdbs =
+          dynamic_cast<const ContainmentLabeling<CdbsContainmentCodec>*>(
+              &lab)) {
+    return [cdbs](NodeId id) {
+      return CdbsContainmentCodec::Key(cdbs->starts()[id]);
+    };
+  }
+  return nullptr;
+}
+
+// Every tag list of `doc` is keyed iff its scheme has order keys, and each
+// key is the codec's abbreviation of its id's start value; answers are
+// the DOM walk's.
+void ExpectKeysAndAnswers(const LabeledDocument& doc, const RefTree& ref,
+                          const std::string& when) {
+  const std::function<uint32_t(NodeId)> key_of = CodecKeyOf(doc.labeling());
+  for (const char* name : {"*", "r", "a", "b", "c"}) {
+    const TagList& list = doc.WithTag(name);
+    if (list.empty()) continue;  // an unknown tag's shared empty list
+    ASSERT_EQ(list.keyed(), key_of != nullptr) << when << " //" << name;
+    if (key_of == nullptr) continue;
+    for (size_t i = 0; i < list.size(); ++i) {
+      ASSERT_EQ(list.key(i), key_of(list[i]))
+          << when << " //" << name << " at " << i << " (node " << list[i]
+          << ")";
+    }
+  }
+  const RefEvaluator reference(ref);
+  for (const char* text : kTargetedQueries) {
+    auto query = ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text;
+    ASSERT_EQ(EvaluateQuery(*query, doc), reference.Evaluate(*query))
+        << when << ": " << text;
+  }
+}
+
+// The key invariant LabeledDocument owns, for every scheme: random inserts
+// and deletes, forks pinned before writes, V-Binary inserts that shift
+// values, and skewed inserts at one gap that overflow V-CDBS into a
+// re-encode. After every step the keys are the labels' and answers match
+// the DOM walk, in the live document and in every pinned fork.
+TEST_P(EvaluatorOrderTest, KeysFollowLabelsUnderWritesForksAndRelabels) {
+  const auto scheme = labeling::SchemeByName(GetParam());
+  std::mt19937_64 rng(21);
+  RefTree ref = RandomTree(&rng, 400);
+  auto parsed = xml::ParseXml(ref.ToXml());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  LabeledDocument labeled(*parsed, *scheme);
+  ASSERT_NO_FATAL_FAILURE(ExpectKeysAndAnswers(labeled, ref, "loaded"));
+
+  uint64_t relabels = 0;
+  uint64_t overflows = 0;
+  auto insert = [&](NodeId target, bool before, const std::string& tag) {
+    const labeling::InsertResult result =
+        labeled.InsertSibling(target, before, tag);
+    ASSERT_EQ(result.new_node, ref.AddSibling(target, before, tag));
+    relabels += result.relabeled > 0 ? 1 : 0;
+    overflows += result.overflow ? 1 : 0;
+  };
+  std::vector<std::pair<std::unique_ptr<LabeledDocument>, RefTree>> forks;
+  for (int round = 0; round < 6; ++round) {
+    forks.emplace_back(labeled.Fork(), ref);
+    for (int op = 0; op < 8; ++op) {
+      const std::vector<NodeId> live = ref.PreOrder();
+      const NodeId target = live[1 + rng() % (live.size() - 1)];
+      if (rng() % 4 == 0 && live.size() > 30) {
+        labeled.DeleteSubtree(target);
+        ref.RemoveSubtree(target);
+      } else {
+        ASSERT_NO_FATAL_FAILURE(insert(target, rng() % 2 == 0, RandomTag(&rng)));
+      }
+      const std::string when = "round " + std::to_string(round) + " op " +
+                               std::to_string(op);
+      ASSERT_NO_FATAL_FAILURE(ExpectKeysAndAnswers(labeled, ref, when));
+    }
+  }
+  // Skewed inserts, each just before the one inserted last: one gap.
+  forks.emplace_back(labeled.Fork(), ref);
+  const std::vector<NodeId> live = ref.PreOrder();
+  NodeId target = live[live.size() / 2];
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_NO_FATAL_FAILURE(insert(target, /*before=*/true, "b"));
+    target = static_cast<NodeId>(ref.tag.size() - 1);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectKeysAndAnswers(labeled, ref, "skewed insert " + std::to_string(i)));
+  }
+  for (size_t f = 0; f < forks.size(); ++f) {
+    ASSERT_NO_FATAL_FAILURE(ExpectKeysAndAnswers(
+        *forks[f].first, forks[f].second, "fork " + std::to_string(f)));
+  }
+  if (GetParam() == "V-Binary-Containment") {
+    EXPECT_GT(relabels, 0u) << "no insert shifted values";
+  }
+  if (GetParam() == "V-CDBS-Containment") {
+    EXPECT_GT(overflows, 0u) << "no insert overflowed into a re-encode";
+  }
 }
 
 std::vector<std::string> AllSchemeNames() {

@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "labeling/label.h"
@@ -96,6 +98,51 @@ TEST(TreeSkeletonTest, ChainedInsertions) {
   }
   EXPECT_EQ(count, 12u);
   EXPECT_EQ(sk.ChildRank(4), 12u);
+}
+
+// No column stores `removed` or `last_child`: a removed node is one with no
+// parent other than the root, and a parent's last child is found from the
+// links, also when children are added out of pre-order.
+TEST(TreeSkeletonTest, RemovedAndLastChildComeFromTheLinks) {
+  TreeSkeleton sk = TreeSkeleton::FromDocument(Sample(), nullptr);
+  // ids: a=0 b=1 d=2 e=3 c=4
+  EXPECT_EQ(sk.last_child(1), 3u);
+  EXPECT_EQ(sk.RemoveSubtree(1), (std::vector<NodeId>{1, 2, 3}));
+  for (const NodeId n : {1u, 2u, 3u}) EXPECT_TRUE(sk.is_removed(n)) << n;
+  EXPECT_FALSE(sk.is_removed(0));
+  EXPECT_FALSE(sk.is_removed(4));
+  EXPECT_EQ(sk.first_child(0), 4u);
+  EXPECT_EQ(sk.last_child(0), 4u);
+  EXPECT_EQ(sk.live_count(), 2u);
+
+  // Children added to a node after nodes below a later sibling (not a
+  // pre-order build) still go last.
+  TreeSkeleton built;
+  const NodeId root = built.AddNode(kNoNode);
+  const NodeId x = built.AddNode(root);
+  const NodeId y = built.AddNode(root);
+  const NodeId y1 = built.AddNode(y);
+  const NodeId x1 = built.AddNode(x);
+  const NodeId x2 = built.AddNode(x);
+  const NodeId z = built.AddNode(root);
+  EXPECT_EQ(built.last_child(root), z);
+  EXPECT_EQ(built.next_sibling(y), z);
+  EXPECT_EQ(built.prev_sibling(z), y);
+  EXPECT_EQ(built.first_child(x), x1);
+  EXPECT_EQ(built.next_sibling(x1), x2);
+  EXPECT_EQ(built.last_child(x), x2);
+  EXPECT_EQ(built.last_child(y), y1);
+  EXPECT_EQ(built.level(x2), 3);
+}
+
+// Levels are stored in 16 bits; a deeper tree fails loudly rather than
+// wrapping.
+TEST(TreeSkeletonDeathTest, LevelPastSixteenBitsAborts) {
+  TreeSkeleton sk;
+  NodeId parent = sk.AddNode(kNoNode);
+  for (int level = 2; level <= 65535; ++level) parent = sk.AddNode(parent);
+  EXPECT_EQ(sk.level(parent), 65535);
+  EXPECT_DEATH(sk.AddNode(parent), "CDBS_CHECK failed");
 }
 
 }  // namespace
