@@ -36,9 +36,10 @@
 ///
 /// There is one process-wide `MetricRegistry::Default()` that the library's
 /// built-in instrumentation reports to. Components that need isolated
-/// counts (`engine::XmlDb`, `storage::LabelStore`) own a child registry of
-/// it: each metric lives once, in the instance's registry, and
-/// `Default().Snapshot()` merges the children in by name.
+/// counts (`engine::XmlDb`, `shard::ShardedDb`, the Figure 7
+/// `storage::LabelStore`) own a child registry of it: each metric lives
+/// once, in the instance's registry, and `Default().Snapshot()` merges the
+/// children in by name.
 
 namespace cdbs::obs {
 

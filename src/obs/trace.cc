@@ -15,9 +15,9 @@ namespace cdbs::obs {
 namespace {
 
 constexpr const char* kSpanNames[kNumSpanNames] = {
-    "request",       "parse",      "admission",  "queue_wait",
-    "snapshot_pin",  "eval",       "commit.phase1", "commit.stage",
-    "wal.append",    "wal.fsync",  "store.apply",   "publish",
+    "request",      "parse", "admission",     "queue_wait",
+    "snapshot_pin", "eval",  "commit.phase1", "wal.append",
+    "wal.fsync",    "publish",
 };
 
 constexpr const char* kOutcomeNames[] = {"ok", "error", "shed", "deadline"};

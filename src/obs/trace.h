@@ -58,13 +58,11 @@ enum class SpanName : uint8_t {
   kSnapshotPin,   ///< read path: pinning the published snapshot
   kEval,          ///< read path: query evaluation against the snapshot
   kCommitPhase1,  ///< writer: in-memory apply of the whole group
-  kCommitStage,   ///< LabelStore: staging page after-images + WAL payloads
   kWalAppend,     ///< WAL: the group's record append (one pwrite)
   kWalFsync,      ///< WAL: the group's one fdatasync
-  kStoreApply,    ///< LabelStore: page images + header write + fsync
   kPublish,       ///< snapshot publication (Fork + Publish)
 };
-inline constexpr int kNumSpanNames = 12;
+inline constexpr int kNumSpanNames = 10;
 
 /// Stable lowercase name for exporters ("wal.fsync", "queue_wait", ...).
 const char* SpanNameString(SpanName name);

@@ -5,9 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -33,28 +31,7 @@ constexpr uint32_t kLenMask = 0x7FFFFFFFu;
 // Payloads below this size are never worth the token overhead.
 constexpr size_t kCompressMinBytes = 64;
 
-// -1: consult the env knob; 0/1: programmatic override (benches).
-std::atomic<int> g_compression_override{-1};
-
-bool EnvCompressionEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("CDBS_WAL_COMPRESS");
-    return v == nullptr || std::string_view(v) != "0";
-  }();
-  return enabled;
-}
-
 }  // namespace
-
-void Wal::set_compression_enabled(bool enabled) {
-  g_compression_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool Wal::compression_enabled() {
-  const int o = g_compression_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return EnvCompressionEnabled();
-}
 
 Wal::Wal(obs::MetricRegistry* registry, const std::string& failpoint_scope)
     : scoped_append_error_(failpoint_scope.empty()
@@ -138,7 +115,6 @@ Status Wal::AppendBatch(const std::vector<std::string_view>& payloads) {
   // Compress each payload that shrinks; the stored length carries the
   // compressed-bit flag so the CRC (computed over the stored bytes) stays
   // self-consistent for readers of either form.
-  const bool compress = compression_enabled();
   size_t logical = 0;
   std::vector<std::string> compressed(payloads.size());
   std::vector<std::string_view> stored(payloads.size());
@@ -147,8 +123,8 @@ Status Wal::AppendBatch(const std::vector<std::string_view>& payloads) {
   for (size_t i = 0; i < payloads.size(); ++i) {
     logical += kRecordHeader + payloads[i].size();
     stored[i] = payloads[i];
-    if (compress && util::MaybeCompressBytes(payloads[i], kCompressMinBytes,
-                                             &compressed[i])) {
+    if (util::MaybeCompressBytes(payloads[i], kCompressMinBytes,
+                                 &compressed[i])) {
       stored[i] = compressed[i];
       is_compressed[i] = true;
     }

@@ -10,13 +10,12 @@
 #include "util/status.h"
 
 /// \file
-/// A checksummed, length-prefixed write-ahead log. The serving engine's one
-/// durability log (repl::ReplicationLog) appends each committed group here
-/// and fsyncs it before acknowledging; `LabelStore` (the Figure 7
-/// substrate) logs every page batch here before mutating any page. A crash
-/// at any point leaves either a replayable record or a torn tail, truncated
-/// on recovery. Record layout and the recovery protocol are documented in
-/// docs/DURABILITY.md.
+/// A checksummed, length-prefixed write-ahead log: the file behind the
+/// serving engine's one durability log (repl::ReplicationLog), which
+/// appends each committed group here and fsyncs it before acknowledging. A
+/// crash at any point leaves either a replayable record or a torn tail,
+/// truncated on recovery. Record layout and the recovery protocol are
+/// documented in docs/DURABILITY.md.
 ///
 /// On-disk record: `[u32 crc32c][u32 len][u64 lsn][len payload bytes]`,
 /// little-endian, where the CRC covers the length field, the LSN and the
@@ -25,10 +24,10 @@
 ///
 /// The high bit of the `len` field marks a zero-RLE-compressed payload
 /// (util/label_codec.h): `len` then counts the *stored* (compressed)
-/// bytes, and readers decompress after the checksum verifies. Records
-/// written before compression existed never set the bit (lengths are far
-/// below 2^31), so old logs replay unchanged; payloads that would not
-/// shrink are stored raw with the bit clear. See docs/ENCODING.md.
+/// bytes, and readers decompress after the checksum verifies. Whether a
+/// record is compressed depends on its payload alone: a payload of at
+/// least 64 bytes that zero-RLE shrinks is stored compressed, any other
+/// raw with the bit clear. See docs/ENCODING.md.
 ///
 /// Every record carries a monotonically increasing log sequence number
 /// (LSN), assigned at append time and persisted in the header. LSNs let a
@@ -121,13 +120,6 @@ class Wal {
   uint64_t last_lsn() const { return next_lsn_ - 1; }
 
   const std::string& path() const { return path_; }
-
-  /// Process-wide switch for transparent payload compression on append.
-  /// Defaults from the CDBS_WAL_COMPRESS env knob (on unless "0"); benches
-  /// flip it to measure raw vs compressed bytes/op in one process. Readers
-  /// always understand both forms regardless of this switch.
-  static void set_compression_enabled(bool enabled);
-  static bool compression_enabled();
 
  private:
   Status WriteAt(uint64_t offset, const char* data, size_t n);

@@ -17,66 +17,6 @@ namespace {
 /// single corrupt token can demand.
 constexpr size_t kMaxRun = size_t{1} << 24;
 
-size_t SharedPrefix(std::string_view a, std::string_view b) {
-  const size_t n = std::min(a.size(), b.size());
-  size_t i = 0;
-  while (i < n && a[i] == b[i]) ++i;
-  return i;
-}
-
-}  // namespace
-
-Status AppendFrontCodedRecord(std::string_view prev, std::string_view record,
-                              std::string* out) {
-  const size_t shared = SharedPrefix(prev, record);
-  CDBS_RETURN_NOT_OK(EncodeOrderedVarint(shared, out));
-  CDBS_RETURN_NOT_OK(EncodeOrderedVarint(record.size() - shared, out));
-  out->append(record.data() + shared, record.size() - shared);
-  return Status::OK();
-}
-
-Status EncodeFrontCodedRun(const std::vector<std::string>& records,
-                           std::string* out) {
-  std::string_view prev;
-  for (const std::string& record : records) {
-    CDBS_RETURN_NOT_OK(AppendFrontCodedRecord(prev, record, out));
-    prev = record;
-  }
-  return Status::OK();
-}
-
-Status DecodeFrontCodedRun(std::string_view data, size_t* pos, size_t count,
-                           std::vector<std::string>* out) {
-  std::string prev;
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t shared = 0;
-    uint64_t suffix = 0;
-    CDBS_RETURN_NOT_OK(DecodeOrderedVarint(data, pos, &shared));
-    CDBS_RETURN_NOT_OK(DecodeOrderedVarint(data, pos, &suffix));
-    if (shared > prev.size()) {
-      return Status::Corruption("front-coded run: shared prefix too long");
-    }
-    if (suffix > data.size() - *pos) {
-      return Status::Corruption("front-coded run: truncated suffix");
-    }
-    std::string record = prev.substr(0, shared);
-    record.append(data.data() + *pos, suffix);
-    *pos += suffix;
-    out->push_back(record);
-    prev = std::move(record);
-  }
-  return Status::OK();
-}
-
-size_t MaxFrontCodedRecordSize(size_t record_size) {
-  // shared-prefix varint + suffix-length varint + the full record as the
-  // suffix (a record sharing nothing with its predecessor).
-  return OrderedVarintLength(record_size) + OrderedVarintLength(record_size) +
-         record_size;
-}
-
-namespace {
-
 /// End of the zero run at `in[i]`: the first non-zero byte before `limit`.
 size_t ZeroRunEnd(const char* in, size_t i, size_t limit) {
   for (; i + 8 <= limit; i += 8) {

@@ -11,7 +11,8 @@
 /// \file
 /// The one fixed-width integer codec behind every byte format here: wire
 /// frames, replication batches, bootstrap images and checkpoints, WAL
-/// records, the shard MANIFEST and LabelStore pages (docs/ENCODING.md).
+/// records, the shard MANIFEST and the Figure 7 LabelStore's fixed-slot
+/// pages (docs/ENCODING.md).
 /// The formats are little-endian, and so is the host (asserted below), so a
 /// value or an array of values moves with one memcpy of host words.
 

@@ -1,12 +1,10 @@
-// Correctness tests for the compact-encoding codec layer
-// (util/label_codec.h, docs/ENCODING.md): front-coded label runs and
-// zero-RLE byte compression. Mirrors the randomized style of
+// Correctness tests for the zero-RLE byte codec (util/label_codec.h,
+// docs/ENCODING.md). Mirrors the randomized style of
 // bit_string_fuzz_test.cc — every fuzzed operation is checked against a
 // trivially-correct reference — plus adversarial decoding over truncated
 // and bit-flipped streams, which must fail cleanly (Corruption), never
 // crash or over-allocate.
 
-#include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,191 +17,6 @@
 
 namespace cdbs::util {
 namespace {
-
-std::string Roundtrip(const std::vector<std::string>& records) {
-  std::string encoded;
-  EXPECT_TRUE(EncodeFrontCodedRun(records, &encoded).ok());
-  size_t pos = 0;
-  std::vector<std::string> decoded;
-  EXPECT_TRUE(DecodeFrontCodedRun(encoded, &pos, records.size(), &decoded)
-                  .ok());
-  EXPECT_EQ(pos, encoded.size());
-  EXPECT_EQ(decoded, records);
-  return encoded;
-}
-
-// ---------------------------------------------------------------------------
-// Front-coded runs
-
-TEST(FrontCodingTest, RoundtripBasics) {
-  Roundtrip({});
-  Roundtrip({""});
-  Roundtrip({"", "", ""});
-  Roundtrip({"a"});
-  Roundtrip({"a", "a", "a"});            // identical records: pure prefixes
-  Roundtrip({"abc", "abd", "abda", ""});  // shrinking record mid-run
-  Roundtrip({std::string("\0\0x", 3), std::string("\0\0y", 3)});  // NULs
-}
-
-TEST(FrontCodingTest, SharedPrefixRunsCompress) {
-  // A deep-label cluster: long common stem, tiny per-record delta — the
-  // document-order shape CDBS produces. The encoding must come out far
-  // smaller than the raw concatenation.
-  const std::string stem(200, 'p');
-  std::vector<std::string> records;
-  size_t raw = 0;
-  for (int i = 0; i < 64; ++i) {
-    records.push_back(stem + static_cast<char>('a' + i % 26) +
-                      std::to_string(i));
-    raw += records.back().size();
-  }
-  std::sort(records.begin(), records.end());
-  const std::string encoded = Roundtrip(records);
-  EXPECT_LT(encoded.size(), raw / 4) << "front coding lost its advantage";
-}
-
-TEST(FrontCodingTest, OrderPreservedOverAdversarialRuns) {
-  // Runs engineered to stress the prefix chain: single-element runs,
-  // records that are prefixes of their successor and vice versa,
-  // alternating deep/shallow labels. Decoding must restore the exact
-  // bytes, so bytewise order of the decoded run equals the input order.
-  const std::vector<std::vector<std::string>> runs = {
-      {"x"},
-      {"a", "ab", "abc", "abcd", "abcde"},      // each a prefix of the next
-      {"abcde", "abcd", "abc", "ab", "a"},       // and the reverse
-      {std::string(500, 'z'), "a", std::string(400, 'z'), "b"},
-      {"\x01", "\x01\x80", "\x02", "\x7f", "\x80", "\xff"},
-  };
-  for (const auto& run : runs) {
-    const std::string encoded = Roundtrip(run);
-    // Sorted input stays sorted after decode (trivially true given exact
-    // roundtrip — asserted anyway as the property downstream relies on).
-    std::vector<std::string> sorted = run;
-    std::sort(sorted.begin(), sorted.end());
-    std::string enc2;
-    ASSERT_TRUE(EncodeFrontCodedRun(sorted, &enc2).ok());
-    size_t pos = 0;
-    std::vector<std::string> decoded;
-    ASSERT_TRUE(
-        DecodeFrontCodedRun(enc2, &pos, sorted.size(), &decoded).ok());
-    ASSERT_TRUE(std::is_sorted(decoded.begin(), decoded.end()));
-    ASSERT_EQ(decoded, sorted);
-    (void)encoded;
-  }
-}
-
-TEST(FrontCodingTest, IncrementalAppendMatchesRunEncoder) {
-  const std::vector<std::string> records = {"", "ant", "antelope", "bee",
-                                            "bee"};
-  std::string whole;
-  ASSERT_TRUE(EncodeFrontCodedRun(records, &whole).ok());
-  std::string incremental;
-  std::string_view prev;
-  for (const std::string& r : records) {
-    ASSERT_TRUE(AppendFrontCodedRecord(prev, r, &incremental).ok());
-    prev = r;
-  }
-  EXPECT_EQ(incremental, whole);
-}
-
-TEST(FrontCodingTest, MaxRecordSizeBounds) {
-  // Every record's encoded footprint stays within the planning bound used
-  // for page-capacity arithmetic.
-  for (const size_t size : {size_t{0}, size_t{1}, size_t{127}, size_t{128},
-                            size_t{4096}}) {
-    const std::string record(size, 'r');
-    std::string encoded;
-    // Worst case: predecessor shares nothing.
-    ASSERT_TRUE(AppendFrontCodedRecord("unrelated", record, &encoded).ok());
-    EXPECT_LE(encoded.size(), MaxFrontCodedRecordSize(size)) << size;
-  }
-}
-
-TEST(FrontCodingTest, DecodeRejectsCorruptStreams) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-
-  // Truncated mid-varint / mid-suffix.
-  std::string encoded;
-  ASSERT_TRUE(EncodeFrontCodedRun({"hello", "help"}, &encoded).ok());
-  for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    pos = 0;
-    out.clear();
-    EXPECT_FALSE(
-        DecodeFrontCodedRun(encoded.substr(0, cut), &pos, 2, &out).ok())
-        << "cut " << cut;
-  }
-
-  // Shared-prefix length exceeding the predecessor.
-  std::string bogus;
-  ASSERT_TRUE(EncodeOrderedVarint(10, &bogus).ok());  // shared=10, prev=""
-  ASSERT_TRUE(EncodeOrderedVarint(0, &bogus).ok());
-  pos = 0;
-  out.clear();
-  Status status = DecodeFrontCodedRun(bogus, &pos, 1, &out);
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
-
-  // Suffix length pointing past the buffer must not over-read or
-  // pre-allocate unbounded memory.
-  bogus.clear();
-  ASSERT_TRUE(EncodeOrderedVarint(0, &bogus).ok());
-  ASSERT_TRUE(EncodeOrderedVarint(kMaxOrderedVarint, &bogus).ok());
-  pos = 0;
-  out.clear();
-  status = DecodeFrontCodedRun(bogus, &pos, 1, &out);
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
-}
-
-TEST(FrontCodingFuzzTest, RandomSortedRunsRoundtrip) {
-  util::Random rng(20260808);
-  for (int round = 0; round < 50; ++round) {
-    // Random labels over a tiny alphabet so prefixes collide often, sorted
-    // into a run like a v3 page holds.
-    std::vector<std::string> records;
-    const size_t n = rng.Uniform(40);
-    for (size_t i = 0; i < n; ++i) {
-      std::string r;
-      const size_t len = rng.Uniform(64);
-      for (size_t j = 0; j < len; ++j) {
-        r.push_back(static_cast<char>(rng.Uniform(4)));  // incl. NUL
-      }
-      records.push_back(std::move(r));
-    }
-    std::sort(records.begin(), records.end());
-    Roundtrip(records);
-  }
-}
-
-TEST(FrontCodingFuzzTest, BitFlippedStreamsNeverCrash) {
-  util::Random rng(4242);
-  std::vector<std::string> records;
-  for (int i = 0; i < 16; ++i) {
-    records.push_back("label" + std::to_string(i * i));
-  }
-  std::sort(records.begin(), records.end());
-  std::string encoded;
-  ASSERT_TRUE(EncodeFrontCodedRun(records, &encoded).ok());
-  for (int round = 0; round < 500; ++round) {
-    std::string mutated = encoded;
-    const size_t i = rng.Uniform(mutated.size());
-    mutated[i] = static_cast<char>(mutated[i] ^ (1u << rng.Uniform(8)));
-    size_t pos = 0;
-    std::vector<std::string> out;
-    // Either decodes to *some* run or reports Corruption; must not crash,
-    // over-read, or loop. A successful decode must consume within bounds.
-    const Status status =
-        DecodeFrontCodedRun(mutated, &pos, records.size(), &out);
-    if (status.ok()) {
-      EXPECT_LE(pos, mutated.size());
-      EXPECT_EQ(out.size(), records.size());
-    } else {
-      EXPECT_EQ(status.code(), StatusCode::kCorruption);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Zero-RLE byte compression
 
 std::string CompressedRoundtrip(const std::string& in) {
   std::string compressed;

@@ -1,14 +1,15 @@
 #include "storage/label_store.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace cdbs::storage {
@@ -24,8 +25,9 @@ class LabelStoreTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    util::Failpoints::Deactivate("storage.write_page.io_error");
+    util::Failpoints::Deactivate("storage.write_page.error");
     std::remove(path_.c_str());
-    std::remove(LabelStore::WalPath(path_).c_str());
   }
 
   std::string path_;
@@ -124,75 +126,28 @@ TEST_F(LabelStoreTest, RewriteAllSimulatesRelabeling) {
   EXPECT_EQ(store_.io_stats().page_writes - before, 2000u);
 }
 
-TEST_F(LabelStoreTest, ReopenExistingPreservesRecords) {
-  const std::vector<std::string> records = {"alpha", "beta", "gamma"};
-  ASSERT_TRUE(store_.BulkLoad(records, 4).ok());
-  ASSERT_TRUE(store_.Append("delta").ok());
-  ASSERT_TRUE(store_.Sync().ok());
-
-  LabelStore reopened;
-  ASSERT_TRUE(reopened.OpenExisting(path_).ok());
-  EXPECT_EQ(reopened.size(), 4u);
-  EXPECT_EQ(reopened.slot_size(), store_.slot_size());
-  std::string got;
-  ASSERT_TRUE(reopened.Read(0, &got).ok());
-  EXPECT_EQ(got, "alpha");
-  ASSERT_TRUE(reopened.Read(3, &got).ok());
-  EXPECT_EQ(got, "delta");
-  // The reopened handle is fully writable.
-  ASSERT_TRUE(reopened.Rewrite(1, "BETA").ok());
-  ASSERT_TRUE(reopened.Read(1, &got).ok());
-  EXPECT_EQ(got, "BETA");
+TEST_F(LabelStoreTest, EmptyStoreHasAValidHeader) {
+  // Open() writes and syncs a checksummed header before any record.
+  EXPECT_EQ(store_.size(), 0u);
+  ASSERT_TRUE(store_.VerifyChecksums().ok());
 }
 
-TEST_F(LabelStoreTest, OpenExistingRejectsGarbage) {
-  const std::string garbage = ::testing::TempDir() + "/garbage_store.bin";
-  {
-    std::FILE* f = std::fopen(garbage.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    for (size_t i = 0; i < LabelStore::kPageSize; ++i) {
-      std::fputc('j', f);  // a full header page of junk: wrong magic
-    }
-    std::fclose(f);
-  }
+TEST_F(LabelStoreTest, OpenRejectsMissingDirectory) {
   LabelStore other;
-  EXPECT_EQ(other.OpenExisting(garbage).code(), StatusCode::kCorruption);
-  std::remove(garbage.c_str());
-  std::remove(LabelStore::WalPath(garbage).c_str());
+  EXPECT_EQ(other.Open("/nonexistent/dir/store.db").code(),
+            StatusCode::kIoError);
 }
 
-TEST_F(LabelStoreTest, OpenExistingDistinguishesTruncatedFromWrongMagic) {
-  // A file cut short of even one header page is Truncated, not Corruption.
-  const std::string stub = ::testing::TempDir() + "/short_store.bin";
-  {
-    std::FILE* f = std::fopen(stub.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("this is not a label store", f);
-    std::fclose(f);
-  }
-  LabelStore other;
-  EXPECT_EQ(other.OpenExisting(stub).code(), StatusCode::kTruncated);
-  std::remove(stub.c_str());
-  std::remove(LabelStore::WalPath(stub).c_str());
-}
-
-TEST_F(LabelStoreTest, OpenExistingDetectsTruncatedDataPages) {
+TEST_F(LabelStoreTest, ReadDetectsTruncatedDataPages) {
   std::vector<std::string> records(2000, "0123456789");
   ASSERT_TRUE(store_.BulkLoad(records, 4).ok());
   // Chop the file back to the header page only.
   ASSERT_EQ(::truncate(path_.c_str(),
                        static_cast<off_t>(LabelStore::kPageSize)),
             0);
-  LabelStore other;
-  EXPECT_EQ(other.OpenExisting(path_).code(), StatusCode::kTruncated);
-}
-
-TEST_F(LabelStoreTest, EmptyStoreIsDurableAndReopenable) {
-  // Open() syncs a valid header before any record arrives.
-  LabelStore reopened;
-  ASSERT_TRUE(reopened.OpenExisting(path_).ok());
-  EXPECT_EQ(reopened.size(), 0u);
-  ASSERT_TRUE(reopened.VerifyChecksums().ok());
+  std::string got;
+  EXPECT_EQ(store_.Read(1999, &got).code(), StatusCode::kTruncated);
+  EXPECT_EQ(store_.VerifyChecksums().code(), StatusCode::kTruncated);
 }
 
 namespace {
@@ -219,80 +174,107 @@ TEST_F(LabelStoreTest, BitFlipInDataPageIsDetectedOnRead) {
   std::vector<std::string> records(100, "payload");
   ASSERT_TRUE(store_.BulkLoad(records, 4).ok());
   ASSERT_TRUE(store_.Sync().ok());
-  // Flip one bit inside the first data page, past the slots we sampled.
+  // Flip one bit inside the first data page, under the open handle.
   FlipByteInFile(path_, static_cast<long>(LabelStore::kPageSize) + 37);
 
-  LabelStore reopened;
-  ASSERT_TRUE(reopened.OpenExisting(path_).ok());  // header is fine
   std::string got;
-  const Status status = reopened.Read(0, &got);
+  const Status status = store_.Read(0, &got);
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
-  EXPECT_EQ(CounterValue(reopened, "storage.checksum_failures"), 1u);
+  EXPECT_EQ(CounterValue(store_, "storage.checksum_failures"), 1u);
   // Whole-store verification flags it too.
-  EXPECT_EQ(reopened.VerifyChecksums().code(), StatusCode::kCorruption);
+  EXPECT_EQ(store_.VerifyChecksums().code(), StatusCode::kCorruption);
 }
 
-TEST_F(LabelStoreTest, BitFlipInHeaderIsDetectedOnOpen) {
+TEST_F(LabelStoreTest, BitFlipInHeaderFailsVerifyChecksums) {
   ASSERT_TRUE(store_.BulkLoad({"alpha", "beta"}, 4).ok());
   ASSERT_TRUE(store_.Sync().ok());
+  ASSERT_TRUE(store_.VerifyChecksums().ok());
   FlipByteInFile(path_, 9);  // inside the slot-size field
 
-  LabelStore reopened;
-  const Status status = reopened.OpenExisting(path_);
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
-  EXPECT_EQ(CounterValue(reopened, "storage.checksum_failures"), 1u);
+  EXPECT_EQ(store_.VerifyChecksums().code(), StatusCode::kCorruption);
+  EXPECT_EQ(CounterValue(store_, "storage.checksum_failures"), 1u);
+  // Data pages are intact; only the header page fails its CRC.
+  std::string got;
+  ASSERT_TRUE(store_.Read(1, &got).ok());
+  EXPECT_EQ(got, "beta");
 }
 
-TEST_F(LabelStoreTest, ApplyBatchAppliesRewritesAndAppendsTogether) {
+// Transient write errors past the retry budget fail the call but leave the
+// handle usable: the same rewrite succeeds once the fault clears.
+TEST_F(LabelStoreTest, TransientFailureThenRetrySucceeds) {
   ASSERT_TRUE(store_.BulkLoad({"one", "two", "three"}, 8).ok());
-  StoreBatch batch;
-  batch.Rewrite(0, "ONE");
-  batch.Rewrite(2, "THREE");
-  batch.Append("four");
-  batch.Append("five");
-  ASSERT_TRUE(store_.ApplyBatch(batch).ok());
-  EXPECT_EQ(store_.size(), 5u);
-  const char* expected[] = {"ONE", "two", "THREE", "four", "five"};
-  for (size_t i = 0; i < 5; ++i) {
+  ASSERT_TRUE(
+      util::Failpoints::Activate("storage.write_page.io_error", "always")
+          .ok());
+  EXPECT_EQ(store_.Rewrite(1, "TWO").code(), StatusCode::kIoError);
+  util::Failpoints::Deactivate("storage.write_page.io_error");
+
+  ASSERT_TRUE(store_.Rewrite(1, "TWO").ok());
+  ASSERT_TRUE(store_.Append("four").ok());
+  ASSERT_TRUE(store_.Sync().ok());
+  ASSERT_TRUE(store_.VerifyChecksums().ok());
+  const char* expected[] = {"one", "TWO", "three", "four"};
+  ASSERT_EQ(store_.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
     std::string got;
     ASSERT_TRUE(store_.Read(i, &got).ok()) << i;
     EXPECT_EQ(got, expected[i]) << i;
   }
-  ASSERT_TRUE(store_.VerifyChecksums().ok());
 }
 
-TEST_F(LabelStoreTest, ApplyBatchRejectsOversizedRecordBeforeAnyIo) {
-  ASSERT_TRUE(store_.BulkLoad({"abc"}, 2).ok());
-  const uint64_t writes_before = store_.io_stats().page_writes;
-  StoreBatch batch;
-  batch.Rewrite(0, "ok");
-  batch.Append(std::string(64, 'x'));
-  EXPECT_EQ(store_.ApplyBatch(batch).code(), StatusCode::kOutOfRange);
-  // Validation failed before the WAL or any page was touched.
-  EXPECT_EQ(store_.io_stats().page_writes, writes_before);
-  EXPECT_EQ(CounterValue(store_, "wal.appends"), 0u);
+// A single injected I/O error is absorbed by retry-with-backoff: the write
+// succeeds and the retry counter moves.
+TEST_F(LabelStoreTest, OneTransientErrorIsRetriedAway) {
+  ASSERT_TRUE(store_.BulkLoad({"a", "b"}, 8).ok());
+  ASSERT_TRUE(
+      util::Failpoints::Activate("storage.write_page.io_error", "oneshot")
+          .ok());
+  ASSERT_TRUE(store_.Rewrite(0, "A").ok());
+  EXPECT_GE(CounterValue(store_, "storage.io_retries"), 1u);
   std::string got;
   ASSERT_TRUE(store_.Read(0, &got).ok());
-  EXPECT_EQ(got, "abc");
+  EXPECT_EQ(got, "A");
 }
 
-TEST_F(LabelStoreTest, ApplyBatchCheckpointsTheWal) {
+// An errno-classified failure is persistent: surfaced at once with its
+// mapped code (a full disk is ResourceExhausted), never retried.
+TEST_F(LabelStoreTest, FullDiskIsNotRetried) {
   ASSERT_TRUE(store_.BulkLoad({"a", "b"}, 8).ok());
-  StoreBatch batch;
-  batch.Rewrite(1, "B");
-  ASSERT_TRUE(store_.ApplyBatch(batch).ok());
-  // After a clean apply the WAL is empty again (checkpointed).
-  struct stat st;
-  ASSERT_EQ(::stat(LabelStore::WalPath(path_).c_str(), &st), 0);
-  EXPECT_EQ(st.st_size, 0);
-  EXPECT_EQ(CounterValue(store_, "wal.appends"), 1u);
-  EXPECT_GE(CounterValue(store_, "wal.syncs"), 1u);
+  const uint64_t writes = store_.io_stats().page_writes;
+  const uint64_t fired =
+      util::Failpoints::InjectionCount("storage.write_page.error");
+  ASSERT_TRUE(
+      util::Failpoints::Activate("storage.write_page.error", "enospc").ok());
+  EXPECT_EQ(store_.Rewrite(0, "A").code(), StatusCode::kResourceExhausted);
+  util::Failpoints::Deactivate("storage.write_page.error");
+  // One evaluation of the site, no page written: the failure was final.
+  EXPECT_EQ(util::Failpoints::InjectionCount("storage.write_page.error"),
+            fired + 1);
+  EXPECT_EQ(store_.io_stats().page_writes, writes);
+  std::string got;
+  ASSERT_TRUE(store_.Read(0, &got).ok());
+  EXPECT_EQ(got, "a");
 }
 
-TEST_F(LabelStoreTest, OpenExistingRejectsMissingFile) {
-  LabelStore other;
-  EXPECT_EQ(other.OpenExisting("/nonexistent/dir/store.db").code(),
-            StatusCode::kIoError);
+// The store is one file: no log or other sibling is created next to it.
+TEST_F(LabelStoreTest, WritesOnlyTheStoreFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(path_).concat(".dir");
+  std::filesystem::create_directory(dir);
+  {
+    LabelStore store;
+    ASSERT_TRUE(store.Open((dir / "labels.db").string()).ok());
+    ASSERT_TRUE(store.BulkLoad({"a", "b", "c"}, 8).ok());
+    ASSERT_TRUE(store.Rewrite(1, "B").ok());
+    ASSERT_TRUE(store.Append("d").ok());
+    ASSERT_TRUE(store.Sync().ok());
+  }
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(names, std::vector<std::string>{"labels.db"});
 }
 
 TEST_F(LabelStoreTest, SyncSucceeds) {
