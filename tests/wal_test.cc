@@ -3,15 +3,20 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "util/crc32c.h"
 #include "util/failpoint.h"
+#include "util/little_endian.h"
 #include "util/status.h"
 
 namespace cdbs::storage {
@@ -453,6 +458,105 @@ TEST_F(WalTest, TornCompressedTailIsCut) {
   EXPECT_EQ(payloads, std::vector<std::string>{"raw"});
   EXPECT_EQ(FileSize(), intact_size);
   EXPECT_EQ(reopened.next_lsn(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Compression skew: logs written with and without payload compression must
+// replay under the current code in both directions.
+
+class WalCompressionSkewTest : public WalTest {
+ protected:
+  void TearDown() override {
+    ::unsetenv("CDBS_WAL_COMPRESS");
+    WalTest::TearDown();
+  }
+
+  // Zero-padded payloads: each clears the 64-byte threshold and shrinks
+  // under zero-RLE, so a compressing writer stores it compressed.
+  static std::vector<std::string> CompressiblePayloads() {
+    std::vector<std::string> payloads;
+    for (int i = 0; i < 4; ++i) {
+      payloads.push_back("record" + std::to_string(i) +
+                         std::string(96, '\0') + "tail");
+    }
+    return payloads;
+  }
+
+  // One record exactly as a writer with compression off lays it down
+  // (pre-compression code, or the retired CDBS_WAL_COMPRESS=0): the len
+  // field's high bit clear and the payload stored verbatim.
+  static std::string RawRecord(uint64_t lsn, const std::string& payload) {
+    std::string record(16 + payload.size(), '\0');
+    util::StoreU32(record.data() + 4, static_cast<uint32_t>(payload.size()));
+    util::StoreU64(record.data() + 8, lsn);
+    std::memcpy(record.data() + 16, payload.data(), payload.size());
+    util::StoreU32(record.data(),
+                   util::Crc32c(record.data() + 4, record.size() - 4));
+    return record;
+  }
+
+  // Recover and ReadFrom both return `expected`, with LSNs 1..n.
+  void ExpectReplays(const std::vector<std::string>& expected) {
+    Wal wal(&registry_);
+    ASSERT_TRUE(wal.Open(path_).ok());
+    std::vector<std::string> payloads;
+    ASSERT_TRUE(wal.Recover(&payloads).ok());
+    EXPECT_EQ(payloads, expected);
+    std::vector<WalRecord> records;
+    ASSERT_TRUE(wal.ReadFrom(1, &records).ok());
+    ASSERT_EQ(records.size(), expected.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].lsn, i + 1);
+      EXPECT_EQ(records[i].payload, expected[i]);
+    }
+    EXPECT_EQ(wal.next_lsn(), expected.size() + 1);
+  }
+};
+
+// An uncompressed log of compressible payloads replays under the current
+// (always-compressing) code, which then appends compressed records after
+// it; the mixed log replays byte-identical.
+TEST_F(WalCompressionSkewTest, UncompressedWalReplaysUnderNewSetting) {
+  std::vector<std::string> expected = CompressiblePayloads();
+  std::string raw_log;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    raw_log += RawRecord(i + 1, expected[i]);
+  }
+  AppendRawBytes(raw_log);
+  ExpectReplays(expected);
+
+  const std::string appended = "appended" + std::string(96, '\0');
+  {
+    Wal wal(&registry_);
+    ASSERT_TRUE(wal.Open(path_).ok());
+    std::vector<std::string> payloads;
+    ASSERT_TRUE(wal.Recover(&payloads).ok());
+    ASSERT_TRUE(wal.Append(appended).ok());
+    ASSERT_TRUE(wal.Sync().ok());
+  }
+  ASSERT_LT(FileSize(), raw_log.size() + 16 + appended.size())
+      << "the appended record was not compressed";
+  expected.push_back(appended);
+  ExpectReplays(expected);
+}
+
+// The compression switch is gone: a process still carrying
+// CDBS_WAL_COMPRESS=0 writes compressed records anyway and replays them
+// byte-identical.
+TEST_F(WalCompressionSkewTest, CompressedWalReplaysUnderDisabledSetting) {
+  ASSERT_EQ(::setenv("CDBS_WAL_COMPRESS", "0", 1), 0);
+  const std::vector<std::string> expected = CompressiblePayloads();
+  uint64_t logical = 0;
+  for (const std::string& p : expected) logical += 16 + p.size();
+  {
+    Wal wal(&registry_);
+    ASSERT_TRUE(wal.Open(path_).ok());
+    std::vector<std::string_view> views(expected.begin(), expected.end());
+    ASSERT_TRUE(wal.AppendBatch(views).ok());
+    ASSERT_TRUE(wal.Sync().ok());
+  }
+  EXPECT_LT(FileSize(), logical) << "the records were not compressed";
+  ExpectReplays(expected);
 }
 
 }  // namespace
