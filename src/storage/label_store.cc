@@ -150,8 +150,7 @@ Status LabelStore::Append(const std::string& record) {
 
 void LabelStore::EncodeSlot(char* slot, const std::string& record) const {
   std::memset(slot, 0, slot_size_);
-  const uint16_t len = static_cast<uint16_t>(record.size());
-  std::memcpy(slot, &len, kSlotHeader);
+  util::StoreLE<uint16_t>(slot, static_cast<uint16_t>(record.size()));
   std::memcpy(slot + kSlotHeader, record.data(), record.size());
 }
 

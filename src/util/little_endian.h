@@ -31,8 +31,12 @@ T LoadLE(const char* src) {
 inline uint32_t LoadU32(const char* src) { return LoadLE<uint32_t>(src); }
 inline uint64_t LoadU64(const char* src) { return LoadLE<uint64_t>(src); }
 
-inline void StoreU32(char* dst, uint32_t v) { std::memcpy(dst, &v, 4); }
-inline void StoreU64(char* dst, uint64_t v) { std::memcpy(dst, &v, 8); }
+template <typename T>
+void StoreLE(char* dst, T v) {
+  std::memcpy(dst, &v, sizeof(T));
+}
+inline void StoreU32(char* dst, uint32_t v) { StoreLE(dst, v); }
+inline void StoreU64(char* dst, uint64_t v) { StoreLE(dst, v); }
 
 /// Appends `n` values as one block of 8n bytes.
 inline void AppendU64s(std::string* out, const uint64_t* v, size_t n) {

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -24,9 +25,15 @@ class LabelStoreTest : public ::testing::Test {
     ASSERT_TRUE(store_.Open(path_).ok());
   }
 
+  // Disarms the sites the fault cases arm, even after a failed assertion,
+  // then re-arms any CDBS_FAILPOINTS list: Deactivate erases a site however
+  // it was armed, and later cases must run under the environment's fault mix.
   void TearDown() override {
     util::Failpoints::Deactivate("storage.write_page.io_error");
     util::Failpoints::Deactivate("storage.write_page.error");
+    if (const char* env = std::getenv("CDBS_FAILPOINTS")) {
+      ASSERT_TRUE(util::Failpoints::ActivateFromList(env).ok());
+    }
     std::remove(path_.c_str());
   }
 
