@@ -19,10 +19,8 @@
 //      client hangs, any read returns wrong data, or any torn frame goes
 //      undetected — the bench doubles as an integrity gate.
 //
-// Before them, a wire-frame phase runs the same queries over a plain and a
-// hello-negotiated compressed session and reports bytes, wall time and
-// process CPU per query; it fails when the compressed session costs more
-// CPU per query than the plain one by more than kCompressedCpuMargin.
+// Before them, a wire-frame phase runs a fixed query workload over one
+// session and reports bytes, wall time and process CPU per query.
 //
 // Knobs: CDBS_BENCH_MS (per-phase duration, default 400 ms),
 // CDBS_FRAME_QUERIES (queries per session in the wire-frame phase, default
@@ -30,7 +28,6 @@
 
 #include <time.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -64,14 +61,6 @@ using cdbs::net::Server;
 using cdbs::net::ServerOptions;
 
 constexpr char kDoc[] = "<root><a><b/><b/></a><c><b/></c></root>";
-
-// How much more process CPU per query a compressed session may cost than a
-// plain one before the wire-frame phase fails: zero-RLE over the response
-// must stay cheap next to the round trip it rides on. Measured with the
-// word-scanning codec: 1.04-1.17x optimized (-O2), 1.25-1.40x under
-// ASan/UBSan at -O0; the byte-loop codec before it read 1.12-1.20x and
-// 1.60-1.66x.
-constexpr double kCompressedCpuMargin = 0.5;
 
 double ProcessCpuMicros() {
   timespec ts{};
@@ -311,84 +300,39 @@ int main() {
   std::vector<uint64_t> golden_b(golden_raw.begin(), golden_raw.end());
   cdbs::obs::MetricRegistry& reg = cdbs::obs::MetricRegistry::Default();
 
-  // Wire-frame phase (docs/ENCODING.md): the same query workload over a
-  // plain session and a hello-negotiated compressed one; the delta of the
-  // process-wide net.frame.tx.bytes counter is exactly the bytes that hit
-  // the wire (each frame counts once at its sender). Client and server
-  // share this process, so its CPU time covers both ends of each frame.
-  // The sessions alternate in rounds so drift in the host's speed lands on
-  // both alike.
-  cdbs::bench::Heading("Wire frames: plain vs negotiated-compressed");
+  // Wire-frame phase (docs/NETWORKING.md): one session runs the same
+  // query over and over; the delta of the process-wide net.frame.tx.bytes
+  // counter is exactly the bytes that hit the wire (each frame counts once
+  // at its sender). Client and server share this process, so its CPU time
+  // covers both ends of each frame.
+  cdbs::bench::Heading("Wire frames");
   {
-    // Grow the //n result set so responses clear the compression floor.
-    auto seeder = CdbsClient::Connect(MakeClientOptions(port, 8, 9));
-    if (!seeder.ok()) return 1;
+    // Grow the //n result set so each response carries 200 node ids.
+    auto session = CdbsClient::Connect(MakeClientOptions(port, 8, 17));
+    if (!session.ok()) return 1;
     for (int i = 0; i < 200; ++i) {
-      if (!(*seeder)->InsertAfter(hot, "n").ok()) return 1;
+      if (!(*session)->InsertAfter(hot, "n").ok()) return 1;
     }
-    constexpr int kRounds = 8;
-    const uint64_t per_round = std::max<uint64_t>(
-        1, cdbs::bench::EnvKnob("CDBS_FRAME_QUERIES", 2000) / kRounds);
-    const double queries = static_cast<double>(per_round * kRounds);
-    std::unique_ptr<CdbsClient> session[2];
-    for (int mode = 0; mode < 2; ++mode) {
-      ClientOptions o = MakeClientOptions(port, 8, 17 + mode);
-      o.enable_compression = mode == 1;
-      auto client = CdbsClient::Connect(o);
-      if (!client.ok()) return 1;
-      session[mode] = std::move(*client);
+    const uint64_t n = cdbs::bench::EnvKnob("CDBS_FRAME_QUERIES", 2000);
+    const double queries = static_cast<double>(n);
+    const uint64_t tx0 = GlobalCounter("net.frame.tx.bytes");
+    const double cpu0 = ProcessCpuMicros();
+    cdbs::util::Stopwatch timer;
+    for (uint64_t i = 0; i < n; ++i) {
+      if (!(*session)->Query("//n").ok()) return 1;
     }
-    double tx_per_op[2] = {0, 0};
-    double ms_per_op[2] = {0, 0};
-    double cpu_us_per_op[2] = {0, 0};
-    // The guard reads the median of the rounds' compressed/plain ratios,
-    // which one preempted round cannot move.
-    std::vector<double> cpu_ratio;
-    for (int round = 0; round < kRounds; ++round) {
-      double round_cpu[2] = {0, 0};
-      for (int mode = 0; mode < 2; ++mode) {
-        const uint64_t tx0 = GlobalCounter("net.frame.tx.bytes");
-        const double cpu0 = ProcessCpuMicros();
-        cdbs::util::Stopwatch timer;
-        for (uint64_t i = 0; i < per_round; ++i) {
-          if (!session[mode]->Query("//n").ok()) return 1;
-        }
-        ms_per_op[mode] += timer.ElapsedMillis() / queries;
-        round_cpu[mode] = ProcessCpuMicros() - cpu0;
-        cpu_us_per_op[mode] += round_cpu[mode] / queries;
-        tx_per_op[mode] +=
-            static_cast<double>(GlobalCounter("net.frame.tx.bytes") - tx0) /
-            queries;
-      }
-      cpu_ratio.push_back(round_cpu[1] / round_cpu[0]);
-    }
-    std::sort(cpu_ratio.begin(), cpu_ratio.end());
-    const double median_ratio =
-        (cpu_ratio[kRounds / 2 - 1] + cpu_ratio[kRounds / 2]) / 2;
+    const double ms_per_op = timer.ElapsedMillis() / queries;
+    const double cpu_us_per_op = (ProcessCpuMicros() - cpu0) / queries;
+    const double tx_per_op =
+        static_cast<double>(GlobalCounter("net.frame.tx.bytes") - tx0) /
+        queries;
     std::printf(
-        "  query bytes/op (req+resp)  plain: %.0f B (%.3f ms)   "
-        "compressed: %.0f B (%.3f ms)   ratio %.2fx\n"
-        "  process CPU/query          plain: %.1f us   compressed: %.1f us"
-        "   median round ratio %.2fx\n",
-        tx_per_op[0], ms_per_op[0], tx_per_op[1], ms_per_op[1],
-        tx_per_op[1] / tx_per_op[0], cpu_us_per_op[0], cpu_us_per_op[1],
-        median_ratio);
-    reg.GetGauge("bench.net.frame_bytes_ratio",
-                 "Compressed/plain wire bytes per query")
-        ->Set(tx_per_op[1] / tx_per_op[0]);
-    reg.GetGauge("bench.net.frame_cpu_us.plain",
-                 "Process CPU microseconds per query, plain session")
-        ->Set(cpu_us_per_op[0]);
-    reg.GetGauge("bench.net.frame_cpu_us.compressed",
-                 "Process CPU microseconds per query, compressed session")
-        ->Set(cpu_us_per_op[1]);
-    if (median_ratio > 1 + kCompressedCpuMargin) {
-      std::fprintf(stderr,
-                   "FAIL: a compressed session costs %.2fx the CPU per query "
-                   "of a plain one (margin %.0f%%)\n",
-                   median_ratio, kCompressedCpuMargin * 100);
-      return 1;
-    }
+        "  query bytes/op (req+resp)  %.0f B (%.3f ms)\n"
+        "  process CPU/query          %.1f us\n",
+        tx_per_op, ms_per_op, cpu_us_per_op);
+    reg.GetGauge("bench.net.frame_cpu_us",
+                 "Process CPU microseconds per wire-frame query")
+        ->Set(cpu_us_per_op);
   }
 
   // A 20 ms injected commit delay stands in for a slow disk: it pins the

@@ -273,45 +273,27 @@ int main() {
   }
   const uint16_t primary_port = (*server)->port();
 
-  // Two streaming followers, each behind its own replica server. The set
-  // is rebuilt once below (plain first, then hello-negotiated compressed)
-  // for the stream-bytes phase; the compressed set — the default
-  // configuration — serves the rest of the bench.
+  // Two streaming followers, each behind its own replica server.
   std::vector<std::unique_ptr<Follower>> followers;
   std::vector<std::unique_ptr<Server>> replica_servers;
   std::vector<Follower*> raw_followers;
-  std::vector<uint16_t> all_ports;
-  int follower_gen = 0;
-  auto start_followers = [&](bool compress) -> bool {
-    for (auto& rs : replica_servers) rs->Shutdown();
-    for (auto& f : followers) f->Stop();
-    replica_servers.clear();
-    followers.clear();
-    raw_followers.clear();
-    all_ports = {primary_port};
-    for (int i = 0; i < 2; ++i) {
-      FollowerOptions fo;
-      fo.primary_port = primary_port;
-      fo.db.db.storage_path = dir + "/replica" +
-                              std::to_string(follower_gen) + "_" +
-                              std::to_string(i) + ".cdbs";
-      fo.reconnect_backoff_ms = 20;
-      fo.enable_compression = compress;
-      followers.push_back(Follower::Start(std::move(fo)));
-      auto rs = Server::StartReplica(followers.back().get(), {});
-      if (!rs.ok()) {
-        std::fprintf(stderr, "replica server failed: %s\n",
-                     rs.status().ToString().c_str());
-        return false;
-      }
-      replica_servers.push_back(std::move(*rs));
-      all_ports.push_back(replica_servers.back()->port());
+  std::vector<uint16_t> all_ports = {primary_port};
+  for (int i = 0; i < 2; ++i) {
+    FollowerOptions fo;
+    fo.primary_port = primary_port;
+    fo.db.db.storage_path = dir + "/replica" + std::to_string(i) + ".cdbs";
+    fo.reconnect_backoff_ms = 20;
+    followers.push_back(Follower::Start(std::move(fo)));
+    raw_followers.push_back(followers.back().get());
+    auto rs = Server::StartReplica(followers.back().get(), {});
+    if (!rs.ok()) {
+      std::fprintf(stderr, "replica server failed: %s\n",
+                   rs.status().ToString().c_str());
+      return 1;
     }
-    ++follower_gen;
-    for (const auto& f : followers) raw_followers.push_back(f.get());
-    return true;
-  };
-  if (!start_followers(/*compress=*/false)) return 1;
+    replica_servers.push_back(std::move(*rs));
+    all_ports.push_back(replica_servers.back()->port());
+  }
 
   // Seed a write mix and let both followers converge on it.
   const NodeId hot = db->Query("//b").value()[0];
@@ -326,41 +308,28 @@ int main() {
   const std::vector<uint64_t> golden_b(golden_raw.begin(), golden_raw.end());
   cdbs::obs::MetricRegistry& reg = cdbs::obs::MetricRegistry::Default();
 
-  // Stream-bytes phase (docs/ENCODING.md): identical write bursts into
-  // plain and compressed follower streams; the net.frame.tx.bytes delta
-  // (each frame counted once at its sender) over the burst is the wire
-  // cost per replicated write, fan-out to both followers included.
+  // Stream-bytes phase (docs/REPLICATION.md): the net.frame.tx.bytes
+  // delta (each frame counted once at its sender) over a write burst is
+  // the wire cost per replicated write, fan-out to both followers included.
   cdbs::bench::Heading("Replication: stream bytes per replicated write");
   {
     const uint64_t burst =
         cdbs::bench::EnvKnob("CDBS_REPL_STREAM_WRITES", 200);
-    auto measure = [&](double* out) -> bool {
-      const uint64_t tx0 = GlobalCounter("net.frame.tx.bytes");
-      for (uint64_t i = 0; i < burst; ++i) {
-        if (!db->Submit(WriteOp::InsertAfter(hot, "r")).get().ok()) {
-          return false;
-        }
-      }
-      if (!WaitConverged(raw_followers, db, 15000)) return false;
-      *out = static_cast<double>(GlobalCounter("net.frame.tx.bytes") - tx0) /
-             static_cast<double>(burst);
-      return true;
-    };
-    double plain_per_op = 0;
-    double comp_per_op = 0;
-    if (!measure(&plain_per_op)) return 1;
-    // Swap in compressed followers (they bootstrap to the current state;
-    // the delta below only covers the post-convergence burst).
-    if (!start_followers(/*compress=*/true)) return 1;
-    if (!WaitConverged(raw_followers, db, 15000)) return 1;
-    if (!measure(&comp_per_op)) return 1;
-    std::printf(
-        "  stream bytes/write (2 followers)  plain: %.0f B   compressed: "
-        "%.0f B   ratio %.2fx\n",
-        plain_per_op, comp_per_op, comp_per_op / plain_per_op);
-    reg.GetGauge("bench.repl.stream_bytes_ratio",
-                 "Compressed/plain stream bytes per replicated write")
-        ->Set(comp_per_op / plain_per_op);
+    const uint64_t tx0 = GlobalCounter("net.frame.tx.bytes");
+    for (uint64_t i = 0; i < burst; ++i) {
+      if (!db->Submit(WriteOp::InsertAfter(hot, "r")).get().ok()) return 1;
+    }
+    if (!WaitConverged(raw_followers, db, 15000)) {
+      std::fprintf(stderr, "followers never converged on the burst\n");
+      return 1;
+    }
+    const double per_op =
+        static_cast<double>(GlobalCounter("net.frame.tx.bytes") - tx0) /
+        static_cast<double>(burst);
+    std::printf("  stream bytes/write (2 followers)  %.0f B\n", per_op);
+    reg.GetGauge("bench.repl.stream_bytes_per_write",
+                 "Stream bytes per replicated write, both followers")
+        ->Set(per_op);
   }
 
   cdbs::bench::Heading("Replication: follower read scaling");

@@ -76,47 +76,6 @@ Status CdbsClient::EnsureConnected(util::Deadline deadline) {
       ep.host, ep.port, IoBudgetMs(options_.connect_timeout_ms, deadline));
   if (!fd.ok()) return fd.status();
   fd_ = *fd;
-  return NegotiateFeatures(deadline);
-}
-
-Status CdbsClient::NegotiateFeatures(util::Deadline deadline) {
-  compress_ = false;
-  if (!options_.enable_compression || hello_unsupported_) return Status::OK();
-  Request req;
-  req.op = Opcode::kHello;
-  req.request_id = next_request_id_++;
-  req.target = kFeatureCompressedFrames;
-  const Status sent =
-      WriteFrame(fd_, EncodeFrame(EncodeRequest(req)),
-                 IoBudgetMs(options_.io_timeout_ms, deadline));
-  std::string payload;
-  const Status read =
-      sent.ok() ? ReadFrame(fd_, &payload,
-                            IoBudgetMs(options_.io_timeout_ms, deadline))
-                : sent;
-  Response resp;
-  if (read.ok() && DecodeResponse(payload, &resp).ok()) {
-    if (resp.code == StatusCode::kOk && resp.op == Opcode::kHello) {
-      compress_ = (resp.id_or_count & kFeatureCompressedFrames) != 0;
-      return Status::OK();
-    }
-    // The server decoded our frame and answered with an error: an old
-    // server that does not know the opcode (it drops the connection after
-    // the error response). Stop offering to it.
-    hello_unsupported_ = true;
-  }
-  // Old server, or a stream torn mid-handshake (in which case the next
-  // fresh connection offers again). Either way reconnect plain —
-  // negotiation must never turn a reachable server into an unreachable
-  // one — and count the consumed connection as a retry.
-  ++local_retries_;
-  retries_counter_->Increment();
-  CloseConnection();
-  const Endpoint& ep = endpoints_[endpoint_idx_];
-  Result<int> fd = ConnectTcp(
-      ep.host, ep.port, IoBudgetMs(options_.connect_timeout_ms, deadline));
-  if (!fd.ok()) return fd.status();
-  fd_ = *fd;
   return Status::OK();
 }
 
@@ -125,14 +84,11 @@ void CdbsClient::CloseConnection() {
     ::close(fd_);
     fd_ = -1;
   }
-  compress_ = false;
 }
 
 void CdbsClient::RotateEndpoint() {
   if (endpoints_.size() < 2) return;
   endpoint_idx_ = (endpoint_idx_ + 1) % endpoints_.size();
-  // A different server may have a different vintage: offer kHello afresh.
-  hello_unsupported_ = false;
 }
 
 void CdbsClient::Backoff(int attempt, uint32_t retry_after_ms,
@@ -189,7 +145,7 @@ Result<Response> CdbsClient::Call(Request req, util::Deadline deadline) {
     }
     req.request_id = next_request_id_++;
     req.deadline_ms = WireDeadlineMs(deadline);
-    const std::string frame = EncodeFrame(EncodeRequest(req), compress_);
+    const std::string frame = EncodeFrame(EncodeRequest(req));
     const Status sent = WriteFrame(
         fd_, frame, IoBudgetMs(options_.io_timeout_ms, deadline));
     if (!sent.ok()) {

@@ -61,12 +61,6 @@ struct ClientOptions {
   /// Jitter seed; 0 derives one from the address of the client (varied,
   /// not reproducible — pass a value for deterministic tests).
   uint64_t jitter_seed = 0;
-  /// Offer kFeatureCompressedFrames in a kHello exchange on every fresh
-  /// connection (docs/ENCODING.md). Servers that predate kHello answer
-  /// with an error and drop the connection; the client then reconnects
-  /// plain and stops offering — old servers cost one extra round trip
-  /// once, never a broken call.
-  bool enable_compression = true;
 };
 
 class CdbsClient {
@@ -161,20 +155,12 @@ class CdbsClient {
   /// attempts under one id (tested in tests/net_test.cc).
   uint64_t last_trace_id() const { return last_trace_id_; }
 
-  /// Whether the current connection negotiated compressed frames
-  /// (tests/observability; false when disconnected).
-  bool compression_negotiated() const { return compress_; }
-
  private:
   explicit CdbsClient(const ClientOptions& options);
 
   /// One request through the full retry loop.
   Result<Response> Call(Request req, util::Deadline deadline);
   Status EnsureConnected(util::Deadline deadline);
-  /// Offers feature bits over a fresh connection (kHello). Sets
-  /// `compress_` on success; on an old server (error + dropped
-  /// connection) reconnects plain and remembers not to offer again.
-  Status NegotiateFeatures(util::Deadline deadline);
   void CloseConnection();
   /// Advances to the next endpoint (wrapping); the next EnsureConnected
   /// dials it. No-op with a single endpoint.
@@ -187,11 +173,6 @@ class CdbsClient {
   std::vector<Endpoint> endpoints_;
   size_t endpoint_idx_ = 0;
   int fd_ = -1;
-  /// This connection negotiated compressed frames.
-  bool compress_ = false;
-  /// The current endpoint rejected kHello (an old server); skip the
-  /// exchange on reconnects. Reset when failover rotates endpoints.
-  bool hello_unsupported_ = false;
   uint64_t next_request_id_ = 1;
   uint64_t last_trace_id_ = 0;
   uint64_t local_retries_ = 0;

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "util/crc32c.h"
-#include "util/label_codec.h"
 #include "util/little_endian.h"
 
 namespace cdbs::net {
@@ -65,7 +64,7 @@ class Cursor {
 
 Status ValidateOpcode(uint8_t raw, Opcode* out) {
   if (raw < static_cast<uint8_t>(Opcode::kPing) ||
-      raw > static_cast<uint8_t>(Opcode::kHello)) {
+      raw > static_cast<uint8_t>(Opcode::kCount)) {
     return Status::Corruption("bad opcode " + std::to_string(raw));
   }
   *out = static_cast<Opcode>(raw);
@@ -96,8 +95,6 @@ bool IsIdempotent(Opcode op) {
     case Opcode::kPromote:
     // Acks are pure notifications; a duplicate only re-reports progress.
     case Opcode::kReplAck:
-    // Re-negotiating yields the same answer.
-    case Opcode::kHello:
       return true;
     case Opcode::kInsertBefore:
     case Opcode::kInsertAfter:
@@ -140,9 +137,6 @@ std::string EncodeRequest(const Request& req) {
       break;
     case Opcode::kReplAck:
       AppendU64(&out, req.target);  // last applied LSN
-      break;
-    case Opcode::kHello:
-      AppendU64(&out, req.target);  // feature bits offered
       break;
     case Opcode::kReplBatch:
       break;  // server-push only; a request with this op is never encoded
@@ -194,9 +188,6 @@ Status DecodeRequest(std::string_view payload, Request* out) {
     case Opcode::kReplAck:
       CDBS_RETURN_NOT_OK(cur.Read(&out->target));
       break;
-    case Opcode::kHello:
-      CDBS_RETURN_NOT_OK(cur.Read(&out->target));
-      break;
   }
   out->trace_id = 0;
   out->doc_id = Request::kNoDoc;
@@ -244,9 +235,6 @@ std::string EncodeResponse(const Response& resp) {
       case Opcode::kPromote:
         AppendU64(&out, resp.id_or_count);
         AppendU64(&out, resp.epoch);
-        break;
-      case Opcode::kHello:
-        AppendU64(&out, resp.id_or_count);  // feature bits accepted
         break;
       case Opcode::kBootstrap:
       case Opcode::kReplBatch:
@@ -306,9 +294,6 @@ Status DecodeResponse(std::string_view payload, Response* out) {
         CDBS_RETURN_NOT_OK(cur.Read(&out->id_or_count));
         CDBS_RETURN_NOT_OK(cur.Read(&out->epoch));
         break;
-      case Opcode::kHello:
-        CDBS_RETURN_NOT_OK(cur.Read(&out->id_or_count));
-        break;
       case Opcode::kBootstrap:
       case Opcode::kReplBatch:
         CDBS_RETURN_NOT_OK(cur.Read(&out->id_or_count));
@@ -345,39 +330,18 @@ Status DecodeResponse(std::string_view payload, Response* out) {
   return Status::OK();
 }
 
-namespace {
-/// Frames below this are not worth a compression attempt: the zero-RLE
-/// framing overhead eats any savings (same threshold as the WAL's).
-constexpr size_t kFrameCompressMinBytes = 64;
-}  // namespace
-
-std::string EncodeFrame(std::string_view payload, bool allow_compress) {
-  std::string compressed;
-  uint32_t len_field = static_cast<uint32_t>(payload.size());
-  std::string_view stored = payload;
-  if (allow_compress &&
-      util::MaybeCompressBytes(payload, kFrameCompressMinBytes,
-                               &compressed)) {
-    stored = compressed;
-    len_field = static_cast<uint32_t>(compressed.size()) | kFrameCompressedBit;
-  }
+std::string EncodeFrame(std::string_view payload) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + stored.size());
+  out.reserve(kFrameHeaderBytes + payload.size());
   out.resize(kFrameHeaderBytes);
-  out.append(stored.data(), stored.size());
-  util::StoreU32(out.data() + 4, len_field);
-  util::StoreU32(out.data(), util::Crc32c(out.data() + 4, 4 + stored.size()));
+  out.append(payload.data(), payload.size());
+  util::StoreU32(out.data() + 4, static_cast<uint32_t>(payload.size()));
+  util::StoreU32(out.data(), util::Crc32c(out.data() + 4, 4 + payload.size()));
   return out;
 }
 
-Status ParseFrameHeader(const char* header, uint32_t* payload_len,
-                        bool* compressed) {
-  const uint32_t raw = util::LoadU32(header + 4);
-  const bool is_compressed = (raw & kFrameCompressedBit) != 0;
-  const uint32_t len = raw & ~kFrameCompressedBit;
-  if (compressed != nullptr) {
-    *compressed = is_compressed;
-  }
+Status ParseFrameHeader(const char* header, uint32_t* payload_len) {
+  const uint32_t len = util::LoadU32(header + 4);
   if (len > kMaxFramePayloadBytes) {
     return Status::Corruption("frame length " + std::to_string(len) +
                               " exceeds cap");

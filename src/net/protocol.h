@@ -63,25 +63,7 @@ enum class Opcode : uint8_t {
   /// query's matches inside that one document; without it, scatter-gathers
   /// across every shard and returns per-shard partial results.
   kCount = 13,
-  /// Per-connection feature negotiation (docs/ENCODING.md): the peer sends
-  /// the feature bits it speaks in `target`; the server answers with the
-  /// subset it accepts in `id_or_count`. Old servers reject the opcode
-  /// with an error response and drop the connection — the caller then
-  /// reconnects and proceeds without optional features. Never required:
-  /// every feature (today: compressed frames) defaults to off.
-  kHello = 14,
 };
-
-/// Feature bits exchanged in a kHello handshake.
-constexpr uint64_t kFeatureCompressedFrames = 1ull << 0;
-
-/// High bit of the frame length field: the payload is stored zero-RLE
-/// compressed (util/label_codec.h). `len` then counts the stored bytes;
-/// receivers decompress after the CRC verifies. Senders set the bit only
-/// after a kHello negotiation — an un-negotiated peer's frame parser
-/// would read the flagged length as a > 2 GiB frame and drop the
-/// connection — but every current receiver accepts it unconditionally.
-constexpr uint32_t kFrameCompressedBit = 0x80000000u;
 
 /// True for operations that are safe to resend after a broken stream (they
 /// do not mutate the database).
@@ -161,18 +143,14 @@ Status DecodeRequest(std::string_view payload, Request* out);
 std::string EncodeResponse(const Response& resp);
 Status DecodeResponse(std::string_view payload, Response* out);
 
-/// Wraps `payload` in a frame (header + payload), ready to write. With
-/// `allow_compress` the payload is stored zero-RLE compressed (and the
-/// length field flagged) when that is strictly smaller; callers may only
-/// pass true after the peer advertised kFeatureCompressedFrames.
-std::string EncodeFrame(std::string_view payload, bool allow_compress = false);
+/// Wraps `payload` in a frame (header + payload), ready to write.
+std::string EncodeFrame(std::string_view payload);
 
-/// Parses a frame header. Returns the payload length to read next (stored
-/// bytes; `*compressed` reports the compression flag when non-null), or
-/// Corruption when the length exceeds kMaxFramePayloadBytes. `header` must
-/// hold kFrameHeaderBytes bytes.
-Status ParseFrameHeader(const char* header, uint32_t* payload_len,
-                        bool* compressed = nullptr);
+/// Parses a frame header. Returns the payload length to read next, or
+/// Corruption when the length exceeds kMaxFramePayloadBytes (a length word
+/// with its top bit set always does). `header` must hold kFrameHeaderBytes
+/// bytes.
+Status ParseFrameHeader(const char* header, uint32_t* payload_len);
 
 /// Verifies the payload against the header's CRC. Corruption on mismatch.
 Status VerifyFrame(const char* header, std::string_view payload);

@@ -222,24 +222,6 @@ void Server::ServeConnection(Connection* conn) {
       dropped = true;
       break;
     }
-    if (req.op == Opcode::kHello) {
-      // Feature negotiation (docs/ENCODING.md). Answer with the subset of
-      // offered bits this server speaks; the reply itself is always a
-      // plain frame (the peer only starts compressing — and expecting
-      // compressed frames — after it has read the accepted bits).
-      resp.request_id = req.request_id;
-      resp.op = req.op;
-      resp.id_or_count = req.target & kFeatureCompressedFrames;
-      requests_->Increment();
-      if (!WriteFrame(conn->fd, EncodeFrame(EncodeResponse(resp)),
-                      options_.write_timeout_ms)
-               .ok()) {
-        dropped = true;
-        break;
-      }
-      conn->compress = (resp.id_or_count & kFeatureCompressedFrames) != 0;
-      continue;
-    }
     if (req.op == Opcode::kSubscribe) {
       // Hand the connection to the replication sender: from here on it is
       // a one-way push stream (plus kReplAck frames flowing back), not a
@@ -252,7 +234,7 @@ void Server::ServeConnection(Connection* conn) {
       if (sender != nullptr) {
         requests_->Increment();
         conn->stream.store(true, std::memory_order_release);
-        sender->RunFollowerStream(conn->fd, req, conn->compress);
+        sender->RunFollowerStream(conn->fd, req);
       } else {
         static_cast<void>(WriteFrame(conn->fd,
                                      EncodeFrame(EncodeResponse(Execute(req))),
@@ -282,7 +264,7 @@ void Server::ServeConnection(Connection* conn) {
     if (resp.code == StatusCode::kDeadlineExceeded) {
       deadline_exceeded_->Increment();
     }
-    std::string frame = EncodeFrame(EncodeResponse(resp), conn->compress);
+    std::string frame = EncodeFrame(EncodeResponse(resp));
     if (CDBS_FAILPOINT("net.frame.corrupt") && !frame.empty()) {
       // Chaos: flip one payload byte. The CRC no longer matches, so the
       // client must detect the tear instead of trusting the bytes.
@@ -533,9 +515,8 @@ Response Server::Execute(const Request& req) {
     }
     case Opcode::kReplBatch:
     case Opcode::kReplAck:
-    case Opcode::kHello:
-      // kHello is intercepted in ServeConnection; the other two only ever
-      // travel primary→follower / follower→primary inside a stream.
+      // These only ever travel primary→follower / follower→primary inside
+      // a stream.
       resp.code = StatusCode::kInvalidArgument;
       resp.message = "replication stream opcode outside a stream";
       break;

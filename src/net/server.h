@@ -136,10 +136,6 @@ class Server {
     /// when the sender stops, so Shutdown drains them in a later phase
     /// than request/response connections.
     std::atomic<bool> stream{false};
-    /// The peer negotiated kFeatureCompressedFrames via kHello; response
-    /// frames on this connection may then carry compressed payloads. Only
-    /// the serving thread touches it.
-    bool compress = false;
   };
 
   Server(shard::ShardedDb* corpus, repl::Follower* follower,

@@ -14,7 +14,6 @@
 
 #include "net/protocol.h"
 #include "obs/metrics.h"
-#include "util/label_codec.h"
 
 namespace cdbs::net {
 
@@ -24,19 +23,18 @@ Status Errno(const char* what) {
   return Status::IoError(std::string(what) + ": " + ::strerror(errno));
 }
 
-/// Wire bytes actually moved (headers + stored payloads, compressed or
-/// not) — the number the compression work is trying to shrink. Registered
-/// lazily in the process-wide registry so every transport user (server,
-/// client, replication streams) shares one pair of counters.
+/// Wire bytes actually moved (headers + payloads). Registered lazily in
+/// the process-wide registry so every transport user (server, client,
+/// replication streams) shares one pair of counters.
 obs::Counter* RxBytesCounter() {
   static obs::Counter* c = obs::MetricRegistry::Default().GetCounter(
-      "net.frame.rx.bytes", "Frame bytes received (headers + stored payload)");
+      "net.frame.rx.bytes", "Frame bytes received (headers + payload)");
   return c;
 }
 
 obs::Counter* TxBytesCounter() {
   static obs::Counter* c = obs::MetricRegistry::Default().GetCounter(
-      "net.frame.tx.bytes", "Frame bytes sent (headers + stored payload)");
+      "net.frame.tx.bytes", "Frame bytes sent (headers + payload)");
   return c;
 }
 
@@ -182,27 +180,13 @@ Status ReadFrame(int fd, std::string* payload, int timeout_ms,
   CDBS_RETURN_NOT_OK(
       ReadFull(fd, header, sizeof(header), timeout_ms, clean_eof));
   uint32_t len = 0;
-  bool compressed = false;
-  CDBS_RETURN_NOT_OK(ParseFrameHeader(header, &len, &compressed));
+  CDBS_RETURN_NOT_OK(ParseFrameHeader(header, &len));
   payload->resize(len);
   if (len > 0) {
     CDBS_RETURN_NOT_OK(ReadFull(fd, payload->data(), len, timeout_ms));
   }
   RxBytesCounter()->Increment(kFrameHeaderBytes + len);
-  // CRC covers the *stored* bytes; only then is decompressing meaningful
-  // (a failure past a good checksum is a peer bug, not line noise).
-  CDBS_RETURN_NOT_OK(VerifyFrame(header, *payload));
-  if (compressed) {
-    std::string raw;
-    size_t pos = 0;
-    CDBS_RETURN_NOT_OK(util::DecompressBytes(*payload, &pos,
-                                             kMaxFramePayloadBytes, &raw));
-    if (pos != payload->size()) {
-      return Status::Corruption("compressed frame has trailing bytes");
-    }
-    *payload = std::move(raw);
-  }
-  return Status::OK();
+  return VerifyFrame(header, *payload);
 }
 
 Status WriteFrame(int fd, std::string_view frame, int timeout_ms) {

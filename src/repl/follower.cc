@@ -129,31 +129,6 @@ void Follower::RunOnce() {
     ::close(fd);
   };
 
-  // Negotiate features first so the (potentially huge) bootstrap blob and
-  // the commit stream ride compressed frames (docs/ENCODING.md).
-  if (options_.enable_compression && !hello_unsupported_) {
-    net::Request hreq;
-    hreq.op = net::Opcode::kHello;
-    hreq.request_id = request_id++;
-    hreq.target = net::kFeatureCompressedFrames;
-    std::string hpayload;
-    net::Response hresp;
-    const bool negotiated =
-        net::WriteFrame(fd, net::EncodeFrame(net::EncodeRequest(hreq)),
-                        options_.io_timeout_ms)
-            .ok() &&
-        net::ReadFrame(fd, &hpayload, options_.io_timeout_ms).ok() &&
-        net::DecodeResponse(hpayload, &hresp).ok() &&
-        hresp.code == StatusCode::kOk && hresp.op == net::Opcode::kHello;
-    if (!negotiated) {
-      // An old primary answers the unknown opcode with an error and drops
-      // the connection. Remember, reconnect plain on the next attempt.
-      hello_unsupported_ = true;
-      close_fd();
-      return;
-    }
-  }
-
   if (need_bootstrap_ || db() == nullptr) {
     SetState(State::kBootstrapping);
     if (!Bootstrap(fd).ok()) {

@@ -51,11 +51,6 @@ struct FollowerOptions {
   int io_timeout_ms = 5000;
   /// Backoff between reconnect attempts after a torn stream.
   int reconnect_backoff_ms = 100;
-  /// Offer kFeatureCompressedFrames (docs/ENCODING.md) before subscribing,
-  /// so bootstrap blobs and the commit stream ride compressed frames. An
-  /// old primary rejects the kHello and drops the connection; the follower
-  /// then reconnects plain and stops offering.
-  bool enable_compression = true;
 };
 
 /// A live replica: owns the replication receiver thread and the replica
@@ -159,9 +154,6 @@ class Follower {
   std::atomic<uint64_t> primary_last_lsn_{0};
   uint64_t primary_epoch_ = 0;  // receiver thread only
   bool need_bootstrap_ = true;  // receiver thread only
-  /// The primary rejected kHello (an old server); stop offering. Receiver
-  /// thread only.
-  bool hello_unsupported_ = false;
 
   mutable std::mutex db_mu_;
   std::shared_ptr<shard::ShardedDb> db_;

@@ -75,14 +75,8 @@ void ReplicationSender::OnCommit(const ReplRecord& record) {
   QueuedRecord item;
   item.lsn = record.lsn;
   item.committed_at = std::chrono::steady_clock::now();
-  const std::string payload = net::EncodeResponse(resp);
-  item.frame = std::make_shared<const std::string>(net::EncodeFrame(payload));
-  if (compressed_followers_.load(std::memory_order_acquire) > 0) {
-    // A second shared encoding for compressed streams; plain followers
-    // keep the raw one, so mixed fleets cost two encodes, not N.
-    item.cframe = std::make_shared<const std::string>(
-        net::EncodeFrame(payload, /*allow_compress=*/true));
-  }
+  item.frame = std::make_shared<const std::string>(
+      net::EncodeFrame(net::EncodeResponse(resp)));
 
   std::unique_lock<std::mutex> lock(mu_);
   for (const std::shared_ptr<FollowerState>& f : followers_) {
@@ -194,8 +188,7 @@ void ReplicationSender::UpdateLagMetrics() {
   lag_bytes_->Set(static_cast<double>(max_backlog) * 64);
 }
 
-void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
-                                          bool compress) {
+void ReplicationSender::RunFollowerStream(int fd, const net::Request& req) {
   ReplicationLog* log = db_->replication_log();
   net::Response hello;
   hello.request_id = req.request_id;
@@ -204,7 +197,7 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
     hello.code = StatusCode::kInvalidArgument;
     hello.message = "replication is not enabled on this server";
     static_cast<void>(net::WriteFrame(
-        fd, net::EncodeFrame(net::EncodeResponse(hello), compress),
+        fd, net::EncodeFrame(net::EncodeResponse(hello)),
         options_.write_timeout_ms));
     return;
   }
@@ -215,7 +208,7 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
     hello.code = StatusCode::kOutOfRange;
     hello.message = "epoch mismatch; bootstrap required";
     static_cast<void>(net::WriteFrame(
-        fd, net::EncodeFrame(net::EncodeResponse(hello), compress),
+        fd, net::EncodeFrame(net::EncodeResponse(hello)),
         options_.write_timeout_ms));
     return;
   }
@@ -223,8 +216,8 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
   // Register FIRST, then read the log: a record committed between the two
   // steps lands in the queue AND in the catch-up read. Duplicates are fine
   // (the follower dedups by LSN); a gap would not be.
-  auto follower = std::make_shared<FollowerState>(
-      options_.follower_buffer_records, compress);
+  auto follower =
+      std::make_shared<FollowerState>(options_.follower_buffer_records);
   follower->fd.store(fd, std::memory_order_release);
   const uint64_t from_lsn = std::max<uint64_t>(req.target, 1);
   follower->acked_lsn.store(from_lsn - 1, std::memory_order_release);
@@ -232,9 +225,6 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_.load(std::memory_order_acquire)) return;
     followers_.push_back(follower);
-    if (compress) {
-      compressed_followers_.fetch_add(1, std::memory_order_acq_rel);
-    }
     followers_gauge_->Set(static_cast<double>(followers_.size()));
   }
 
@@ -269,8 +259,7 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
     if (!healthy) break;
     net::Response batch =
         MakeBatchResponse(rec.lsn, log->epoch(), EncodeReplOps(rec.ops));
-    const std::string frame =
-        net::EncodeFrame(net::EncodeResponse(batch), compress);
+    const std::string frame = net::EncodeFrame(net::EncodeResponse(batch));
     if (!net::WriteFrame(fd, frame, options_.write_timeout_ms).ok()) {
       healthy = false;
       break;
@@ -295,8 +284,7 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
       // follower can measure its own staleness.
       net::Response hb = MakeBatchResponse(db_->commit_lsn(), log->epoch(),
                                            std::string());
-      const std::string frame =
-          net::EncodeFrame(net::EncodeResponse(hb), compress);
+      const std::string frame = net::EncodeFrame(net::EncodeResponse(hb));
       if (!net::WriteFrame(fd, frame, options_.write_timeout_ms).ok()) break;
       heartbeats_->Increment();
     }
@@ -312,10 +300,7 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
         healthy = false;
         break;
       }
-      // Prefer the shared compressed encoding; a record queued before this
-      // follower subscribed may lack one, in which case raw is still valid.
-      std::string frame =
-          (compress && rec.cframe != nullptr) ? *rec.cframe : *rec.frame;
+      std::string frame = *rec.frame;
       if (CDBS_FAILPOINT("net.frame.corrupt") && !frame.empty()) {
         frame[frame.size() / 2] =
             static_cast<char>(frame[frame.size() / 2] ^ 0x40);
@@ -342,9 +327,6 @@ void ReplicationSender::RunFollowerStream(int fd, const net::Request& req,
     followers_.erase(
         std::remove(followers_.begin(), followers_.end(), follower),
         followers_.end());
-    if (compress) {
-      compressed_followers_.fetch_sub(1, std::memory_order_acq_rel);
-    }
     followers_gauge_->Set(static_cast<double>(followers_.size()));
   }
   UpdateLagMetrics();

@@ -74,11 +74,8 @@ class ReplicationSender {
   /// or kOutOfRange when the follower must bootstrap (epoch mismatch or
   /// LSNs below the retention floor) — then pushes kReplBatch frames and
   /// heartbeats until the follower disconnects, falls too far behind, or
-  /// the sender stops. Does not close `fd` (the server owns it). With
-  /// `compress` (the connection negotiated kFeatureCompressedFrames) every
-  /// pushed frame may carry a compressed payload.
-  void RunFollowerStream(int fd, const net::Request& req,
-                         bool compress = false);
+  /// the sender stops. Does not close `fd` (the server owns it).
+  void RunFollowerStream(int fd, const net::Request& req);
 
   /// Detaches the commit sink, wakes sync-commit waiters, and tears down
   /// every follower stream (their RunFollowerStream calls return).
@@ -91,26 +88,20 @@ class ReplicationSender {
   uint64_t min_acked_lsn() const;
 
  private:
-  /// One record as fanned out: each wire encoding is built once and
-  /// shared by every follower that speaks it. `cframe` (the compressed
-  /// encoding) is only built when at least one subscribed follower
-  /// negotiated compressed frames; plain followers keep reading `frame`.
+  /// One record as fanned out: its wire frame is encoded once and shared
+  /// by every follower.
   struct QueuedRecord {
     uint64_t lsn = 0;
     std::chrono::steady_clock::time_point committed_at;
     std::shared_ptr<const std::string> frame;
-    std::shared_ptr<const std::string> cframe;
   };
 
   struct FollowerState {
-    FollowerState(size_t cap, bool compress_frames)
-        : queue(cap), compress(compress_frames) {}
+    explicit FollowerState(size_t cap) : queue(cap) {}
     concurrency::BoundedQueue<QueuedRecord> queue;
     std::atomic<uint64_t> acked_lsn{0};
     std::atomic<int> fd{-1};
     std::atomic<bool> dropped{false};
-    /// The stream's connection negotiated kFeatureCompressedFrames.
-    const bool compress;
   };
 
   void OnCommit(const ReplRecord& record);
@@ -129,9 +120,6 @@ class ReplicationSender {
   mutable std::mutex mu_;                 // guards followers_
   std::condition_variable ack_cv_;        // sync mode: signalled on each ack
   std::vector<std::shared_ptr<FollowerState>> followers_;
-  /// Live followers whose stream negotiated compressed frames; lets
-  /// OnCommit skip building the compressed encoding when nobody wants it.
-  std::atomic<size_t> compressed_followers_{0};
 
   // repl.* metrics, in the engine's registry (a child of
   // MetricRegistry::Default(), so kIntrospect/Prometheus see them).

@@ -10,13 +10,13 @@
 
 /// \file
 /// Zero-RLE byte compression for raw payloads: the codec behind WAL
-/// payload compression and compressed network frames (docs/ENCODING.md).
+/// payload compression (docs/ENCODING.md).
 ///
 /// `CompressBytes` / `DecompressBytes` write a self-framed token stream that
-/// collapses zero runs, the dominant redundancy of the binary records both
-/// carry (zero high bytes of fixed-width ids, counts and flags). They
-/// shrink WAL records and network frames without changing their header
-/// layouts. Lengths and tokens are util/ordered_varint.h varints.
+/// collapses zero runs, the dominant redundancy of the binary records the
+/// log carries (zero high bytes of fixed-width ids, counts and flags). They
+/// shrink WAL records without changing the record header layout. Lengths
+/// and tokens are util/ordered_varint.h varints.
 
 namespace cdbs::util {
 

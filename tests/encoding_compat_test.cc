@@ -1,7 +1,7 @@
-// Compatibility matrix for the compact wire encoding (docs/ENCODING.md):
-// the wire protocol must interoperate between hello-negotiating and
-// plain-frame peers in both directions, and every byte format is pinned
-// by hex fixtures.
+// Compatibility checks for the wire encoding (docs/ENCODING.md): plain
+// frames from older peers are served, the two things only an older peer
+// still sends (opcode 14 and a flagged length word) fail cleanly, and
+// every byte format is pinned by hex fixtures.
 
 #include <memory>
 #include <string>
@@ -18,14 +18,15 @@
 #include "net/socket_io.h"
 #include "repl/replication.h"
 #include "shard/sharded_db.h"
-#include "util/label_codec.h"
+#include "util/crc32c.h"
+#include "util/little_endian.h"
 #include "util/status.h"
 
 namespace cdbs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Wire protocol: hello negotiation vs plain-frame peers
+// Wire protocol: one plain frame format, and what older peers see
 
 constexpr char kDoc[] = "<root><a><b/><b/></a><c><b/></c></root>";
 
@@ -35,7 +36,6 @@ class FrameCompatTest : public ::testing::Test {
     auto corpus = OpenCorpus(kDoc);
     ASSERT_TRUE(corpus.ok()) << corpus.status().message();
     corpus_ = std::move(*corpus);
-    db_ = corpus_->shard(0);
     auto server = net::Server::StartSharded(corpus_.get(), {});
     ASSERT_TRUE(server.ok()) << server.status().message();
     server_ = std::move(*server);
@@ -46,49 +46,14 @@ class FrameCompatTest : public ::testing::Test {
     if (corpus_) corpus_->Shutdown();
   }
 
-  net::ClientOptions ClientFor(bool enable_compression) const {
-    net::ClientOptions o;
-    o.port = server_->port();
-    o.max_attempts = 3;
-    o.base_backoff_ms = 1;
-    o.max_backoff_ms = 20;
-    o.jitter_seed = 7;
-    o.enable_compression = enable_compression;
-    return o;
-  }
-
   std::unique_ptr<shard::ShardedDb> corpus_;
-  engine::ConcurrentXmlDb* db_ = nullptr;  // the corpus's one shard
   std::unique_ptr<net::Server> server_;
 };
 
-TEST_F(FrameCompatTest, NegotiatingClientGetsCompressedSession) {
-  auto client = net::CdbsClient::Connect(ClientFor(true));
-  ASSERT_TRUE(client.ok()) << client.status().message();
-  EXPECT_TRUE((*client)->compression_negotiated());
-  // The negotiated session serves real traffic: queries and writes agree
-  // with the engine exactly as over plain frames.
-  Result<std::vector<uint64_t>> bs = (*client)->Query("//b");
-  ASSERT_TRUE(bs.ok()) << bs.status().message();
-  EXPECT_EQ(bs->size(), db_->Query("//b").value().size());
-  Result<uint64_t> fresh = (*client)->InsertAfter((*bs)[0], "n");
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(*db_->Count("//n"), 1u);
-}
-
-TEST_F(FrameCompatTest, CompressionDisabledClientStaysPlain) {
-  auto client = net::CdbsClient::Connect(ClientFor(false));
-  ASSERT_TRUE(client.ok()) << client.status().message();
-  EXPECT_FALSE((*client)->compression_negotiated());
-  EXPECT_TRUE((*client)->Ping().ok());
-  Result<std::vector<uint64_t>> bs = (*client)->Query("//b");
-  ASSERT_TRUE(bs.ok());
-  EXPECT_EQ(bs->size(), 3u);
-}
-
 TEST_F(FrameCompatTest, RawLegacyFramesInteroperate) {
-  // An old-build peer: raw plain frames, no kHello, no compressed bit. The
-  // server must answer in kind — plain frames only.
+  // A hand-rolled peer that writes raw plain frames and never opens with a
+  // handshake, as every peer built before or after feature negotiation
+  // could. The server answers in kind.
   Result<int> fd = net::ConnectTcp("127.0.0.1", server_->port(), 1000);
   ASSERT_TRUE(fd.ok()) << fd.status().message();
   net::Request req;
@@ -109,43 +74,66 @@ TEST_F(FrameCompatTest, RawLegacyFramesInteroperate) {
   close(*fd);
 }
 
-TEST_F(FrameCompatTest, ManualHelloUpgradesTheConnectionMidStream) {
-  // A hand-rolled peer sends kHello itself: the server accepts the offered
-  // features and starts compressing ITS side; the peer may keep sending
-  // plain frames (asymmetric sessions are legal — receivers always accept
-  // both). ReadFrame below transparently decodes the now-compressed
-  // responses, exercising the compressed server→client path end to end.
+TEST_F(FrameCompatTest, RetiredOpcodeFourteenGetsAnErrorThenAHangUp) {
+  // A peer built when opcode 14 still negotiated compressed frames opens
+  // every connection with it. The server answers with a decodable error
+  // (request id 0: the request never decoded) and drops the connection;
+  // that peer takes this as an old server and reconnects with plain frames.
   Result<int> fd = net::ConnectTcp("127.0.0.1", server_->port(), 1000);
-  ASSERT_TRUE(fd.ok());
-  net::Request hello;
-  hello.op = net::Opcode::kHello;
-  hello.request_id = 1;
-  hello.target = net::kFeatureCompressedFrames;
-  ASSERT_TRUE(
-      net::WriteFrame(*fd, net::EncodeFrame(net::EncodeRequest(hello)), 1000)
-          .ok());
+  ASSERT_TRUE(fd.ok()) << fd.status().message();
+  // The retired request layout: u8 op, u64 request id, u32 deadline,
+  // u64 offered feature bits.
+  std::string hello;
+  hello.push_back(14);
+  util::AppendU64(&hello, 1);
+  util::AppendU32(&hello, 1000);
+  util::AppendU64(&hello, 1);
+  ASSERT_TRUE(net::WriteFrame(*fd, net::EncodeFrame(hello), 1000).ok());
   std::string payload;
   ASSERT_TRUE(net::ReadFrame(*fd, &payload, 2000).ok());
   net::Response resp;
   ASSERT_TRUE(net::DecodeResponse(payload, &resp).ok());
-  EXPECT_EQ(resp.code, StatusCode::kOk);
-  EXPECT_EQ(resp.id_or_count, net::kFeatureCompressedFrames);
-
-  // The same connection keeps serving requests after the upgrade.
-  net::Request ping;
-  ping.op = net::Opcode::kPing;
-  ping.request_id = 2;
-  ASSERT_TRUE(
-      net::WriteFrame(*fd, net::EncodeFrame(net::EncodeRequest(ping)), 1000)
-          .ok());
-  payload.clear();
-  ASSERT_TRUE(net::ReadFrame(*fd, &payload, 2000).ok());
-  ASSERT_TRUE(net::DecodeResponse(payload, &resp).ok());
-  EXPECT_EQ(resp.request_id, 2u);
-  EXPECT_EQ(resp.code, StatusCode::kOk);
+  EXPECT_EQ(resp.request_id, 0u);
+  EXPECT_EQ(resp.code, StatusCode::kCorruption);
+  EXPECT_NE(resp.message.find("bad opcode 14"), std::string::npos)
+      << resp.message;
+  bool clean_eof = false;
+  EXPECT_FALSE(net::ReadFrame(*fd, &payload, 2000, &clean_eof).ok());
+  EXPECT_TRUE(clean_eof);
   close(*fd);
+
+  // The fallback: a fresh plain connection is served as usual.
+  net::ClientOptions o;
+  o.port = server_->port();
+  auto client = net::CdbsClient::Connect(o);
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  Result<std::vector<uint64_t>> bs = (*client)->Query("//b");
+  ASSERT_TRUE(bs.ok()) << bs.status().message();
+  EXPECT_EQ(bs->size(), 3u);
 }
 
+TEST_F(FrameCompatTest, FlaggedLengthWordIsCorruption) {
+  // Bit 31 of the length word once flagged a compressed payload. Such a
+  // length is now beyond the 4 MiB cap: corruption, before any allocation.
+  char header[net::kFrameHeaderBytes];
+  util::StoreU32(header + 4, 0x80000010u);
+  util::StoreU32(header, util::Crc32c(header + 4, 4));
+  uint32_t len = 0;
+  EXPECT_EQ(net::ParseFrameHeader(header, &len).code(),
+            StatusCode::kCorruption);
+
+  // A server that reads this header drops the connection without waiting
+  // for the 16 payload bytes it announces (none are ever sent).
+  Result<int> fd = net::ConnectTcp("127.0.0.1", server_->port(), 1000);
+  ASSERT_TRUE(fd.ok()) << fd.status().message();
+  ASSERT_TRUE(net::WriteFull(*fd, header, sizeof(header), 1000).ok());
+  std::string payload;
+  bool clean_eof = false;
+  EXPECT_FALSE(net::ReadFrame(*fd, &payload, 2000, &clean_eof).ok());
+  EXPECT_TRUE(clean_eof);
+  EXPECT_EQ(server_->requests_served(), 0u);
+  close(*fd);
+}
 
 // ---------------------------------------------------------------------------
 // Byte identity: frames, replication batches, bootstrap images and the
@@ -162,22 +150,13 @@ std::string Hex(std::string_view bytes) {
   return out;
 }
 
-// The payload of one encoded frame, checked and decompressed as a receiver
-// does it.
+// The payload of one encoded frame, checked as a receiver does it.
 std::string Unframe(const std::string& frame) {
   uint32_t len = 0;
-  bool compressed = false;
-  EXPECT_TRUE(net::ParseFrameHeader(frame.data(), &len, &compressed).ok());
+  EXPECT_TRUE(net::ParseFrameHeader(frame.data(), &len).ok());
   EXPECT_EQ(len, frame.size() - net::kFrameHeaderBytes);
-  const std::string stored = frame.substr(net::kFrameHeaderBytes);
-  EXPECT_TRUE(net::VerifyFrame(frame.data(), stored).ok());
-  if (!compressed) return stored;
-  std::string payload;
-  size_t pos = 0;
-  EXPECT_TRUE(util::DecompressBytes(stored, &pos, net::kMaxFramePayloadBytes,
-                                    &payload)
-                  .ok());
-  EXPECT_EQ(pos, stored.size());
+  const std::string payload = frame.substr(net::kFrameHeaderBytes);
+  EXPECT_TRUE(net::VerifyFrame(frame.data(), payload).ok());
   return payload;
 }
 
@@ -192,27 +171,20 @@ TEST(WireBytesTest, QueryResponseFrames) {
       "00";
   const std::string payload = net::EncodeResponse(q);
   EXPECT_EQ(Hex(net::EncodeFrame(payload)), five);
-  // 62 bytes: under the compression floor, so the frame stays plain.
-  EXPECT_EQ(Hex(net::EncodeFrame(payload, true)), five);
 
   const std::vector<uint64_t> ids = q.node_ids;
   for (int r = 0; r < 2; ++r) {
     q.node_ids.insert(q.node_ids.end(), ids.begin(), ids.end());
   }
-  const std::string fifteen = net::EncodeResponse(q);
-  EXPECT_EQ(Hex(net::EncodeFrame(fifteen)),
+  const std::string frame = net::EncodeFrame(net::EncodeResponse(q));
+  EXPECT_EQ(Hex(frame),
             "10cca54c8e0000000807060504030201020000000000000000000f0000000100"
             "000000000000ff00000000000000000100000000000000000100000000000500"
             "0000010000000100000000000000ff0000000000000000010000000000000000"
             "01000000000005000000010000000100000000000000ff000000000000000001"
             "00000000000000000100000000000500000001000000");
-  const std::string compressed = net::EncodeFrame(fifteen, true);
-  EXPECT_EQ(Hex(compressed),
-            "be76fefd46000080c28e1208070605040302010213020f0702010f02ff11020111"
-            "02010b02050702010702010f02ff1102011102010b02050702010702010f02ff"
-            "1102011102010b020507020107");
   net::Response back;
-  ASSERT_TRUE(net::DecodeResponse(Unframe(compressed), &back).ok());
+  ASSERT_TRUE(net::DecodeResponse(Unframe(frame), &back).ok());
   EXPECT_EQ(back.node_ids, q.node_ids);
   EXPECT_EQ(back.request_id, q.request_id);
 }
@@ -226,19 +198,14 @@ TEST(WireBytesTest, CountResponseFrames) {
                     {1, StatusCode::kOk, 200, ""},
                     {2, StatusCode::kUnavailable, 0,
                      "failpoint shard.2.unavailable"}};
-  const std::string payload = net::EncodeResponse(c);
-  EXPECT_EQ(Hex(net::EncodeFrame(payload)),
+  const std::string frame = net::EncodeFrame(net::EncodeResponse(c));
+  EXPECT_EQ(Hex(frame),
             "54fb78496e0000004d000000000000000d0000000000000000002c0100000000"
             "00000300000000000000006400000000000000000000000100000000c8000000"
             "0000000000000000020000000d00000000000000001d0000006661696c706f69"
             "6e742073686172642e322e756e617661696c61626c65");
-  const std::string compressed = net::EncodeFrame(payload, true);
-  EXPECT_EQ(Hex(compressed),
-            "5e04ec9a3e0000806e024d0f020d13042c010d02031102641702010902c81702"
-            "0207020d11021d073a6661696c706f696e742073686172642e322e756e617661"
-            "696c61626c65");
   net::Response back;
-  ASSERT_TRUE(net::DecodeResponse(Unframe(compressed), &back).ok());
+  ASSERT_TRUE(net::DecodeResponse(Unframe(frame), &back).ok());
   EXPECT_EQ(back.id_or_count, 300u);
   ASSERT_EQ(back.shard_counts.size(), 3u);
   EXPECT_EQ(back.shard_counts[2].message, "failpoint shard.2.unavailable");

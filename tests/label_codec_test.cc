@@ -46,8 +46,8 @@ TEST(ZeroRleTest, RoundtripShapes) {
 }
 
 // The byte-at-a-time compressor the word-scanning CompressBytes replaced.
-// Its token stream is the format: WAL records and compressed frames
-// written by either must be identical.
+// Its token stream is the format: WAL records written by either must be
+// identical.
 std::string ReferenceCompress(std::string_view in) {
   constexpr size_t kMaxRun = size_t{1} << 24;
   std::string out;
