@@ -329,6 +329,14 @@ class ContainmentLabeling : public Labeling {
     }
   }
 
+  uint32_t EndKey(NodeId n) const override {
+    if constexpr (kKeyed) {
+      return Codec::Key(end_[n]);
+    } else {
+      return 0;
+    }
+  }
+
   InsertResult InsertSiblingBefore(NodeId target) override {
     // The new interval goes between the value preceding start(target) —
     // the previous sibling's end, or the parent's start — and

@@ -185,6 +185,13 @@ class Labeling {
   /// entry so a search probes keys, not labels (query/tag_list.h).
   virtual uint32_t OrderKey(NodeId) const { return 0; }
 
+  /// The same abbreviation of the value that closes `n`'s interval, when
+  /// HasOrderKeys(): OrderKey(d) < EndKey(a) implies that a node `d` after
+  /// `a` lies in a's subtree, OrderKey(d) > EndKey(a) that it does not, and
+  /// equal keys leave it to the labels. The per-tag lists store one per
+  /// entry, so a step from a context reads no label to bound its subtree.
+  virtual uint32_t EndKey(NodeId) const { return 0; }
+
   /// Inserts a new element as the sibling immediately before `target`.
   virtual InsertResult InsertSiblingBefore(NodeId target) = 0;
 

@@ -59,36 +59,75 @@ obs::Counter& StepsCountedCounter() {
   return *c;
 }
 
+obs::Counter& KeyTiesCounter() {
+  static obs::Counter* const c = obs::MetricRegistry::Default().GetCounter(
+      "query.eval.key_ties",
+      "Keyed comparisons whose two keys were equal, decided by node identity "
+      "or else from the label columns");
+  return *c;
+}
+
 bool NameMatches(const Step& step, const std::string& tag) {
   return step.name == "*" || step.name == tag;
 }
 
-// Where a step's matches go: appended to a list, or only counted.
+NodeId IdOf(NodeId n) { return n; }
+NodeId IdOf(const KeyedId& n) { return n.id; }
+
+// Where a step's matches go: appended to the match list, collected as the
+// next step's contexts, or only counted. A context is a `Node`: an id, or
+// on a keyed view an id with its interval keys.
+template <typename Node>
 class Sink {
  public:
+  static constexpr bool kKeyed = std::is_same_v<Node, KeyedId>;
+
   Sink() = default;  // counts
-  explicit Sink(std::vector<NodeId>* out) : out_(out) {}
+  explicit Sink(std::vector<NodeId>* ids) : ids_(ids) {}
+  // Collects the next step's contexts into `*nodes`.
+  static Sink Contexts(std::vector<Node>* nodes) {
+    Sink sink;
+    if constexpr (kKeyed) {
+      sink.nodes_ = nodes;
+    } else {
+      sink.ids_ = nodes;
+    }
+    return sink;
+  }
 
-  bool counts() const { return out_ == nullptr; }
+  bool counts() const { return ids_ == nullptr && nodes_ == nullptr; }
   // Matches so far.
-  uint64_t size() const { return out_ != nullptr ? out_->size() : count_; }
+  uint64_t size() const {
+    return ids_ != nullptr ? ids_->size()
+                           : (nodes_ != nullptr ? nodes_->size() : count_);
+  }
 
-  // Matches list[begin, end), taken whole.
+  // Matches list[begin, end), taken whole. Contexts copy their keys
+  // straight from the runs.
   void Span(const TagList& list, size_t begin, size_t end) {
-    if (out_ != nullptr) {
-      list.AppendRange(begin, end, out_);
+    if constexpr (kKeyed) {
+      if (nodes_ != nullptr) {
+        list.AppendRange(begin, end, nodes_);
+        return;
+      }
+    }
+    if (ids_ != nullptr) {
+      list.AppendRange(begin, end, ids_);
     } else {
       count_ += end - begin;
     }
   }
-  // Takes a finished, document-ordered match list.
-  void Take(std::vector<NodeId>&& nodes) {
-    if (out_ == nullptr) {
+  // Takes a finished, document-ordered match list (a match list or count
+  // sink only).
+  void Take(std::vector<Node>&& nodes) {
+    if (ids_ == nullptr) {
       count_ += nodes.size();
-    } else if (out_->empty()) {
-      *out_ = std::move(nodes);
+    } else if constexpr (kKeyed) {
+      for (const KeyedId& n : nodes) ids_->push_back(n.id);
+    } else if (ids_->empty()) {
+      *ids_ = std::move(nodes);
     } else {
-      out_->insert(out_->end(), nodes.begin(), nodes.end());
+      ids_->insert(ids_->end(), nodes.begin(), nodes.end());
     }
   }
 
@@ -97,15 +136,21 @@ class Sink {
   // a local, so a scan's hot loop touches neither the sink nor a branch.
   template <typename Scan>
   void Visit(Scan&& scan) {
-    if (out_ != nullptr) {
-      std::vector<NodeId>* out = out_;
-      scan([out](NodeId n) {
+    if (kKeyed && nodes_ != nullptr) {
+      std::vector<Node>* out = nodes_;
+      scan([out](const Node& n) {
         out->push_back(n);
+        return true;
+      });
+    } else if (ids_ != nullptr) {
+      std::vector<NodeId>* out = ids_;
+      scan([out](const Node& n) {
+        out->push_back(IdOf(n));
         return true;
       });
     } else {
       uint64_t count = 0;
-      scan([&count](NodeId) {
+      scan([&count](const Node&) {
         ++count;
         return true;
       });
@@ -114,7 +159,8 @@ class Sink {
   }
 
  private:
-  std::vector<NodeId>* out_ = nullptr;
+  std::vector<NodeId>* ids_ = nullptr;
+  std::vector<Node>* nodes_ = nullptr;  // keyed contexts
   uint64_t count_ = 0;
 };
 
@@ -129,8 +175,11 @@ class Sink {
 class LabelingView {
  public:
   static constexpr bool kColumns = false;
+  using Node = NodeId;
 
   explicit LabelingView(const Labeling& lab) : lab_(&lab) {}
+
+  Node MakeNode(NodeId n) const { return n; }
 
   int CompareOrder(NodeId a, NodeId b) const {
     return lab_->CompareOrder(a, b);
@@ -163,12 +212,13 @@ class LabelingView {
 // with the same one (Binary and CDBS words) share one navigator. Word
 // values have order keys (Codec::Key), which the document's tag lists
 // carry, so a search over them probes keys and reads a start value only
-// on a tie.
+// on a tie; its contexts are KeyedIds, which carry their own keys.
 template <typename Value>
 class ContainmentView {
  public:
   static constexpr bool kColumns = true;
   static constexpr bool kKeyed = std::is_same_v<Value, uint64_t>;
+  using Node = std::conditional_t<kKeyed, KeyedId, NodeId>;
 
   template <typename Codec>
   explicit ContainmentView(const labeling::ContainmentLabeling<Codec>& lab)
@@ -180,6 +230,17 @@ class ContainmentView {
   const Value& Start(NodeId n) const { return (*start_)[n]; }
   const Value& End(NodeId n) const { return (*end_)[n]; }
   int Level(NodeId n) const { return (*level_)[n]; }
+  uint32_t EndKey(NodeId n) const { return key_(End(n)); }
+
+  // `n` as a context: its start key read from the column, its end key
+  // left to be read when a search needs it.
+  Node MakeNode(NodeId n) const {
+    if constexpr (kKeyed) {
+      return KeyedId{n, key_(Start(n)), KeyedId::kNoEndKey};
+    } else {
+      return n;
+    }
+  }
 
   int CompareOrder(NodeId a, NodeId b) const {
     const Value& x = Start(a);
@@ -258,21 +319,62 @@ void WithView(const Labeling& lab, F&& f) {
 
 // A step with its tag list, looked up once per evaluation rather than once
 // per context. Predicate paths are planned the same way.
+//
+// Every context of a step is an id of the list its previous step read (for
+// a predicate path's first step, of the list of the step it tests), so two
+// facts about all of them are decided here, once, from list metadata; a
+// keyed navigator reads them instead of asking each context:
+//  * `child_spans`: every context lies between min_level() and max_level()
+//    of its list, so when the first plus one reaches the step list's
+//    max_level(), a child step from any context is its whole descendant
+//    span, and when not even the second does, from none; otherwise each
+//    context's level decides;
+//  * `contexts_disjoint`: the contexts' list never nested, so no context
+//    is an ancestor of another.
+enum class ChildSpans : uint8_t { kPerContext, kAll, kNone };
+
+struct PlannedPath;
+
 struct PlannedStep {
   const Step* step = nullptr;
   const TagList* list = nullptr;
-  std::vector<std::vector<PlannedStep>> predicates;  // one path each
+  ChildSpans child_spans = ChildSpans::kPerContext;
+  bool contexts_disjoint = false;
+  std::vector<PlannedPath> predicates;
 };
 
+// A predicate path, numbered within its query (`slot`), so a keyed
+// navigator can keep one cursor per path.
+struct PlannedPath {
+  std::vector<PlannedStep> steps;
+  size_t slot = 0;
+};
+
+// Plans `steps`, whose first step's contexts come from `from` (nullptr for
+// the document node above the scope). Numbers predicate paths from
+// `*paths` on, which it leaves at the next free number.
 std::vector<PlannedStep> Plan(const std::vector<Step>& steps,
-                              const LabeledDocument& doc) {
+                              const LabeledDocument& doc, const TagList* from,
+                              size_t* paths) {
   std::vector<PlannedStep> plan(steps.size());
   for (size_t s = 0; s < steps.size(); ++s) {
-    plan[s].step = &steps[s];
-    plan[s].list = &doc.WithTag(steps[s].name);
-    for (const RelativePath& rel : steps[s].predicates) {
-      plan[s].predicates.push_back(Plan(rel.steps, doc));
+    PlannedStep& step = plan[s];
+    step.step = &steps[s];
+    step.list = &doc.WithTag(steps[s].name);
+    if (from != nullptr) {
+      const int deepest = step.list->max_level();
+      step.child_spans = from->min_level() + 1 >= deepest
+                             ? ChildSpans::kAll
+                             : (from->max_level() + 1 < deepest
+                                    ? ChildSpans::kNone
+                                    : ChildSpans::kPerContext);
+      step.contexts_disjoint = !from->nested();
     }
+    for (const RelativePath& rel : steps[s].predicates) {
+      const size_t slot = (*paths)++;
+      step.predicates.push_back({Plan(rel.steps, doc, step.list, paths), slot});
+    }
+    from = step.list;
   }
   return plan;
 }
@@ -288,51 +390,37 @@ struct Cursor {
   bool disjoint = false;
 };
 
-// True when no context node is an ancestor of the next one. For a
-// document-ordered list that makes it an antichain: an ancestor of a later
-// node is also an ancestor of every node between them in document order.
-template <typename View>
-bool IsAntichain(const View& view, const std::vector<NodeId>& context) {
-  for (size_t k = 1; k < context.size(); ++k) {
-    if (view.IsAncestor(context[k - 1], context[k])) return false;
-  }
-  return true;
-}
-
-// The node of a non-empty document-ordered context whose following:: set is
-// the union of all of theirs: the one whose subtree ends first, i.e. the end
-// of the leading ancestor chain (every later node starts after it ends).
-template <typename View>
-NodeId FollowingAnchor(const View& view, const std::vector<NodeId>& context) {
-  NodeId anchor = context[0];
-  for (size_t k = 1;
-       k < context.size() && view.IsAncestor(anchor, context[k]); ++k) {
-    anchor = context[k];
-  }
-  return anchor;
-}
-
 // One evaluation over one document, inside one scope at a time, reading
-// structure through `View`. Counts label comparisons, scanned candidates
-// and sorted/counted steps locally and adds them to the default registry
-// once, when it goes out of scope. Hot loops keep the view and their counts
-// in locals: a per-candidate member reload and store would otherwise stay.
+// structure through `View`. Counts label comparisons, scanned candidates,
+// key ties and sorted/counted steps locally and adds them to the default
+// registry once, when it goes out of scope. Hot loops keep the view and
+// their counts in locals: a per-candidate member reload and store would
+// otherwise stay.
 //
 // Every skip below rests on one fact that holds for every scheme: the
 // descendants of a node follow it contiguously in any document-ordered
 // list. A child step adds the level: inside a parent's span, a child is a
 // node one level below it, and when the list holds nothing deeper than
 // that, the whole span is children.
+//
+// On a keyed view (`kKeyed`) a context is a KeyedId: the id with the keys
+// of its start and end, copied from the tag list it came from. A search
+// from it compares keys and reads a label column only when two keys tie.
 template <typename View>
 class Navigator {
  public:
-  Navigator(const LabeledDocument& doc, View view)
-      : doc_(doc), view_(view), scope_(doc.root()) {}
+  using Node = typename View::Node;
+  static constexpr bool kKeyed = std::is_same_v<Node, KeyedId>;
+
+  // `paths`: the number of predicate paths in the plans it will run.
+  Navigator(const LabeledDocument& doc, View view, size_t paths = 0)
+      : doc_(doc), view_(view), scope_(doc.root()), path_cursors_(paths) {}
   ~Navigator() {
     LabelComparisonsCounter().Increment(comparisons_);
     CandidatesScannedCounter().Increment(scanned_);
     StepsSortedCounter().Increment(sorted_);
     StepsCountedCounter().Increment(counted_);
+    KeyTiesCounter().Increment(ties_);
   }
   Navigator(const Navigator&) = delete;
   Navigator& operator=(const Navigator&) = delete;
@@ -345,13 +433,13 @@ class Navigator {
   // starts; it is left at where the step stopped, a lower bound for any
   // later scope.
   void Run(const std::vector<PlannedStep>& plan, size_t* cursors,
-           Sink* result) {
+           Sink<Node>* result) {
     const View view = view_;
     const size_t steps = plan.size();
     // Invariant: `context` is strictly increasing in document order. Both
     // lists keep their capacity from one scope to the next.
-    std::vector<NodeId>& context = context_;
-    std::vector<NodeId>& next = next_;
+    std::vector<Node>& context = context_;
+    std::vector<Node>& next = next_;
     context.clear();
     for (size_t s = 0; s < steps; ++s) {
       const PlannedStep& step = plan[s];
@@ -367,19 +455,19 @@ class Navigator {
       if (s > 0 && axis != Axis::kFollowing) {
         cursor.disjoint =
             (axis == Axis::kChild || axis == Axis::kDescendant) &&
-            IsAntichain(view, context);
+            ((kKeyed && step.contexts_disjoint) || IsAntichain(context));
         ordered = cursor.disjoint;
       }
       const bool last = s + 1 == steps;
       next.clear();
-      Sink collect(&next);
-      Sink* sink = last && ordered ? result : &collect;
+      Sink<Node> collect = Sink<Node>::Contexts(&next);
+      Sink<Node>* sink = last && ordered ? result : &collect;
       if (s == 0) {
         EmitFromScope(step, &cursor, sink);
       } else if (axis == Axis::kFollowing) {
-        Emit(FollowingAnchor(view, context), step, &cursor, sink);
+        Emit(FollowingAnchor(context), step, &cursor, sink);
       } else {
-        for (const NodeId c : context) Emit(c, step, &cursor, sink);
+        for (const Node& c : context) Emit(c, step, &cursor, sink);
       }
       cursors[s] = cursor.at;
       if (sink == result) {
@@ -387,13 +475,22 @@ class Navigator {
         return;
       }
       if (!ordered) {
-        // Sort by label comparison, since ids assigned by later insertions
-        // are not document-ordered.
+        // Sort by label order, since ids assigned by later insertions are
+        // not document-ordered: by the carried keys where there are, by
+        // label comparison otherwise and on a tie.
         ++sorted_;
-        std::sort(next.begin(), next.end(), [view](NodeId a, NodeId b) {
-          return view.CompareOrder(a, b) < 0;
+        std::sort(next.begin(), next.end(), [view](const Node& a,
+                                                   const Node& b) {
+          if constexpr (kKeyed) {
+            if (a.key != b.key) return a.key < b.key;
+          }
+          return view.CompareOrder(IdOf(a), IdOf(b)) < 0;
         });
-        next.erase(std::unique(next.begin(), next.end()), next.end());
+        next.erase(std::unique(next.begin(), next.end(),
+                               [](const Node& a, const Node& b) {
+                                 return IdOf(a) == IdOf(b);
+                               }),
+                   next.end());
       }
       if (last) {
         result->Take(std::move(next));
@@ -408,10 +505,22 @@ class Navigator {
   // the first one that is its parent (ancestors precede it). The scope has
   // none.
   NodeId FindParent(NodeId node) {
-    if (node == scope_) return kNoNode;
+    size_t parent_at = 0;
+    size_t node_after = 0;
+    return FindParent(view_.MakeNode(node), &parent_at, &node_after);
+  }
+
+ private:
+  // FindParent of `node`, which also sets *node_after to the index just
+  // past `node` in the list of all elements and, when there is a parent,
+  // *parent_at to the parent's index there.
+  NodeId FindParent(const Node& node, size_t* parent_at, size_t* node_after) {
+    const NodeId id = IdOf(node);
+    if (id == scope_) return kNoNode;
     const View view = view_;
     const TagList& all = doc_.all_elements();
     const size_t after = FirstAfter(all, node, 0);
+    *node_after = after;
     TagList::Iterator it = all.IteratorAt(after);
     size_t idx = after;
     NodeId parent = kNoNode;
@@ -419,8 +528,9 @@ class Navigator {
       --idx;
       const NodeId cand = *--it;
       // The first candidate is `node` itself.
-      if (cand != node && view.IsParent(cand, node)) {
+      if (cand != id && view.IsParent(cand, id)) {
         parent = cand;
+        *parent_at = idx;
         break;
       }
     }
@@ -428,13 +538,78 @@ class Navigator {
     return parent;
   }
 
- private:
   bool ScopeIsRoot() const { return scope_ == doc_.root(); }
+
+  // The entry under `it` as a context: on a keyed view with the start key
+  // its run stores. The end key is left to EndKeyOf, so a node that never
+  // becomes a context (a predicate's last match) reads none.
+  static Node NodeAt(const TagList::Iterator& it) {
+    if constexpr (kKeyed) {
+      return KeyedId{*it, it.key(), KeyedId::kNoEndKey};
+    } else {
+      return *it;
+    }
+  }
+
+  // A keyed context's end key: carried, or read from the column when its
+  // list stores none.
+  uint32_t EndKeyOf(const KeyedId& n) const {
+    return n.end_key != KeyedId::kNoEndKey ? n.end_key : view_.EndKey(n.id);
+  }
+
+  // Whether `a` is an ancestor of `d`, a node after it in document order:
+  // whether d starts before a ends. A keyed view compares the carried keys
+  // and reads the columns only when they tie.
+  bool Encloses(const Node& a, const Node& d) {
+    if constexpr (kKeyed) {
+      const uint32_t end_key = EndKeyOf(a);
+      if (d.key != end_key) return d.key < end_key;
+      ++ties_;
+      return view_.Start(d.id) < view_.End(a.id);
+    } else {
+      return view_.IsAncestor(a, d);
+    }
+  }
+
+  // True when no context node is an ancestor of the next one. For a
+  // document-ordered list that makes it an antichain: an ancestor of a
+  // later node is also an ancestor of every node between them in document
+  // order.
+  bool IsAntichain(const std::vector<Node>& context) {
+    for (size_t k = 1; k < context.size(); ++k) {
+      if (Encloses(context[k - 1], context[k])) return false;
+    }
+    return true;
+  }
+
+  // The node of a non-empty document-ordered context whose following:: set
+  // is the union of all of theirs: the one whose subtree ends first, i.e.
+  // the end of the leading ancestor chain (every later node starts after it
+  // ends).
+  Node FollowingAnchor(const std::vector<Node>& context) {
+    Node anchor = context[0];
+    for (size_t k = 1; k < context.size() && Encloses(anchor, context[k]);
+         ++k) {
+      anchor = context[k];
+    }
+    return anchor;
+  }
 
   // Index of the first element of `list` after `node` in document order.
   // `from` is a lower bound on the answer; the search gallops from it.
   size_t FirstAfter(const TagList& list, NodeId node, size_t from) {
     return list.PartitionPoint(from, list.size(), view_.NotAfter(node),
+                               &comparisons_);
+  }
+  // The same from a keyed context: by its start key. A tie is the context
+  // itself, or else is decided by the start values.
+  size_t FirstAfter(const TagList& list, const KeyedId& node, size_t from) {
+    const auto tie = [view = view_, id = node.id, ties = &ties_](NodeId x) {
+      ++*ties;
+      return x == id || !(view.Start(id) < view.Start(x));
+    };
+    return list.PartitionPoint(from, list.size(),
+                               KeyProbe<decltype(tie)>{node.key, tie},
                                &comparisons_);
   }
 
@@ -445,6 +620,18 @@ class Navigator {
                     size_t to) {
     return list.PartitionPoint(from, to, view_.InSubtree(anchor),
                                &comparisons_);
+  }
+  // The same from a keyed anchor: by its end key, with the start and end
+  // values deciding a tie.
+  size_t SubtreeEnd(const TagList& list, const KeyedId& anchor, size_t from,
+                    size_t to) {
+    const auto tie = [view = view_, id = anchor.id, ties = &ties_](NodeId x) {
+      ++*ties;
+      return x == id || view.Start(x) < view.End(id);
+    };
+    return list.PartitionPoint(
+        from, to, KeyProbe<decltype(tie)>{EndKeyOf(anchor), tie},
+        &comparisons_);
   }
 
   // Index of the scope itself in `list`, or of the first element after it;
@@ -463,47 +650,54 @@ class Navigator {
                                &comparisons_);
   }
 
-  // True when every descendant of `parent` in `list` is a child of it: the
-  // list never held a node deeper than one level below `parent`.
-  bool ChildrenOnly(const TagList& list, NodeId parent) const {
-    return view_.Level(parent) + 1 >= list.max_level();
+  // True when every descendant of `parent` in the step's list is a child of
+  // it: the list never held a node deeper than one level below `parent`. A
+  // keyed navigator takes the step's decision for all its contexts first.
+  bool ChildrenOnly(const PlannedStep& step, const Node& parent) const {
+    if (kKeyed && step.child_spans != ChildSpans::kPerContext) {
+      return step.child_spans == ChildSpans::kAll;
+    }
+    return view_.Level(IdOf(parent)) + 1 >= step.list->max_level();
   }
 
   // Steps whose matches from `context` are one contiguous span of the tag
   // list, taken without looking at a single candidate.
-  bool CopiesSpan(NodeId context, const PlannedStep& step) const {
+  bool CopiesSpan(const Node& context, const PlannedStep& step) const {
     const Step& s = *step.step;
     if (!s.predicates.empty() || s.position != 0) return false;
     return s.axis == Axis::kFollowing || s.axis == Axis::kDescendant ||
-           (s.axis == Axis::kChild && ChildrenOnly(*step.list, context));
+           (s.axis == Axis::kChild && ChildrenOnly(step, context));
   }
 
   // Passes the matches of the query's first step, taken from the
   // (virtual) document node above the scope, to `*sink`.
-  void EmitFromScope(const PlannedStep& step, Cursor* cursor, Sink* sink) {
+  void EmitFromScope(const PlannedStep& step, Cursor* cursor,
+                     Sink<Node>* sink) {
     const Step& s = *step.step;
     if (s.axis == Axis::kChild) {
-      if (NameMatches(s, doc_.tag(scope_)) && s.position <= 1 &&
-          PredicatesHold(step, scope_)) {
-        sink->Visit([&](auto visit) { visit(scope_); });
+      if (NameMatches(s, doc_.tag(scope_)) && s.position <= 1) {
+        const Node scope = view_.MakeNode(scope_);
+        if (PredicatesHold(step, scope)) {
+          sink->Visit([&](auto visit) { visit(scope); });
+        }
       }
     } else if (s.axis == Axis::kDescendant) {
       const TagList& list = *step.list;
       const size_t begin = ScopeBegin(list, cursor->at);
       const size_t end = ScopeEnd(list, begin);
       cursor->at = end;
-      if (CopiesSpan(scope_, step)) {
-        sink->Span(list, begin, end);
-      } else {
+      if (!s.predicates.empty() || s.position != 0) {
         sink->Visit([&](auto visit) { Filter(begin, end, step, visit); });
+      } else {
+        sink->Span(list, begin, end);
       }
     }
   }
 
   // Passes the matches of `step` from `context` to `*sink`, in document
   // order. Spans with nothing to test are taken in one piece.
-  void Emit(NodeId context, const PlannedStep& step, Cursor* cursor,
-            Sink* sink) {
+  void Emit(const Node& context, const PlannedStep& step, Cursor* cursor,
+            Sink<Node>* sink) {
     if (CopiesSpan(context, step)) {
       const auto [begin, end] = Span(context, step, cursor);
       sink->Span(*step.list, begin, end);
@@ -521,37 +715,65 @@ class Navigator {
   // A descendant that is not a child lies under an earlier child, so the
   // rest of the last child's subtree is galloped over at once.
   template <typename Visit>
-  size_t ForEachChild(const TagList& list, NodeId parent, size_t begin,
+  size_t ForEachChild(const TagList& list, const Node& parent, size_t begin,
                       size_t to, Visit&& visit) {
     const View view = view_;
     const size_t end =
         View::kColumns ? SubtreeEnd(list, parent, begin, to) : to;
-    const int child_level = View::kColumns ? view.Level(parent) + 1 : 0;
-    NodeId last_child = kNoNode;
+    const int child_level =
+        View::kColumns ? view.Level(IdOf(parent)) + 1 : 0;
+    Node last_child{};
+    bool have_last_child = false;
     uint64_t scanned = 0;
     size_t i = begin;
     TagList::Iterator it = list.IteratorAt(i);
     while (i < end) {
       const NodeId cand = *it;
       ++scanned;
-      const bool child = View::kColumns ? view.Level(cand) == child_level
-                                        : view.IsParent(parent, cand);
+      const bool child = View::kColumns
+                             ? view.Level(cand) == child_level
+                             : view.IsParent(IdOf(parent), cand);
       if (child) {
-        if (!visit(cand)) break;
-        last_child = cand;
+        const Node node = NodeAt(it);
+        if (!visit(node)) break;
+        last_child = node;
+        have_last_child = true;
         ++i;
         ++it;
         continue;
       }
-      if (!View::kColumns && !view.IsAncestor(parent, cand)) break;
+      if (!View::kColumns && !view.IsAncestor(IdOf(parent), cand)) break;
       // Under the last child: gallop past the rest of its subtree. Under a
       // child `list` does not hold: step past it.
-      const size_t skip_to = last_child == kNoNode
-                                 ? i
-                                 : SubtreeEnd(list, last_child, i, end);
-      last_child = kNoNode;  // its subtree is behind us either way
+      const size_t skip_to =
+          have_last_child ? SubtreeEnd(list, last_child, i, end) : i;
+      have_last_child = false;  // its subtree is behind us either way
       i = std::max(skip_to, i + 1);
       it = list.IteratorAt(i);
+    }
+    scanned_ += scanned;
+    return i;
+  }
+
+  // ForEachChild over the list of all elements on a keyed view, for the `*`
+  // child step. Inside the parent's span, the first element is its first
+  // child, and the first element past a child's subtree is the next child:
+  // one search by the child's end key (its one column read) per child, and
+  // no level read. (A sibling scan keeps ForEachChild: its candidates are
+  // mostly leaves, whose levels lie closer together than their ends.)
+  template <typename Visit>
+  size_t ForEachChildOfAll(const KeyedId& parent, size_t begin, size_t to,
+                           Visit&& visit) {
+    const TagList& all = doc_.all_elements();
+    const size_t end = SubtreeEnd(all, parent, begin, to);
+    uint64_t scanned = 0;
+    size_t i = begin;
+    while (i < end) {
+      KeyedId child = NodeAt(all.IteratorAt(i));
+      child.end_key = view_.EndKey(child.id);
+      ++scanned;
+      if (!visit(child)) break;
+      i = SubtreeEnd(all, child, i + 1, end);
     }
     scanned_ += scanned;
     return i;
@@ -562,7 +784,7 @@ class Navigator {
   // which it advances. For a child step the span is the descendant span
   // (the caller checks ChildrenOnly). following:: ends where the scope
   // does.
-  std::pair<size_t, size_t> Span(NodeId context, const PlannedStep& step,
+  std::pair<size_t, size_t> Span(const Node& context, const PlannedStep& step,
                                  Cursor* cursor) {
     const TagList& list = *step.list;
     const size_t after = FirstAfter(list, context, cursor->at);
@@ -579,14 +801,16 @@ class Navigator {
   bool Filter(size_t begin, size_t end, const PlannedStep& step,
               Visit&& visit) {
     const Step& s = *step.step;
+    const TagList& list = *step.list;
     const size_t rank =
         s.axis == Axis::kDescendant ? static_cast<size_t>(s.position) : 0;
-    TagList::Iterator it = step.list->IteratorAt(begin);
+    TagList::Iterator it = list.IteratorAt(begin);
     size_t i = begin;
     for (; i < end; ++i, ++it) {
       const NodeId cand = *it;
       if (rank != 0 && SiblingRank(cand, step) != rank) continue;
-      if (PredicatesHold(step, cand) && !visit(cand)) break;
+      const Node node = NodeAt(it);
+      if (PredicatesHold(step, node) && !visit(node)) break;
     }
     scanned_ += std::min(end, i + 1) - begin;
     return i == end;
@@ -596,36 +820,44 @@ class Navigator {
   // until it returns false; returns false in that case. The main path and
   // predicate paths share it, so both honour every axis and [n].
   template <typename Visit>
-  bool Expand(NodeId context, const PlannedStep& step, Cursor* cursor,
+  bool Expand(const Node& context, const PlannedStep& step, Cursor* cursor,
               Visit&& visit) {
     const Step& s = *step.step;
     const TagList& list = *step.list;
     switch (s.axis) {
       case Axis::kChild: {
-        if (ChildrenOnly(list, context)) {
+        if (ChildrenOnly(step, context)) {
           // The span is the children: [n] is an index, predicates filter.
           const auto [begin, end] = Span(context, step, cursor);
           if (s.position == 0) return Filter(begin, end, step, visit);
           const size_t at = begin + static_cast<size_t>(s.position) - 1;
           if (at >= end) return true;
-          const NodeId child = list[at];
+          const Node child = NodeAt(list.IteratorAt(at));
           return !PredicatesHold(step, child) || visit(child);
         }
         const size_t begin = FirstAfter(list, context, cursor->at);
         size_t rank = 0;
         bool stopped = false;
-        const size_t end =
-            ForEachChild(list, context, begin, list.size(), [&](NodeId c) {
-              ++rank;
-              if (s.position != 0 && rank < static_cast<size_t>(s.position)) {
-                return true;
-              }
-              if (PredicatesHold(step, c) && !visit(c)) {
-                stopped = true;
-                return false;
-              }
-              return s.position == 0;  // [n] ends at the n-th child
-            });
+        const auto on_child = [&](const Node& c) {
+          ++rank;
+          if (s.position != 0 && rank < static_cast<size_t>(s.position)) {
+            return true;
+          }
+          if (PredicatesHold(step, c) && !visit(c)) {
+            stopped = true;
+            return false;
+          }
+          return s.position == 0;  // [n] ends at the n-th child
+        };
+        size_t end = 0;
+        if constexpr (kKeyed) {
+          end = &list == &doc_.all_elements()
+                    ? ForEachChildOfAll(context, begin, list.size(), on_child)
+                    : ForEachChild(list, context, begin, list.size(),
+                                   on_child);
+        } else {
+          end = ForEachChild(list, context, begin, list.size(), on_child);
+        }
         cursor->at = cursor->disjoint ? end : begin;
         return !stopped;
       }
@@ -635,14 +867,23 @@ class Navigator {
         return Filter(begin, end, step, visit);
       }
       case Axis::kPrecedingSibling: {
-        const NodeId parent = FindParent(context);
-        if (parent == kNoNode) return true;
-        const size_t begin = FirstAfter(list, parent, 0);
+        size_t parent_at = 0;
+        size_t context_after = 0;
+        const NodeId parent_id =
+            FindParent(context, &parent_at, &context_after);
+        if (parent_id == kNoNode) return true;
+        const Node parent = view_.MakeNode(parent_id);
+        // Over all elements on a keyed view, FindParent has found both
+        // bounds already.
+        const bool found = kKeyed && &list == &doc_.all_elements();
+        const size_t begin =
+            found ? parent_at + 1 : FirstAfter(list, parent, 0);
         bool stopped = false;
         // Everything before FirstAfter(context) precedes or is `context`.
-        ForEachChild(list, parent, begin, FirstAfter(list, context, begin),
-                     [&](NodeId sib) {
-                       if (sib == context) return false;
+        ForEachChild(list, parent, begin,
+                     found ? context_after : FirstAfter(list, context, begin),
+                     [&](const Node& sib) {
+                       if (IdOf(sib) == IdOf(context)) return false;
                        if (PredicatesHold(step, sib) && !visit(sib)) {
                          stopped = true;
                          return false;
@@ -652,27 +893,30 @@ class Navigator {
         return !stopped;
       }
       case Axis::kParent: {
-        const NodeId parent = FindParent(context);
-        if (parent == kNoNode || !NameMatches(s, doc_.tag(parent)) ||
-            !PredicatesHold(step, parent)) {
+        size_t parent_at = 0;
+        size_t context_after = 0;
+        const NodeId parent_id =
+            FindParent(context, &parent_at, &context_after);
+        if (parent_id == kNoNode || !NameMatches(s, doc_.tag(parent_id))) {
           return true;
         }
-        return visit(parent);
+        const Node parent = view_.MakeNode(parent_id);
+        return !PredicatesHold(step, parent) || visit(parent);
       }
       case Axis::kAncestor: {
         // Candidates from the scope up to the context node; keep those
         // whose label encloses it.
         const View view = view_;
+        const NodeId node = IdOf(context);
         const size_t begin = ScopeBegin(list, 0);
         const size_t end = FirstAfter(list, context, begin);
         TagList::Iterator it = list.IteratorAt(begin);
         size_t i = begin;
         for (; i < end; ++i, ++it) {
           const NodeId cand = *it;
-          if (cand != context && view.IsAncestor(cand, context) &&
-              PredicatesHold(step, cand) && !visit(cand)) {
-            break;
-          }
+          if (cand == node || !view.IsAncestor(cand, node)) continue;
+          const Node ancestor = NodeAt(it);
+          if (PredicatesHold(step, ancestor) && !visit(ancestor)) break;
         }
         scanned_ += std::min(end, i + 1) - begin;
         return i == end;
@@ -682,49 +926,77 @@ class Navigator {
   }
 
   // True when every existence predicate of `step` holds at `node`.
-  bool PredicatesHold(const PlannedStep& step, NodeId node) {
-    for (const std::vector<PlannedStep>& path : step.predicates) {
+  bool PredicatesHold(const PlannedStep& step, const Node& node) {
+    for (const PlannedPath& path : step.predicates) {
       if (!ExistsFrom(node, path, 0)) return false;
     }
     return true;
   }
 
   // True when the relative path `path[i..]` matches something from `node`;
-  // stops at the first match.
-  bool ExistsFrom(NodeId node, const std::vector<PlannedStep>& path,
-                  size_t i) {
-    if (i == path.size()) return true;
+  // stops at the first match. On a keyed view the path's first step starts
+  // its search where it left off for the last node it was asked from, when
+  // `node` comes after that one: the nodes a predicate is tested on mostly
+  // ascend, so the search gallops on instead of starting from the front.
+  bool ExistsFrom(const Node& node, const PlannedPath& path, size_t i) {
+    if (i == path.steps.size()) return true;
     Cursor cursor;
-    return !Expand(node, path[i], &cursor, [&](NodeId next) {
-      return !ExistsFrom(next, path, i + 1);
-    });
+    PathCursor* carried = nullptr;
+    if constexpr (kKeyed) {
+      if (i == 0) {
+        carried = &path_cursors_[path.slot];
+        if (carried->used && node.key > carried->key) cursor.at = carried->at;
+      }
+    }
+    const bool stopped = !Expand(node, path.steps[i], &cursor,
+                                 [&](const Node& next) {
+                                   return !ExistsFrom(next, path, i + 1);
+                                 });
+    if constexpr (kKeyed) {
+      if (carried != nullptr) *carried = {node.key, cursor.at, true};
+    }
+    return stopped;
   }
 
   // 1-based rank of `node`, a match of `step`, among its same-tag
   // siblings, via labels.
   size_t SiblingRank(NodeId node, const PlannedStep& step) {
-    const NodeId parent = FindParent(node);
-    if (parent == kNoNode) return 1;  // the scope
+    size_t parent_at = 0;
+    size_t node_after = 0;
+    const NodeId parent_id =
+        FindParent(view_.MakeNode(node), &parent_at, &node_after);
+    if (parent_id == kNoNode) return 1;  // the scope
     const TagList& list = step.step->name == "*" ? doc_.WithTag(doc_.tag(node))
                                                  : *step.list;
+    const Node parent = view_.MakeNode(parent_id);
     size_t rank = 0;
     ForEachChild(list, parent, FirstAfter(list, parent, 0), list.size(),
-                 [&](NodeId sib) {
+                 [&](const Node& sib) {
                    ++rank;
-                   return sib != node;
+                   return IdOf(sib) != node;
                  });
     return rank;
   }
 
+  // Where a predicate path's first step last stopped searching, and the
+  // key of the node it was asked from: a lower bound for any node after it.
+  struct PathCursor {
+    uint32_t key = 0;
+    size_t at = 0;
+    bool used = false;
+  };
+
   const LabeledDocument& doc_;
   const View view_;
   NodeId scope_;
-  std::vector<NodeId> context_;  // Run's step input
-  std::vector<NodeId> next_;     // Run's step output
+  std::vector<Node> context_;  // Run's step input
+  std::vector<Node> next_;     // Run's step output
+  std::vector<PathCursor> path_cursors_;  // by PlannedPath::slot
   uint64_t comparisons_ = 0;
   uint64_t scanned_ = 0;
   uint64_t sorted_ = 0;
   uint64_t counted_ = 0;
+  uint64_t ties_ = 0;
 };
 
 obs::Histogram* EvalNanos() {
@@ -733,26 +1005,33 @@ obs::Histogram* EvalNanos() {
   return h;
 }
 
-// Runs `query` in each of `scopes[0, n)` on one navigator; the matches in
-// scopes[k] go to sinks[k]. Scopes in document order, none inside another,
-// share the step cursors; any other pair starts them afresh.
+// Runs `query` in each of `scopes[0, n)` on one navigator. The matches go
+// to `*matches` (n == 1) when it is given; counts[k] receives the number
+// in scopes[k]. Scopes in document order, none inside another, share the
+// step cursors; any other pair starts them afresh.
 void RunScopes(const Query& query, const LabeledDocument& doc,
-               const NodeId* scopes, Sink* sinks, size_t n) {
+               const NodeId* scopes, size_t n, std::vector<NodeId>* matches,
+               uint64_t* counts) {
   QueriesCounter().Increment(n);
   obs::ScopedTimer timer(EvalNanos());
-  const std::vector<PlannedStep> plan = Plan(query.steps, doc);
+  size_t paths = 0;
+  const std::vector<PlannedStep> plan =
+      Plan(query.steps, doc, nullptr, &paths);
   std::vector<size_t> cursors(plan.size(), 0);
   uint64_t emitted = 0;
   WithView(doc.labeling(), [&](auto view) {
-    Navigator<decltype(view)> nav(doc, view);
+    using Node = typename decltype(view)::Node;
+    Navigator<decltype(view)> nav(doc, view, paths);
     for (size_t k = 0; k < n; ++k) {
       if (k > 0 && (view.CompareOrder(scopes[k - 1], scopes[k]) >= 0 ||
                     view.IsAncestor(scopes[k - 1], scopes[k]))) {
         std::fill(cursors.begin(), cursors.end(), 0);
       }
+      Sink<Node> sink = matches != nullptr ? Sink<Node>(matches) : Sink<Node>();
       nav.SetScope(scopes[k]);
-      nav.Run(plan, cursors.data(), &sinks[k]);
-      emitted += sinks[k].size();
+      nav.Run(plan, cursors.data(), &sink);
+      counts[k] = sink.size();
+      emitted += sink.size();
     }
   });
   NodesEmittedCounter().Increment(emitted);
@@ -776,26 +1055,23 @@ std::vector<NodeId> EvaluateQuery(const Query& query,
 std::vector<NodeId> EvaluateQuery(const Query& query,
                                   const LabeledDocument& doc, NodeId scope) {
   std::vector<NodeId> matches;
-  Sink sink(&matches);
-  RunScopes(query, doc, &scope, &sink, 1);
+  uint64_t count = 0;
+  RunScopes(query, doc, &scope, 1, &matches, &count);
   return matches;
 }
 
 uint64_t CountQuery(const Query& query, const LabeledDocument& doc,
                     NodeId scope) {
-  Sink sink;
-  RunScopes(query, doc, &scope, &sink, 1);
-  return sink.size();
+  uint64_t count = 0;
+  RunScopes(query, doc, &scope, 1, nullptr, &count);
+  return count;
 }
 
 std::vector<uint64_t> CountPerScope(const Query& query,
                                     const LabeledDocument& doc,
                                     const std::vector<NodeId>& scopes) {
-  std::vector<Sink> sinks(scopes.size());
-  RunScopes(query, doc, scopes.data(), sinks.data(), scopes.size());
-  std::vector<uint64_t> counts;
-  counts.reserve(sinks.size());
-  for (const Sink& sink : sinks) counts.push_back(sink.size());
+  std::vector<uint64_t> counts(scopes.size());
+  RunScopes(query, doc, scopes.data(), scopes.size(), nullptr, counts.data());
   return counts;
 }
 

@@ -38,6 +38,39 @@
 ///    descendant lies under an earlier child, so the rest of the last
 ///    child's subtree is galloped over, and a child `[n]` ends the scan at
 ///    the n-th child.
+///
+/// Where the labeling has order keys (V/F-Binary, V/F-CDBS), a context is
+/// an interval, not just an id (`KeyedId`): the id with the keys of its
+/// start and end, copied straight from the tag-list runs a span was taken
+/// from (query/tag_list.h). So:
+///
+///  * FirstAfter and SubtreeEnd from a context compare list keys with the
+///    context's own start or end key. Only when two keys tie does a lazy
+///    tie read the label columns (`query.eval.key_ties` counts ties; a tie
+///    with the context itself is decided by its id). A context that was
+///    visited one by one, not taken from a span, carries its start key and
+///    reads its end from the column when a search first needs it; one made
+///    from a bare id (the scope, a parent found by FindParent) reads its
+///    start there too. That is never more than the unkeyed path reads.
+///  * Whether a child step is a descendant span, and whether a step's
+///    contexts are an antichain, is decided once per step from list
+///    metadata: every context of a step is an id of the previous step's
+///    list (a predicate path's first step: of the tested step's list), so
+///    `min_level`/`max_level` of that list bound the contexts' levels, and
+///    a list that never `nested` yields antichains. The plan carries these
+///    decisions; contexts are asked only when the bounds leave it open, by
+///    their level, or by comparing carried keys for the antichain test.
+///  * The `*` child step walks the list of all elements child to child:
+///    inside a parent's span, the element past a child's subtree is the
+///    next child, found by one search on that child's end key. No level is
+///    read per candidate.
+///  * A predicate path's first step keeps its cursor from one tested node
+///    to the next while they ascend in key order, so it gallops on instead
+///    of searching from the front of its list.
+///
+/// Unkeyed schemes (Float, QED, Hybrid, the prefix schemes, Prime) take
+/// none of these: their contexts are ids and every decision is per
+/// context, as the bullets above describe.
 ///  * One forward cursor per step: the context list is strictly in document
 ///    order, so each context's first position in the step's list is never
 ///    before the previous one's, and the search gallops on from there

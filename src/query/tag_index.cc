@@ -1,8 +1,11 @@
 #include "query/tag_index.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <type_traits>
 #include <utility>
 
+#include "labeling/containment.h"
 #include "util/check.h"
 
 namespace cdbs::query {
@@ -12,6 +15,21 @@ namespace {
 const TagList& EmptyTagList() {
   static const TagList* const kEmpty = new TagList();
   return *kEmpty;
+}
+
+// Calls f(key_of, end_of) with readers of the start and end keys straight
+// from `lab`'s columns when it is a containment labeling over `Codec`;
+// returns whether it was.
+template <typename Codec, typename F>
+bool WithKeyColumns(const labeling::Labeling& lab, F&& f) {
+  const auto* containment =
+      dynamic_cast<const labeling::ContainmentLabeling<Codec>*>(&lab);
+  if (containment == nullptr) return false;
+  const auto& starts = containment->starts();
+  const auto& ends = containment->ends();
+  f([&starts](NodeId n) { return Codec::Key(starts[n]); },
+    [&ends](NodeId n) { return Codec::Key(ends[n]); });
+  return true;
 }
 
 }  // namespace
@@ -41,24 +59,55 @@ void LabeledDocument::Index(labeling::TreeSkeleton skeleton,
                             const labeling::LabelingScheme& scheme) {
   CDBS_CHECK(skeleton.size() == tags_.size());
   labeling_ = scheme.Label(std::move(skeleton));
-  const labeling::Labeling& lab = *labeling_;
-  const bool keyed = lab.HasOrderKeys();
-  all_elements_ = TagList(keyed);
+  const auto fill = [this](auto key_of, auto end_of) {
+    Fill(key_of, end_of);
+  };
+  if (!WithKeyColumns<labeling::CdbsContainmentCodec>(*labeling_, fill) &&
+      !WithKeyColumns<labeling::IntContainmentCodec>(*labeling_, fill)) {
+    CDBS_CHECK(!labeling_->HasOrderKeys());
+    Fill(nullptr, nullptr);
+  }
+}
+
+template <typename KeyOf, typename EndOf>
+void LabeledDocument::Fill(KeyOf key_of, EndOf end_of) {
+  constexpr bool kKeyed = !std::is_same_v<KeyOf, std::nullptr_t>;
+  all_elements_ = TagList(kKeyed);
   // Ids ascend in document order, so the tag lists are built by pure
-  // appends (runs sealed at kRunTarget). Levels come from the skeleton's
-  // column, not from per-node label decoding.
-  const labeling::TreeSkeleton& tree = lab.skeleton();
+  // appends (runs sealed at kRunTarget), and the elements enclosing a node
+  // are the last ones seen on each level above it: `open` holds their tags,
+  // `open_count` how many of them carry each tag. Levels come from the
+  // skeleton's column and keys from the label columns, with no per-node
+  // virtual call.
+  const labeling::TreeSkeleton& tree = labeling_->skeleton();
+  std::vector<TagId> open;
+  std::vector<uint32_t> open_count(pool_->size(), 0);
   for (NodeId id = 0; id < tags_.size(); ++id) {
     const TagId tag = tags_[id];
     if (tag == TagId{0}) continue;  // text node
     const int level = tree.level(id);
-    const uint32_t key = keyed ? lab.OrderKey(id) : 0;
-    all_elements_.Append(id, key);
-    all_elements_.RaiseMaxLevel(level);
-    TagList& list = by_tag_.try_emplace(tag, keyed).first->second;
-    list.Append(id, key);
-    list.RaiseMaxLevel(level);
+    while (open.size() >= static_cast<size_t>(level)) {
+      --open_count[open.back()];
+      open.pop_back();
+    }
+    TagList& list = by_tag_.try_emplace(tag, kKeyed, kKeyed).first->second;
+    if (!open.empty()) all_elements_.MarkNested();
+    if (open_count[tag] > 0) list.MarkNested();
+    open.push_back(tag);
+    ++open_count[tag];
+    if constexpr (kKeyed) {
+      const uint32_t key = key_of(id);
+      all_elements_.Append(id, key);
+      list.Append(id, key, end_of(id));
+    } else {
+      all_elements_.Append(id);
+      list.Append(id);
+    }
+    all_elements_.NoteLevel(level);
+    list.NoteLevel(level);
   }
+  all_elements_.Seal();
+  for (auto& [tag, list] : by_tag_) list.Seal();
 }
 
 void LabeledDocument::CheckKeys(const TagList& list, size_t from,
@@ -66,9 +115,11 @@ void LabeledDocument::CheckKeys(const TagList& list, size_t from,
 #ifndef NDEBUG
   const labeling::Labeling& lab = *labeling_;
   CDBS_CHECK(list.keyed() == lab.HasOrderKeys());
+  CDBS_CHECK(list.has_end_keys() == (list.keyed() && &list != &all_elements_));
   CDBS_CHECK(list.SpineConsistent());
   CDBS_CHECK(list.KeysMatch([&lab](NodeId n) { return lab.OrderKey(n); },
-                            from, to));
+                            [&lab](NodeId n) { return lab.EndKey(n); }, from,
+                            to));
 #else
   static_cast<void>(list);
   static_cast<void>(from);
@@ -118,17 +169,27 @@ labeling::InsertResult LabeledDocument::InsertSibling(
   const uint32_t key = keyed ? lab.OrderKey(id) : 0;
   const int level = lab.Level(id);
   const size_t all_at = all_elements_.InsertSorted(id, less, key);
-  all_elements_.RaiseMaxLevel(level);
-  TagList& list = by_tag_.try_emplace(tag_id, keyed).first->second;
-  const size_t at = list.InsertSorted(id, less, key);
-  list.RaiseMaxLevel(level);
+  all_elements_.NoteLevel(level);
+  all_elements_.MarkNested();  // below its parent, an element
+  TagList& list = by_tag_.try_emplace(tag_id, keyed, keyed).first->second;
+  const size_t at =
+      list.InsertSorted(id, less, key, keyed ? lab.EndKey(id) : 0);
+  list.NoteLevel(level);
+  // The new node is a leaf, so it nests in its list iff an ancestor
+  // carries its tag. Index maintenance, not a relationship predicate.
+  const labeling::TreeSkeleton& tree = lab.skeleton();
+  for (NodeId p = tree.parent(id); p != labeling::kNoNode && !list.nested();
+       p = tree.parent(p)) {
+    if (tags_[p] == tag_id) list.MarkNested();
+  }
   if (keyed && (result.relabeled > 0 || result.overflow)) {
     // The insert moved other labels: a V-Binary shift or a re-encode.
     const auto key_of = [&lab](NodeId n) { return lab.OrderKey(n); };
-    all_elements_.Rekey(key_of);
+    const auto end_of = [&lab](NodeId n) { return lab.EndKey(n); };
+    all_elements_.Rekey(key_of, end_of);
     CheckKeys(all_elements_, 0, all_elements_.size());
     for (auto& [other_tag, other] : by_tag_) {
-      other.Rekey(key_of);
+      other.Rekey(key_of, end_of);
       CheckKeys(other, 0, other.size());
     }
   } else {

@@ -18,10 +18,17 @@
 /// structural joins over labels, which is where the schemes' costs diverge.
 ///
 /// Every tag list of a labeling with order keys (Labeling::HasOrderKeys)
-/// is keyed: each id is stored with its key, and this class alone keeps
-/// the keys equal to the labeling's, across inserts, relabels and deletes.
-/// The keys live in memory only; nothing on disk or on the wire carries
-/// them.
+/// is keyed: each id is stored with its start key (OrderKey), and in the
+/// per-tag lists also with its end key (EndKey), so a per-tag entry is the
+/// element's whole interval; the list of all elements keeps start keys
+/// only. This class alone keeps the keys equal to the labeling's, across
+/// inserts, relabels and deletes; Index fills them in its one pass straight
+/// from the label columns and seals every list, which computes each run's
+/// key summary. It also keeps each list's level bounds and `nested` flag
+/// (query/tag_list.h): Index sets them in the same pass, an insert walks
+/// the new leaf's skeleton parents for an ancestor with its tag, and an
+/// erase never narrows them. The keys live in memory only; nothing on disk
+/// or on the wire carries them.
 ///
 /// Everything per-node is copy-on-write (util/cow_vector.h,
 /// query/tag_list.h): `Fork()` — the unit the concurrent engine publishes
@@ -82,12 +89,13 @@ class LabeledDocument {
 
   /// Inserts a new element tagged `tag` as the sibling just before
   /// `target` (after it when `before` is false) and returns the labeling's
-  /// result. Records the tag and splices the id, with its order key on a
-  /// keyed labeling, into the document-ordered tag lists (position found by
-  /// label-order binary search; one run per list is copied), raising their
-  /// max_level() to its level. When the insert moved other labels (a
-  /// V-Binary shift, an overflow re-encode), every key is recomputed, and
-  /// only the runs whose keys changed are copied.
+  /// result. Records the tag and splices the id, with its keys on a keyed
+  /// labeling, into the document-ordered tag lists (position found by
+  /// label-order binary search; one run per list is copied), widening their
+  /// level bounds to its level and marking its tag's list nested when an
+  /// ancestor carries the same tag. When the insert moved other labels (a
+  /// V-Binary shift, an overflow re-encode), every start and end key is
+  /// recomputed, and only the runs whose keys changed are copied.
   labeling::InsertResult InsertSibling(NodeId target, bool before,
                                        const std::string& tag);
 
@@ -106,9 +114,16 @@ class LabeledDocument {
   void Index(labeling::TreeSkeleton skeleton,
              const labeling::LabelingScheme& scheme);
 
-  // Debug builds: after a write, checks that `list`'s spine agrees with its
-  // runs and that the keys of the runs holding [from, to) are the
-  // labeling's OrderKey of their ids.
+  // Index's pass: appends every element to its lists, keyed by
+  // key_of/end_of (nullptr for an unkeyed labeling), notes levels and
+  // nesting, then seals the lists.
+  template <typename KeyOf, typename EndOf>
+  void Fill(KeyOf key_of, EndOf end_of);
+
+  // Debug builds: after a write, checks that `list`'s spine and summaries
+  // agree with its runs and that the keys of the runs holding [from, to)
+  // are the labeling's OrderKey of their ids, and the end keys its
+  // EndKey.
   void CheckKeys(const TagList& list, size_t from, size_t to) const;
 
   std::unique_ptr<labeling::Labeling> labeling_;

@@ -43,17 +43,29 @@ TagList::Run* TagList::MutableRun(size_t r) {
     util::CowStats& stats = util::CowStats::Local();
     ++stats.chunk_copies;
     stats.bytes_copied += run->ids.size() * sizeof(NodeId) +
-                          run->keys.size() * sizeof(uint32_t);
+                          (run->keys.size() + run->ends.size()) *
+                              sizeof(uint32_t);
     run = std::make_shared<Run>(*run);
   }
   return run.get();
+}
+
+void TagList::Summarize(Run* run) const {
+  if (!keyed_) return;
+  const size_t n = run->ids.size();
+  CDBS_CHECK(SummarySlots(n) <= kSummarySlots);
+  run->keys[0] = static_cast<uint32_t>(n);
+  for (size_t j = 0; j < SummarySlots(n); ++j) {
+    run->keys[1 + j] = run->key(j * kSummaryStride);
+  }
 }
 
 void TagList::RefreshFence(size_t r) {
   const Run& run = *runs_[r];
   Fence& fence = fences_[r];
   fence.ids = run.ids.data();
-  fence.keys = keyed_ ? run.keys.data() : nullptr;
+  fence.keys = keyed_ ? run.keys.data() + kKeyHead : nullptr;
+  fence.ends = end_keys_ ? run.ends.data() : nullptr;
   fence.last_key = keyed_ ? run.keys.back() : 0;
 }
 
@@ -81,12 +93,22 @@ bool TagList::SpineConsistent() const {
     const Run& run = *runs_[r];
     const Fence& fence = fences_[r];
     if (run.ids.empty()) return false;
-    if (run.keys.size() != (keyed_ ? run.ids.size() : 0)) return false;
+    if (run.keys.size() != (keyed_ ? kKeyHead + run.ids.size() : 0)) {
+      return false;
+    }
+    if (run.ends.size() != (end_keys_ ? run.ids.size() : 0)) return false;
     total += run.ids.size();
     if (fence.cum != total || fence.ids != run.ids.data()) return false;
-    if (keyed_ && (fence.keys != run.keys.data() ||
+    if (keyed_ && (fence.keys != run.keys.data() + kKeyHead ||
                    fence.last_key != run.keys.back())) {
       return false;
+    }
+    if (fence.ends != (end_keys_ ? run.ends.data() : nullptr)) return false;
+    // A summary covers a prefix of the run: the ids it was computed over.
+    const size_t covered = keyed_ ? run.keys[0] : 0;
+    if (covered > run.ids.size()) return false;
+    for (size_t j = 0; j < SummarySlots(covered); ++j) {
+      if (run.keys[1 + j] != run.key(j * kSummaryStride)) return false;
     }
   }
   const size_t block = size_t{1} << kBlockLog2;
@@ -101,18 +123,33 @@ bool TagList::SpineConsistent() const {
   return true;
 }
 
-void TagList::Append(NodeId id, uint32_t key) {
+size_t TagList::summarized_runs() const {
+  size_t count = 0;
+  for (const std::shared_ptr<Run>& run : runs_) {
+    count += keyed_ && run->keys[0] == run->ids.size();
+  }
+  return count;
+}
+
+void TagList::Append(NodeId id, uint32_t key, uint32_t end_key) {
   const size_t n = size();
   if (runs_.empty() || runs_.back()->ids.size() >= kRunTarget) {
+    Seal();
     auto run = std::make_shared<Run>();
     run->ids.reserve(kRunTarget);
-    if (keyed_) run->keys.reserve(kRunTarget);
+    if (keyed_) {
+      run->keys.reserve(kKeyHead + kRunTarget);
+      run->keys.assign(kKeyHead, 0);  // no summary yet
+    }
+    if (end_keys_) run->ends.reserve(kRunTarget);
     runs_.push_back(std::move(run));
-    fences_.push_back(Fence{0, static_cast<uint32_t>(n), nullptr, nullptr});
+    fences_.push_back(Fence{0, static_cast<uint32_t>(n), nullptr, nullptr,
+                            nullptr});
   }
   Run* run = MutableRun(runs_.size() - 1);
   run->ids.push_back(id);
   if (keyed_) run->keys.push_back(key);
+  if (end_keys_) run->ends.push_back(end_key);
   ++fences_.back().cum;
   RefreshFence(runs_.size() - 1);
   if ((n & ((size_t{1} << kBlockLog2) - 1)) == 0) {
@@ -120,9 +157,26 @@ void TagList::Append(NodeId id, uint32_t key) {
   }
 }
 
-void TagList::InsertAt(size_t pos, NodeId id, uint32_t key) {
+void TagList::Seal() {
+  if (!keyed_ || runs_.empty() ||
+      runs_.back()->keys[0] == runs_.back()->ids.size()) {
+    return;
+  }
+  Run* run = MutableRun(runs_.size() - 1);
+  // A bulk build reserved kRunTarget entries; a sealed run keeps only its
+  // own.
+  run->ids.shrink_to_fit();
+  run->keys.shrink_to_fit();
+  run->ends.shrink_to_fit();
+  Summarize(run);
+  RefreshFence(runs_.size() - 1);
+}
+
+void TagList::InsertAt(size_t pos, NodeId id, uint32_t key,
+                       uint32_t end_key) {
   if (runs_.empty()) {
-    Append(id, key);
+    Append(id, key, end_key);
+    Seal();
     return;
   }
   // pos == size() lands in the final run (append to it rather than opening
@@ -131,7 +185,8 @@ void TagList::InsertAt(size_t pos, NodeId id, uint32_t key) {
   const size_t offset = pos - RunStart(r);
   Run* run = MutableRun(r);
   run->ids.insert(run->ids.begin() + offset, id);
-  if (keyed_) run->keys.insert(run->keys.begin() + offset, key);
+  if (keyed_) run->keys.insert(run->keys.begin() + kKeyHead + offset, key);
+  if (end_keys_) run->ends.insert(run->ends.begin() + offset, end_key);
   if (run->ids.size() > kRunMax) {
     // Split in half so both halves accept ~kRunTarget further splices
     // before copying more than kRunMax ids again.
@@ -140,11 +195,19 @@ void TagList::InsertAt(size_t pos, NodeId id, uint32_t key) {
     right->ids.assign(run->ids.begin() + half, run->ids.end());
     run->ids.resize(half);
     if (keyed_) {
-      right->keys.assign(run->keys.begin() + half, run->keys.end());
-      run->keys.resize(half);
+      right->keys.assign(kKeyHead, 0);
+      right->keys.insert(right->keys.end(), run->keys.begin() + kKeyHead + half,
+                         run->keys.end());
+      run->keys.resize(kKeyHead + half);
     }
+    if (end_keys_) {
+      right->ends.assign(run->ends.begin() + half, run->ends.end());
+      run->ends.resize(half);
+    }
+    Summarize(right.get());
     runs_.insert(runs_.begin() + r + 1, std::move(right));
   }
+  Summarize(run);
   RebuildSpine();
 }
 
@@ -169,11 +232,14 @@ size_t TagList::ErasePositions(std::vector<size_t>* positions) {
         continue;
       }
       run->ids[out] = run->ids[i];
-      if (keyed_) run->keys[out] = run->keys[i];
+      if (keyed_) run->key(out) = run->key(i);
+      if (end_keys_) run->ends[out] = run->ends[i];
       ++out;
     }
     run->ids.resize(out);
-    if (keyed_) run->keys.resize(out);
+    if (keyed_) run->keys.resize(kKeyHead + out);
+    if (end_keys_) run->ends.resize(out);
+    Summarize(run);
     p = q;
   }
   // Drop emptied runs.
@@ -196,6 +262,26 @@ void TagList::AppendRange(size_t from, size_t to,
     const NodeId* ids = fences_[r].ids;
     const size_t take = std::min(RunSize(r) - offset, to - from);
     out->insert(out->end(), ids + offset, ids + offset + take);
+    from += take;
+    ++r;
+    offset = 0;
+  }
+}
+
+void TagList::AppendRange(size_t from, size_t to,
+                          std::vector<KeyedId>* out) const {
+  if (from >= to) return;  // the shared empty list of an unknown tag
+  CDBS_CHECK(keyed_ && to <= size());
+  size_t r = RunOf(from);
+  size_t offset = from - RunStart(r);
+  while (from < to) {
+    const Fence& fence = fences_[r];
+    const size_t take = std::min(RunSize(r) - offset, to - from);
+    for (size_t i = offset; i < offset + take; ++i) {
+      out->push_back({fence.ids[i], fence.keys[i],
+                      fence.ends != nullptr ? fence.ends[i]
+                                            : KeyedId::kNoEndKey});
+    }
     from += take;
     ++r;
     offset = 0;

@@ -16,12 +16,14 @@
 /// The COW building blocks of the tag index (query/tag_index.h):
 ///
 ///  * `TagList` — a document-ordered node-id list stored as a sequence of
-///    immutable sorted runs held by `shared_ptr`, each id with a 32-bit
-///    order key where the labeling has one. Forking shares every run;
-///    splicing or erasing path-copies only the touched run. This is what
-///    makes snapshot publication O(touched): the hot write path
+///    immutable sorted runs held by `shared_ptr`. Where the labeling has
+///    order keys each id carries the 32-bit key of its start, and in the
+///    per-tag lists also the key of its end: the entry is the element's
+///    whole interval. Forking shares every run; splicing or erasing
+///    path-copies only the touched run. This is what makes snapshot
+///    publication O(touched): the hot write path
 ///    (`LabeledDocument::InsertSibling`) copies one run of at most kRunMax
-///    ids and keys instead of a whole per-tag vector.
+///    entries instead of a whole per-tag vector.
 ///  * `TagPool` — an immutable interning pool mapping tag names to dense
 ///    `TagId`s. All snapshot versions share one pool by `shared_ptr`;
 ///    interning a brand-new tag name (rare) copies the pool, never touching
@@ -79,6 +81,19 @@ inline constexpr bool kIsKeyProbe = false;
 template <typename Tie>
 inline constexpr bool kIsKeyProbe<KeyProbe<Tie>> = true;
 
+/// A node id with the keys of its interval's start and end, as a keyed
+/// list's entries hold them: what the evaluator's contexts carry, so a
+/// search from a context reads no label column unless a key ties.
+struct KeyedId {
+  /// An end key not at hand (the list stores none): read the label
+  /// instead. A real end key of this value is only read again.
+  static constexpr uint32_t kNoEndKey = UINT32_MAX;
+
+  NodeId id = 0;
+  uint32_t key = 0;              ///< key of the start (Labeling::OrderKey)
+  uint32_t end_key = kNoEndKey;  ///< key of the end (Labeling::EndKey)
+};
+
 /// A document-ordered list of node ids as COW sorted runs. Forks share all
 /// runs; one insert or erase copies exactly one run (plus an O(#runs)
 /// spine rebuild). Reads are allocation-free.
@@ -86,15 +101,32 @@ inline constexpr bool kIsKeyProbe<KeyProbe<Tie>> = true;
 /// A keyed list also stores, next to each id in the same run, a 32-bit key:
 /// an order-preserving abbreviation of the id's label (LabeledDocument
 /// keeps it equal to the labeling's OrderKey). A search then probes the
-/// run's contiguous keys and reads a label only on a tie. Two spine arrays,
-/// rebuilt whenever runs change, spare a search every pointer chase but the
-/// one into the run it lands in:
+/// run's contiguous keys and reads a label only on a tie. A list with end
+/// keys (`has_end_keys`) stores a third array, the abbreviation of each
+/// id's end value (Labeling::EndKey), so an entry is (id, start key, end
+/// key): all that a containment step needs from a context.
+///
+/// A keyed run also keeps a summary, every kSummaryStride-th key, at the
+/// head of its key array, where a search that lands in the run reads it
+/// first: it then reads one stride of keys instead of probing across the
+/// whole run. The summary is computed when a run is sealed (a bulk build
+/// moves on to the next run, or `Seal` is called) or copied by a splice,
+/// an erase or a rekey; `Append` never touches it, and a run that has grown
+/// since its summary was computed is searched without one.
+///
+/// Two spine arrays, rebuilt whenever runs change, spare a search every
+/// pointer chase but the one into the run it lands in:
 ///
 ///  * the run directory maps each block of 2^kBlockLog2 logical indexes to
 ///    the run holding its first index, so finding an index's run is O(1);
 ///  * the fences hold, for each run, its cumulative count, its last key and
-///    pointers to its ids and keys, so a gallop across runs reads one
-///    contiguous array.
+///    pointers to its ids, keys and end keys, so a gallop across runs reads
+///    one contiguous array of 32-byte entries.
+///
+/// The list also keeps bounds on its entries' tree levels and whether any
+/// entry ever had an ancestor with the same tag (`nested`), so a query step
+/// can decide once, for all its contexts, whether a child step is a
+/// descendant span and whether its contexts are an antichain.
 class TagList {
  public:
   /// Runs are sealed at kRunTarget ids during in-order bulk builds and
@@ -103,9 +135,16 @@ class TagList {
   static constexpr size_t kRunMax = 512;
   /// log2 of the logical indexes one run-directory entry covers.
   static constexpr size_t kBlockLog2 = 7;
+  /// A run's summary holds the keys at offsets 0, kSummaryStride, ...
+  static constexpr size_t kSummaryStride = 16;
+  /// Entries a keyed search gallops through (probing lo, lo+1, lo+3, lo+7)
+  /// before it turns to the run's last key and summary.
+  static constexpr size_t kNearProbes = 8;
 
-  /// An unkeyed list, or a keyed one: every entry then carries a key.
-  explicit TagList(bool keyed = false) : keyed_(keyed) {}
+  /// An unkeyed list, or a keyed one: every entry then carries a key, and
+  /// with `end_keys` also an end key.
+  explicit TagList(bool keyed = false, bool end_keys = false)
+      : keyed_(keyed), end_keys_(keyed && end_keys) {}
 
   /// O(#runs) spine copy; every run becomes shared.
   TagList(const TagList& other)
@@ -113,7 +152,10 @@ class TagList {
         fences_(other.fences_),
         directory_(other.directory_),
         max_level_(other.max_level_),
-        keyed_(other.keyed_) {
+        min_level_(other.min_level_),
+        nested_(other.nested_),
+        keyed_(other.keyed_),
+        end_keys_(other.end_keys_) {
     util::CowStats::Local().chunks_shared += runs_.size();
   }
   TagList& operator=(const TagList& other) {
@@ -122,7 +164,10 @@ class TagList {
       fences_ = other.fences_;
       directory_ = other.directory_;
       max_level_ = other.max_level_;
+      min_level_ = other.min_level_;
+      nested_ = other.nested_;
       keyed_ = other.keyed_;
+      end_keys_ = other.end_keys_;
       util::CowStats::Local().chunks_shared += runs_.size();
     }
     return *this;
@@ -134,15 +179,32 @@ class TagList {
   bool empty() const { return size() == 0; }
   size_t run_count() const { return runs_.size(); }
   bool keyed() const { return keyed_; }
+  /// Whether every entry also carries its end key (keyed lists only).
+  bool has_end_keys() const { return end_keys_; }
 
   /// An upper bound on the tree level of every id the list has ever held
   /// (0 for a list that never held one). Erasing never lowers it. A node
   /// at level max_level() - 1 or deeper has only children below it in the
   /// list, so a child step from it is its whole descendant span.
   int max_level() const { return max_level_; }
-  /// Raises max_level() to `level` if it is lower; call with the level of
-  /// every id added.
-  void RaiseMaxLevel(int level) { max_level_ = std::max(max_level_, level); }
+  /// A lower bound on the tree level of every id the list has ever held
+  /// (0 for a list that never held one). Erasing never raises it. When
+  /// min_level() + 1 >= another list's max_level(), a child step from any
+  /// id of this list into that one is a descendant span.
+  int min_level() const { return min_level_; }
+  /// Widens [min_level(), max_level()] to take `level`; call with the
+  /// level of every id added.
+  void NoteLevel(int level) {
+    min_level_ = max_level_ == 0 ? level : std::min(min_level_, level);
+    max_level_ = std::max(max_level_, level);
+  }
+
+  /// True once an id of the list has had an ancestor that carries the same
+  /// tag (for the list of all elements: any element below another). Never
+  /// cleared, not even by an erase. While it is false, no id of the list is
+  /// an ancestor of another, so any subset of it is an antichain.
+  bool nested() const { return nested_; }
+  void MarkNested() { nested_ = true; }
 
   /// Random access by logical index: O(1).
   NodeId operator[](size_t i) const {
@@ -157,12 +219,22 @@ class TagList {
     return fences_[r].keys[i - RunStart(r)];
   }
 
+  /// The end key stored with the id at logical index `i` (lists with end
+  /// keys only).
+  uint32_t end_key(size_t i) const {
+    CDBS_DCHECK(end_keys_);
+    const size_t r = RunOf(i);
+    return fences_[r].ends[i - RunStart(r)];
+  }
+
   /// Allocation-free forward iterator with O(1) increment; the sequential
   /// complement to operator[]'s random access.
   class Iterator {
    public:
     Iterator() = default;
     NodeId operator*() const { return list_->fences_[run_].ids[offset_]; }
+    /// The key stored with the entry (keyed lists only).
+    uint32_t key() const { return list_->fences_[run_].keys[offset_]; }
     Iterator& operator++() {
       if (++offset_ == list_->RunSize(run_)) {
         ++run_;
@@ -209,7 +281,10 @@ class TagList {
   /// O(log k) for an answer k places on. When the whole run holds, it
   /// gallops over the fences' last entries of later runs, then
   /// binary-searches the run it lands in. So a call reads the fences and
-  /// one or two runs. Adds the number of probes to `*probes`.
+  /// one or two runs. A key probe reads only `from`'s key before the run's
+  /// last key (in its fence) says whether the answer lies in a later run;
+  /// otherwise the summary narrows the rest of the run to one stride (see
+  /// SearchRun). Adds the number of probes to `*probes`.
   template <typename Probe>
   size_t PartitionPoint(size_t from, size_t to, const Probe& probe,
                         uint64_t* probes) const {
@@ -222,7 +297,13 @@ class TagList {
     const auto in_run = [this, &probe, &r](size_t i) {
       return Holds(probe, fences_[r], i);
     };
-    size_t at = Gallop(from - start, stop - start, in_run, &count);
+    size_t at = 0;
+    if constexpr (kIsKeyProbe<Probe>) {
+      at = SearchRun(probe, fences_[r], RunSize(r), from - start,
+                     stop - start, &count);
+    } else {
+      at = Gallop(from - start, stop - start, in_run, &count);
+    }
     if (at == stop - start && stop < to) {
       // All of run r's in-range part holds: find the first later run whose
       // last in-range element fails, then search inside it.
@@ -247,24 +328,37 @@ class TagList {
       stop = std::min<size_t>(fences_[r].cum, to);
       // The run's last in-range element fails; everything before the run
       // holds.
-      at = Bisect(0, stop - start - 1, in_run, &count);
+      if constexpr (kIsKeyProbe<Probe>) {
+        at = BisectRun(probe, fences_[r], RunSize(r), 0, stop - start - 1,
+                       &count);
+      } else {
+        at = Bisect(0, stop - start - 1, in_run, &count);
+      }
     }
     *probes += count;
     return start + at;
   }
 
-  /// Appends `id` with its `key` (ignored on an unkeyed list); `id` must
-  /// come last in the list's order: in-order bulk build. Touches only the
-  /// final run.
-  void Append(NodeId id, uint32_t key = 0);
+  /// Appends `id` with its `key` and `end_key` (each ignored on a list
+  /// that does not store it); `id` must come last in the list's order:
+  /// in-order bulk build. Touches only the final run. Opening a new run
+  /// seals the full one before it.
+  void Append(NodeId id, uint32_t key = 0, uint32_t end_key = 0);
 
-  /// Splices `id` (with its `key` on a keyed list) at its ordered position
-  /// under `less` (a strict weak order; here: label document order).
-  /// Copies exactly the touched run. Returns the position.
+  /// Seals the final run: computes its key summary and drops the room a
+  /// bulk build reserved in it. Call when a bulk build ends; the runs
+  /// before it were sealed as the build moved on.
+  void Seal();
+
+  /// Splices `id` (with its `key` and `end_key` where the list stores
+  /// them) at its ordered position under `less` (a strict weak order;
+  /// here: label document order). Copies exactly the touched run. Returns
+  /// the position.
   template <typename Less>
-  size_t InsertSorted(NodeId id, Less less, uint32_t key = 0) {
+  size_t InsertSorted(NodeId id, Less less, uint32_t key = 0,
+                      uint32_t end_key = 0) {
     const size_t pos = UpperBound(id, less);
-    InsertAt(pos, id, key);
+    InsertAt(pos, id, key, end_key);
 #ifndef NDEBUG
     // O(1) inductive sortedness pin: the splice landed strictly between its
     // neighbors, so runs that were sorted stay sorted.
@@ -317,18 +411,27 @@ class TagList {
     return ErasePositions(&positions);
   }
 
-  /// Sets every key of a keyed list to key_of(id), as after a relabel that
-  /// moved labels. Copies only the runs whose keys change.
-  template <typename KeyOf>
-  void Rekey(KeyOf key_of) {
+  /// Sets every key of a keyed list to key_of(id), and every end key (on a
+  /// list with them) to end_of(id), as after a relabel that moved labels.
+  /// Copies only the runs whose keys change, and summarizes them again.
+  template <typename KeyOf, typename EndOf>
+  void Rekey(KeyOf key_of, EndOf end_of) {
     CDBS_DCHECK(keyed_);
+    const auto matches = [this, &key_of, &end_of](const Run& run, size_t i) {
+      return run.key(i) == key_of(run.ids[i]) &&
+             (!end_keys_ || run.ends[i] == end_of(run.ids[i]));
+    };
     for (size_t r = 0; r < runs_.size(); ++r) {
       const Run& run = *runs_[r];
       size_t i = 0;
-      while (i < run.ids.size() && run.keys[i] == key_of(run.ids[i])) ++i;
+      while (i < run.ids.size() && matches(run, i)) ++i;
       if (i == run.ids.size()) continue;
       Run* copy = MutableRun(r);
-      for (; i < copy->ids.size(); ++i) copy->keys[i] = key_of(copy->ids[i]);
+      for (; i < copy->ids.size(); ++i) {
+        copy->key(i) = key_of(copy->ids[i]);
+        if (end_keys_) copy->ends[i] = end_of(copy->ids[i]);
+      }
+      Summarize(copy);
       RefreshFence(r);
     }
   }
@@ -337,6 +440,10 @@ class TagList {
   /// at a time. Leaves the growth of `*out` to the vector's own geometric
   /// policy, so repeated appends stay amortized linear.
   void AppendRange(size_t from, size_t to, std::vector<NodeId>* out) const;
+
+  /// The same for a keyed list, copying each id with its key and end key
+  /// straight from the runs (kNoEndKey on a list without end keys).
+  void AppendRange(size_t from, size_t to, std::vector<KeyedId>* out) const;
 
   /// Materializes the list (for callers that need a plain vector, e.g. the
   /// structural-join pipeline seed).
@@ -359,48 +466,142 @@ class TagList {
   }
 
   /// Debug invariant: no run is empty, a keyed list's runs carry one key
-  /// per id, and the fences and the run directory agree with the runs.
+  /// (and, with end keys, one end key) per id, every summary that covers
+  /// its run holds the run's keys at its stride, and the fences and the run
+  /// directory agree with the runs.
   bool SpineConsistent() const;
 
+  /// Number of runs whose key summary covers them (searches use it).
+  size_t summarized_runs() const;
+
   /// Debug invariant: every key of each run that holds an index of
-  /// [from, to) equals key_of of its id. Indexes past size() are ignored.
-  template <typename KeyOf>
-  bool KeysMatch(KeyOf key_of, size_t from, size_t to) const {
+  /// [from, to) equals key_of of its id, and every end key (on a list with
+  /// them) end_of of its id. Indexes past size() are ignored.
+  template <typename KeyOf, typename EndOf>
+  bool KeysMatch(KeyOf key_of, EndOf end_of, size_t from, size_t to) const {
     if (!keyed_) return true;
     to = std::min(to, size());
     for (size_t r = from < to ? RunOf(from) : runs_.size();
          r < runs_.size() && RunStart(r) < to; ++r) {
       const Run& run = *runs_[r];
       for (size_t i = 0; i < run.ids.size(); ++i) {
-        if (run.keys[i] != key_of(run.ids[i])) return false;
+        if (run.key(i) != key_of(run.ids[i])) return false;
+        if (end_keys_ && run.ends[i] != end_of(run.ids[i])) return false;
       }
     }
     return true;
   }
 
  private:
+  /// Summary slots a run can need: runs hold at most kRunMax ids at rest.
+  static constexpr size_t kSummarySlots = kRunMax / kSummaryStride;
+  /// Words ahead of a keyed run's first key: the number of ids its summary
+  /// was computed over, then the summary's slots.
+  static constexpr size_t kKeyHead = 1 + kSummarySlots;
+
   struct Run {
     std::vector<NodeId> ids;
-    std::vector<uint32_t> keys;  ///< one per id on a keyed list, else empty
+    /// On a keyed list, the head (kKeyHead words) and then one key per id;
+    /// empty on an unkeyed one.
+    std::vector<uint32_t> keys;
+    std::vector<uint32_t> ends;  ///< one per id with end keys, else empty
+
+    uint32_t& key(size_t i) { return keys[kKeyHead + i]; }
+    uint32_t key(size_t i) const { return keys[kKeyHead + i]; }
   };
 
   /// Run r as a search reads it, without dereferencing its shared_ptr.
   struct Fence {
     uint32_t last_key = 0;  ///< the run's last key (keyed lists)
     uint32_t cum = 0;       ///< ids in runs [0, r]
-    const uint32_t* keys = nullptr;
+    const uint32_t* keys = nullptr;  ///< the first key, past the head
     const NodeId* ids = nullptr;
+    const uint32_t* ends = nullptr;  ///< lists with end keys
   };
+
+  static size_t SummarySlots(size_t n) {
+    return (n + kSummaryStride - 1) / kSummaryStride;
+  }
+
+  /// Whether a key probe holds at an entry with key `k` and id `id`.
+  template <typename Probe>
+  static bool HoldsKey(const Probe& probe, uint32_t k, NodeId id) {
+    return k != probe.key ? k < probe.key : probe.tie(id);
+  }
 
   /// Whether `probe` holds at entry `i` of the run behind `fence`.
   template <typename Probe>
   static bool Holds(const Probe& probe, const Fence& fence, size_t i) {
     if constexpr (kIsKeyProbe<Probe>) {
-      const uint32_t k = fence.keys[i];
-      return k != probe.key ? k < probe.key : probe.tie(fence.ids[i]);
+      return HoldsKey(probe, fence.keys[i], fence.ids[i]);
     } else {
       return probe(fence.ids[i]);
     }
+  }
+
+  /// First index of [lo, hi) of the run behind `fence`, which holds `n`
+  /// ids, at which key probe `probe` fails, given a true prefix. Over a
+  /// range wider than two strides it bisects the run's summary first, when
+  /// that was computed over all n ids, and then only the stride of keys the
+  /// answer lies in.
+  template <typename Probe>
+  static size_t BisectRun(const Probe& probe, const Fence& fence, size_t n,
+                          size_t lo, size_t hi, uint64_t* count) {
+    const uint32_t* head = fence.keys - kKeyHead;
+    if (hi - lo > 2 * kSummaryStride && head[0] == n) {
+      // Slots j with lo < j * kSummaryStride < hi.
+      const size_t first = lo / kSummaryStride + 1;
+      const size_t stop = (hi - 1) / kSummaryStride + 1;
+      const size_t j = Bisect(
+          first, stop,
+          [&probe, &fence, head](size_t s) {
+            return HoldsKey(probe, head[1 + s], fence.ids[s * kSummaryStride]);
+          },
+          count);
+      if (j > first) lo = (j - 1) * kSummaryStride + 1;
+      if (j < stop) hi = j * kSummaryStride;
+    }
+    return Bisect(
+        lo, hi, [&probe, &fence](size_t i) { return Holds(probe, fence, i); },
+        count);
+  }
+
+  /// A key probe's search of [lo, hi) in the run behind `fence`, which
+  /// holds `n` ids (BisectRun's contract). It first gallops through the
+  /// kNearProbes entries from lo, where a search from a cursor usually
+  /// ends, within a cache line or two. Past them, the range's last
+  /// entry (read from the fence when it ends the run, hi == n) says whether
+  /// the answer lies beyond; if not, a gallop over the summary's slots from
+  /// lo on finds the stride it lies in, and a bisection of that stride
+  /// ends the search. So an answer k places on reads lo's keys, the
+  /// summary and one stride, not the keys between. A run whose summary does
+  /// not cover it is galloped through instead.
+  template <typename Probe>
+  static size_t SearchRun(const Probe& probe, const Fence& fence, size_t n,
+                          size_t lo, size_t hi, uint64_t* count) {
+    const auto holds = [&probe, &fence](size_t i) {
+      return Holds(probe, fence, i);
+    };
+    const uint32_t* head = fence.keys - kKeyHead;
+    if (head[0] != n) return Gallop(lo, hi, holds, count);
+    const size_t near = std::min(hi, lo + kNearProbes);
+    const size_t at = Gallop(lo, near, holds, count);
+    if (at < near || near == hi) return at;
+    lo = near - 1;
+    ++*count;
+    const bool last_holds =
+        hi == n ? HoldsKey(probe, fence.last_key, fence.ids[hi - 1])
+                : holds(hi - 1);
+    if (last_holds) return hi;
+    // The answer lies in (lo, hi - 1]. Slots j with lo < j * stride < hi.
+    const size_t first = lo / kSummaryStride + 1;
+    const size_t stop = (hi - 1) / kSummaryStride + 1;
+    const auto slot_holds = [&probe, &fence, head](size_t j) {
+      return HoldsKey(probe, head[1 + j], fence.ids[j * kSummaryStride]);
+    };
+    const size_t j = Gallop(first, stop, slot_holds, count);
+    return Bisect(j > first ? (j - 1) * kSummaryStride + 1 : lo + 1,
+                  j < stop ? j * kSummaryStride : hi - 1, holds, count);
   }
 
   /// First index of [lo, hi) at which `holds(i)` is false (`hi` when none
@@ -453,13 +654,15 @@ class TagList {
   size_t RunStart(size_t r) const { return r == 0 ? 0 : fences_[r - 1].cum; }
   size_t RunSize(size_t r) const { return fences_[r].cum - RunStart(r); }
 
-  void InsertAt(size_t pos, NodeId id, uint32_t key);
+  void InsertAt(size_t pos, NodeId id, uint32_t key, uint32_t end_key);
   /// Erases the given positions (any order, repeats allowed), copying each
   /// touched run once; returns the smallest one (size() when none).
   size_t ErasePositions(std::vector<size_t>* positions);
   /// Clones runs_[r] iff shared; charges CowStats. Refresh its fence after
   /// changing it.
   Run* MutableRun(size_t r);
+  /// Recomputes `run`'s key summary (keyed lists).
+  void Summarize(Run* run) const;
   /// Points fence r at run r's arrays and last key; its count stays.
   void RefreshFence(size_t r);
   /// Rebuilds every fence and the run directory from the runs.
@@ -469,7 +672,10 @@ class TagList {
   std::vector<Fence> fences_;          ///< one per run
   std::vector<uint32_t> directory_;    ///< run of index b << kBlockLog2
   int max_level_ = 0;
+  int min_level_ = 0;
+  bool nested_ = false;
   bool keyed_ = false;
+  bool end_keys_ = false;
 };
 
 }  // namespace cdbs::query

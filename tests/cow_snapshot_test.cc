@@ -320,6 +320,9 @@ TEST(TagListTest, EraseWholeRunsDropsThem) {
 using query::KeyProbe;
 using CdbsCodec = labeling::CdbsContainmentCodec;
 
+// The end-key reader for lists that store start keys only (ignored).
+uint32_t NoEndKey(NodeId) { return 0; }
+
 // Ascending CDBS words: Algorithm 2's codes for `n` values, plus codes grown
 // past 32 bits by `skewed` pairs of inserts at one gap, spliced in at the
 // quarter mark. The grown codes share their first 32 bits, so their keys
@@ -365,7 +368,7 @@ TagList KeyedUnevenList(const std::vector<uint64_t>& words,
   }
   list.EraseIds(victims, less);
   EXPECT_TRUE(list.SpineConsistent());
-  EXPECT_TRUE(list.KeysMatch(key, 0, list.size()));
+  EXPECT_TRUE(list.KeysMatch(key, NoEndKey, 0, list.size()));
   EXPECT_TRUE(list.RunsSorted(less));
   return list;
 }
@@ -509,7 +512,7 @@ TEST(TagListKeyTest, SpineFollowsOneElementRunsSplitsRekeysAndForks) {
   ASSERT_TRUE(list.SpineConsistent());
   ASSERT_EQ(list.run_count(), runs);
   ASSERT_EQ(list.size(), runs);
-  ASSERT_TRUE(list.KeysMatch(key, 0, list.size()));
+  ASSERT_TRUE(list.KeysMatch(key, NoEndKey, 0, list.size()));
   std::vector<NodeId> flat = list.ToVector();
   std::mt19937_64 rng(7);
   KeyedSearchStats stats;
@@ -539,7 +542,7 @@ TEST(TagListKeyTest, SpineFollowsOneElementRunsSplitsRekeysAndForks) {
   for (NodeId i = lo; i < hi; ++i) {
     list.InsertSorted(i, less, key(i));
     ASSERT_TRUE(list.SpineConsistent()) << i;
-    ASSERT_TRUE(list.KeysMatch(key, 0, list.size())) << i;
+    ASSERT_TRUE(list.KeysMatch(key, NoEndKey, 0, list.size())) << i;
   }
   // 5 * kRunTarget ids spliced into one run split it at least 3 times.
   EXPECT_GE(list.run_count(), runs - run_heads.size() + 3);
@@ -567,14 +570,14 @@ TEST(TagListKeyTest, SpineFollowsOneElementRunsSplitsRekeysAndForks) {
   const TagList before_rekey = list;
   CowStats& cow = CowStats::Local();
   const uint64_t copies0 = cow.chunk_copies;
-  list.Rekey(moved);
+  list.Rekey(moved, NoEndKey);
   const uint64_t copied = cow.chunk_copies - copies0;
   EXPECT_GT(copied, 0u);
   EXPECT_LT(copied, list.run_count());
   ASSERT_TRUE(list.SpineConsistent());
-  EXPECT_TRUE(list.KeysMatch(moved, 0, list.size()));
-  EXPECT_TRUE(before_rekey.KeysMatch(key, 0, before_rekey.size()));
-  EXPECT_TRUE(fork.KeysMatch(key, 0, fork.size()));
+  EXPECT_TRUE(list.KeysMatch(moved, NoEndKey, 0, list.size()));
+  EXPECT_TRUE(before_rekey.KeysMatch(key, NoEndKey, 0, before_rekey.size()));
+  EXPECT_TRUE(fork.KeysMatch(key, NoEndKey, 0, fork.size()));
 }
 
 // Readers search a fork's key runs while the writer splices, erases and
@@ -625,13 +628,133 @@ TEST(TagListKeyTest, ForkReadersProbeWhileTheWriterSplices) {
   std::vector<NodeId> victims;
   for (NodeId i = 0; i < n; i += 3) victims.push_back(i);
   live.EraseIds(victims, less);
-  live.Rekey([&words](NodeId id) { return CdbsCodec::Key(words[id] + 1); });
+  live.Rekey([&words](NodeId id) { return CdbsCodec::Key(words[id] + 1); },
+             NoEndKey);
   stop.store(true);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_TRUE(live.SpineConsistent());
   EXPECT_TRUE(fork.SpineConsistent());
   EXPECT_EQ(fork.ToVector(), flat);
+}
+
+// A list with end keys: every entry is (id, start key, end key). The end
+// keys and the run summaries must follow appends, kRunMax splits, erases
+// and rekeys, a key-copying AppendRange must hand them out as stored, and
+// a fork taken before the writes keeps its own. Searches that land in
+// summarized runs must agree with std::partition_point.
+TEST(TagListKeyTest, EndKeysAndSummariesFollowSplitsErasesRekeysAndForks) {
+  const std::vector<uint64_t> words = SkewedCdbsWords(8000, 30);
+  const NodeId n = static_cast<NodeId>(words.size());
+  const auto less = [](NodeId a, NodeId b) { return a < b; };
+  const auto key = [&words](NodeId id) { return CdbsCodec::Key(words[id]); };
+  const auto end_of = [](NodeId id) { return id * 7 + 3; };
+  const auto expect_entries = [&](const TagList& list,
+                                  const std::vector<NodeId>& ids,
+                                  const auto& key_of, const auto& end_key_of,
+                                  const char* when) {
+    ASSERT_TRUE(list.SpineConsistent()) << when;
+    ASSERT_TRUE(list.KeysMatch(key_of, end_key_of, 0, list.size())) << when;
+    ASSERT_EQ(list.ToVector(), ids) << when;
+    for (size_t i = 0; i < list.size(); i += 97) {
+      ASSERT_EQ(list.end_key(i), end_key_of(list[i])) << when << " at " << i;
+    }
+    // AppendRange copies ids, keys and end keys across run boundaries.
+    const size_t from = list.size() / 5;
+    const size_t to = list.size() - list.size() / 7;
+    std::vector<query::KeyedId> copied;
+    list.AppendRange(from, to, &copied);
+    ASSERT_EQ(copied.size(), to - from) << when;
+    for (size_t i = from; i < to; ++i) {
+      const query::KeyedId& entry = copied[i - from];
+      ASSERT_EQ(entry.id, list[i]) << when;
+      ASSERT_EQ(entry.key, key_of(entry.id)) << when;
+      ASSERT_EQ(entry.end_key, end_key_of(entry.id)) << when;
+    }
+  };
+
+  // Appends seal each run as the next one opens; Seal seals the last.
+  TagList list(/*keyed=*/true, /*end_keys=*/true);
+  ASSERT_TRUE(list.has_end_keys());
+  std::vector<NodeId> ids;
+  for (NodeId i = 0; i < n; i += 4) {
+    list.Append(i, key(i), end_of(i));
+    ids.push_back(i);
+  }
+  ASSERT_GT(list.run_count(), 4u);
+  EXPECT_EQ(list.summarized_runs(), list.run_count() - 1);
+  list.Seal();
+  EXPECT_EQ(list.summarized_runs(), list.run_count());
+  ASSERT_NO_FATAL_FAILURE(expect_entries(list, ids, key, end_of, "appended"));
+  const TagList fork = list;
+  const std::vector<NodeId> fork_ids = ids;
+
+  // Splice the missing ids of one run's range back in: the run takes three
+  // times its size and splits past kRunMax again and again.
+  const size_t runs = list.run_count();
+  const NodeId lo = static_cast<NodeId>(4 * TagList::kRunTarget);
+  for (NodeId i = lo; i < lo + 4 * TagList::kRunTarget; ++i) {
+    if (i % 4 == 0) continue;
+    list.InsertSorted(i, less, key(i), end_of(i));
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), i), i);
+  }
+  EXPECT_GE(list.run_count(), runs + 2);
+  EXPECT_EQ(list.summarized_runs(), list.run_count());
+  ASSERT_NO_FATAL_FAILURE(expect_entries(list, ids, key, end_of, "spliced"));
+
+  // Batch erases rewrite each touched run once, end keys with it.
+  std::vector<NodeId> victims;
+  for (NodeId i = 0; i < n; i += 6) victims.push_back(i);
+  list.EraseIds(victims, less);
+  std::vector<NodeId> kept;
+  for (const NodeId id : ids) {
+    if (id % 6 != 0) kept.push_back(id);
+  }
+  ids = kept;
+  EXPECT_EQ(list.summarized_runs(), list.run_count());
+  ASSERT_NO_FATAL_FAILURE(expect_entries(list, ids, key, end_of, "erased"));
+
+  // A relabel that moves the upper half: starts and ends are rekeyed
+  // together, and only the runs they change are copied.
+  const NodeId half = n / 2;
+  const auto moved = [&words, half](NodeId id) {
+    return CdbsCodec::Key(id < half ? words[id]
+                                    : words[id] + (uint64_t{1} << 40));
+  };
+  const auto moved_end = [half](NodeId id) {
+    return id < half ? id * 7 + 3 : id * 7 + 5;
+  };
+  const TagList before_rekey = list;
+  const uint64_t copies0 = CowStats::Local().chunk_copies;
+  list.Rekey(moved, moved_end);
+  const uint64_t copied = CowStats::Local().chunk_copies - copies0;
+  EXPECT_GT(copied, 0u);
+  EXPECT_LT(copied, list.run_count());
+  EXPECT_EQ(list.summarized_runs(), list.run_count());
+  ASSERT_NO_FATAL_FAILURE(
+      expect_entries(list, ids, moved, moved_end, "rekeyed"));
+  ASSERT_NO_FATAL_FAILURE(
+      expect_entries(before_rekey, ids, key, end_of, "before the rekey"));
+
+  // The fork taken after the appends saw none of the writes.
+  EXPECT_EQ(fork.summarized_runs(), fork.run_count());
+  ASSERT_NO_FATAL_FAILURE(expect_entries(fork, fork_ids, key, end_of, "fork"));
+
+  // Keyed searches over summarized runs, against std::partition_point.
+  const std::vector<NodeId> flat = before_rekey.ToVector();
+  std::mt19937_64 rng(5);
+  KeyedSearchStats stats;
+  for (int trial = 0; trial < 3000; ++trial) {
+    size_t from = rng() % (flat.size() + 1);
+    size_t to = rng() % (flat.size() + 1);
+    if (from > to) std::swap(from, to);
+    for (const uint64_t bound :
+         BoundsAround(words, flat, rng() % (flat.size() + 1))) {
+      ASSERT_NO_FATAL_FAILURE(ExpectKeyedPartitionPoint(
+          before_rekey, from, to, bound, words, flat, &stats));
+    }
+  }
+  EXPECT_GT(stats.ties, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ uint64_t CandidatesScanned() {
       ->value();
 }
 
+uint64_t KeyTies() {
+  return obs::MetricRegistry::Default()
+      .GetCounter("query.eval.key_ties")
+      ->value();
+}
+
 const char* const kTags[] = {"a", "a", "b", "c"};  // `a` nests most often
 
 std::string RandomTag(std::mt19937_64* rng) { return kTags[(*rng)() % 4]; }
@@ -389,43 +395,61 @@ TEST_P(EvaluatorOrderTest, ChildSpansFollowDeeperInsertsDeletesAndForks) {
 }
 
 // The order key a keyed tag list must carry for `id`: the codec's
-// abbreviation of its start value. Null for schemes without keys.
-std::function<uint32_t(NodeId)> CodecKeyOf(const labeling::Labeling& lab) {
+// abbreviation of its start value (of its end value with `end`). Null for
+// schemes without keys.
+std::function<uint32_t(NodeId)> CodecKeyOf(const labeling::Labeling& lab,
+                                           bool end = false) {
   using labeling::CdbsContainmentCodec;
   using labeling::ContainmentLabeling;
   using labeling::IntContainmentCodec;
   if (const auto* binary =
           dynamic_cast<const ContainmentLabeling<IntContainmentCodec>*>(
               &lab)) {
-    return [binary](NodeId id) {
-      return IntContainmentCodec::Key(binary->starts()[id]);
+    return [binary, end](NodeId id) {
+      return IntContainmentCodec::Key(end ? binary->ends()[id]
+                                          : binary->starts()[id]);
     };
   }
   if (const auto* cdbs =
           dynamic_cast<const ContainmentLabeling<CdbsContainmentCodec>*>(
               &lab)) {
-    return [cdbs](NodeId id) {
-      return CdbsContainmentCodec::Key(cdbs->starts()[id]);
+    return [cdbs, end](NodeId id) {
+      return CdbsContainmentCodec::Key(end ? cdbs->ends()[id]
+                                           : cdbs->starts()[id]);
     };
   }
   return nullptr;
 }
 
 // Every tag list of `doc` is keyed iff its scheme has order keys, and each
-// key is the codec's abbreviation of its id's start value; answers are
-// the DOM walk's.
+// key is the codec's abbreviation of its id's start value; every per-tag
+// list of a keyed scheme also carries end keys, each the abbreviation of
+// its id's end value (the list of all elements carries none), and every
+// run's summary covers it. Answers are the DOM walk's.
 void ExpectKeysAndAnswers(const LabeledDocument& doc, const RefTree& ref,
                           const std::string& when) {
   const std::function<uint32_t(NodeId)> key_of = CodecKeyOf(doc.labeling());
+  const std::function<uint32_t(NodeId)> end_key_of =
+      CodecKeyOf(doc.labeling(), /*end=*/true);
   for (const char* name : {"*", "r", "a", "b", "c"}) {
     const TagList& list = doc.WithTag(name);
     if (list.empty()) continue;  // an unknown tag's shared empty list
     ASSERT_EQ(list.keyed(), key_of != nullptr) << when << " //" << name;
     if (key_of == nullptr) continue;
+    const bool per_tag = std::string(name) != "*";
+    ASSERT_EQ(list.has_end_keys(), per_tag) << when << " //" << name;
+    ASSERT_TRUE(list.SpineConsistent()) << when << " //" << name;
+    ASSERT_EQ(list.summarized_runs(), list.run_count())
+        << when << " //" << name;
     for (size_t i = 0; i < list.size(); ++i) {
       ASSERT_EQ(list.key(i), key_of(list[i]))
           << when << " //" << name << " at " << i << " (node " << list[i]
           << ")";
+      if (per_tag) {
+        ASSERT_EQ(list.end_key(i), end_key_of(list[i]))
+            << when << " //" << name << " end at " << i << " (node "
+            << list[i] << ")";
+      }
     }
   }
   const RefEvaluator reference(ref);
@@ -497,6 +521,95 @@ TEST_P(EvaluatorOrderTest, KeysFollowLabelsUnderWritesForksAndRelabels) {
   if (GetParam() == "V-CDBS-Containment") {
     EXPECT_GT(overflows, 0u) << "no insert overflowed into a re-encode";
   }
+}
+
+// Skewed inserts at one gap, each just before the one inserted last, grow
+// the codes there as far as the scheme lets them before it re-encodes.
+// Every targeted query must still match the DOM walk, and the keyed
+// navigator must have met keys that tie and decided them. With the
+// built-in keyed schemes two distinct labels never share a key: V-/F-CDBS
+// re-encode before a code passes 2^field - 1 <= 31 bits, and integer
+// values stay below 2^32. So the ties met here are a search meeting its
+// own context (a `*` step from an element, `//a/a`); ties between distinct
+// labels are covered on synthetic words in TagListKeyTest
+// (cow_snapshot_test.cc).
+TEST_P(EvaluatorOrderTest, SkewedInsertsMeetKeyTiesAndMatchTheDomWalk) {
+  const auto scheme = labeling::SchemeByName(GetParam());
+  std::mt19937_64 rng(33);
+  RefTree ref = RandomTree(&rng, 300);
+  auto parsed = xml::ParseXml(ref.ToXml());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  LabeledDocument labeled(*parsed, *scheme);
+  const std::vector<NodeId> live = ref.PreOrder();
+  NodeId target = live[live.size() / 3];
+  const uint64_t ties0 = KeyTies();
+  for (int i = 0; i < 60; ++i) {
+    const labeling::InsertResult result =
+        labeled.InsertSibling(target, /*before=*/true, "a");
+    ASSERT_EQ(result.new_node, ref.AddSibling(target, /*before=*/true, "a"));
+    target = result.new_node;
+    if (i % 10 == 9) {
+      ASSERT_NO_FATAL_FAILURE(ExpectKeysAndAnswers(
+          labeled, ref, "skewed insert " + std::to_string(i)));
+    }
+  }
+  if (labeled.labeling().HasOrderKeys()) {
+    EXPECT_GT(KeyTies() - ties0, 0u) << "no keyed comparison tied";
+  }
+}
+
+// The list metadata a keyed step decides from, under writes: a `b` put
+// inside a `b` flips nested() of the `b` list (and raises its max_level),
+// after which child and descendant steps from `b` contexts must still
+// match the DOM walk; deleting it lowers neither the bound nor the flag,
+// and raises no min_level.
+TEST_P(EvaluatorOrderTest, NestingInsertFlipsNestedAndDeletesKeepBounds) {
+  const char* const kXml = "<r><b><c/></b><c/><b><c/><a/></b></r>";
+  const char* const kQueries[] = {"//b/c",   "//b/b",  "//b//c",
+                                  "//b/*",   "/r/b/b", "//b[./b]/c",
+                                  "//b/c[1]", "//b//*"};
+  const auto scheme = labeling::SchemeByName(GetParam());
+  auto parsed = xml::ParseXml(kXml);
+  ASSERT_TRUE(parsed.ok());
+  RefTree ref = RefTree::FromDocument(*parsed);
+  LabeledDocument labeled(*parsed, *scheme);
+  auto check = [&](const char* when) {
+    const RefEvaluator reference(ref);
+    for (const char* text : kQueries) {
+      auto query = ParseQuery(text);
+      ASSERT_TRUE(query.ok()) << text;
+      ASSERT_EQ(EvaluateQuery(*query, labeled), reference.Evaluate(*query))
+          << GetParam() << " " << when << ": " << text;
+      ASSERT_EQ(CountQuery(*query, labeled, labeled.root()),
+                reference.Evaluate(*query).size())
+          << GetParam() << " " << when << ": " << text;
+    }
+  };
+  const TagList& b = labeled.WithTag("b");
+  ASSERT_NO_FATAL_FAILURE(check("loaded"));
+  EXPECT_FALSE(b.nested());
+  EXPECT_EQ(b.min_level(), 2);
+  EXPECT_EQ(b.max_level(), 2);
+  EXPECT_TRUE(labeled.all_elements().nested());
+  EXPECT_EQ(labeled.WithTag("r").min_level(), 1);
+
+  // A `b` before the first `b`'s `c`: a `b` inside a `b`.
+  const NodeId c = 2;
+  ASSERT_EQ(ref.tag[c], "c");
+  const labeling::InsertResult inner =
+      labeled.InsertSibling(c, /*before=*/true, "b");
+  ASSERT_EQ(inner.new_node, ref.AddSibling(c, /*before=*/true, "b"));
+  EXPECT_TRUE(b.nested());
+  EXPECT_EQ(b.max_level(), 3);
+  EXPECT_EQ(b.min_level(), 2);
+  ASSERT_NO_FATAL_FAILURE(check("after the nesting insert"));
+
+  labeled.DeleteSubtree(inner.new_node);
+  ref.RemoveSubtree(inner.new_node);
+  EXPECT_TRUE(b.nested());       // never cleared
+  EXPECT_EQ(b.max_level(), 3);   // never lowered
+  EXPECT_EQ(b.min_level(), 2);   // never raised
+  ASSERT_NO_FATAL_FAILURE(check("after the delete"));
 }
 
 std::vector<std::string> AllSchemeNames() {
