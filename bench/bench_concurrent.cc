@@ -60,7 +60,6 @@ struct PhaseResult {
 // phase-local.
 PhaseResult RunMixedPhase(int readers, uint64_t duration_ms) {
   ConcurrentXmlDbOptions options;
-  options.read_workers = 2;  // SubmitCount is not exercised here
   auto opened = ConcurrentXmlDb::Open(cdbs::xml::GenerateHamlet(), options);
   if (!opened.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
@@ -258,7 +257,6 @@ int main() {
     double bytes_big = 0;
     for (const uint64_t nodes : sizes) {
       ConcurrentXmlDbOptions options;
-      options.read_workers = 1;
       auto opened =
           ConcurrentXmlDb::Open(cdbs::xml::GeneratePlay(13, nodes), options);
       if (!opened.ok()) return 1;
@@ -334,7 +332,6 @@ int main() {
   {
     cdbs::obs::Tracer& tracer = cdbs::obs::Tracer::Instance();
     ConcurrentXmlDbOptions options;
-    options.read_workers = 1;
     auto opened = ConcurrentXmlDb::Open(cdbs::xml::GenerateHamlet(), options);
     if (!opened.ok()) return 1;
     ConcurrentXmlDb& db = **opened;

@@ -26,8 +26,6 @@
 // CDBS_FRAME_QUERIES (queries per session in the wire-frame phase, default
 // 2000). Set CDBS_BENCH_JSON to persist the metric registry.
 
-#include <time.h>
-
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -61,12 +59,6 @@ using cdbs::net::Server;
 using cdbs::net::ServerOptions;
 
 constexpr char kDoc[] = "<root><a><b/><b/></a><c><b/></c></root>";
-
-double ProcessCpuMicros() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return ts.tv_sec * 1e6 + ts.tv_nsec / 1e3;
-}
 
 uint64_t GlobalCounter(const std::string& name) {
   for (const cdbs::obs::MetricSnapshot& m :
@@ -316,13 +308,14 @@ int main() {
     const uint64_t n = cdbs::bench::EnvKnob("CDBS_FRAME_QUERIES", 2000);
     const double queries = static_cast<double>(n);
     const uint64_t tx0 = GlobalCounter("net.frame.tx.bytes");
-    const double cpu0 = ProcessCpuMicros();
+    const double cpu0 = cdbs::bench::ProcessCpuMicros();
     cdbs::util::Stopwatch timer;
     for (uint64_t i = 0; i < n; ++i) {
       if (!(*session)->Query("//n").ok()) return 1;
     }
     const double ms_per_op = timer.ElapsedMillis() / queries;
-    const double cpu_us_per_op = (ProcessCpuMicros() - cpu0) / queries;
+    const double cpu_us_per_op =
+        (cdbs::bench::ProcessCpuMicros() - cpu0) / queries;
     const double tx_per_op =
         static_cast<double>(GlobalCounter("net.frame.tx.bytes") - tx0) /
         queries;

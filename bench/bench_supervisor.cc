@@ -2,8 +2,11 @@
 // disk fault (docs/ROBUSTNESS.md).
 //
 // 16 client threads issue blocking durable insertions over 8 documents on
-// 4 shards (explicit placement, 2 documents each). Three measured phases:
+// 4 shards (explicit placement, 2 documents each). First the corpus sits
+// idle for 2 s, then three measured phases run:
 //
+//   idle       no load and no fault: process CPU per second of the
+//              healthy stored corpus, whose threads all wait for work;
 //   baseline   all shards healthy;
 //   fault      `wal.shard-0.sync.error=enospc` is armed, the shard's
 //              writer poisons, the supervisor trips its breaker, and
@@ -20,7 +23,9 @@
 //
 // FAILS (non-zero exit) when healthy-shard retention drops below 50% —
 // the regression guard for blast-radius containment: supervision must not
-// let one sick shard drag down the survivors' group-commit streams.
+// let one sick shard drag down the survivors' group-commit streams — or
+// when the idle corpus burns more than 0.5 ms of CPU per second (a thread
+// woke on a clock rather than for work).
 //
 // Knobs: CDBS_BENCH_MS (per-phase duration, default 400 ms; a phase runs
 // on until it has 200 healthy commits, for at most 20 s),
@@ -77,6 +82,10 @@ struct PhaseCounts {
 // the wall cap.
 constexpr uint64_t kMinHealthyCommits = 200;
 constexpr uint64_t kPhaseCapMs = 20000;
+
+// The idle phase: its length and the most process CPU it may burn.
+constexpr uint64_t kIdleMs = 2000;
+constexpr double kMaxIdleCpuMsPerSec = 0.5;
 
 // Runs kClients blocking writers round-robin over every document for
 // `duration_ms`, extended until kMinHealthyCommits healthy commits or
@@ -161,7 +170,6 @@ int main() {
   options.read_workers = 2;
   options.shard.group_commit_limit = 4;
   options.shard.poison_after_persist_failures = 2;
-  options.supervisor.poll_interval_ms = 5;
   options.supervisor.recovery_backoff_ms = 10;
   options.supervisor.max_recovery_backoff_ms = 100;
   auto opened = ShardedDb::Open(std::move(docs), options);
@@ -175,6 +183,17 @@ int main() {
   for (size_t d = 0; d < kDocs; ++d) {
     anchors[d] = db.QueryDoc(d, "/play/act/scene").value().front();
   }
+
+  const double idle_cpu0 = cdbs::bench::ProcessCpuMicros();
+  cdbs::util::Stopwatch idle_timer;
+  std::this_thread::sleep_for(std::chrono::milliseconds(kIdleMs));
+  const double idle_cpu_ms_per_s =
+      (cdbs::bench::ProcessCpuMicros() - idle_cpu0) / 1e3 /
+      idle_timer.ElapsedSeconds();
+  std::printf("  idle: %.3f ms of process CPU per second over %.1f s "
+              "(ceiling %.1f)\n",
+              idle_cpu_ms_per_s, idle_timer.ElapsedSeconds(),
+              kMaxIdleCpuMsPerSec);
 
   if (!cdbs::util::Failpoints::Activate(
            "wal.sync.crash",
@@ -231,11 +250,23 @@ int main() {
       .GetGauge("bench.supervisor.recovery_ms",
                 "Milliseconds from fault clearing to the shard re-admitted")
       ->Set(recovery_ms);
+  cdbs::obs::MetricRegistry::Default()
+      .GetGauge("bench.supervisor.idle_cpu_ms_per_s",
+                "Process CPU milliseconds per second of the healthy, idle "
+                "stored corpus")
+      ->Set(idle_cpu_ms_per_s);
   cdbs::bench::DumpMetrics("supervisor");
 
   db.Shutdown();
   std::filesystem::remove_all(dir);
 
+  if (idle_cpu_ms_per_s > kMaxIdleCpuMsPerSec) {
+    std::fprintf(stderr,
+                 "FAIL: the idle corpus burned %.3f ms of CPU per second "
+                 "(ceiling %.1f) — a thread is waking without work\n",
+                 idle_cpu_ms_per_s, kMaxIdleCpuMsPerSec);
+    return 1;
+  }
   if (min_retention_pct > 0 &&
       retention * 100 < static_cast<double>(min_retention_pct)) {
     std::fprintf(stderr,

@@ -2,6 +2,7 @@
 #define CDBS_BENCH_BENCH_UTIL_H_
 
 #include <sys/stat.h>
+#include <time.h>
 
 #include <charconv>
 #include <cinttypes>
@@ -54,6 +55,13 @@ inline uint64_t EnvKnob(const char* name, uint64_t default_value) {
     return default_value;
   }
   return value;
+}
+
+/// CPU time of the whole process (every thread), in microseconds.
+inline double ProcessCpuMicros() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return ts.tv_sec * 1e6 + ts.tv_nsec / 1e3;
 }
 
 /// Prints a section heading.

@@ -99,14 +99,6 @@ ConcurrentXmlDb::ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
       reg.GetGauge("engine.concurrent.writer.poisoned",
                    "1 while the writer circuit breaker is tripped");
   snapshots_live_->Set(1);
-
-  if (options_.shared_readers != nullptr) {
-    readers_ = options_.shared_readers;
-    owns_readers_ = false;
-  } else {
-    readers_ =
-        std::make_shared<concurrency::ThreadPool>(options_.read_workers);
-  }
   writer_ = std::thread([this] { WriterLoop(); });
 }
 
@@ -117,11 +109,6 @@ void ConcurrentXmlDb::Shutdown() {
     shut_down_.store(true);
     write_queue_.Close();
     if (writer_.joinable()) writer_.join();
-    // A shared pool belongs to the sharded front-end: it is shut down by
-    // its owner after every shard, so tasks already queued for this shard
-    // still run (the object outlives Shutdown; reads stay safe until
-    // destruction).
-    if (owns_readers_) readers_->Shutdown();
   });
 }
 
@@ -189,39 +176,6 @@ Result<std::vector<uint64_t>> ConcurrentXmlDb::CountPerScope(
 std::string ConcurrentXmlDb::TagOf(NodeId node) const {
   const auto pin = snapshots_.Acquire();
   return pin->tag(node);
-}
-
-std::future<Result<std::vector<uint64_t>>> ConcurrentXmlDb::SubmitCount(
-    std::string xpath, std::vector<NodeId> scopes, util::Deadline deadline) {
-  using Counts = Result<std::vector<uint64_t>>;
-  auto promise = std::make_shared<std::promise<Counts>>();
-  std::future<Counts> fut = promise->get_future();
-  if (deadline.expired()) {
-    deadline_exceeded_->Increment();
-    promise->set_value(
-        Status::DeadlineExceeded("query deadline expired at submission"));
-    return fut;
-  }
-  // Carry the submitter's trace attribution onto the worker thread.
-  const uint64_t trace_id = obs::TraceScope::current();
-  const uint64_t submit_ns =
-      trace_id != 0 ? obs::Tracer::NowNs() : 0;
-  const bool accepted = readers_->Submit(
-      [this, promise, trace_id, submit_ns, xpath = std::move(xpath),
-       scopes = std::move(scopes), deadline] {
-        obs::TraceScope scope(trace_id);
-        if (trace_id != 0) {
-          obs::Tracer::Instance().RecordSpan(
-              trace_id, obs::SpanName::kQueueWait, submit_ns,
-              obs::Tracer::NowNs() - submit_ns, obs::SpanOutcome::kOk);
-        }
-        promise->set_value(CountPerScope(xpath, scopes, deadline));
-      });
-  if (!accepted) {
-    promise->set_value(
-        Status::IoError("read pool shut down; query rejected"));
-  }
-  return fut;
 }
 
 // --------------------------------------------------------------------------
@@ -486,6 +440,8 @@ Status ConcurrentXmlDb::LogGroup(std::vector<repl::ReplOp> ops) {
         strikes >= static_cast<uint64_t>(threshold)))) {
     poisoned_.store(true, std::memory_order_release);
     poisoned_gauge_->Set(1);
+    std::lock_guard<std::mutex> lock(sink_mu_);
+    if (poison_sink_) poison_sink_();
   }
   return lsn.status();
 }
@@ -494,6 +450,11 @@ void ConcurrentXmlDb::SetCommitSink(
     std::function<void(const repl::ReplRecord&)> sink) {
   std::lock_guard<std::mutex> lock(sink_mu_);
   commit_sink_ = std::move(sink);
+}
+
+void ConcurrentXmlDb::SetPoisonSink(std::function<void()> sink) {
+  std::lock_guard<std::mutex> lock(sink_mu_);
+  poison_sink_ = std::move(sink);
 }
 
 Status ConcurrentXmlDb::last_persist_error() const {

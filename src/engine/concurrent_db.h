@@ -15,7 +15,6 @@
 
 #include "concurrency/bounded_queue.h"
 #include "concurrency/snapshot.h"
-#include "concurrency/thread_pool.h"
 #include "engine/xml_db.h"
 #include "obs/metrics.h"
 #include "query/tag_index.h"
@@ -41,15 +40,6 @@ namespace cdbs::engine {
 struct ConcurrentXmlDbOptions {
   /// Options for the underlying single-threaded database.
   XmlDbOptions db;
-  /// Worker threads executing submitted (asynchronous) read requests.
-  size_t read_workers = 4;
-  /// When set, submitted reads run on this pool instead of a private one
-  /// (`read_workers` is then ignored). The sharded front-end (src/shard/)
-  /// passes one pool to every shard so read concurrency does not multiply
-  /// threads by the shard count. The pool must outlive the database and is
-  /// NOT shut down by ConcurrentXmlDb::Shutdown — the owner does that,
-  /// after shutting down every database that uses it.
-  std::shared_ptr<concurrency::ThreadPool> shared_readers;
   /// Capacity of the write submission queue. A full queue stalls
   /// Admission::kBlock submits (backpressure) and bounces kShed ones
   /// (admission control).
@@ -93,7 +83,6 @@ struct BootstrapImage {
 ///  - `Query`/`Count`/`CountPerScope`/`TagOf`/`Stats`/`snapshot_epoch` —
 ///    any thread, any time, on that thread; each pins the latest published
 ///    snapshot.
-///  - `SubmitCount` — any thread; runs on the read worker pool.
 ///  - `Submit` writes — any thread; applied by the single writer thread in
 ///    submission order, durably group-committed before their futures
 ///    resolve.
@@ -162,14 +151,6 @@ class ConcurrentXmlDb {
   /// reclaimed after this returns).
   std::string TagOf(NodeId node) const;
 
-  /// Runs `CountPerScope(xpath, scopes, deadline)` on the read worker pool
-  /// (a scatter leg, src/shard/). A request whose `deadline` expires
-  /// before it is queued, or while it waits there, resolves with
-  /// kDeadlineExceeded without evaluating.
-  std::future<Result<std::vector<uint64_t>>> SubmitCount(
-      std::string xpath, std::vector<NodeId> scopes,
-      util::Deadline deadline = {});
-
   // --- write path: serialized, group-committed ---
 
   /// Enqueues `op` for the single writer. The future resolves once the
@@ -190,7 +171,7 @@ class ConcurrentXmlDb {
 
   // --- lifecycle & introspection ---
 
-  /// Stops accepting requests, drains both pipelines, joins all threads.
+  /// Stops accepting writes, drains the write pipeline, joins the writer.
   /// Idempotent; the destructor calls it.
   void Shutdown();
 
@@ -212,6 +193,13 @@ class ConcurrentXmlDb {
 
   /// The most recent persist failure (OK if none since open/reopen).
   Status last_persist_error() const;
+
+  /// Installs the callback the writer thread invokes each time it poisons,
+  /// right after `poisoned()` turns true. It runs on the writer, so it may
+  /// only signal: blocking on this database (a write, a Reopen) from it
+  /// deadlocks. Pass nullptr to detach; that waits out a call in progress,
+  /// so the sink's owner may be destroyed once it returns.
+  void SetPoisonSink(std::function<void()> sink);
 
   /// Recovery entry point, called by the shard supervisor: runs through
   /// the write pipeline, so the writer thread itself — the only appender —
@@ -337,12 +325,11 @@ class ConcurrentXmlDb {
   ConcurrentXmlDbOptions options_;
   std::unique_ptr<XmlDb> db_;  // mutated only by the writer thread
   std::atomic<uint64_t> commit_lsn_{0};
-  std::mutex sink_mu_;  // guards commit_sink_ (set at attach, read per group)
+  std::mutex sink_mu_;  // guards both sinks (set at attach, read per group)
   std::function<void(const repl::ReplRecord&)> commit_sink_;
+  std::function<void()> poison_sink_;
   concurrency::SnapshotManager<query::LabeledDocument> snapshots_;
   concurrency::BoundedQueue<WriteRequest> write_queue_;
-  std::shared_ptr<concurrency::ThreadPool> readers_;
-  bool owns_readers_ = true;  // false when options.shared_readers was set
   std::thread writer_;
   std::atomic<bool> shut_down_{false};
   std::once_flag shutdown_once_;

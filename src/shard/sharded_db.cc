@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "labeling/registry.h"
+#include "obs/trace.h"
 #include "query/xpath.h"
 #include "storage/wal.h"
 #include "util/crc32c.h"
@@ -129,11 +130,6 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
         "per-shard store paths are derived from ShardedDbOptions::"
         "storage_dir; leave shard.db.storage_path empty");
   }
-  if (options.shard.shared_readers != nullptr) {
-    return Status::InvalidArgument(
-        "the reader pool is owned by the ShardedDb; leave "
-        "shard.shared_readers empty");
-  }
 
   // Every shard would fail the same way; reject the name before anything
   // (a MANIFEST included) reaches storage_dir.
@@ -222,12 +218,13 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
   for (size_t i = 0; i < manifest.placement.size(); ++i) {
     db->shard_docs_[manifest.placement[i]].push_back(i);
   }
-  db->readers_ =
-      std::make_shared<concurrency::ThreadPool>(options.read_workers);
+  if (manifest.shard_count > 1) {
+    db->readers_ =
+        std::make_unique<concurrency::ThreadPool>(options.read_workers);
+  }
 
   for (uint32_t s = 0; s < manifest.shard_count; ++s) {
     engine::ConcurrentXmlDbOptions opts = options.shard;
-    opts.shared_readers = db->readers_;
     // Scope errno-injection failpoints to this shard, so chaos tests can
     // sicken exactly one shard's log (`wal.shard-1.sync.error`) while the
     // others stay healthy.
@@ -251,11 +248,12 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Open(
   }
   db->RegisterMetrics();
 
-  // Supervision (docs/ROBUSTNESS.md): each shard's probe target is its
-  // first document root — a probe insert right after it lands between
-  // documents (a child of the synthetic shard root), invisible to every
-  // document-scoped query. An empty shard has nothing safe to probe.
-  if (options.supervisor.enabled) {
+  // Supervision (docs/ROBUSTNESS.md), for a stored corpus only: an
+  // in-memory shard has no log and cannot poison. Each shard's probe target
+  // is its first document root — a probe insert right after it lands
+  // between documents (a child of the synthetic shard root), invisible to
+  // every document-scoped query. An empty shard has nothing safe to probe.
+  if (!options.storage_dir.empty()) {
     std::vector<ShardSupervisor::ShardHandle> handles(manifest.shard_count);
     for (uint32_t s = 0; s < manifest.shard_count; ++s) {
       handles[s].engine = db->shards_[s].get();
@@ -309,11 +307,6 @@ Status ShardedDb::FindDocRoots(uint32_t s) {
 Result<std::unique_ptr<ShardedDb>> ShardedDb::OpenFromImage(
     const engine::BootstrapSpec& spec,
     engine::ConcurrentXmlDbOptions options) {
-  if (options.shared_readers != nullptr) {
-    return Status::InvalidArgument(
-        "the reader pool is owned by the ShardedDb; leave shared_readers "
-        "empty");
-  }
   // Ids list the tree in document order: node 0 first, then its first
   // child.
   if (spec.ids.size() < 2 || spec.ids[0] != 0 || spec.ids[1] != 1) {
@@ -326,9 +319,6 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::OpenFromImage(
   db->doc_shard_ = {0};
   db->doc_root_ = {1};
   db->shard_docs_ = {{0}};
-  db->readers_ =
-      std::make_shared<concurrency::ThreadPool>(options.read_workers);
-  options.shared_readers = db->readers_;
   auto shard = engine::ConcurrentXmlDb::OpenFromImage(spec, options);
   if (!shard.ok()) return shard.status();
   if ((*shard)->TagOf(0) != kShardRootTag) {
@@ -374,8 +364,8 @@ ShardedDb::~ShardedDb() { Shutdown(); }
 void ShardedDb::Shutdown() {
   std::call_once(shutdown_once_, [this] {
     // Supervisor first (it submits probe writes and reopens into the
-    // shards), then the shards (each drains its writer and stops
-    // submitting reads), then the pool they all share.
+    // shards), then the shards (each drains its writer), then the scatter
+    // pool, which runs the legs already queued.
     if (supervisor_ != nullptr) supervisor_->Stop();
     for (auto& s : shards_) s->Shutdown();
     if (readers_ != nullptr) readers_->Shutdown();
@@ -396,12 +386,33 @@ std::future<Result<std::vector<uint64_t>>> ShardedDb::SubmitLeg(
   std::vector<engine::NodeId> roots;
   roots.reserve(shard_docs_[s].size());
   for (const uint64_t doc : shard_docs_[s]) roots.push_back(doc_root_[doc]);
-  if (s + 1 < shards_.size()) {
-    return shards_[s]->SubmitCount(xpath, std::move(roots), deadline);
+  auto promise =
+      std::make_shared<std::promise<Result<std::vector<uint64_t>>>>();
+  std::future<Result<std::vector<uint64_t>>> fut = promise->get_future();
+  engine::ConcurrentXmlDb* shard = shards_[s].get();
+  if (s + 1 == shards_.size()) {
+    promise->set_value(shard->CountPerScope(xpath, roots, deadline));
+    return fut;
   }
-  std::promise<Result<std::vector<uint64_t>>> here;
-  here.set_value(shards_[s]->CountPerScope(xpath, roots, deadline));
-  return here.get_future();
+  // Carry the caller's trace attribution onto the pool worker.
+  const uint64_t trace_id = obs::TraceScope::current();
+  const uint64_t submit_ns = trace_id != 0 ? obs::Tracer::NowNs() : 0;
+  const bool accepted = readers_->Submit(
+      [shard, promise, trace_id, submit_ns, xpath, deadline,
+       roots = std::move(roots)] {
+        obs::TraceScope scope(trace_id);
+        if (trace_id != 0) {
+          obs::Tracer::Instance().RecordSpan(
+              trace_id, obs::SpanName::kQueueWait, submit_ns,
+              obs::Tracer::NowNs() - submit_ns, obs::SpanOutcome::kOk);
+        }
+        promise->set_value(shard->CountPerScope(xpath, roots, deadline));
+      });
+  if (!accepted) {
+    promise->set_value(
+        Status::IoError("read pool shut down; query rejected"));
+  }
+  return fut;
 }
 
 Result<std::vector<engine::NodeId>> ShardedDb::QueryDoc(

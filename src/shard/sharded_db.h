@@ -34,7 +34,7 @@
 ///
 /// Document-scoped reads run on the caller's thread. Cross-shard reads
 /// scatter-gather: `CountAll` fans the query out to every shard (all legs
-/// but the last on the shared reader pool, the last on the caller's
+/// but the last on the corpus's scatter pool, the last on the caller's
 /// thread), propagates the caller's deadline to each, and returns
 /// *per-shard* results — a shard that cannot answer
 /// (failpoint, deadline) contributes a kUnavailable entry instead of
@@ -74,22 +74,21 @@ struct ShardedDbOptions {
   /// documents handed to Open. Must cover every document.
   std::vector<uint32_t> placement;
   /// Per-shard engine options. `db.storage_path` must be empty — per-shard
-  /// store paths are derived from `storage_dir`. `shared_readers` must be
-  /// empty — the ShardedDb installs its own shared pool.
+  /// store paths are derived from `storage_dir`.
   engine::ConcurrentXmlDbOptions shard;
   /// When non-empty, each shard keeps its checkpoint and log under
   /// `<storage_dir>/shard-<i>/` and the placement manifest lives at
   /// `<storage_dir>/MANIFEST`. Empty = fully in-memory.
   std::string storage_dir;
-  /// Size of the reader pool shared by every shard. It runs scatter legs
-  /// only; document-scoped reads run on their caller's thread.
+  /// Size of the corpus's scatter pool. It runs scatter legs only, and
+  /// only a corpus of more than one shard has one; document-scoped reads
+  /// run on their caller's thread.
   size_t read_workers = 4;
 
-  /// Supervision and self-healing (docs/ROBUSTNESS.md): health state
-  /// machine, circuit breakers and auto-reopen recovery per shard, plus
-  /// whole-corpus read-only degradation when `storage_dir` stops being
-  /// writable. `supervisor.enabled = false` restores the unsupervised
-  /// behavior.
+  /// Supervision and self-healing of a stored corpus (docs/ROBUSTNESS.md):
+  /// health state machine, circuit breakers and auto-reopen recovery per
+  /// shard, plus whole-corpus read-only degradation when `storage_dir`
+  /// stops being writable. An in-memory corpus is not supervised.
   SupervisorOptions supervisor;
 };
 
@@ -116,8 +115,8 @@ struct GatheredCount {
 ///
 /// Thread contract: everything below is safe from any thread after Open.
 /// Reads pin per-shard snapshots; writes go through the owning shard's
-/// writer. Shutdown (or destruction) drains every shard, then the shared
-/// reader pool.
+/// writer. Shutdown (or destruction) drains every shard, then the scatter
+/// pool.
 class ShardedDb {
  public:
   /// Labels and serves `docs` across shards under any registered labeling
@@ -148,7 +147,7 @@ class ShardedDb {
   ShardedDb(const ShardedDb&) = delete;
   ShardedDb& operator=(const ShardedDb&) = delete;
 
-  /// Stops every shard's pipelines, then the shared reader pool. Idempotent.
+  /// Stops every shard's pipelines, then the scatter pool. Idempotent.
   void Shutdown();
 
   size_t shard_count() const { return shards_.size(); }
@@ -171,14 +170,14 @@ class ShardedDb {
   /// The placement actually in effect (manifest-backed when persistent).
   const ShardManifest& manifest() const { return manifest_; }
 
-  /// The supervision layer (docs/ROBUSTNESS.md); null only when
-  /// `supervisor.enabled` was false. Health gates on the write path consult
-  /// it; tests drive fault scenarios through it.
+  /// The supervision layer (docs/ROBUSTNESS.md); null for an in-memory
+  /// corpus, which has no log and cannot poison. Health gates on the write
+  /// path consult it; tests drive fault scenarios through it.
   ShardSupervisor* supervisor() { return supervisor_.get(); }
   const ShardSupervisor* supervisor() const { return supervisor_.get(); }
 
   /// Per-shard health JSON (`{"read_only":...,"shards":[...]}`) for the
-  /// introspect opcode; `{}` when supervision is disabled.
+  /// introspect opcode; `{}` for an unsupervised (in-memory) corpus.
   std::string HealthJson() const {
     return supervisor_ == nullptr ? "{}" : supervisor_->ToJson();
   }
@@ -277,7 +276,7 @@ class ShardedDb {
 
   /// Health gate consulted before a write is forwarded to `shard`:
   /// kUnavailable when that shard's breaker is tripped or the corpus is
-  /// read-only (lock-free; OK when supervision is off).
+  /// read-only (lock-free; OK for an unsupervised corpus).
   Status GateWrite(uint32_t shard) const {
     return supervisor_ == nullptr ? Status::OK()
                                   : supervisor_->CheckWritable(shard);
@@ -290,7 +289,10 @@ class ShardedDb {
   /// one pinned snapshot (one scatter leg). Resolves with per-document
   /// counts, index-aligned with shard_docs_[s]. Callers submit legs in
   /// shard order: the last shard's leg runs here, on the calling thread,
-  /// once every other leg is queued on the reader pool.
+  /// once every other leg is queued on the scatter pool. A queued leg
+  /// records its `queue_wait` span; one that expires there is shed by the
+  /// engine's read routine; one the shut-down pool refuses fails with
+  /// kIoError.
   std::future<Result<std::vector<uint64_t>>> SubmitLeg(
       uint32_t s, const std::string& xpath, util::Deadline deadline);
 
@@ -299,9 +301,10 @@ class ShardedDb {
   std::vector<engine::NodeId> doc_root_;       // doc -> root id in its shard
   std::vector<std::vector<uint64_t>> shard_docs_;  // shard -> doc indices,
                                                    // document order
-  std::shared_ptr<concurrency::ThreadPool> readers_;
+  // Scatter pool; null for one shard, whose only leg runs on the caller.
+  std::unique_ptr<concurrency::ThreadPool> readers_;
   std::vector<std::unique_ptr<engine::ConcurrentXmlDb>> shards_;
-  std::unique_ptr<ShardSupervisor> supervisor_;  // null = supervision off
+  std::unique_ptr<ShardSupervisor> supervisor_;  // null when in memory
   std::once_flag shutdown_once_;
 
   // shard.* routing/scatter metrics, plus per-shard shard.<i>.* counters,

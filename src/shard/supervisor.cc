@@ -12,6 +12,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+uint64_t NowMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             Clock::now().time_since_epoch())
+      .count();
+}
+
 constexpr char kProbeTag[] = "cdbs-probe";
 constexpr char kManifestProbeFile[] = "/.cdbs-health-probe";
 
@@ -52,13 +58,12 @@ const char* ShardHealthName(ShardHealth health) {
 /// supervisor thread alone or guarded by `mu`.
 struct ShardSupervisor::ShardState {
   std::atomic<ShardHealth> health{ShardHealth::kHealthy};
-  /// Time (since start, in ms) before which no recovery attempt runs —
-  /// atomic so RetryAfterHintMillis can read it from any thread.
+  /// Time (NowMs) before which no recovery attempt runs — atomic so
+  /// RetryAfterHintMillis can read it from any thread.
   std::atomic<uint64_t> next_attempt_ms{0};
 
   // Supervisor-thread-only.
   uint64_t backoff_ms = 0;
-  int probes_ok = 0;
 
   std::mutex mu;  // guards last_error (ToJson reads it cross-thread)
   Status last_error;
@@ -82,6 +87,8 @@ ShardSupervisor::ShardSupervisor(std::vector<ShardHandle> shards,
       storage_dir_(std::move(storage_dir)),
       options_(options) {
   auto& reg = obs::MetricRegistry::Default();
+  scans_ = reg.GetCounter(
+      "supervisor.scans", "supervisor passes over the shards' health");
   breaker_trips_ = reg.GetCounter(
       "supervisor.breaker_trips", "shard circuit breakers tripped");
   recoveries_ = reg.GetCounter(
@@ -112,21 +119,34 @@ ShardSupervisor::ShardSupervisor(std::vector<ShardHandle> shards,
 ShardSupervisor::~ShardSupervisor() { Stop(); }
 
 void ShardSupervisor::Start() {
-  if (!options_.enabled || started_) return;
+  if (started_) return;
   started_ = true;
   stop_requested_ = false;
+  for (const ShardHandle& h : shards_) {
+    h.engine->SetPoisonSink([this] { Notify(); });
+    if (h.engine->poisoned()) Notify();  // poisoned before the sink was set
+  }
   thread_ = std::thread([this] { Loop(); });
 }
 
 void ShardSupervisor::Stop() {
   {
-    std::lock_guard<std::mutex> lock(stop_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (!started_) return;
     stop_requested_ = true;
   }
-  stop_cv_.notify_all();
+  wake_.notify_all();
   if (thread_.joinable()) thread_.join();
+  for (const ShardHandle& h : shards_) h.engine->SetPoisonSink(nullptr);
   started_ = false;
+}
+
+void ShardSupervisor::Notify() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    event_ = true;
+  }
+  wake_.notify_one();
 }
 
 ShardHealth ShardSupervisor::health(uint32_t shard) const {
@@ -150,12 +170,9 @@ Status ShardSupervisor::CheckWritable(uint32_t shard) const {
 
 uint64_t ShardSupervisor::RetryAfterHintMillis(uint32_t shard) const {
   uint64_t hint = options_.breaker_retry_after_ms;
-  if (shard < states_.size() &&
-      health(shard) == ShardHealth::kDown) {
+  if (shard < states_.size()) {
     // While in backoff, tell clients when the next recovery attempt runs.
-    const uint64_t now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                Clock::now().time_since_epoch())
-                                .count();
+    const uint64_t now_ms = NowMs();
     const uint64_t next =
         states_[shard]->next_attempt_ms.load(std::memory_order_acquire);
     if (next > now_ms) hint = std::max(hint, next - now_ms);
@@ -174,9 +191,7 @@ std::string ShardSupervisor::ToJson() const {
     out += ",\"health\":\"";
     out += ShardHealthName(h);
     out += "\",\"consecutive_persist_failures\":";
-    out += std::to_string(shards_[s].engine == nullptr
-                              ? 0
-                              : shards_[s].engine->consecutive_persist_failures());
+    out += std::to_string(shards_[s].engine->consecutive_persist_failures());
     out += ",\"last_error\":\"";
     const Status err = states_[s]->LastError();
     out += err.ok() ? "" : JsonEscape(err.ToString());
@@ -201,110 +216,113 @@ void ShardSupervisor::SetHealth(uint32_t s, ShardHealth health) {
   states_[s]->health_gauge->Set(static_cast<double>(health));
 }
 
-void ShardSupervisor::NoteFailure(uint32_t s, const Status& error,
-                                  Clock::time_point now) {
+void ShardSupervisor::ScheduleRetry(uint32_t s, const Status& error,
+                                    ShardHealth health) {
   ShardState& st = *states_[s];
   st.RecordError(error);
-  st.backoff_ms = st.backoff_ms == 0
-                      ? options_.recovery_backoff_ms
-                      : std::min(st.backoff_ms * 2,
-                                 options_.max_recovery_backoff_ms);
-  const uint64_t now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              now.time_since_epoch())
-                              .count();
-  st.next_attempt_ms.store(now_ms + st.backoff_ms,
+  // Floored at 1 ms, so a zero backoff cannot spin the loop.
+  st.backoff_ms = std::max<uint64_t>(
+      1, st.backoff_ms == 0 ? options_.recovery_backoff_ms
+                            : std::min(st.backoff_ms * 2,
+                                       options_.max_recovery_backoff_ms));
+  st.next_attempt_ms.store(NowMs() + st.backoff_ms,
                            std::memory_order_release);
-  SetHealth(s, ShardHealth::kDown);
+  SetHealth(s, health);
 }
 
 void ShardSupervisor::Loop() {
-  auto next_manifest_probe = Clock::now();
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  while (!stop_requested_) {
-    stop_cv_.wait_for(lock,
-                      std::chrono::milliseconds(options_.poll_interval_ms),
-                      [this] { return stop_requested_; });
-    if (stop_requested_) break;
-    lock.unlock();
-    const auto now = Clock::now();
-    if (now >= next_manifest_probe) {
-      ProbeManifestDir();
-      next_manifest_probe =
-          now + std::chrono::milliseconds(options_.manifest_probe_interval_ms);
+  // Sleeps with no timeout while all is well: a poison sink (Notify) or
+  // Stop wakes it. Otherwise it also wakes at the deadline Scan returns.
+  TimePoint wake_at = TimePoint::max();
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    const auto woken = [this] { return stop_requested_ || event_; };
+    if (wake_at == TimePoint::max()) {
+      wake_.wait(lock, woken);
+    } else {
+      wake_.wait_until(lock, wake_at, woken);
     }
-    for (uint32_t s = 0; s < shards_.size(); ++s) ScanShard(s, now);
+    if (stop_requested_) return;
+    event_ = false;
+    // Unlocked while scanning: a Reopen or a probe write waits on a
+    // writer, whose poison sink takes mu_.
+    lock.unlock();
+    wake_at = Scan();
     lock.lock();
   }
 }
 
-void ShardSupervisor::ScanShard(uint32_t s, Clock::time_point now) {
+ShardSupervisor::TimePoint ShardSupervisor::Scan() {
+  scans_->Increment();
+  bool tripped = false;
+  TimePoint wake_at = TimePoint::max();  // earliest unhealthy shard's retry
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    tripped |= ScanShard(s);
+    if (health(s) == ShardHealth::kHealthy) continue;
+    wake_at = std::min(wake_at, TimePoint(std::chrono::milliseconds(
+                                    states_[s]->next_attempt_ms.load(
+                                        std::memory_order_acquire))));
+  }
+  const TimePoint now = Clock::now();
+  const bool sick = read_only() || wake_at != TimePoint::max();
+  if (tripped || (sick && now >= next_manifest_probe_)) {
+    ProbeManifestDir();
+    next_manifest_probe_ =
+        now + std::chrono::milliseconds(
+                  std::max<uint64_t>(1, options_.recovery_backoff_ms));
+  }
+  if (!read_only() && wake_at == TimePoint::max()) return wake_at;
+  return std::min(wake_at, next_manifest_probe_);
+}
+
+bool ShardSupervisor::ScanShard(uint32_t s) {
   ShardState& st = *states_[s];
   engine::ConcurrentXmlDb* eng = shards_[s].engine;
-  if (eng == nullptr) return;
-  switch (st.health.load(std::memory_order_acquire)) {
-    case ShardHealth::kHealthy:
-      if (eng->poisoned()) {
-        // Breaker trip: the writer poisoned itself on a persistent or
-        // corruption-class persist failure. Degrade (writes already
-        // fast-fail at the engine; now the routing layer bounces them
-        // before they even queue) and schedule recovery.
-        breaker_trips_->Increment();
-        st.RecordError(eng->last_persist_error());
-        st.backoff_ms = 0;
-        st.next_attempt_ms.store(0, std::memory_order_release);
-        SetHealth(s, ShardHealth::kDegraded);
-      }
-      break;
-    case ShardHealth::kDegraded:
-      // One scan in degraded lets in-flight submissions drain their
-      // fast-fails; then recovery starts.
-      SetHealth(s, ShardHealth::kDown);
-      break;
-    case ShardHealth::kDown: {
-      const uint64_t now_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              now.time_since_epoch())
-              .count();
-      if (now_ms < st.next_attempt_ms.load(std::memory_order_acquire)) break;
-      const Status reopened = eng->Reopen();
-      if (reopened.ok()) {
-        st.probes_ok = 0;
-        SetHealth(s, ShardHealth::kRecovering);
-      } else {
-        reopen_failures_->Increment();
-        NoteFailure(s, reopened, now);
-      }
-      break;
-    }
-    case ShardHealth::kRecovering: {
-      if (eng->poisoned()) {
-        // A probe (or a straggler write) re-poisoned the writer: the
-        // fault is still live. Back off and reopen again later.
-        NoteFailure(s, eng->last_persist_error(), now);
-        break;
-      }
-      if (shards_[s].probe_target == 0) {
-        // Empty shard: nothing safe to probe against; the verified reopen
-        // is the best evidence available.
-        SetHealth(s, ShardHealth::kHealthy);
-        recoveries_->Increment();
-        recoveries_count_.fetch_add(1, std::memory_order_acq_rel);
-        break;
-      }
+  if (st.health.load(std::memory_order_acquire) == ShardHealth::kHealthy) {
+    if (!eng->poisoned()) return false;
+    // Breaker trip: the writer poisoned itself on a persistent or
+    // corruption-class persist failure. Degrade (writes already fast-fail
+    // at the engine; now the routing layer bounces them before they even
+    // queue). The first reopen waits one backoff, so in-flight
+    // submissions drain as fast-fails first.
+    breaker_trips_->Increment();
+    st.backoff_ms = 0;
+    ScheduleRetry(s, eng->last_persist_error(), ShardHealth::kDegraded);
+    return true;
+  }
+  if (NowMs() >= st.next_attempt_ms.load(std::memory_order_acquire)) {
+    Recover(s);
+  }
+  return false;
+}
+
+void ShardSupervisor::Recover(uint32_t s) {
+  engine::ConcurrentXmlDb* eng = shards_[s].engine;
+  const Status reopened = eng->Reopen();
+  if (!reopened.ok()) {
+    reopen_failures_->Increment();
+    ScheduleRetry(s, reopened, ShardHealth::kDown);
+    return;
+  }
+  SetHealth(s, ShardHealth::kRecovering);
+  // Half-open: the shard is re-admitted only after `half_open_probes`
+  // durable probe writes. An empty shard has nothing safe to probe
+  // against; the verified reopen is the best evidence available. A probe
+  // that fails (the fault is still live, or a straggler write re-poisoned
+  // the writer) sends the shard back down to back off and reopen again.
+  if (shards_[s].probe_target != 0) {
+    for (int i = 0; i < options_.half_open_probes; ++i) {
       const Status probed = ProbeWrite(s);
       if (!probed.ok()) {
-        NoteFailure(s, probed, now);
-        break;
+        ScheduleRetry(s, probed, ShardHealth::kDown);
+        return;
       }
-      if (++st.probes_ok >= options_.half_open_probes) {
-        st.RecordError(Status::OK());
-        SetHealth(s, ShardHealth::kHealthy);
-        recoveries_->Increment();
-        recoveries_count_.fetch_add(1, std::memory_order_acq_rel);
-      }
-      break;
     }
   }
+  states_[s]->RecordError(Status::OK());
+  SetHealth(s, ShardHealth::kHealthy);
+  recoveries_->Increment();
+  recoveries_count_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 Status ShardSupervisor::ProbeWrite(uint32_t s) {
@@ -328,10 +346,8 @@ Status ShardSupervisor::ProbeWrite(uint32_t s) {
 }
 
 void ShardSupervisor::ProbeManifestDir() {
-  bool writable = true;
-  if (CDBS_FAILPOINT("shard.manifest.unwritable")) {
-    writable = false;
-  } else if (!storage_dir_.empty()) {
+  bool writable = !CDBS_FAILPOINT("shard.manifest.unwritable");
+  if (writable) {
     const std::string path = storage_dir_ + kManifestProbeFile;
     std::ofstream out(path, std::ios::trunc);
     out << "ok";
@@ -340,8 +356,6 @@ void ShardSupervisor::ProbeManifestDir() {
     out.close();
     std::remove(path.c_str());
   }
-  // An in-memory corpus (empty storage_dir) can only degrade via the
-  // failpoint; genuine probes need a directory.
   const bool was = read_only_.exchange(!writable, std::memory_order_acq_rel);
   if (!writable && !was) {
     read_only_trips_->Increment();

@@ -17,25 +17,27 @@
 
 /// \file
 /// Shard supervision and self-healing (docs/ROBUSTNESS.md). Every shard of
-/// a ShardedDb gets an explicit health state machine,
+/// a stored ShardedDb gets an explicit health state machine,
 ///
 ///   healthy -> degraded(read-only) -> down -> recovering -> healthy
 ///
 /// driven by the engine's persist-failure classification (FailureClassOf):
 /// when a shard's writer poisons itself — K consecutive persistent failures
-/// (ENOSPC/EIO class) or one corruption — the supervisor trips that shard's
-/// circuit breaker. Writes to the sick shard then fast-fail at the routing
-/// layer with kUnavailable plus a retry-after hint, while reads keep
-/// serving the last published snapshot (degraded read-only mode). A
-/// background recovery thread closes the failed shard's store, reopens it
-/// through the existing WAL crash-recovery path (ConcurrentXmlDb::Reopen),
-/// and re-admits the shard only after half-open probe writes commit
-/// durably. The paper's per-shard WAL economics make this cheap: one sick
-/// shard costs one shard's recovery, never the cluster's availability.
+/// (ENOSPC/EIO class) or one corruption — it wakes the supervisor, which
+/// trips that shard's circuit breaker. Writes to the sick shard then
+/// fast-fail at the routing layer with kUnavailable plus a retry-after
+/// hint, while reads keep serving the last published snapshot (degraded
+/// read-only mode). The same thread then reopens the failed shard's log
+/// through the WAL crash-recovery path (ConcurrentXmlDb::Reopen) and
+/// re-admits the shard only after half-open probe writes commit durably.
+/// The paper's per-shard WAL economics make this cheap: one sick shard
+/// costs one shard's recovery, never the cluster's availability.
 ///
-/// The supervisor also probes the manifest directory itself; when it stops
-/// being writable the whole corpus degrades to read-only
-/// (`shard.manifest.unwritable` forces this in tests).
+/// The supervisor thread runs only when there is work: a poison event, or
+/// a recovery deadline while a shard is unhealthy or the corpus read-only.
+/// When a breaker trips, and on that recovery clock, it also probes the
+/// manifest directory; while the directory is not writable the whole
+/// corpus is read-only (`shard.manifest.unwritable` forces this in tests).
 
 namespace cdbs::shard {
 
@@ -44,7 +46,7 @@ namespace cdbs::shard {
 enum class ShardHealth : uint8_t {
   kHealthy = 0,     ///< writes admitted, reads served
   kDegraded = 1,    ///< breaker tripped: writes fast-fail, reads serve
-  kDown = 2,        ///< recovery in progress / awaiting backoff
+  kDown = 2,        ///< a reopen or probe failed; awaiting the backoff
   kRecovering = 3,  ///< store reopened; half-open probe writes running
 };
 
@@ -52,22 +54,17 @@ enum class ShardHealth : uint8_t {
 const char* ShardHealthName(ShardHealth health);
 
 struct SupervisorOptions {
-  /// Master switch: when false, Start() is a no-op and every shard reports
-  /// healthy forever (the pre-supervision behavior).
-  bool enabled = true;
-  /// Health-scan cadence of the supervisor thread.
-  uint64_t poll_interval_ms = 20;
   /// Probe writes that must commit durably before a recovering shard is
   /// re-admitted. 0 re-admits right after a verified reopen.
   int half_open_probes = 2;
-  /// Initial wait after a failed reopen or probe; doubles per failure.
+  /// Wait after a breaker trip before the first reopen; doubles after each
+  /// failed reopen or probe. Also the manifest re-probe cadence while the
+  /// corpus is read-only or a shard is unhealthy.
   uint64_t recovery_backoff_ms = 50;
   uint64_t max_recovery_backoff_ms = 2000;
   /// Retry-after hint (ms) attached to breaker-tripped kUnavailable
   /// bounces — what CdbsClient's backoff honors.
   uint64_t breaker_retry_after_ms = 100;
-  /// Cadence of the manifest-directory writability probe.
-  uint64_t manifest_probe_interval_ms = 250;
 };
 
 /// Supervises the shards of one ShardedDb. Owned by the ShardedDb; all
@@ -92,7 +89,8 @@ class ShardSupervisor {
   ShardSupervisor(const ShardSupervisor&) = delete;
   ShardSupervisor& operator=(const ShardSupervisor&) = delete;
 
-  /// Starts / stops the supervision thread. Stop is idempotent and joins.
+  /// Starts the supervision thread and installs each engine's poison sink;
+  /// Stop detaches the sinks and joins. Stop is idempotent.
   void Start();
   void Stop();
 
@@ -135,13 +133,25 @@ class ShardSupervisor {
  private:
   struct ShardState;
 
+  using TimePoint = std::chrono::steady_clock::time_point;
+
+  /// Wakes the loop (a poison sink; never blocks on an engine).
+  void Notify();
   void Loop();
-  void ScanShard(uint32_t s, std::chrono::steady_clock::time_point now);
+  /// One pass over every shard and, when due, the manifest directory.
+  /// Returns when the loop must next run without an event: the earliest
+  /// recovery deadline, or TimePoint::max() when all is well.
+  TimePoint Scan();
+  /// Advances shard `s`; true when its breaker tripped in this pass.
+  bool ScanShard(uint32_t s);
+  /// Reopens shard `s` and runs its half-open probes.
+  void Recover(uint32_t s);
   Status ProbeWrite(uint32_t s);
   void ProbeManifestDir();
   void SetHealth(uint32_t s, ShardHealth health);
-  void NoteFailure(uint32_t s, const Status& error,
-                   std::chrono::steady_clock::time_point now);
+  /// Records `error`, doubles the backoff and puts `s` in `health` until
+  /// the next attempt.
+  void ScheduleRetry(uint32_t s, const Status& error, ShardHealth health);
 
   const std::vector<ShardHandle> shards_;
   const std::string storage_dir_;
@@ -151,13 +161,18 @@ class ShardSupervisor {
   std::atomic<bool> read_only_{false};
   std::atomic<uint64_t> recoveries_count_{0};
 
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
+  std::mutex mu_;
+  std::condition_variable wake_;
+  bool stop_requested_ = false;  // guarded by mu_
+  bool event_ = false;           // guarded by mu_: a writer poisoned
   bool started_ = false;
+  // Supervisor-thread-only: when the manifest directory is next probed
+  // while the corpus is read-only or a shard unhealthy.
+  TimePoint next_manifest_probe_{};
   std::thread thread_;
 
   // supervisor.* metrics in the process-wide registry.
+  obs::Counter* scans_ = nullptr;
   obs::Counter* breaker_trips_ = nullptr;
   obs::Counter* recoveries_ = nullptr;
   obs::Counter* reopen_failures_ = nullptr;

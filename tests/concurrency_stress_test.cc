@@ -76,7 +76,6 @@ TEST(ConcurrentStressTest, HamletReadersSeeOrderedDuplicateFreeSpeakers) {
     SCOPED_TRACE(scheme);
     ConcurrentXmlDbOptions options;
     options.db.scheme_name = scheme;
-    options.read_workers = 2;
     auto db = ConcurrentXmlDb::Open(xml::GenerateHamlet(), options);
     ASSERT_TRUE(db.ok());
 
@@ -150,7 +149,6 @@ TEST(ConcurrentStressTest, StoreBackedPipelineStaysDurableUnderLoad) {
   std::remove((path + ".wal").c_str());
   ConcurrentXmlDbOptions options;
   options.db.storage_path = path;
-  options.read_workers = 2;
   options.group_commit_limit = 16;
   auto db = ConcurrentXmlDb::OpenFromXml(
       "<log><entry/><entry/></log>", options);

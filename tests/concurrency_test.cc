@@ -407,24 +407,8 @@ TEST(ConcurrentXmlDbTest, SubmissionsFailCleanlyAfterShutdown) {
               StatusCode::kIoError);
   });
   EXPECT_EQ(CounterValue((*db)->metrics(), "engine.concurrent.rejected"), 0u);
-  Result<std::vector<uint64_t>> read = (*db)->SubmitCount("//b", {0}).get();
-  EXPECT_FALSE(read.ok());
   // Snapshot reads still work after shutdown (the last version persists).
   EXPECT_EQ(*(*db)->Count("//b"), 3u);
-}
-
-TEST(ConcurrentXmlDbTest, SubmittedQueriesRunOnTheWorkerPool) {
-  auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
-  ASSERT_TRUE(db.ok());
-  std::vector<std::future<Result<std::vector<uint64_t>>>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back((*db)->SubmitCount("//b", {0}));
-  }
-  for (auto& f : futures) {
-    Result<std::vector<uint64_t>> r = f.get();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, std::vector<uint64_t>{3});
-  }
 }
 
 TEST(ConcurrentXmlDbTest, GroupCommitAmortizesStoreFsyncs) {
@@ -556,40 +540,6 @@ TEST(ConcurrentXmlDbTest, WriteExpiredWhileQueuedIsShedBeforeTheWal) {
   (*db)->Shutdown();
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
-}
-
-TEST(ConcurrentXmlDbTest, QueryExpiredWhileQueuedIsShedWithoutRunning) {
-  auto db = ConcurrentXmlDb::OpenFromXml(kSmallDoc, {});
-  ASSERT_TRUE(db.ok());
-
-  // Already expired at submission: never reaches the reader pool.
-  Result<std::vector<uint64_t>> dead =
-      (*db)->SubmitCount("//b", {0}, util::Deadline::AfterMillis(-10)).get();
-  EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded);
-
-  // Expired while queued: the worker sees the delay-injected latency, then
-  // sheds the query without evaluating it — the reads counter stays put.
-  const uint64_t reads_before =
-      CounterValue((*db)->metrics(), "engine.concurrent.reads");
-  ASSERT_TRUE(
-      util::Failpoints::Activate("engine.concurrent.read.delay", "delay=100")
-          .ok());
-  Result<std::vector<uint64_t>> doomed =
-      (*db)->SubmitCount("//b", {0}, util::Deadline::AfterMillis(20)).get();
-  util::Failpoints::Deactivate("engine.concurrent.read.delay");
-  EXPECT_EQ(doomed.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(CounterValue((*db)->metrics(), "engine.concurrent.reads"),
-            reads_before)
-      << "a shed query must not have been evaluated";
-  EXPECT_GE(CounterValue((*db)->metrics(),
-                         "engine.concurrent.deadline_exceeded"),
-            2u);
-
-  // A live query still runs fine afterwards.
-  Result<std::vector<uint64_t>> live =
-      (*db)->SubmitCount("//b", {0}, util::Deadline::AfterMillis(5000)).get();
-  ASSERT_TRUE(live.ok());
-  EXPECT_EQ(*live, std::vector<uint64_t>{3});
 }
 
 TEST(ConcurrentXmlDbTest, AdmissionControlReturnsRetryAfterWithHint) {

@@ -372,7 +372,6 @@ TEST_P(EvaluatorOrderTest, ChildSpansFollowDeeperInsertsDeletesAndForks) {
   // insert keeps its version while the writer moves on.
   ConcurrentXmlDbOptions options;
   options.db.scheme_name = GetParam();
-  options.read_workers = 1;
   auto db = ConcurrentXmlDb::OpenFromXml(kXml, options);
   ASSERT_TRUE(db.ok()) << db.status();
   RefTree live = before_insert;

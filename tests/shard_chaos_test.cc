@@ -86,7 +86,6 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
   options.placement = {0, 1, 2, 3, 0, 1, 2, 3};  // doc d -> shard d % 4
   options.storage_dir = dir_;
   options.shard.poison_after_persist_failures = 2;
-  options.supervisor.poll_interval_ms = 5;
   options.supervisor.recovery_backoff_ms = 10;
   options.supervisor.max_recovery_backoff_ms = 100;
   options.supervisor.breaker_retry_after_ms = 10;
@@ -239,7 +238,6 @@ TEST_F(ShardChaosTest, EioPageWriteKillsAndRecoversAShard) {
   options.placement = {0, 1};
   options.storage_dir = dir_;
   options.shard.poison_after_persist_failures = 2;
-  options.supervisor.poll_interval_ms = 5;
   options.supervisor.recovery_backoff_ms = 10;
   options.supervisor.max_recovery_backoff_ms = 50;
   std::vector<xml::Document> docs;

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -510,6 +511,53 @@ TEST(ShardScatterTest, AllShardsFailedFailsTheGather) {
   EXPECT_EQ(gathered.status().code(), StatusCode::kUnavailable);
 }
 
+// Threads of this process, from the kernel's per-task directory.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+// A joined thread may linger in /proc for a moment after its join.
+size_t SettledThreadCount(size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  size_t n = ThreadCount();
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = ThreadCount();
+  }
+  return n;
+}
+
+// Each background thread has one owner: an engine starts only its writer,
+// the scatter pool exists only for more than one shard, and an in-memory
+// corpus has no supervisor.
+TEST(ShardScatterTest, InMemoryCorpusStartsWritersAndOnePoolOnly) {
+  // ThreadSanitizer starts a helper thread with the process's first thread.
+  std::thread([] {}).join();
+  for (const uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE(shards);
+    std::vector<xml::Document> docs = Plays(3);
+    const size_t before = ThreadCount();
+    ShardedDbOptions options;
+    options.shard_count = shards;
+    options.read_workers = 2;
+    auto db = ShardedDb::Open(std::move(docs), options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    const size_t started = shards == 1 ? 1 : shards + 2;
+    EXPECT_EQ(SettledThreadCount(before + started), before + started);
+    // A one-shard gather runs its only leg on the caller.
+    EXPECT_TRUE((*db)->CountPerDoc("//speech").ok());
+    (*db)->Shutdown();
+    EXPECT_EQ(SettledThreadCount(before), before);
+  }
+}
+
 // --------------------------------------------------------------------------
 // Routed reads run on the caller's thread, through the engine's one read
 // routine: deadline check, read.delay failpoint, deadline re-check.
@@ -540,12 +588,14 @@ class ShardRoutedReadTest : public ::testing::Test {
     obs::Tracer::Instance().Clear();
   }
 
-  // Reads evaluated and requests shed by document 2's shard.
-  uint64_t Reads() const {
-    return CounterValue(db_->shard(1)->metrics(), "engine.concurrent.reads");
+  // Reads evaluated and requests shed by a shard; shard 1 serves
+  // document 2 and runs the gathers' last leg, shard 0 the pool's leg.
+  uint64_t Reads(size_t shard = 1) const {
+    return CounterValue(db_->shard(shard)->metrics(),
+                        "engine.concurrent.reads");
   }
-  uint64_t Shed() const {
-    return CounterValue(db_->shard(1)->metrics(),
+  uint64_t Shed(size_t shard = 1) const {
+    return CounterValue(db_->shard(shard)->metrics(),
                         "engine.concurrent.deadline_exceeded");
   }
 
@@ -620,6 +670,77 @@ TEST_F(ShardRoutedReadTest, OnlyScatterLegsWaitInThePoolQueue) {
       spans_of([&] { ASSERT_TRUE(db_->CountAll("//speech").ok()); });
   EXPECT_EQ(count(gather, obs::SpanName::kEval), 2u);
   EXPECT_EQ(count(gather, obs::SpanName::kQueueWait), 1u);
+}
+
+// Concurrent gathers from several callers share the corpus's scatter pool
+// and every leg answers as the document's routed count does.
+TEST_F(ShardRoutedReadTest, ScatterLegsRunOnTheCorpusPool) {
+  std::vector<uint64_t> want;
+  for (uint64_t doc = 0; doc < 3; ++doc) {
+    want.push_back(db_->CountDoc(doc, "//speech").value());
+  }
+  const uint64_t pool_reads = Reads(0);
+  constexpr int kCallers = 4;
+  constexpr int kGathers = 8;
+  std::vector<std::thread> callers;
+  std::atomic<int> wrong{0};
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < kGathers; ++i) {
+        Result<std::vector<uint64_t>> got = db_->CountPerDoc("//speech");
+        if (!got.ok() || *got != want) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(Reads(0), pool_reads + kCallers * kGathers);
+}
+
+// A leg whose deadline has passed, on arrival or while the read.delay
+// failpoint holds it, is shed by the engine's read routine unevaluated.
+TEST_F(ShardRoutedReadTest, ScatterLegExpiredWhileQueuedIsShedWithoutRunning) {
+  const uint64_t reads0 = Reads(0);
+  const uint64_t reads1 = Reads(1);
+  const uint64_t shed0 = Shed(0);
+  EXPECT_EQ(db_->CountPerDoc("//speech", util::Deadline::AfterMillis(-10))
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(Shed(0), shed0 + 1);
+
+  ASSERT_TRUE(
+      util::Failpoints::Activate("engine.concurrent.read.delay", "delay=100")
+          .ok());
+  EXPECT_EQ(db_->CountPerDoc("//speech", util::Deadline::AfterMillis(20))
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  util::Failpoints::Deactivate("engine.concurrent.read.delay");
+  EXPECT_EQ(Shed(0), shed0 + 2);
+  EXPECT_EQ(Reads(0), reads0) << "a shed leg must not have been evaluated";
+  EXPECT_EQ(Reads(1), reads1) << "a shed leg must not have been evaluated";
+
+  // A live gather still runs fine afterwards.
+  Result<std::vector<uint64_t>> live =
+      db_->CountPerDoc("//speech", util::Deadline::AfterMillis(5000));
+  ASSERT_TRUE(live.ok()) << live.status();
+  EXPECT_EQ((*live)[0], db_->CountDoc(0, "//speech").value());
+}
+
+// After Shutdown the pool refuses legs with kIoError; the last leg and
+// routed reads still serve the last published snapshot.
+TEST_F(ShardRoutedReadTest, ScatterFailsCleanlyAfterShutdown) {
+  const uint64_t speeches = db_->CountDoc(0, "//speech").value();
+  db_->Shutdown();
+  EXPECT_EQ(db_->CountPerDoc("//speech").status().code(),
+            StatusCode::kIoError);
+  Result<GatheredCount> gathered = db_->CountAll("//speech");
+  ASSERT_TRUE(gathered.ok()) << gathered.status();
+  EXPECT_EQ(gathered->failed_shards, 1u);
+  EXPECT_EQ(gathered->per_shard[0].code, StatusCode::kIoError);
+  EXPECT_EQ(gathered->per_shard[1].code, StatusCode::kOk);
+  EXPECT_EQ(db_->CountDoc(0, "//speech").value(), speeches);
 }
 
 // --------------------------------------------------------------------------

@@ -7,12 +7,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "shard/sharded_db.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -38,16 +40,18 @@ std::vector<xml::Document> Plays(size_t n) {
   return docs;
 }
 
-/// Supervisor options tuned for test speed: tight polling, short backoff.
+/// Supervisor options tuned for test speed: short backoff.
 SupervisorOptions FastSupervisor() {
   SupervisorOptions o;
-  o.poll_interval_ms = 5;
   o.half_open_probes = 2;
   o.recovery_backoff_ms = 10;
   o.max_recovery_backoff_ms = 50;
   o.breaker_retry_after_ms = 25;
-  o.manifest_probe_interval_ms = 20;
   return o;
+}
+
+uint64_t Scans() {
+  return obs::MetricRegistry::Default().GetCounter("supervisor.scans")->value();
 }
 
 class SupervisorTest : public ::testing::Test {
@@ -66,23 +70,24 @@ class SupervisorTest : public ::testing::Test {
 
   /// A persistent two-shard corpus, doc i on shard i, breaker after 2
   /// strikes.
-  std::unique_ptr<ShardedDb> OpenTwoShards() {
+  std::unique_ptr<ShardedDb> OpenTwoShards(
+      const SupervisorOptions& supervisor = FastSupervisor()) {
     ShardedDbOptions options;
     options.shard_count = 2;
     options.router = RouterKind::kExplicit;
     options.placement = {0, 1};
     options.storage_dir = dir_;
     options.shard.poison_after_persist_failures = 2;
-    options.supervisor = FastSupervisor();
+    options.supervisor = supervisor;
     auto db = ShardedDb::Open(Plays(2), options);
     EXPECT_TRUE(db.ok()) << db.status();
     return db.ok() ? std::move(*db) : nullptr;
   }
 
   /// Drives doc 0's shard into the tripped breaker: arms the scoped ENOSPC
-  /// failpoint and submits writes until the writer poisons and the
-  /// supervisor notices. Returns a valid write target inside doc 0.
-  engine::NodeId TripShard0(ShardedDb* db) {
+  /// failpoint and submits writes until the writer poisons. Returns a valid
+  /// write target inside doc 0.
+  engine::NodeId PoisonShard0(ShardedDb* db) {
     EXPECT_TRUE(util::Failpoints::Activate("wal.shard-0.sync.error",
                                            "enospc")
                     .ok());
@@ -98,6 +103,13 @@ class SupervisorTest : public ::testing::Test {
       EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
           << r.status().ToString();
     }
+    return act;
+  }
+
+  /// PoisonShard0, then waits until the supervisor has taken the shard
+  /// down (its first reopen fails while the fault is live).
+  engine::NodeId TripShard0(ShardedDb* db) {
+    const engine::NodeId act = PoisonShard0(db);
     EXPECT_TRUE(db->supervisor()->WaitForHealth(0, ShardHealth::kDown,
                                                 /*timeout_ms=*/5000) ||
                 db->supervisor()->health(0) == ShardHealth::kDegraded ||
@@ -130,10 +142,10 @@ TEST_F(SupervisorTest, HealthyCorpusReportsHealthyEverywhere) {
   EXPECT_NE(json.find("\"health\":\"healthy\""), std::string::npos) << json;
 }
 
+// An in-memory corpus has no log and cannot poison: it runs unsupervised.
 TEST_F(SupervisorTest, DisabledSupervisionKeepsTheOldBehavior) {
   ShardedDbOptions options;
   options.shard_count = 2;
-  options.supervisor.enabled = false;
   auto db = ShardedDb::Open(Plays(3), options);
   ASSERT_TRUE(db.ok()) << db.status();
   EXPECT_EQ((*db)->supervisor(), nullptr);
@@ -194,40 +206,67 @@ TEST_F(SupervisorTest, RecoveryWaitsOutAPersistentFault) {
                                               /*timeout_ms=*/10000));
 }
 
+TEST_F(SupervisorTest, IdleCorpusSleepsUntilABreakerTrips) {
+  // Backoffs far beyond the test: after the trip no clock wakes the loop.
+  SupervisorOptions slow = FastSupervisor();
+  slow.recovery_backoff_ms = 60000;
+  slow.max_recovery_backoff_ms = 60000;
+  auto db = OpenTwoShards(slow);
+  ASSERT_NE(db, nullptr);
+  const uint64_t idle = Scans();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(Scans(), idle) << "a healthy idle corpus must not be scanned";
+
+  // The poisoning writer wakes the supervisor: one pass sees the trip.
+  PoisonShard0(db.get());
+  ASSERT_TRUE(db->supervisor()->WaitForHealth(0, ShardHealth::kDegraded,
+                                              /*timeout_ms=*/5000));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(Scans(), idle + 1);
+  EXPECT_EQ(db->supervisor()->health(0), ShardHealth::kDegraded);
+  EXPECT_EQ(db->supervisor()->health(1), ShardHealth::kHealthy);
+  // The hint tells clients the first reopen is about a minute away.
+  EXPECT_GT(db->RetryAfterHintMillis(0), 30000u);
+}
+
 TEST_F(SupervisorTest, ManifestDirUnwritableDegradesToReadOnly) {
   auto db = OpenTwoShards();
   ASSERT_NE(db, nullptr);
-  const engine::NodeId act = db->QueryDoc(0, "/play/act").value()[0];
+  const engine::NodeId act1 = db->QueryDoc(1, "/play/act").value()[0];
 
+  // The manifest directory is probed when a breaker trips.
   ASSERT_TRUE(
       util::Failpoints::Activate("shard.manifest.unwritable", "always").ok());
-  // Wait for the next manifest probe to notice.
+  const engine::NodeId act0 = TripShard0(db.get());
+  ASSERT_TRUE(db->supervisor()->read_only());
+
+  // Read-only: every write bounces, the healthy shard's too, reads keep
+  // serving, health JSON says so.
+  for (const auto& [doc, act] : {std::pair{0, act0}, std::pair{1, act1}}) {
+    Result<uint64_t> w = db->Submit(doc, WriteOp::InsertAfter(act, "x")).get();
+    ASSERT_FALSE(w.ok());
+    EXPECT_EQ(w.status().code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(db->supervisor()->health(1), ShardHealth::kHealthy);
+  EXPECT_EQ(db->CountDoc(0, "/play/act").value(), 5u);
+  EXPECT_EQ(db->CountDoc(1, "/play/act").value(), 5u);
+  EXPECT_NE(db->HealthJson().find("\"read_only\":true"), std::string::npos);
+
+  // Faults clear: the probe on the recovery clock clears the degradation
+  // and the shard recovers, both automatically.
+  util::Failpoints::Deactivate("shard.manifest.unwritable");
+  util::Failpoints::Deactivate("wal.shard-0.sync.error");
+  ASSERT_TRUE(db->supervisor()->WaitForHealth(0, ShardHealth::kHealthy,
+                                              /*timeout_ms=*/10000));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!db->supervisor()->read_only() &&
+  while (db->supervisor()->read_only() &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_TRUE(db->supervisor()->read_only());
-
-  // Read-only: every write bounces, reads keep serving, health JSON says
-  // so.
-  Result<uint64_t> w = db->Submit(0, WriteOp::InsertAfter(act, "x")).get();
-  ASSERT_FALSE(w.ok());
-  EXPECT_EQ(w.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(db->CountDoc(0, "/play/act").value(), 5u);
-  EXPECT_NE(db->HealthJson().find("\"read_only\":true"), std::string::npos);
-
-  // Writable again: the probe clears the degradation automatically.
-  util::Failpoints::Deactivate("shard.manifest.unwritable");
-  const auto deadline2 =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (db->supervisor()->read_only() &&
-         std::chrono::steady_clock::now() < deadline2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
   ASSERT_FALSE(db->supervisor()->read_only());
-  EXPECT_TRUE(db->Submit(0, WriteOp::InsertAfter(act, "x")).get().ok());
+  EXPECT_TRUE(db->Submit(0, WriteOp::InsertAfter(act0, "x")).get().ok());
+  EXPECT_TRUE(db->Submit(1, WriteOp::InsertAfter(act1, "x")).get().ok());
 }
 
 // --------------------------------------------------------------------------

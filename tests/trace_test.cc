@@ -8,7 +8,9 @@
 
 #include "engine/concurrent_db.h"
 #include "obs/trace.h"
+#include "shard/sharded_db.h"
 #include "util/failpoint.h"
+#include "xml/parser.h"
 
 /// End-to-end tests for the request-tracing subsystem (src/obs/trace.h):
 /// the acceptance bar is that a retained write trace carries every pipeline
@@ -185,15 +187,23 @@ TEST_F(TraceTest, WriteTraceStagesSumToEndToEndLatency) {
 
 TEST_F(TraceTest, ReadTraceCarriesReadPathStages) {
   ConfigureSampled();
-  auto db = ConcurrentXmlDb::OpenFromXml(kDoc, {});
-  ASSERT_TRUE(db.ok());
+  // Two shards, so the first shard's leg waits in the scatter pool.
+  std::vector<xml::Document> docs;
+  for (int i = 0; i < 2; ++i) docs.push_back(xml::ParseXml(kDoc).value());
+  shard::ShardedDbOptions options;
+  options.shard_count = 2;
+  options.router = shard::RouterKind::kExplicit;
+  options.placement = {0, 1};
+  auto db = shard::ShardedDb::Open(std::move(docs), options);
+  ASSERT_TRUE(db.ok()) << db.status();
   uint64_t trace_id = 0;
   {
     RequestTrace rt(0);
     ASSERT_TRUE(rt.active());
     trace_id = rt.trace_id();
-    auto fut = (*db)->SubmitCount("//b", {0});
-    ASSERT_TRUE(fut.get().ok());
+    auto counts = (*db)->CountPerDoc("//b");
+    ASSERT_TRUE(counts.ok()) << counts.status();
+    EXPECT_EQ(*counts, (std::vector<uint64_t>{3, 3}));
   }
   (*db)->Shutdown();
   const auto retained = Tracer::Instance().Retained();
