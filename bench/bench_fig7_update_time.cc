@@ -7,7 +7,8 @@
 // SC value) and appends the new label, with a final fsync. Under each row:
 // the records rewritten per case, and how many rewrites did not fit their
 // slot (a re-bulk-load the timing leaves out). Any other store error exits
-// 1. The paper's shape: Prime slowest by orders of magnitude (CRT
+// 1. The store is one file under $TMPDIR (default /tmp) with a unique
+// name, removed on every way out of main. The paper's shape: Prime slowest by orders of magnitude (CRT
 // recomputation dominates); Binary containment next (thousands of record
 // rewrites); the dynamic schemes within ~2x of each other because a
 // single-page write dominates their cost. After the table the bench prints
@@ -16,10 +17,13 @@
 // or DeweyID rewrote fewer than kMinStaticRewrites in some case. The
 // timing parts are printed only; EXPERIMENTS.md E5 discusses them.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -149,20 +153,41 @@ std::vector<NodeId> ActIds(const cdbs::xml::Document& doc) {
   return acts;
 }
 
-int Fail(const std::string& store_path, const char* what,
-         const cdbs::Status& status) {
+int Fail(const char* what, const cdbs::Status& status) {
   std::fprintf(stderr, "\nFAIL: store %s: %s\n", what,
                status.ToString().c_str());
-  std::remove(store_path.c_str());
   return 1;
 }
+
+// The store's file: created under $TMPDIR (default /tmp) with a unique
+// name, so runs side by side never share it, and removed however main
+// returns.
+class ScratchFile {
+ public:
+  ScratchFile() {
+    path_ = (std::filesystem::temp_directory_path() /
+             "cdbs_fig7_store_XXXXXX")
+                .string();
+    const int fd = ::mkstemp(path_.data());
+    CDBS_CHECK(fd >= 0);
+    ::close(fd);
+  }
+  ~ScratchFile() { std::remove(path_.c_str()); }
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace
 
 int main() {
   const cdbs::xml::Document hamlet = cdbs::xml::GenerateHamlet();
   const std::vector<NodeId> acts = ActIds(hamlet);
-  const std::string store_path = "/tmp/cdbs_fig7_store.db";
+  const ScratchFile store_file;
 
   cdbs::bench::Heading(
       "Figure 7: log2 of total update time in ms (and raw ms), Hamlet "
@@ -192,9 +217,9 @@ int main() {
       }
       first_case = false;
       LabelStore store;
-      cdbs::Status loaded = store.Open(store_path);
+      cdbs::Status loaded = store.Open(store_file.path());
       if (loaded.ok()) loaded = store.BulkLoad(records, /*headroom=*/16);
-      if (!loaded.ok()) return Fail(store_path, "bulk load", loaded);
+      if (!loaded.ok()) return Fail("bulk load", loaded);
 
       // Timed region: the insertion itself plus the I/O it causes.
       cdbs::util::Stopwatch timer;
@@ -215,14 +240,14 @@ int main() {
         if (status.code() == cdbs::StatusCode::kOutOfRange) {
           ++overflows;
         } else if (!status.ok()) {
-          return Fail(store_path, "rewrite", status);
+          return Fail("rewrite", status);
         }
       }
       const cdbs::Status appended =
           store.Append(labeling->SerializeLabel(result.new_node));
-      if (!appended.ok()) return Fail(store_path, "append", appended);
+      if (!appended.ok()) return Fail("append", appended);
       const cdbs::Status synced = store.Sync();
-      if (!synced.ok()) return Fail(store_path, "sync", synced);
+      if (!synced.ok()) return Fail("sync", synced);
       const double ms = timer.ElapsedMillis();
       std::printf(" %7.2f(%6.2fms)", std::log2(ms > 0.001 ? ms : 0.001), ms);
       std::fflush(stdout);
@@ -235,7 +260,6 @@ int main() {
                 rewrite_counts.c_str());
   }
   update_phase.StopAndRecord();
-  std::remove(store_path.c_str());
   const bool shape_ok = CheckShape(rows);
   cdbs::bench::DumpMetrics("fig7_update_time");
   if (!shape_ok) {

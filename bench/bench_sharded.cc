@@ -23,7 +23,9 @@
 // tags and skeleton (about 60 B/element) and frees every input document
 // on ingest; keeping a DOM costs another ~158 B/element. The bench FAILS
 // above 96 B/element, so a document coming back onto the serving path
-// cannot go unnoticed. `bench_sharded memory` runs the guard alone.
+// cannot go unnoticed. The guard opens V-CDBS; the same Open over QED and
+// Hybrid is printed next to it, unguarded (their string and variant label
+// columns are larger). `bench_sharded memory` runs the guard alone.
 //
 // Knobs: CDBS_BENCH_MS (per-phase duration, default 400 ms),
 // CDBS_SHARD_BENCH_SHARDS (default 4), CDBS_SHARD_FSYNC_DELAY_MS (default
@@ -153,30 +155,49 @@ size_t HeapInUse() {
   return info.uordblks + info.hblkhd;
 }
 
-// The shard-open memory guard (see the file comment). Returns false when
-// the heap kept after Open exceeds kMaxOpenBytesPerElement.
-bool ShardOpenMemoryGuard() {
-  constexpr double kMaxOpenBytesPerElement = 96;
+// Heap bytes per element kept after an in-memory 4-shard Open of D5 under
+// `scheme`, printed on one line with its `guard` (0: none); negative when
+// the Open fails.
+double OpenBytesPerElement(const char* scheme, double guard) {
   const size_t before = HeapInUse();
   ShardedDbOptions options;
   options.shard_count = 4;
   options.read_workers = 1;
+  options.shard.db.scheme_name = scheme;
   auto opened = ShardedDb::Open(cdbs::xml::GenerateShakespeareDataset(),
                                 options);
   if (!opened.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  opened.status().ToString().c_str());
-    return false;
+    return -1;
   }
   const size_t after = HeapInUse();
   const uint64_t elements = (*opened)->TotalNodes();
   const double per_element =
       after > before ? static_cast<double>(after - before) / elements : 0.0;
+  std::printf("  %-28s %" PRIu64 " elements, %.1f MB kept after Open, "
+              "%.1f B/element",
+              scheme, elements, (after - before) / 1e6, per_element);
+  if (guard > 0) {
+    std::printf(" (guard %.0f)\n", guard);
+  } else {
+    std::printf(" (not guarded)\n");
+  }
+  return per_element;
+}
+
+// The shard-open memory guard (see the file comment). Returns false when
+// the heap V-CDBS keeps after Open exceeds kMaxOpenBytesPerElement.
+bool ShardOpenMemoryGuard() {
+  constexpr double kMaxOpenBytesPerElement = 96;
   cdbs::bench::Heading("Shard-open memory (in-memory, 4 shards, D5)");
-  std::printf("  %" PRIu64 " elements, %.1f MB kept after Open, "
-              "%.1f B/element (guard %.0f)\n",
-              elements, (after - before) / 1e6, per_element,
-              kMaxOpenBytesPerElement);
+  const double per_element =
+      OpenBytesPerElement("V-CDBS-Containment", kMaxOpenBytesPerElement);
+  if (per_element < 0) return false;
+  for (const char* other :
+       {"QED-Containment", "Hybrid-CDBS/QED-Containment"}) {
+    if (OpenBytesPerElement(other, /*guard=*/0) < 0) return false;
+  }
   cdbs::obs::MetricRegistry::Default()
       .GetGauge("bench.sharded.open_bytes_per_element",
                 "Heap kept after an in-memory 4-shard Open, per element")

@@ -140,9 +140,9 @@ class ConcurrentXmlDb {
   Result<uint64_t> Count(const std::string& xpath) const;
 
   /// Match counts of `xpath` inside each of `scopes` (index-aligned), all
-  /// on one pinned snapshot. Scopes in document order, none inside
-  /// another, share the evaluator's step cursors. Deadline handling as in
-  /// Query.
+  /// on one pinned snapshot. The scopes must be in document order, none
+  /// inside another (query::CountPerScope's precondition): they share the
+  /// evaluator's step cursors. Deadline handling as in Query.
   Result<std::vector<uint64_t>> CountPerScope(
       const std::string& xpath, const std::vector<NodeId>& scopes,
       util::Deadline deadline = {}) const;

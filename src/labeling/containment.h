@@ -1,11 +1,13 @@
 #ifndef CDBS_LABELING_CONTAINMENT_H_
 #define CDBS_LABELING_CONTAINMENT_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/binary_codec.h"
@@ -27,10 +29,14 @@
 ///   V-CDBS / F-CDBS     : this paper's codes (as compact as binary, and
 ///                         insertion touches only the new label, until the
 ///                         rare length-field overflow);
-///   QED                 : quaternary codes (slightly larger, overflow-free).
+///   QED                 : quaternary codes (slightly larger, overflow-free);
+///   Hybrid              : V-CDBS codes until the first overflow, QED after.
 ///
 /// `u` is an ancestor of `v` iff start(u) < start(v) and end(v) < end(u) in
 /// the codec's order; parent additionally requires a level difference of 1.
+///
+/// Every codec also abbreviates a value to a 32-bit order key (`Key`), the
+/// Labeling::OrderKey/EndKey contract: Key(a) < Key(b) implies a < b.
 
 namespace cdbs::labeling {
 
@@ -125,6 +131,10 @@ class FloatContainmentCodec {
   int Compare(const Value& a, const Value& b) const {
     return a < b ? -1 : (a > b ? 1 : 0);
   }
+
+  /// The order key: the IEEE bit pattern, which orders positive floats (all
+  /// values are) as their values. Exact.
+  static uint32_t Key(Value v) { return std::bit_cast<uint32_t>(v); }
 
   size_t StoredBits(const Value&) const { return 32; }
 
@@ -256,6 +266,17 @@ class QedContainmentCodec {
     return a < b ? -1 : (a > b ? 1 : 0);
   }
 
+  /// The order key: the first 16 digits, 2 bits each, MSB first, padded
+  /// with the separator digit 0. A code then keys no higher than its
+  /// extensions, and codes that differ in their first 16 digits key apart.
+  static uint32_t Key(const Value& v) {
+    uint32_t key = 0;
+    for (size_t i = 0; i < 16; ++i) {
+      key = key << 2 | (i < v.size() ? static_cast<uint32_t>(v[i] - '0') : 0);
+    }
+    return key;
+  }
+
   /// 2 bits per digit plus the 2-bit "0" separator.
   size_t StoredBits(const Value& v) const { return 2 * v.size() + 2; }
 
@@ -275,15 +296,123 @@ class QedContainmentCodec {
   size_t SerializedSize(const Value& v) const { return v.size(); }
 };
 
+/// Counts one CDBS-to-QED switch (`labeling.hybrid.qed_fallbacks`).
+void NoteQedFallback();
+
+/// Hybrid values (labeling/hybrid.h): CDBS mode until the first overflow,
+/// then QED mode. A value is a variant, but at any moment every live value
+/// is in the same mode; the flip happens inside Init(), which the labeling
+/// calls when it re-encodes after an overflow.
+class HybridContainmentCodec {
+ public:
+  using CdbsWord = CdbsContainmentCodec::Value;
+  using Value = std::variant<CdbsWord, core::QedCode>;
+  static constexpr OverflowPolicy kOverflowPolicy =
+      OverflowPolicy::kReencodeAll;
+
+  void Init(uint64_t count, std::vector<Value>* values) {
+    values->clear();
+    values->reserve(count);
+    if (!switched_to_qed_) {
+      cdbs_.Init(count, &cdbs_scratch_);
+      for (const CdbsWord code : cdbs_scratch_) values->emplace_back(code);
+      cdbs_scratch_.clear();
+    } else {
+      std::vector<core::QedCode> codes;
+      qed_.Init(count, &codes);
+      for (auto& code : codes) values->emplace_back(std::move(code));
+    }
+  }
+
+  int Compare(const Value& a, const Value& b) const {
+    if (std::holds_alternative<CdbsWord>(a)) {
+      return cdbs_.Compare(std::get<CdbsWord>(a), std::get<CdbsWord>(b));
+    }
+    const auto& qa = std::get<core::QedCode>(a);
+    const auto& qb = std::get<core::QedCode>(b);
+    return qa < qb ? -1 : (qa > qb ? 1 : 0);
+  }
+
+  /// The order key of the value's mode. Every live value shares one mode,
+  /// and the switch re-encodes them all, which rekeys every tag list.
+  static uint32_t Key(const Value& v) {
+    if (std::holds_alternative<CdbsWord>(v)) {
+      return CdbsContainmentCodec::Key(std::get<CdbsWord>(v));
+    }
+    return QedContainmentCodec::Key(std::get<core::QedCode>(v));
+  }
+
+  size_t StoredBits(const Value& v) const {
+    if (std::holds_alternative<CdbsWord>(v)) {
+      return cdbs_.StoredBits(std::get<CdbsWord>(v));
+    }
+    return qed_.StoredBits(std::get<core::QedCode>(v));
+  }
+
+  bool TryInsertTwoBetween(const Value& left, const Value& right, Value* v1,
+                           Value* v2, uint64_t* neighbor_bits) {
+    if (std::holds_alternative<CdbsWord>(left)) {
+      CdbsWord m1 = 0;
+      CdbsWord m2 = 0;
+      if (cdbs_.TryInsertTwoBetween(std::get<CdbsWord>(left),
+                                    std::get<CdbsWord>(right), &m1, &m2,
+                                    neighbor_bits)) {
+        *v1 = m1;
+        *v2 = m2;
+        return true;
+      }
+      // CDBS length field overflowed: the next re-encode (Init) emits QED.
+      switched_to_qed_ = true;
+      NoteQedFallback();
+      return false;
+    }
+    core::QedCode m1;
+    core::QedCode m2;
+    qed_.TryInsertTwoBetween(std::get<core::QedCode>(left),
+                             std::get<core::QedCode>(right), &m1, &m2,
+                             neighbor_bits);
+    *v1 = std::move(m1);
+    *v2 = std::move(m2);
+    return true;  // QED never overflows
+  }
+
+  void NoteUniverse(uint64_t count) {
+    cdbs_.NoteUniverse(count);
+    qed_.NoteUniverse(count);
+  }
+
+  std::string Serialize(const Value& v) const {
+    if (std::holds_alternative<CdbsWord>(v)) {
+      return cdbs_.Serialize(std::get<CdbsWord>(v));
+    }
+    return qed_.Serialize(std::get<core::QedCode>(v));
+  }
+
+  size_t SerializedSize(const Value& v) const {
+    if (std::holds_alternative<CdbsWord>(v)) {
+      return cdbs_.SerializedSize(std::get<CdbsWord>(v));
+    }
+    return qed_.SerializedSize(std::get<core::QedCode>(v));
+  }
+
+  /// Test hook: whether the QED fallback has been taken.
+  bool switched_to_qed() const { return switched_to_qed_; }
+
+ private:
+  bool switched_to_qed_ = false;
+  CdbsContainmentCodec cdbs_{/*fixed_width=*/false};
+  QedContainmentCodec qed_;
+  std::vector<CdbsWord> cdbs_scratch_;
+};
+
 /// ---- The labeling -------------------------------------------------------
 
-/// Containment labeling over any codec above.
+/// Containment labeling over any codec above. Final, so a caller holding
+/// the concrete type (WithContainment) calls its keys without a vtable.
 template <typename Codec>
-class ContainmentLabeling : public Labeling {
+class ContainmentLabeling final : public Labeling {
  public:
   using Value = typename Codec::Value;
-  /// Whether the codec abbreviates a start value to a 32-bit order key.
-  static constexpr bool kKeyed = requires(Value v) { Codec::Key(v); };
 
   ContainmentLabeling(std::string name, Codec codec, TreeSkeleton skeleton)
       : name_(std::move(name)), codec_(std::move(codec)) {
@@ -319,23 +448,8 @@ class ContainmentLabeling : public Labeling {
 
   int Level(NodeId n) const override { return skeleton_.level(n); }
 
-  bool HasOrderKeys() const override { return kKeyed; }
-
-  uint32_t OrderKey(NodeId n) const override {
-    if constexpr (kKeyed) {
-      return Codec::Key(start_[n]);
-    } else {
-      return 0;
-    }
-  }
-
-  uint32_t EndKey(NodeId n) const override {
-    if constexpr (kKeyed) {
-      return Codec::Key(end_[n]);
-    } else {
-      return 0;
-    }
-  }
+  uint32_t OrderKey(NodeId n) const override { return Codec::Key(start_[n]); }
+  uint32_t EndKey(NodeId n) const override { return Codec::Key(end_[n]); }
 
   InsertResult InsertSiblingBefore(NodeId target) override {
     // The new interval goes between the value preceding start(target) —
@@ -482,6 +596,31 @@ class ContainmentLabeling : public Labeling {
   util::CowVector<Value> start_;
   util::CowVector<Value> end_;
 };
+
+/// Calls f(containment) when `lab` is a ContainmentLabeling<Codec>;
+/// returns whether it was.
+template <typename Codec, typename F>
+bool WithContainmentOver(const Labeling& lab, F& f) {
+  const auto* containment =
+      dynamic_cast<const ContainmentLabeling<Codec>*>(&lab);
+  if (containment != nullptr) f(*containment);
+  return containment != nullptr;
+}
+
+/// Calls f(containment) with `lab` as the ContainmentLabeling it is, over
+/// whichever codec above, and returns true; returns false, calling
+/// nothing, when it is none. This is the one list of the containment
+/// codecs: readers that take the label columns in place (the evaluator's
+/// view, the tag index's key fill) dispatch through it once per document
+/// or evaluation, never per node.
+template <typename F>
+bool WithContainment(const Labeling& lab, F&& f) {
+  return WithContainmentOver<CdbsContainmentCodec>(lab, f) ||
+         WithContainmentOver<IntContainmentCodec>(lab, f) ||
+         WithContainmentOver<FloatContainmentCodec>(lab, f) ||
+         WithContainmentOver<QedContainmentCodec>(lab, f) ||
+         WithContainmentOver<HybridContainmentCodec>(lab, f);
+}
 
 /// ---- Factories ----------------------------------------------------------
 

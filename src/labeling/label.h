@@ -175,21 +175,21 @@ class Labeling {
   /// Tree level of `n` (root == 1).
   virtual int Level(NodeId n) const = 0;
 
-  /// Whether OrderKey is defined: the scheme has an order-preserving
-  /// 32-bit abbreviation of the label that decides document order.
-  virtual bool HasOrderKeys() const { return false; }
-
-  /// The 32-bit abbreviation of `n`'s document-order label, when
-  /// HasOrderKeys(): OrderKey(a) < OrderKey(b) implies a precedes b, and
-  /// equal keys leave the order to CompareOrder. Tag lists store one per
-  /// entry so a search probes keys, not labels (query/tag_list.h).
+  /// A 32-bit abbreviation of `n`'s document-order label: OrderKey(a) <
+  /// OrderKey(b) implies a precedes b, and equal keys leave the order to
+  /// CompareOrder. Tag lists store one per entry so a search probes keys,
+  /// not labels (query/tag_list.h). Every containment codec abbreviates
+  /// its values (Codec::Key). The prefix schemes and Prime keep this
+  /// constant 0, which the contract allows: every comparison ties, and the
+  /// labels decide it.
   virtual uint32_t OrderKey(NodeId) const { return 0; }
 
-  /// The same abbreviation of the value that closes `n`'s interval, when
-  /// HasOrderKeys(): OrderKey(d) < EndKey(a) implies that a node `d` after
-  /// `a` lies in a's subtree, OrderKey(d) > EndKey(a) that it does not, and
-  /// equal keys leave it to the labels. The per-tag lists store one per
-  /// entry, so a step from a context reads no label to bound its subtree.
+  /// The same abbreviation of the value that closes `n`'s interval:
+  /// OrderKey(d) < EndKey(a) implies that a node `d` after `a` lies in a's
+  /// subtree, OrderKey(d) > EndKey(a) that it does not, and equal keys
+  /// leave it to the labels. The per-tag lists store one per entry, so a
+  /// step from a context reads no label to bound its subtree. Constant 0
+  /// for the schemes whose OrderKey is.
   virtual uint32_t EndKey(NodeId) const { return 0; }
 
   /// Inserts a new element as the sibling immediately before `target`.

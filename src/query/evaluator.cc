@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "labeling/containment.h"
-#include "labeling/hybrid.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -71,27 +70,17 @@ bool NameMatches(const Step& step, const std::string& tag) {
   return step.name == "*" || step.name == tag;
 }
 
-NodeId IdOf(NodeId n) { return n; }
-NodeId IdOf(const KeyedId& n) { return n.id; }
-
 // Where a step's matches go: appended to the match list, collected as the
-// next step's contexts, or only counted. A context is a `Node`: an id, or
-// on a keyed view an id with its interval keys.
-template <typename Node>
+// next step's contexts, or only counted. A context is a KeyedId: an id
+// with its interval keys.
 class Sink {
  public:
-  static constexpr bool kKeyed = std::is_same_v<Node, KeyedId>;
-
   Sink() = default;  // counts
   explicit Sink(std::vector<NodeId>* ids) : ids_(ids) {}
   // Collects the next step's contexts into `*nodes`.
-  static Sink Contexts(std::vector<Node>* nodes) {
+  static Sink Contexts(std::vector<KeyedId>* nodes) {
     Sink sink;
-    if constexpr (kKeyed) {
-      sink.nodes_ = nodes;
-    } else {
-      sink.ids_ = nodes;
-    }
+    sink.nodes_ = nodes;
     return sink;
   }
 
@@ -105,13 +94,9 @@ class Sink {
   // Matches list[begin, end), taken whole. Contexts copy their keys
   // straight from the runs.
   void Span(const TagList& list, size_t begin, size_t end) {
-    if constexpr (kKeyed) {
-      if (nodes_ != nullptr) {
-        list.AppendRange(begin, end, nodes_);
-        return;
-      }
-    }
-    if (ids_ != nullptr) {
+    if (nodes_ != nullptr) {
+      list.AppendRange(begin, end, nodes_);
+    } else if (ids_ != nullptr) {
       list.AppendRange(begin, end, ids_);
     } else {
       count_ += end - begin;
@@ -119,15 +104,11 @@ class Sink {
   }
   // Takes a finished, document-ordered match list (a match list or count
   // sink only).
-  void Take(std::vector<Node>&& nodes) {
+  void Take(std::vector<KeyedId>&& nodes) {
     if (ids_ == nullptr) {
       count_ += nodes.size();
-    } else if constexpr (kKeyed) {
-      for (const KeyedId& n : nodes) ids_->push_back(n.id);
-    } else if (ids_->empty()) {
-      *ids_ = std::move(nodes);
     } else {
-      ids_->insert(ids_->end(), nodes.begin(), nodes.end());
+      for (const KeyedId& n : nodes) ids_->push_back(n.id);
     }
   }
 
@@ -136,21 +117,21 @@ class Sink {
   // a local, so a scan's hot loop touches neither the sink nor a branch.
   template <typename Scan>
   void Visit(Scan&& scan) {
-    if (kKeyed && nodes_ != nullptr) {
-      std::vector<Node>* out = nodes_;
-      scan([out](const Node& n) {
+    if (nodes_ != nullptr) {
+      std::vector<KeyedId>* out = nodes_;
+      scan([out](const KeyedId& n) {
         out->push_back(n);
         return true;
       });
     } else if (ids_ != nullptr) {
       std::vector<NodeId>* out = ids_;
-      scan([out](const Node& n) {
-        out->push_back(IdOf(n));
+      scan([out](const KeyedId& n) {
+        out->push_back(n.id);
         return true;
       });
     } else {
       uint64_t count = 0;
-      scan([&count](const Node&) {
+      scan([&count](const KeyedId&) {
         ++count;
         return true;
       });
@@ -160,27 +141,25 @@ class Sink {
 
  private:
   std::vector<NodeId>* ids_ = nullptr;
-  std::vector<Node>* nodes_ = nullptr;  // keyed contexts
+  std::vector<KeyedId>* nodes_ = nullptr;  // contexts
   uint64_t count_ = 0;
 };
 
-// The navigator reads structure through a view. Besides the predicates, a
-// view makes the tests a positioning search probes with, each true on a
-// prefix of a document-ordered list: NotAfter(n) through `n`, Before(n)
-// up to just before `n`, and InSubtree(a), on elements from `a` on,
-// through a's last descendant.
+// The navigator reads structure through a view. Besides the predicates and
+// the keys, a view makes the untied tests a positioning search decides a
+// key tie with, each true on a prefix of a document-ordered list:
+// NotAfter(n, x) through `n`, Before(n, x) up to just before `n`, and
+// InSubtree(a, x), on elements from `a` on, through a's last descendant.
 //
-// This view asks the scheme's virtual predicates: Dewey, OrdPath, the
-// prefix schemes and Prime are read through it.
+// This view asks the scheme's virtual predicates and keys: Dewey,
+// OrdPath, the prefix schemes and Prime are read through it. Their keys
+// are the constant 0, so every search probe ties and the tests decide.
 class LabelingView {
  public:
-  static constexpr bool kColumns = false;
-  using Node = NodeId;
-
   explicit LabelingView(const Labeling& lab) : lab_(&lab) {}
 
-  Node MakeNode(NodeId n) const { return n; }
-
+  uint32_t Key(NodeId n) const { return lab_->OrderKey(n); }
+  uint32_t EndKey(NodeId n) const { return lab_->EndKey(n); }
   int CompareOrder(NodeId a, NodeId b) const {
     return lab_->CompareOrder(a, b);
   }
@@ -188,16 +167,14 @@ class LabelingView {
   bool IsParent(NodeId p, NodeId c) const { return lab_->IsParent(p, c); }
   int Level(NodeId n) const { return lab_->Level(n); }
 
-  auto NotAfter(NodeId n) const {
-    return [lab = lab_, n](NodeId x) { return lab->CompareOrder(n, x) >= 0; };
+  bool NotAfter(NodeId n, NodeId x) const {
+    return lab_->CompareOrder(n, x) >= 0;
   }
-  auto Before(NodeId n) const {
-    return [lab = lab_, n](NodeId x) { return lab->CompareOrder(x, n) < 0; };
+  bool Before(NodeId n, NodeId x) const {
+    return lab_->CompareOrder(x, n) < 0;
   }
-  auto InSubtree(NodeId a) const {
-    return [lab = lab_, a](NodeId x) {
-      return x == a || lab->IsAncestor(a, x);
-    };
+  bool InSubtree(NodeId a, NodeId x) const {
+    return x == a || lab_->IsAncestor(a, x);
   }
 
  private:
@@ -208,39 +185,25 @@ class LabelingView {
 // ancestor of `d` iff start(a) < start(d) and end(d) < end(a), document
 // order is start order, and the level is stored. One view serves every
 // containment codec (V/F-Binary, Float, V/F-CDBS, QED, Hybrid): each
-// orders its values by `<`. It depends only on the value type, so codecs
-// with the same one (Binary and CDBS words) share one navigator. Word
-// values have order keys (Codec::Key), which the document's tag lists
-// carry, so a search over them probes keys and reads a start value only
-// on a tie; its contexts are KeyedIds, which carry their own keys.
+// orders its values by `<` and abbreviates them to order keys
+// (Codec::Key). It depends only on the value type, so codecs with the same
+// one (Binary and CDBS words) share one navigator. From `a` on, an element
+// is in a's subtree iff it starts before `a` ends.
 template <typename Value>
 class ContainmentView {
  public:
-  static constexpr bool kColumns = true;
-  static constexpr bool kKeyed = std::is_same_v<Value, uint64_t>;
-  using Node = std::conditional_t<kKeyed, KeyedId, NodeId>;
-
   template <typename Codec>
   explicit ContainmentView(const labeling::ContainmentLabeling<Codec>& lab)
-      : start_(&lab.starts()), end_(&lab.ends()), level_(&lab.levels()) {
-    static_assert(labeling::ContainmentLabeling<Codec>::kKeyed == kKeyed);
-    if constexpr (kKeyed) key_ = &Codec::Key;
-  }
+      : start_(&lab.starts()),
+        end_(&lab.ends()),
+        level_(&lab.levels()),
+        key_(&Codec::Key) {}
 
   const Value& Start(NodeId n) const { return (*start_)[n]; }
   const Value& End(NodeId n) const { return (*end_)[n]; }
   int Level(NodeId n) const { return (*level_)[n]; }
+  uint32_t Key(NodeId n) const { return key_(Start(n)); }
   uint32_t EndKey(NodeId n) const { return key_(End(n)); }
-
-  // `n` as a context: its start key read from the column, its end key
-  // left to be read when a search needs it.
-  Node MakeNode(NodeId n) const {
-    if constexpr (kKeyed) {
-      return KeyedId{n, key_(Start(n)), KeyedId::kNoEndKey};
-    } else {
-      return n;
-    }
-  }
 
   int CompareOrder(NodeId a, NodeId b) const {
     const Value& x = Start(a);
@@ -254,67 +217,34 @@ class ContainmentView {
     return Level(c) - Level(p) == 1 && IsAncestor(p, c);
   }
 
-  // Each probe compares an element's start value (or its key) with a bound
-  // read once. From `a` on, an element is in a's subtree iff it starts
-  // before `a` ends.
-  auto NotAfter(NodeId n) const { return Probe<true>(Start(n)); }
-  auto Before(NodeId n) const { return Probe<false>(Start(n)); }
-  auto InSubtree(NodeId a) const { return Probe<false>(End(a)); }
+  bool NotAfter(NodeId n, NodeId x) const { return !(Start(n) < Start(x)); }
+  bool Before(NodeId n, NodeId x) const { return Start(x) < Start(n); }
+  bool InSubtree(NodeId a, NodeId x) const { return Start(x) < End(a); }
 
  private:
-  // True for elements that start below `bound` (or at it, kOrAt). Words are
-  // held by value, strings by reference into their column.
-  template <bool kOrAt>
-  struct StartsBelow {
-    ContainmentView view;
-    std::conditional_t<std::is_scalar_v<Value>, Value, const Value&> bound;
-    bool operator()(NodeId x) const {
-      return kOrAt ? !(bound < view.Start(x)) : view.Start(x) < bound;
-    }
-  };
-
-  // The search for elements starting below `bound` (or at it): by key, with
-  // the start value deciding ties, where the lists are keyed.
-  template <bool kOrAt>
-  auto Probe(const Value& bound) const {
-    const StartsBelow<kOrAt> below{*this, bound};
-    if constexpr (kKeyed) {
-      return KeyProbe<StartsBelow<kOrAt>>{key_(bound), below};
-    } else {
-      return below;
-    }
-  }
+  // Words and floats are passed by value, strings and variants by
+  // reference.
+  using KeyOf =
+      uint32_t (*)(std::conditional_t<std::is_scalar_v<Value>, Value,
+                                      const Value&>);
 
   const util::CowVector<Value>* start_;
   const util::CowVector<Value>* end_;
   const util::CowVector<uint16_t>* level_;
-  uint32_t (*key_)(uint64_t) = nullptr;
+  KeyOf key_;
 };
-
-// Calls f(view) over the columns of `lab` when it is a containment
-// labeling over `Codec`; returns whether it was.
-template <typename Codec, typename F>
-bool WithColumns(const Labeling& lab, F& f) {
-  const auto* containment =
-      dynamic_cast<const labeling::ContainmentLabeling<Codec>*>(&lab);
-  if (containment != nullptr) {
-    f(ContainmentView<typename Codec::Value>(*containment));
-  }
-  return containment != nullptr;
-}
 
 // Calls f(view) with the view `lab` is read through: its containment
 // columns, or else its virtual predicates. Once per evaluation, never per
 // probe.
 template <typename F>
 void WithView(const Labeling& lab, F&& f) {
-  if (!WithColumns<labeling::CdbsContainmentCodec>(lab, f) &&
-      !WithColumns<labeling::IntContainmentCodec>(lab, f) &&
-      !WithColumns<labeling::FloatContainmentCodec>(lab, f) &&
-      !WithColumns<labeling::QedContainmentCodec>(lab, f) &&
-      !WithColumns<labeling::HybridContainmentCodec>(lab, f)) {
-    f(LabelingView(lab));
-  }
+  const bool columns =
+      labeling::WithContainment(lab, [&f](const auto& containment) {
+        using Value = typename std::decay_t<decltype(containment)>::Value;
+        f(ContainmentView<Value>(containment));
+      });
+  if (!columns) f(LabelingView(lab));
 }
 
 // A step with its tag list, looked up once per evaluation rather than once
@@ -322,8 +252,8 @@ void WithView(const Labeling& lab, F&& f) {
 //
 // Every context of a step is an id of the list its previous step read (for
 // a predicate path's first step, of the list of the step it tests), so two
-// facts about all of them are decided here, once, from list metadata; a
-// keyed navigator reads them instead of asking each context:
+// facts about all of them are decided here, once, from list metadata; the
+// navigator reads them instead of asking each context:
 //  * `child_spans`: every context lies between min_level() and max_level()
 //    of its list, so when the first plus one reaches the step list's
 //    max_level(), a child step from any context is its whole descendant
@@ -343,8 +273,8 @@ struct PlannedStep {
   std::vector<PlannedPath> predicates;
 };
 
-// A predicate path, numbered within its query (`slot`), so a keyed
-// navigator can keep one cursor per path.
+// A predicate path, numbered within its query (`slot`), so the navigator
+// can keep one cursor per path.
 struct PlannedPath {
   std::vector<PlannedStep> steps;
   size_t slot = 0;
@@ -403,18 +333,17 @@ struct Cursor {
 // node one level below it, and when the list holds nothing deeper than
 // that, the whole span is children.
 //
-// On a keyed view (`kKeyed`) a context is a KeyedId: the id with the keys
-// of its start and end, copied from the tag list it came from. A search
-// from it compares keys and reads a label column only when two keys tie.
+// A context is a KeyedId: the id with the keys of its start and end,
+// copied from the tag list it came from. A search from it compares keys
+// and asks the view's untied test only when two keys tie.
 template <typename View>
 class Navigator {
  public:
-  using Node = typename View::Node;
-  static constexpr bool kKeyed = std::is_same_v<Node, KeyedId>;
-
   // `paths`: the number of predicate paths in the plans it will run.
   Navigator(const LabeledDocument& doc, View view, size_t paths = 0)
-      : doc_(doc), view_(view), scope_(doc.root()), path_cursors_(paths) {}
+      : doc_(doc), view_(view), path_cursors_(paths) {
+    SetScope(doc.root());
+  }
   ~Navigator() {
     LabelComparisonsCounter().Increment(comparisons_);
     CandidatesScannedCounter().Increment(scanned_);
@@ -426,20 +355,20 @@ class Navigator {
   Navigator& operator=(const Navigator&) = delete;
 
   // Makes `scope`'s subtree the document every later call sees.
-  void SetScope(NodeId scope) { scope_ = scope; }
+  void SetScope(NodeId scope) { scope_ = NodeOf(scope); }
 
   // Runs the planned query inside the scope; its matches go to `*result`.
   // `cursors` holds one lower bound per step, where that step's search
   // starts; it is left at where the step stopped, a lower bound for any
   // later scope.
   void Run(const std::vector<PlannedStep>& plan, size_t* cursors,
-           Sink<Node>* result) {
+           Sink* result) {
     const View view = view_;
     const size_t steps = plan.size();
     // Invariant: `context` is strictly increasing in document order. Both
     // lists keep their capacity from one scope to the next.
-    std::vector<Node>& context = context_;
-    std::vector<Node>& next = next_;
+    std::vector<KeyedId>& context = context_;
+    std::vector<KeyedId>& next = next_;
     context.clear();
     for (size_t s = 0; s < steps; ++s) {
       const PlannedStep& step = plan[s];
@@ -455,19 +384,19 @@ class Navigator {
       if (s > 0 && axis != Axis::kFollowing) {
         cursor.disjoint =
             (axis == Axis::kChild || axis == Axis::kDescendant) &&
-            ((kKeyed && step.contexts_disjoint) || IsAntichain(context));
+            (step.contexts_disjoint || IsAntichain(context));
         ordered = cursor.disjoint;
       }
       const bool last = s + 1 == steps;
       next.clear();
-      Sink<Node> collect = Sink<Node>::Contexts(&next);
-      Sink<Node>* sink = last && ordered ? result : &collect;
+      Sink collect = Sink::Contexts(&next);
+      Sink* sink = last && ordered ? result : &collect;
       if (s == 0) {
         EmitFromScope(step, &cursor, sink);
       } else if (axis == Axis::kFollowing) {
         Emit(FollowingAnchor(context), step, &cursor, sink);
       } else {
-        for (const Node& c : context) Emit(c, step, &cursor, sink);
+        for (const KeyedId& c : context) Emit(c, step, &cursor, sink);
       }
       cursors[s] = cursor.at;
       if (sink == result) {
@@ -476,19 +405,17 @@ class Navigator {
       }
       if (!ordered) {
         // Sort by label order, since ids assigned by later insertions are
-        // not document-ordered: by the carried keys where there are, by
-        // label comparison otherwise and on a tie.
+        // not document-ordered: by the carried keys, and by label
+        // comparison on a tie.
         ++sorted_;
-        std::sort(next.begin(), next.end(), [view](const Node& a,
-                                                   const Node& b) {
-          if constexpr (kKeyed) {
-            if (a.key != b.key) return a.key < b.key;
-          }
-          return view.CompareOrder(IdOf(a), IdOf(b)) < 0;
-        });
+        std::sort(next.begin(), next.end(),
+                  [view](const KeyedId& a, const KeyedId& b) {
+                    if (a.key != b.key) return a.key < b.key;
+                    return view.CompareOrder(a.id, b.id) < 0;
+                  });
         next.erase(std::unique(next.begin(), next.end(),
-                               [](const Node& a, const Node& b) {
-                                 return IdOf(a) == IdOf(b);
+                               [](const KeyedId& a, const KeyedId& b) {
+                                 return a.id == b.id;
                                }),
                    next.end());
       }
@@ -507,16 +434,17 @@ class Navigator {
   NodeId FindParent(NodeId node) {
     size_t parent_at = 0;
     size_t node_after = 0;
-    return FindParent(view_.MakeNode(node), &parent_at, &node_after);
+    return FindParent(NodeOf(node), &parent_at, &node_after);
   }
 
  private:
   // FindParent of `node`, which also sets *node_after to the index just
   // past `node` in the list of all elements and, when there is a parent,
   // *parent_at to the parent's index there.
-  NodeId FindParent(const Node& node, size_t* parent_at, size_t* node_after) {
-    const NodeId id = IdOf(node);
-    if (id == scope_) return kNoNode;
+  NodeId FindParent(const KeyedId& node, size_t* parent_at,
+                    size_t* node_after) {
+    const NodeId id = node.id;
+    if (id == scope_.id) return kNoNode;
     const View view = view_;
     const TagList& all = doc_.all_elements();
     const size_t after = FirstAfter(all, node, 0);
@@ -538,44 +466,42 @@ class Navigator {
     return parent;
   }
 
-  bool ScopeIsRoot() const { return scope_ == doc_.root(); }
+  bool ScopeIsRoot() const { return scope_.id == doc_.root(); }
 
-  // The entry under `it` as a context: on a keyed view with the start key
-  // its run stores. The end key is left to EndKeyOf, so a node that never
-  // becomes a context (a predicate's last match) reads none.
-  static Node NodeAt(const TagList::Iterator& it) {
-    if constexpr (kKeyed) {
-      return KeyedId{*it, it.key(), KeyedId::kNoEndKey};
-    } else {
-      return *it;
-    }
+  // `n` as a context: its start key read from the label, its end key left
+  // to be read when a search needs it.
+  KeyedId NodeOf(NodeId n) const {
+    return KeyedId{n, view_.Key(n), KeyedId::kNoEndKey};
   }
 
-  // A keyed context's end key: carried, or read from the column when its
-  // list stores none.
+  // The entry under `it` as a context, with the start key its run stores.
+  // The end key is left to EndKeyOf, so a node that never becomes a
+  // context (a predicate's last match) reads none.
+  static KeyedId NodeAt(const TagList::Iterator& it) {
+    return KeyedId{*it, it.key(), KeyedId::kNoEndKey};
+  }
+
+  // A context's end key: carried, or read from the label when its list
+  // stores none.
   uint32_t EndKeyOf(const KeyedId& n) const {
     return n.end_key != KeyedId::kNoEndKey ? n.end_key : view_.EndKey(n.id);
   }
 
   // Whether `a` is an ancestor of `d`, a node after it in document order:
-  // whether d starts before a ends. A keyed view compares the carried keys
-  // and reads the columns only when they tie.
-  bool Encloses(const Node& a, const Node& d) {
-    if constexpr (kKeyed) {
-      const uint32_t end_key = EndKeyOf(a);
-      if (d.key != end_key) return d.key < end_key;
-      ++ties_;
-      return view_.Start(d.id) < view_.End(a.id);
-    } else {
-      return view_.IsAncestor(a, d);
-    }
+  // whether d starts before a ends. Compares the carried keys and asks the
+  // view only when they tie.
+  bool Encloses(const KeyedId& a, const KeyedId& d) {
+    const uint32_t end_key = EndKeyOf(a);
+    if (d.key != end_key) return d.key < end_key;
+    ++ties_;
+    return view_.InSubtree(a.id, d.id);
   }
 
   // True when no context node is an ancestor of the next one. For a
   // document-ordered list that makes it an antichain: an ancestor of a
   // later node is also an ancestor of every node between them in document
   // order.
-  bool IsAntichain(const std::vector<Node>& context) {
+  bool IsAntichain(const std::vector<KeyedId>& context) {
     for (size_t k = 1; k < context.size(); ++k) {
       if (Encloses(context[k - 1], context[k])) return false;
     }
@@ -586,8 +512,8 @@ class Navigator {
   // is the union of all of theirs: the one whose subtree ends first, i.e.
   // the end of the leading ancestor chain (every later node starts after it
   // ends).
-  Node FollowingAnchor(const std::vector<Node>& context) {
-    Node anchor = context[0];
+  KeyedId FollowingAnchor(const std::vector<KeyedId>& context) {
+    KeyedId anchor = context[0];
     for (size_t k = 1; k < context.size() && Encloses(anchor, context[k]);
          ++k) {
       anchor = context[k];
@@ -595,74 +521,72 @@ class Navigator {
     return anchor;
   }
 
-  // Index of the first element of `list` after `node` in document order.
-  // `from` is a lower bound on the answer; the search gallops from it.
-  size_t FirstAfter(const TagList& list, NodeId node, size_t from) {
-    return list.PartitionPoint(from, list.size(), view_.NotAfter(node),
+  // Index of the first element of list[from, to) whose key is not below
+  // `key`, or that ties it and fails `test`: the search every positioning
+  // below makes. A tie is counted and decided by test(x), one of the
+  // view's untied tests.
+  template <typename Test>
+  size_t Search(const TagList& list, size_t from, size_t to, uint32_t key,
+                Test test) {
+    const auto tie = [test, ties = &ties_](NodeId x) {
+      ++*ties;
+      return test(x);
+    };
+    return list.PartitionPoint(from, to, KeyProbe<decltype(tie)>{key, tie},
                                &comparisons_);
   }
-  // The same from a keyed context: by its start key. A tie is the context
-  // itself, or else is decided by the start values.
+
+  // Index of the first element of `list` after `node` in document order,
+  // by its start key. `from` is a lower bound on the answer; the search
+  // gallops from it. A tie is `node` itself, or else the view decides.
   size_t FirstAfter(const TagList& list, const KeyedId& node, size_t from) {
-    const auto tie = [view = view_, id = node.id, ties = &ties_](NodeId x) {
-      ++*ties;
-      return x == id || !(view.Start(id) < view.Start(x));
-    };
-    return list.PartitionPoint(from, list.size(),
-                               KeyProbe<decltype(tie)>{node.key, tie},
-                               &comparisons_);
+    return Search(list, from, list.size(), node.key,
+                  [view = view_, id = node.id](NodeId x) {
+                    return x == id || view.NotAfter(id, x);
+                  });
   }
 
   // Index of the first element of list[from, to) that is not a descendant
-  // of `anchor`. Every element of that range must come after `anchor`, so
-  // its descendants there form a prefix.
-  size_t SubtreeEnd(const TagList& list, NodeId anchor, size_t from,
-                    size_t to) {
-    return list.PartitionPoint(from, to, view_.InSubtree(anchor),
-                               &comparisons_);
-  }
-  // The same from a keyed anchor: by its end key, with the start and end
-  // values deciding a tie.
+  // of `anchor`, by its end key. Every element of that range must come
+  // after `anchor`, so its descendants there form a prefix.
   size_t SubtreeEnd(const TagList& list, const KeyedId& anchor, size_t from,
                     size_t to) {
-    const auto tie = [view = view_, id = anchor.id, ties = &ties_](NodeId x) {
-      ++*ties;
-      return x == id || view.Start(x) < view.End(id);
-    };
-    return list.PartitionPoint(
-        from, to, KeyProbe<decltype(tie)>{EndKeyOf(anchor), tie},
-        &comparisons_);
+    return Search(list, from, to, EndKeyOf(anchor),
+                  [view = view_, id = anchor.id](NodeId x) {
+                    return x == id || view.InSubtree(id, x);
+                  });
   }
 
-  // Index of the scope itself in `list`, or of the first element after it;
-  // `from` is a lower bound.
+  // Index of the scope itself in `list`, or of the first element after it,
+  // by the scope's start key; `from` is a lower bound.
   size_t ScopeBegin(const TagList& list, size_t from) {
     if (ScopeIsRoot()) return 0;
-    return list.PartitionPoint(from, list.size(), view_.Before(scope_),
-                               &comparisons_);
+    return Search(list, from, list.size(), scope_.key,
+                  [view = view_, id = scope_.id](NodeId x) {
+                    return x != id && view.Before(id, x);
+                  });
   }
 
-  // Index of the first element of `list` past the scope's subtree; `from`
-  // is at least ScopeBegin.
+  // Index of the first element of `list` past the scope's subtree, by the
+  // scope's end key; `from` is at least ScopeBegin.
   size_t ScopeEnd(const TagList& list, size_t from) {
     if (ScopeIsRoot()) return list.size();
-    return list.PartitionPoint(from, list.size(), view_.InSubtree(scope_),
-                               &comparisons_);
+    return SubtreeEnd(list, scope_, from, list.size());
   }
 
   // True when every descendant of `parent` in the step's list is a child of
-  // it: the list never held a node deeper than one level below `parent`. A
-  // keyed navigator takes the step's decision for all its contexts first.
-  bool ChildrenOnly(const PlannedStep& step, const Node& parent) const {
-    if (kKeyed && step.child_spans != ChildSpans::kPerContext) {
+  // it: the list never held a node deeper than one level below `parent`.
+  // The step's decision for all its contexts comes first.
+  bool ChildrenOnly(const PlannedStep& step, const KeyedId& parent) const {
+    if (step.child_spans != ChildSpans::kPerContext) {
       return step.child_spans == ChildSpans::kAll;
     }
-    return view_.Level(IdOf(parent)) + 1 >= step.list->max_level();
+    return view_.Level(parent.id) + 1 >= step.list->max_level();
   }
 
   // Steps whose matches from `context` are one contiguous span of the tag
   // list, taken without looking at a single candidate.
-  bool CopiesSpan(const Node& context, const PlannedStep& step) const {
+  bool CopiesSpan(const KeyedId& context, const PlannedStep& step) const {
     const Step& s = *step.step;
     if (!s.predicates.empty() || s.position != 0) return false;
     return s.axis == Axis::kFollowing || s.axis == Axis::kDescendant ||
@@ -671,15 +595,12 @@ class Navigator {
 
   // Passes the matches of the query's first step, taken from the
   // (virtual) document node above the scope, to `*sink`.
-  void EmitFromScope(const PlannedStep& step, Cursor* cursor,
-                     Sink<Node>* sink) {
+  void EmitFromScope(const PlannedStep& step, Cursor* cursor, Sink* sink) {
     const Step& s = *step.step;
     if (s.axis == Axis::kChild) {
-      if (NameMatches(s, doc_.tag(scope_)) && s.position <= 1) {
-        const Node scope = view_.MakeNode(scope_);
-        if (PredicatesHold(step, scope)) {
-          sink->Visit([&](auto visit) { visit(scope); });
-        }
+      if (NameMatches(s, doc_.tag(scope_.id)) && s.position <= 1 &&
+          PredicatesHold(step, scope_)) {
+        sink->Visit([&](auto visit) { visit(scope_); });
       }
     } else if (s.axis == Axis::kDescendant) {
       const TagList& list = *step.list;
@@ -696,8 +617,8 @@ class Navigator {
 
   // Passes the matches of `step` from `context` to `*sink`, in document
   // order. Spans with nothing to test are taken in one piece.
-  void Emit(const Node& context, const PlannedStep& step, Cursor* cursor,
-            Sink<Node>* sink) {
+  void Emit(const KeyedId& context, const PlannedStep& step, Cursor* cursor,
+            Sink* sink) {
     if (CopiesSpan(context, step)) {
       const auto [begin, end] = Span(context, step, cursor);
       sink->Span(*step.list, begin, end);
@@ -708,33 +629,26 @@ class Navigator {
 
   // Calls visit(child) on each child of `parent` in list[begin, to), in
   // document order, until visit returns false; `begin` is
-  // FirstAfter(parent). Returns the index the scan stopped at. From
-  // containment columns, the parent's span costs one search and a child is
-  // a node in it one level below the parent; other schemes test IsParent
-  // per candidate, and a candidate that is not a descendant ends the scan.
-  // A descendant that is not a child lies under an earlier child, so the
-  // rest of the last child's subtree is galloped over at once.
+  // FirstAfter(parent). Returns the index the scan stopped at. The
+  // parent's span costs one search, and a child is a node in it one level
+  // below the parent. A descendant that is not a child lies under an
+  // earlier child, so the rest of the last child's subtree is galloped
+  // over at once.
   template <typename Visit>
-  size_t ForEachChild(const TagList& list, const Node& parent, size_t begin,
-                      size_t to, Visit&& visit) {
+  size_t ForEachChild(const TagList& list, const KeyedId& parent,
+                      size_t begin, size_t to, Visit&& visit) {
     const View view = view_;
-    const size_t end =
-        View::kColumns ? SubtreeEnd(list, parent, begin, to) : to;
-    const int child_level =
-        View::kColumns ? view.Level(IdOf(parent)) + 1 : 0;
-    Node last_child{};
+    const size_t end = SubtreeEnd(list, parent, begin, to);
+    const int child_level = view.Level(parent.id) + 1;
+    KeyedId last_child{};
     bool have_last_child = false;
     uint64_t scanned = 0;
     size_t i = begin;
     TagList::Iterator it = list.IteratorAt(i);
     while (i < end) {
-      const NodeId cand = *it;
       ++scanned;
-      const bool child = View::kColumns
-                             ? view.Level(cand) == child_level
-                             : view.IsParent(IdOf(parent), cand);
-      if (child) {
-        const Node node = NodeAt(it);
+      if (view.Level(*it) == child_level) {
+        const KeyedId node = NodeAt(it);
         if (!visit(node)) break;
         last_child = node;
         have_last_child = true;
@@ -742,7 +656,6 @@ class Navigator {
         ++it;
         continue;
       }
-      if (!View::kColumns && !view.IsAncestor(IdOf(parent), cand)) break;
       // Under the last child: gallop past the rest of its subtree. Under a
       // child `list` does not hold: step past it.
       const size_t skip_to =
@@ -755,12 +668,12 @@ class Navigator {
     return i;
   }
 
-  // ForEachChild over the list of all elements on a keyed view, for the `*`
-  // child step. Inside the parent's span, the first element is its first
-  // child, and the first element past a child's subtree is the next child:
-  // one search by the child's end key (its one column read) per child, and
-  // no level read. (A sibling scan keeps ForEachChild: its candidates are
-  // mostly leaves, whose levels lie closer together than their ends.)
+  // ForEachChild over the list of all elements, for the `*` child step.
+  // Inside the parent's span, the first element is its first child, and
+  // the first element past a child's subtree is the next child: one search
+  // by the child's end key (its one label read) per child, and no level
+  // read. (A sibling scan keeps ForEachChild: its candidates are mostly
+  // leaves, whose levels lie closer together than their ends.)
   template <typename Visit>
   size_t ForEachChildOfAll(const KeyedId& parent, size_t begin, size_t to,
                            Visit&& visit) {
@@ -784,8 +697,8 @@ class Navigator {
   // which it advances. For a child step the span is the descendant span
   // (the caller checks ChildrenOnly). following:: ends where the scope
   // does.
-  std::pair<size_t, size_t> Span(const Node& context, const PlannedStep& step,
-                                 Cursor* cursor) {
+  std::pair<size_t, size_t> Span(const KeyedId& context,
+                                 const PlannedStep& step, Cursor* cursor) {
     const TagList& list = *step.list;
     const size_t after = FirstAfter(list, context, cursor->at);
     const size_t end = SubtreeEnd(list, context, after, list.size());
@@ -807,9 +720,8 @@ class Navigator {
     TagList::Iterator it = list.IteratorAt(begin);
     size_t i = begin;
     for (; i < end; ++i, ++it) {
-      const NodeId cand = *it;
-      if (rank != 0 && SiblingRank(cand, step) != rank) continue;
-      const Node node = NodeAt(it);
+      const KeyedId node = NodeAt(it);
+      if (rank != 0 && SiblingRank(node, step) != rank) continue;
       if (PredicatesHold(step, node) && !visit(node)) break;
     }
     scanned_ += std::min(end, i + 1) - begin;
@@ -820,7 +732,7 @@ class Navigator {
   // until it returns false; returns false in that case. The main path and
   // predicate paths share it, so both honour every axis and [n].
   template <typename Visit>
-  bool Expand(const Node& context, const PlannedStep& step, Cursor* cursor,
+  bool Expand(const KeyedId& context, const PlannedStep& step, Cursor* cursor,
               Visit&& visit) {
     const Step& s = *step.step;
     const TagList& list = *step.list;
@@ -832,13 +744,13 @@ class Navigator {
           if (s.position == 0) return Filter(begin, end, step, visit);
           const size_t at = begin + static_cast<size_t>(s.position) - 1;
           if (at >= end) return true;
-          const Node child = NodeAt(list.IteratorAt(at));
+          const KeyedId child = NodeAt(list.IteratorAt(at));
           return !PredicatesHold(step, child) || visit(child);
         }
         const size_t begin = FirstAfter(list, context, cursor->at);
         size_t rank = 0;
         bool stopped = false;
-        const auto on_child = [&](const Node& c) {
+        const auto on_child = [&](const KeyedId& c) {
           ++rank;
           if (s.position != 0 && rank < static_cast<size_t>(s.position)) {
             return true;
@@ -849,15 +761,10 @@ class Navigator {
           }
           return s.position == 0;  // [n] ends at the n-th child
         };
-        size_t end = 0;
-        if constexpr (kKeyed) {
-          end = &list == &doc_.all_elements()
-                    ? ForEachChildOfAll(context, begin, list.size(), on_child)
-                    : ForEachChild(list, context, begin, list.size(),
-                                   on_child);
-        } else {
-          end = ForEachChild(list, context, begin, list.size(), on_child);
-        }
+        const size_t end =
+            &list == &doc_.all_elements()
+                ? ForEachChildOfAll(context, begin, list.size(), on_child)
+                : ForEachChild(list, context, begin, list.size(), on_child);
         cursor->at = cursor->disjoint ? end : begin;
         return !stopped;
       }
@@ -872,18 +779,17 @@ class Navigator {
         const NodeId parent_id =
             FindParent(context, &parent_at, &context_after);
         if (parent_id == kNoNode) return true;
-        const Node parent = view_.MakeNode(parent_id);
-        // Over all elements on a keyed view, FindParent has found both
-        // bounds already.
-        const bool found = kKeyed && &list == &doc_.all_elements();
+        const KeyedId parent = NodeOf(parent_id);
+        // Over all elements, FindParent has found both bounds already.
+        const bool found = &list == &doc_.all_elements();
         const size_t begin =
             found ? parent_at + 1 : FirstAfter(list, parent, 0);
         bool stopped = false;
         // Everything before FirstAfter(context) precedes or is `context`.
         ForEachChild(list, parent, begin,
                      found ? context_after : FirstAfter(list, context, begin),
-                     [&](const Node& sib) {
-                       if (IdOf(sib) == IdOf(context)) return false;
+                     [&](const KeyedId& sib) {
+                       if (sib.id == context.id) return false;
                        if (PredicatesHold(step, sib) && !visit(sib)) {
                          stopped = true;
                          return false;
@@ -900,14 +806,14 @@ class Navigator {
         if (parent_id == kNoNode || !NameMatches(s, doc_.tag(parent_id))) {
           return true;
         }
-        const Node parent = view_.MakeNode(parent_id);
+        const KeyedId parent = NodeOf(parent_id);
         return !PredicatesHold(step, parent) || visit(parent);
       }
       case Axis::kAncestor: {
         // Candidates from the scope up to the context node; keep those
         // whose label encloses it.
         const View view = view_;
-        const NodeId node = IdOf(context);
+        const NodeId node = context.id;
         const size_t begin = ScopeBegin(list, 0);
         const size_t end = FirstAfter(list, context, begin);
         TagList::Iterator it = list.IteratorAt(begin);
@@ -915,7 +821,7 @@ class Navigator {
         for (; i < end; ++i, ++it) {
           const NodeId cand = *it;
           if (cand == node || !view.IsAncestor(cand, node)) continue;
-          const Node ancestor = NodeAt(it);
+          const KeyedId ancestor = NodeAt(it);
           if (PredicatesHold(step, ancestor) && !visit(ancestor)) break;
         }
         scanned_ += std::min(end, i + 1) - begin;
@@ -926,7 +832,7 @@ class Navigator {
   }
 
   // True when every existence predicate of `step` holds at `node`.
-  bool PredicatesHold(const PlannedStep& step, const Node& node) {
+  bool PredicatesHold(const PlannedStep& step, const KeyedId& node) {
     for (const PlannedPath& path : step.predicates) {
       if (!ExistsFrom(node, path, 0)) return false;
     }
@@ -934,46 +840,42 @@ class Navigator {
   }
 
   // True when the relative path `path[i..]` matches something from `node`;
-  // stops at the first match. On a keyed view the path's first step starts
-  // its search where it left off for the last node it was asked from, when
-  // `node` comes after that one: the nodes a predicate is tested on mostly
-  // ascend, so the search gallops on instead of starting from the front.
-  bool ExistsFrom(const Node& node, const PlannedPath& path, size_t i) {
+  // stops at the first match. The path's first step starts its search
+  // where it left off for the last node it was asked from, when `node`
+  // keys after that one: the nodes a predicate is tested on mostly ascend,
+  // so the search gallops on instead of starting from the front.
+  bool ExistsFrom(const KeyedId& node, const PlannedPath& path, size_t i) {
     if (i == path.steps.size()) return true;
     Cursor cursor;
     PathCursor* carried = nullptr;
-    if constexpr (kKeyed) {
-      if (i == 0) {
-        carried = &path_cursors_[path.slot];
-        if (carried->used && node.key > carried->key) cursor.at = carried->at;
-      }
+    if (i == 0) {
+      carried = &path_cursors_[path.slot];
+      if (carried->used && node.key > carried->key) cursor.at = carried->at;
     }
     const bool stopped = !Expand(node, path.steps[i], &cursor,
-                                 [&](const Node& next) {
+                                 [&](const KeyedId& next) {
                                    return !ExistsFrom(next, path, i + 1);
                                  });
-    if constexpr (kKeyed) {
-      if (carried != nullptr) *carried = {node.key, cursor.at, true};
-    }
+    if (carried != nullptr) *carried = {node.key, cursor.at, true};
     return stopped;
   }
 
   // 1-based rank of `node`, a match of `step`, among its same-tag
   // siblings, via labels.
-  size_t SiblingRank(NodeId node, const PlannedStep& step) {
+  size_t SiblingRank(const KeyedId& node, const PlannedStep& step) {
     size_t parent_at = 0;
     size_t node_after = 0;
-    const NodeId parent_id =
-        FindParent(view_.MakeNode(node), &parent_at, &node_after);
+    const NodeId parent_id = FindParent(node, &parent_at, &node_after);
     if (parent_id == kNoNode) return 1;  // the scope
-    const TagList& list = step.step->name == "*" ? doc_.WithTag(doc_.tag(node))
-                                                 : *step.list;
-    const Node parent = view_.MakeNode(parent_id);
+    const TagList& list = step.step->name == "*"
+                              ? doc_.WithTag(doc_.tag(node.id))
+                              : *step.list;
+    const KeyedId parent = NodeOf(parent_id);
     size_t rank = 0;
     ForEachChild(list, parent, FirstAfter(list, parent, 0), list.size(),
-                 [&](const Node& sib) {
+                 [&](const KeyedId& sib) {
                    ++rank;
-                   return IdOf(sib) != node;
+                   return sib.id != node.id;
                  });
     return rank;
   }
@@ -988,9 +890,9 @@ class Navigator {
 
   const LabeledDocument& doc_;
   const View view_;
-  NodeId scope_;
-  std::vector<Node> context_;  // Run's step input
-  std::vector<Node> next_;     // Run's step output
+  KeyedId scope_;
+  std::vector<KeyedId> context_;  // Run's step input
+  std::vector<KeyedId> next_;     // Run's step output
   std::vector<PathCursor> path_cursors_;  // by PlannedPath::slot
   uint64_t comparisons_ = 0;
   uint64_t scanned_ = 0;
@@ -1007,8 +909,8 @@ obs::Histogram* EvalNanos() {
 
 // Runs `query` in each of `scopes[0, n)` on one navigator. The matches go
 // to `*matches` (n == 1) when it is given; counts[k] receives the number
-// in scopes[k]. Scopes in document order, none inside another, share the
-// step cursors; any other pair starts them afresh.
+// in scopes[k]. The scopes share the step cursors, so they must be in
+// document order with none inside another (checked in Debug builds).
 void RunScopes(const Query& query, const LabeledDocument& doc,
                const NodeId* scopes, size_t n, std::vector<NodeId>* matches,
                uint64_t* counts) {
@@ -1020,14 +922,11 @@ void RunScopes(const Query& query, const LabeledDocument& doc,
   std::vector<size_t> cursors(plan.size(), 0);
   uint64_t emitted = 0;
   WithView(doc.labeling(), [&](auto view) {
-    using Node = typename decltype(view)::Node;
     Navigator<decltype(view)> nav(doc, view, paths);
     for (size_t k = 0; k < n; ++k) {
-      if (k > 0 && (view.CompareOrder(scopes[k - 1], scopes[k]) >= 0 ||
-                    view.IsAncestor(scopes[k - 1], scopes[k]))) {
-        std::fill(cursors.begin(), cursors.end(), 0);
-      }
-      Sink<Node> sink = matches != nullptr ? Sink<Node>(matches) : Sink<Node>();
+      CDBS_DCHECK(k == 0 || (view.CompareOrder(scopes[k - 1], scopes[k]) < 0 &&
+                             !view.IsAncestor(scopes[k - 1], scopes[k])));
+      Sink sink = matches != nullptr ? Sink(matches) : Sink();
       nav.SetScope(scopes[k]);
       nav.Run(plan, cursors.data(), &sink);
       counts[k] = sink.size();

@@ -13,7 +13,8 @@
 /// times directly reflect each scheme's label comparison costs — exactly
 /// what Figure 6 measures. The containment family is read from its own
 /// start/end/level columns, the other schemes through their virtual
-/// predicates; the choice is made once per evaluation.
+/// predicates; the choice is made once per evaluation, and everything
+/// else below is the same for every scheme.
 ///
 /// The evaluator moves through the document-ordered tag lists by skipping
 /// ranges rather than testing every candidate. Every skip rests on one fact
@@ -24,34 +25,35 @@
 ///    indexes the run it starts in directly and moves on by run ends, so a
 ///    search pays one or two run lookups, not one per probe. A descendant
 ///    step finds where a context's subtree ends with it (O(log k) probes
-///    to pass k descendants; for containment, each probe compares one
-///    start value, or its 32-bit order key where the lists carry keys,
-///    with the context's end). With nothing to test per
+///    to pass k descendants; each probe compares an entry's 32-bit order
+///    key with the context's end key). With nothing to test per
 ///    match, the whole span is taken in one piece; with `[n]` or
 ///    predicates, only the span is iterated. A following:: step skips the
 ///    anchor's subtree the same way.
 ///  * A child step over a tag list that never held a node deeper than one
 ///    level below the context (`TagList::max_level`) is the context's
 ///    descendant span: taken whole, `[n]` an index into it. Otherwise it
-///    tests each candidate for being a child (the level inside the span
-///    when reading containment columns, `IsParent` otherwise); a deeper
-///    descendant lies under an earlier child, so the rest of the last
-///    child's subtree is galloped over, and a child `[n]` ends the scan at
-///    the n-th child.
+///    tests each candidate inside the context's span for being a child by
+///    its level; a deeper descendant lies under an earlier child, so the
+///    rest of the last child's subtree is galloped over, and a child `[n]`
+///    ends the scan at the n-th child.
 ///
-/// Where the labeling has order keys (V/F-Binary, V/F-CDBS), a context is
-/// an interval, not just an id (`KeyedId`): the id with the keys of its
-/// start and end, copied straight from the tag-list runs a span was taken
-/// from (query/tag_list.h). So:
+/// A context is an interval, not just an id (`KeyedId`): the id with the
+/// keys of its start and end, copied straight from the tag-list runs a
+/// span was taken from (query/tag_list.h). Every scheme has order keys
+/// (Labeling::OrderKey): the containment codecs abbreviate their values,
+/// and the prefix schemes and Prime key every label 0. So:
 ///
 ///  * FirstAfter and SubtreeEnd from a context compare list keys with the
 ///    context's own start or end key. Only when two keys tie does a lazy
-///    tie read the label columns (`query.eval.key_ties` counts ties; a tie
-///    with the context itself is decided by its id). A context that was
-///    visited one by one, not taken from a span, carries its start key and
-///    reads its end from the column when a search first needs it; one made
-///    from a bare id (the scope, a parent found by FindParent) reads its
-///    start there too. That is never more than the unkeyed path reads.
+///    tie ask the view's untied test, which reads the labels
+///    (`query.eval.key_ties` counts ties; a tie with the context itself is
+///    decided by its id). Under constant keys every probe ties, so those
+///    schemes compare labels on every probe, as a search over ids would. A
+///    context that was visited one by one, not taken from a span, carries
+///    its start key and reads its end from the label when a search first
+///    needs it; one made from a bare id (the scope, a parent found by
+///    FindParent) reads its start there too.
 ///  * Whether a child step is a descendant span, and whether a step's
 ///    contexts are an antichain, is decided once per step from list
 ///    metadata: every context of a step is an id of the previous step's
@@ -66,11 +68,7 @@
 ///    read per candidate.
 ///  * A predicate path's first step keeps its cursor from one tested node
 ///    to the next while they ascend in key order, so it gallops on instead
-///    of searching from the front of its list.
-///
-/// Unkeyed schemes (Float, QED, Hybrid, the prefix schemes, Prime) take
-/// none of these: their contexts are ids and every decision is per
-/// context, as the bullets above describe.
+///    of searching from the front of its list (never under constant keys).
 ///  * One forward cursor per step: the context list is strictly in document
 ///    order, so each context's first position in the step's list is never
 ///    before the previous one's, and the search gallops on from there
@@ -91,9 +89,10 @@
 /// preceding-sibling:: of the scope are empty, ancestor:: stops at it, and
 /// its sibling rank is 1. Predicate paths use the same expansion, so they
 /// are clipped too. A sharded corpus scopes each read to one merged
-/// document this way (docs/SHARDING.md). Counting several scopes in
-/// document order carries each step's cursor from one scope to the next:
-/// everything in scope k+1 follows scope k, so it stays a lower bound.
+/// document this way (docs/SHARDING.md). Counting several scopes, which
+/// must be in document order with none inside another, carries each
+/// step's cursor from one scope to the next: everything in scope k+1
+/// follows scope k, so it stays a lower bound.
 ///
 /// Predicate paths run through the same per-axis expansion as the main
 /// path, stopping at the first match. `query.eval.candidates_scanned`
@@ -116,9 +115,10 @@ std::vector<NodeId> EvaluateQuery(const Query& query,
 uint64_t CountQuery(const Query& query, const LabeledDocument& doc,
                     NodeId scope);
 
-/// Match counts of `query` inside each of `scopes`, index-aligned. Scopes
-/// in document order with none inside another carry each step's cursor
-/// from one to the next; others are counted from scratch each.
+/// Match counts of `query` inside each of `scopes`, index-aligned.
+/// Precondition: the scopes are in document order, none inside another
+/// (checked in Debug builds), so each step's cursor carries from one to
+/// the next. A sharded corpus's document roots are, by construction.
 std::vector<uint64_t> CountPerScope(const Query& query,
                                     const LabeledDocument& doc,
                                     const std::vector<NodeId>& scopes);

@@ -1,8 +1,6 @@
 #include "query/tag_index.h"
 
 #include <algorithm>
-#include <cstddef>
-#include <type_traits>
 #include <utility>
 
 #include "labeling/containment.h"
@@ -15,21 +13,6 @@ namespace {
 const TagList& EmptyTagList() {
   static const TagList* const kEmpty = new TagList();
   return *kEmpty;
-}
-
-// Calls f(key_of, end_of) with readers of the start and end keys straight
-// from `lab`'s columns when it is a containment labeling over `Codec`;
-// returns whether it was.
-template <typename Codec, typename F>
-bool WithKeyColumns(const labeling::Labeling& lab, F&& f) {
-  const auto* containment =
-      dynamic_cast<const labeling::ContainmentLabeling<Codec>*>(&lab);
-  if (containment == nullptr) return false;
-  const auto& starts = containment->starts();
-  const auto& ends = containment->ends();
-  f([&starts](NodeId n) { return Codec::Key(starts[n]); },
-    [&ends](NodeId n) { return Codec::Key(ends[n]); });
-  return true;
 }
 
 }  // namespace
@@ -59,26 +42,21 @@ void LabeledDocument::Index(labeling::TreeSkeleton skeleton,
                             const labeling::LabelingScheme& scheme) {
   CDBS_CHECK(skeleton.size() == tags_.size());
   labeling_ = scheme.Label(std::move(skeleton));
-  const auto fill = [this](auto key_of, auto end_of) {
-    Fill(key_of, end_of);
-  };
-  if (!WithKeyColumns<labeling::CdbsContainmentCodec>(*labeling_, fill) &&
-      !WithKeyColumns<labeling::IntContainmentCodec>(*labeling_, fill)) {
-    CDBS_CHECK(!labeling_->HasOrderKeys());
-    Fill(nullptr, nullptr);
-  }
+  // A containment labeling is read as its final type, so its keys come
+  // straight from the label columns; any other through its virtual keys.
+  const auto fill = [this](const auto& lab) { Fill(lab); };
+  if (!labeling::WithContainment(*labeling_, fill)) fill(*labeling_);
 }
 
-template <typename KeyOf, typename EndOf>
-void LabeledDocument::Fill(KeyOf key_of, EndOf end_of) {
-  constexpr bool kKeyed = !std::is_same_v<KeyOf, std::nullptr_t>;
-  all_elements_ = TagList(kKeyed);
+template <typename Lab>
+void LabeledDocument::Fill(const Lab& lab) {
+  all_elements_ = TagList();
   // Ids ascend in document order, so the tag lists are built by pure
   // appends (runs sealed at kRunTarget), and the elements enclosing a node
   // are the last ones seen on each level above it: `open` holds their tags,
   // `open_count` how many of them carry each tag. Levels come from the
-  // skeleton's column and keys from the label columns, with no per-node
-  // virtual call.
+  // skeleton's column, and a containment labeling's keys from its label
+  // columns, with no per-node virtual call.
   const labeling::TreeSkeleton& tree = labeling_->skeleton();
   std::vector<TagId> open;
   std::vector<uint32_t> open_count(pool_->size(), 0);
@@ -90,19 +68,15 @@ void LabeledDocument::Fill(KeyOf key_of, EndOf end_of) {
       --open_count[open.back()];
       open.pop_back();
     }
-    TagList& list = by_tag_.try_emplace(tag, kKeyed, kKeyed).first->second;
+    TagList& list =
+        by_tag_.try_emplace(tag, /*end_keys=*/true).first->second;
     if (!open.empty()) all_elements_.MarkNested();
     if (open_count[tag] > 0) list.MarkNested();
     open.push_back(tag);
     ++open_count[tag];
-    if constexpr (kKeyed) {
-      const uint32_t key = key_of(id);
-      all_elements_.Append(id, key);
-      list.Append(id, key, end_of(id));
-    } else {
-      all_elements_.Append(id);
-      list.Append(id);
-    }
+    const uint32_t key = lab.OrderKey(id);
+    all_elements_.Append(id, key);
+    list.Append(id, key, lab.EndKey(id));
     all_elements_.NoteLevel(level);
     list.NoteLevel(level);
   }
@@ -114,8 +88,7 @@ void LabeledDocument::CheckKeys(const TagList& list, size_t from,
                                 size_t to) const {
 #ifndef NDEBUG
   const labeling::Labeling& lab = *labeling_;
-  CDBS_CHECK(list.keyed() == lab.HasOrderKeys());
-  CDBS_CHECK(list.has_end_keys() == (list.keyed() && &list != &all_elements_));
+  CDBS_CHECK(list.has_end_keys() == (&list != &all_elements_));
   CDBS_CHECK(list.SpineConsistent());
   CDBS_CHECK(list.KeysMatch([&lab](NodeId n) { return lab.OrderKey(n); },
                             [&lab](NodeId n) { return lab.EndKey(n); }, from,
@@ -165,15 +138,13 @@ labeling::InsertResult LabeledDocument::InsertSibling(
   // splice lands between its neighbors, pinning the invariant the COW runs
   // rely on — runs stay CompareOrder-sorted, no full-list re-sort ever
   // runs.
-  const bool keyed = lab.HasOrderKeys();
-  const uint32_t key = keyed ? lab.OrderKey(id) : 0;
+  const uint32_t key = lab.OrderKey(id);
   const int level = lab.Level(id);
   const size_t all_at = all_elements_.InsertSorted(id, less, key);
   all_elements_.NoteLevel(level);
   all_elements_.MarkNested();  // below its parent, an element
-  TagList& list = by_tag_.try_emplace(tag_id, keyed, keyed).first->second;
-  const size_t at =
-      list.InsertSorted(id, less, key, keyed ? lab.EndKey(id) : 0);
+  TagList& list = by_tag_.try_emplace(tag_id, /*end_keys=*/true).first->second;
+  const size_t at = list.InsertSorted(id, less, key, lab.EndKey(id));
   list.NoteLevel(level);
   // The new node is a leaf, so it nests in its list iff an ancestor
   // carries its tag. Index maintenance, not a relationship predicate.
@@ -182,14 +153,19 @@ labeling::InsertResult LabeledDocument::InsertSibling(
        p = tree.parent(p)) {
     if (tags_[p] == tag_id) list.MarkNested();
   }
-  if (keyed && (result.relabeled > 0 || result.overflow)) {
-    // The insert moved other labels: a V-Binary shift or a re-encode.
-    const auto key_of = [&lab](NodeId n) { return lab.OrderKey(n); };
-    const auto end_of = [&lab](NodeId n) { return lab.EndKey(n); };
-    all_elements_.Rekey(key_of, end_of);
+  if (result.relabeled > 0 || result.overflow) {
+    // The insert moved other labels: a V-Binary shift, a re-encode, a
+    // DeweyID renumbering. Only the containment keys abbreviate label
+    // values, so only they can move; the other schemes key every label 0
+    // (label.h), and a scan of their lists would find nothing to change.
+    labeling::WithContainment(lab, [this](const auto& containment) {
+      const auto key_of = [&](NodeId n) { return containment.OrderKey(n); };
+      const auto end_of = [&](NodeId n) { return containment.EndKey(n); };
+      all_elements_.Rekey(key_of, end_of);
+      for (auto& [other_tag, other] : by_tag_) other.Rekey(key_of, end_of);
+    });
     CheckKeys(all_elements_, 0, all_elements_.size());
-    for (auto& [other_tag, other] : by_tag_) {
-      other.Rekey(key_of, end_of);
+    for (const auto& [other_tag, other] : by_tag_) {
       CheckKeys(other, 0, other.size());
     }
   } else {

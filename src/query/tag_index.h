@@ -17,11 +17,12 @@
 /// evaluator combines these lists with the labeling's predicates —
 /// structural joins over labels, which is where the schemes' costs diverge.
 ///
-/// Every tag list of a labeling with order keys (Labeling::HasOrderKeys)
-/// is keyed: each id is stored with its start key (OrderKey), and in the
-/// per-tag lists also with its end key (EndKey), so a per-tag entry is the
-/// element's whole interval; the list of all elements keeps start keys
-/// only. This class alone keeps the keys equal to the labeling's, across
+/// Every tag list is keyed, for every scheme: each id is stored with its
+/// start key (Labeling::OrderKey), and in the per-tag lists also with its
+/// end key (EndKey), so a per-tag entry is the element's whole interval;
+/// the list of all elements keeps start keys only. The prefix schemes and
+/// Prime key every label 0, so their searches decide every probe from
+/// the labels. This class alone keeps the keys equal to the labeling's, across
 /// inserts, relabels and deletes; Index fills them in its one pass straight
 /// from the label columns and seals every list, which computes each run's
 /// key summary. It also keeps each list's level bounds and `nested` flag
@@ -89,10 +90,9 @@ class LabeledDocument {
 
   /// Inserts a new element tagged `tag` as the sibling just before
   /// `target` (after it when `before` is false) and returns the labeling's
-  /// result. Records the tag and splices the id, with its keys on a keyed
-  /// labeling, into the document-ordered tag lists (position found by
-  /// label-order binary search; one run per list is copied), widening their
-  /// level bounds to its level and marking its tag's list nested when an
+  /// result. Records the tag and splices the id, with its keys, into the
+  /// document-ordered tag lists (position found by label-order binary
+  /// search; one run per list is copied), widening their level bounds to its level and marking its tag's list nested when an
   /// ancestor carries the same tag. When the insert moved other labels (a
   /// V-Binary shift, an overflow re-encode), every start and end key is
   /// recomputed, and only the runs whose keys changed are copied.
@@ -109,16 +109,16 @@ class LabeledDocument {
  private:
   LabeledDocument() = default;  // for Fork
 
-  // Labels `skeleton` and builds the tag lists, with keys when the
-  // labeling has them, from tags_ in one pass.
+  // Labels `skeleton` and builds the tag lists, with their keys, from
+  // tags_ in one pass.
   void Index(labeling::TreeSkeleton skeleton,
              const labeling::LabelingScheme& scheme);
 
-  // Index's pass: appends every element to its lists, keyed by
-  // key_of/end_of (nullptr for an unkeyed labeling), notes levels and
-  // nesting, then seals the lists.
-  template <typename KeyOf, typename EndOf>
-  void Fill(KeyOf key_of, EndOf end_of);
+  // Index's pass: appends every element to its lists with the keys `lab`
+  // (the labeling, as its final type where it is a containment one) gives
+  // it, notes levels and nesting, then seals the lists.
+  template <typename Lab>
+  void Fill(const Lab& lab);
 
   // Debug builds: after a write, checks that `list`'s spine and summaries
   // agree with its runs and that the keys of the runs holding [from, to)

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "labeling/label.h"
@@ -16,12 +17,12 @@
 /// The COW building blocks of the tag index (query/tag_index.h):
 ///
 ///  * `TagList` — a document-ordered node-id list stored as a sequence of
-///    immutable sorted runs held by `shared_ptr`. Where the labeling has
-///    order keys each id carries the 32-bit key of its start, and in the
-///    per-tag lists also the key of its end: the entry is the element's
-///    whole interval. Forking shares every run; splicing or erasing
-///    path-copies only the touched run. This is what makes snapshot
-///    publication O(touched): the hot write path
+///    immutable sorted runs held by `shared_ptr`. Each id carries the
+///    32-bit order key of its start, and in the per-tag lists also the key
+///    of its end: the entry is the element's whole interval. Forking
+///    shares every run; splicing or erasing path-copies only the touched
+///    run. This is what makes snapshot publication O(touched): the hot
+///    write path
 ///    (`LabeledDocument::InsertSibling`) copies one run of at most kRunMax
 ///    entries instead of a whole per-tag vector.
 ///  * `TagPool` — an immutable interning pool mapping tag names to dense
@@ -65,27 +66,23 @@ class TagPool {
   std::unordered_map<std::string, TagId> index_;
 };
 
-/// How a search over a keyed list compares an entry with its bound: the
-/// entry holds where its key is below `key` and fails where it is above.
-/// Where the key equals `key` (two labels that share their abbreviation),
-/// `tie(id)` decides from the full label. A key must never order two
-/// entries against their labels: key(a) < key(b) only if a precedes b.
+/// How a search over a list compares an entry with its bound: the entry
+/// holds where its key is below `key` and fails where it is above. Where
+/// the key equals `key` (two labels that share their abbreviation, or a
+/// scheme whose keys are all 0), `tie(id)` decides from the full label. A
+/// key must never order two entries against their labels: key(a) < key(b)
+/// only if a precedes b.
 template <typename Tie>
 struct KeyProbe {
   uint32_t key;
   Tie tie;
 };
 
-template <typename Probe>
-inline constexpr bool kIsKeyProbe = false;
-template <typename Tie>
-inline constexpr bool kIsKeyProbe<KeyProbe<Tie>> = true;
-
-/// A node id with the keys of its interval's start and end, as a keyed
-/// list's entries hold them: what the evaluator's contexts carry, so a
-/// search from a context reads no label column unless a key ties.
+/// A node id with the keys of its interval's start and end, as a list's
+/// entries hold them: what the evaluator's contexts carry, so a search
+/// from a context reads no label column unless a key ties.
 struct KeyedId {
-  /// An end key not at hand (the list stores none): read the label
+  /// An end key not at hand (the list stores none): read the labeling's
   /// instead. A real end key of this value is only read again.
   static constexpr uint32_t kNoEndKey = UINT32_MAX;
 
@@ -98,7 +95,7 @@ struct KeyedId {
 /// runs; one insert or erase copies exactly one run (plus an O(#runs)
 /// spine rebuild). Reads are allocation-free.
 ///
-/// A keyed list also stores, next to each id in the same run, a 32-bit key:
+/// Every list also stores, next to each id in the same run, a 32-bit key:
 /// an order-preserving abbreviation of the id's label (LabeledDocument
 /// keeps it equal to the labeling's OrderKey). A search then probes the
 /// run's contiguous keys and reads a label only on a tie. A list with end
@@ -106,7 +103,7 @@ struct KeyedId {
 /// id's end value (Labeling::EndKey), so an entry is (id, start key, end
 /// key): all that a containment step needs from a context.
 ///
-/// A keyed run also keeps a summary, every kSummaryStride-th key, at the
+/// A run also keeps a summary, every kSummaryStride-th key, at the
 /// head of its key array, where a search that lands in the run reads it
 /// first: it then reads one stride of keys instead of probing across the
 /// whole run. The summary is computed when a run is sealed (a bulk build
@@ -137,14 +134,13 @@ class TagList {
   static constexpr size_t kBlockLog2 = 7;
   /// A run's summary holds the keys at offsets 0, kSummaryStride, ...
   static constexpr size_t kSummaryStride = 16;
-  /// Entries a keyed search gallops through (probing lo, lo+1, lo+3, lo+7)
+  /// Entries a search gallops through (probing lo, lo+1, lo+3, lo+7)
   /// before it turns to the run's last key and summary.
   static constexpr size_t kNearProbes = 8;
 
-  /// An unkeyed list, or a keyed one: every entry then carries a key, and
-  /// with `end_keys` also an end key.
-  explicit TagList(bool keyed = false, bool end_keys = false)
-      : keyed_(keyed), end_keys_(keyed && end_keys) {}
+  /// A list whose entries carry a start key each, and with `end_keys`
+  /// also an end key.
+  explicit TagList(bool end_keys = false) : end_keys_(end_keys) {}
 
   /// O(#runs) spine copy; every run becomes shared.
   TagList(const TagList& other)
@@ -154,7 +150,6 @@ class TagList {
         max_level_(other.max_level_),
         min_level_(other.min_level_),
         nested_(other.nested_),
-        keyed_(other.keyed_),
         end_keys_(other.end_keys_) {
     util::CowStats::Local().chunks_shared += runs_.size();
   }
@@ -166,7 +161,6 @@ class TagList {
       max_level_ = other.max_level_;
       min_level_ = other.min_level_;
       nested_ = other.nested_;
-      keyed_ = other.keyed_;
       end_keys_ = other.end_keys_;
       util::CowStats::Local().chunks_shared += runs_.size();
     }
@@ -178,8 +172,7 @@ class TagList {
   size_t size() const { return fences_.empty() ? 0 : fences_.back().cum; }
   bool empty() const { return size() == 0; }
   size_t run_count() const { return runs_.size(); }
-  bool keyed() const { return keyed_; }
-  /// Whether every entry also carries its end key (keyed lists only).
+  /// Whether every entry also carries its end key.
   bool has_end_keys() const { return end_keys_; }
 
   /// An upper bound on the tree level of every id the list has ever held
@@ -212,9 +205,8 @@ class TagList {
     return fences_[r].ids[i - RunStart(r)];
   }
 
-  /// The key stored with the id at logical index `i` (keyed lists only).
+  /// The key stored with the id at logical index `i`.
   uint32_t key(size_t i) const {
-    CDBS_DCHECK(keyed_);
     const size_t r = RunOf(i);
     return fences_[r].keys[i - RunStart(r)];
   }
@@ -233,7 +225,7 @@ class TagList {
    public:
     Iterator() = default;
     NodeId operator*() const { return list_->fences_[run_].ids[offset_]; }
-    /// The key stored with the entry (keyed lists only).
+    /// The key stored with the entry.
     uint32_t key() const { return list_->fences_[run_].keys[offset_]; }
     Iterator& operator++() {
       if (++offset_ == list_->RunSize(run_)) {
@@ -273,74 +265,23 @@ class TagList {
 
   /// Index of the first element of [from, to) at which `probe` fails, given
   /// that it holds on a prefix of that range and fails on the rest; `to`
-  /// when it holds throughout. `probe` is a KeyProbe, which a keyed list
-  /// answers from its keys, or a callable `bool(NodeId)` asked with each
-  /// probed id.
-  ///
-  /// Gallops inside `from`'s run: one probe when the answer is `from`,
-  /// O(log k) for an answer k places on. When the whole run holds, it
-  /// gallops over the fences' last entries of later runs, then
-  /// binary-searches the run it lands in. So a call reads the fences and
-  /// one or two runs. A key probe reads only `from`'s key before the run's
-  /// last key (in its fence) says whether the answer lies in a later run;
-  /// otherwise the summary narrows the rest of the run to one stride (see
-  /// SearchRun). Adds the number of probes to `*probes`.
-  template <typename Probe>
-  size_t PartitionPoint(size_t from, size_t to, const Probe& probe,
+  /// when it holds throughout. Keys decide every entry whose key differs
+  /// from the probe's (KeyRange); the probe's tie is asked only over the
+  /// entries whose key equals it, galloping from the first of them. So
+  /// where keys are distinct a search asks the tie at most at the bound's
+  /// own entry, and where they are all 0 it gallops by ties alone. Adds
+  /// the number of keys read and ties asked to `*probes`.
+  template <typename Tie>
+  size_t PartitionPoint(size_t from, size_t to, const KeyProbe<Tie>& probe,
                         uint64_t* probes) const {
-    if (from >= to) return from;
-    CDBS_DCHECK(keyed_ || !kIsKeyProbe<Probe>);
-    uint64_t count = 0;
-    size_t r = RunOf(from);
-    size_t start = RunStart(r);
-    size_t stop = std::min<size_t>(fences_[r].cum, to);
-    const auto in_run = [this, &probe, &r](size_t i) {
-      return Holds(probe, fences_[r], i);
-    };
-    size_t at = 0;
-    if constexpr (kIsKeyProbe<Probe>) {
-      at = SearchRun(probe, fences_[r], RunSize(r), from - start,
-                     stop - start, &count);
-    } else {
-      at = Gallop(from - start, stop - start, in_run, &count);
-    }
-    if (at == stop - start && stop < to) {
-      // All of run r's in-range part holds: find the first later run whose
-      // last in-range element fails, then search inside it.
-      const size_t last = to == size() ? runs_.size() - 1 : RunOf(to - 1);
-      const size_t found = Gallop(
-          r + 1, last + 1,
-          [this, last, to, &probe](size_t q) {
-            if (q == last) return Holds(probe, fences_[q], to - 1 - RunStart(q));
-            if constexpr (kIsKeyProbe<Probe>) {
-              const uint32_t k = fences_[q].last_key;
-              if (k != probe.key) return k < probe.key;
-            }
-            return Holds(probe, fences_[q], RunSize(q) - 1);
-          },
-          &count);
-      if (found > last) {
-        *probes += count;
-        return to;
-      }
-      r = found;
-      start = RunStart(r);
-      stop = std::min<size_t>(fences_[r].cum, to);
-      // The run's last in-range element fails; everything before the run
-      // holds.
-      if constexpr (kIsKeyProbe<Probe>) {
-        at = BisectRun(probe, fences_[r], RunSize(r), 0, stop - start - 1,
-                       &count);
-      } else {
-        at = Bisect(0, stop - start - 1, in_run, &count);
-      }
-    }
-    *probes += count;
-    return start + at;
+    const auto [lo, hi] = KeyRange(from, to, probe.key, probes);
+    return Gallop(
+        lo, hi, [this, &probe](size_t i) { return probe.tie((*this)[i]); },
+        probes);
   }
 
-  /// Appends `id` with its `key` and `end_key` (each ignored on a list
-  /// that does not store it); `id` must come last in the list's order:
+  /// Appends `id` with its `key` and `end_key` (ignored on a list without
+  /// end keys); `id` must come last in the list's order:
   /// in-order bulk build. Touches only the final run. Opening a new run
   /// seals the full one before it.
   void Append(NodeId id, uint32_t key = 0, uint32_t end_key = 0);
@@ -350,8 +291,8 @@ class TagList {
   /// before it were sealed as the build moved on.
   void Seal();
 
-  /// Splices `id` (with its `key` and `end_key` where the list stores
-  /// them) at its ordered position under `less` (a strict weak order;
+  /// Splices `id` (with its `key`, and its `end_key` where the list stores
+  /// end keys) at its ordered position under `less` (a strict weak order;
   /// here: label document order). Copies exactly the touched run. Returns
   /// the position.
   template <typename Less>
@@ -411,12 +352,11 @@ class TagList {
     return ErasePositions(&positions);
   }
 
-  /// Sets every key of a keyed list to key_of(id), and every end key (on a
-  /// list with them) to end_of(id), as after a relabel that moved labels.
-  /// Copies only the runs whose keys change, and summarizes them again.
+  /// Sets every key to key_of(id), and every end key (on a list with them)
+  /// to end_of(id), as after a relabel that moved labels. Copies only the
+  /// runs whose keys change, and summarizes them again.
   template <typename KeyOf, typename EndOf>
   void Rekey(KeyOf key_of, EndOf end_of) {
-    CDBS_DCHECK(keyed_);
     const auto matches = [this, &key_of, &end_of](const Run& run, size_t i) {
       return run.key(i) == key_of(run.ids[i]) &&
              (!end_keys_ || run.ends[i] == end_of(run.ids[i]));
@@ -441,8 +381,8 @@ class TagList {
   /// policy, so repeated appends stay amortized linear.
   void AppendRange(size_t from, size_t to, std::vector<NodeId>* out) const;
 
-  /// The same for a keyed list, copying each id with its key and end key
-  /// straight from the runs (kNoEndKey on a list without end keys).
+  /// The same with keys, copying each id with its key and end key straight
+  /// from the runs (kNoEndKey on a list without end keys).
   void AppendRange(size_t from, size_t to, std::vector<KeyedId>* out) const;
 
   /// Materializes the list (for callers that need a plain vector, e.g. the
@@ -465,8 +405,8 @@ class TagList {
     return true;
   }
 
-  /// Debug invariant: no run is empty, a keyed list's runs carry one key
-  /// (and, with end keys, one end key) per id, every summary that covers
+  /// Debug invariant: no run is empty, every run carries one key (and, with
+  /// end keys, one end key) per id, every summary that covers
   /// its run holds the run's keys at its stride, and the fences and the run
   /// directory agree with the runs.
   bool SpineConsistent() const;
@@ -479,7 +419,6 @@ class TagList {
   /// them) end_of of its id. Indexes past size() are ignored.
   template <typename KeyOf, typename EndOf>
   bool KeysMatch(KeyOf key_of, EndOf end_of, size_t from, size_t to) const {
-    if (!keyed_) return true;
     to = std::min(to, size());
     for (size_t r = from < to ? RunOf(from) : runs_.size();
          r < runs_.size() && RunStart(r) < to; ++r) {
@@ -495,14 +434,13 @@ class TagList {
  private:
   /// Summary slots a run can need: runs hold at most kRunMax ids at rest.
   static constexpr size_t kSummarySlots = kRunMax / kSummaryStride;
-  /// Words ahead of a keyed run's first key: the number of ids its summary
+  /// Words ahead of a run's first key: the number of ids its summary
   /// was computed over, then the summary's slots.
   static constexpr size_t kKeyHead = 1 + kSummarySlots;
 
   struct Run {
     std::vector<NodeId> ids;
-    /// On a keyed list, the head (kKeyHead words) and then one key per id;
-    /// empty on an unkeyed one.
+    /// The head (kKeyHead words), then one key per id.
     std::vector<uint32_t> keys;
     std::vector<uint32_t> ends;  ///< one per id with end keys, else empty
 
@@ -512,7 +450,7 @@ class TagList {
 
   /// Run r as a search reads it, without dereferencing its shared_ptr.
   struct Fence {
-    uint32_t last_key = 0;  ///< the run's last key (keyed lists)
+    uint32_t last_key = 0;  ///< the run's last key
     uint32_t cum = 0;       ///< ids in runs [0, r]
     const uint32_t* keys = nullptr;  ///< the first key, past the head
     const NodeId* ids = nullptr;
@@ -523,86 +461,42 @@ class TagList {
     return (n + kSummaryStride - 1) / kSummaryStride;
   }
 
-  /// Whether a key probe holds at an entry with key `k` and id `id`.
-  template <typename Probe>
-  static bool HoldsKey(const Probe& probe, uint32_t k, NodeId id) {
-    return k != probe.key ? k < probe.key : probe.tie(id);
-  }
+  /// The entries of [from, to) whose key equals `key`, as [lo, hi): every
+  /// entry before lo keys below it, and every entry from hi on above it.
+  std::pair<size_t, size_t> KeyRange(size_t from, size_t to, uint32_t key,
+                                     uint64_t* probes) const;
 
-  /// Whether `probe` holds at entry `i` of the run behind `fence`.
-  template <typename Probe>
-  static bool Holds(const Probe& probe, const Fence& fence, size_t i) {
-    if constexpr (kIsKeyProbe<Probe>) {
-      return HoldsKey(probe, fence.keys[i], fence.ids[i]);
-    } else {
-      return probe(fence.ids[i]);
-    }
-  }
+  /// Index of the first entry of [from, to) whose key is not below `key`,
+  /// whose key it sets `*found` to (when there is one). Searches `from`'s
+  /// run first: one probe when the answer is `from`, O(log k) for an
+  /// answer k places on. It reads only `from`'s keys before the run's last
+  /// key (in its fence) says whether the answer lies in a later run;
+  /// otherwise the summary narrows the rest of the run to one stride (see
+  /// SearchRun). When the whole run is below, it gallops
+  /// over the fences' last keys of later runs, then bisects the run it
+  /// lands in. So a call reads the fences and one or two runs.
+  size_t KeysBelow(size_t from, size_t to, uint32_t key, uint32_t* found,
+                   uint64_t* probes) const;
 
   /// First index of [lo, hi) of the run behind `fence`, which holds `n`
-  /// ids, at which key probe `probe` fails, given a true prefix. Over a
-  /// range wider than two strides it bisects the run's summary first, when
-  /// that was computed over all n ids, and then only the stride of keys the
-  /// answer lies in.
-  template <typename Probe>
-  static size_t BisectRun(const Probe& probe, const Fence& fence, size_t n,
-                          size_t lo, size_t hi, uint64_t* count) {
-    const uint32_t* head = fence.keys - kKeyHead;
-    if (hi - lo > 2 * kSummaryStride && head[0] == n) {
-      // Slots j with lo < j * kSummaryStride < hi.
-      const size_t first = lo / kSummaryStride + 1;
-      const size_t stop = (hi - 1) / kSummaryStride + 1;
-      const size_t j = Bisect(
-          first, stop,
-          [&probe, &fence, head](size_t s) {
-            return HoldsKey(probe, head[1 + s], fence.ids[s * kSummaryStride]);
-          },
-          count);
-      if (j > first) lo = (j - 1) * kSummaryStride + 1;
-      if (j < stop) hi = j * kSummaryStride;
-    }
-    return Bisect(
-        lo, hi, [&probe, &fence](size_t i) { return Holds(probe, fence, i); },
-        count);
-  }
+  /// ids, whose key is not below `key`, given that [lo, hi) has one. Over
+  /// a range wider than two strides it bisects the run's summary first,
+  /// when that was computed over all n ids, and then only the stride of
+  /// keys the answer lies in.
+  static size_t BisectRun(const Fence& fence, size_t n, size_t lo, size_t hi,
+                          uint32_t key, uint64_t* count);
 
-  /// A key probe's search of [lo, hi) in the run behind `fence`, which
-  /// holds `n` ids (BisectRun's contract). It first gallops through the
-  /// kNearProbes entries from lo, where a search from a cursor usually
-  /// ends, within a cache line or two. Past them, the range's last
-  /// entry (read from the fence when it ends the run, hi == n) says whether
-  /// the answer lies beyond; if not, a gallop over the summary's slots from
-  /// lo on finds the stride it lies in, and a bisection of that stride
-  /// ends the search. So an answer k places on reads lo's keys, the
-  /// summary and one stride, not the keys between. A run whose summary does
-  /// not cover it is galloped through instead.
-  template <typename Probe>
-  static size_t SearchRun(const Probe& probe, const Fence& fence, size_t n,
-                          size_t lo, size_t hi, uint64_t* count) {
-    const auto holds = [&probe, &fence](size_t i) {
-      return Holds(probe, fence, i);
-    };
-    const uint32_t* head = fence.keys - kKeyHead;
-    if (head[0] != n) return Gallop(lo, hi, holds, count);
-    const size_t near = std::min(hi, lo + kNearProbes);
-    const size_t at = Gallop(lo, near, holds, count);
-    if (at < near || near == hi) return at;
-    lo = near - 1;
-    ++*count;
-    const bool last_holds =
-        hi == n ? HoldsKey(probe, fence.last_key, fence.ids[hi - 1])
-                : holds(hi - 1);
-    if (last_holds) return hi;
-    // The answer lies in (lo, hi - 1]. Slots j with lo < j * stride < hi.
-    const size_t first = lo / kSummaryStride + 1;
-    const size_t stop = (hi - 1) / kSummaryStride + 1;
-    const auto slot_holds = [&probe, &fence, head](size_t j) {
-      return HoldsKey(probe, head[1 + j], fence.ids[j * kSummaryStride]);
-    };
-    const size_t j = Gallop(first, stop, slot_holds, count);
-    return Bisect(j > first ? (j - 1) * kSummaryStride + 1 : lo + 1,
-                  j < stop ? j * kSummaryStride : hi - 1, holds, count);
-  }
+  /// The same search of [lo, hi), which may have no such key (then hi).
+  /// It first gallops through the kNearProbes entries from lo, where a
+  /// search from a cursor usually ends, within a cache line or two. Past
+  /// them, the range's last key (read from the fence when it ends the run,
+  /// hi == n) says whether the answer lies beyond; if not, a gallop over
+  /// the summary's slots from lo on finds the stride it lies in, and a
+  /// bisection of that stride ends the search. So an answer k places on
+  /// reads lo's keys, the summary and one stride, not the keys between. A
+  /// run whose summary does not cover it is galloped through instead.
+  static size_t SearchRun(const Fence& fence, size_t n, size_t lo, size_t hi,
+                          uint32_t key, uint64_t* count);
 
   /// First index of [lo, hi) at which `holds(i)` is false (`hi` when none
   /// is), given a true prefix: probes lo, lo+1, lo+3, lo+7, ... clamped to
@@ -661,7 +555,7 @@ class TagList {
   /// Clones runs_[r] iff shared; charges CowStats. Refresh its fence after
   /// changing it.
   Run* MutableRun(size_t r);
-  /// Recomputes `run`'s key summary (keyed lists).
+  /// Recomputes `run`'s key summary.
   void Summarize(Run* run) const;
   /// Points fence r at run r's arrays and last key; its count stays.
   void RefreshFence(size_t r);
@@ -674,7 +568,6 @@ class TagList {
   int max_level_ = 0;
   int min_level_ = 0;
   bool nested_ = false;
-  bool keyed_ = false;
   bool end_keys_ = false;
 };
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
+#include <vector>
 
 #include "core/cdbs.h"
 #include "labeling/float_containment.h"
@@ -300,6 +302,114 @@ TEST(QedContainmentTest, NeverOverflowsEvenWhenSkewed) {
     ASSERT_FALSE(result.overflow);
     ASSERT_EQ(result.neighbor_bits_modified, 2u);
     target = result.new_node;
+  }
+}
+
+// The order-key contract (Labeling::OrderKey), checked on one pair of
+// values: Key(a) < Key(b) only if a < b, and so a < b gives Key(a) <=
+// Key(b).
+template <typename Codec>
+void ExpectKeysOrderLike(const typename Codec::Value& a,
+                         const typename Codec::Value& b) {
+  if (Codec::Key(a) < Codec::Key(b)) {
+    EXPECT_TRUE(a < b) << a << " " << b;
+  }
+  if (a < b) {
+    EXPECT_LE(Codec::Key(a), Codec::Key(b)) << a << " " << b;
+  }
+}
+
+TEST(ContainmentKeyTest, FloatKeysAreExact) {
+  std::mt19937_64 rng(7);
+  std::vector<float> values;
+  // Positive finite floats of every magnitude, and the values midpoint
+  // inserts make between neighbours.
+  for (int i = 0; i < 400; ++i) {
+    values.push_back(std::bit_cast<float>(
+        static_cast<uint32_t>(rng() % 0x7f800000u)));
+  }
+  FloatContainmentCodec codec;
+  codec.Init(50, &values);
+  float left = values[10];
+  const float right = values[11];
+  uint64_t bits = 0;
+  for (int i = 0; i < 20; ++i) {
+    float v1 = 0;
+    float v2 = 0;
+    if (!codec.TryInsertTwoBetween(left, right, &v1, &v2, &bits)) break;
+    values.push_back(v1);
+    values.push_back(v2);
+    left = v2;
+  }
+  for (const float a : values) {
+    for (const float b : values) {
+      ASSERT_EQ(FloatContainmentCodec::Key(a) < FloatContainmentCodec::Key(b),
+                a < b)
+          << a << " " << b;
+    }
+  }
+}
+
+// A random valid QED code of up to `max_digits` digits.
+core::QedCode RandomQedCode(std::mt19937_64* rng, size_t max_digits) {
+  const size_t n = (*rng)() % (max_digits + 1);
+  core::QedCode code;
+  for (size_t i = 0; i < n; ++i) {
+    code.push_back(static_cast<char>('1' + (*rng)() % 3));
+  }
+  if (!code.empty() && code.back() == '1') code.back() = '2';
+  return code;
+}
+
+TEST(ContainmentKeyTest, QedKeysFollowCodeOrder) {
+  std::mt19937_64 rng(11);
+  std::vector<core::QedCode> codes = core::QedEncodeRange(200);
+  // Codes up to 24 digits: many share their first 16 digits.
+  for (int i = 0; i < 300; ++i) codes.push_back(RandomQedCode(&rng, 24));
+  for (const core::QedCode& a : codes) {
+    ASSERT_TRUE(core::IsValidQedCode(a)) << a;
+    for (const core::QedCode& b : codes) {
+      ExpectKeysOrderLike<QedContainmentCodec>(a, b);
+      // Codes that differ in their first 16 digits key apart.
+      if (a.compare(0, 16, b, 0, 16) != 0) {
+        ASSERT_NE(QedContainmentCodec::Key(a), QedContainmentCodec::Key(b))
+            << a << " " << b;
+      }
+    }
+  }
+}
+
+TEST(ContainmentKeyTest, QedCodeKeysNoHigherThanItsExtensions) {
+  std::mt19937_64 rng(13);
+  for (int i = 0; i < 2000; ++i) {
+    const core::QedCode code = RandomQedCode(&rng, 20);
+    core::QedCode extension = code;
+    const size_t more = 1 + rng() % 8;
+    for (size_t k = 0; k < more; ++k) {
+      extension.push_back(static_cast<char>('1' + rng() % 3));
+    }
+    ASSERT_LE(QedContainmentCodec::Key(code),
+              QedContainmentCodec::Key(extension))
+        << code << " " << extension;
+    // Below 16 digits the separator pad keys a code strictly lower.
+    if (code.size() < 16) {
+      ASSERT_LT(QedContainmentCodec::Key(code),
+                QedContainmentCodec::Key(extension))
+          << code << " " << extension;
+    }
+  }
+  // Skewed inserts at one gap grow codes past 16 digits, and they keep
+  // the contract.
+  std::vector<core::QedCode> grown = {"2", "3"};
+  for (int i = 0; i < 60; ++i) {
+    grown.insert(grown.begin() + 1,
+                 core::QedInsertBetween(grown[0], grown[1]));
+  }
+  ASSERT_GT(grown[1].size(), 16u);
+  for (const core::QedCode& a : grown) {
+    for (const core::QedCode& b : grown) {
+      ExpectKeysOrderLike<QedContainmentCodec>(a, b);
+    }
   }
 }
 

@@ -231,12 +231,15 @@ TagList UnevenList(NodeId n, NodeId keep_every) {
 }
 
 // PartitionPoint against std::partition_point over the flattened list, for
-// every threshold, with `holds(x) = x < threshold`.
+// every threshold, with `holds(x) = x < threshold`. The list's keys are all
+// 0, like the prefix schemes' and Prime's, so every probe ties and `holds`
+// decides it.
 void ExpectPartitionPoint(const TagList& list, size_t from, size_t to,
                           NodeId threshold, const std::vector<NodeId>& flat) {
   const auto holds = [threshold](NodeId x) { return x < threshold; };
   uint64_t probes = 0;
-  const size_t got = list.PartitionPoint(from, to, holds, &probes);
+  const size_t got = list.PartitionPoint(
+      from, to, query::KeyProbe<decltype(holds)>{0, holds}, &probes);
   const size_t want = static_cast<size_t>(
       std::partition_point(flat.begin() + static_cast<ptrdiff_t>(from),
                            flat.begin() + static_cast<ptrdiff_t>(to), holds) -
@@ -352,7 +355,7 @@ TagList KeyedUnevenList(const std::vector<uint64_t>& words,
   const NodeId n = static_cast<NodeId>(words.size());
   const auto less = [](NodeId a, NodeId b) { return a < b; };
   const auto key = [&words](NodeId id) { return CdbsCodec::Key(words[id]); };
-  TagList list(/*keyed=*/true);
+  TagList list;
   for (NodeId i = 0; i < n; i += 4) list.Append(i, key(i));
   EXPECT_TRUE(list.SpineConsistent());
   for (NodeId i = n / 8 + 1; i < n / 2; i += 2) {
@@ -495,7 +498,7 @@ TEST(TagListKeyTest, SpineFollowsOneElementRunsSplitsRekeysAndForks) {
   const auto key = [&words](NodeId id) { return CdbsCodec::Key(words[id]); };
   // Appends seal a run every kRunTarget ids, so run r starts at
   // r * kRunTarget.
-  TagList list(/*keyed=*/true);
+  TagList list;
   for (NodeId i = 0; i < n; ++i) list.Append(i, key(i));
   ASSERT_TRUE(list.SpineConsistent());
   const size_t runs = list.run_count();
@@ -588,7 +591,7 @@ TEST(TagListKeyTest, ForkReadersProbeWhileTheWriterSplices) {
   const NodeId n = static_cast<NodeId>(words.size());
   const auto less = [](NodeId a, NodeId b) { return a < b; };
   const auto key = [&words](NodeId id) { return CdbsCodec::Key(words[id]); };
-  TagList live(/*keyed=*/true);
+  TagList live;
   for (NodeId i = 0; i < n; i += 2) live.Append(i, key(i));
   const TagList fork = live;
   const std::vector<NodeId> flat = fork.ToVector();
@@ -674,7 +677,7 @@ TEST(TagListKeyTest, EndKeysAndSummariesFollowSplitsErasesRekeysAndForks) {
   };
 
   // Appends seal each run as the next one opens; Seal seals the last.
-  TagList list(/*keyed=*/true, /*end_keys=*/true);
+  TagList list(/*end_keys=*/true);
   ASSERT_TRUE(list.has_end_keys());
   std::vector<NodeId> ids;
   for (NodeId i = 0; i < n; i += 4) {

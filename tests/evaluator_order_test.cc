@@ -13,6 +13,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,8 +232,9 @@ TEST_P(EvaluatorOrderTest, MatchesDomWalkUnderRandomUpdates) {
 
 // Scoped evaluation: the subtree of the scope is the whole document. For
 // the root and for random element scopes, every query returns the DOM walk
-// from that scope and counts its size; counting several scopes in one call,
-// with the cursors carried from scope to scope, gives each scope's count.
+// from that scope and counts its size; counting several disjoint scopes in
+// document order in one call (CountPerScope's precondition), with the
+// cursors carried from scope to scope, gives each scope's count.
 TEST_P(EvaluatorOrderTest, ScopesMatchDomWalkUnderRandomUpdates) {
   const auto scheme = labeling::SchemeByName(GetParam());
   for (uint64_t seed = 11; seed <= 14; ++seed) {
@@ -264,7 +266,6 @@ TEST_P(EvaluatorOrderTest, ScopesMatchDomWalkUnderRandomUpdates) {
         while (i < live.size() && inside(n, live[i])) ++i;
       }
       ASSERT_GT(disjoint.size(), 2u);
-      std::vector<NodeId> reversed(disjoint.rbegin(), disjoint.rend());
       std::map<NodeId, RefEvaluator> references;
       auto reference = [&](NodeId scope) -> const RefEvaluator& {
         return references.try_emplace(scope, ref, scope).first->second;
@@ -285,18 +286,15 @@ TEST_P(EvaluatorOrderTest, ScopesMatchDomWalkUnderRandomUpdates) {
           ASSERT_EQ(CountQuery(*query, labeled, scope), want.size())
               << GetParam() << " scope " << scope << ": " << text;
         }
-        // Carried cursors (disjoint, in order) and fresh ones (nested or
-        // out of order) give every scope its own count.
-        for (std::vector<NodeId>* set : {&disjoint, &reversed, &scopes}) {
-          const std::vector<uint64_t> counts =
-              CountPerScope(*query, labeled, *set);
-          ASSERT_EQ(counts.size(), set->size());
-          for (size_t k = 0; k < set->size(); ++k) {
-            ASSERT_EQ(counts[k], reference((*set)[k]).Evaluate(*query).size())
-                << GetParam() << " seed " << seed << " round " << round
-                << " scope " << (*set)[k] << " of " << Describe(*set) << ": "
-                << text;
-          }
+        // Carried cursors give every scope its own count.
+        const std::vector<uint64_t> counts =
+            CountPerScope(*query, labeled, disjoint);
+        ASSERT_EQ(counts.size(), disjoint.size());
+        for (size_t k = 0; k < disjoint.size(); ++k) {
+          ASSERT_EQ(counts[k], reference(disjoint[k]).Evaluate(*query).size())
+              << GetParam() << " seed " << seed << " round " << round
+              << " scope " << disjoint[k] << " of " << Describe(disjoint)
+              << ": " << text;
         }
       }
     }
@@ -393,38 +391,29 @@ TEST_P(EvaluatorOrderTest, ChildSpansFollowDeeperInsertsDeletesAndForks) {
   ASSERT_NO_FATAL_FAILURE(check(pinned.view(), before_insert, "pinned"));
 }
 
-// The order key a keyed tag list must carry for `id`: the codec's
-// abbreviation of its start value (of its end value with `end`). Null for
-// schemes without keys.
+// The order key a tag list must carry for `id`: the codec's abbreviation
+// of its start value (of its end value with `end`) for a containment
+// scheme, and the constant 0 for the others.
 std::function<uint32_t(NodeId)> CodecKeyOf(const labeling::Labeling& lab,
                                            bool end = false) {
-  using labeling::CdbsContainmentCodec;
-  using labeling::ContainmentLabeling;
-  using labeling::IntContainmentCodec;
-  if (const auto* binary =
-          dynamic_cast<const ContainmentLabeling<IntContainmentCodec>*>(
-              &lab)) {
-    return [binary, end](NodeId id) {
-      return IntContainmentCodec::Key(end ? binary->ends()[id]
-                                          : binary->starts()[id]);
-    };
-  }
-  if (const auto* cdbs =
-          dynamic_cast<const ContainmentLabeling<CdbsContainmentCodec>*>(
-              &lab)) {
-    return [cdbs, end](NodeId id) {
-      return CdbsContainmentCodec::Key(end ? cdbs->ends()[id]
-                                           : cdbs->starts()[id]);
-    };
-  }
-  return nullptr;
+  std::function<uint32_t(NodeId)> key_of = [](NodeId) { return 0u; };
+  labeling::WithContainment(
+      lab, [&]<typename Codec>(
+               const labeling::ContainmentLabeling<Codec>& containment) {
+        key_of = [&containment, end](NodeId id) {
+          return Codec::Key(end ? containment.ends()[id]
+                                : containment.starts()[id]);
+        };
+      });
+  return key_of;
 }
 
-// Every tag list of `doc` is keyed iff its scheme has order keys, and each
-// key is the codec's abbreviation of its id's start value; every per-tag
-// list of a keyed scheme also carries end keys, each the abbreviation of
-// its id's end value (the list of all elements carries none), and every
-// run's summary covers it. Answers are the DOM walk's.
+// Every tag list of `doc`, whatever its scheme, is keyed: each key is the
+// codec's abbreviation of its id's start value (0 outside the containment
+// family), and every run carries a key summary that covers it. Every
+// per-tag list also carries end keys, each the abbreviation of its id's
+// end value (the list of all elements carries none). Answers are the DOM
+// walk's.
 void ExpectKeysAndAnswers(const LabeledDocument& doc, const RefTree& ref,
                           const std::string& when) {
   const std::function<uint32_t(NodeId)> key_of = CodecKeyOf(doc.labeling());
@@ -433,8 +422,6 @@ void ExpectKeysAndAnswers(const LabeledDocument& doc, const RefTree& ref,
   for (const char* name : {"*", "r", "a", "b", "c"}) {
     const TagList& list = doc.WithTag(name);
     if (list.empty()) continue;  // an unknown tag's shared empty list
-    ASSERT_EQ(list.keyed(), key_of != nullptr) << when << " //" << name;
-    if (key_of == nullptr) continue;
     const bool per_tag = std::string(name) != "*";
     ASSERT_EQ(list.has_end_keys(), per_tag) << when << " //" << name;
     ASSERT_TRUE(list.SpineConsistent()) << when << " //" << name;
@@ -524,14 +511,16 @@ TEST_P(EvaluatorOrderTest, KeysFollowLabelsUnderWritesForksAndRelabels) {
 
 // Skewed inserts at one gap, each just before the one inserted last, grow
 // the codes there as far as the scheme lets them before it re-encodes.
-// Every targeted query must still match the DOM walk, and the keyed
-// navigator must have met keys that tie and decided them. With the
-// built-in keyed schemes two distinct labels never share a key: V-/F-CDBS
-// re-encode before a code passes 2^field - 1 <= 31 bits, and integer
-// values stay below 2^32. So the ties met here are a search meeting its
-// own context (a `*` step from an element, `//a/a`); ties between distinct
-// labels are covered on synthetic words in TagListKeyTest
-// (cow_snapshot_test.cc).
+// Every targeted query must still match the DOM walk, and the navigator
+// must have met keys that tie and decided them. The prefix schemes and
+// Prime key every label 0, so each of their probes ties. V-/F-CDBS re-encode
+// before a code passes 2^field - 1 <= 31 bits, integer values stay below
+// 2^32 and floats are keyed exactly, so there the ties are a search
+// meeting its own context (a `*` step from an element, `//a/a`). QED codes
+// grow past the 16 digits a key holds, so QED-Containment, and Hybrid once
+// the skew has switched it to QED, also meet distinct labels that share a
+// key. Ties between distinct CDBS words are covered on synthetic words in
+// TagListKeyTest (cow_snapshot_test.cc).
 TEST_P(EvaluatorOrderTest, SkewedInsertsMeetKeyTiesAndMatchTheDomWalk) {
   const auto scheme = labeling::SchemeByName(GetParam());
   std::mt19937_64 rng(33);
@@ -552,8 +541,26 @@ TEST_P(EvaluatorOrderTest, SkewedInsertsMeetKeyTiesAndMatchTheDomWalk) {
           labeled, ref, "skewed insert " + std::to_string(i)));
     }
   }
-  if (labeled.labeling().HasOrderKeys()) {
-    EXPECT_GT(KeyTies() - ties0, 0u) << "no keyed comparison tied";
+  EXPECT_GT(KeyTies() - ties0, 0u) << "no keyed comparison tied";
+  if (GetParam() == "QED-Containment" ||
+      GetParam() == "Hybrid-CDBS/QED-Containment") {
+    const auto* hybrid = dynamic_cast<const labeling::ContainmentLabeling<
+        labeling::HybridContainmentCodec>*>(&labeled.labeling());
+    if (hybrid != nullptr) {
+      ASSERT_TRUE(std::holds_alternative<core::QedCode>(
+          hybrid->starts()[labeled.root()]))
+          << "the skewed inserts never switched Hybrid to QED";
+    }
+    // Distinct labels share a key, and searches after the switch tie.
+    const TagList& all = labeled.all_elements();
+    bool shared = false;
+    for (size_t i = 1; i < all.size() && !shared; ++i) {
+      shared = all.key(i - 1) == all.key(i);
+    }
+    EXPECT_TRUE(shared) << "no two QED codes share their first 16 digits";
+    const uint64_t ties1 = KeyTies();
+    ASSERT_NO_FATAL_FAILURE(ExpectKeysAndAnswers(labeled, ref, "final"));
+    EXPECT_GT(KeyTies() - ties1, 0u) << "no QED-keyed comparison tied";
   }
 }
 

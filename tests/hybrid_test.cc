@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+#include <vector>
+
 #include "labeling/containment.h"
 #include "xml/parser.h"
 #include "xml/shakespeare.h"
@@ -47,6 +50,48 @@ TEST(HybridTest, SwitchesToQedOnFirstOverflowThenNeverRelabelsAgain) {
   EXPECT_LT(labeling->CompareOrder(1, target), 0);
   EXPECT_LT(labeling->CompareOrder(target, 2), 0);
   EXPECT_TRUE(labeling->IsParent(0, target));
+}
+
+// Every live node's start and end keys against the labels they abbreviate:
+// Key(a) < Key(b) only where a's value is below b's, over every pair of
+// values.
+void ExpectKeysFollowLabels(
+    const ContainmentLabeling<HybridContainmentCodec>& lab) {
+  std::vector<HybridContainmentCodec::Value> values;
+  for (NodeId n = 0; n < lab.num_nodes(); ++n) {
+    if (lab.skeleton().is_removed(n)) continue;
+    ASSERT_EQ(lab.OrderKey(n), HybridContainmentCodec::Key(lab.starts()[n]));
+    ASSERT_EQ(lab.EndKey(n), HybridContainmentCodec::Key(lab.ends()[n]));
+    values.push_back(lab.starts()[n]);
+    values.push_back(lab.ends()[n]);
+  }
+  for (const auto& a : values) {
+    for (const auto& b : values) {
+      ASSERT_EQ(a.index(), b.index()) << "live values in two modes";
+      if (HybridContainmentCodec::Key(a) < HybridContainmentCodec::Key(b)) {
+        ASSERT_TRUE(a < b);
+      }
+    }
+  }
+}
+
+TEST(HybridTest, KeysFollowLabelsBeforeAndAfterTheQedSwitch) {
+  const xml::Document doc = SmallDoc();
+  auto labeling = MakeHybridContainment()->Label(doc);
+  const auto& hybrid =
+      dynamic_cast<const ContainmentLabeling<HybridContainmentCodec>&>(
+          *labeling);
+  ASSERT_NO_FATAL_FAILURE(ExpectKeysFollowLabels(hybrid));
+  NodeId target = 2;
+  bool switched = false;
+  for (int i = 0; i < 80; ++i) {
+    const InsertResult result = labeling->InsertSiblingBefore(target);
+    target = result.new_node;
+    switched |= result.overflow;
+    ASSERT_NO_FATAL_FAILURE(ExpectKeysFollowLabels(hybrid)) << "insert " << i;
+  }
+  ASSERT_TRUE(switched);
+  EXPECT_TRUE(std::holds_alternative<core::QedCode>(hybrid.starts()[0]));
 }
 
 TEST(HybridTest, PlainCdbsKeepsOverflowingUnderTheSameWorkload) {
